@@ -25,8 +25,9 @@ a new time a handful of table AXPYs (this is what the time stepper leans
 on).
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._stencil import exp_derivative_factors
@@ -110,6 +111,19 @@ class PhaseTables:
     dx_exp_factors: list      # Q_a = e^{lam} D_x^a e^{-lam}, a = 1..4
 
 
+def _lambda_x_table(p, params, grid, which, order, t_sign=0.0):
+    X, XI = grid.x[:, None], grid.xi[None, :]
+    return SymbolTable(grid, lambda_x_derivative(
+        X, XI, t_sign, p, params, which=which, order=order).astype(complex))
+
+
+def dxdxi_lambda2(p: ProblemSpec, params: WeightParams, grid: Grid,
+                  t_sign: float = 0.0) -> SymbolTable:
+    """d_xi d_x lam2 on the lattice.  It reads M2 but not M1, and it needs
+    no weight integral (d_x lam2 is in closed form)."""
+    return xi_derivative(_lambda_x_table(p, params, grid, 2, 1, t_sign), 1)
+
+
 def build_phase_tables(p: ProblemSpec, params: WeightParams, grid: Grid,
                        t_sign: float = 0.0) -> PhaseTables:
     """Sample the spatial phase and its derivatives once per grid/params."""
@@ -120,10 +134,8 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams, grid: Grid,
 
     lam2_x, lam1_x = {}, {}
     for order in (1, 2, 3):
-        lam2_x[order] = SymbolTable(grid, lambda_x_derivative(
-            X, XI, t_sign, p, params, which=2, order=order).astype(complex))
-        lam1_x[order] = SymbolTable(grid, lambda_x_derivative(
-            X, XI, t_sign, p, params, which=1, order=order).astype(complex))
+        lam2_x[order] = _lambda_x_table(p, params, grid, 2, order, t_sign)
+        lam1_x[order] = _lambda_x_table(p, params, grid, 1, order, t_sign)
     lam_x = {o: lam2_x[o] + lam1_x[o] for o in (1, 2, 3)}
     from .quantize import x_derivative
     lam_x[4] = x_derivative(lam_x[3], 1)
@@ -199,22 +211,23 @@ def truncation_order(m, theta, cap=8):
 @dataclass
 class ConjugatorBundle:
     """Dense realizations of the spatial conjugator and its inverse, plus
-    the diagonal time-weight multipliers."""
+    the diagonal time-weight multipliers.
+
+    E and E_inv read neither C1 nor C2; the time multipliers read both, so
+    ``params`` must carry the calibrated constants before the bundle is
+    applied (``dataclasses.replace(bundle, params=...)`` shares the
+    matrices)."""
 
     grid: Grid
     params: WeightParams
     problem: ProblemSpec
     phase: PhaseTables
     E: np.ndarray                  # op(e^lam)
-    E_star: np.ndarray             # adjoint of op(e^-lam)
-    remainder: np.ndarray          # E @ E_star - I (exact discrete remainder)
-    neumann_factor: np.ndarray     # sum_j (-remainder)^j, truncated
-    E_inv: np.ndarray              # E_star @ neumann_factor (or dense inverse)
-    spectral_radius: float
+    E_inv: np.ndarray              # E_star sum_j (-R)^j, or the dense inverse
+    spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
     residual: float                # ||E @ E_inv - I||_2
     series_terms: int
-    symbol_remainder: SymbolTable  # truncated expansion of the remainder symbol
-    symbol_gap: float              # ||op(symbol_remainder) - remainder||_2
+    symbol_gap: float              # ||op(truncated remainder symbol) - R||_2
     mode: str = "neumann"
 
     def time_multiplier(self, t, sign=+1):
@@ -259,8 +272,10 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     The inverse follows the adjoint-times-Neumann-series structure; the
     series runs on the exact discrete remainder E (op e^-lam)* - I, so with
     a convergent series the composite residual lands at series_tol level.
-    ``mode="dense"`` replaces the series with a direct dense inverse
-    (cross-check oracle, N <= 256).
+    The series stops once the Frobenius norm of a term, an upper bound of
+    its spectral norm, falls below series_tol; the exact residual is checked
+    once at the end.  ``mode="dense"`` replaces the series with a direct
+    dense inverse (cross-check oracle, N <= 256).
     """
     phase = phase or build_phase_tables(p, params, grid, t_sign=t)
     N = grid.N
@@ -303,7 +318,7 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
             term = term @ (-R)
             S = S + term
             terms = j
-            if operator_norm(term) < series_tol:
+            if np.linalg.norm(term) < series_tol:
                 break
         E_inv = E_star @ S
 
@@ -313,10 +328,8 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
             f"conjugator inverse residual {residual:.3e} exceeds "
             f"{inverse_tol}; increase h or loosen inverse_tol")
     return ConjugatorBundle(grid=grid, params=params, problem=p, phase=phase,
-                            E=E, E_star=E_star, remainder=R,
-                            neumann_factor=S, E_inv=E_inv,
-                            spectral_radius=rho, residual=residual,
-                            series_terms=terms, symbol_remainder=sym,
+                            E=E, E_inv=E_inv, spectral_radius=rho,
+                            residual=residual, series_terms=terms,
                             symbol_gap=gap, mode=mode)
 
 
@@ -424,8 +437,16 @@ class ConjugationAssembler:
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
-        self._static = None
         self._cache = {}
+
+    def with_params(self, params: WeightParams):
+        """This assembler with other k(t) constants C1, C2.  No cached table
+        reads them, so the copy shares the cache."""
+        if replace(params, C1=self.params.C1, C2=self.params.C2) != self.params:
+            raise ParameterError("an assembler's params may differ only in C1, C2")
+        other = copy.copy(self)
+        other.params = params
+        return other
 
     # -- time-independent machinery -----------------------------------
 
@@ -525,18 +546,15 @@ class ConjugationAssembler:
         return out
 
     def _static_tables(self, t):
-        if self.problem.time_dependent:
-            key = round(float(t), 12)
-            if key not in self._cache:
-                stage = self._lambda_stage(t)
-                self._cache[key] = (stage, self._k_stage_cache(stage))
-                if len(self._cache) > 12:
-                    self._cache.pop(next(iter(self._cache)))
-            return self._cache[key]
-        if self._static is None:
-            stage = self._lambda_stage(0.0)
-            self._static = (stage, self._k_stage_cache(stage))
-        return self._static
+        """One entry for time-independent coefficients; one per time
+        (memoized, at most 12) for time-dependent ones."""
+        key = round(float(t), 12) if self.problem.time_dependent else None
+        if key not in self._cache:
+            stage = self._lambda_stage(0.0 if key is None else t)
+            self._cache[key] = (stage, self._k_stage_cache(stage))
+            if len(self._cache) > 12:
+                self._cache.pop(next(iter(self._cache)))
+        return self._cache[key]
 
     # -- public assembly ----------------------------------------------
 

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,16 +216,19 @@ def build_problem(cfg: RunConfig):
                          domain=v["grid.L"])
 
 
-def resolve_weights(cfg: RunConfig, problem, grid):
+def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
     """Resolve the weight block, running selection for any 'auto' entry.
-    Returns (params, details, resolved_cfg)."""
+    Returns (params, details, resolved_cfg).  When selection or calibration
+    built the conjugator and the assembler for the final params, they are in
+    details["bundle"] and details["assembler"]."""
     v = cfg.values
     theta = v["gevrey.theta"]
     auto = [k for k in ("weights.M2", "weights.M1", "weights.h") if v[k] == "auto"]
     if auto:
         kw = dict(k0=v["weights.k0"], margin=v["select.margin"],
                   series_tol=v["tolerances.series_tol"],
-                  inverse_tol=v["tolerances.inverse_tol"])
+                  inverse_tol=v["tolerances.inverse_tol"],
+                  assumptions=assumptions)
         if v["weights.h"] != "auto":
             kw["h_start"] = kw["h_max"] = float(v["weights.h"])
         if v["weights.M2"] != "auto":
@@ -239,13 +242,37 @@ def resolve_weights(cfg: RunConfig, problem, grid):
                               h=float(v["weights.h"]), k0=v["weights.k0"],
                               sigma=problem.sigma, theta=theta,
                               R_a3=problem.R_a3, domain_cap=D)
-        params = calibrate_time_weight(problem, params, grid)
-        details = {"explicit": True}
+        bundle = build_conjugator(problem, params, grid,
+                                  series_tol=v["tolerances.series_tol"],
+                                  inverse_tol=v["tolerances.inverse_tol"])
+        asm = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
+        params = calibrate_time_weight(problem, params, grid, assembler=asm)
+        details = {"explicit": True, "bundle": replace(bundle, params=params),
+                   "assembler": asm.with_params(params)}
     resolved = cfg.with_overrides(**{"weights.M2": params.M2,
                                      "weights.M1": params.M1,
                                      "weights.h": params.h,
                                      "weights.k0": params.k0})
     return params, details, resolved
+
+
+def conjugate_and_certify(cfg: RunConfig, problem, params, grid, details):
+    """The conjugator for ``params`` and its positivity report.  Reuses the
+    bundle and assembler that weight resolution built, if it built them."""
+    v = cfg.values
+    bundle = details.get("bundle")
+    if bundle is None:
+        bundle = build_conjugator(problem, params, grid,
+                                  series_tol=v["tolerances.series_tol"],
+                                  inverse_tol=v["tolerances.inverse_tol"])
+    assembler = details.get("assembler")
+    if assembler is None:
+        assembler = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
+    positivity = verify_lower_bounds(assembler, params, grid,
+                                     np.linspace(0.0, problem.T, 5),
+                                     tol=v["tolerances.garding_tol"],
+                                     with_garding=(grid.N <= 256))
+    return bundle, positivity
 
 
 def build_data(cfg: RunConfig, grid):
@@ -281,15 +308,8 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
         bad = ", ".join(r.name for r in assumptions.results if not r.passed)
         raise ConfigurationError(f"structural hypotheses fail: {bad}")
 
-    params, details, resolved = resolve_weights(cfg, problem, grid)
-    bundle = build_conjugator(problem, params, grid,
-                              series_tol=v["tolerances.series_tol"],
-                              inverse_tol=v["tolerances.inverse_tol"])
-    assembler = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
-    t_samples = np.linspace(0.0, problem.T, 5)
-    positivity = verify_lower_bounds(assembler, params, grid, t_samples,
-                                     tol=v["tolerances.garding_tol"],
-                                     with_garding=(grid.N <= 256))
+    params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
+    bundle, positivity = conjugate_and_certify(cfg, problem, params, grid, details)
 
     g, f, rho = build_data(cfg, grid)
     dt = None if v["run.dt"] == "auto" else float(v["run.dt"])
@@ -358,15 +378,8 @@ def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
     problem = build_problem(cfg)
     theta = v["gevrey.theta"]
     assumptions = check_assumptions(problem, grid, theta)
-    params, details, resolved = resolve_weights(cfg, problem, grid)
-    bundle = build_conjugator(problem, params, grid,
-                              series_tol=v["tolerances.series_tol"],
-                              inverse_tol=v["tolerances.inverse_tol"])
-    assembler = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
-    positivity = verify_lower_bounds(assembler, params, grid,
-                                     np.linspace(0.0, problem.T, 5),
-                                     tol=v["tolerances.garding_tol"],
-                                     with_garding=(grid.N <= 256))
+    params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
+    bundle, positivity = conjugate_and_certify(cfg, problem, params, grid, details)
     if write:
         out = out_dir or v["output.dir"]
         os.makedirs(out, exist_ok=True)

@@ -14,12 +14,12 @@ The constants entering the k(t) equation are measured here and fed back
 into the weight parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conjugate import (ConjugationAssembler, _hermitian_half,
-                        build_conjugator, build_phase_tables)
+                        build_conjugator, dxdxi_lambda2)
 from .errors import ConfigurationError, ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -160,24 +160,28 @@ def _sup_normalized(values, normalizer, region=None):
 
 
 def calibrate_time_weight(p: ProblemSpec, params: WeightParams, grid: Grid,
-                          t_samples=None, phase=None, rounds: int = 5):
+                          t_samples=None, assembler=None, rounds: int = 5):
     """Fixed-point measurement of the constants C1, C2 in k' + C1 k + C2 = 0.
 
     C1 bounds the negative part of the k-stage order-1/theta remainder
     relative to k(t); C2 bounds the k-independent negative contributions
     (conjugated order-1 tail and the window tails).  Returns params with the
     measured constants installed; raises if k(T) dies inside the horizon.
+    The assembler's tables read neither C1 nor C2, so one assembler (given,
+    or built here) serves every round.
     """
     ts = np.linspace(0.0, p.T, 5) if t_samples is None else np.atleast_1d(t_samples)
     bx = np.ones((grid.N, 1))
     norm_t = bracket_h(grid.xi, params.h)[None, :] ** (1.0 / params.theta) * bx
     region = np.abs(grid.xi) > params.R_a3 * params.h
     region[grid.nyquist] = False
+    asm = (ConjugationAssembler(p, params, grid) if assembler is None
+           else assembler)
     C1, C2 = 0.0, 0.0
     for _ in range(rounds):
         params = params.with_ode_constants(C1, C2)
         k_of_t(p.T, params)  # raises ParameterError if k dies on [0, T]
-        asm = ConjugationAssembler(p, params, grid, phase=phase)
+        asm = asm.with_params(params)
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
             cs = asm.at(float(t))
@@ -205,12 +209,16 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                series_tol: float = 1e-10,
                                inverse_tol: float = 1e-8,
                                n_t_samples: int = 5, fp_rounds: int = 5,
-                               M2_pin=None, M1_pin=None):
+                               M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
     M2_pin / M1_pin freeze a strength instead of deriving it from the
-    measured constants (used by parameter sweeps)."""
-    rep = check_assumptions(p, grid, theta)
+    measured constants (used by parameter sweeps).  ``assumptions`` is a
+    report from check_assumptions(p, grid, theta), computed here if absent.
+    An accepted trial leaves its conjugator (with the calibrated params) and
+    its assembler in details["bundle"] and details["assembler"]."""
+    rep = (check_assumptions(p, grid, theta) if assumptions is None
+           else assumptions)
     if not rep.passed:
         bad = [r.name for r in rep.results if not r.passed]
         raise ConfigurationError(
@@ -253,12 +261,12 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                            "refine the grid or shrink L")
                 break
             # constants entering the order-1 inequality, measured with lam2
-            phase0 = build_phase_tables(p, params, grid)
+            dxdxi_lam2 = dxdxi_lambda2(p, params, grid)
             norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
             C_a2l2, C_c = 0.0, 0.0
             for t in ts:
                 a2 = eval_table(p.a2, grid, float(t))
-                cross = (a2.values * phase0.dxdxi_lam2.values).real
+                cross = (a2.values * dxdxi_lam2.values).real
                 C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
                 c_tab = _hermitian_half(a2.real)
                 C_c = max(C_c, _sup_normalized(c_tab.values.real, norm1))
@@ -271,11 +279,12 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                       inverse_tol=inverse_tol)
             trial.update(spectral_radius=bundle.spectral_radius,
                          inverse_residual=bundle.residual)
-            params = calibrate_time_weight(p, params, grid, ts,
-                                           phase=bundle.phase, rounds=fp_rounds)
+            asm = ConjugationAssembler(p, params, grid, phase=bundle.phase)
+            params = calibrate_time_weight(p, params, grid, ts, assembler=asm,
+                                           rounds=fp_rounds)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
-            asm = ConjugationAssembler(p, params, grid, phase=bundle.phase)
+            asm = asm.with_params(params)
             report = verify_lower_bounds(asm, params, grid, ts)
             trial.update(margins={b: report.min_margin(b)
                                   for b in ("order2", "order1", "theta")},
@@ -283,7 +292,8 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             details["history"].append(trial)
             if report.passed:
                 details["report"] = report
-                details["bundle_residual"] = bundle.residual
+                details["bundle"] = replace(bundle, params=params)
+                details["assembler"] = asm
                 return params, details
             worst = min(report.rows, key=lambda r: r.margin)
             failure = (f"{worst.bound} margin {worst.margin:.3e} at h={h} "

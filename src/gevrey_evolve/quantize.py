@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._stencil import diff_uniform, exp_derivative_factors
+from ._stencil import diff_uniform
 from .errors import ParameterError, ShapeError
 from .grid import Grid
 
@@ -212,9 +212,3 @@ def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):
         term = xi_derivative(p, a) * dx_operator(q, a)
         total = total + term * (1.0 / factorial(a))
     return total.with_order(p.order + q.order)
-
-
-def exp_xi_factors(p: SymbolTable, n):
-    """[B_1..B_n] with d^k/dxi^k e^p = B_k e^p, built from lattice derivatives."""
-    derivs = [xi_derivative(p, k).values for k in range(1, n + 1)]
-    return [SymbolTable(p.grid, b, 0.0) for b in exp_derivative_factors(derivs)]

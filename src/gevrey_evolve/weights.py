@@ -55,16 +55,18 @@ _STEP_SERIES = _build_step_series()
 _STEP_DERIVS = [_STEP_SERIES]
 for _ in range(3):
     _STEP_DERIVS.append(_cheb.chebder(_STEP_DERIVS[-1]))
+# every value coefficient past index 157 is below 1e-16, so the value series
+# is cut there; the derivative series amplify the tail and stay whole
+_STEP_DERIVS[0] = _STEP_SERIES[:158]
 
 
 def smooth_step(u, derivative=0):
     """Monotone C^inf step: 0 for u <= -1, 1 for u >= 1 (Gevrey order 2)."""
     u = np.asarray(u, dtype=float)
-    inside = np.clip(u, -1.0, 1.0)
-    out = _cheb.chebval(inside, _STEP_DERIVS[derivative])
-    if derivative == 0:
-        return np.where(u <= -1.0, 0.0, np.where(u >= 1.0, 1.0, out))
-    return np.where((np.abs(u) >= 1.0), 0.0, out)
+    out = np.array(u >= 1.0, dtype=float) if derivative == 0 else np.zeros(u.shape)
+    inside = ~(np.abs(u) >= 1.0)     # NaN stays inside and propagates
+    out[inside] = _cheb.chebval(u[inside], _STEP_DERIVS[derivative])
+    return out
 
 
 def cutoff_psi(y, derivative=0):
@@ -188,59 +190,58 @@ def decay_antiderivative(x, s):
 
 
 def _gl_panels(starts, stops, s, cap, D):
-    """Gauss-Legendre integral of the full windowed integrand on [starts, stops]."""
+    """Gauss-Legendre integral of the full windowed integrand on [starts, stops];
+    ``cap`` broadcasts against ``starts``."""
     mid = 0.5 * (starts + stops)[..., None]
     rad = 0.5 * (stops - starts)[..., None]
     nodes = mid + rad * _GL_NODES
     byn = np.sqrt(1.0 + nodes ** 2)
-    vals = byn ** (-s) * cutoff_psi(byn / cap) * domain_window(byn, D)
+    vals = (byn ** (-s) * cutoff_psi(byn / np.asarray(cap)[..., None])
+            * domain_window(byn, D))
     return rad[..., 0] * (vals @ _GL_WEIGHTS)
 
 
 def _bracket_to_y(u):
     """Positive y with <y> = u (0 when u <= 1)."""
-    return np.sqrt(u * u - 1.0) if u > 1.0 else 0.0
+    return np.sqrt(np.maximum(u * u - 1.0, 0.0))
 
 
 def windowed_decay_integral(x, s, cap, D=float("inf")):
     """integral_0^x <y>^-s psi(<y>/cap) chi_dom(<y>) dy, scalar window size."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    a = np.abs(np.atleast_1d(x).astype(float))
-    u_pure = min(0.5 * cap, _DOMAIN_LO * D)
-    u_end = min(cap, _DOMAIN_HI * D)
-    y_pure = _bracket_to_y(u_pure)
-    y_end = _bracket_to_y(u_end)
-    out = decay_antiderivative(np.minimum(a, y_pure), s)
-    if y_end > y_pure:
-        ends = np.minimum(a, y_end)
-        need = ends > y_pure
-        if np.any(need):
-            bounds = np.linspace(y_pure, y_end, _PANELS + 1)
-            section = _gl_panels(bounds[:-1], bounds[1:], s, cap, D)
-            cum = np.concatenate(([0.0], np.cumsum(section)))
-            e = ends[need]
-            ip = np.clip(np.searchsorted(bounds, e, side="right") - 1, 0, _PANELS - 1)
-            partial = _gl_panels(bounds[ip], e, s, cap, D)
-            out[need] += cum[ip] + partial
-    signed = np.where(np.atleast_1d(x) < 0.0, -out, out)
-    return float(signed[0]) if scalar else signed.reshape(np.shape(x))
+    out = _windowed_over_caps(x, s, float(cap), D)
+    return float(out) if out.ndim == 0 else out
 
 
 def _windowed_over_caps(x, s, cap, D):
-    """Windowed integral, broadcasting over x and (possibly varying) cap."""
+    """Windowed integral, broadcasting over x and (possibly varying) cap.
+
+    Below y_pure(cap) the window is 1 and the exact antiderivative applies;
+    the roll-off [y_pure, y_end] of each unique cap is split into _PANELS
+    Gauss-Legendre panels.  All caps, panels and nodes are evaluated in one
+    batch: full panels once per cap, and one partial panel per point.
+    """
     x = np.asarray(x, dtype=float)
-    cap = np.asarray(cap, dtype=float)
-    if cap.ndim == 0:
-        return windowed_decay_integral(x, s, float(cap), D)
     shape = np.broadcast(x, cap).shape
-    xb = np.broadcast_to(x, shape)
-    cb = np.broadcast_to(cap, shape)
-    out = np.empty(shape, dtype=float)
-    for c in np.unique(cb):
-        m = cb == c
-        out[m] = windowed_decay_integral(xb[m], s, float(c), D)
-    return out
+    a = np.abs(np.broadcast_to(x, shape)).ravel()
+    caps, ci = np.unique(np.broadcast_to(cap, shape), return_inverse=True)
+    ci = ci.ravel()
+    y_pure = _bracket_to_y(np.minimum(0.5 * caps, _DOMAIN_LO * D))
+    y_end = _bracket_to_y(np.minimum(caps, _DOMAIN_HI * D))
+    out = decay_antiderivative(np.minimum(a, y_pure[ci]), s)
+    ends = np.minimum(a, y_end[ci])
+    need = ends > y_pure[ci]
+    if np.any(need):
+        bounds = np.linspace(y_pure, y_end, _PANELS + 1, axis=-1)
+        section = _gl_panels(bounds[:, :-1], bounds[:, 1:], s, caps[:, None], D)
+        cum = np.concatenate((np.zeros((caps.size, 1)),
+                              np.cumsum(section, axis=1)), axis=1)
+        c, e = ci[need], ends[need]
+        step = (y_end[c] - y_pure[c]) / _PANELS
+        ip = np.clip(np.floor((e - y_pure[c]) / step).astype(int), 0, _PANELS - 1)
+        partial = _gl_panels(bounds[c, ip], e, s, caps[c], D)
+        out[need] += cum[c, ip] + partial
+    out = out.reshape(shape)
+    return np.where(x < 0.0, -out, out)
 
 
 def lambda2(x, xi, t, p, params: WeightParams):
@@ -273,30 +274,30 @@ def lambda_x_derivative(x, xi, t, p, params: WeightParams, which=2, order=1):
     pref = params.M2 if which == 2 else params.M1 / b
     w = sign_weight(xi, t, p, params)
     bx = np.sqrt(1.0 + x * x)
-    dbx = x / bx
-    d2bx = 1.0 / bx ** 3
-    # G(x) = <x>^-s chi_dom(<x>) and its x-derivatives
-    chi0 = domain_window(bx, D)
-    chi1 = domain_window(bx, D, 1)
-    chi2 = domain_window(bx, D, 2)
+    u = bx / cap
+    # G(x) = <x>^-s chi_dom(<x>); only the derivatives of G and psi that
+    # this order needs are evaluated
     gs = bx ** (-s)
+    chi0 = domain_window(bx, D)
+    psi0 = cutoff_psi(u)
+    if order == 1:
+        return pref * w * (gs * chi0 * psi0)
+    dbx = x / bx
+    chi1 = domain_window(bx, D, 1)
+    psi1 = cutoff_psi(u, 1)
     dgs = -s * x * bx ** (-s - 2.0)
-    d2gs = -s * bx ** (-s - 2.0) + s * (s + 2.0) * x * x * bx ** (-s - 4.0)
     g = gs * chi0
     dg = dgs * chi0 + gs * chi1 * dbx
+    if order == 2:
+        return pref * w * (dg * psi0 + g * psi1 * dbx / cap)
+    d2bx = 1.0 / bx ** 3
+    chi2 = domain_window(bx, D, 2)
+    psi2 = cutoff_psi(u, 2)
+    d2gs = -s * bx ** (-s - 2.0) + s * (s + 2.0) * x * x * bx ** (-s - 4.0)
     d2g = (d2gs * chi0 + 2.0 * dgs * chi1 * dbx
            + gs * (chi2 * dbx ** 2 + chi1 * d2bx))
-    u = bx / cap
-    psi0 = cutoff_psi(u)
-    psi1 = cutoff_psi(u, 1)
-    psi2 = cutoff_psi(u, 2)
-    if order == 1:
-        val = g * psi0
-    elif order == 2:
-        val = dg * psi0 + g * psi1 * dbx / cap
-    else:
-        val = (d2g * psi0 + 2.0 * dg * psi1 * dbx / cap
-               + g * (psi2 * dbx ** 2 / cap ** 2 + psi1 * d2bx / cap))
+    val = (d2g * psi0 + 2.0 * dg * psi1 * dbx / cap
+           + g * (psi2 * dbx ** 2 / cap ** 2 + psi1 * d2bx / cap))
     return pref * w * val
 
 

@@ -64,6 +64,38 @@ def test_run_artifacts(tmp_path):
     assert lines[1] == "t,l2,hm_rho_theta,radius_fit,energy_residual"
 
 
+def test_run_builds_each_setup_object_once(monkeypatch):
+    from gevrey_evolve import conjugate, harness, positivity, symbols
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counting("build", conjugate.build_conjugator)
+    check = counting("check", symbols.check_assumptions)
+    for module in (conjugate, positivity, harness):
+        monkeypatch.setattr(module, "build_conjugator", build)
+    for module in (symbols, positivity, harness):
+        monkeypatch.setattr(module, "check_assumptions", check)
+
+    def select(*args, **kwargs):
+        out = positivity.select_parameters_detailed(*args, **kwargs)
+        calls.append("selected")
+        return out
+
+    monkeypatch.setattr(harness, "select_parameters_detailed", select)
+    _, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
+    assert calls.count("check") == 1
+    done = calls.index("selected")
+    assert calls[:done].count("build") == len(art["details"]["history"])
+    assert "build" not in calls[done:]
+    # the time multipliers read C1/C2, so the reused bundle must carry them
+    assert art["bundle"].params == art["params"]
+
+
 def test_snapshots_roundtrip(tmp_path):
     from gevrey_evolve.serialize import read_fields
     cfg = RunConfig.from_text(SMALL + "output.snapshots = true\n")

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gevrey_evolve._stencil import fd_weights
 from gevrey_evolve.errors import ConfigurationError, EvaluationError
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.symbols import (Symbol, check_assumptions, estimate_seminorm,
@@ -88,6 +91,42 @@ def test_seminorm_product_order(grid):
     est = estimate_seminorm(prod, m=3.0, mu=1.0, nu=1.0, A=2.0,
                             alpha_max=2, beta_max=2, grid=grid)
     assert est.value < 2.0
+
+
+def _seminorm_point_loop(sym, m, mu, nu, A, alpha_max, beta_max, grid):
+    """Reference: one symbol call per (alpha, beta, x, xi) sample point."""
+    xs = grid.x[:: max(1, grid.N // 16)]
+    band = grid.xi[grid.band_mask()]
+    xis = np.sort(band)[:: max(1, band.size // 16)]
+    best = 0.0
+    for a in range(alpha_max + 1):
+        for b in range(beta_max + 1):
+            norm = A ** (-(a + b)) / (math.factorial(a) ** mu * math.factorial(b) ** nu)
+            ox = np.arange(-((b + 5) // 2), (b + 5) // 2 + 1.0) if b else np.zeros(1)
+            oxi = np.arange(-((a + 5) // 2), (a + 5) // 2 + 1.0) if a else np.zeros(1)
+            for x in xs:
+                for xi in xis:
+                    sxi = np.sqrt(1.0 + xi * xi)
+                    hxi = max(0.02 * sxi, 1e-3)
+                    hx = max(0.02 * np.sqrt(1.0 + x * x), 1e-3)
+                    vals = np.broadcast_to(
+                        sym.fn(0.0, x + ox[:, None] * hx, xi + oxi[None, :] * hxi),
+                        (ox.size, oxi.size))
+                    wx = fd_weights(ox, 0.0, b) / hx ** b if b else np.ones(1)
+                    wxi = fd_weights(oxi, 0.0, a) / hxi ** a if a else np.ones(1)
+                    d = wx @ vals @ wxi
+                    best = max(best, norm * sxi ** (-m + a) * abs(d))
+    return best
+
+
+def test_seminorm_matches_point_loop(grid):
+    p = model_problem("complex-damped", 0.75, domain=grid.L)
+    sym = Symbol(lambda t, x, xi: p.a2.fn(t, x, xi) + 0.3 * xi * np.cos(x),
+                 order=2.0)
+    est = estimate_seminorm(sym, 2.0, 1.0, 1.5, A=4.0, alpha_max=2,
+                            beta_max=2, grid=grid)
+    ref = _seminorm_point_loop(sym, 2.0, 1.0, 1.5, 4.0, 2, 2, grid)
+    assert est.value == pytest.approx(ref, rel=1e-12)
 
 
 def test_model_problem_ids():

@@ -7,10 +7,11 @@ from scipy import integrate
 from gevrey_evolve.errors import ConfigurationError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.symbols import Symbol, model_problem
-from gevrey_evolve.weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
-                                   lambda1, lambda2, lambda_x_derivative,
-                                   plateau, sign_weight, smooth_step,
-                                   total_phase, windowed_decay_integral)
+from gevrey_evolve.weights import (WeightParams, _windowed_over_caps, cutoff_psi,
+                                   k_of_t, k_prime, lambda1, lambda2,
+                                   lambda_x_derivative, plateau, sign_weight,
+                                   smooth_step, total_phase,
+                                   windowed_decay_integral)
 
 PROB = model_problem("complex-damped", 0.75)
 
@@ -192,6 +193,17 @@ def test_windowed_integral_with_domain_cap():
     v_end = windowed_decay_integral(2.0 * D, 0.75, 1e6, D)
     assert v_in < v_hi
     assert v_hi == pytest.approx(v_end, abs=1e-12)
+
+
+def test_windowed_integral_batched_caps_match_one_cap_at_a_time():
+    # caps on both sides of the domain roll-off, points inside and past it
+    D = np.sqrt(1 + 400.0)
+    x = np.linspace(-20, 20, 41)
+    caps = np.square(bracket_h(np.linspace(-7, 30, 25), 2.0))
+    batched = _windowed_over_caps(x[:, None], 0.75, caps[None, :], D)
+    for k, cap in enumerate(caps):
+        one = windowed_decay_integral(x, 0.75, cap, D)
+        assert np.allclose(batched[:, k], one, rtol=1e-14, atol=0.0)
 
 
 # ----------------------------------------------------------------------
