@@ -20,8 +20,7 @@ from .symbols import (AssumptionReport, ProblemSpec, Symbol, check_assumptions,
 from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,
                       sign_weight, smooth_step, total_phase)
 from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
-                        ConjugatorBundle, assemble, build_conjugator,
-                        conj_a2, conj_a3, conj_time_weight)
+                        ConjugatorBundle, build_conjugator)
 from .positivity import (PositivityReport, calibrate_time_weight,
                          discrete_garding, select_parameters,
                          select_parameters_detailed, verify_lower_bounds)

@@ -19,10 +19,10 @@ The two stages are kept separate, mirroring how the operator factorizes:
 All expansion terms are assembled as symbol tables.  Derivative factors of
 exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
-Terms generated by the time stage enter through coefficients polynomial in
-k(t); the k-independent tables are cached once, which makes re-assembly at
-a new time a handful of table AXPYs (this is what the time stepper leans
-on).
+The time stage enters only through k(t) and k'(t): for each coefficient
+time the conjugated generator is the polynomial
+G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, which
+the assembler caches, so the time stepper evaluates it with a few AXPYs.
 """
 
 import copy
@@ -210,13 +210,13 @@ def truncation_order(m, theta, cap=8):
 
 @dataclass
 class ConjugatorBundle:
-    """Dense realizations of the spatial conjugator and its inverse, plus
-    the diagonal time-weight multipliers.
+    """Dense realizations of the spatial conjugator and its inverse, the
+    diagonal time-weight multipliers, and the assembler of the conjugated
+    symbols built from the same phase tables.
 
-    E and E_inv read neither C1 nor C2; the time multipliers read both, so
-    ``params`` must carry the calibrated constants before the bundle is
-    applied (``dataclasses.replace(bundle, params=...)`` shares the
-    matrices)."""
+    E and E_inv read neither C1 nor C2; the time multipliers and the
+    assembler's generator read both, so ``params`` must carry the calibrated
+    constants before the bundle is applied (``with_params``)."""
 
     grid: Grid
     params: WeightParams
@@ -228,7 +228,14 @@ class ConjugatorBundle:
     residual: float                # ||E @ E_inv - I||_2
     series_terms: int
     symbol_gap: float              # ||op(truncated remainder symbol) - R||_2
+    assembler: "ConjugationAssembler"
     mode: str = "neumann"
+
+    def with_params(self, params: WeightParams):
+        """This bundle with other k(t) constants C1, C2.  The copy shares the
+        matrices and the assembler's tables, which read neither."""
+        return replace(self, params=params,
+                       assembler=self.assembler.with_params(params))
 
     def time_multiplier(self, t, sign=+1):
         """Diagonal values of e^{sign k(t) <xi>_h^{1/theta}} on the lattice."""
@@ -265,9 +272,10 @@ class ConjugatorBundle:
 
 def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
                      t: float = 0.0, series_tol: float = 1e-10,
-                     inverse_tol: float = 1e-8, mode: str = "neumann",
-                     phase: PhaseTables = None) -> ConjugatorBundle:
-    """Build op(e^lam) and its inverse.
+                     inverse_tol: float = 1e-8,
+                     mode: str = "neumann") -> ConjugatorBundle:
+    """Build op(e^lam), its inverse and the assembler of the conjugated
+    symbols, all from one set of phase tables.
 
     The inverse follows the adjoint-times-Neumann-series structure; the
     series runs on the exact discrete remainder E (op e^-lam)* - I, so with
@@ -277,7 +285,7 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     once at the end.  ``mode="dense"`` replaces the series with a direct
     dense inverse (cross-check oracle, N <= 256).
     """
-    phase = phase or build_phase_tables(p, params, grid, t_sign=t)
+    phase = build_phase_tables(p, params, grid, t_sign=t)
     N = grid.N
     I = np.eye(N, dtype=complex)
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
@@ -330,7 +338,8 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     return ConjugatorBundle(grid=grid, params=params, problem=p, phase=phase,
                             E=E, E_inv=E_inv, spectral_radius=rho,
                             residual=residual, series_terms=terms,
-                            symbol_gap=gap, mode=mode)
+                            symbol_gap=gap, mode=mode,
+                            assembler=ConjugationAssembler(p, params, grid, phase))
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +378,8 @@ class ConjugatedSymbols:
         return p["kprime"] + p["b1k"] + p["ia1_k"]
 
     def generator_table(self):
-        """Everything except the exactly-diagonalized ia3 multiplier."""
+        """Everything except the exactly-diagonalized ia3 multiplier (the
+        reference definition of ConjugationAssembler.generator)."""
         return self.group_order2() + self.group_order1() + self.group_theta()
 
     def spatial_table(self):
@@ -424,7 +434,11 @@ class ConjugationAssembler:
 
     For problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
-    problems rebuild the coefficient-dependent tables per call (memoized).
+    problems rebuild the coefficient-dependent tables per coefficient time
+    (memoized).  ``generator(t)`` is the summed table that the time
+    stepper integrates, evaluated as the polynomial
+    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; G_0 and the G_j are
+    summed once per coefficient time, on first use.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -434,6 +448,7 @@ class ConjugationAssembler:
         self.grid = grid
         self.phase = phase or build_phase_tables(p, params, grid)
         self._xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
+        self._xi_pow[grid.nyquist] = 0.0    # tables carry no Nyquist column
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
@@ -547,19 +562,43 @@ class ConjugationAssembler:
 
     def _static_tables(self, t):
         """One entry for time-independent coefficients; one per time
-        (memoized, at most 12) for time-dependent ones."""
+        (memoized, at most 12) for time-dependent ones.  An entry holds the
+        spatial-stage tables, the k-stage tables and, once generator() has
+        asked for them, the generator's polynomial coefficients."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
             stage = self._lambda_stage(0.0 if key is None else t)
-            self._cache[key] = (stage, self._k_stage_cache(stage))
+            self._cache[key] = {"stage": stage, "k": self._k_stage_cache(stage)}
             if len(self._cache) > 12:
                 self._cache.pop(next(iter(self._cache)))
         return self._cache[key]
 
     # -- public assembly ----------------------------------------------
 
+    def generator(self, t: float) -> np.ndarray:
+        """Values of at(t).generator_table(), evaluated as the polynomial
+        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}."""
+        entry = self._static_tables(t)
+        if "poly" not in entry:
+            stage = entry["stage"]
+            G0 = sum(stage[name].values for name in (
+                "ia2", "damp2", "ia2_lt", "ia1", "damp1", "id1", "a2cross",
+                "ia1_lt"))
+            Gj = {}
+            for tabs in entry["k"].values():
+                for j, tab in tabs.items():
+                    Gj[j] = Gj.get(j, 0.0) + tab.values
+            entry["poly"] = (G0, Gj)
+        G0, Gj = entry["poly"]
+        k = float(k_of_t(t, self.params))
+        out = G0 - float(k_prime(t, self.params)) * self._xi_pow
+        for j, G in Gj.items():
+            out += (k ** j) * G
+        return out
+
     def at(self, t: float) -> ConjugatedSymbols:
-        stage, kcache = self._static_tables(t)
+        entry = self._static_tables(t)
+        stage, kcache = entry["stage"], entry["k"]
         g, params = self.grid, self.params
         k = float(k_of_t(t, params))
         kp = float(k_prime(t, params))
@@ -591,40 +630,3 @@ class ConjugationAssembler:
                                  problem=self.problem,
                                  a3_row=stage["a3_row"], parts=parts)
 
-
-def assemble(p: ProblemSpec, params: WeightParams, grid: Grid,
-             t: float) -> ConjugatedSymbols:
-    """One-shot assembly of the conjugated symbol groups at time t."""
-    return ConjugationAssembler(p, params, grid).at(t)
-
-
-# -- spec-level term views ----------------------------------------------
-
-def conj_a3(p, params, grid, t, phase=None):
-    """Terms produced by conjugating the leading multiplier with the spatial
-    stage: {ia3, damp2 = -a3' lam2_x, damp1 = -a3' lam1_x, i d1}.  The
-    order-zero lump is not modeled; it shows up in the dense discrepancy."""
-    asm = ConjugationAssembler(p, params, grid, phase=phase)
-    stage, _ = asm._static_tables(t)
-    ia3 = multiplier_table(grid, 1j * np.asarray(stage["a3_row"]), order=3.0)
-    return {"ia3": ia3, "damp2": stage["damp2"], "damp1": stage["damp1"],
-            "id1": stage["id1"], "d1": stage["d1"]}
-
-
-def conj_a2(p, params, grid, t, phase=None):
-    """Terms from conjugating the order-2 coefficient: {ia2, ia2_conj,
-    a2cross = a2 d_xi d_x lam2}."""
-    asm = ConjugationAssembler(p, params, grid, phase=phase)
-    stage, _ = asm._static_tables(t)
-    return {"ia2": stage["ia2"], "ia2_conj": stage["ia2_lt"],
-            "a2cross": stage["a2cross"]}
-
-
-def conj_time_weight(p, params, grid, t, phase=None):
-    """Terms added by the time-weight stage at time t:
-    {kprime = -k'(t)<xi>^{1/theta}, b2k, ia2_k, b1k, ia1_k}."""
-    asm = ConjugationAssembler(p, params, grid, phase=phase)
-    cs = asm.at(t)
-    return {"kprime": cs.parts["kprime"], "b2k": cs.parts["b2k"],
-            "ia2_k": cs.parts["ia2_k"], "b1k": cs.parts["b1k"],
-            "ia1_k": cs.parts["ia1_k"]}

@@ -22,6 +22,11 @@ from .grid import Grid
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
+DT_SAFETY = 1.0         # default dt <= DT_SAFETY / max |generator(0)|
+MAX_STEPS = 200000
+STORED_FIELDS = 256     # a solve logs every (steps // STORED_FIELDS)-th field
+RADIUS_TOL = 0.05       # tolerated shortfall of the data's fitted radius
+REPORT_DELTA = 0.01     # output norm radius rho' = k(T) - REPORT_DELTA
 
 
 # ----------------------------------------------------------------------
@@ -154,47 +159,20 @@ def _phase_integral(p, grid, t0, t1):
     return rad * vals
 
 
-class _StageCache:
-    """Generator tables keyed by stage time; bounded memory."""
-
-    def __init__(self, assembler: ConjugationAssembler):
-        self.assembler = assembler
-        self._tables = {}
-
-    def table(self, t):
-        key = round(float(t), 12)
-        if key not in self._tables:
-            cs = self.assembler.at(t)
-            self._tables[key] = cs.generator_table().values
-            if len(self._tables) > 8:
-                self._tables.pop(next(iter(self._tables)))
-        return self._tables[key]
-
-
-def step(v, t, dt, source, forcing=None):
+def step(v, t, dt, p, grid: Grid, generator, forcing=None):
     """One integrating-factor Runge-Kutta step of the conjugated problem.
 
-    ``source`` is either a ConjugationAssembler (coefficients sampled at the
-    stage times) or a single ConjugatedSymbols (coefficients frozen across
-    the step, useful for one-step property checks).
+    ``generator(tau)`` is the lower-order generator table at time tau,
+    evaluated once per stage time: ConjugationAssembler.generator samples
+    the coefficients there, and a constant function freezes them across
+    the step.
     """
-    from .conjugate import ConjugatedSymbols
-    if isinstance(source, ConjugatedSymbols):
-        frozen = source.generator_table().values
-        cache = lambda tau: frozen
-        p = source.problem
-        grid = source.grid
-    else:
-        sc = source if isinstance(source, _StageCache) else _StageCache(source)
-        cache = sc.table
-        p = sc.assembler.problem
-        grid = sc.assembler.grid
-
     E_syn = grid.synthesis_matrix()
+    A0, A_half, A_full = (E_syn * generator(tau)
+                          for tau in (t, t + 0.5 * dt, t + dt))
 
-    def rhs(tau, w):
-        tab = cache(tau)
-        out = -((E_syn * tab) @ grid.forward(w))
+    def rhs(A, tau, w):
+        out = -(A @ grid.forward(w))
         if forcing is not None:
             out = out + forcing(tau)
         return out
@@ -211,46 +189,46 @@ def step(v, t, dt, source, forcing=None):
     mask = np.ones(grid.N)
     mask[grid.nyquist] = 0.0
 
-    k1 = rhs(t, v)
-    k2 = rhs(t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k1))
+    k1 = rhs(A0, t, v)
+    k2 = rhs(A_half, t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k1))
     k2 = mult(1.0 / ph_half, k2)
-    k3 = rhs(t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k2))
+    k3 = rhs(A_half, t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k2))
     k3 = mult(1.0 / ph_half, k3)
-    k4 = rhs(t + dt, mult(ph_full, v + dt * k3))
+    k4 = rhs(A_full, t + dt, mult(ph_full, v + dt * k3))
     k4 = mult(1.0 / ph_full, k4)
     v_tilde = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return mult(ph_full * mask, v_tilde)
 
 
-def default_dt(assembler: ConjugationAssembler, T, safety=1.0, max_steps=200000):
-    """Stability-limited step from the size of the lower-order generator."""
-    tab = assembler.at(0.0).generator_table().values
-    gmax = float(np.max(np.abs(tab)))
-    dt = min(safety / max(gmax, 1e-12), T / 32.0)
+def default_dt(generator, T):
+    """Stability-limited step from the size of the lower-order generator
+    at t = 0."""
+    gmax = float(np.max(np.abs(generator(0.0))))
+    dt = min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
     steps = int(np.ceil(T / dt))
-    if steps > max_steps:
+    if steps > MAX_STEPS:
         raise ParameterError(f"time step {dt:.3e} needs {steps} steps")
     return T / steps
 
 
-def solve_conjugated(p, params, f_conj, v0, grid: Grid, T, m=0.0,
-                     dt=None, assembler=None, store_stride=None):
+def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T, m=0.0,
+                     dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    f_conj: callable t -> field (already conjugated forcing) or None.
-    The energy log records the discrete growth rate of ||v||_L2^2 against
-    E + F and the implied one-constant bound; a positive residual beyond
-    residual_tol (in normalized units) raises an instability error.
+    Every stage evaluates the assembler's generator polynomial in k(t) and
+    k'(t).  f_conj: callable t -> field (already conjugated forcing) or
+    None.  The energy log records the discrete growth rate of ||v||_L2^2
+    against E + F, the largest rate C' and the one-constant bound it
+    implies; the residual rate - C' is nonpositive by construction.
     """
-    assembler = assembler or ConjugationAssembler(p, params, grid)
+    p, grid = assembler.problem, assembler.grid
     if dt is None:
-        dt = default_dt(assembler, T)
+        dt = default_dt(assembler.generator, T)
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-12 * max(1.0, T):
         steps = int(np.ceil(T / dt))
         dt = T / steps
-    cache = _StageCache(assembler)
-    stride = store_stride or max(1, steps // 256)
+    stride = max(1, steps // STORED_FIELDS)
 
     times = np.linspace(0.0, steps * dt, steps + 1)
     v = grid.check_field(v0).copy()
@@ -265,7 +243,7 @@ def solve_conjugated(p, params, f_conj, v0, grid: Grid, T, m=0.0,
 
     for i in range(steps):
         t = times[i]
-        v = step(v, t, dt, cache, forcing=f_conj)
+        v = step(v, t, dt, p, grid, assembler.generator, forcing=f_conj)
         if not np.all(np.isfinite(v)) or grid.l2_norm(v) > BLOWUP_FACTOR * scale0:
             raise InstabilityError(
                 f"solution blew up at t={times[i+1]:.6g} (step {i+1})",
@@ -296,36 +274,34 @@ def solve_conjugated(p, params, f_conj, v0, grid: Grid, T, m=0.0,
 
 
 def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
-                   theta=None, dt=None, bundle: ConjugatorBundle = None,
-                   radius_tol=0.05, report_delta=0.01, **solver_kw):
+                   theta=None, dt=None, bundle: ConjugatorBundle = None):
     """Full pipeline: conjugate the data, integrate, pull the solution back.
 
     f: callable t -> field at nodes, or None; g: field at nodes.
     Checks that the data actually carries the declared radius rho and that
-    k0 < rho, mirrors of the structural preconditions.
+    k0 < rho, mirrors of the structural preconditions.  The bundle (built
+    here if absent) supplies the conjugator and the generator.
     """
     from .conjugate import build_conjugator
     theta = params.theta if theta is None else theta
     if rho is not None:
         fit = radius_fit(g, theta, grid)
-        if fit < rho - radius_tol:
+        if fit < rho - RADIUS_TOL:
             raise DataError(
                 f"initial state has fitted radius {fit:.4f} < declared {rho}")
         if params.k0 >= rho:
             raise DataError(
                 f"k0={params.k0} must stay below the data radius {rho}")
     bundle = bundle or build_conjugator(p, params, grid)
-    assembler = ConjugationAssembler(p, params, grid, phase=bundle.phase)
 
     v0 = bundle.apply_full(grid.check_field(g), 0.0)
     f_conj = None
     if f is not None:
         f_conj = lambda tau: bundle.apply_full(grid.check_field(f(tau)), tau)
 
-    traj = solve_conjugated(p, params, f_conj, v0, grid, T, m=m, dt=dt,
-                            assembler=assembler, **solver_kw)
+    traj = solve_conjugated(bundle.assembler, f_conj, v0, T, m=m, dt=dt)
 
-    rho_prime = float(k_of_t(T, params)) - report_delta
+    rho_prime = float(k_of_t(T, params)) - REPORT_DELTA
     spec_out = GevreyNormSpec(m, rho_prime, theta)
     u_fields, rad, equiv, hm_u = [], [], [], []
     for t, v in zip(traj.logged_times, traj.v_fields):
@@ -347,17 +323,17 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
                       "hm_u": np.asarray(hm_u)})
 
     if rho is not None:
+        # ||g||^2 + int_0^t ||f||^2 at every step time: one trapezoid sum
+        # over the step times, read at the logged ones
         spec_in = GevreyNormSpec(m, rho, theta)
-        den0 = gevrey_norm(g, spec_in, grid) ** 2
+        den = np.full(traj.times.size, gevrey_norm(g, spec_in, grid) ** 2)
+        if f is not None:
+            fn = np.array([gevrey_norm(grid.check_field(f(s)), spec_in, grid) ** 2
+                           for s in traj.times])
+            den[1:] += np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(traj.times))
         C = 0.0
-        for idx, t in enumerate(traj.logged_times):
-            den = den0
-            if f is not None:
-                ts = np.linspace(0.0, t, max(2, int(round(t / traj.meta["dt"])) + 1))
-                fn = [gevrey_norm(grid.check_field(f(s)), spec_in, grid) ** 2
-                      for s in ts]
-                den = den0 + np.trapezoid(fn, ts)
-            if den > 0:
-                C = max(C, hm_u[idx] ** 2 / den)
+        for hm, d in zip(hm_u, den[traj.meta["logged_indices"]]):
+            if d > 0:
+                C = max(C, hm ** 2 / d)
         traj.meta["energy_estimate_C"] = C
     return traj

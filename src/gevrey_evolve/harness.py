@@ -20,19 +20,19 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import serialize
-from .conjugate import ConjugationAssembler, build_conjugator
+from .conjugate import build_conjugator
 from .errors import (ConfigurationError, ConvergenceError, DataError,
                      EvaluationError, GevreyEvolveError, InfeasibleError,
                      InstabilityError, ParameterError, ShapeError)
 from .evolve import solve_original, synthetic_radius_field
 from .grid import make_grid
-from .positivity import (calibrate_time_weight, select_parameters_detailed,
-                         verify_lower_bounds)
+from .positivity import (N_T_SAMPLES, build_calibrated_conjugator,
+                         select_parameters_detailed, verify_lower_bounds)
 from .symbols import MODEL_PROBLEM_IDS, check_assumptions, model_problem
 from .weights import WeightParams
 
@@ -218,9 +218,8 @@ def build_problem(cfg: RunConfig):
 
 def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
     """Resolve the weight block, running selection for any 'auto' entry.
-    Returns (params, details, resolved_cfg).  When selection or calibration
-    built the conjugator and the assembler for the final params, they are in
-    details["bundle"] and details["assembler"]."""
+    Returns (params, details, resolved_cfg); details["bundle"] is the
+    conjugator for the final params."""
     v = cfg.values
     theta = v["gevrey.theta"]
     auto = [k for k in ("weights.M2", "weights.M1", "weights.h") if v[k] == "auto"]
@@ -242,13 +241,11 @@ def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
                               h=float(v["weights.h"]), k0=v["weights.k0"],
                               sigma=problem.sigma, theta=theta,
                               R_a3=problem.R_a3, domain_cap=D)
-        bundle = build_conjugator(problem, params, grid,
-                                  series_tol=v["tolerances.series_tol"],
-                                  inverse_tol=v["tolerances.inverse_tol"])
-        asm = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
-        params = calibrate_time_weight(problem, params, grid, assembler=asm)
-        details = {"explicit": True, "bundle": replace(bundle, params=params),
-                   "assembler": asm.with_params(params)}
+        bundle = build_calibrated_conjugator(
+            problem, params, grid, series_tol=v["tolerances.series_tol"],
+            inverse_tol=v["tolerances.inverse_tol"])
+        params = bundle.params
+        details = {"explicit": True, "bundle": bundle}
     resolved = cfg.with_overrides(**{"weights.M2": params.M2,
                                      "weights.M1": params.M1,
                                      "weights.h": params.h,
@@ -256,23 +253,13 @@ def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
     return params, details, resolved
 
 
-def conjugate_and_certify(cfg: RunConfig, problem, params, grid, details):
-    """The conjugator for ``params`` and its positivity report.  Reuses the
-    bundle and assembler that weight resolution built, if it built them."""
-    v = cfg.values
-    bundle = details.get("bundle")
-    if bundle is None:
-        bundle = build_conjugator(problem, params, grid,
-                                  series_tol=v["tolerances.series_tol"],
-                                  inverse_tol=v["tolerances.inverse_tol"])
-    assembler = details.get("assembler")
-    if assembler is None:
-        assembler = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
-    positivity = verify_lower_bounds(assembler, params, grid,
-                                     np.linspace(0.0, problem.T, 5),
-                                     tol=v["tolerances.garding_tol"],
-                                     with_garding=(grid.N <= 256))
-    return bundle, positivity
+def certify_positivity(cfg: RunConfig, bundle):
+    """Positivity report of the conjugator that weight resolution built."""
+    grid = bundle.grid
+    return verify_lower_bounds(bundle.assembler, bundle.params, grid,
+                               np.linspace(0.0, bundle.problem.T, N_T_SAMPLES),
+                               tol=cfg["tolerances.garding_tol"],
+                               with_garding=(grid.N <= 256))
 
 
 def build_data(cfg: RunConfig, grid):
@@ -309,7 +296,8 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
         raise ConfigurationError(f"structural hypotheses fail: {bad}")
 
     params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
-    bundle, positivity = conjugate_and_certify(cfg, problem, params, grid, details)
+    bundle = details["bundle"]
+    positivity = certify_positivity(cfg, bundle)
 
     g, f, rho = build_data(cfg, grid)
     dt = None if v["run.dt"] == "auto" else float(v["run.dt"])
@@ -379,7 +367,8 @@ def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
     theta = v["gevrey.theta"]
     assumptions = check_assumptions(problem, grid, theta)
     params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
-    bundle, positivity = conjugate_and_certify(cfg, problem, params, grid, details)
+    bundle = details["bundle"]
+    positivity = certify_positivity(cfg, bundle)
     if write:
         out = out_dir or v["output.dir"]
         os.makedirs(out, exist_ok=True)
@@ -511,10 +500,8 @@ def oracle_suite(cfg: RunConfig, n_max=64):
     got = to_dense(compose_expansion(pxi, pex, 2))
     check("composition-terminating", band_relative_error(target, got, grid), 1e-10)
 
-    params, _, _ = resolve_weights(cfg, problem, grid)
-    bundle = build_conjugator(problem, params, grid,
-                              series_tol=v["tolerances.series_tol"],
-                              inverse_tol=v["tolerances.inverse_tol"])
+    params, details, _ = resolve_weights(cfg, problem, grid)
+    bundle = details["bundle"]
     I = np.eye(N)
     check("conjugator-residual",
           float(np.linalg.norm(bundle.E @ bundle.E_inv - I, 2)),
@@ -524,8 +511,7 @@ def oracle_suite(cfg: RunConfig, n_max=64):
           float(np.linalg.norm(bundle.E_inv - dense.E_inv, 2))
           / max(1.0, float(np.linalg.norm(dense.E_inv, 2))), 1e-6)
 
-    asm = ConjugationAssembler(problem, params, grid, phase=bundle.phase)
-    cs = asm.at(0.0)
+    cs = bundle.assembler.at(0.0)
     spatial = (model_problem_spatial_dense(problem, grid, 0.0))
     lhs = bundle.full_matrix(0.0) @ spatial @ bundle.full_inverse_matrix(0.0)
     rhs = to_dense(cs.spatial_table())

@@ -14,12 +14,12 @@ The constants entering the k(t) equation are measured here and fed back
 into the weight parameters.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugate import (ConjugationAssembler, _hermitian_half,
-                        build_conjugator, dxdxi_lambda2)
+from .conjugate import (ConjugationAssembler, ConjugatorBundle,
+                        _hermitian_half, build_conjugator, dxdxi_lambda2)
 from .errors import ConfigurationError, ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -27,6 +27,8 @@ from .symbols import ProblemSpec, check_assumptions, eval_table
 from .weights import WeightParams, k_of_t
 
 ZERO_THRESHOLD = 1e-13
+N_T_SAMPLES = 5     # coefficient times on [0, T] where constants are measured
+FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
 
 
 @dataclass
@@ -159,29 +161,28 @@ def _sup_normalized(values, normalizer, region=None):
     return float(np.max(q)) if q.size else 0.0
 
 
-def calibrate_time_weight(p: ProblemSpec, params: WeightParams, grid: Grid,
-                          t_samples=None, assembler=None, rounds: int = 5):
-    """Fixed-point measurement of the constants C1, C2 in k' + C1 k + C2 = 0.
+def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
+    """Fixed-point measurement of the constants C1, C2 in k' + C1 k + C2 = 0,
+    at N_T_SAMPLES times in [0, T].
 
     C1 bounds the negative part of the k-stage order-1/theta remainder
     relative to k(t); C2 bounds the k-independent negative contributions
-    (conjugated order-1 tail and the window tails).  Returns params with the
-    measured constants installed; raises if k(T) dies inside the horizon.
-    The assembler's tables read neither C1 nor C2, so one assembler (given,
-    or built here) serves every round.
+    (conjugated order-1 tail and the window tails).  Returns the assembler's
+    params with the measured constants installed; raises if k(T) dies
+    inside the horizon.  The assembler's tables read neither C1 nor C2, so
+    it serves every round.
     """
-    ts = np.linspace(0.0, p.T, 5) if t_samples is None else np.atleast_1d(t_samples)
+    p, params, grid = assembler.problem, assembler.params, assembler.grid
+    ts = np.linspace(0.0, p.T, N_T_SAMPLES)
     bx = np.ones((grid.N, 1))
     norm_t = bracket_h(grid.xi, params.h)[None, :] ** (1.0 / params.theta) * bx
     region = np.abs(grid.xi) > params.R_a3 * params.h
     region[grid.nyquist] = False
-    asm = (ConjugationAssembler(p, params, grid) if assembler is None
-           else assembler)
     C1, C2 = 0.0, 0.0
-    for _ in range(rounds):
+    for _ in range(FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
         k_of_t(p.T, params)  # raises ParameterError if k dies on [0, T]
-        asm = asm.with_params(params)
+        asm = assembler.with_params(params)
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
             cs = asm.at(float(t))
@@ -203,20 +204,29 @@ def calibrate_time_weight(p: ProblemSpec, params: WeightParams, grid: Grid,
     return params
 
 
+def build_calibrated_conjugator(p: ProblemSpec, params: WeightParams,
+                                grid: Grid, series_tol: float = 1e-10,
+                                inverse_tol: float = 1e-8) -> ConjugatorBundle:
+    """The conjugator for ``params``, with C1 and C2 calibrated on its
+    assembler and installed in both."""
+    bundle = build_conjugator(p, params, grid, series_tol=series_tol,
+                              inverse_tol=inverse_tol)
+    return bundle.with_params(calibrate_time_weight(bundle.assembler))
+
+
 def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                k0: float = 0.35, margin: float = 0.08,
                                h_start: float = 1.0, h_max: float = 2.0 ** 14,
                                series_tol: float = 1e-10,
                                inverse_tol: float = 1e-8,
-                               n_t_samples: int = 5, fp_rounds: int = 5,
                                M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
     M2_pin / M1_pin freeze a strength instead of deriving it from the
     measured constants (used by parameter sweeps).  ``assumptions`` is a
     report from check_assumptions(p, grid, theta), computed here if absent.
-    An accepted trial leaves its conjugator (with the calibrated params) and
-    its assembler in details["bundle"] and details["assembler"]."""
+    The returned params come with their calibrated conjugator in
+    details["bundle"], on the trivial branch too."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
     if not rep.passed:
@@ -226,7 +236,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     C_a3 = rep.constant("hyp-i-leading")
     C_a2 = rep.constant("hyp-iii-order2-decay")
     C_a1 = rep.constant("hyp-iv-order1-decay")
-    ts = np.linspace(0.0, p.T, n_t_samples)
+    ts = np.linspace(0.0, p.T, N_T_SAMPLES)
     details = {"C_a3": C_a3, "C_a2": C_a2, "C_a1": C_a1,
                "assumptions": rep, "history": []}
 
@@ -242,7 +252,9 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                               sigma=p.sigma, theta=theta, R_a3=p.R_a3,
                               domain_cap=D)
         details["trivial"] = True
-        return params, details
+        details["bundle"] = build_calibrated_conjugator(
+            p, params, grid, series_tol, inverse_tol)
+        return details["bundle"].params, details
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
@@ -275,25 +287,21 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
-            bundle = build_conjugator(p, params, grid, series_tol=series_tol,
-                                      inverse_tol=inverse_tol)
+            bundle = build_calibrated_conjugator(p, params, grid, series_tol,
+                                                 inverse_tol)
+            params = bundle.params
             trial.update(spectral_radius=bundle.spectral_radius,
-                         inverse_residual=bundle.residual)
-            asm = ConjugationAssembler(p, params, grid, phase=bundle.phase)
-            params = calibrate_time_weight(p, params, grid, ts, assembler=asm,
-                                           rounds=fp_rounds)
-            trial.update(C1=params.C1, C2=params.C2,
+                         inverse_residual=bundle.residual,
+                         C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
-            asm = asm.with_params(params)
-            report = verify_lower_bounds(asm, params, grid, ts)
+            report = verify_lower_bounds(bundle.assembler, params, grid, ts)
             trial.update(margins={b: report.min_margin(b)
                                   for b in ("order2", "order1", "theta")},
                          passed=report.passed)
             details["history"].append(trial)
             if report.passed:
                 details["report"] = report
-                details["bundle"] = replace(bundle, params=params)
-                details["assembler"] = asm
+                details["bundle"] = bundle
                 return params, details
             worst = min(report.rows, key=lambda r: r.margin)
             failure = (f"{worst.bound} margin {worst.margin:.3e} at h={h} "

@@ -1,7 +1,6 @@
 import pytest
 
 from gevrey_evolve import make_grid, model_problem
-from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
 from gevrey_evolve.positivity import select_parameters_detailed
 
 THETA = 1.8
@@ -14,10 +13,9 @@ def small_setup():
     prob = model_problem("complex-damped", SIGMA, domain=10.0)
     grid = make_grid(10.0, 64)
     params, details = select_parameters_detailed(prob, THETA, grid)
-    bundle = build_conjugator(prob, params, grid)
-    asm = ConjugationAssembler(prob, params, grid, phase=bundle.phase)
+    bundle = details["bundle"]
     return dict(problem=prob, grid=grid, params=params, details=details,
-                bundle=bundle, assembler=asm)
+                bundle=bundle, assembler=bundle.assembler)
 
 
 @pytest.fixture(scope="session")
@@ -26,10 +24,9 @@ def medium_setup():
     prob = model_problem("complex-damped", SIGMA, domain=20.0)
     grid = make_grid(20.0, 128)
     params, details = select_parameters_detailed(prob, THETA, grid)
-    bundle = build_conjugator(prob, params, grid)
-    asm = ConjugationAssembler(prob, params, grid, phase=bundle.phase)
+    bundle = details["bundle"]
     return dict(problem=prob, grid=grid, params=params, details=details,
-                bundle=bundle, assembler=asm)
+                bundle=bundle, assembler=bundle.assembler)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
-                                     conj_a2, conj_a3, conj_time_weight,
                                      truncation_order)
 from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.grid import bracket_h, make_grid
@@ -77,7 +76,7 @@ def test_d1_real_and_lambda1_independent(grid):
 
 def test_zero_phase_kills_conjugation_terms(grid):
     p = params_with(M2=0.0, M1=0.0)
-    terms = conj_a3(PROB, p, grid, 0.0)
+    terms = ConjugationAssembler(PROB, p, grid).at(0.0).parts
     for name in ("damp2", "damp1", "id1"):
         assert np.max(np.abs(terms[name].values)) == 0.0
 
@@ -88,8 +87,10 @@ def test_conj_a3_dense_oracle(grid):
     bundle = build_conjugator(PROB, p, grid)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E @ a3 @ bundle.E_inv
-    terms = conj_a3(PROB, p, grid, 0.0, phase=bundle.phase)
-    rhs = to_dense(terms["ia3"] + terms["damp2"] + terms["damp1"] + terms["id1"])
+    cs = ConjugationAssembler(PROB, p, grid, phase=bundle.phase).at(0.0)
+    terms = cs.parts
+    ia3 = multiplier_table(grid, 1j * cs.a3_row)
+    rhs = to_dense(ia3 + terms["damp2"] + terms["damp1"] + terms["id1"])
     assert representable_error(lhs, rhs, grid, p.domain_cap) < 1e-3
 
 
@@ -133,9 +134,11 @@ def test_damping_terms_improve_dense_oracle(grid):
     bundle = build_conjugator(PROB, p, grid, inverse_tol=1e-5)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E @ a3 @ bundle.E_inv
-    t = conj_a3(PROB, p, grid, 0.0, phase=bundle.phase)
-    full = to_dense(t["ia3"] + t["damp2"] + t["damp1"] + t["id1"])
-    bare = to_dense(t["ia3"] + t["id1"])
+    cs = ConjugationAssembler(PROB, p, grid, phase=bundle.phase).at(0.0)
+    t = cs.parts
+    ia3 = multiplier_table(grid, 1j * cs.a3_row)
+    full = to_dense(ia3 + t["damp2"] + t["damp1"] + t["id1"])
+    bare = to_dense(ia3 + t["id1"])
     e_full = representable_error(lhs, full, grid, p.domain_cap)
     e_bare = representable_error(lhs, bare, grid, p.domain_cap)
     assert e_bare > 1.15 * e_full
@@ -143,9 +146,9 @@ def test_damping_terms_improve_dense_oracle(grid):
 
 def test_conj_a2_vanishes_without_a2(grid):
     p = params_with()
-    terms = conj_a2(KDV, p, grid, 0.0)
-    for tab in terms.values():
-        assert np.max(np.abs(tab.values)) < 1e-14
+    parts = ConjugationAssembler(KDV, p, grid).at(0.0).parts
+    for name in ("ia2", "ia2_k", "a2cross"):
+        assert np.max(np.abs(parts[name].values)) < 1e-14
 
 
 def test_conj_a2_decay_bound_h_stable(grid):
@@ -164,7 +167,7 @@ def test_conj_a2_decay_bound_h_stable(grid):
 
 def test_time_weight_terms(grid):
     p = params_with(C1=0.2, C2=0.01)
-    terms = conj_time_weight(PROB, p, grid, 0.4)
+    terms = ConjugationAssembler(PROB, p, grid).at(0.4).parts
     # -k'(t) <xi>^{1/theta} is nonnegative (k non-increasing)
     assert np.min(terms["kprime"].values.real[:, grid.band_mask()]) >= 0.0
     kp = -float(k_prime(0.4, p))
@@ -239,3 +242,23 @@ def test_assembler_time_caching(grid):
     assert np.array_equal(a, b)
     c = asm.at(0.5).generator_table().values
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
+def test_generator_polynomial_matches_generator_table(grid, name):
+    # generator(t) = G_0 + sum_j k^j G_j - k' <xi>^{1/theta} against the sum
+    # of the named parts, on fresh, repeated and evicted coefficient times
+    prob = model_problem(name, 0.75, domain=L)
+    asm = ConjugationAssembler(prob, params_with(C1=0.2, C2=0.01), grid)
+
+    def check(t):
+        got = asm.generator(t)
+        ref = asm.at(t).generator_table().values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    for t in (0.0, 0.3, 0.3, 1.0):
+        check(t)
+    for t in np.linspace(0.05, 0.95, 13):   # more than the memo's 12 times
+        asm.generator(t)
+    for t in (0.0, 0.3, 1.0):
+        check(t)

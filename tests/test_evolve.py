@@ -88,9 +88,9 @@ def _trivial_params(domain_cap):
 def test_step_pure_dispersion_is_unitary(grid):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
-    cs = ConjugationAssembler(kdv, p, grid).at(0.0)
+    tab = ConjugationAssembler(kdv, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, cs)
+    w = step(v, 0.0, 0.05, kdv, grid, lambda tau: tab)
     assert abs(grid.l2_norm(w) - grid.l2_norm(v)) < 1e-12 * grid.l2_norm(v)
 
 
@@ -101,19 +101,21 @@ def test_step_zero_generator_identity(grid):
                                     fn=lambda t, x, xi: np.zeros(np.broadcast(x, xi).shape),
                                     dxi=lambda t, x, xi: 3 * xi ** 2 + 0 * x))
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
-    cs = ConjugationAssembler(zero3, p, grid).at(0.0)
+    tab = ConjugationAssembler(zero3, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, cs)
+    w = step(v, 0.0, 0.05, zero3, grid, lambda tau: tab)
     assert np.max(np.abs(w - v)) < 1e-12
 
 
 def test_step_damping_matches_matrix_exponential(small_setup):
     # steps of the frozen conjugated system converge at least at 4th order
     # to the dense matrix exponential, and the damped norm never grows
-    grid = small_setup["grid"]
+    grid, prob = small_setup["grid"], small_setup["problem"]
     cs = small_setup["assembler"].at(0.0)
+    tab = cs.generator_table().values
+    frozen = lambda tau: tab
     v = synthetic_radius_field(grid, 0.7, 1.8)
-    a3row = np.asarray(small_setup["problem"].a3(0.0, 0.0, grid.xi), dtype=complex)
+    a3row = np.asarray(prob.a3(0.0, 0.0, grid.xi), dtype=complex)
     G = -(to_dense(multiplier_table(grid, 1j * a3row))
           + to_dense(cs.generator_table()))
     mask = np.ones(grid.N)
@@ -124,7 +126,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     v0 = Pm @ v
     errs = []
     for dt in (2e-3, 1e-3):
-        w = step(v0, 0.0, dt, cs)
+        w = step(v0, 0.0, dt, prob, grid, frozen)
         errs.append(grid.l2_norm(w - expm(G * dt) @ v0))
     assert errs[0] / errs[1] > 16.0  # local order >= 4 (dt^5 gives 32)
     # damping-dominated group: growth per step stays under the quantization
@@ -136,7 +138,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     w = v0.copy()
     norms = [grid.l2_norm(w)]
     for i in range(20):
-        w = step(w, i * 2e-3, 2e-3, cs)
+        w = step(w, i * 2e-3, 2e-3, prob, grid, frozen)
         norms.append(grid.l2_norm(w))
     rates = np.diff(np.log(norms)) / 2e-3
     assert np.max(rates) <= floor + 1e-6
@@ -151,7 +153,7 @@ def test_step_blowup_detected(grid):
     asm = ConjugationAssembler(prob, p, grid)
     v0 = synthetic_radius_field(grid, 0.5, 1.8)
     with pytest.raises(InstabilityError) as err:
-        solve_conjugated(prob, p, None, v0, grid, 3.0, dt=0.02, assembler=asm)
+        solve_conjugated(asm, None, v0, 3.0, dt=0.02)
     assert err.value.t is not None
 
 
@@ -161,9 +163,8 @@ def test_step_blowup_detected(grid):
 
 def test_zero_data_gives_zero(small_setup):
     grid = small_setup["grid"]
-    traj = solve_conjugated(small_setup["problem"], small_setup["params"],
-                            None, np.zeros(grid.N, dtype=complex), grid, 0.5,
-                            assembler=small_setup["assembler"])
+    traj = solve_conjugated(small_setup["assembler"], None,
+                            np.zeros(grid.N, dtype=complex), 0.5)
     assert all(grid.l2_norm(v) == 0.0 for v in traj.v_fields)
 
 
@@ -187,6 +188,41 @@ def test_damped_solve_energy_log(small_setup):
     assert traj.gronwall_C <= 1.0 + 1e-6
     # conjugation equivalence both ways at every logged time
     assert np.max(traj.equivalence_residual) < 1e-7
+
+
+def test_energy_estimate_one_pass(small_setup, monkeypatch):
+    # one trapezoid sum over the step times gives the constant of the
+    # quadrature from t = 0 at every logged time, with one ||f||^2 per step
+    from gevrey_evolve import evolve
+    grid, prob = small_setup["grid"], small_setup["problem"]
+    rho, theta = 0.7, 1.8
+    g = synthetic_radius_field(grid, rho, theta)
+    f = lambda t: 0.5 * np.exp(-t) * g
+    spec_in = GevreyNormSpec(0.0, rho, theta)
+    norm, calls = evolve.gevrey_norm, []
+
+    def counting(u, spec, grid):
+        calls.append(spec)
+        return norm(u, spec, grid)
+
+    monkeypatch.setattr(evolve, "gevrey_norm", counting)
+    traj = solve_original(prob, small_setup["params"], f, g, grid, 0.5,
+                          rho=rho, theta=theta, bundle=small_setup["bundle"])
+    monkeypatch.undo()
+    steps, logged = traj.meta["steps"], len(traj.logged_times)
+    assert logged > 10
+    # ||g|| once and ||f(t_i)|| at every step time
+    assert calls.count(spec_in) == steps + 2
+    # plus a Sobolev norm per step and an output norm per logged field
+    assert len(calls) == 2 * (steps + 1) + 1 + logged
+
+    den0 = gevrey_norm(g, spec_in, grid) ** 2
+    C = 0.0
+    for idx, t in enumerate(traj.logged_times):
+        ts = np.linspace(0.0, t, max(2, int(round(t / traj.meta["dt"])) + 1))
+        fn = [gevrey_norm(f(s), spec_in, grid) ** 2 for s in ts]
+        C = max(C, traj.meta["hm_u"][idx] ** 2 / (den0 + np.trapezoid(fn, ts)))
+    assert traj.meta["energy_estimate_C"] == pytest.approx(C, rel=1e-12, abs=0.0)
 
 
 def test_radius_loss_bounded(small_setup):

@@ -64,14 +64,19 @@ def test_run_artifacts(tmp_path):
     assert lines[1] == "t,l2,hm_rho_theta,radius_fit,energy_residual"
 
 
+EXPLICIT = SMALL + "weights.M2 = 0.12\nweights.M1 = 0.12\nweights.h = 4\n"
+TRIVIAL = SMALL + "problem.id = kdv-baseline\n"
+
+
 def test_run_builds_each_setup_object_once(monkeypatch):
     from gevrey_evolve import conjugate, harness, positivity, symbols
     calls = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
             calls.append(name)
-            return fn(*args, **kwargs)
+            return out
         return wrapper
 
     build = counting("build", conjugate.build_conjugator)
@@ -80,20 +85,27 @@ def test_run_builds_each_setup_object_once(monkeypatch):
         monkeypatch.setattr(module, "build_conjugator", build)
     for module in (symbols, positivity, harness):
         monkeypatch.setattr(module, "check_assumptions", check)
-
-    def select(*args, **kwargs):
-        out = positivity.select_parameters_detailed(*args, **kwargs)
-        calls.append("selected")
-        return out
-
-    monkeypatch.setattr(harness, "select_parameters_detailed", select)
-    _, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
-    assert calls.count("check") == 1
-    done = calls.index("selected")
-    assert calls[:done].count("build") == len(art["details"]["history"])
-    assert "build" not in calls[done:]
-    # the time multipliers read C1/C2, so the reused bundle must carry them
-    assert art["bundle"].params == art["params"]
+    monkeypatch.setattr(conjugate.ConjugationAssembler, "__init__",
+                        counting("assembler", conjugate.ConjugationAssembler.__init__))
+    monkeypatch.setattr(harness, "resolve_weights",
+                        counting("resolved", harness.resolve_weights))
+    for text in (SMALL, EXPLICIT, TRIVIAL):
+        calls.clear()
+        _, art = run_pipeline(RunConfig.from_text(text), write=False)
+        assert calls.count("check") == 1
+        done = calls.index("resolved")
+        builds = calls[:done].count("build")
+        # one conjugator per selection trial, or one for fixed or trivial weights
+        assert builds == (len(art["details"].get("history", [])) or 1)
+        # each conjugator brings its one assembler
+        assert calls[:done].count("assembler") == builds
+        assert "build" not in calls[done:] and "assembler" not in calls[done:]
+        # the time multipliers and the generator read C1/C2, so the reused
+        # bundle and its assembler must carry them
+        assert art["bundle"].params == art["params"]
+        assert art["bundle"].assembler.params == art["params"]
+    # on the trivial branch the tables vanish, so calibration measures zero
+    assert art["params"].C1 == 0.0 and art["params"].C2 == 0.0
 
 
 def test_snapshots_roundtrip(tmp_path):
