@@ -35,7 +35,7 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import (SymbolTable, adjoint, dx_operator, exp_table,
                        multiplier_table, operator_norm, to_dense,
-                       xi_derivative)
+                       x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
                       lambda_x_derivative, lambda1, lambda2, sign_weight)
@@ -94,16 +94,14 @@ def partial_bell(n_max, xs):
 
 @dataclass
 class PhaseTables:
-    """lam2 + lam1 sampled on the lattice with the derivative factors the
-    expansions need.  Everything here is independent of time."""
+    """What the assembly reads of lam2 + lam1 sampled on the lattice: the
+    phase, its first x-derivatives, the window and the exponential
+    derivative factors.  Everything here is independent of time."""
 
-    grid: Grid
-    params: WeightParams
     lam: SymbolTable          # lam2 + lam1
-    lam2_x: dict              # order -> table of d_x^order lam2 (1..3)
-    lam1_x: dict
-    lam_x: dict               # order -> d_x^order (lam2 + lam1), orders 1..4
-    lam_xi: dict              # order -> d_xi^order (lam2 + lam1), orders 1..4
+    lam2_x: SymbolTable       # d_x lam2
+    lam2_xx: SymbolTable      # d_x^2 lam2
+    lam1_x: SymbolTable       # d_x lam1
     dxdxi_lam2: SymbolTable   # d_xi d_x lam2
     psi_window: SymbolTable   # psi(<x>/<xi>_h^2)
     abs_w: np.ndarray         # |w(xi/h)| on the frequency lattice
@@ -111,53 +109,51 @@ class PhaseTables:
     dx_exp_factors: list      # Q_a = e^{lam} D_x^a e^{-lam}, a = 1..4
 
 
-def _lambda_x_table(p, params, grid, which, order, t_sign=0.0):
+def _lambda_x_table(p, params, grid, which, order):
     X, XI = grid.x[:, None], grid.xi[None, :]
     return SymbolTable(grid, lambda_x_derivative(
-        X, XI, t_sign, p, params, which=which, order=order).astype(complex))
+        X, XI, 0.0, p, params, which=which, order=order).astype(complex))
 
 
-def dxdxi_lambda2(p: ProblemSpec, params: WeightParams, grid: Grid,
-                  t_sign: float = 0.0) -> SymbolTable:
+def dxdxi_lambda2(p: ProblemSpec, params: WeightParams,
+                  grid: Grid) -> SymbolTable:
     """d_xi d_x lam2 on the lattice.  It reads M2 but not M1, and it needs
     no weight integral (d_x lam2 is in closed form)."""
-    return xi_derivative(_lambda_x_table(p, params, grid, 2, 1, t_sign), 1)
+    return xi_derivative(_lambda_x_table(p, params, grid, 2, 1), 1)
 
 
-def build_phase_tables(p: ProblemSpec, params: WeightParams, grid: Grid,
-                       t_sign: float = 0.0) -> PhaseTables:
-    """Sample the spatial phase and its derivatives once per grid/params."""
+def build_phase_tables(p: ProblemSpec, params: WeightParams,
+                       grid: Grid) -> PhaseTables:
+    """Sample the spatial phase and its derivatives once per grid/params.
+    The higher derivatives are needed only to form P_b and Q_a."""
     X, XI = grid.x[:, None], grid.xi[None, :]
-    l2 = SymbolTable(grid, lambda2(X, XI, t_sign, p, params).astype(complex))
-    l1 = SymbolTable(grid, lambda1(X, XI, t_sign, p, params).astype(complex))
+    l2 = SymbolTable(grid, lambda2(X, XI, 0.0, p, params).astype(complex))
+    l1 = SymbolTable(grid, lambda1(X, XI, 0.0, p, params).astype(complex))
     lam = l2 + l1
 
     lam2_x, lam1_x = {}, {}
     for order in (1, 2, 3):
-        lam2_x[order] = _lambda_x_table(p, params, grid, 2, order, t_sign)
-        lam1_x[order] = _lambda_x_table(p, params, grid, 1, order, t_sign)
+        lam2_x[order] = _lambda_x_table(p, params, grid, 2, order)
+        lam1_x[order] = _lambda_x_table(p, params, grid, 1, order)
     lam_x = {o: lam2_x[o] + lam1_x[o] for o in (1, 2, 3)}
-    from .quantize import x_derivative
     lam_x[4] = x_derivative(lam_x[3], 1)
-
     lam_xi = {o: xi_derivative(lam, o) for o in (1, 2, 3, 4)}
-    dxdxi_lam2 = xi_derivative(lam2_x[1], 1)
 
     cap = np.square(bracket_h(grid.xi, params.h))
     window = cutoff_psi(np.sqrt(1.0 + np.square(grid.x))[:, None] / cap[None, :])
-    psi_window = SymbolTable(grid, window.astype(complex))
-    abs_w = np.abs(np.asarray(sign_weight(grid.xi, t_sign, p, params),
+    abs_w = np.abs(np.asarray(sign_weight(grid.xi, 0.0, p, params),
                               dtype=float))
 
     # P_b = Bell_b(lam_xi...), Q_a = (-i)^a Bell_a(-lam_x...)
     P = exp_derivative_factors([lam_xi[o].values for o in (1, 2, 3, 4)])
     Q = exp_derivative_factors([-lam_x[o].values for o in (1, 2, 3, 4)])
-    Pb = [SymbolTable(grid, v) for v in P]
-    Qa = [SymbolTable(grid, (-1j) ** (a + 1) * v) for a, v in enumerate(Q)]
-    return PhaseTables(grid=grid, params=params, lam=lam, lam2_x=lam2_x,
-                       lam1_x=lam1_x, lam_x=lam_x, lam_xi=lam_xi,
-                       dxdxi_lam2=dxdxi_lam2, psi_window=psi_window,
-                       abs_w=abs_w, exp_xi_factors=Pb, dx_exp_factors=Qa)
+    return PhaseTables(
+        lam=lam, lam2_x=lam2_x[1], lam2_xx=lam2_x[2], lam1_x=lam1_x[1],
+        dxdxi_lam2=xi_derivative(lam2_x[1], 1),
+        psi_window=SymbolTable(grid, window.astype(complex)), abs_w=abs_w,
+        exp_xi_factors=[SymbolTable(grid, v) for v in P],
+        dx_exp_factors=[SymbolTable(grid, (-1j) ** (a + 1) * v)
+                        for a, v in enumerate(Q)])
 
 
 def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
@@ -212,7 +208,7 @@ def truncation_order(m, theta, cap=8):
 class ConjugatorBundle:
     """Dense realizations of the spatial conjugator and its inverse, the
     diagonal time-weight multipliers, and the assembler of the conjugated
-    symbols built from the same phase tables.
+    symbols, which keeps the phase tables both were built from.
 
     E and E_inv read neither C1 nor C2; the time multipliers and the
     assembler's generator read both, so ``params`` must carry the calibrated
@@ -221,7 +217,6 @@ class ConjugatorBundle:
     grid: Grid
     params: WeightParams
     problem: ProblemSpec
-    phase: PhaseTables
     E: np.ndarray                  # op(e^lam)
     E_inv: np.ndarray              # E_star sum_j (-R)^j, or the dense inverse
     spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
@@ -229,7 +224,6 @@ class ConjugatorBundle:
     series_terms: int
     symbol_gap: float              # ||op(truncated remainder symbol) - R||_2
     assembler: "ConjugationAssembler"
-    mode: str = "neumann"
 
     def with_params(self, params: WeightParams):
         """This bundle with other k(t) constants C1, C2.  The copy shares the
@@ -271,7 +265,7 @@ class ConjugatorBundle:
 
 
 def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
-                     t: float = 0.0, series_tol: float = 1e-10,
+                     series_tol: float = 1e-10,
                      inverse_tol: float = 1e-8,
                      mode: str = "neumann") -> ConjugatorBundle:
     """Build op(e^lam), its inverse and the assembler of the conjugated
@@ -285,7 +279,7 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     once at the end.  ``mode="dense"`` replaces the series with a direct
     dense inverse (cross-check oracle, N <= 256).
     """
-    phase = build_phase_tables(p, params, grid, t_sign=t)
+    phase = build_phase_tables(p, params, grid)
     N = grid.N
     I = np.eye(N, dtype=complex)
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
@@ -335,10 +329,10 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
         raise ConvergenceError(
             f"conjugator inverse residual {residual:.3e} exceeds "
             f"{inverse_tol}; increase h or loosen inverse_tol")
-    return ConjugatorBundle(grid=grid, params=params, problem=p, phase=phase,
+    return ConjugatorBundle(grid=grid, params=params, problem=p,
                             E=E, E_inv=E_inv, spectral_radius=rho,
                             residual=residual, series_terms=terms,
-                            symbol_gap=gap, mode=mode,
+                            symbol_gap=gap,
                             assembler=ConjugationAssembler(p, params, grid, phase))
 
 
@@ -357,10 +351,7 @@ class ConjugatedSymbols:
     belong with the 1/theta block for the lower bounds).
     """
 
-    t: float
     grid: Grid
-    params: WeightParams
-    problem: ProblemSpec
     a3_row: np.ndarray
     parts: dict
     _herm: dict = field(default_factory=dict, repr=False)
@@ -385,7 +376,7 @@ class ConjugatedSymbols:
     def spatial_table(self):
         """Conjugation of the spatial generator only (no d/dt artifacts):
         drops the -k' <xi>^{1/theta} term produced by the time stage."""
-        ia3 = multiplier_table(self.grid, 1j * self.a3_row, order=3.0)
+        ia3 = multiplier_table(self.grid, 1j * self.a3_row)
         return ia3 + self.generator_table() - self.parts["kprime"]
 
     def hermitian_corrections(self):
@@ -470,21 +461,21 @@ class ConjugationAssembler:
         p, params, g, ph = self.problem, self.params, self.grid, self.phase
         a3_row = np.asarray(p.a3(t, 0.0, g.xi), dtype=float)
         da3_row = np.asarray(p.a3.dxi(t, 0.0, g.xi), dtype=float)
-        a3 = multiplier_table(g, a3_row, order=3.0)
-        da3 = multiplier_table(g, da3_row, order=2.0)
+        a3 = multiplier_table(g, a3_row)
+        da3 = multiplier_table(g, da3_row)
 
         ia2 = eval_table(p.a2, g, t) * 1j
         ia1 = eval_table(p.a1, g, t) * 1j
         a2 = eval_table(p.a2, g, t)
 
-        damp2 = da3 * ph.lam2_x[1] * -1.0
-        damp1 = da3 * ph.lam1_x[1] * -1.0
+        damp2 = da3 * ph.lam2_x * -1.0
+        damp1 = da3 * ph.lam1_x * -1.0
 
         # real order-1 symbol produced by the spatial stage (depends only on
         # lam2): (1/2) d_xi^2 { a3 (lam2_xx - lam2_x^2) }
         #        - d_xi a3 * d_xi lam2_xx + d_xi(a3 lam2_x) * d_xi lam2_x
         #        - (1/2) a3 { d_xi^2 (lam2_xx + lam2_x^2) + 2 (d_xi lam2_x)^2 }
-        l2x, l2xx = ph.lam2_x[1], ph.lam2_x[2]
+        l2x, l2xx = ph.lam2_x, ph.lam2_xx
         termA = xi_derivative(a3 * (l2xx - l2x * l2x), 2) * 0.5
         termB = da3 * xi_derivative(l2xx, 1) * -1.0
         termC = xi_derivative(a3 * l2x, 1) * ph.dxdxi_lam2
@@ -626,7 +617,5 @@ class ConjugationAssembler:
             m1_main=stage["m1_main"], m1_tail=stage["m1_tail"],
             d1=stage["d1"], re_a2_raw=stage["re_a2_raw"],
         )
-        return ConjugatedSymbols(t=t, grid=g, params=params,
-                                 problem=self.problem,
-                                 a3_row=stage["a3_row"], parts=parts)
+        return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts)
 

@@ -61,10 +61,6 @@ def gevrey_norm(u, spec: GevreyNormSpec, grid: Grid) -> float:
     return float(np.exp(top) * np.sqrt(grid.dx * np.sum(np.exp(2.0 * (la - top)))))
 
 
-def sobolev_norm(u, m, grid):
-    return gevrey_norm(u, GevreyNormSpec(m, 0.0, 2.0), grid)
-
-
 @dataclass
 class RadiusFit:
     rho: float
@@ -131,18 +127,20 @@ def synthetic_radius_field(grid: Grid, rho, theta, m: float = 0.0,
 
 @dataclass
 class Trajectory:
+    """Fields and energy log of one solve.  v is the conjugated unknown,
+    u = op(e^Lam)^{-1} v the original one; E = ||v||^2, F = ||f_conj||^2."""
+
     times: np.ndarray                 # every step boundary
     logged_times: np.ndarray          # subset where fields are stored
-    v_fields: list
-    u_fields: list = field(default_factory=list)
-    l2: np.ndarray = None             # per step (v for conjugated runs, u else)
-    hm: np.ndarray = None
-    radius: np.ndarray = None         # at logged times (nan elsewhere)
-    energy_rate: np.ndarray = None    # (E_{i+1}-E_i)/(dt (E_i+F_i))
-    energy_residual: np.ndarray = None
-    C_prime: float = float("nan")
-    gronwall_C: float = float("nan")
-    equivalence_residual: np.ndarray = None
+    v_fields: list                    # v at the logged times
+    u_fields: list = field(default_factory=list)  # u at the logged times
+    l2: np.ndarray = None             # ||v||_L2 at every step boundary
+    radius: np.ndarray = None         # fitted radius of u at logged times
+    energy_rate: np.ndarray = None    # per step: (E_{i+1}-E_i)/(dt (E_i+F_i))
+    energy_residual: np.ndarray = None  # energy_rate - C_prime, <= 0
+    C_prime: float = float("nan")     # largest energy_rate
+    gronwall_C: float = float("nan")  # max E / (e^{max(C',0) t} (E_0 + int F))
+    equivalence_residual: np.ndarray = None  # ||op(e^Lam) u - v|| / ||v||
     meta: dict = field(default_factory=dict)
 
 
@@ -211,15 +209,17 @@ def default_dt(generator, T):
     return T / steps
 
 
-def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T, m=0.0,
+def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
     Every stage evaluates the assembler's generator polynomial in k(t) and
     k'(t).  f_conj: callable t -> field (already conjugated forcing) or
-    None.  The energy log records the discrete growth rate of ||v||_L2^2
-    against E + F, the largest rate C' and the one-constant bound it
-    implies; the residual rate - C' is nonpositive by construction.
+    None.  The energy log records ||v||_L2 at every step, the discrete
+    growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
+    one-constant bound it implies; the residual rate - C' is nonpositive
+    by construction.  meta holds dt, the step count and the indices of
+    the logged steps.
     """
     p, grid = assembler.problem, assembler.grid
     if dt is None:
@@ -235,10 +235,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T, m=0.0,
     v_fields, logged = [v.copy()], [0]
     E = np.empty(steps + 1)
     F = np.empty(steps + 1)
-    hm = np.empty(steps + 1)
     E[0] = grid.l2_norm(v) ** 2
     F[0] = grid.l2_norm(f_conj(0.0)) ** 2 if f_conj is not None else 0.0
-    hm[0] = sobolev_norm(v, m, grid) ** 2
     scale0 = np.sqrt(E[0]) + 1.0
 
     for i in range(steps):
@@ -250,7 +248,6 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T, m=0.0,
                 t=float(times[i + 1]))
         E[i + 1] = grid.l2_norm(v) ** 2
         F[i + 1] = grid.l2_norm(f_conj(times[i + 1])) ** 2 if f_conj is not None else 0.0
-        hm[i + 1] = sobolev_norm(v, m, grid) ** 2
         if (i + 1) % stride == 0 or i + 1 == steps:
             v_fields.append(v.copy())
             logged.append(i + 1)
@@ -264,11 +261,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T, m=0.0,
     gron = float(np.max(E / np.maximum(bound, 1e-300)))
 
     traj = Trajectory(times=times, logged_times=times[logged],
-                      v_fields=v_fields, l2=np.sqrt(E), hm=np.sqrt(hm),
+                      v_fields=v_fields, l2=np.sqrt(E),
                       energy_rate=rate,
                       energy_residual=residual,
                       C_prime=C_prime, gronwall_C=gron,
-                      meta={"dt": dt, "steps": steps, "m": m,
+                      meta={"dt": dt, "steps": steps,
                             "logged_indices": logged})
     return traj
 
@@ -299,7 +296,7 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     if f is not None:
         f_conj = lambda tau: bundle.apply_full(grid.check_field(f(tau)), tau)
 
-    traj = solve_conjugated(bundle.assembler, f_conj, v0, T, m=m, dt=dt)
+    traj = solve_conjugated(bundle.assembler, f_conj, v0, T, dt=dt)
 
     rho_prime = float(k_of_t(T, params)) - REPORT_DELTA
     spec_out = GevreyNormSpec(m, rho_prime, theta)

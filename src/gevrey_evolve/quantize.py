@@ -15,7 +15,7 @@ x-derivatives of tables are spectral; xi-derivatives use finite differences
 on the uniform frequency lattice (the Nyquist column is excluded).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class SymbolTable:
 
     grid: Grid
     values: np.ndarray          # shape (N, N) complex, [x-index, xi-index]
-    order: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -45,9 +44,8 @@ class SymbolTable:
     def __add__(self, other):
         if isinstance(other, SymbolTable):
             self._same_grid(other)
-            return SymbolTable(self.grid, self.values + other.values,
-                               max(self.order, other.order))
-        return SymbolTable(self.grid, self.values + other, self.order)
+            return SymbolTable(self.grid, self.values + other.values)
+        return SymbolTable(self.grid, self.values + other)
 
     __radd__ = __add__
 
@@ -57,9 +55,8 @@ class SymbolTable:
     def __mul__(self, other):
         if isinstance(other, SymbolTable):
             self._same_grid(other)
-            return SymbolTable(self.grid, self.values * other.values,
-                               self.order + other.order)
-        return SymbolTable(self.grid, self.values * other, self.order)
+            return SymbolTable(self.grid, self.values * other.values)
+        return SymbolTable(self.grid, self.values * other)
 
     __rmul__ = __mul__
 
@@ -69,30 +66,27 @@ class SymbolTable:
 
     @property
     def real(self):
-        return SymbolTable(self.grid, self.values.real.astype(complex), self.order)
+        return SymbolTable(self.grid, self.values.real.astype(complex))
 
     @property
     def imag(self):
-        return SymbolTable(self.grid, self.values.imag.astype(complex), self.order)
+        return SymbolTable(self.grid, self.values.imag.astype(complex))
 
     def conj(self):
-        return SymbolTable(self.grid, np.conj(self.values), self.order)
-
-    def with_order(self, order):
-        return replace(self, order=order)
+        return SymbolTable(self.grid, np.conj(self.values))
 
 
-def table_from_function(grid, fn, order=0.0):
+def table_from_function(grid, fn):
     """Sample fn(x, xi) on the grid lattice (broadcasting evaluator)."""
     vals = np.asarray(fn(grid.x[:, None], grid.xi[None, :]), dtype=complex)
     vals = np.broadcast_to(vals, (grid.N, grid.N))
-    return SymbolTable(grid, vals, order)
+    return SymbolTable(grid, vals)
 
 
-def multiplier_table(grid, values_xi, order=0.0):
+def multiplier_table(grid, values_xi):
     """Table of an x-independent symbol given its values on the xi lattice."""
     row = np.asarray(values_xi, dtype=complex)
-    return SymbolTable(grid, np.tile(row, (grid.N, 1)), order)
+    return SymbolTable(grid, np.tile(row, (grid.N, 1)))
 
 
 def apply(p: SymbolTable, u):
@@ -171,7 +165,7 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     dbody = diff_uniform(body, g.dxi, order, axis=1, accuracy=accuracy)
     out = np.zeros_like(shifted)
     out[:, 1:] = dbody
-    return SymbolTable(g, np.fft.ifftshift(out, axes=1), p.order - order)
+    return SymbolTable(g, np.fft.ifftshift(out, axes=1))
 
 
 def x_derivative(p: SymbolTable, order=1):
@@ -181,13 +175,13 @@ def x_derivative(p: SymbolTable, order=1):
     mult = (1j * g.xi) ** order
     mult[g.nyquist] = 0.0
     vals = np.fft.ifft(mult[:, None] * u_hat / g._phase[:, None], axis=0, norm="ortho")
-    return SymbolTable(g, vals, p.order)
+    return SymbolTable(g, vals)
 
 
 def dx_operator(p: SymbolTable, order=1):
     """D_x^order = (-i d/dx)^order of a table."""
     out = x_derivative(p, order)
-    return SymbolTable(out.grid, (-1j) ** order * out.values, out.order)
+    return SymbolTable(out.grid, (-1j) ** order * out.values)
 
 
 def exp_table(p: SymbolTable):
@@ -198,7 +192,7 @@ def exp_table(p: SymbolTable):
         raise ParameterError(
             f"exponent reaches {m:.1f} > {EXP_GUARD}; reduce the phase strength "
             "(smaller k0 or weight constants)")
-    return SymbolTable(p.grid, np.exp(vals).astype(complex), 0.0)
+    return SymbolTable(p.grid, np.exp(vals).astype(complex))
 
 
 def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):
@@ -211,4 +205,4 @@ def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):
     for a in range(1, n_trunc):
         term = xi_derivative(p, a) * dx_operator(q, a)
         total = total + term * (1.0 / factorial(a))
-    return total.with_order(p.order + q.order)
+    return total

@@ -92,10 +92,9 @@ def trajectory_csv_lines(traj):
     """Columns: t, l2, hm_rho_theta, radius_fit, energy_residual."""
     lines = ["# schema=1", "t,l2,hm_rho_theta,radius_fit,energy_residual"]
     logged = traj.meta.get("logged_indices", range(len(traj.logged_times)))
-    hm_u = traj.meta.get("hm_u")
+    hm_u = traj.meta["hm_u"]
     for row, (t, idx) in enumerate(zip(traj.logged_times, logged)):
-        l2 = traj.l2[idx]
-        hm = hm_u[row] if hm_u is not None else traj.hm[idx]
+        l2, hm = traj.l2[idx], hm_u[row]
         rad = traj.radius[row] if traj.radius is not None else float("nan")
         res = traj.energy_residual[min(idx, len(traj.energy_residual) - 1)] \
             if traj.energy_residual is not None and len(traj.energy_residual) else float("nan")

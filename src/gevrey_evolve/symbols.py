@@ -1,8 +1,8 @@
 """Symbols, the model problem library, and numerical class-membership checks.
 
 A Symbol wraps a vectorized evaluator (t, x, xi) -> complex together with its
-declared order and Gevrey indices.  Library symbols also carry closed-form
-first derivatives where the assembly formulas need them exactly.
+declared order.  The leading library symbol also carries its closed-form
+xi-derivative, which the sign selector and the assembly read exactly.
 """
 
 import math
@@ -19,17 +19,11 @@ from .quantize import SymbolTable
 
 @dataclass(frozen=True)
 class Symbol:
-    """Evaluator plus declared order and regularity metadata."""
+    """Evaluator plus declared order."""
 
     fn: Callable                      # (t, x, xi) -> complex array
     order: float
-    mu: float = 1.0
-    nu: float = 1.0
-    decay: float = 0.0                # spatial decay exponent (e.g. -sigma)
-    x_independent: bool = False
-    real_valued: bool = False
     dxi: Optional[Callable] = None    # analytic d/dxi, if available
-    dx: Optional[Callable] = None     # analytic d/dx, if available
     name: str = ""
 
     def __call__(self, t, x, xi):
@@ -38,10 +32,7 @@ class Symbol:
 
 def zero_symbol():
     return Symbol(fn=lambda t, x, xi: np.zeros(np.broadcast(x, xi).shape),
-                  order=0.0, x_independent=True, real_valued=True,
-                  dxi=lambda t, x, xi: np.zeros(np.broadcast(x, xi).shape),
-                  dx=lambda t, x, xi: np.zeros(np.broadcast(x, xi).shape),
-                  name="0")
+                  order=0.0, name="0")
 
 
 def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
@@ -54,7 +45,7 @@ def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
         raise EvaluationError(
             f"symbol {sym.name or '<anon>'} is non-finite at "
             f"(x={grid.x[j]:.6g}, xi={grid.xi[k]:.6g}, t={t})")
-    return SymbolTable(grid, vals, sym.order)
+    return SymbolTable(grid, vals)
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,6 @@ class ProblemSpec:
     sigma: float
     s0: float
     T: float = 1.0
-    C_a3: float = 0.0
     R_a3: float = 2.0   # sign of a3' is pinned beyond this; must exceed 1
     time_dependent: bool = False
 
@@ -92,13 +82,12 @@ def _x_bracket(x):
     return np.sqrt(1.0 + np.square(x))
 
 
-def _cubic_a3(time_factor=None, T=1.0):
+def _cubic_a3(time_factor=None):
     tf = time_factor if time_factor is not None else (lambda t: 1.0)
     return Symbol(
         fn=lambda t, x, xi: tf(t) * xi ** 3 * np.ones(np.broadcast(x, xi).shape),
         dxi=lambda t, x, xi: 3.0 * tf(t) * xi ** 2 * np.ones(np.broadcast(x, xi).shape),
-        dx=lambda t, x, xi: np.zeros(np.broadcast(x, xi).shape),
-        order=3.0, x_independent=True, real_valued=True, name="cubic-dispersion")
+        order=3.0, name="cubic-dispersion")
 
 
 MODEL_PROBLEM_IDS = ("kdv-baseline", "complex-damped", "time-modulated")
@@ -126,15 +115,13 @@ def model_problem(problem_id: str, sigma: float, strengths=(), s0: float = 1.5,
     from .weights import plateau
     if domain is None:
         chi = lambda u: 1.0
-        chi_d = lambda u: 0.0
     else:
         D = float(np.sqrt(1.0 + domain * domain))
         chi = lambda u: plateau(u, 0.5 * D, 0.68 * D)
-        chi_d = lambda u: plateau(u, 0.5 * D, 0.68 * D, derivative=1)
 
     # R_a3 = 2 leaves a genuine annulus 1 < |xi/h| <= R_a3 for the smooth
-    # sign-weight transition; C_a3 = 3 holds there for the cubic symbol.
-    common = dict(sigma=sigma, s0=s0, T=T, C_a3=3.0, R_a3=2.0)
+    # sign-weight transition.
+    common = dict(sigma=sigma, s0=s0, T=T, R_a3=2.0)
 
     if problem_id == "kdv-baseline":
         return ProblemSpec(name=problem_id, a3=_cubic_a3(),
@@ -142,62 +129,43 @@ def model_problem(problem_id: str, sigma: float, strengths=(), s0: float = 1.5,
                            **common)
 
     def decayed(s):
-        """<x>^-s chi(<x>) and its x-derivative, as closures."""
+        """<x>^-s chi(<x>), as a closure."""
         def val(x):
             bx = _x_bracket(x)
             return bx ** (-s) * chi(bx)
-        def der(x):
-            bx = _x_bracket(x)
-            dbx = x / bx
-            return (-s * x * bx ** (-s - 2.0) * chi(bx)
-                    + bx ** (-s) * chi_d(bx) * dbx)
-        return val, der
+        return val
 
-    dec2, dec2_d = decayed(sigma)
-    dec1, dec1_d = decayed(sigma / 2.0)
+    dec2 = decayed(sigma)
+    dec1 = decayed(sigma / 2.0)
 
     def a2_fn_factory(tf):
         def a2_fn(t, x, xi):
             return c2 * (1.0 + 1j) * tf(t) * dec2(x) * xi ** 2
-        def a2_dx(t, x, xi):
-            return c2 * (1.0 + 1j) * tf(t) * dec2_d(x) * xi ** 2
-        def a2_dxi(t, x, xi):
-            return c2 * (1.0 + 1j) * tf(t) * dec2(x) * 2.0 * xi
-        return a2_fn, a2_dx, a2_dxi
+        return a2_fn
 
     def a1_fn(t, x, xi):
         return 1j * c1 * dec1(x) * xi
-
-    def a1_dx(t, x, xi):
-        return 1j * c1 * dec1_d(x) * xi
-
-    def a1_dxi(t, x, xi):
-        return 1j * c1 * dec1(x) * np.ones(np.broadcast(x, xi).shape)
 
     def a0_fn(t, x, xi):
         return c0 * dec2(x) * np.ones(np.broadcast(x, xi).shape)
 
     if problem_id == "complex-damped":
-        a2f, a2dx, a2dxi = a2_fn_factory(lambda t: 1.0)
+        a2f = a2_fn_factory(lambda t: 1.0)
         return ProblemSpec(
             name=problem_id, a3=_cubic_a3(),
-            a2=Symbol(a2f, order=2.0, nu=s0, decay=-sigma, dx=a2dx, dxi=a2dxi,
-                      name="damped-a2"),
-            a1=Symbol(a1_fn, order=1.0, nu=s0, decay=-sigma / 2.0, dx=a1_dx,
-                      dxi=a1_dxi, name="damped-a1"),
-            a0=Symbol(a0_fn, order=0.0, nu=s0, decay=-sigma, name="damped-a0"),
+            a2=Symbol(a2f, order=2.0, name="damped-a2"),
+            a1=Symbol(a1_fn, order=1.0, name="damped-a1"),
+            a0=Symbol(a0_fn, order=0.0, name="damped-a0"),
             **common)
 
     # time-modulated: growing cubic coefficient, smooth modulation on a2
     tf2 = lambda t: 1.0 + (t / T) * (1.0 - t / T)
-    a2f, a2dx, a2dxi = a2_fn_factory(tf2)
+    a2f = a2_fn_factory(tf2)
     return ProblemSpec(
-        name=problem_id, a3=_cubic_a3(time_factor=lambda t: 1.0 + t / T, T=T),
-        a2=Symbol(a2f, order=2.0, nu=s0, decay=-sigma, dx=a2dx, dxi=a2dxi,
-                  name="modulated-a2"),
-        a1=Symbol(a1_fn, order=1.0, nu=s0, decay=-sigma / 2.0, dx=a1_dx,
-                  dxi=a1_dxi, name="damped-a1"),
-        a0=Symbol(a0_fn, order=0.0, nu=s0, decay=-sigma, name="damped-a0"),
+        name=problem_id, a3=_cubic_a3(time_factor=lambda t: 1.0 + t / T),
+        a2=Symbol(a2f, order=2.0, name="modulated-a2"),
+        a1=Symbol(a1_fn, order=1.0, name="damped-a1"),
+        a0=Symbol(a0_fn, order=0.0, name="damped-a0"),
         time_dependent=True, **common)
 
 
@@ -306,20 +274,17 @@ def _t_samples(T, n=5):
     return np.linspace(0.0, T, n)
 
 
-def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionReport:
-    """Verify the structural hypotheses on the grid; failures are report rows."""
-    rep = AssumptionReport(problem=p.name, theta=theta)
-    ts = _t_samples(p.T)
-
-    # admissible Gevrey range (half-open at the top)
-    ok = p.s0 <= theta < p.theta_sup
-    rep.results.append(HypothesisResult(
-        "theta-range", ok, constant=theta,
-        detail=f"admissible [{p.s0}, {p.theta_sup:.6g})"))
-
-    # (i) leading coefficient: real-valued, x-independent, |d_xi a3| >= C xi^2
+def _leading_row(p: ProblemSpec, grid: Grid, ts) -> HypothesisResult:
+    """(i) leading coefficient: real-valued, x-independent, |d_xi a3| >= C xi^2
+    on the resolved band beyond R_a3."""
     band = (np.abs(grid.xi) > p.R_a3) & grid.band_mask()
     xi_b = grid.xi[band]
+    if xi_b.size == 0:
+        top = float(np.max(np.abs(grid.xi[grid.band_mask()])))
+        return HypothesisResult(
+            "hyp-i-leading", False,
+            detail=f"no resolved frequency exceeds R_a3 = {p.R_a3} (the band "
+                   f"ends at |xi| = {top:.3g}); raise grid.N or shrink grid.L")
     c_a3 = np.inf
     real_ok = True
     sign_ok = True
@@ -332,9 +297,23 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
         for side in (xi_b > 0, xi_b < 0):
             s = np.sign(d[side])
             sign_ok &= bool(s.size == 0 or np.all(s == s[0]))
-    rep.results.append(HypothesisResult(
+    return HypothesisResult(
         "hyp-i-leading", bool(real_ok and sign_ok and c_a3 > 0), constant=c_a3,
-        detail=f"measured inf |a3'|/xi^2 over {p.R_a3} < |xi| <= xi_max/2"))
+        detail=f"measured inf |a3'|/xi^2 over {p.R_a3} < |xi| <= xi_max/2")
+
+
+def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionReport:
+    """Verify the structural hypotheses on the grid; failures are report rows."""
+    rep = AssumptionReport(problem=p.name, theta=theta)
+    ts = _t_samples(p.T)
+
+    # admissible Gevrey range (half-open at the top)
+    ok = p.s0 <= theta < p.theta_sup
+    rep.results.append(HypothesisResult(
+        "theta-range", ok, constant=theta,
+        detail=f"admissible [{p.s0}, {p.theta_sup:.6g})"))
+
+    rep.results.append(_leading_row(p, grid, ts))
 
     # (ii) Gevrey regularity of lower-order symbols (sampled orders)
     for j, sym in (("a2", p.a2), ("a1", p.a1), ("a0", p.a0)):

@@ -106,7 +106,6 @@ class WeightParams:
     theta: float
     C1: float = 0.0
     C2: float = 0.0
-    mu: float = 2.0           # Gevrey order of the cutoffs (fixed by build)
     R_a3: float = 2.0
     domain_cap: float = float("inf")
 

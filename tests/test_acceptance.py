@@ -16,7 +16,9 @@ from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.evolve import solve_original, synthetic_radius_field
 from gevrey_evolve.grid import bracket_h
 from gevrey_evolve.harness import RunConfig, model_problem_spatial_dense, run_pipeline
-from gevrey_evolve.positivity import select_parameters, verify_lower_bounds
+from gevrey_evolve.positivity import (select_parameters,
+                                      select_parameters_detailed,
+                                      verify_lower_bounds)
 from gevrey_evolve.quantize import (band_relative_error, compose_expansion,
                                     operator_norm, representable_error,
                                     table_from_function, to_dense)
@@ -41,8 +43,8 @@ def damped256():
     """Auto-selected complex-damped pipeline at N=256 with two dt levels."""
     prob = model_problem("complex-damped", SIGMA, domain=20.0)
     grid = make_grid(20.0, 256)
-    params = select_parameters(prob, THETA, grid)
-    bundle = build_conjugator(prob, params, grid)
+    params, details = select_parameters_detailed(prob, THETA, grid)
+    bundle = details["bundle"]
     rho = 2.0 * params.k0
     g = synthetic_radius_field(grid, rho, THETA)
     t0 = time.perf_counter()
@@ -61,9 +63,9 @@ def damped256():
 def damped64():
     prob = model_problem("complex-damped", SIGMA, domain=10.0)
     grid = make_grid(10.0, 64)
-    params = select_parameters(prob, THETA, grid)
-    bundle = build_conjugator(prob, params, grid)
-    return dict(problem=prob, grid=grid, params=params, bundle=bundle)
+    params, details = select_parameters_detailed(prob, THETA, grid)
+    return dict(problem=prob, grid=grid, params=params,
+                bundle=details["bundle"])
 
 
 # ----------------------------------------------------------------------
@@ -74,10 +76,10 @@ def test_criterion_1_unitary_baseline():
     prob = model_problem("kdv-baseline", SIGMA, domain=40.0)
     grid = make_grid(40.0, 256)
     t0 = time.perf_counter()
-    params = select_parameters(prob, THETA, grid)
+    params, details = select_parameters_detailed(prob, THETA, grid)
     g = synthetic_radius_field(grid, 0.7, THETA)
     traj = solve_original(prob, params, None, g, grid, 1.0, rho=0.7,
-                          theta=THETA)
+                          theta=THETA, bundle=details["bundle"])
     elapsed = time.perf_counter() - t0
     dev = float(np.max(np.abs(traj.l2 / traj.l2[0] - 1.0)))
     report(1, "unitary baseline",
@@ -115,7 +117,7 @@ def test_criterion_2_composition_oracle():
         details.append(f"pair{i}: " + "->".join(f"{e:.1e}" for e in errs))
     # terminating case on a grid where xi = 1 is a lattice frequency
     gpi = make_grid(3 * np.pi, 64)
-    pxi = table_from_function(gpi, lambda x, xi: xi + 0 * x, order=1.0)
+    pxi = table_from_function(gpi, lambda x, xi: xi + 0 * x)
     pex = table_from_function(gpi, lambda x, xi: np.exp(1j * x) + 0 * xi)
     term_err = band_relative_error(to_dense(pxi) @ to_dense(pex),
                                    to_dense(compose_expansion(pxi, pex, 2)), gpi)
@@ -150,7 +152,7 @@ def test_criterion_3_conjugator_inverse():
 def test_criterion_4_conjugated_symbol_oracle(damped64):
     prob, grid = damped64["problem"], damped64["grid"]
     params, bundle = damped64["params"], damped64["bundle"]
-    asm = ConjugationAssembler(prob, params, grid, phase=bundle.phase)
+    asm = bundle.assembler
     t = 0.3
     cs = asm.at(t)
     spatial = model_problem_spatial_dense(prob, grid, t)

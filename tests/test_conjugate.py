@@ -87,7 +87,7 @@ def test_conj_a3_dense_oracle(grid):
     bundle = build_conjugator(PROB, p, grid)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E @ a3 @ bundle.E_inv
-    cs = ConjugationAssembler(PROB, p, grid, phase=bundle.phase).at(0.0)
+    cs = bundle.assembler.at(0.0)
     terms = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
     rhs = to_dense(ia3 + terms["damp2"] + terms["damp1"] + terms["id1"])
@@ -134,7 +134,7 @@ def test_damping_terms_improve_dense_oracle(grid):
     bundle = build_conjugator(PROB, p, grid, inverse_tol=1e-5)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E @ a3 @ bundle.E_inv
-    cs = ConjugationAssembler(PROB, p, grid, phase=bundle.phase).at(0.0)
+    cs = bundle.assembler.at(0.0)
     t = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
     full = to_dense(ia3 + t["damp2"] + t["damp1"] + t["id1"])

@@ -183,3 +183,21 @@ def test_error_category_totality():
             assert cat in ("config", "infeasible-parameters", "instability")
             cats.add(cat)
     assert cats == {"config", "infeasible-parameters", "instability"}
+
+
+# grid.N = 8 on L = 40 resolves no frequency beyond R_a3, yet validates
+NO_BAND = "grid.L = 40\ngrid.N = 8\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("weights", [
+    "", "weights.M2 = 0.12\nweights.M1 = 0.12\nweights.h = 4\n"],
+    ids=["auto", "explicit"])
+def test_empty_leading_band_is_a_config_error(tmp_path, capsys, command, weights):
+    cfg = tmp_path / "no_band.cfg"
+    cfg.write_text(NO_BAND + weights + f"output.dir = {tmp_path / 'out'}\n")
+    RunConfig.from_file(cfg).validate()
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "hyp-i-leading" in err and "grid.N" in err
+    assert not (tmp_path / "out").exists()

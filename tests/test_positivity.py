@@ -101,7 +101,7 @@ def test_garding_identity():
     grid = make_grid(10.0, 64)
     one = table_from_function(grid, lambda x, xi: 1.0 + 0 * x + 0 * xi)
     assert discrete_garding(one, grid) == pytest.approx(1.0, abs=1e-12)
-    sq = multiplier_table(grid, grid.xi ** 2, order=2.0)
+    sq = multiplier_table(grid, grid.xi ** 2)
     assert discrete_garding(sq, grid) >= -1e-10
 
 
@@ -111,7 +111,7 @@ def test_garding_floor_bounded_in_n():
     for n in (64, 128, 256, 512):
         grid = make_grid(10.0, n)
         tab = table_from_function(
-            grid, lambda x, xi: (1 + x ** 2) ** -0.375 * xi ** 2, order=2.0)
+            grid, lambda x, xi: (1 + x ** 2) ** -0.375 * xi ** 2)
         floors.append(discrete_garding(tab, grid))
     assert all(f > -1.0 for f in floors)
     assert abs(floors[-1]) <= 2.0 * abs(floors[0]) + 1e-6

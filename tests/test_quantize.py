@@ -31,7 +31,7 @@ def test_apply_identity(grid):
 
 def test_apply_eigenfunction(grid):
     u = np.exp(1j * grid.x)
-    p = table_from_function(grid, lambda x, xi: xi + 0 * x, order=1.0)
+    p = table_from_function(grid, lambda x, xi: xi + 0 * x)
     assert np.max(np.abs(apply(p, u) - u)) < 1e-12
 
 
@@ -59,7 +59,7 @@ def test_dense_identity_and_derivative(grid):
     rng = np.random.default_rng(4)
     u = band_field(grid, rng)
     assert np.max(np.abs(M @ u - u)) < 1e-12
-    p = table_from_function(grid, lambda x, xi: xi + 0 * x, order=1.0)
+    p = table_from_function(grid, lambda x, xi: xi + 0 * x)
     u1 = np.exp(1j * grid.x)
     assert np.max(np.abs(to_dense(p) @ u1 - u1)) < 1e-12
 
@@ -78,7 +78,7 @@ def test_adjoint_inner_product(grid):
 
 
 def test_real_multiplier_is_normal(grid):
-    p = multiplier_table(grid, grid.xi ** 2, order=2.0)
+    p = multiplier_table(grid, grid.xi ** 2)
     A = to_dense(p)
     H = 0.5 * (A + adjoint(A))
     assert np.max(np.abs(A - H)) < 1e-12
@@ -86,7 +86,7 @@ def test_real_multiplier_is_normal(grid):
 
 def test_compose_terminating(grid):
     # p = xi, q = e^{ix}: D(e^{ix} u) = e^{ix}(D + 1)u, series ends at order 2
-    p = table_from_function(grid, lambda x, xi: xi + 0 * x, order=1.0)
+    p = table_from_function(grid, lambda x, xi: xi + 0 * x)
     q = table_from_function(grid, lambda x, xi: np.exp(1j * x) + 0 * xi)
     s = compose_expansion(p, q, 2)
     target = table_from_function(grid, lambda x, xi: np.exp(1j * x) * (xi + 1.0))
@@ -107,8 +107,7 @@ def test_compose_order_bookkeeping():
     # term alpha of the expansion decays like <xi>^{m1+m2-alpha}
     grid = make_grid(10.0, 128)
     h = 2.0
-    p = table_from_function(grid, lambda x, xi: bracket_h(xi, h) ** 1.5 + 0 * x,
-                            order=1.5)
+    p = table_from_function(grid, lambda x, xi: bracket_h(xi, h) ** 1.5 + 0 * x)
     q = table_from_function(
         grid, lambda x, xi: np.exp(-(x / 3.0) ** 2) * (1 + x ** 2) ** -0.375 + 0 * xi)
     mask = grid.band_mask() & (np.abs(grid.xi) > 1.0)
@@ -145,7 +144,7 @@ def test_exp_table_center_value():
 
 
 def test_xi_derivative_polynomial(grid):
-    p = table_from_function(grid, lambda x, xi: xi ** 3 + 0 * x, order=3.0)
+    p = table_from_function(grid, lambda x, xi: xi ** 3 + 0 * x)
     d = xi_derivative(p, 1)
     mask = grid.band_mask()
     target = 3.0 * grid.xi[mask] ** 2

@@ -140,7 +140,7 @@ def test_model_problem_ids():
 
 def test_model_problem_constants():
     p = model_problem("kdv-baseline", 0.75)
-    assert p.C_a3 == 3.0 and p.R_a3 == 2.0
+    assert p.R_a3 == 2.0
     # d_xi a3 = 3 xi^2 exactly
     xi = np.linspace(-8, 8, 33)
     assert np.allclose(p.a3.dxi(0.0, 0.0, xi), 3 * xi ** 2)

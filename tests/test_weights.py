@@ -89,8 +89,7 @@ def test_sign_weight_cases():
 
 def test_sign_weight_ambiguous_sign_rejected():
     flip = Symbol(lambda t, x, xi: xi ** 3 - 30.0 * xi + 0 * x, order=3.0,
-                  dxi=lambda t, x, xi: 3 * xi ** 2 - 30.0 + 0 * x,
-                  x_independent=True, real_valued=True)
+                  dxi=lambda t, x, xi: 3 * xi ** 2 - 30.0 + 0 * x)
     import dataclasses
     bad = dataclasses.replace(PROB, a3=flip)
     with pytest.raises(ConfigurationError):
