@@ -234,7 +234,7 @@ class ConjugatorBundle:
     def time_multiplier(self, t, sign=+1):
         """Diagonal values of e^{sign k(t) <xi>_h^{1/theta}} on the lattice."""
         k = float(k_of_t(t, self.params))
-        expo = sign * k * bracket_h(self.grid.xi, self.params.h) ** (1.0 / self.params.theta)
+        expo = sign * k * self.assembler.xi_pow
         if np.max(expo) > 690.0:
             raise ParameterError("time-weight multiplier overflows; reduce k0")
         return np.exp(expo)
@@ -419,6 +419,32 @@ def _hermitian_half(im_table: SymbolTable):
     return total
 
 
+# ----------------------------------------------------------------------
+# stage operators: the generator as the time stepper applies it
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Multiplier:
+    """A generator diagonal in xi, given by its row: one FFT pair."""
+
+    grid: Grid
+    row: np.ndarray
+
+    def matvec(self, w):
+        return self.grid.inverse(self.row * self.grid.forward(w))
+
+
+@dataclass(frozen=True)
+class Dense:
+    """Any generator table G, as the matrix E_syn * G on coefficients."""
+
+    grid: Grid
+    matrix: np.ndarray
+
+    def matvec(self, w):
+        return self.matrix @ self.grid.forward(w)
+
+
 class ConjugationAssembler:
     """Builds ConjugatedSymbols at arbitrary times, caching everything that
     does not change with t.
@@ -426,10 +452,10 @@ class ConjugationAssembler:
     For problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
     problems rebuild the coefficient-dependent tables per coefficient time
-    (memoized).  ``generator(t)`` is the summed table that the time
-    stepper integrates, evaluated as the polynomial
-    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; G_0 and the G_j are
-    summed once per coefficient time, on first use.
+    (memoized).  ``generator(t)`` is the summed table, evaluated as the
+    polynomial G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; G_0 and the
+    G_j are summed once per coefficient time, on first use.
+    ``stage_operator(t)`` is the operator the time stepper applies.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -438,8 +464,7 @@ class ConjugationAssembler:
         self.params = params
         self.grid = grid
         self.phase = phase or build_phase_tables(p, params, grid)
-        self._xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
-        self._xi_pow[grid.nyquist] = 0.0    # tables carry no Nyquist column
+        self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
@@ -566,9 +591,10 @@ class ConjugationAssembler:
 
     # -- public assembly ----------------------------------------------
 
-    def generator(self, t: float) -> np.ndarray:
-        """Values of at(t).generator_table(), evaluated as the polynomial
-        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}."""
+    def _polynomial(self, t):
+        """(G_0, {j: G_j}, rows) at the coefficient time of t, summed on
+        first use.  rows holds the same tables' first rows when every row of
+        each is equal, and is None otherwise."""
         entry = self._static_tables(t)
         if "poly" not in entry:
             stage = entry["stage"]
@@ -579,20 +605,50 @@ class ConjugationAssembler:
             for tabs in entry["k"].values():
                 for j, tab in tabs.items():
                     Gj[j] = Gj.get(j, 0.0) + tab.values
-            entry["poly"] = (G0, Gj)
-        G0, Gj = entry["poly"]
+            rows = None
+            if all(np.all(G == G[:1]) for G in (G0, *Gj.values())):
+                rows = (G0[0], {j: G[0] for j, G in Gj.items()})
+            entry["poly"] = (G0, Gj, rows)
+        return entry["poly"]
+
+    def _kprime_row(self, t):
+        """-k'(t) <xi>_h^{1/theta}, zero in the Nyquist slot tables lack."""
+        row = -float(k_prime(t, self.params)) * self.xi_pow
+        row[self.grid.nyquist] = 0.0
+        return row
+
+    def _evaluate(self, t, G0, Gj):
+        """G0 + sum_j k(t)^j Gj - k'(t) <xi>_h^{1/theta}, on tables or rows."""
         k = float(k_of_t(t, self.params))
-        out = G0 - float(k_prime(t, self.params)) * self._xi_pow
+        out = G0 + self._kprime_row(t)
         for j, G in Gj.items():
             out += (k ** j) * G
         return out
+
+    def generator(self, t: float) -> np.ndarray:
+        """Values of at(t).generator_table(), evaluated as the polynomial
+        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}."""
+        G0, Gj, _ = self._polynomial(t)
+        return self._evaluate(t, G0, Gj)
+
+    def stage_operator(self, t: float):
+        """The generator at time t as the time stepper applies it.
+
+        The variant is read off the tables of t's coefficient time: when G_0
+        and every G_j are x-independent, the generator is a Fourier
+        multiplier (the k' term is a row already) and applies with one FFT
+        pair; otherwise it is Dense(E_syn * generator(t))."""
+        G0, Gj, rows = self._polynomial(t)
+        if rows is not None:
+            return Multiplier(self.grid, self._evaluate(t, *rows))
+        return Dense(self.grid,
+                     self.grid.synthesis_matrix() * self._evaluate(t, G0, Gj))
 
     def at(self, t: float) -> ConjugatedSymbols:
         entry = self._static_tables(t)
         stage, kcache = entry["stage"], entry["k"]
         g, params = self.grid, self.params
         k = float(k_of_t(t, params))
-        kp = float(k_prime(t, params))
 
         def k_sum(name):
             tabs = kcache[name]
@@ -607,7 +663,7 @@ class ConjugationAssembler:
         b1k = k_sum("b1k")
         ia2_k = stage["ia2_lt"] + k_sum("a2k")
         ia1_k = stage["ia1_lt"] + k_sum("a1k")
-        kprime = multiplier_table(g, -kp * self._xi_pow + 0j)
+        kprime = multiplier_table(g, self._kprime_row(t) + 0j)
 
         parts = dict(
             ia2=stage["ia2"], damp2=stage["damp2"], b2k=b2k, ia2_k=ia2_k,

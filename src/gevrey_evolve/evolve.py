@@ -7,12 +7,17 @@ The solver integrates the conjugated problem
 with the leading multiplier handled by an exact integrating factor (the
 phase integral uses two-point Gauss quadrature per interval, exact for the
 library's polynomial time dependence) and a classical four-stage
-Runge-Kutta update for the remaining lower-order part.  The original
-unknown is recovered through the conjugator inverse, and every run carries
-an energy log against which the growth inequality is re-checked.
+Runge-Kutta update for the remaining lower-order part.  Each stage applies
+the lower-order generator through the stage operator the assembler picks
+from its tables: a Multiplier (one FFT pair) when they are x-independent,
+as on the KdV branch M2 = M1 = 0, and Dense(E_syn * G) otherwise.  The
+original unknown is recovered through the conjugator inverse, and every
+run carries an energy log against which the growth inequality is
+re-checked.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,20 +162,19 @@ def _phase_integral(p, grid, t0, t1):
     return rad * vals
 
 
-def step(v, t, dt, p, grid: Grid, generator, forcing=None):
+def step(v, t, dt, p, grid: Grid, stage, forcing=None):
     """One integrating-factor Runge-Kutta step of the conjugated problem.
 
-    ``generator(tau)`` is the lower-order generator table at time tau,
-    evaluated once per stage time: ConjugationAssembler.generator samples
-    the coefficients there, and a constant function freezes them across
-    the step.
+    ``stage(tau)`` is the lower-order generator at time tau as a stage
+    operator with ``matvec`` (conjugate.Multiplier or conjugate.Dense),
+    evaluated once per stage time: ConjugationAssembler.stage_operator
+    samples the coefficients there and picks the variant, and a constant
+    function freezes the generator across the step.
     """
-    E_syn = grid.synthesis_matrix()
-    A0, A_half, A_full = (E_syn * generator(tau)
-                          for tau in (t, t + 0.5 * dt, t + dt))
+    A0, A_half, A_full = (stage(tau) for tau in (t, t + 0.5 * dt, t + dt))
 
     def rhs(A, tau, w):
-        out = -(A @ grid.forward(w))
+        out = -A.matvec(w)
         if forcing is not None:
             out = out + forcing(tau)
         return out
@@ -213,8 +217,9 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    Every stage evaluates the assembler's generator polynomial in k(t) and
-    k'(t).  f_conj: callable t -> field (already conjugated forcing) or
+    Every stage applies the assembler's stage operator at its time, a
+    Multiplier or a Dense generator (ConjugationAssembler.stage_operator).
+    f_conj: callable t -> field (already conjugated forcing) or
     None.  The energy log records ||v||_L2 at every step, the discrete
     growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
     one-constant bound it implies; the residual rate - C' is nonpositive
@@ -241,7 +246,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
 
     for i in range(steps):
         t = times[i]
-        v = step(v, t, dt, p, grid, assembler.generator, forcing=f_conj)
+        v = step(v, t, dt, p, grid, assembler.stage_operator, forcing=f_conj)
         if not np.all(np.isfinite(v)) or grid.l2_norm(v) > BLOWUP_FACTOR * scale0:
             raise InstabilityError(
                 f"solution blew up at t={times[i+1]:.6g} (step {i+1})",
@@ -271,15 +276,16 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
 
 
 def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
-                   theta=None, dt=None, bundle: ConjugatorBundle = None):
+                   theta=None, dt=None, *, bundle: ConjugatorBundle):
     """Full pipeline: conjugate the data, integrate, pull the solution back.
 
     f: callable t -> field at nodes, or None; g: field at nodes.
     Checks that the data actually carries the declared radius rho and that
-    k0 < rho, mirrors of the structural preconditions.  The bundle (built
-    here if absent) supplies the conjugator and the generator.
+    k0 < rho, mirrors of the structural preconditions.  The bundle supplies
+    the conjugator and the generator.  The forcing is conjugated once per
+    stage time: k2 and k3 share t + dt/2, and k4 shares t + dt with the
+    energy log and the next step's k1.
     """
-    from .conjugate import build_conjugator
     theta = params.theta if theta is None else theta
     if rho is not None:
         fit = radius_fit(g, theta, grid)
@@ -289,12 +295,12 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
         if params.k0 >= rho:
             raise DataError(
                 f"k0={params.k0} must stay below the data radius {rho}")
-    bundle = bundle or build_conjugator(p, params, grid)
 
     v0 = bundle.apply_full(grid.check_field(g), 0.0)
     f_conj = None
     if f is not None:
-        f_conj = lambda tau: bundle.apply_full(grid.check_field(f(tau)), tau)
+        f_conj = lru_cache(maxsize=4)(
+            lambda tau: bundle.apply_full(grid.check_field(f(tau)), tau))
 
     traj = solve_conjugated(bundle.assembler, f_conj, v0, T, dt=dt)
 

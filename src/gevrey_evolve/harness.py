@@ -183,10 +183,17 @@ class RunConfig:
             raise ConfigurationError("grid.L must be positive")
         if v["weights.k0"] <= 0:
             raise ConfigurationError("weights.k0 must be positive")
-        for key in ("weights.M2", "weights.M1", "weights.h", "run.dt"):
+        for key in ("weights.M2", "weights.M1", "weights.h"):
             val = v[key]
             if val != "auto" and (not isinstance(val, float) or val < 0):
                 raise ConfigurationError(f"{key} must be 'auto' or a number >= 0")
+        # a step or a horizon that is 0, negative, inf or nan has no solve
+        if v["run.dt"] != "auto" and not (0.0 < v["run.dt"] < np.inf):
+            raise ConfigurationError(
+                f"run.dt must be 'auto' or finite and > 0, got {v['run.dt']}")
+        if not (0.0 < v["problem.T"] < np.inf):
+            raise ConfigurationError(
+                f"problem.T must be finite and > 0, got {v['problem.T']}")
         if v["data.kind"] not in ("gevrey", "gaussian", "mode"):
             raise ConfigurationError(
                 f"data.kind must be gevrey|gaussian|mode, got {v['data.kind']!r}")
@@ -292,10 +299,7 @@ def setup_pipeline(cfg: RunConfig):
     grid = make_grid(v["grid.L"], v["grid.N"])
     problem = build_problem(cfg)
     assumptions = check_assumptions(problem, grid, v["gevrey.theta"])
-    if not assumptions.passed:
-        bad = "; ".join(f"{r.name} ({r.detail})"
-                        for r in assumptions.results if not r.passed)
-        raise ConfigurationError(f"structural hypotheses fail: {bad}")
+    assumptions.require()
     params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
     bundle = details["bundle"]
     return {"assumptions": assumptions,
@@ -499,7 +503,9 @@ def oracle_suite(cfg: RunConfig, n_max=64):
     got = to_dense(compose_expansion(pxi, pex, 2))
     check("composition-terminating", band_relative_error(target, got, grid), 1e-10)
 
-    params, details, _ = resolve_weights(cfg, problem, grid)
+    assumptions = check_assumptions(problem, grid, theta)
+    assumptions.require()
+    params, details, _ = resolve_weights(cfg, problem, grid, assumptions)
     bundle = details["bundle"]
     I = np.eye(N)
     check("conjugator-residual",
@@ -586,6 +592,10 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
             _write_text(os.path.join(args.out, "oracle.txt"), lines)
         return EXIT_OK if passed else EXIT_ORACLE
+    except OSError as exc:
+        print(f"error (config): cannot read {args.config}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except GevreyEvolveError as exc:
         cat, code = error_category(exc)
         print(f"error ({cat}): {exc}", file=sys.stderr)

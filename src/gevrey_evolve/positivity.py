@@ -20,7 +20,7 @@ import numpy as np
 
 from .conjugate import (ConjugationAssembler, ConjugatorBundle,
                         _hermitian_half, build_conjugator, dxdxi_lambda2)
-from .errors import ConfigurationError, ConvergenceError, InfeasibleError, ParameterError
+from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
 from .symbols import ProblemSpec, check_assumptions, eval_table
@@ -229,10 +229,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     details["bundle"], on the trivial branch too."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
-    if not rep.passed:
-        bad = [r.name for r in rep.results if not r.passed]
-        raise ConfigurationError(
-            "structural hypotheses fail: " + ", ".join(bad))
+    rep.require()
     C_a3 = rep.constant("hyp-i-leading")
     C_a2 = rep.constant("hyp-iii-order2-decay")
     C_a1 = rep.constant("hyp-iv-order1-decay")

@@ -255,6 +255,14 @@ class AssumptionReport:
     def passed(self):
         return all(r.passed for r in self.results)
 
+    def require(self):
+        """Raise ConfigurationError naming each failed hypothesis with its
+        detail; nothing downstream is meaningful past one."""
+        bad = "; ".join(f"{r.name} ({r.detail})"
+                        for r in self.results if not r.passed)
+        if bad:
+            raise ConfigurationError(f"structural hypotheses fail: {bad}")
+
     def constant(self, name):
         for r in self.results:
             if r.name == name:

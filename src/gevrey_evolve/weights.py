@@ -243,8 +243,15 @@ def _windowed_over_caps(x, s, cap, D):
     return np.where(x < 0.0, -out, out)
 
 
+def _zero_weight(x, xi):
+    """A phase weight of strength 0: exact zeros, with no window evaluated."""
+    return np.zeros(np.broadcast(x, xi).shape)
+
+
 def lambda2(x, xi, t, p, params: WeightParams):
     """Order-two phase weight; vanishes for |xi| <= h and at x = 0."""
+    if params.M2 == 0.0:
+        return _zero_weight(x, xi)
     w = sign_weight(xi, t, p, params)
     cap = np.square(bracket_h(xi, params.h))
     return params.M2 * w * _windowed_over_caps(x, params.sigma, cap,
@@ -253,6 +260,8 @@ def lambda2(x, xi, t, p, params: WeightParams):
 
 def lambda1(x, xi, t, p, params: WeightParams):
     """Order-one phase weight with an extra <xi>_h^-1 damping."""
+    if params.M1 == 0.0:
+        return _zero_weight(x, xi)
     w = sign_weight(xi, t, p, params)
     b = bracket_h(xi, params.h)
     return params.M1 * (w / b) * _windowed_over_caps(x, params.sigma / 2.0,
@@ -265,6 +274,8 @@ def lambda_x_derivative(x, xi, t, p, params: WeightParams, which=2, order=1):
     for order in 1..3, from the fundamental theorem of calculus."""
     if order not in (1, 2, 3):
         raise ParameterError("analytic x-derivatives available for orders 1..3")
+    if (params.M2 if which == 2 else params.M1) == 0.0:
+        return _zero_weight(x, xi)
     x = np.asarray(x, dtype=float)
     b = bracket_h(xi, params.h)
     cap = np.square(b)

@@ -225,7 +225,7 @@ def test_criterion_8_equivalence(damped256):
 def test_criterion_9_order4_convergence():
     prob = model_problem("kdv-baseline", SIGMA, domain=40.0)
     grid = make_grid(40.0, 256)
-    params = select_parameters(prob, THETA, grid)
+    params, details = select_parameters_detailed(prob, THETA, grid)
 
     def band_limited(rho, cut):
         u = synthetic_radius_field(grid, rho, THETA)
@@ -239,7 +239,8 @@ def test_criterion_9_order4_convergence():
     finals = {}
     for d in (1, 2, 4, 8):
         traj = solve_original(prob, params, f, g, grid, 1.0, rho=None,
-                              theta=THETA, dt=1.0 / (32 * d))
+                              theta=THETA, dt=1.0 / (32 * d),
+                              bundle=details["bundle"])
         finals[d] = traj.u_fields[-1]
     e1 = grid.l2_norm(finals[1] - finals[2])
     e2 = grid.l2_norm(finals[2] - finals[4])

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gevrey_evolve.conjugate import ConjugationAssembler
+from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
+                                     build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm, radius_fit,
                                   radius_fit_report, solve_conjugated,
                                   solve_original, step, synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
+from gevrey_evolve.positivity import select_parameters_detailed
 from gevrey_evolve.quantize import multiplier_table, to_dense
 from gevrey_evolve.symbols import model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t
@@ -85,12 +87,18 @@ def _trivial_params(domain_cap):
                         domain_cap=domain_cap)
 
 
+def _frozen(grid, tab):
+    """The generator table tab as a dense stage operator at every time."""
+    A = Dense(grid, grid.synthesis_matrix() * tab)
+    return lambda tau: A
+
+
 def test_step_pure_dispersion_is_unitary(grid):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(kdv, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, kdv, grid, lambda tau: tab)
+    w = step(v, 0.0, 0.05, kdv, grid, _frozen(grid, tab))
     assert abs(grid.l2_norm(w) - grid.l2_norm(v)) < 1e-12 * grid.l2_norm(v)
 
 
@@ -103,7 +111,7 @@ def test_step_zero_generator_identity(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(zero3, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, zero3, grid, lambda tau: tab)
+    w = step(v, 0.0, 0.05, zero3, grid, _frozen(grid, tab))
     assert np.max(np.abs(w - v)) < 1e-12
 
 
@@ -113,7 +121,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     grid, prob = small_setup["grid"], small_setup["problem"]
     cs = small_setup["assembler"].at(0.0)
     tab = cs.generator_table().values
-    frozen = lambda tau: tab
+    frozen = _frozen(grid, tab)
     v = synthetic_radius_field(grid, 0.7, 1.8)
     a3row = np.asarray(prob.a3(0.0, 0.0, grid.xi), dtype=complex)
     G = -(to_dense(multiplier_table(grid, 1j * a3row))
@@ -145,6 +153,42 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     assert norms[-1] < norms[0]
 
 
+@pytest.mark.parametrize("N, L", [(64, 10.0), (256, 40.0)])
+def test_multiplier_step_matches_dense_step(N, L):
+    # an x-independent generator that is not zero (k' != 0 with C1, C2 > 0):
+    # a step through its Multiplier equals the step through E_syn * G
+    grid = make_grid(L, N)
+    kdv = model_problem("kdv-baseline", 0.75)
+    p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
+    asm = ConjugationAssembler(kdv, p, grid)
+    assert isinstance(asm.stage_operator(0.0), Multiplier)
+    E_syn = grid.synthesis_matrix()
+    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau))
+    zero = lambda tau: Multiplier(grid, np.zeros(N))
+    v = synthetic_radius_field(grid, 0.6, 1.8)
+    w_mult = step(v, 0.1, 0.05, kdv, grid, asm.stage_operator)
+    w_dense = step(v, 0.1, 0.05, kdv, grid, dense)
+    w_zero = step(v, 0.1, 0.05, kdv, grid, zero)
+    scale = grid.l2_norm(w_dense)
+    assert grid.l2_norm(w_dense - w_zero) > 1e-4 * scale
+    assert grid.l2_norm(w_mult - w_dense) <= 1e-13 * scale
+
+
+def test_stage_variant_read_off_the_tables(small_setup, grid):
+    # complex-damped tables depend on x: dense stages.  kdv-baseline's
+    # vanish (M2 = M1 = 0): multiplier stages.  kdv-baseline with M2 > 0
+    # has an x-dependent phase, hence dense stages again
+    assert isinstance(small_setup["assembler"].stage_operator(0.3), Dense)
+    kdv = model_problem("kdv-baseline", 0.75)
+    _, details = select_parameters_detailed(kdv, 1.8, grid)
+    assert isinstance(details["bundle"].assembler.stage_operator(0.3),
+                      Multiplier)
+    weighted = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
+                                   M2=0.1, h=2.0)
+    assert isinstance(
+        ConjugationAssembler(kdv, weighted, grid).stage_operator(0.3), Dense)
+
+
 def test_step_blowup_detected(grid):
     # anti-damped symbol: growth reaches the cap and raises with a timestamp
     prob = model_problem("complex-damped", 0.75, strengths=(-60.0, 0.0, 0.0),
@@ -172,7 +216,8 @@ def test_unitary_flow_kdv(grid):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(kdv, p, None, g, grid, 1.0, rho=0.7, theta=1.8)
+    traj = solve_original(kdv, p, None, g, grid, 1.0, rho=0.7, theta=1.8,
+                          bundle=build_conjugator(kdv, p, grid))
     assert np.max(np.abs(traj.l2 / traj.l2[0] - 1.0)) < 1e-10
 
 
@@ -225,6 +270,24 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     assert traj.meta["energy_estimate_C"] == pytest.approx(C, rel=1e-12, abs=0.0)
 
 
+def test_forcing_conjugated_once_per_stage_time(small_setup):
+    # k2 and k3 share t + dt/2, and k4 shares t + dt with the energy log and
+    # the next k1: no time's forcing reaches apply_full twice
+    grid = small_setup["grid"]
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    taus = []
+
+    def f(t):
+        taus.append(float(t))
+        return 0.5 * np.exp(-t) * g
+
+    traj = solve_original(small_setup["problem"], small_setup["params"], f, g,
+                          grid, 0.5, theta=1.8, bundle=small_setup["bundle"])
+    assert len(taus) == len(set(taus))
+    # t = 0, every half step and every step end
+    assert len(taus) >= 2 * traj.meta["steps"] + 1
+
+
 def test_radius_loss_bounded(small_setup):
     grid = small_setup["grid"]
     params = small_setup["params"]
@@ -254,12 +317,13 @@ def test_radius_precondition_enforced(small_setup):
 
 def test_time_modulated_problem_runs():
     # time-dependent coefficients take the per-stage rebuild path
-    from gevrey_evolve.positivity import select_parameters
+    from gevrey_evolve.positivity import select_parameters_detailed
     prob = model_problem("time-modulated", 0.75, domain=10.0)
     grid = make_grid(10.0, 48)
-    params = select_parameters(prob, 1.8, grid)
+    params, details = select_parameters_detailed(prob, 1.8, grid)
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(prob, params, None, g, grid, 1.0, rho=0.7, theta=1.8)
+    traj = solve_original(prob, params, None, g, grid, 1.0, rho=0.7, theta=1.8,
+                          bundle=details["bundle"])
     assert np.all(np.isfinite(traj.l2))
     assert np.isfinite(traj.radius[-1])
     assert np.max(traj.equivalence_residual) < 1e-7

@@ -159,10 +159,23 @@ def test_library_tables_quantize_consistently():
         assert err < 1e-12 * np.linalg.norm(u)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("gevrey.theta = 2.0\n")
     assert main(["verify", str(bad)]) == EXIT_CONFIG
+    # an unreadable config file is a config error with a one-line message
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "missing.cfg" in err and len(err.strip().splitlines()) == 1
+    # so is a config file that does not parse
+    for i, line in enumerate(("no.such_key = 1", "grid.N = abc", "grid.N 64")):
+        unparsable = tmp_path / f"unparsable{i}.cfg"
+        unparsable.write_text(SMALL + line + "\n")
+        assert main(["verify", str(unparsable)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ")
+        assert len(err.strip().splitlines()) == 1
     good = tmp_path / "good.cfg"
     good.write_text(SMALL + f"output.dir = {tmp_path/'out'}\n")
     assert main(["verify", str(good)]) == EXIT_OK
@@ -185,11 +198,26 @@ def test_error_category_totality():
     assert cats == {"config", "infeasible-parameters", "instability"}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("run.dt", "0"), ("run.dt", "-0.01"), ("run.dt", "nan"), ("run.dt", "inf"),
+    ("problem.T", "0"), ("problem.T", "-1"), ("problem.T", "nan"),
+    ("problem.T", "inf")])
+def test_solve_inputs_must_be_finite_and_positive(tmp_path, key, value):
+    text = SMALL + f"{key} = {value}\n"
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig.from_text(text).validate()
+    assert key in str(err.value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 # grid.N = 8 on L = 40 resolves no frequency beyond R_a3, yet validates
 NO_BAND = "grid.L = 40\ngrid.N = 8\n"
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
 @pytest.mark.parametrize("weights", [
     "", "weights.M2 = 0.12\nweights.M1 = 0.12\nweights.h = 4\n"],
     ids=["auto", "explicit"])

@@ -169,6 +169,35 @@ def test_lambda_x_derivative_orders_match_fd():
     assert float(ana2) == pytest.approx(fd2, abs=1e-6)
 
 
+def test_zero_strength_weights_are_exact_zeros(monkeypatch):
+    # M2 = 0 (M1 = 0) gives the full formula's value, 0 times the
+    # unit-strength weight, without evaluating a window or the sign selector
+    from gevrey_evolve import weights
+    grid = make_grid(20.0, 64)
+    X, XI = grid.x[:, None], grid.xi[None, :]
+    zero = params_with(M2=0.0, M1=0.0, h=1.0)
+    unit = params_with(M2=1.0, M1=1.0, h=1.0)
+    evals = [lambda q: lambda2(X, XI, 0.0, PROB, q),
+             lambda q: lambda1(X, XI, 0.0, PROB, q)]
+    evals += [lambda q, w=w, o=o: lambda_x_derivative(X, XI, 0.0, PROB, q,
+                                                      which=w, order=o)
+              for w in (2, 1) for o in (1, 2, 3)]
+    calls, step = [], weights.smooth_step
+
+    def counting(u, derivative=0):
+        calls.append(derivative)
+        return step(u, derivative)
+
+    monkeypatch.setattr(weights, "smooth_step", counting)
+    for ev in evals:
+        full = ev(unit)
+        assert calls and np.any(full != 0.0)
+        calls.clear()
+        got = ev(zero)
+        assert not calls
+        assert got.shape == full.shape and np.array_equal(got, 0.0 * full)
+
+
 def test_derivative_bounds_h_stable():
     # |d_x lam2| <= C <x>^-sigma with C independent of h, and the lam1
     # version carries the extra <xi>_h^-1 factor
