@@ -12,15 +12,16 @@ from .errors import (ConfigurationError, ConvergenceError, DataError,
                      EvaluationError, GevreyEvolveError, InfeasibleError,
                      InstabilityError, ParameterError, ShapeError)
 from .grid import Grid, bracket_h, make_grid
-from .quantize import (SymbolTable, adjoint, apply, band_relative_error,
-                       compose_expansion, exp_table, multiplier_table,
-                       table_from_function, to_dense, xi_derivative)
+from .quantize import (Dense, Multiplier, SymbolTable, adjoint, apply,
+                       band_relative_error, compose_expansion, exp_table,
+                       multiplier_table, table_from_function, to_dense,
+                       xi_derivative)
 from .symbols import (AssumptionReport, ProblemSpec, Symbol, check_assumptions,
                       estimate_seminorm, eval_table, model_problem)
 from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,
                       sign_weight, smooth_step, total_phase)
 from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
-                        ConjugatorBundle, Dense, Multiplier, build_conjugator)
+                        ConjugatorBundle, build_conjugator)
 from .positivity import (PositivityReport, calibrate_time_weight,
                          discrete_garding, select_parameters,
                          select_parameters_detailed, verify_lower_bounds)

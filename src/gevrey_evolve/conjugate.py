@@ -9,10 +9,11 @@ dense-oracle discrepancy instead).
 
 The two stages are kept separate, mirroring how the operator factorizes:
 
-* the spatial stage op(e^lam) is realized densely; its inverse is the
-  adjoint of op(e^-lam) composed with a Neumann series in the exact
-  discrete remainder (an entirely computable object), with a direct dense
-  inverse as a cross-check mode;
+* the spatial stage op(e^lam) is a Multiplier, inverted exactly by the
+  reciprocal row, when the phase is x-independent (M2 = M1 = 0); otherwise
+  it is dense and its inverse is the adjoint of op(e^-lam) composed with a
+  Neumann series in the exact discrete remainder (an entirely computable
+  object).  A direct dense inverse is the cross-check mode for both;
 * the time stage e^{k(t)<D>^{1/theta}} is a Fourier multiplier, hence
   diagonal and exactly invertible.
 
@@ -33,9 +34,9 @@ import numpy as np
 from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
-from .quantize import (SymbolTable, adjoint, dx_operator, exp_table,
-                       multiplier_table, operator_norm, to_dense,
-                       x_derivative, xi_derivative)
+from .quantize import (Dense, Multiplier, SymbolTable, adjoint, dx_operator,
+                       exp_table, multiplier_table, operator_norm, quantized,
+                       to_dense, x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
                       lambda_x_derivative, lambda1, lambda2, sign_weight)
@@ -201,67 +202,58 @@ def truncation_order(m, theta, cap=8):
 
 
 # ----------------------------------------------------------------------
-# the conjugator bundle: op(e^lam), its inverse, time multipliers
+# the conjugator bundle: op(e^lam), its inverse, the time stage
 # ----------------------------------------------------------------------
+
+def fourier_rows(*tables):
+    """The tables' first rows if every row of each equals its first, else
+    None: the one rule for an operator's variant, since a table with equal
+    rows is x-independent and quantizes to the multiplier of its row."""
+    if all(np.all(T == T[:1]) for T in tables):
+        return [T[0] for T in tables]
+
 
 @dataclass
 class ConjugatorBundle:
-    """Dense realizations of the spatial conjugator and its inverse, the
-    diagonal time-weight multipliers, and the assembler of the conjugated
-    symbols, which keeps the phase tables both were built from.
+    """The spatial conjugator op(e^lam) and its inverse as operators, their
+    diagnostics, and the assembler of the conjugated symbols, which keeps
+    the grid, params, problem and phase tables both were built from.
 
-    E and E_inv read neither C1 nor C2; the time multipliers and the
-    assembler's generator read both, so ``params`` must carry the calibrated
+    E and E_inv read neither C1 nor C2; the time stage and the assembler's
+    generator read both, so the assembler's params must carry the calibrated
     constants before the bundle is applied (``with_params``)."""
 
-    grid: Grid
-    params: WeightParams
-    problem: ProblemSpec
-    E: np.ndarray                  # op(e^lam)
-    E_inv: np.ndarray              # E_star sum_j (-R)^j, or the dense inverse
+    E: "Multiplier | Dense"        # op(e^lam)
+    E_inv: "Multiplier | Dense"    # 1 / row, E_star sum_j (-R)^j, or inv(E)
     spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
-    residual: float                # ||E @ E_inv - I||_2
+    residual: float                # ||E E_inv - I||_2
     series_terms: int
     symbol_gap: float              # ||op(truncated remainder symbol) - R||_2
     assembler: "ConjugationAssembler"
 
+    grid = property(lambda self: self.assembler.grid)
+    params = property(lambda self: self.assembler.params)
+    problem = property(lambda self: self.assembler.problem)
+
     def with_params(self, params: WeightParams):
         """This bundle with other k(t) constants C1, C2.  The copy shares the
-        matrices and the assembler's tables, which read neither."""
-        return replace(self, params=params,
-                       assembler=self.assembler.with_params(params))
+        operators and the assembler's tables, which read neither."""
+        return replace(self, assembler=self.assembler.with_params(params))
 
-    def time_multiplier(self, t, sign=+1):
-        """Diagonal values of e^{sign k(t) <xi>_h^{1/theta}} on the lattice."""
-        k = float(k_of_t(t, self.params))
-        expo = sign * k * self.assembler.xi_pow
+    def time_stage(self, t, sign=+1):
+        """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier."""
+        expo = sign * float(k_of_t(t, self.params)) * self.assembler.xi_pow
         if np.max(expo) > 690.0:
             raise ParameterError("time-weight multiplier overflows; reduce k0")
-        return np.exp(expo)
+        return Multiplier(self.grid, np.exp(expo))
 
     def apply_full(self, u, t):
-        """op(e^Lam(t)) u: spatial stage first, then the time multiplier."""
-        g = self.grid
-        mid = self.E @ np.asarray(u, dtype=complex)
-        return g.inverse(self.time_multiplier(t) * g.forward(mid))
+        """op(e^Lam(t)) u: the spatial stage E, then the time stage."""
+        return self.time_stage(t).matvec(self.E.matvec(u))
 
     def apply_full_inverse(self, v, t):
-        """{op(e^Lam(t))}^{-1} v."""
-        g = self.grid
-        mid = g.inverse(self.time_multiplier(t, -1) * g.forward(v))
-        return self.E_inv @ mid
-
-    def full_matrix(self, t):
-        g = self.grid
-        E_syn = g.synthesis_matrix()
-        Mk = (E_syn * self.time_multiplier(t)[None, :]) @ E_syn.conj().T
-        return Mk @ self.E
-
-    def full_inverse_matrix(self, t):
-        g = self.grid
-        E_syn = g.synthesis_matrix()
-        Mk = (E_syn * self.time_multiplier(t, -1)[None, :]) @ E_syn.conj().T
-        return self.E_inv @ Mk
+        """{op(e^Lam(t))}^{-1} v: the inverse time stage, then E_inv."""
+        return self.E_inv.matvec(self.time_stage(t, -1).matvec(v))
 
 
 def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -271,73 +263,78 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     """Build op(e^lam), its inverse and the assembler of the conjugated
     symbols, all from one set of phase tables.
 
-    The inverse follows the adjoint-times-Neumann-series structure; the
-    series runs on the exact discrete remainder E (op e^-lam)* - I, so with
-    a convergent series the composite residual lands at series_tol level.
-    The series stops once the Frobenius norm of a term, an upper bound of
-    its spectral norm, falls below series_tol; the exact residual is checked
-    once at the end.  ``mode="dense"`` replaces the series with a direct
-    dense inverse (cross-check oracle, N <= 256).
+    When the phase and the remainder symbol are x-independent (fourier_rows)
+    E and E_inv are the Multipliers of the row e^lam and its reciprocal, and
+    every diagnostic is measured on the rows.  Otherwise the inverse follows
+    the adjoint-times-Neumann-series structure; the series runs on the exact
+    discrete remainder E (op e^-lam)* - I, so with a convergent series the
+    composite residual lands at series_tol level.  The series stops once
+    the Frobenius norm of a term, an upper bound of its spectral norm, falls
+    below series_tol; the exact residual is checked once at the end.
+    ``mode="dense"`` replaces either with a dense E and a direct dense
+    inverse (cross-check oracle, N <= 256).
     """
     phase = build_phase_tables(p, params, grid)
     N = grid.N
-    I = np.eye(N, dtype=complex)
-    # tables zero the unmatched Nyquist mode; let the conjugator act as the
-    # identity on it so the operator stays invertible
-    E_syn = grid.synthesis_matrix()
-    nyq = np.zeros(N)
-    nyq[grid.nyquist] = 1.0
-    P_nyq = (E_syn * nyq[None, :]) @ E_syn.conj().T
-    E = to_dense(exp_table(phase.lam)) + P_nyq
-    E_star = adjoint(to_dense(exp_table(phase.lam * -1.0)) + P_nyq)
-    R = E @ E_star - I
-
-    nrm = operator_norm(R)
-    rho = nrm if nrm < 1.0 else float(np.max(np.abs(np.linalg.eigvals(R))))
     # truncated symbol expansion of the remainder (diagnostic + convergence
     # certificate): sum_{g=1..3} (1/g!) d_xi^g (e^lam D_x^g e^-lam)
     sym = SymbolTable(grid, np.zeros((N, N), dtype=complex))
     for gma in (1, 2, 3):
         w = phase.dx_exp_factors[gma - 1]
         sym = sym + xi_derivative(w, gma) * (1.0 / math.factorial(gma))
-    gap = operator_norm(to_dense(sym) - R)
-
-    if mode == "dense":
-        if N > 256:
-            raise ParameterError("dense inverse mode is limited to N <= 256")
-        E_inv = np.linalg.inv(E)
-        S = np.linalg.inv(I + R)
-        terms = 0
+    # tables zero the unmatched Nyquist mode; let the conjugator act as the
+    # identity on it so the operator stays invertible
+    nyq = np.zeros(N)
+    nyq[grid.nyquist] = 1.0
+    exp_lam, exp_neg = exp_table(phase.lam), exp_table(phase.lam * -1.0)
+    rows = None if mode == "dense" else fourier_rows(phase.lam.values,
+                                                     sym.values)
+    if rows is not None:
+        e = exp_lam.values[0] + nyq
+        R = e * np.conj(exp_neg.values[0] + nyq) - 1.0
+        E, E_inv = Multiplier(grid, e), Multiplier(grid, 1.0 / e)
+        rho, gap = float(np.max(np.abs(R))), float(np.max(np.abs(rows[1] - R)))
+        residual, terms = float(np.max(np.abs(e * E_inv.row - 1.0))), 0
     else:
-        if rho >= 1.0:
-            raise ConvergenceError(
-                f"Neumann remainder has spectral radius {rho:.3f} >= 1; "
-                "increase h")
-        S = I.copy()
-        term = I
+        I = np.eye(N, dtype=complex)
+        P_nyq = Multiplier(grid, nyq).dense()
+        E = to_dense(exp_lam) + P_nyq
+        E_star = adjoint(to_dense(exp_neg) + P_nyq)
+        R = E @ E_star - I
+        nrm = operator_norm(R)
+        rho = nrm if nrm < 1.0 else float(np.max(np.abs(np.linalg.eigvals(R))))
+        gap = operator_norm(to_dense(sym) - R)
         terms = 0
-        for j in range(1, NEUMANN_MAX_TERMS + 1):
-            term = term @ (-R)
-            S = S + term
-            terms = j
-            if np.linalg.norm(term) < series_tol:
-                break
-        E_inv = E_star @ S
-
-    residual = operator_norm(E @ E_inv - I)
+        if mode == "dense":
+            if N > 256:
+                raise ParameterError("dense inverse mode is limited to N <= 256")
+            E_inv = np.linalg.inv(E)
+        else:
+            if rho >= 1.0:
+                raise ConvergenceError(
+                    f"Neumann remainder has spectral radius {rho:.3f} >= 1; "
+                    "increase h")
+            S, term = I.copy(), I
+            for j in range(1, NEUMANN_MAX_TERMS + 1):
+                term = term @ (-R)
+                S = S + term
+                terms = j
+                if np.linalg.norm(term) < series_tol:
+                    break
+            E_inv = E_star @ S
+        residual = operator_norm(E @ E_inv - I)
+        E, E_inv = Dense(grid, E), Dense(grid, E_inv)
     if residual > inverse_tol:
         raise ConvergenceError(
             f"conjugator inverse residual {residual:.3e} exceeds "
             f"{inverse_tol}; increase h or loosen inverse_tol")
-    return ConjugatorBundle(grid=grid, params=params, problem=p,
-                            E=E, E_inv=E_inv, spectral_radius=rho,
-                            residual=residual, series_terms=terms,
-                            symbol_gap=gap,
+    return ConjugatorBundle(E=E, E_inv=E_inv, spectral_radius=rho,
+                            residual=residual, series_terms=terms, symbol_gap=gap,
                             assembler=ConjugationAssembler(p, params, grid, phase))
 
 
 # ----------------------------------------------------------------------
-# conjugated symbols
+# conjugated symbols and the assembler that builds them
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -417,32 +414,6 @@ def _hermitian_half(im_table: SymbolTable):
         total = total + term
         prev_size = size
     return total
-
-
-# ----------------------------------------------------------------------
-# stage operators: the generator as the time stepper applies it
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Multiplier:
-    """A generator diagonal in xi, given by its row: one FFT pair."""
-
-    grid: Grid
-    row: np.ndarray
-
-    def matvec(self, w):
-        return self.grid.inverse(self.row * self.grid.forward(w))
-
-
-@dataclass(frozen=True)
-class Dense:
-    """Any generator table G, as the matrix E_syn * G on coefficients."""
-
-    grid: Grid
-    matrix: np.ndarray
-
-    def matvec(self, w):
-        return self.matrix @ self.grid.forward(w)
 
 
 class ConjugationAssembler:
@@ -605,9 +576,9 @@ class ConjugationAssembler:
             for tabs in entry["k"].values():
                 for j, tab in tabs.items():
                     Gj[j] = Gj.get(j, 0.0) + tab.values
-            rows = None
-            if all(np.all(G == G[:1]) for G in (G0, *Gj.values())):
-                rows = (G0[0], {j: G[0] for j, G in Gj.items()})
+            rows = fourier_rows(G0, *Gj.values())
+            if rows is not None:
+                rows = (rows[0], dict(zip(Gj, rows[1:])))
             entry["poly"] = (G0, Gj, rows)
         return entry["poly"]
 
@@ -634,15 +605,15 @@ class ConjugationAssembler:
     def stage_operator(self, t: float):
         """The generator at time t as the time stepper applies it.
 
-        The variant is read off the tables of t's coefficient time: when G_0
-        and every G_j are x-independent, the generator is a Fourier
-        multiplier (the k' term is a row already) and applies with one FFT
-        pair; otherwise it is Dense(E_syn * generator(t))."""
+        The variant is read off the tables of t's coefficient time by
+        fourier_rows: when G_0 and every G_j are x-independent, the
+        generator is a Fourier multiplier (the k' term is a row already)
+        and applies with one FFT pair; otherwise it is
+        quantized(generator(t))."""
         G0, Gj, rows = self._polynomial(t)
         if rows is not None:
             return Multiplier(self.grid, self._evaluate(t, *rows))
-        return Dense(self.grid,
-                     self.grid.synthesis_matrix() * self._evaluate(t, G0, Gj))
+        return quantized(self.grid, self._evaluate(t, G0, Gj))
 
     def at(self, t: float) -> ConjugatedSymbols:
         entry = self._static_tables(t)

@@ -7,13 +7,12 @@ The solver integrates the conjugated problem
 with the leading multiplier handled by an exact integrating factor (the
 phase integral uses two-point Gauss quadrature per interval, exact for the
 library's polynomial time dependence) and a classical four-stage
-Runge-Kutta update for the remaining lower-order part.  Each stage applies
-the lower-order generator through the stage operator the assembler picks
-from its tables: a Multiplier (one FFT pair) when they are x-independent,
-as on the KdV branch M2 = M1 = 0, and Dense(E_syn * G) otherwise.  The
-original unknown is recovered through the conjugator inverse, and every
-run carries an energy log against which the growth inequality is
-re-checked.
+Runge-Kutta update for the remaining lower-order part.  Every operator
+applied is a Multiplier (one FFT pair) or a Dense, the variant read off its
+tables (conjugate.fourier_rows): both the lower-order generator and the
+conjugator op(e^Lam), through whose inverse the original unknown is
+recovered, are Multipliers on the KdV branch M2 = M1 = 0.  Every run
+carries an energy log against which the growth inequality is re-checked.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError
 from .grid import Grid
+from .quantize import Multiplier
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -32,6 +32,9 @@ MAX_STEPS = 200000
 STORED_FIELDS = 256     # a solve logs every (steps // STORED_FIELDS)-th field
 RADIUS_TOL = 0.05       # tolerated shortfall of the data's fitted radius
 REPORT_DELTA = 0.01     # output norm radius rho' = k(T) - REPORT_DELTA
+RADIUS_BAND = 0.5       # radius fits read the band |xi| <= RADIUS_BAND xi_max
+RADIUS_FLOOR = 1e-14    # ... at modes above RADIUS_FLOOR times the largest
+RADIUS_MIN_MODES = 16   # ... and need at least this many of them
 
 
 # ----------------------------------------------------------------------
@@ -74,23 +77,19 @@ class RadiusFit:
     n_modes: int
     nonlinear: bool      # large residual relative to the fitted drop
 
-    def __float__(self):
-        return self.rho
 
-
-def radius_fit_report(u, theta, grid: Grid, band_fraction=0.5,
-                      floor=1e-14, min_modes=16) -> RadiusFit:
+def radius_fit_report(u, theta, grid: Grid) -> RadiusFit:
     """Least squares slope of -log|u_hat| against <xi>^{1/theta}."""
     u_hat = grid.forward(u)
     mag = np.abs(u_hat)
     top = float(np.max(mag))
     if top == 0.0:
         raise DataError("field is identically zero; no radius to fit")
-    mask = grid.band_mask(band_fraction) & (mag > floor * top)
+    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)
     n = int(np.count_nonzero(mask))
-    if n < min_modes:
+    if n < RADIUS_MIN_MODES:
         raise DataError(
-            f"only {n} modes above the noise floor (need {min_modes})")
+            f"only {n} modes above the noise floor (need {RADIUS_MIN_MODES})")
     X = np.sqrt(1.0 + np.square(grid.xi[mask])) ** (1.0 / theta)
     Y = -np.log(mag[mask])
     A = np.stack([X, np.ones_like(X)], axis=1)
@@ -103,9 +102,9 @@ def radius_fit_report(u, theta, grid: Grid, band_fraction=0.5,
                      nonlinear=nonlinear)
 
 
-def radius_fit(u, theta, grid: Grid, **kw) -> float:
+def radius_fit(u, theta, grid: Grid) -> float:
     """Fitted exponential-decay radius of the spectrum."""
-    return radius_fit_report(u, theta, grid, **kw).rho
+    return radius_fit_report(u, theta, grid).rho
 
 
 def synthetic_radius_field(grid: Grid, rho, theta, m: float = 0.0,
@@ -165,13 +164,14 @@ def _phase_integral(p, grid, t0, t1):
 def step(v, t, dt, p, grid: Grid, stage, forcing=None):
     """One integrating-factor Runge-Kutta step of the conjugated problem.
 
-    ``stage(tau)`` is the lower-order generator at time tau as a stage
-    operator with ``matvec`` (conjugate.Multiplier or conjugate.Dense),
-    evaluated once per stage time: ConjugationAssembler.stage_operator
-    samples the coefficients there and picks the variant, and a constant
-    function freezes the generator across the step.
+    ``stage(tau)`` is the lower-order generator at time tau as an operator
+    with ``matvec`` (quantize.Multiplier or quantize.Dense), asked for once
+    per stage time: ConjugationAssembler.stage_operator samples the
+    coefficients there and picks the variant, and a constant function
+    freezes the generator across the step.
     """
-    A0, A_half, A_full = (stage(tau) for tau in (t, t + 0.5 * dt, t + dt))
+    t_half = t + 0.5 * dt
+    A0, A_half, A_full = (stage(tau) for tau in (t, t_half, t + dt))
 
     def rhs(A, tau, w):
         out = -A.matvec(w)
@@ -179,27 +179,21 @@ def step(v, t, dt, p, grid: Grid, stage, forcing=None):
             out = out + forcing(tau)
         return out
 
-    def mult(ph, w):
-        return grid.inverse(ph * grid.forward(w))
-
-    I_half = _phase_integral(p, grid, t, t + 0.5 * dt)
-    I_full = _phase_integral(p, grid, t, t + dt)
-    ph_half = np.exp(-1j * I_half)
-    ph_full = np.exp(-1j * I_full)
+    ph_half = np.exp(-1j * _phase_integral(p, grid, t, t_half))
+    ph_full = np.exp(-1j * _phase_integral(p, grid, t, t + dt))
+    to_half, from_half = Multiplier(grid, ph_half), Multiplier(grid, 1.0 / ph_half)
+    to_full, from_full = Multiplier(grid, ph_full), Multiplier(grid, 1.0 / ph_full)
     # pointwise coefficient products alias into the unmatched Nyquist slot;
     # the final multiplier application projects it back out
     mask = np.ones(grid.N)
     mask[grid.nyquist] = 0.0
 
     k1 = rhs(A0, t, v)
-    k2 = rhs(A_half, t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k1))
-    k2 = mult(1.0 / ph_half, k2)
-    k3 = rhs(A_half, t + 0.5 * dt, mult(ph_half, v + 0.5 * dt * k2))
-    k3 = mult(1.0 / ph_half, k3)
-    k4 = rhs(A_full, t + dt, mult(ph_full, v + dt * k3))
-    k4 = mult(1.0 / ph_full, k4)
+    k2 = from_half.matvec(rhs(A_half, t_half, to_half.matvec(v + 0.5 * dt * k1)))
+    k3 = from_half.matvec(rhs(A_half, t_half, to_half.matvec(v + 0.5 * dt * k2)))
+    k4 = from_full.matvec(rhs(A_full, t + dt, to_full.matvec(v + dt * k3)))
     v_tilde = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return mult(ph_full * mask, v_tilde)
+    return Multiplier(grid, ph_full * mask).matvec(v_tilde)
 
 
 def default_dt(generator, T):
@@ -217,8 +211,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    Every stage applies the assembler's stage operator at its time, a
-    Multiplier or a Dense generator (ConjugationAssembler.stage_operator).
+    Stage operators are built once per stage time: step i runs with the
+    exact (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].
     f_conj: callable t -> field (already conjugated forcing) or
     None.  The energy log records ||v||_L2 at every step, the discrete
     growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
@@ -243,10 +237,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
     E[0] = grid.l2_norm(v) ** 2
     F[0] = grid.l2_norm(f_conj(0.0)) ** 2 if f_conj is not None else 0.0
     scale0 = np.sqrt(E[0]) + 1.0
+    stage = lru_cache(maxsize=4)(assembler.stage_operator)
 
     for i in range(steps):
-        t = times[i]
-        v = step(v, t, dt, p, grid, assembler.stage_operator, forcing=f_conj)
+        v = step(v, times[i], times[i + 1] - times[i], p, grid, stage,
+                 forcing=f_conj)
         if not np.all(np.isfinite(v)) or grid.l2_norm(v) > BLOWUP_FACTOR * scale0:
             raise InstabilityError(
                 f"solution blew up at t={times[i+1]:.6g} (step {i+1})",

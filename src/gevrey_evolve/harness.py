@@ -262,11 +262,10 @@ def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
 
 def certify_positivity(cfg: RunConfig, bundle):
     """Positivity report of the conjugator that weight resolution built."""
-    grid = bundle.grid
-    return verify_lower_bounds(bundle.assembler, bundle.params, grid,
+    return verify_lower_bounds(bundle.assembler,
                                np.linspace(0.0, bundle.problem.T, N_T_SAMPLES),
                                tol=cfg["tolerances.garding_tol"],
-                               with_garding=(grid.N <= 256))
+                               with_garding=(bundle.grid.N <= 256))
 
 
 def build_data(cfg: RunConfig, grid):
@@ -507,18 +506,20 @@ def oracle_suite(cfg: RunConfig, n_max=64):
     assumptions.require()
     params, details, _ = resolve_weights(cfg, problem, grid, assumptions)
     bundle = details["bundle"]
-    I = np.eye(N)
+    E, E_inv = bundle.E.dense(), bundle.E_inv.dense()
     check("conjugator-residual",
-          float(np.linalg.norm(bundle.E @ bundle.E_inv - I, 2)),
+          float(np.linalg.norm(E @ E_inv - np.eye(N), 2)),
           v["tolerances.inverse_tol"])
-    dense = build_conjugator(problem, params, grid, mode="dense")
+    # the Multiplier or Neumann-series inverse against the dense inverse
+    dense = build_conjugator(problem, params, grid, mode="dense").E_inv.dense()
     check("neumann-vs-dense",
-          float(np.linalg.norm(bundle.E_inv - dense.E_inv, 2))
-          / max(1.0, float(np.linalg.norm(dense.E_inv, 2))), 1e-6)
+          float(np.linalg.norm(E_inv - dense, 2))
+          / max(1.0, float(np.linalg.norm(dense, 2))), 1e-6)
 
     cs = bundle.assembler.at(0.0)
     spatial = (model_problem_spatial_dense(problem, grid, 0.0))
-    lhs = bundle.full_matrix(0.0) @ spatial @ bundle.full_inverse_matrix(0.0)
+    lhs = (bundle.time_stage(0.0).dense() @ E @ spatial @ E_inv
+           @ bundle.time_stage(0.0, -1).dense())
     rhs = to_dense(cs.spatial_table())
     check("conjugated-assembly",
           representable_error(lhs, rhs, grid, params.domain_cap), 1e-2)

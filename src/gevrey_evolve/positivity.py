@@ -29,6 +29,7 @@ from .weights import WeightParams, k_of_t
 ZERO_THRESHOLD = 1e-13
 N_T_SAMPLES = 5     # coefficient times on [0, T] where constants are measured
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
+GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 
 
 @dataclass
@@ -80,7 +81,7 @@ class PositivityReport:
         return out
 
 
-def discrete_garding(sym: SymbolTable, grid: Grid, band_fraction=0.5) -> float:
+def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
     """Smallest eigenvalue of the Hermitian part of the quantized symbol,
     restricted to the resolved band.
 
@@ -91,7 +92,7 @@ def discrete_garding(sym: SymbolTable, grid: Grid, band_fraction=0.5) -> float:
     """
     A = to_dense(sym)
     H = 0.5 * (A + A.conj().T)
-    basis = grid.synthesis_matrix()[:, grid.band_mask(band_fraction)]
+    basis = grid.synthesis_matrix()[:, grid.band_mask(GARDING_BAND)]
     H_band = basis.conj().T @ H @ basis
     return float(np.linalg.eigvalsh(H_band)[0])
 
@@ -106,15 +107,13 @@ def _margin_normalizers(grid, params):
     }
 
 
-def verify_lower_bounds(source, params: WeightParams, grid: Grid,
-                        t_samples, tol: float = 1e-8,
+def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
+                        tol: float = 1e-8,
                         with_garding: bool = False) -> PositivityReport:
-    """Normalized minima of the three real-part blocks over the grid region
-    |xi| > R_a3 h, at each sample time.  Failures are rows, not errors."""
-    if isinstance(source, ConjugationAssembler):
-        assembler = source
-    else:
-        assembler = ConjugationAssembler(source, params, grid)
+    """Normalized minima of the three real-part blocks of the assembler's
+    symbols over the grid region |xi| > R_a3 h, at each sample time.
+    Failures are rows, not errors."""
+    params, grid = assembler.params, assembler.grid
     region = np.abs(grid.xi) > params.R_a3 * params.h
     region[grid.nyquist] = False
     report = PositivityReport(params=params, tolerance=tol,
@@ -291,7 +290,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                          inverse_residual=bundle.residual,
                          C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
-            report = verify_lower_bounds(bundle.assembler, params, grid, ts)
+            report = verify_lower_bounds(bundle.assembler, ts)
             trial.update(margins={b: report.min_margin(b)
                                   for b in ("order2", "order1", "theta")},
                          passed=report.passed)

@@ -11,6 +11,9 @@ anchors every asymptotic claim made by the composition and conjugation
 expansions: whatever an expansion predicts must match the dense product or
 dense conjugation on the resolved band.
 
+Operators have ``matvec`` and a ``dense()`` that only oracles call: a
+Multiplier (a row in xi, one FFT pair) or a Dense matrix.
+
 x-derivatives of tables are spectral; xi-derivatives use finite differences
 on the uniform frequency lattice (the Nyquist column is excluded).
 """
@@ -76,6 +79,38 @@ class SymbolTable:
         return SymbolTable(self.grid, np.conj(self.values))
 
 
+@dataclass(frozen=True)
+class Multiplier:
+    """An operator diagonal in xi, given by its row: one FFT pair."""
+
+    grid: Grid
+    row: np.ndarray
+
+    def matvec(self, w):
+        return self.grid.inverse(self.row * self.grid.forward(w))
+
+    def dense(self):
+        return quantized(self.grid, self.row[None, :]).dense()
+
+
+@dataclass(frozen=True)
+class Dense:
+    """An operator as a matrix on node values or, when ``spectral``, on the
+    coefficients forward(w) (a generator table G as E_syn * G)."""
+
+    grid: Grid
+    matrix: np.ndarray
+    spectral: bool = False
+
+    def matvec(self, w):
+        return self.matrix @ (self.grid.forward(w) if self.spectral else w)
+
+    def dense(self):
+        if self.spectral:
+            return self.matrix @ self.grid.synthesis_matrix().conj().T
+        return self.matrix
+
+
 def table_from_function(grid, fn):
     """Sample fn(x, xi) on the grid lattice (broadcasting evaluator)."""
     vals = np.asarray(fn(grid.x[:, None], grid.xi[None, :]), dtype=complex)
@@ -89,20 +124,19 @@ def multiplier_table(grid, values_xi):
     return SymbolTable(grid, np.tile(row, (grid.N, 1)))
 
 
+def quantized(grid, values):
+    """op(p), p given by its table values, as E_syn * p on coefficients."""
+    return Dense(grid, grid.synthesis_matrix() * values, spectral=True)
+
+
 def apply(p: SymbolTable, u):
     """Apply the quantized operator to node values; O(N^2)."""
-    g = p.grid
-    u_hat = g.forward(u)
-    E = g.synthesis_matrix()
-    return (E * p.values) @ u_hat
+    return quantized(p.grid, p.values).matvec(u)
 
 
 def to_dense(p: SymbolTable):
     """Dense matrix M acting on node values with M @ u == apply(p, u)."""
-    g = p.grid
-    E = g.synthesis_matrix()
-    # forward matrix is E^H (unitary pair)
-    return (E * p.values) @ E.conj().T
+    return quantized(p.grid, p.values).dense()
 
 
 def adjoint(A):
@@ -117,9 +151,7 @@ def operator_norm(A):
 
 def band_projector(grid, fraction=0.5):
     """Dense projector onto fields supported in the resolved band."""
-    E = grid.synthesis_matrix()
-    mask = grid.band_mask(fraction).astype(float)
-    return (E * mask[None, :]) @ E.conj().T
+    return Multiplier(grid, grid.band_mask(fraction).astype(float)).dense()
 
 
 def band_relative_error(A, B, grid, fraction=0.5):

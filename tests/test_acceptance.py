@@ -133,8 +133,8 @@ def test_criterion_3_conjugator_inverse():
     params = select_parameters(prob, THETA, grid)
     bundle = build_conjugator(prob, params, grid)
     dense = build_conjugator(prob, params, grid, mode="dense")
-    agree = operator_norm(bundle.E_inv - dense.E_inv) \
-        / operator_norm(dense.E_inv)
+    agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
+        / operator_norm(dense.E_inv.dense())
     # infeasible h must fail loudly, not return wrong answers
     bad = dataclasses.replace(params, M2=1.5, M1=1.0)
     try:
@@ -156,7 +156,9 @@ def test_criterion_4_conjugated_symbol_oracle(damped64):
     t = 0.3
     cs = asm.at(t)
     spatial = model_problem_spatial_dense(prob, grid, t)
-    lhs = bundle.full_matrix(t) @ spatial @ bundle.full_inverse_matrix(t)
+    full = bundle.time_stage(t).dense() @ bundle.E.dense()
+    full_inv = bundle.E_inv.dense() @ bundle.time_stage(t, -1).dense()
+    lhs = full @ spatial @ full_inv
     rhs = to_dense(cs.spatial_table())
     err = representable_error(lhs, rhs, grid, params.domain_cap)
     d1_imag = float(np.max(np.abs(cs.parts["d1"].values.imag)))
@@ -173,11 +175,11 @@ def test_criterion_4_conjugated_symbol_oracle(damped64):
 def test_criterion_5_positivity(damped64):
     prob, grid, params = damped64["problem"], damped64["grid"], damped64["params"]
     ts = np.linspace(0.0, 1.0, 5)
-    rep = verify_lower_bounds(prob, params, grid, ts)
+    rep = verify_lower_bounds(ConjugationAssembler(prob, params, grid), ts)
     margins = {b: rep.min_margin(b) for b in ("order2", "order1", "theta")}
     ok_pos = rep.passed and all(m >= -1e-8 for m in margins.values())
-    rep0 = verify_lower_bounds(prob, dataclasses.replace(params, M2=0.0),
-                               grid, ts)
+    rep0 = verify_lower_bounds(ConjugationAssembler(
+        prob, dataclasses.replace(params, M2=0.0), grid), ts)
     worst = min((r for r in rep0.rows if r.bound == "order2"),
                 key=lambda r: r.margin)
     ok_neg = (not rep0.passed) and worst.margin < 0 \

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gevrey_evolve import conjugate
 from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
                                      truncation_order)
 from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
-from gevrey_evolve.quantize import (multiplier_table, operator_norm,
+from gevrey_evolve.quantize import (Dense, Multiplier, exp_table,
+                                    multiplier_table, operator_norm,
                                     representable_error, to_dense)
 from gevrey_evolve.symbols import model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t, k_prime
@@ -24,6 +26,15 @@ def params_with(**kw):
     return WeightParams(**base)
 
 
+def full_matrix(bundle, t):
+    """op(e^Lam(t)) as a matrix: the time stage after E."""
+    return bundle.time_stage(t).dense() @ bundle.E.dense()
+
+
+def full_inverse_matrix(bundle, t):
+    return bundle.E_inv.dense() @ bundle.time_stage(t, -1).dense()
+
+
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(L, N)
@@ -33,9 +44,69 @@ def test_trivial_phase_gives_identity(grid):
     p = params_with(M2=0.0, M1=0.0)
     bundle = build_conjugator(KDV, p, grid)
     I = np.eye(N)
-    assert operator_norm(bundle.E - I) < 1e-12
-    assert operator_norm(bundle.E_inv - I) < 1e-12
+    assert operator_norm(bundle.E.dense() - I) < 1e-12
+    assert operator_norm(bundle.E_inv.dense() - I) < 1e-12
     assert bundle.spectral_radius < 1e-12
+
+
+def _check_against_dense_oracle(bundle, variant):
+    """E and E_inv have the variant, and the dense oracle checks them: E
+    against op(e^lam) + P_nyq, E_inv against the dense inverse, and the full
+    conjugator op(e^Lam(t)) against its matrix and its inverse at t = 0.3."""
+    grid, params = bundle.grid, bundle.params
+    assert isinstance(bundle.E, variant) and isinstance(bundle.E_inv, variant)
+    E_syn = grid.synthesis_matrix()
+    nyq = E_syn[:, grid.nyquist]
+    E_ref = (to_dense(exp_table(bundle.assembler.phase.lam))
+             + np.outer(nyq, nyq.conj()))
+    assert operator_norm(bundle.E.dense() - E_ref) <= 1e-13 * operator_norm(E_ref)
+    dense = build_conjugator(bundle.problem, params, grid, mode="dense")
+    inv_ref = dense.E_inv.dense()
+    assert operator_norm(bundle.E_inv.dense() - inv_ref) \
+        <= 1e-12 * operator_norm(inv_ref)
+    t = 0.3
+    u = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, grid.N))
+    weight = np.exp(float(k_of_t(t, params))
+                    * bracket_h(grid.xi, params.h) ** (1.0 / params.theta))
+    full_ref = (E_syn * weight) @ E_syn.conj().T @ E_ref
+    v = bundle.apply_full(u, t)
+    assert grid.l2_norm(v - full_ref @ u) <= 1e-12 * grid.l2_norm(v)
+    back = bundle.apply_full_inverse(v, t)
+    assert grid.l2_norm(back - u) <= 1e-13 * grid.l2_norm(u)
+
+
+@pytest.mark.parametrize("name, L_, N_, weights, variant", [
+    ("kdv-baseline", 10.0, 64, dict(M2=0.0, M1=0.0, h=1.0), Multiplier),
+    ("kdv-baseline", 40.0, 256, dict(M2=0.0, M1=0.0, h=1.0), Multiplier),
+    ("complex-damped", 10.0, 64, dict(M2=0.1, M1=0.1, h=2.0), Dense),
+    ("kdv-baseline", 10.0, 64, dict(M2=0.1, M1=0.0, h=2.0), Dense),
+], ids=["kdv-64", "kdv-256", "damped-64", "kdv-weighted-64"])
+def test_conjugator_variant_against_dense_oracle(name, L_, N_, weights,
+                                                 variant):
+    # the phase is x-independent (zero) exactly when nothing is dominated;
+    # C1, C2 > 0 so the time stage is not the identity.  The tight series
+    # tolerance lets the Neumann inverse meet the dense one to 1e-12
+    grid = make_grid(L_, N_)
+    prob = model_problem(name, 0.75, domain=L_)
+    p = WeightParams(k0=0.35, sigma=0.75, theta=1.8,
+                     domain_cap=float(np.sqrt(1 + L_ * L_)),
+                     **weights).with_ode_constants(0.5, 0.1)
+    bundle = build_conjugator(prob, p, grid, series_tol=1e-14)
+    _check_against_dense_oracle(bundle, variant)
+    if variant is Multiplier:
+        assert bundle.series_terms == 0
+
+
+def test_x_independent_phase_gives_multiplier_pair(grid, monkeypatch):
+    # a phase whose rows are all equal but not zero: E is the multiplier of
+    # the row e^lam and E_inv that of its reciprocal
+    p = params_with(M2=0.0, M1=0.0).with_ode_constants(0.5, 0.1)
+    phase = conjugate.build_phase_tables(KDV, p, grid)
+    phase.lam = multiplier_table(grid, 0.3 * np.tanh(grid.xi) + 0.1)
+    monkeypatch.setattr(conjugate, "build_phase_tables", lambda *args: phase)
+    bundle = build_conjugator(KDV, p, grid)
+    _check_against_dense_oracle(bundle, Multiplier)
+    assert bundle.residual < 1e-15 and bundle.spectral_radius < 1e-15
 
 
 def test_inverse_residual_and_modes(small_setup):
@@ -45,8 +116,8 @@ def test_inverse_residual_and_modes(small_setup):
     dense = build_conjugator(small_setup["problem"], small_setup["params"], g,
                              mode="dense")
     # truncated series and dense inverse agree to series_tol * 10
-    agree = operator_norm(bundle.E_inv - dense.E_inv) \
-        / operator_norm(dense.E_inv)
+    agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
+        / operator_norm(dense.E_inv.dense())
     assert agree <= 1e-9
 
 
@@ -61,7 +132,7 @@ def test_time_multiplier_exactness(grid):
     # changes nothing, to machine precision
     bundle = build_conjugator(KDV, params_with(M2=0.0, M1=0.0, C1=0.1), grid)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
-    conj = bundle.full_matrix(0.3) @ a3 @ bundle.full_inverse_matrix(0.3)
+    conj = full_matrix(bundle, 0.3) @ a3 @ full_inverse_matrix(bundle, 0.3)
     assert operator_norm(conj - a3) < 1e-12 * operator_norm(a3)
 
 
@@ -86,7 +157,7 @@ def test_conj_a3_dense_oracle(grid):
     p = params_with(M2=0.05, M1=0.04, h=4.0)
     bundle = build_conjugator(PROB, p, grid)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
-    lhs = bundle.E @ a3 @ bundle.E_inv
+    lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
     cs = bundle.assembler.at(0.0)
     terms = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
@@ -133,7 +204,7 @@ def test_damping_terms_improve_dense_oracle(grid):
     p = params_with(h=4.0, M2=0.1, M1=0.08)
     bundle = build_conjugator(PROB, p, grid, inverse_tol=1e-5)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
-    lhs = bundle.E @ a3 @ bundle.E_inv
+    lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
     cs = bundle.assembler.at(0.0)
     t = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
@@ -211,7 +282,7 @@ def test_full_assembly_oracle(small_setup):
     params, bundle = small_setup["params"], small_setup["bundle"]
     cs = small_setup["assembler"].at(0.3)
     spatial = model_problem_spatial_dense(prob, grid, 0.3)
-    lhs = bundle.full_matrix(0.3) @ spatial @ bundle.full_inverse_matrix(0.3)
+    lhs = full_matrix(bundle, 0.3) @ spatial @ full_inverse_matrix(bundle, 0.3)
     rhs = to_dense(cs.spatial_table())
     assert representable_error(lhs, rhs, grid, params.domain_cap) < 1e-2
 

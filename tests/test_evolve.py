@@ -89,7 +89,7 @@ def _trivial_params(domain_cap):
 
 def _frozen(grid, tab):
     """The generator table tab as a dense stage operator at every time."""
-    A = Dense(grid, grid.synthesis_matrix() * tab)
+    A = Dense(grid, grid.synthesis_matrix() * tab, spectral=True)
     return lambda tau: A
 
 
@@ -163,7 +163,7 @@ def test_multiplier_step_matches_dense_step(N, L):
     asm = ConjugationAssembler(kdv, p, grid)
     assert isinstance(asm.stage_operator(0.0), Multiplier)
     E_syn = grid.synthesis_matrix()
-    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau))
+    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau), spectral=True)
     zero = lambda tau: Multiplier(grid, np.zeros(N))
     v = synthetic_radius_field(grid, 0.6, 1.8)
     w_mult = step(v, 0.1, 0.05, kdv, grid, asm.stage_operator)
@@ -270,22 +270,53 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     assert traj.meta["energy_estimate_C"] == pytest.approx(C, rel=1e-12, abs=0.0)
 
 
-def test_forcing_conjugated_once_per_stage_time(small_setup):
-    # k2 and k3 share t + dt/2, and k4 shares t + dt with the energy log and
-    # the next k1: no time's forcing reaches apply_full twice
-    grid = small_setup["grid"]
+def _stage_times(setup, T, dt, monkeypatch):
+    """A forced solve's step count, the times its forcing is evaluated at
+    and the times its stage operators are built at."""
+    grid = setup["grid"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    taus = []
+    taus, stage_taus = [], []
 
     def f(t):
         taus.append(float(t))
         return 0.5 * np.exp(-t) * g
 
-    traj = solve_original(small_setup["problem"], small_setup["params"], f, g,
-                          grid, 0.5, theta=1.8, bundle=small_setup["bundle"])
+    build = ConjugationAssembler.stage_operator
+
+    def counting(self, t):
+        stage_taus.append(float(t))
+        return build(self, t)
+
+    monkeypatch.setattr(ConjugationAssembler, "stage_operator", counting)
+    traj = solve_original(setup["problem"], setup["params"], f, g, grid, T,
+                          theta=1.8, dt=dt, bundle=setup["bundle"])
+    return traj.meta["steps"], taus, stage_taus
+
+
+def test_forcing_conjugated_once_per_stage_time(small_setup, monkeypatch):
+    # k2 and k3 share t + dt/2, and k4 shares t + dt with the energy log and
+    # the next k1: no time's forcing reaches apply_full twice, and no time's
+    # stage operator is built twice
+    steps, taus, stage_taus = _stage_times(small_setup, 0.5, None, monkeypatch)
     assert len(taus) == len(set(taus))
     # t = 0, every half step and every step end
-    assert len(taus) >= 2 * traj.meta["steps"] + 1
+    assert len(taus) == 2 * steps + 1
+    assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
+
+
+def test_steps_end_on_the_logged_times(monkeypatch):
+    # forced kdv-baseline at N=256 with dt = 0.002: times[i] + dt misses
+    # times[i+1] by an ulp at 22 of the 500 steps, so a step that ended at
+    # t + dt would make those 22 times extra stage times
+    prob = model_problem("kdv-baseline", 0.75, domain=40.0)
+    grid = make_grid(40.0, 256)
+    params, details = select_parameters_detailed(prob, 1.8, grid)
+    setup = dict(problem=prob, grid=grid, params=params,
+                 bundle=details["bundle"])
+    steps, taus, stage_taus = _stage_times(setup, 1.0, 0.002, monkeypatch)
+    assert steps == 500
+    assert len(taus) == len(set(taus)) == 2 * steps + 1
+    assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
 
 
 def test_radius_loss_bounded(small_setup):

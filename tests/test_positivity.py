@@ -33,8 +33,7 @@ def test_selection_trivial_case():
 
 
 def test_selected_parameters_pass_verifier(small_setup):
-    rep = verify_lower_bounds(small_setup["assembler"], small_setup["params"],
-                              small_setup["grid"], T_SAMPLES)
+    rep = verify_lower_bounds(small_setup["assembler"], T_SAMPLES)
     assert rep.passed
     assert rep.min_margin("order2") > 0
     assert rep.min_margin("order1") > 0
@@ -43,8 +42,8 @@ def test_selected_parameters_pass_verifier(small_setup):
 
 def test_zero_m2_fails_with_witness(small_setup):
     params0 = dataclasses.replace(small_setup["params"], M2=0.0)
-    rep = verify_lower_bounds(small_setup["problem"], params0,
-                              small_setup["grid"], T_SAMPLES)
+    rep = verify_lower_bounds(ConjugationAssembler(
+        small_setup["problem"], params0, small_setup["grid"]), T_SAMPLES)
     assert not rep.passed
     rows = [r for r in rep.rows if r.bound == "order2"]
     worst = min(rows, key=lambda r: r.margin)
@@ -75,7 +74,8 @@ def test_pass_persists_at_doubled_h(large_setup):
     region = np.abs(grid.xi) > large_setup["params"].R_a3 * h2
     assert np.any(region)
     params2, _ = select_parameters_detailed(prob, 1.8, grid, h_start=h2, h_max=h2)
-    rep = verify_lower_bounds(prob, params2, grid, T_SAMPLES)
+    rep = verify_lower_bounds(ConjugationAssembler(prob, params2, grid),
+                              T_SAMPLES)
     assert rep.passed
 
 
@@ -92,8 +92,7 @@ def test_calibrated_k_stays_positive(small_setup):
     params = small_setup["params"]
     assert float(k_of_t(1.0, params)) > 0.0
     # the calibrated constants close the balance: residual margin >= ~0
-    rep = verify_lower_bounds(small_setup["assembler"], params,
-                              small_setup["grid"], T_SAMPLES)
+    rep = verify_lower_bounds(small_setup["assembler"], T_SAMPLES)
     assert rep.min_margin("theta") >= -1e-8
 
 
@@ -118,8 +117,7 @@ def test_garding_floor_bounded_in_n():
 
 
 def test_report_csv_rows(small_setup):
-    rep = verify_lower_bounds(small_setup["assembler"], small_setup["params"],
-                              small_setup["grid"], [0.0, 0.5])
+    rep = verify_lower_bounds(small_setup["assembler"], [0.0, 0.5])
     lines = rep.csv_lines()
     assert lines[0] == "# schema=1"
     assert lines[1] == "bound,t,margin,witness_x,witness_xi"
@@ -128,7 +126,7 @@ def test_report_csv_rows(small_setup):
 
 def test_empty_region_reported(small_setup):
     params = dataclasses.replace(small_setup["params"], h=64.0)
-    rep = verify_lower_bounds(small_setup["problem"], params,
-                              small_setup["grid"], [0.0])
+    rep = verify_lower_bounds(ConjugationAssembler(
+        small_setup["problem"], params, small_setup["grid"]), [0.0])
     assert not rep.passed
     assert "no grid frequencies" in rep.detail
