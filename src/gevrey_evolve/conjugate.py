@@ -220,8 +220,8 @@ class ConjugatorBundle:
     the grid, params, problem and phase tables both were built from.
 
     E and E_inv read neither C1 nor C2; the time stage and the assembler's
-    generator read both, so the assembler's params must carry the calibrated
-    constants before the bundle is applied (``with_params``)."""
+    generator read both, so the assembler is calibrated before the bundle
+    is built from it."""
 
     E: "Multiplier | Dense"        # op(e^lam)
     E_inv: "Multiplier | Dense"    # 1 / row, E_star sum_j (-R)^j, or inv(E)
@@ -235,11 +235,6 @@ class ConjugatorBundle:
     params = property(lambda self: self.assembler.params)
     problem = property(lambda self: self.assembler.problem)
 
-    def with_params(self, params: WeightParams):
-        """This bundle with other k(t) constants C1, C2.  The copy shares the
-        operators and the assembler's tables, which read neither."""
-        return replace(self, assembler=self.assembler.with_params(params))
-
     def time_stage(self, t, sign=+1):
         """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier."""
         expo = sign * float(k_of_t(t, self.params)) * self.assembler.xi_pow
@@ -248,20 +243,28 @@ class ConjugatorBundle:
         return Multiplier(self.grid, np.exp(expo))
 
     def apply_full(self, u, t):
-        """op(e^Lam(t)) u: the spatial stage E, then the time stage."""
-        return self.time_stage(t).matvec(self.E.matvec(u))
+        """op(e^Lam(t)) u: the spatial stage E, then the time stage; one
+        product row when E is a Multiplier too."""
+        stage = self.time_stage(t)
+        if isinstance(self.E, Multiplier):
+            return Multiplier(self.grid, stage.row * self.E.row).matvec(u)
+        return stage.matvec(self.E.matvec(u))
 
     def apply_full_inverse(self, v, t):
-        """{op(e^Lam(t))}^{-1} v: the inverse time stage, then E_inv."""
-        return self.E_inv.matvec(self.time_stage(t, -1).matvec(v))
+        """{op(e^Lam(t))}^{-1} v: the inverse time stage, then E_inv; one
+        product row when E_inv is a Multiplier too."""
+        stage = self.time_stage(t, -1)
+        if isinstance(self.E_inv, Multiplier):
+            return Multiplier(self.grid, self.E_inv.row * stage.row).matvec(v)
+        return self.E_inv.matvec(stage.matvec(v))
 
 
-def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
+def build_conjugator(assembler: "ConjugationAssembler",
                      series_tol: float = 1e-10,
                      inverse_tol: float = 1e-8,
                      mode: str = "neumann") -> ConjugatorBundle:
-    """Build op(e^lam), its inverse and the assembler of the conjugated
-    symbols, all from one set of phase tables.
+    """Build op(e^lam) and its inverse from the assembler's phase tables;
+    the bundle keeps the assembler.
 
     When the phase and the remainder symbol are x-independent (fourier_rows)
     E and E_inv are the Multipliers of the row e^lam and its reciprocal, and
@@ -274,7 +277,7 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
     ``mode="dense"`` replaces either with a dense E and a direct dense
     inverse (cross-check oracle, N <= 256).
     """
-    phase = build_phase_tables(p, params, grid)
+    grid, phase = assembler.grid, assembler.phase
     N = grid.N
     # truncated symbol expansion of the remainder (diagnostic + convergence
     # certificate): sum_{g=1..3} (1/g!) d_xi^g (e^lam D_x^g e^-lam)
@@ -330,7 +333,7 @@ def build_conjugator(p: ProblemSpec, params: WeightParams, grid: Grid,
             f"{inverse_tol}; increase h or loosen inverse_tol")
     return ConjugatorBundle(E=E, E_inv=E_inv, spectral_radius=rho,
                             residual=residual, series_terms=terms, symbol_gap=gap,
-                            assembler=ConjugationAssembler(p, params, grid, phase))
+                            assembler=assembler)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +354,7 @@ class ConjugatedSymbols:
     grid: Grid
     a3_row: np.ndarray
     parts: dict
+    _static: dict = field(default_factory=dict, repr=False)
     _herm: dict = field(default_factory=dict, repr=False)
 
     def group_order2(self):
@@ -378,9 +382,13 @@ class ConjugatedSymbols:
 
     def hermitian_corrections(self):
         """Symbols c (from Re a2) and e (from the k-stage imaginary parts):
-        the Hermitian halves of i Im a2t that feed the order-1 lower bound."""
+        the Hermitian halves of i Im a2t that feed the order-1 lower bound.
+        c reads only the coefficients, so it is kept with the assembler's
+        tables of this coefficient time (``_static``)."""
         if not self._herm:
-            self._herm["c"] = _hermitian_half(self.parts["re_a2_raw"])
+            if "c" not in self._static:
+                self._static["c"] = _hermitian_half(self.parts["re_a2_raw"])
+            self._herm["c"] = self._static["c"]
             im_tab = self.parts["b2k"].imag + self.parts["ia2_k"].imag
             self._herm["e"] = _hermitian_half(im_tab)
         return self._herm
@@ -429,12 +437,11 @@ class ConjugationAssembler:
     ``stage_operator(t)`` is the operator the time stepper applies.
     """
 
-    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
-                 phase: PhaseTables = None):
+    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
         self.problem = p
         self.params = params
         self.grid = grid
-        self.phase = phase or build_phase_tables(p, params, grid)
+        self.phase = build_phase_tables(p, params, grid)
         self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
@@ -550,8 +557,8 @@ class ConjugationAssembler:
     def _static_tables(self, t):
         """One entry for time-independent coefficients; one per time
         (memoized, at most 12) for time-dependent ones.  An entry holds the
-        spatial-stage tables, the k-stage tables and, once generator() has
-        asked for them, the generator's polynomial coefficients."""
+        spatial-stage tables, the k-stage tables and, once asked for, the
+        generator's polynomial coefficients and the Hermitian correction c."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
             stage = self._lambda_stage(0.0 if key is None else t)
@@ -644,5 +651,6 @@ class ConjugationAssembler:
             m1_main=stage["m1_main"], m1_tail=stage["m1_tail"],
             d1=stage["d1"], re_a2_raw=stage["re_a2_raw"],
         )
-        return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts)
+        return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts,
+                                 _static=entry)
 

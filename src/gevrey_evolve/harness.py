@@ -101,6 +101,9 @@ _INT_KEYS = {"grid.N", "data.mode", "seed"}
 _BOOL_KEYS = {"output.snapshots"}
 _STR_KEYS = {"problem.id", "data.kind", "output.dir"}
 _AUTO_KEYS = {"weights.M2", "weights.M1", "weights.h", "run.dt", "data.rho"}
+_POSITIVE_KEYS = ("grid.L", "problem.T", "gevrey.rho", "data.rho", "weights.k0",
+                  "select.margin", "run.dt", "tolerances.inverse_tol",
+                  "tolerances.series_tol", "tolerances.garding_tol")
 
 
 def parse_config_text(text):
@@ -179,21 +182,21 @@ class RunConfig:
                 f"(half-open at the top), got {theta}")
         if v["grid.N"] < 8 or v["grid.N"] % 2:
             raise ConfigurationError(f"grid.N must be even and >= 8, got {v['grid.N']}")
-        if v["grid.L"] <= 0:
-            raise ConfigurationError("grid.L must be positive")
-        if v["weights.k0"] <= 0:
-            raise ConfigurationError("weights.k0 must be positive")
-        for key in ("weights.M2", "weights.M1", "weights.h"):
+        # sizes, radii, tolerances, a step or a horizon that is 0, negative,
+        # inf or nan has no meaning; each test is written so that nan fails it
+        for key in _POSITIVE_KEYS:
             val = v[key]
-            if val != "auto" and (not isinstance(val, float) or val < 0):
-                raise ConfigurationError(f"{key} must be 'auto' or a number >= 0")
-        # a step or a horizon that is 0, negative, inf or nan has no solve
-        if v["run.dt"] != "auto" and not (0.0 < v["run.dt"] < np.inf):
-            raise ConfigurationError(
-                f"run.dt must be 'auto' or finite and > 0, got {v['run.dt']}")
-        if not (0.0 < v["problem.T"] < np.inf):
-            raise ConfigurationError(
-                f"problem.T must be finite and > 0, got {v['problem.T']}")
+            if val != "auto" and not (0.0 < val < np.inf):
+                auto = "'auto' or " if key in _AUTO_KEYS else ""
+                raise ConfigurationError(
+                    f"{key} must be {auto}finite and > 0, got {val}")
+        for key, low in (("weights.M2", 0.0), ("weights.M1", 0.0),
+                         ("weights.h", 1.0)):
+            val = v[key]
+            if val != "auto" and (not isinstance(val, float)
+                                  or not (low <= val < np.inf)):
+                raise ConfigurationError(
+                    f"{key} must be 'auto' or finite and >= {low:g}, got {val}")
         if v["data.kind"] not in ("gevrey", "gaussian", "mode"):
             raise ConfigurationError(
                 f"data.kind must be gevrey|gaussian|mode, got {v['data.kind']!r}")
@@ -397,7 +400,11 @@ _SWEEP_AXES = {
 def worker_count():
     cap = os.environ.get("GEVREY_EVOLVE_THREADS")
     if cap:
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ConfigurationError(
+                f"GEVREY_EVOLVE_THREADS must be an integer, got {cap!r}")
     return min(4, os.cpu_count() or 1)
 
 
@@ -511,7 +518,7 @@ def oracle_suite(cfg: RunConfig, n_max=64):
           float(np.linalg.norm(E @ E_inv - np.eye(N), 2)),
           v["tolerances.inverse_tol"])
     # the Multiplier or Neumann-series inverse against the dense inverse
-    dense = build_conjugator(problem, params, grid, mode="dense").E_inv.dense()
+    dense = build_conjugator(bundle.assembler, mode="dense").E_inv.dense()
     check("neumann-vs-dense",
           float(np.linalg.norm(E_inv - dense, 2))
           / max(1.0, float(np.linalg.norm(dense, 2))), 1e-6)

@@ -203,14 +203,19 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     return params
 
 
+def calibrated_assembler(p: ProblemSpec, params: WeightParams,
+                         grid: Grid) -> ConjugationAssembler:
+    """The assembler for ``params``, with C1 and C2 calibrated on it."""
+    assembler = ConjugationAssembler(p, params, grid)
+    return assembler.with_params(calibrate_time_weight(assembler))
+
+
 def build_calibrated_conjugator(p: ProblemSpec, params: WeightParams,
                                 grid: Grid, series_tol: float = 1e-10,
                                 inverse_tol: float = 1e-8) -> ConjugatorBundle:
-    """The conjugator for ``params``, with C1 and C2 calibrated on its
-    assembler and installed in both."""
-    bundle = build_conjugator(p, params, grid, series_tol=series_tol,
-                              inverse_tol=inverse_tol)
-    return bundle.with_params(calibrate_time_weight(bundle.assembler))
+    """The conjugator for ``params``, built on its calibrated assembler."""
+    return build_conjugator(calibrated_assembler(p, params, grid),
+                            series_tol=series_tol, inverse_tol=inverse_tol)
 
 
 def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
@@ -220,6 +225,12 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                inverse_tol: float = 1e-8,
                                M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
+
+    Each trial h builds the phase tables and the assembler, calibrates C1
+    and C2 on it and checks the lower bounds; only a trial that passes
+    builds the conjugator's inverse from that assembler.  The first h where
+    both succeed is accepted; a failed trial's tables are released before
+    the next trial builds its own.
 
     M2_pin / M1_pin freeze a strength instead of deriving it from the
     measured constants (used by parameter sweeps).  ``assumptions`` is a
@@ -254,6 +265,14 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
+    # the h-independent inputs of C_a2l2 and C_c, once per coefficient time:
+    # a2 and the real part of its Hermitian correction c
+    a2_by_time = {}
+    for t in ts:
+        key = float(t) if p.time_dependent else None
+        if key not in a2_by_time:
+            a2 = eval_table(p.a2, grid, float(t))
+            a2_by_time[key] = (a2.values, _hermitian_half(a2.real).values.real)
     failure = "h search did not start"
     h = h_start
     while h <= h_max:
@@ -272,39 +291,38 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             dxdxi_lam2 = dxdxi_lambda2(p, params, grid)
             norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
             C_a2l2, C_c = 0.0, 0.0
-            for t in ts:
-                a2 = eval_table(p.a2, grid, float(t))
-                cross = (a2.values * dxdxi_lam2.values).real
+            for a2, c_real in a2_by_time.values():
+                cross = (a2 * dxdxi_lam2.values).real
                 C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
-                c_tab = _hermitian_half(a2.real)
-                C_c = max(C_c, _sup_normalized(c_tab.values.real, norm1))
+                C_c = max(C_c, _sup_normalized(c_real, norm1))
             M1 = (2.0 * (C_a1 + C_a2l2 + C_c + margin) / C_a3
                   if M1_pin is None else float(M1_pin))
             trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
-            bundle = build_calibrated_conjugator(p, params, grid, series_tol,
-                                                 inverse_tol)
-            params = bundle.params
-            trial.update(spectral_radius=bundle.spectral_radius,
-                         inverse_residual=bundle.residual,
-                         C1=params.C1, C2=params.C2,
+            assembler = calibrated_assembler(p, params, grid)
+            params = assembler.params
+            trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
-            report = verify_lower_bounds(bundle.assembler, ts)
-            trial.update(margins={b: report.min_margin(b)
-                                  for b in ("order2", "order1", "theta")},
-                         passed=report.passed)
-            details["history"].append(trial)
+            report = verify_lower_bounds(assembler, ts)
+            trial["margins"] = {b: report.min_margin(b)
+                                for b in ("order2", "order1", "theta")}
             if report.passed:
+                bundle = build_conjugator(assembler, series_tol, inverse_tol)
+                trial.update(spectral_radius=bundle.spectral_radius,
+                             inverse_residual=bundle.residual, passed=True)
+                details["history"].append(trial)
                 details["report"] = report
                 details["bundle"] = bundle
                 return params, details
+            details["history"].append({**trial, "passed": False})
             worst = min(report.rows, key=lambda r: r.margin)
             failure = (f"{worst.bound} margin {worst.margin:.3e} at h={h} "
                        f"(witness x={worst.witness_x:.3g}, xi={worst.witness_xi:.3g})")
         except (ConvergenceError, ParameterError) as exc:
             failure = f"h={h}: {exc}"
             details["history"].append({**trial, "error": str(exc)})
+        assembler = None   # release the failed trial's tables before the next
         h *= 2.0
     raise InfeasibleError(
         f"no admissible h in [{h_start}, {h_max}]: last failure: {failure}")

@@ -16,7 +16,10 @@ and reproducible.
 
 The weight integrals split into an exact hypergeometric antiderivative on
 the region where psi == 1 plus Gauss-Legendre panels across the window
-roll-off; the quadrature budget is well below 1e-10 absolute.
+roll-off; the quadrature budget is well below 1e-10 absolute.  They are
+odd in x and evaluated once per unique (|x|, window size) pair; window
+sizes of 2 * 0.92 D or more see psi == 1 wherever the domain window is
+nonzero, so all of them share one column.
 
 The time weight solves k' + C1 k + C2 = 0 in closed form and must stay
 positive on the horizon; C1, C2 are measured constants fed back by the
@@ -110,10 +113,14 @@ class WeightParams:
     domain_cap: float = float("inf")
 
     def __post_init__(self):
-        if self.h < 1.0:
-            raise ParameterError(f"h must be >= 1, got {self.h}")
-        if self.M2 < 0 or self.M1 < 0 or self.k0 <= 0:
-            raise ParameterError("M2, M1 must be >= 0 and k0 > 0")
+        # written so that nan fails each test
+        if not (1.0 <= self.h < np.inf):
+            raise ParameterError(f"h must be finite and >= 1, got {self.h}")
+        if not (0.0 <= self.M2 < np.inf and 0.0 <= self.M1 < np.inf
+                and 0.0 < self.k0 < np.inf):
+            raise ParameterError(
+                f"M2, M1 must be finite and >= 0 and k0 finite and > 0, got "
+                f"M2={self.M2}, M1={self.M1}, k0={self.k0}")
         if not (0.5 < self.sigma < 1.0):
             raise ConfigurationError(f"sigma must lie in (1/2, 1), got {self.sigma}")
         if not 2.0 * (1.0 - self.sigma) < 1.0 / self.theta:
@@ -216,14 +223,21 @@ def _windowed_over_caps(x, s, cap, D):
 
     Below y_pure(cap) the window is 1 and the exact antiderivative applies;
     the roll-off [y_pure, y_end] of each unique cap is split into _PANELS
-    Gauss-Legendre panels.  All caps, panels and nodes are evaluated in one
-    batch: full panels once per cap, and one partial panel per point.
+    Gauss-Legendre panels.  The integral is odd in x, so it is evaluated
+    once per pair of a unique |x| and a unique cap, in one batch (full
+    panels once per cap, one partial panel per pair), and gathered back
+    with the sign of x.  A cap of 2 _DOMAIN_HI D or more sees psi == 1.0
+    exactly on every node short of the domain window's end, so all such
+    caps share one column and are clamped to that value.
     """
     x = np.asarray(x, dtype=float)
-    shape = np.broadcast(x, cap).shape
-    a = np.abs(np.broadcast_to(x, shape)).ravel()
-    caps, ci = np.unique(np.broadcast_to(cap, shape), return_inverse=True)
-    ci = ci.ravel()
+    cap = np.minimum(cap, 2.0 * _DOMAIN_HI * D)
+    uniq_a, ai = np.unique(np.abs(x), return_inverse=True)
+    caps, ci = np.unique(cap, return_inverse=True)
+    rows, cols = uniq_a.size, caps.size
+    gather = ai.reshape(x.shape), ci.reshape(np.shape(cap))
+    a = np.repeat(uniq_a, cols)
+    ci = np.tile(np.arange(cols), rows)
     y_pure = _bracket_to_y(np.minimum(0.5 * caps, _DOMAIN_LO * D))
     y_end = _bracket_to_y(np.minimum(caps, _DOMAIN_HI * D))
     out = decay_antiderivative(np.minimum(a, y_pure[ci]), s)
@@ -239,7 +253,7 @@ def _windowed_over_caps(x, s, cap, D):
         ip = np.clip(np.floor((e - y_pure[c]) / step).astype(int), 0, _PANELS - 1)
         partial = _gl_panels(bounds[c, ip], e, s, caps[c], D)
         out[need] += cum[c, ip] + partial
-    out = out.reshape(shape)
+    out = out.reshape(rows, cols)[gather]
     return np.where(x < 0.0, -out, out)
 
 

@@ -131,14 +131,14 @@ def test_criterion_3_conjugator_inverse():
     prob = model_problem("complex-damped", SIGMA, domain=20.0)
     grid = make_grid(20.0, 128)
     params = select_parameters(prob, THETA, grid)
-    bundle = build_conjugator(prob, params, grid)
-    dense = build_conjugator(prob, params, grid, mode="dense")
+    bundle = build_conjugator(ConjugationAssembler(prob, params, grid))
+    dense = build_conjugator(bundle.assembler, mode="dense")
     agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
         / operator_norm(dense.E_inv.dense())
     # infeasible h must fail loudly, not return wrong answers
     bad = dataclasses.replace(params, M2=1.5, M1=1.0)
     try:
-        build_conjugator(prob, bad, grid)
+        build_conjugator(ConjugationAssembler(prob, bad, grid))
         failed_loudly = False
     except ConvergenceError:
         failed_loudly = True

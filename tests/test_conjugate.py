@@ -42,7 +42,7 @@ def grid():
 
 def test_trivial_phase_gives_identity(grid):
     p = params_with(M2=0.0, M1=0.0)
-    bundle = build_conjugator(KDV, p, grid)
+    bundle = build_conjugator(ConjugationAssembler(KDV, p, grid))
     I = np.eye(N)
     assert operator_norm(bundle.E.dense() - I) < 1e-12
     assert operator_norm(bundle.E_inv.dense() - I) < 1e-12
@@ -60,7 +60,7 @@ def _check_against_dense_oracle(bundle, variant):
     E_ref = (to_dense(exp_table(bundle.assembler.phase.lam))
              + np.outer(nyq, nyq.conj()))
     assert operator_norm(bundle.E.dense() - E_ref) <= 1e-13 * operator_norm(E_ref)
-    dense = build_conjugator(bundle.problem, params, grid, mode="dense")
+    dense = build_conjugator(bundle.assembler, mode="dense")
     inv_ref = dense.E_inv.dense()
     assert operator_norm(bundle.E_inv.dense() - inv_ref) \
         <= 1e-12 * operator_norm(inv_ref)
@@ -91,7 +91,8 @@ def test_conjugator_variant_against_dense_oracle(name, L_, N_, weights,
     p = WeightParams(k0=0.35, sigma=0.75, theta=1.8,
                      domain_cap=float(np.sqrt(1 + L_ * L_)),
                      **weights).with_ode_constants(0.5, 0.1)
-    bundle = build_conjugator(prob, p, grid, series_tol=1e-14)
+    bundle = build_conjugator(ConjugationAssembler(prob, p, grid),
+                              series_tol=1e-14)
     _check_against_dense_oracle(bundle, variant)
     if variant is Multiplier:
         assert bundle.series_terms == 0
@@ -104,7 +105,7 @@ def test_x_independent_phase_gives_multiplier_pair(grid, monkeypatch):
     phase = conjugate.build_phase_tables(KDV, p, grid)
     phase.lam = multiplier_table(grid, 0.3 * np.tanh(grid.xi) + 0.1)
     monkeypatch.setattr(conjugate, "build_phase_tables", lambda *args: phase)
-    bundle = build_conjugator(KDV, p, grid)
+    bundle = build_conjugator(ConjugationAssembler(KDV, p, grid))
     _check_against_dense_oracle(bundle, Multiplier)
     assert bundle.residual < 1e-15 and bundle.spectral_radius < 1e-15
 
@@ -113,8 +114,7 @@ def test_inverse_residual_and_modes(small_setup):
     bundle = small_setup["bundle"]
     g = small_setup["grid"]
     assert bundle.residual <= 1e-8
-    dense = build_conjugator(small_setup["problem"], small_setup["params"], g,
-                             mode="dense")
+    dense = build_conjugator(bundle.assembler, mode="dense")
     # truncated series and dense inverse agree to series_tol * 10
     agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
         / operator_norm(dense.E_inv.dense())
@@ -124,13 +124,14 @@ def test_inverse_residual_and_modes(small_setup):
 def test_infeasible_phase_raises_convergence_error(grid):
     big = params_with(M2=1.5, M1=1.0)
     with pytest.raises(ConvergenceError):
-        build_conjugator(PROB, big, grid)
+        build_conjugator(ConjugationAssembler(PROB, big, grid))
 
 
 def test_time_multiplier_exactness(grid):
     # conjugating the x-independent leading multiplier by the time weight
     # changes nothing, to machine precision
-    bundle = build_conjugator(KDV, params_with(M2=0.0, M1=0.0, C1=0.1), grid)
+    bundle = build_conjugator(ConjugationAssembler(
+        KDV, params_with(M2=0.0, M1=0.0, C1=0.1), grid))
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     conj = full_matrix(bundle, 0.3) @ a3 @ full_inverse_matrix(bundle, 0.3)
     assert operator_norm(conj - a3) < 1e-12 * operator_norm(a3)
@@ -155,7 +156,7 @@ def test_zero_phase_kills_conjugation_terms(grid):
 def test_conj_a3_dense_oracle(grid):
     # spatial-stage conjugation of the leading term against the dense oracle
     p = params_with(M2=0.05, M1=0.04, h=4.0)
-    bundle = build_conjugator(PROB, p, grid)
+    bundle = build_conjugator(ConjugationAssembler(PROB, p, grid))
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
     cs = bundle.assembler.at(0.0)
@@ -202,7 +203,8 @@ def test_damping_terms_improve_dense_oracle(grid):
     # leaving the first-order damping terms out must visibly worsen the
     # dense-conjugation match (guards their sign and placement)
     p = params_with(h=4.0, M2=0.1, M1=0.08)
-    bundle = build_conjugator(PROB, p, grid, inverse_tol=1e-5)
+    bundle = build_conjugator(ConjugationAssembler(PROB, p, grid),
+                              inverse_tol=1e-5)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
     cs = bundle.assembler.at(0.0)

@@ -217,7 +217,7 @@ def test_unitary_flow_kdv(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     g = synthetic_radius_field(grid, 0.7, 1.8)
     traj = solve_original(kdv, p, None, g, grid, 1.0, rho=0.7, theta=1.8,
-                          bundle=build_conjugator(kdv, p, grid))
+                          bundle=build_conjugator(ConjugationAssembler(kdv, p, grid)))
     assert np.max(np.abs(traj.l2 / traj.l2[0] - 1.0)) < 1e-10
 
 

@@ -94,11 +94,13 @@ def test_run_builds_each_setup_object_once(monkeypatch):
         _, art = run_pipeline(RunConfig.from_text(text), write=False)
         assert calls.count("check") == 1
         done = calls.index("resolved")
-        builds = calls[:done].count("build")
-        # one conjugator per selection trial, or one for fixed or trivial weights
-        assert builds == (len(art["details"].get("history", [])) or 1)
-        # each conjugator brings its one assembler
-        assert calls[:done].count("assembler") == builds
+        # one conjugator, for the accepted trial or the fixed or trivial
+        # weights: a trial that fails builds no inverse
+        assert calls[:done].count("build") == 1
+        # one assembler (and its phase tables) per selection trial, or one
+        # for fixed or trivial weights
+        trials = len(art["details"].get("history", []))
+        assert calls[:done].count("assembler") == (trials or 1)
         assert "build" not in calls[done:] and "assembler" not in calls[done:]
         # the time multipliers and the generator read C1/C2, so the reused
         # bundle and its assembler must carry them
@@ -201,8 +203,12 @@ def test_error_category_totality():
 @pytest.mark.parametrize("key, value", [
     ("run.dt", "0"), ("run.dt", "-0.01"), ("run.dt", "nan"), ("run.dt", "inf"),
     ("problem.T", "0"), ("problem.T", "-1"), ("problem.T", "nan"),
-    ("problem.T", "inf")])
-def test_solve_inputs_must_be_finite_and_positive(tmp_path, key, value):
+    ("problem.T", "inf"), ("gevrey.rho", "-3"), ("data.rho", "nan"),
+    ("tolerances.inverse_tol", "-1"), ("tolerances.series_tol", "nan"),
+    ("tolerances.garding_tol", "-1"), ("weights.h", "nan"),
+    ("weights.h", "0.5"), ("weights.M2", "inf"), ("weights.k0", "nan"),
+    ("select.margin", "-1"), ("grid.L", "inf")])
+def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     text = SMALL + f"{key} = {value}\n"
     with pytest.raises(ConfigurationError) as err:
         RunConfig.from_text(text).validate()
@@ -210,7 +216,20 @@ def test_solve_inputs_must_be_finite_and_positive(tmp_path, key, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
     assert main(["verify", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and key in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_thread_cap_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GEVREY_EVOLVE_THREADS", "abc")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL)
+    assert main(["sweep", str(cfg), "--axis", "h", "--values", "4"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "GEVREY_EVOLVE_THREADS" in err and len(err.strip().splitlines()) == 1
 
 
 # grid.N = 8 on L = 40 resolves no frequency beyond R_a3, yet validates

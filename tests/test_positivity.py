@@ -88,6 +88,21 @@ def test_infeasible_reports_failing_inequality():
     assert "last failure" in str(err.value)
 
 
+def test_failed_positivity_builds_no_inverse(monkeypatch):
+    # M2 = 0 leaves the order-2 block negative: the trial fails positivity
+    # and must not pay for the conjugator's inverse
+    from gevrey_evolve import positivity
+    builds = []
+    monkeypatch.setattr(positivity, "build_conjugator",
+                        lambda *args, **kw: builds.append(args))
+    prob = model_problem("complex-damped", 0.75, domain=10.0)
+    with pytest.raises(InfeasibleError) as err:
+        select_parameters(prob, 1.8, make_grid(10.0, 64), h_start=2.0,
+                          h_max=2.0, M2_pin=0.0)
+    assert "order2 margin" in str(err.value)
+    assert builds == []
+
+
 def test_calibrated_k_stays_positive(small_setup):
     params = small_setup["params"]
     assert float(k_of_t(1.0, params)) > 0.0

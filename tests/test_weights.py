@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gevrey_evolve import weights
 from gevrey_evolve.errors import ConfigurationError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.symbols import Symbol, model_problem
@@ -234,6 +235,43 @@ def test_windowed_integral_batched_caps_match_one_cap_at_a_time():
         assert np.allclose(batched[:, k], one, rtol=1e-14, atol=0.0)
 
 
+def _one_cap_reference(x, s, cap, D):
+    """The windowed integral for one cap, point by point, with no clamping
+    of the cap: the exact antiderivative up to y_pure, the full panels up to
+    the point's panel and one partial panel."""
+    a = np.abs(x)
+    y_pure = weights._bracket_to_y(min(0.5 * cap, weights._DOMAIN_LO * D))
+    y_end = weights._bracket_to_y(min(cap, weights._DOMAIN_HI * D))
+    out = weights.decay_antiderivative(np.minimum(a, y_pure), s)
+    ends = np.minimum(a, y_end)
+    need = ends > y_pure
+    bounds = np.linspace(y_pure, y_end, weights._PANELS + 1)
+    cum = np.cumsum(np.concatenate(
+        ([0.0], weights._gl_panels(bounds[:-1], bounds[1:], s, cap, D))))
+    step = (y_end - y_pure) / weights._PANELS
+    ip = np.clip(np.floor((ends[need] - y_pure) / step).astype(int),
+                 0, weights._PANELS - 1)
+    out[need] += cum[ip] + weights._gl_panels(bounds[ip], ends[need], s, cap, D)
+    return np.where(x < 0.0, -out, out)
+
+
+@pytest.mark.parametrize("D", [np.sqrt(1 + 100.0), np.inf], ids=["D", "inf"])
+@pytest.mark.parametrize("s", [0.75, 0.375])
+def test_windowed_integral_lattice_is_one_cap_reference_bit_for_bit(D, s):
+    # the lambda2/lambda1 lattice, evaluated on unique (|x|, cap) pairs with
+    # the caps clamped at 2 _DOMAIN_HI D, against one unclamped cap at a
+    # time; h = 2 keeps every roll-off of positive width (numpy's linspace
+    # rounds a batch that holds a zero-width one differently)
+    grid = make_grid(10.0, 64)
+    caps = np.square(bracket_h(grid.xi, 2.0))
+    clamp = 2.0 * weights._DOMAIN_HI * np.sqrt(1 + 100.0)
+    assert np.any(caps < clamp) and np.sum(caps > clamp) > 1
+    lattice = _windowed_over_caps(grid.x[:, None], s, caps[None, :], D)
+    reference = np.stack([_one_cap_reference(grid.x, s, cap, D)
+                          for cap in caps], axis=1)
+    assert np.array_equal(lattice, reference)
+
+
 # ----------------------------------------------------------------------
 # time weight and total phase
 # ----------------------------------------------------------------------
@@ -298,8 +336,10 @@ def test_phase_ratio_shrinks_with_h():
 def test_weight_params_validation():
     with pytest.raises(ConfigurationError):
         params_with(sigma=0.6, theta=1.4)  # 2(1-sigma) = 0.8 >= 1/1.4
-    with pytest.raises(ParameterError):
-        params_with(h=0.5)
+    for bad in (dict(h=0.5), dict(h=np.nan), dict(M2=np.nan),
+                dict(M1=np.nan), dict(k0=np.nan), dict(k0=0.0)):
+        with pytest.raises(ParameterError):
+            params_with(**bad)
     with pytest.raises(ConfigurationError):
         params_with(sigma=0.3)
     with pytest.raises(ConfigurationError):
