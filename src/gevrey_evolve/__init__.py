@@ -23,8 +23,8 @@ from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,
 from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
                         ConjugatorBundle, build_conjugator)
 from .positivity import (PositivityReport, calibrate_time_weight,
-                         discrete_garding, select_parameters,
-                         select_parameters_detailed, verify_lower_bounds)
+                         discrete_garding, select_parameters_detailed,
+                         verify_lower_bounds)
 from .evolve import (GevreyNormSpec, RadiusFit, Trajectory, gevrey_norm,
                      radius_fit, radius_fit_report, solve_conjugated,
                      solve_original, step, synthetic_radius_field)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugate import (ConjugationAssembler, ConjugatorBundle,
-                        _hermitian_half, build_conjugator, dxdxi_lambda2)
+from .conjugate import (ConjugationAssembler, _hermitian_half,
+                        build_conjugator, dxdxi_lambda2)
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -108,8 +108,7 @@ def _margin_normalizers(grid, params):
 
 
 def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
-                        tol: float = 1e-8,
-                        with_garding: bool = False) -> PositivityReport:
+                        tol: float = 1e-8) -> PositivityReport:
     """Normalized minima of the three real-part blocks of the assembler's
     symbols over the grid region |xi| > R_a3 h, at each sample time.
     Failures are rows, not errors."""
@@ -139,14 +138,17 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
             scale = max(1.0, float(np.max(np.abs(sub))))
             if margin < -tol * scale:
                 ok = False
-        if with_garding and t == np.atleast_1d(t_samples)[0]:
-            report.garding_floors = {
-                "order2": discrete_garding(cs.group_order2().real, grid),
-                "order1": discrete_garding(cs.group_order1().real, grid),
-                "theta": discrete_garding(cs.group_theta().real, grid),
-            }
     report.passed = ok
     return report
+
+
+def garding_floors(assembler: ConjugationAssembler) -> dict:
+    """Band-restricted Garding floors of the three blocks at t = 0 (dense
+    N x N eigenproblems)."""
+    cs, grid = assembler.at(0.0), assembler.grid
+    return {"order2": discrete_garding(cs.group_order2().real, grid),
+            "order1": discrete_garding(cs.group_order1().real, grid),
+            "theta": discrete_garding(cs.group_theta().real, grid)}
 
 
 # ----------------------------------------------------------------------
@@ -203,40 +205,29 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     return params
 
 
-def calibrated_assembler(p: ProblemSpec, params: WeightParams,
-                         grid: Grid) -> ConjugationAssembler:
-    """The assembler for ``params``, with C1 and C2 calibrated on it."""
-    assembler = ConjugationAssembler(p, params, grid)
-    return assembler.with_params(calibrate_time_weight(assembler))
-
-
-def build_calibrated_conjugator(p: ProblemSpec, params: WeightParams,
-                                grid: Grid, series_tol: float = 1e-10,
-                                inverse_tol: float = 1e-8) -> ConjugatorBundle:
-    """The conjugator for ``params``, built on its calibrated assembler."""
-    return build_conjugator(calibrated_assembler(p, params, grid),
-                            series_tol=series_tol, inverse_tol=inverse_tol)
-
-
 def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                k0: float = 0.35, margin: float = 0.08,
                                h_start: float = 1.0, h_max: float = 2.0 ** 14,
                                series_tol: float = 1e-10,
-                               inverse_tol: float = 1e-8,
+                               inverse_tol: float = 1e-8, tol: float = 1e-8,
                                M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
     Each trial h builds the phase tables and the assembler, calibrates C1
-    and C2 on it and checks the lower bounds; only a trial that passes
-    builds the conjugator's inverse from that assembler.  The first h where
-    both succeed is accepted; a failed trial's tables are released before
-    the next trial builds its own.
+    and C2 on it and checks the lower bounds to margin tolerance ``tol``;
+    only a trial that passes builds the conjugator's inverse from that
+    assembler.  The first h where both succeed is accepted; a failed
+    trial's tables are released before the next trial builds its own.
 
     M2_pin / M1_pin freeze a strength instead of deriving it from the
-    measured constants (used by parameter sweeps).  ``assumptions`` is a
-    report from check_assumptions(p, grid, theta), computed here if absent.
-    The returned params come with their calibrated conjugator in
-    details["bundle"], on the trivial branch too."""
+    measured constants, and h_start = h_max freezes h: parameter sweeps pin
+    one of them, explicit weights pin all three, a single trial.  With
+    nothing to dominate and nothing pinned, the one trial is the identity
+    conjugator (M2 = M1 = 0 at h_start).  ``assumptions`` is a report from
+    check_assumptions(p, grid, theta), computed here if absent.  The
+    accepted trial's conjugator is details["bundle"] and its positivity
+    certificate details["report"]; if no trial is accepted, raises
+    InfeasibleError."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
     rep.require()
@@ -255,13 +246,8 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     if (C_a2 < ZERO_THRESHOLD and C_a1 < ZERO_THRESHOLD
             and M2_pin is None and M1_pin is None):
         # nothing to dominate: the identity conjugator keeps the solver exact
-        params = WeightParams(M2=0.0, M1=0.0, h=h_start, k0=k0,
-                              sigma=p.sigma, theta=theta, R_a3=p.R_a3,
-                              domain_cap=D)
-        details["trivial"] = True
-        details["bundle"] = build_calibrated_conjugator(
-            p, params, grid, series_tol, inverse_tol)
-        return details["bundle"].params, details
+        M2_pin = M1_pin = 0.0
+        h_max = h_start
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
@@ -300,11 +286,12 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
-            assembler = calibrated_assembler(p, params, grid)
-            params = assembler.params
+            assembler = ConjugationAssembler(p, params, grid)
+            params = calibrate_time_weight(assembler)
+            assembler = assembler.with_params(params)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
-            report = verify_lower_bounds(assembler, ts)
+            report = verify_lower_bounds(assembler, ts, tol)
             trial["margins"] = {b: report.min_margin(b)
                                 for b in ("order2", "order1", "theta")}
             if report.passed:
@@ -327,9 +314,3 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     raise InfeasibleError(
         f"no admissible h in [{h_start}, {h_max}]: last failure: {failure}")
 
-
-def select_parameters(p: ProblemSpec, theta: float, grid: Grid,
-                      **kw) -> WeightParams:
-    """Automatically chosen weight strengths, shift h, and k(t) constants."""
-    params, _ = select_parameters_detailed(p, theta, grid, **kw)
-    return params

@@ -16,8 +16,7 @@ from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.evolve import solve_original, synthetic_radius_field
 from gevrey_evolve.grid import bracket_h
 from gevrey_evolve.harness import RunConfig, model_problem_spatial_dense, run_pipeline
-from gevrey_evolve.positivity import (select_parameters,
-                                      select_parameters_detailed,
+from gevrey_evolve.positivity import (select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import (band_relative_error, compose_expansion,
                                     operator_norm, representable_error,
@@ -130,8 +129,8 @@ def test_criterion_2_composition_oracle():
 def test_criterion_3_conjugator_inverse():
     prob = model_problem("complex-damped", SIGMA, domain=20.0)
     grid = make_grid(20.0, 128)
-    params = select_parameters(prob, THETA, grid)
-    bundle = build_conjugator(ConjugationAssembler(prob, params, grid))
+    params, details = select_parameters_detailed(prob, THETA, grid)
+    bundle = details["bundle"]
     dense = build_conjugator(bundle.assembler, mode="dense")
     agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
         / operator_norm(dense.E_inv.dense())

@@ -47,9 +47,11 @@ def test_resolved_config_is_replayable(tmp_path):
     assert replay["weights.M2"] != "auto"
     assert replay["weights.h"] == art["params"].h
     assert replay["run.dt"] == traj.meta["dt"]
-    # replaying the fully explicit config reproduces the run byte-for-byte
+    # replaying the fully explicit config reproduces the run byte-for-byte;
+    # its one pinned trial repeats the accepted one, so report.txt's Garding
+    # floors and conjugator diagnostics match too
     run_pipeline(replay, out_dir=str(tmp_path / "replay"))
-    for name in ("trajectory.csv", "positivity.csv"):
+    for name in ("trajectory.csv", "positivity.csv", "report.txt"):
         assert (tmp_path / "auto" / name).read_bytes() \
             == (tmp_path / "replay" / name).read_bytes()
 
@@ -85,6 +87,9 @@ def test_run_builds_each_setup_object_once(monkeypatch):
         monkeypatch.setattr(module, "build_conjugator", build)
     for module in (symbols, positivity, harness):
         monkeypatch.setattr(module, "check_assumptions", check)
+    for name in ("verify_lower_bounds", "discrete_garding"):
+        monkeypatch.setattr(positivity, name,
+                            counting(name, getattr(positivity, name)))
     monkeypatch.setattr(conjugate.ConjugationAssembler, "__init__",
                         counting("assembler", conjugate.ConjugationAssembler.__init__))
     monkeypatch.setattr(harness, "resolve_weights",
@@ -94,20 +99,41 @@ def test_run_builds_each_setup_object_once(monkeypatch):
         _, art = run_pipeline(RunConfig.from_text(text), write=False)
         assert calls.count("check") == 1
         done = calls.index("resolved")
-        # one conjugator, for the accepted trial or the fixed or trivial
-        # weights: a trial that fails builds no inverse
+        # one conjugator, for the accepted trial (fixed and trivial weights
+        # are one pinned trial): a trial that fails builds no inverse
         assert calls[:done].count("build") == 1
-        # one assembler (and its phase tables) per selection trial, or one
-        # for fixed or trivial weights
-        trials = len(art["details"].get("history", []))
-        assert calls[:done].count("assembler") == (trials or 1)
+        # one assembler (and its phase tables) per selection trial
+        history = art["details"]["history"]
+        assert calls[:done].count("assembler") == len(history)
         assert "build" not in calls[done:] and "assembler" not in calls[done:]
+        # one certificate per checked trial, and the run publishes the
+        # accepted trial's instead of checking again
+        assert calls[:done].count("verify_lower_bounds") \
+            == sum("margins" in trial for trial in history)
+        assert "verify_lower_bounds" not in calls[done:]
+        assert art["positivity"] is art["details"]["report"]
+        # Garding floors of the three blocks, once, since N <= 256
+        assert calls.count("discrete_garding") == 3
         # the time multipliers and the generator read C1/C2, so the reused
         # bundle and its assembler must carry them
         assert art["bundle"].params == art["params"]
         assert art["bundle"].assembler.params == art["params"]
     # on the trivial branch the tables vanish, so calibration measures zero
     assert art["params"].C1 == 0.0 and art["params"].C2 == 0.0
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_explicit_weights_failing_positivity_are_infeasible(tmp_path, capsys,
+                                                            command):
+    # M2 = 0 leaves the order-2 block negative: the one pinned trial fails
+    # its certificate, so nothing is solved on that conjugator
+    cfg = tmp_path / "m2_zero.cfg"
+    cfg.write_text(SMALL + "weights.M2 = 0\nweights.M1 = 0.12\nweights.h = 4\n"
+                   + f"output.dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "order2 margin" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_snapshots_roundtrip(tmp_path):

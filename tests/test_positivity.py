@@ -6,7 +6,7 @@ import pytest
 from gevrey_evolve.conjugate import ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
-from gevrey_evolve.positivity import (discrete_garding, select_parameters,
+from gevrey_evolve.positivity import (discrete_garding,
                                       select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import multiplier_table, table_from_function
@@ -27,7 +27,7 @@ def test_selection_formula_m2(small_setup):
 def test_selection_trivial_case():
     prob = model_problem("kdv-baseline", 0.75)
     grid = make_grid(20.0, 64)
-    params = select_parameters(prob, 1.8, grid)
+    params, _ = select_parameters_detailed(prob, 1.8, grid)
     assert params.M2 == 0.0 and params.M1 == 0.0
     assert params.C1 == 0.0 and params.C2 == 0.0
 
@@ -84,7 +84,7 @@ def test_infeasible_reports_failing_inequality():
                          domain=10.0)
     grid = make_grid(10.0, 64)
     with pytest.raises(InfeasibleError) as err:
-        select_parameters(prob, 1.8, grid)
+        select_parameters_detailed(prob, 1.8, grid)
     assert "last failure" in str(err.value)
 
 
@@ -97,8 +97,8 @@ def test_failed_positivity_builds_no_inverse(monkeypatch):
                         lambda *args, **kw: builds.append(args))
     prob = model_problem("complex-damped", 0.75, domain=10.0)
     with pytest.raises(InfeasibleError) as err:
-        select_parameters(prob, 1.8, make_grid(10.0, 64), h_start=2.0,
-                          h_max=2.0, M2_pin=0.0)
+        select_parameters_detailed(prob, 1.8, make_grid(10.0, 64),
+                                   h_start=2.0, h_max=2.0, M2_pin=0.0)
     assert "order2 margin" in str(err.value)
     assert builds == []
 

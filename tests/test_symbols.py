@@ -169,13 +169,17 @@ def test_check_assumptions_theta_boundary(grid):
     assert not bad[0].passed
 
 
-def test_check_assumptions_no_decay_fails(grid):
+@pytest.mark.parametrize("field, symbol, row_name", [
+    pytest.param("a1", Symbol(lambda t, x, xi: 1j * np.sqrt(1 + xi ** 2) + 0 * x,
+                              order=1.0), "hyp-iv-order1-decay", id="a1"),
+    pytest.param("a2", Symbol(lambda t, x, xi: 1j * xi ** 2 + 0 * x, order=2.0),
+                 "hyp-iii-order2-decay", id="a2")])
+def test_check_assumptions_no_decay_fails(grid, field, symbol, row_name):
     import dataclasses
     p = model_problem("complex-damped", 0.75, domain=grid.L)
-    bad_a1 = Symbol(lambda t, x, xi: 1j * np.sqrt(1 + xi ** 2) + 0 * x, order=1.0)
-    p_bad = dataclasses.replace(p, a1=bad_a1)
+    p_bad = dataclasses.replace(p, **{field: symbol})
     rep = check_assumptions(p_bad, grid, 1.8)
-    row = [r for r in rep.results if r.name == "hyp-iv-order1-decay"][0]
+    row = [r for r in rep.results if r.name == row_name][0]
     assert not row.passed
     assert len(row.witness) == 3  # (t, x, xi) witness node
 
