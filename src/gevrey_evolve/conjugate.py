@@ -35,8 +35,9 @@ from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, SymbolTable, adjoint, dx_operator,
-                       exp_table, multiplier_table, operator_norm, quantized,
-                       to_dense, x_derivative, xi_derivative)
+                       exp_table, fourier_rows, multiplier_table, operator_norm,
+                       quantized, sampled_table, to_dense, x_derivative,
+                       xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
                       lambda_x_derivative, lambda1, lambda2, sign_weight)
@@ -112,8 +113,8 @@ class PhaseTables:
 
 def _lambda_x_table(p, params, grid, which, order):
     X, XI = grid.x[:, None], grid.xi[None, :]
-    return SymbolTable(grid, lambda_x_derivative(
-        X, XI, 0.0, p, params, which=which, order=order).astype(complex))
+    return sampled_table(grid, lambda_x_derivative(
+        X, XI, 0.0, p, params, which=which, order=order))
 
 
 def dxdxi_lambda2(p: ProblemSpec, params: WeightParams,
@@ -128,8 +129,8 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
     """Sample the spatial phase and its derivatives once per grid/params.
     The higher derivatives are needed only to form P_b and Q_a."""
     X, XI = grid.x[:, None], grid.xi[None, :]
-    l2 = SymbolTable(grid, lambda2(X, XI, 0.0, p, params).astype(complex))
-    l1 = SymbolTable(grid, lambda1(X, XI, 0.0, p, params).astype(complex))
+    l2 = sampled_table(grid, lambda2(X, XI, 0.0, p, params))
+    l1 = sampled_table(grid, lambda1(X, XI, 0.0, p, params))
     lam = l2 + l1
 
     lam2_x, lam1_x = {}, {}
@@ -172,10 +173,10 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     dxq = {0: q}
     for b in range(1, n_trunc):
         dxq[b] = dx_operator(q, b)
-    total = SymbolTable(g, np.zeros((g.N, g.N), dtype=complex))
+    total = SymbolTable(g, np.zeros((1, g.N)))
     prev_size = None
     for s in range(1, n_trunc):
-        group = SymbolTable(g, np.zeros((g.N, g.N), dtype=complex))
+        group = SymbolTable(g, np.zeros((1, g.N)))
         for a in range(0, s + 1):
             b = s - a
             core = dxq[b]
@@ -204,14 +205,6 @@ def truncation_order(m, theta, cap=8):
 # ----------------------------------------------------------------------
 # the conjugator bundle: op(e^lam), its inverse, the time stage
 # ----------------------------------------------------------------------
-
-def fourier_rows(*tables):
-    """The tables' first rows if every row of each equals its first, else
-    None: the one rule for an operator's variant, since a table with equal
-    rows is x-independent and quantizes to the multiplier of its row."""
-    if all(np.all(T == T[:1]) for T in tables):
-        return [T[0] for T in tables]
-
 
 @dataclass
 class ConjugatorBundle:
@@ -243,12 +236,17 @@ class ConjugatorBundle:
         return Multiplier(self.grid, np.exp(expo))
 
     def apply_full(self, u, t):
-        """op(e^Lam(t)) u: the spatial stage E, then the time stage; one
-        product row when E is a Multiplier too."""
-        stage = self.time_stage(t)
+        """op(e^Lam(t)) u: the spatial stage E, then the time stage."""
+        return self.grid.inverse(self.apply_full_hat(u, t))
+
+    def apply_full_hat(self, u, t):
+        """forward(op(e^Lam(t)) u), the coefficients the time stepper
+        carries: the spatial stage E, then the time stage's row; one product
+        row when E is a Multiplier too."""
+        row = self.time_stage(t).row
         if isinstance(self.E, Multiplier):
-            return Multiplier(self.grid, stage.row * self.E.row).matvec(u)
-        return stage.matvec(self.E.matvec(u))
+            return (row * self.E.row) * self.grid.forward(u)
+        return row * self.grid.forward(self.E.matvec(u))
 
     def apply_full_inverse(self, v, t):
         """{op(e^Lam(t))}^{-1} v: the inverse time stage, then E_inv; one
@@ -281,7 +279,7 @@ def build_conjugator(assembler: "ConjugationAssembler",
     N = grid.N
     # truncated symbol expansion of the remainder (diagnostic + convergence
     # certificate): sum_{g=1..3} (1/g!) d_xi^g (e^lam D_x^g e^-lam)
-    sym = SymbolTable(grid, np.zeros((N, N), dtype=complex))
+    sym = SymbolTable(grid, np.zeros((1, N)))
     for gma in (1, 2, 3):
         w = phase.dx_exp_factors[gma - 1]
         sym = sym + xi_derivative(w, gma) * (1.0 / math.factorial(gma))
@@ -411,7 +409,7 @@ def _hermitian_half(im_table: SymbolTable):
     with optimal truncation (the iterated mixed derivatives are asymptotic
     on the grid)."""
     g = im_table.grid
-    total = SymbolTable(g, np.zeros((g.N, g.N), dtype=complex))
+    total = SymbolTable(g, np.zeros((1, g.N)))
     prev_size = None
     for a in (1, 2, 3):
         term = xi_derivative(dx_operator(im_table, a), a) \
@@ -500,15 +498,15 @@ class ConjugationAssembler:
         # region the lower bounds are checked on)
         absda3_w = np.abs(da3_row) * ph.abs_w
         bx = np.sqrt(1.0 + np.square(g.x))[:, None]
-        m2_main = SymbolTable(g, (absda3_w[None, :] * params.M2
-                                  * bx ** (-params.sigma)).astype(complex))
-        m2_tail = SymbolTable(g, -(m2_main.values
-                                   * (1.0 - ph.psi_window.values.real)))
+        m2_main = sampled_table(g, absda3_w[None, :] * params.M2
+                                * bx ** (-params.sigma))
+        m2_tail = sampled_table(g, -(m2_main.values
+                                     * (1.0 - ph.psi_window.values.real)))
         bh = bracket_h(g.xi, params.h)
-        m1_main = SymbolTable(g, (absda3_w[None, :] / bh[None, :] * params.M1
-                                  * bx ** (-params.sigma / 2.0)).astype(complex))
-        m1_tail = SymbolTable(g, -(m1_main.values
-                                   * (1.0 - ph.psi_window.values.real)))
+        m1_main = sampled_table(g, absda3_w[None, :] / bh[None, :] * params.M1
+                                * bx ** (-params.sigma / 2.0))
+        m1_tail = sampled_table(g, -(m1_main.values
+                                     * (1.0 - ph.psi_window.values.real)))
 
         return dict(a3_row=a3_row, da3_row=da3_row, ia2=ia2, ia1=ia1,
                     re_a2_raw=a2.real, damp2=damp2, damp1=damp1,
@@ -631,7 +629,7 @@ class ConjugationAssembler:
         def k_sum(name):
             tabs = kcache[name]
             if not tabs:
-                return SymbolTable(g, np.zeros((g.N, g.N), dtype=complex))
+                return SymbolTable(g, np.zeros((1, g.N)))
             acc = 0.0
             for j, tab in tabs.items():
                 acc = acc + (k ** j) * tab.values

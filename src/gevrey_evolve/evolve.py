@@ -7,12 +7,17 @@ The solver integrates the conjugated problem
 with the leading multiplier handled by an exact integrating factor (the
 phase integral uses two-point Gauss quadrature per interval, exact for the
 library's polynomial time dependence) and a classical four-stage
-Runge-Kutta update for the remaining lower-order part.  Every operator
-applied is a Multiplier (one FFT pair) or a Dense, the variant read off its
-tables (conjugate.fourier_rows): both the lower-order generator and the
-conjugator op(e^Lam), through whose inverse the original unknown is
-recovered, are Multipliers on the KdV branch M2 = M1 = 0.  Every run
-carries an energy log against which the growth inequality is re-checked.
+Runge-Kutta update for the remaining lower-order part.  The step carries
+the Fourier coefficients v_hat = forward(v): the integrating factor and the
+half-step phases are row products, a Multiplier stage is a row product and
+a Dense stage costs one FFT; the forcing is conjugated straight to
+coefficients, ||v|| comes from Parseval, and v itself is synthesized only
+at the logged times.  Every operator is a Multiplier or a Dense, the
+variant read off its tables (quantize.fourier_rows): both the lower-order
+generator and the conjugator op(e^Lam), through whose inverse the original
+unknown is recovered, are Multipliers on the KdV branch M2 = M1 = 0.
+Every run carries an energy log against which the growth inequality is
+re-checked.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +28,6 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError
 from .grid import Grid
-from .quantize import Multiplier
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -161,39 +165,40 @@ def _phase_integral(p, grid, t0, t1):
     return rad * vals
 
 
-def step(v, t, dt, p, grid: Grid, stage, forcing=None):
-    """One integrating-factor Runge-Kutta step of the conjugated problem.
+def step(v_hat, t, dt, p, grid: Grid, stage, forcing=None):
+    """One integrating-factor Runge-Kutta step of the conjugated problem on
+    the coefficients v_hat = grid.forward(v); returns those at t + dt.
 
     ``stage(tau)`` is the lower-order generator at time tau as an operator
-    with ``matvec`` (quantize.Multiplier or quantize.Dense), asked for once
-    per stage time: ConjugationAssembler.stage_operator samples the
-    coefficients there and picks the variant, and a constant function
-    freezes the generator across the step.
+    with ``matvec_hat`` (quantize.Multiplier: a row product;
+    quantize.Dense: one FFT), asked for once per stage time:
+    ConjugationAssembler.stage_operator samples the coefficients there and
+    picks the variant, and a constant function freezes the generator
+    across the step.  ``forcing(tau)`` returns coefficients too.
     """
     t_half = t + 0.5 * dt
     A0, A_half, A_full = (stage(tau) for tau in (t, t_half, t + dt))
 
-    def rhs(A, tau, w):
-        out = -A.matvec(w)
+    def rhs(A, tau, w_hat):
+        out = -A.matvec_hat(w_hat)
         if forcing is not None:
             out = out + forcing(tau)
         return out
 
     ph_half = np.exp(-1j * _phase_integral(p, grid, t, t_half))
     ph_full = np.exp(-1j * _phase_integral(p, grid, t, t + dt))
-    to_half, from_half = Multiplier(grid, ph_half), Multiplier(grid, 1.0 / ph_half)
-    to_full, from_full = Multiplier(grid, ph_full), Multiplier(grid, 1.0 / ph_full)
-    # pointwise coefficient products alias into the unmatched Nyquist slot;
-    # the final multiplier application projects it back out
-    mask = np.ones(grid.N)
-    mask[grid.nyquist] = 0.0
+    from_half, from_full = 1.0 / ph_half, 1.0 / ph_full
 
-    k1 = rhs(A0, t, v)
-    k2 = from_half.matvec(rhs(A_half, t_half, to_half.matvec(v + 0.5 * dt * k1)))
-    k3 = from_half.matvec(rhs(A_half, t_half, to_half.matvec(v + 0.5 * dt * k2)))
-    k4 = from_full.matvec(rhs(A_full, t + dt, to_full.matvec(v + dt * k3)))
-    v_tilde = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Multiplier(grid, ph_full * mask).matvec(v_tilde)
+    k1 = rhs(A0, t, v_hat)
+    k2 = from_half * rhs(A_half, t_half, ph_half * (v_hat + 0.5 * dt * k1))
+    k3 = from_half * rhs(A_half, t_half, ph_half * (v_hat + 0.5 * dt * k2))
+    k4 = from_full * rhs(A_full, t + dt, ph_full * (v_hat + dt * k3))
+    v_tilde = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # pointwise coefficient products alias into the unmatched Nyquist slot;
+    # the final integrating factor projects it back out
+    out = ph_full * v_tilde
+    out[grid.nyquist] = 0.0
+    return out
 
 
 def default_dt(generator, T):
@@ -213,8 +218,10 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
 
     Stage operators are built once per stage time: step i runs with the
     exact (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].
-    f_conj: callable t -> field (already conjugated forcing) or
-    None.  The energy log records ||v||_L2 at every step, the discrete
+    v0: the conjugated data at the nodes; f_conj: callable t -> the
+    coefficients forward(.) of the conjugated forcing, or None.  The steps
+    carry coefficients, and v is synthesized at the logged times only.
+    The energy log records ||v||_L2 (by Parseval) at every step, the discrete
     growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
     one-constant bound it implies; the residual rate - C' is nonpositive
     by construction.  meta holds dt, the step count and the indices of
@@ -230,26 +237,29 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
     stride = max(1, steps // STORED_FIELDS)
 
     times = np.linspace(0.0, steps * dt, steps + 1)
-    v = grid.check_field(v0).copy()
-    v_fields, logged = [v.copy()], [0]
+    v0 = grid.check_field(v0).copy()
+    v_hat = grid.forward(v0)
+    v_fields, logged = [v0], [0]
+    # norms of coefficients: the transform is unitary (Parseval)
     E = np.empty(steps + 1)
     F = np.empty(steps + 1)
-    E[0] = grid.l2_norm(v) ** 2
+    E[0] = grid.l2_norm(v_hat) ** 2
     F[0] = grid.l2_norm(f_conj(0.0)) ** 2 if f_conj is not None else 0.0
     scale0 = np.sqrt(E[0]) + 1.0
     stage = lru_cache(maxsize=4)(assembler.stage_operator)
 
     for i in range(steps):
-        v = step(v, times[i], times[i + 1] - times[i], p, grid, stage,
-                 forcing=f_conj)
-        if not np.all(np.isfinite(v)) or grid.l2_norm(v) > BLOWUP_FACTOR * scale0:
+        v_hat = step(v_hat, times[i], times[i + 1] - times[i], p, grid, stage,
+                     forcing=f_conj)
+        norm = grid.l2_norm(v_hat)
+        if not np.all(np.isfinite(v_hat)) or norm > BLOWUP_FACTOR * scale0:
             raise InstabilityError(
                 f"solution blew up at t={times[i+1]:.6g} (step {i+1})",
                 t=float(times[i + 1]))
-        E[i + 1] = grid.l2_norm(v) ** 2
+        E[i + 1] = norm ** 2
         F[i + 1] = grid.l2_norm(f_conj(times[i + 1])) ** 2 if f_conj is not None else 0.0
         if (i + 1) % stride == 0 or i + 1 == steps:
-            v_fields.append(v.copy())
+            v_fields.append(grid.inverse(v_hat))
             logged.append(i + 1)
 
     rate = (E[1:] - E[:-1]) / (dt * (E[:-1] + F[:-1] + 1e-300))
@@ -277,9 +287,9 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     f: callable t -> field at nodes, or None; g: field at nodes.
     Checks that the data actually carries the declared radius rho and that
     k0 < rho, mirrors of the structural preconditions.  The bundle supplies
-    the conjugator and the generator.  The forcing is conjugated once per
-    stage time: k2 and k3 share t + dt/2, and k4 shares t + dt with the
-    energy log and the next step's k1.
+    the conjugator and the generator.  The forcing is conjugated to
+    coefficients once per stage time: k2 and k3 share t + dt/2, and k4
+    shares t + dt with the energy log and the next step's k1.
     """
     theta = params.theta if theta is None else theta
     if rho is not None:
@@ -295,7 +305,7 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     f_conj = None
     if f is not None:
         f_conj = lru_cache(maxsize=4)(
-            lambda tau: bundle.apply_full(grid.check_field(f(tau)), tau))
+            lambda tau: bundle.apply_full_hat(grid.check_field(f(tau)), tau))
 
     traj = solve_conjugated(bundle.assembler, f_conj, v0, T, dt=dt)
 

@@ -102,6 +102,18 @@ _AUTO_KEYS = {"weights.M2", "weights.M1", "weights.h", "run.dt", "data.rho"}
 _POSITIVE_KEYS = ("grid.L", "problem.T", "gevrey.rho", "data.rho", "weights.k0",
                   "select.margin", "run.dt", "tolerances.inverse_tol",
                   "tolerances.series_tol", "tolerances.garding_tol")
+# live complex N x N tables at the peak of a damped run (about 65 measured
+# at N = 128, 256 and 384, rounded up): the dense working set is
+# DENSE_TABLES * 16 N^2 bytes
+DENSE_TABLES = 80
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def parse_config_text(text):
@@ -180,6 +192,12 @@ class RunConfig:
                 f"(half-open at the top), got {theta}")
         if v["grid.N"] < 8 or v["grid.N"] % 2:
             raise ConfigurationError(f"grid.N must be even and >= 8, got {v['grid.N']}")
+        need, have = DENSE_TABLES * 16 * v["grid.N"] ** 2, _physical_memory()
+        if have is not None and need > have:
+            raise ConfigurationError(
+                f"grid.N = {v['grid.N']} needs about {need / 2**30:.3g} GiB of "
+                f"dense N x N tables, more than the {have / 2**30:.3g} GiB of "
+                "physical memory; lower grid.N")
         # sizes, radii, tolerances, a step or a horizon that is 0, negative,
         # inf or nan has no meaning; each test is written so that nan fails it
         for key in _POSITIVE_KEYS:

@@ -221,13 +221,14 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
 
     M2_pin / M1_pin freeze a strength instead of deriving it from the
     measured constants, and h_start = h_max freezes h: parameter sweeps pin
-    one of them, explicit weights pin all three, a single trial.  With
-    nothing to dominate and nothing pinned, the one trial is the identity
-    conjugator (M2 = M1 = 0 at h_start).  ``assumptions`` is a report from
-    check_assumptions(p, grid, theta), computed here if absent.  The
-    accepted trial's conjugator is details["bundle"] and its positivity
-    certificate details["report"]; if no trial is accepted, raises
-    InfeasibleError."""
+    one of them, explicit weights pin all three, a single trial.  A pinned
+    M1 skips the measurement of C_a2l2 and C_c, so those trials' history
+    rows lack the two keys.  With nothing to dominate and nothing pinned,
+    the one trial is the identity conjugator (M2 = M1 = 0 at h_start).
+    ``assumptions`` is a report from check_assumptions(p, grid, theta),
+    computed here if absent.  The accepted trial's conjugator is
+    details["bundle"] and its positivity certificate details["report"]; if
+    no trial is accepted, raises InfeasibleError."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
     rep.require()
@@ -252,13 +253,16 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
     # the h-independent inputs of C_a2l2 and C_c, once per coefficient time:
-    # a2 and the real part of its Hermitian correction c
+    # a2 and the real part of its Hermitian correction c.  They only set M1,
+    # so a pinned M1 measures neither
     a2_by_time = {}
-    for t in ts:
-        key = float(t) if p.time_dependent else None
-        if key not in a2_by_time:
-            a2 = eval_table(p.a2, grid, float(t))
-            a2_by_time[key] = (a2.values, _hermitian_half(a2.real).values.real)
+    if M1_pin is None:
+        for t in ts:
+            key = float(t) if p.time_dependent else None
+            if key not in a2_by_time:
+                a2 = eval_table(p.a2, grid, float(t))
+                a2_by_time[key] = (a2.values,
+                                   _hermitian_half(a2.real).values.real)
     failure = "h search did not start"
     h = h_start
     while h <= h_max:
@@ -273,17 +277,20 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                            f"on this grid (xi_max={grid.xi_max:.3g}); "
                            "refine the grid or shrink L")
                 break
-            # constants entering the order-1 inequality, measured with lam2
-            dxdxi_lam2 = dxdxi_lambda2(p, params, grid)
-            norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
-            C_a2l2, C_c = 0.0, 0.0
-            for a2, c_real in a2_by_time.values():
-                cross = (a2 * dxdxi_lam2.values).real
-                C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
-                C_c = max(C_c, _sup_normalized(c_real, norm1))
-            M1 = (2.0 * (C_a1 + C_a2l2 + C_c + margin) / C_a3
-                  if M1_pin is None else float(M1_pin))
-            trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
+            if M1_pin is None:
+                # constants entering the order-1 inequality, measured with lam2
+                dxdxi_lam2 = dxdxi_lambda2(p, params, grid)
+                norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
+                C_a2l2, C_c = 0.0, 0.0
+                for a2, c_real in a2_by_time.values():
+                    cross = (a2 * dxdxi_lam2.values).real
+                    C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
+                    C_c = max(C_c, _sup_normalized(c_real, norm1))
+                M1 = 2.0 * (C_a1 + C_a2l2 + C_c + margin) / C_a3
+                trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
+            else:
+                M1 = float(M1_pin)
+                trial["M1"] = M1
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
             assembler = ConjugationAssembler(p, params, grid)

@@ -1,6 +1,13 @@
 """Quantization of sampled symbols and the dense-matrix oracle.
 
-A symbol table holds p(x_j, xi_k) on the grid's node/frequency lattices.
+A symbol table holds p(x_j, xi_k) on the grid's node/frequency lattices,
+as an (N, N) array, or as one (1, N) row when the symbol is x-independent:
+the row stands for every x, arithmetic between tables broadcasts, and the
+x-derivative of a row is the exact zero row.  Sampled values keep one row
+when every row equals the first (fourier_rows), so a Fourier multiplier is
+stored and differentiated in O(N) (the rank-one case of a separated symbol
+representation; Demanet & Ying, Discrete symbol calculus, SIAM Rev. 2011).
+
 Quantization is the left (Kohn-Nirenberg) rule
 
     (p(x, D) u)(x_j) = (1/sqrt N) sum_k e^{i xi_k x_j} p(x_j, xi_k) u_hat_k,
@@ -11,8 +18,10 @@ anchors every asymptotic claim made by the composition and conjugation
 expansions: whatever an expansion predicts must match the dense product or
 dense conjugation on the resolved band.
 
-Operators have ``matvec`` and a ``dense()`` that only oracles call: a
-Multiplier (a row in xi, one FFT pair) or a Dense matrix.
+Operators have ``matvec`` on node values, ``matvec_hat`` on coefficients
+(what the time stepper carries) and a ``dense()`` that only oracles call: a
+Multiplier (a row in xi: one FFT pair on node values, a row product on
+coefficients) or a Dense matrix.
 
 x-derivatives of tables are spectral; xi-derivatives use finite differences
 on the uniform frequency lattice (the Nyquist column is excluded).
@@ -34,12 +43,14 @@ class SymbolTable:
     """Samples p(x_j, xi_k) of a symbol at one time; Nyquist column zero."""
 
     grid: Grid
-    values: np.ndarray          # shape (N, N) complex, [x-index, xi-index]
+    values: np.ndarray          # (N, N) or one row (1, N), [x-index, xi-index]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.N, self.grid.N):
-            raise ShapeError(f"table shape {v.shape} does not match grid N={self.grid.N}")
+        N = self.grid.N
+        if v.shape not in ((N, N), (1, N)):
+            raise ShapeError(f"table shape {v.shape} does not match grid N={N}: "
+                             f"expected ({N}, {N}) or one row (1, {N})")
         v = v.copy()
         v[:, self.grid.nyquist] = 0.0
         object.__setattr__(self, "values", v)
@@ -87,7 +98,10 @@ class Multiplier:
     row: np.ndarray
 
     def matvec(self, w):
-        return self.grid.inverse(self.row * self.grid.forward(w))
+        return self.grid.inverse(self.matvec_hat(self.grid.forward(w)))
+
+    def matvec_hat(self, w_hat):
+        return self.row * w_hat
 
     def dense(self):
         return quantized(self.grid, self.row[None, :]).dense()
@@ -105,23 +119,41 @@ class Dense:
     def matvec(self, w):
         return self.matrix @ (self.grid.forward(w) if self.spectral else w)
 
+    def matvec_hat(self, w_hat):
+        """forward(matvec(inverse(w_hat))): one FFT when ``spectral``."""
+        w = w_hat if self.spectral else self.grid.inverse(w_hat)
+        return self.grid.forward(self.matrix @ w)
+
     def dense(self):
         if self.spectral:
             return self.matrix @ self.grid.synthesis_matrix().conj().T
         return self.matrix
 
 
+def fourier_rows(*tables):
+    """The tables' first rows if every row of each equals its first, else
+    None: the one rule for an operator's variant, since a table with equal
+    rows is x-independent and quantizes to the multiplier of its row."""
+    if all(np.all(T == T[:1]) for T in tables):
+        return [T[0] for T in tables]
+
+
+def sampled_table(grid, values):
+    """Table of samples on the lattice (anything broadcasting to (N, N)):
+    one row when every row is equal (fourier_rows), else (N, N)."""
+    vals = np.broadcast_to(np.asarray(values, dtype=complex), (grid.N, grid.N))
+    rows = fourier_rows(vals)
+    return SymbolTable(grid, vals if rows is None else rows[0][None, :])
+
+
 def table_from_function(grid, fn):
     """Sample fn(x, xi) on the grid lattice (broadcasting evaluator)."""
-    vals = np.asarray(fn(grid.x[:, None], grid.xi[None, :]), dtype=complex)
-    vals = np.broadcast_to(vals, (grid.N, grid.N))
-    return SymbolTable(grid, vals)
+    return sampled_table(grid, fn(grid.x[:, None], grid.xi[None, :]))
 
 
 def multiplier_table(grid, values_xi):
     """Table of an x-independent symbol given its values on the xi lattice."""
-    row = np.asarray(values_xi, dtype=complex)
-    return SymbolTable(grid, np.tile(row, (grid.N, 1)))
+    return SymbolTable(grid, np.asarray(values_xi, dtype=complex)[None, :])
 
 
 def quantized(grid, values):
@@ -189,20 +221,30 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     """d^order/dxi^order of a table by finite differences on the xi lattice.
 
     Works on the monotone (fftshifted) lattice with the Nyquist sample
-    excluded so the zeroed column cannot contaminate its neighbours.
+    excluded so the zeroed column cannot contaminate its neighbours.  A
+    one-row table is differentiated as four equal rows: BLAS rounds the
+    edge stencils' product with a lone column differently from the columns
+    of a wider one, and a row must differentiate exactly like its tiled
+    twin.
     """
     g = p.grid
+    rows = p.values.shape[0]
     shifted = np.fft.fftshift(p.values, axes=1)  # column 0 is the Nyquist mode
     body = shifted[:, 1:]
+    if rows == 1:
+        body = np.repeat(body, 4, axis=0)
     dbody = diff_uniform(body, g.dxi, order, axis=1, accuracy=accuracy)
     out = np.zeros_like(shifted)
-    out[:, 1:] = dbody
+    out[:, 1:] = dbody[:rows]
     return SymbolTable(g, np.fft.ifftshift(out, axes=1))
 
 
 def x_derivative(p: SymbolTable, order=1):
-    """d^order/dx^order of a table by spectral differentiation per column."""
+    """d^order/dx^order of a table by spectral differentiation per column;
+    of a one-row table, the exact zero row."""
     g = p.grid
+    if p.values.shape[0] == 1:
+        return SymbolTable(g, np.zeros((1, g.N)))
     u_hat = g._phase[:, None] * np.fft.fft(p.values, axis=0, norm="ortho")
     mult = (1j * g.xi) ** order
     mult[g.nyquist] = 0.0

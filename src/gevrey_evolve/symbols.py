@@ -14,7 +14,7 @@ import numpy as np
 from ._stencil import fd_weights
 from .errors import ConfigurationError, EvaluationError, ParameterError
 from .grid import Grid
-from .quantize import SymbolTable
+from .quantize import SymbolTable, sampled_table
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ def zero_symbol():
 
 
 def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
-    """Sample a symbol on the grid lattice at time t; Nyquist column zeroed."""
+    """Sample a symbol on the grid lattice at time t; Nyquist column zeroed,
+    one row when the samples do not depend on x (quantize.sampled_table)."""
     vals = np.asarray(sym(t, grid.x[:, None], grid.xi[None, :]), dtype=complex)
     vals = np.broadcast_to(vals, (grid.N, grid.N))
     bad = ~np.isfinite(vals)
@@ -45,7 +46,7 @@ def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
         raise EvaluationError(
             f"symbol {sym.name or '<anon>'} is non-finite at "
             f"(x={grid.x[j]:.6g}, xi={grid.xi[k]:.6g}, t={t})")
-    return SymbolTable(grid, vals)
+    return sampled_table(grid, vals)
 
 
 @dataclass(frozen=True)

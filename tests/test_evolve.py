@@ -98,7 +98,8 @@ def test_step_pure_dispersion_is_unitary(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(kdv, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, kdv, grid, _frozen(grid, tab))
+    w = grid.inverse(step(grid.forward(v), 0.0, 0.05, kdv, grid,
+                          _frozen(grid, tab)))
     assert abs(grid.l2_norm(w) - grid.l2_norm(v)) < 1e-12 * grid.l2_norm(v)
 
 
@@ -111,7 +112,8 @@ def test_step_zero_generator_identity(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(zero3, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = step(v, 0.0, 0.05, zero3, grid, _frozen(grid, tab))
+    w = grid.inverse(step(grid.forward(v), 0.0, 0.05, zero3, grid,
+                          _frozen(grid, tab)))
     assert np.max(np.abs(w - v)) < 1e-12
 
 
@@ -134,7 +136,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     v0 = Pm @ v
     errs = []
     for dt in (2e-3, 1e-3):
-        w = step(v0, 0.0, dt, prob, grid, frozen)
+        w = grid.inverse(step(grid.forward(v0), 0.0, dt, prob, grid, frozen))
         errs.append(grid.l2_norm(w - expm(G * dt) @ v0))
     assert errs[0] / errs[1] > 16.0  # local order >= 4 (dt^5 gives 32)
     # damping-dominated group: growth per step stays under the quantization
@@ -146,7 +148,8 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     w = v0.copy()
     norms = [grid.l2_norm(w)]
     for i in range(20):
-        w = step(w, i * 2e-3, 2e-3, prob, grid, frozen)
+        w = grid.inverse(step(grid.forward(w), i * 2e-3, 2e-3, prob, grid,
+                              frozen))
         norms.append(grid.l2_norm(w))
     rates = np.diff(np.log(norms)) / 2e-3
     assert np.max(rates) <= floor + 1e-6
@@ -166,9 +169,10 @@ def test_multiplier_step_matches_dense_step(N, L):
     dense = lambda tau: Dense(grid, E_syn * asm.generator(tau), spectral=True)
     zero = lambda tau: Multiplier(grid, np.zeros(N))
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w_mult = step(v, 0.1, 0.05, kdv, grid, asm.stage_operator)
-    w_dense = step(v, 0.1, 0.05, kdv, grid, dense)
-    w_zero = step(v, 0.1, 0.05, kdv, grid, zero)
+    v_hat = grid.forward(v)
+    w_mult = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, asm.stage_operator))
+    w_dense = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, dense))
+    w_zero = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, zero))
     scale = grid.l2_norm(w_dense)
     assert grid.l2_norm(w_dense - w_zero) > 1e-4 * scale
     assert grid.l2_norm(w_mult - w_dense) <= 1e-13 * scale

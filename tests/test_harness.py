@@ -1,10 +1,15 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gevrey_evolve.errors import ConfigurationError
-from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                                   RunConfig, error_category, main,
-                                   oracle_suite, run_pipeline, sweep_pipeline)
+from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
+                                   EXIT_INSTABILITY, EXIT_OK, RunConfig,
+                                   error_category, main, oracle_suite,
+                                   run_pipeline, sweep_pipeline)
 
 SMALL = "grid.L = 10\ngrid.N = 64\n"
 
@@ -122,6 +127,34 @@ def test_run_builds_each_setup_object_once(monkeypatch):
     assert art["params"].C1 == 0.0 and art["params"].C2 == 0.0
 
 
+def test_row_tables_where_the_symbol_is_x_independent(monkeypatch):
+    # with nothing to dominate every table of the setup is x-independent,
+    # so every derivative the setup takes is of one row (x-derivatives are
+    # exact zero rows, no FFT); the damped tables depend on x and stay N x N
+    from gevrey_evolve import conjugate, quantize
+    from gevrey_evolve.harness import setup_pipeline
+    shapes = []
+
+    def recording(fn):
+        def wrapper(p, *args, **kwargs):
+            shapes.append(p.values.shape)
+            return fn(p, *args, **kwargs)
+        return wrapper
+
+    for name in ("x_derivative", "xi_derivative"):
+        wrapper = recording(getattr(quantize, name))
+        for module in (quantize, conjugate):
+            monkeypatch.setattr(module, name, wrapper)
+    asm = setup_pipeline(RunConfig.from_text(TRIVIAL))["bundle"].assembler
+    assert len(shapes) > 10 and set(shapes) == {(1, 64)}
+    assert asm.generator(0.0).shape == (1, 64)
+    shapes.clear()
+    asm = setup_pipeline(RunConfig.from_text(SMALL))["bundle"].assembler
+    assert (64, 64) in shapes
+    assert asm.phase.lam.values.shape == (64, 64)
+    assert asm.generator(0.0).shape == (64, 64)
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_explicit_weights_failing_positivity_are_infeasible(tmp_path, capsys,
                                                             command):
@@ -233,7 +266,7 @@ def test_error_category_totality():
     ("tolerances.inverse_tol", "-1"), ("tolerances.series_tol", "nan"),
     ("tolerances.garding_tol", "-1"), ("weights.h", "nan"),
     ("weights.h", "0.5"), ("weights.M2", "inf"), ("weights.k0", "nan"),
-    ("select.margin", "-1"), ("grid.L", "inf")])
+    ("select.margin", "-1"), ("grid.L", "inf"), ("grid.N", "100000000")])
 def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     text = SMALL + f"{key} = {value}\n"
     with pytest.raises(ConfigurationError) as err:
@@ -246,6 +279,13 @@ def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     assert err.startswith("error (config): ") and key in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_dense_working_set_at_n1024_fits():
+    # N = 1024 needs about 1.3 GiB of dense tables: accepted on a machine
+    # with a few GiB of memory, while N = 100000000 is refused above
+    # before anything is allocated
+    RunConfig.from_text(SMALL + "grid.N = 1024\n").validate()
 
 
 def test_thread_cap_must_be_an_integer(tmp_path, capsys, monkeypatch):
@@ -274,3 +314,76 @@ def test_empty_leading_band_is_a_config_error(tmp_path, capsys, command, weights
     err = capsys.readouterr().err
     assert "hyp-i-leading" in err and "grid.N" in err
     assert not (tmp_path / "out").exists()
+
+
+_BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "auto", "abc", ""]
+
+
+@st.composite
+def _number(draw, lo, hi):
+    """Value texts: mostly a float in [lo, hi], sometimes a bad input."""
+    if draw(st.integers(1, 6)) == 3:
+        return draw(st.sampled_from(_BAD))
+    return repr(draw(st.floats(lo, hi)))
+
+
+# valid ranges that keep the admissible theta range [s0, 1/(2(1-sigma)))
+# nonempty, so that many texts reach selection
+_VALUES = {
+    "problem.id": st.sampled_from(["kdv-baseline", "complex-damped",
+                                   "time-modulated", "mystery"]),
+    "problem.sigma": _number(0.7, 0.8),
+    "problem.s0": _number(1.2, 1.6),
+    "gevrey.theta": _number(1.6, 1.66),
+    "problem.c2": _number(-0.2, 0.2),
+    "problem.c1": _number(-0.2, 0.2),
+    "problem.c0": _number(-0.2, 0.2),
+    "problem.T": _number(0.1, 2.0),
+    "gevrey.m": _number(0.0, 2.0),
+    "gevrey.rho": _number(0.3, 1.5),
+    "weights.M2": _number(0.0, 0.5),
+    "weights.M1": _number(0.0, 0.5),
+    "weights.h": _number(1.0, 16.0),
+    "weights.k0": _number(0.05, 0.6),
+    "select.margin": _number(0.01, 0.2),
+    "run.dt": _number(1e-3, 0.1),
+    "data.kind": st.sampled_from(["gevrey", "gaussian", "mode", "other"]),
+    "data.rho": _number(0.3, 1.5),
+    "forcing.amplitude": _number(-1.0, 1.0),
+    "tolerances.inverse_tol": _number(1e-12, 1e-6),
+    "tolerances.series_tol": _number(1e-12, 1e-6),
+    "tolerances.garding_tol": _number(1e-12, 1e-6),
+}
+
+
+@st.composite
+def _small_config_texts(draw):
+    """Config texts on grids of at most 48 points: grid.N and grid.L are
+    always set, since a grid that resolves no frequency beyond R_a3 = 2
+    (the default L = 20 at N <= 48) stops every text at the same check."""
+    keys = draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True,
+                         max_size=6))
+    lines = [f"{k} = {draw(_VALUES[k])}" for k in keys]
+    lines.append("grid.L = " + draw(_number(2.0, 5.0)))
+    bad_n = draw(st.integers(1, 6)) == 3
+    lines.append("grid.N = " + (
+        draw(st.sampled_from(["0", "7", "-8", "nan", "24.5"])) if bad_n
+        else str(2 * draw(st.integers(8, 24)))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_config_texts())
+def test_config_texts_end_in_documented_codes(text):
+    # whatever the text, validate raises at most a ConfigurationError and
+    # verify returns 0, 2, 3 or 4 without raising
+    try:
+        RunConfig.from_text(text).validate()
+    except ConfigurationError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.cfg")
+        with open(path, "w") as fh:
+            fh.write(text + f"output.dir = {os.path.join(tmp, 'out')}\n")
+        code = main(["verify", path])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INSTABILITY)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,9 +10,10 @@ from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import (discrete_garding,
                                       select_parameters_detailed,
                                       verify_lower_bounds)
-from gevrey_evolve.quantize import multiplier_table, table_from_function
-from gevrey_evolve.symbols import model_problem
-from gevrey_evolve.weights import k_of_t
+from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
+                                    table_from_function)
+from gevrey_evolve.symbols import Symbol, model_problem
+from gevrey_evolve.weights import WeightParams, k_of_t
 
 T_SAMPLES = np.linspace(0.0, 1.0, 5)
 
@@ -145,3 +147,38 @@ def test_empty_region_reported(small_setup):
         small_setup["problem"], params, small_setup["grid"]), [0.0])
     assert not rep.passed
     assert "no grid frequencies" in rep.detail
+
+
+def _tiled(tables):
+    """Every table in a (nested) dict or list tiled to (N, N)."""
+    if isinstance(tables, SymbolTable):
+        N = tables.grid.N
+        return SymbolTable(tables.grid, np.broadcast_to(tables.values, (N, N)))
+    if isinstance(tables, dict):
+        return {k: _tiled(v) for k, v in tables.items()}
+    return tables
+
+
+def test_row_tables_certify_like_their_tiled_twins():
+    # x-independent a2 and a1 with nothing dominated: every table the
+    # assembler caches is one row.  Tiling each to (N, N) changes no margin
+    # and no witness of the certificate
+    grid = make_grid(10.0, 64)
+    flat = lambda c, order: Symbol(lambda t, x, xi: c * xi ** order + 0 * x,
+                                   order=float(order))
+    prob = dataclasses.replace(model_problem("kdv-baseline", 0.75),
+                               a2=flat(0.05 + 0.05j, 2), a1=flat(0.04j, 1))
+    params = WeightParams(M2=0.0, M1=0.0, h=1.0, k0=0.35, sigma=0.75,
+                          theta=1.8, domain_cap=np.sqrt(101.0),
+                          C1=0.5, C2=0.1)
+    asm = ConjugationAssembler(prob, params, grid)
+    rows = verify_lower_bounds(asm, T_SAMPLES).rows
+    entry = asm._static_tables(0.0)
+    tables = [t for t in entry["stage"].values() if isinstance(t, SymbolTable)]
+    assert len(tables) > 10
+    assert all(t.values.shape == (1, grid.N) for t in tables)
+    assert np.any(entry["stage"]["ia2"].values)
+    twin = copy.copy(asm)
+    twin._cache = {None: _tiled(entry)}
+    assert twin.at(0.0).parts["ia2"].values.shape == (grid.N, grid.N)
+    assert verify_lower_bounds(twin, T_SAMPLES).rows == rows

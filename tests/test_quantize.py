@@ -7,7 +7,7 @@ from gevrey_evolve.quantize import (SymbolTable, adjoint, apply,
                                     band_relative_error, compose_expansion,
                                     exp_table, multiplier_table,
                                     table_from_function, to_dense,
-                                    xi_derivative)
+                                    x_derivative, xi_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,31 @@ def test_table_shape_guard(grid):
     q = table_from_function(other, lambda x, xi: 1.0 + 0 * x + 0 * xi)
     with pytest.raises(ShapeError):
         _ = p + q
+
+
+def test_row_tables(grid):
+    # an x-independent symbol is one row: its x-derivative is the exact zero
+    # row, and it quantizes and xi-differentiates exactly like its tiled twin
+    rng = np.random.default_rng(6)
+    row = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+    p = multiplier_table(grid, row)
+    twin = SymbolTable(grid, np.tile(row, (grid.N, 1)))
+    assert p.values.shape == (1, grid.N) and twin.values.shape == (grid.N, grid.N)
+    for order in (1, 2):
+        d = x_derivative(p, order)
+        assert d.values.shape == (1, grid.N) and not np.any(d.values)
+    assert np.array_equal(to_dense(p), to_dense(twin))
+    for order in (1, 2, 3, 4):
+        d, d_twin = xi_derivative(p, order), xi_derivative(twin, order)
+        assert d.values.shape == (1, grid.N)
+        assert np.array_equal(np.broadcast_to(d.values, d_twin.values.shape),
+                              d_twin.values)
+    # products with an x-dependent table broadcast to (N, N)
+    q = table_from_function(grid, lambda x, xi: np.cos(x) + 0 * xi)
+    assert np.array_equal((p * q).values, (twin * q).values)
+    # samples whose rows are all equal become one row, others stay (N, N)
+    assert table_from_function(grid, lambda x, xi: xi + 0 * x).values.shape \
+        == (1, grid.N)
+    assert q.values.shape == (grid.N, grid.N)
+    with pytest.raises(ShapeError):
+        SymbolTable(grid, np.zeros((2, grid.N)))
