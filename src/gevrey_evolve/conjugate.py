@@ -11,9 +11,11 @@ The two stages are kept separate, mirroring how the operator factorizes:
 
 * the spatial stage op(e^lam) is a Multiplier, inverted exactly by the
   reciprocal row, when the phase is x-independent (M2 = M1 = 0); otherwise
-  it is dense and its inverse is the adjoint of op(e^-lam) composed with a
-  Neumann series in the exact discrete remainder (an entirely computable
-  object).  A direct dense inverse is the cross-check mode for both;
+  it is dense and its inverse is the adjoint of op(e^-lam) composed with the
+  Neumann series in the exact discrete remainder R, summed in product form
+  until the power of R it leaves, which is the residual of the inverse,
+  falls below series_tol.  A direct dense inverse is the cross-check mode
+  for both;
 * the time stage e^{k(t)<D>^{1/theta}} is a Fourier multiplier, hence
   diagonal and exactly invertible.
 
@@ -41,9 +43,6 @@ from .quantize import (Dense, Multiplier, SymbolTable, adjoint, dx_operator,
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
                       lambda_x_derivative, lambda1, lambda2, sign_weight)
-
-NEUMANN_MAX_TERMS = 30
-
 
 # ----------------------------------------------------------------------
 # derivatives of <xi>_h^p on the frequency lattice (exact)
@@ -220,8 +219,7 @@ class ConjugatorBundle:
     E_inv: "Multiplier | Dense"    # 1 / row, E_star sum_j (-R)^j, or inv(E)
     spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
     residual: float                # ||E E_inv - I||_2
-    series_terms: int
-    symbol_gap: float              # ||op(truncated remainder symbol) - R||_2
+    series_terms: int              # 2^K summands of the series; 0 for rows
     assembler: "ConjugationAssembler"
 
     grid = property(lambda self: self.assembler.grid)
@@ -264,37 +262,31 @@ def build_conjugator(assembler: "ConjugationAssembler",
     """Build op(e^lam) and its inverse from the assembler's phase tables;
     the bundle keeps the assembler.
 
-    When the phase and the remainder symbol are x-independent (fourier_rows)
-    E and E_inv are the Multipliers of the row e^lam and its reciprocal, and
-    every diagnostic is measured on the rows.  Otherwise the inverse follows
-    the adjoint-times-Neumann-series structure; the series runs on the exact
-    discrete remainder E (op e^-lam)* - I, so with a convergent series the
-    composite residual lands at series_tol level.  The series stops once
-    the Frobenius norm of a term, an upper bound of its spectral norm, falls
-    below series_tol; the exact residual is checked once at the end.
+    When the phase is x-independent (fourier_rows) E and E_inv are the
+    Multipliers of the row e^lam and its reciprocal, and every diagnostic
+    is measured on the rows.  Otherwise E_inv = E_star S, with E_star the
+    adjoint of op(e^-lam) and S the Neumann series of (I + R)^{-1} in the
+    exact discrete remainder R = E E_star - I, summed in product form:
+    S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
+    products per factor.  Then E E_inv - I = -R^{2^K}, so the series stops
+    at the first K with ||R^{2^K}||_F < series_tol, a bound on the residual
+    it leaves.  It needs spectral radius rho(R) < 1, checked before the
+    series starts; the exact residual is checked once at the end.
     ``mode="dense"`` replaces either with a dense E and a direct dense
     inverse (cross-check oracle, N <= 256).
     """
     grid, phase = assembler.grid, assembler.phase
     N = grid.N
-    # truncated symbol expansion of the remainder (diagnostic + convergence
-    # certificate): sum_{g=1..3} (1/g!) d_xi^g (e^lam D_x^g e^-lam)
-    sym = SymbolTable(grid, np.zeros((1, N)))
-    for gma in (1, 2, 3):
-        w = phase.dx_exp_factors[gma - 1]
-        sym = sym + xi_derivative(w, gma) * (1.0 / math.factorial(gma))
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
     # identity on it so the operator stays invertible
     nyq = np.zeros(N)
     nyq[grid.nyquist] = 1.0
     exp_lam, exp_neg = exp_table(phase.lam), exp_table(phase.lam * -1.0)
-    rows = None if mode == "dense" else fourier_rows(phase.lam.values,
-                                                     sym.values)
-    if rows is not None:
+    if mode != "dense" and fourier_rows(phase.lam.values) is not None:
         e = exp_lam.values[0] + nyq
         R = e * np.conj(exp_neg.values[0] + nyq) - 1.0
         E, E_inv = Multiplier(grid, e), Multiplier(grid, 1.0 / e)
-        rho, gap = float(np.max(np.abs(R))), float(np.max(np.abs(rows[1] - R)))
+        rho = float(np.max(np.abs(R)))
         residual, terms = float(np.max(np.abs(e * E_inv.row - 1.0))), 0
     else:
         I = np.eye(N, dtype=complex)
@@ -304,7 +296,6 @@ def build_conjugator(assembler: "ConjugationAssembler",
         R = E @ E_star - I
         nrm = operator_norm(R)
         rho = nrm if nrm < 1.0 else float(np.max(np.abs(np.linalg.eigvals(R))))
-        gap = operator_norm(to_dense(sym) - R)
         terms = 0
         if mode == "dense":
             if N > 256:
@@ -315,13 +306,11 @@ def build_conjugator(assembler: "ConjugationAssembler",
                 raise ConvergenceError(
                     f"Neumann remainder has spectral radius {rho:.3f} >= 1; "
                     "increase h")
-            S, term = I.copy(), I
-            for j in range(1, NEUMANN_MAX_TERMS + 1):
-                term = term @ (-R)
-                S = S + term
-                terms = j
-                if np.linalg.norm(term) < series_tol:
-                    break
+            S, P, terms = I - R, R @ R, 2      # P = R^terms
+            while np.linalg.norm(P) >= series_tol:
+                S = S + S @ P
+                P = P @ P
+                terms *= 2
             E_inv = E_star @ S
         residual = operator_norm(E @ E_inv - I)
         E, E_inv = Dense(grid, E), Dense(grid, E_inv)
@@ -330,7 +319,7 @@ def build_conjugator(assembler: "ConjugationAssembler",
             f"conjugator inverse residual {residual:.3e} exceeds "
             f"{inverse_tol}; increase h or loosen inverse_tol")
     return ConjugatorBundle(E=E, E_inv=E_inv, spectral_radius=rho,
-                            residual=residual, series_terms=terms, symbol_gap=gap,
+                            residual=residual, series_terms=terms,
                             assembler=assembler)
 
 

@@ -206,6 +206,10 @@ class RunConfig:
                 auto = "'auto' or " if key in _AUTO_KEYS else ""
                 raise ConfigurationError(
                     f"{key} must be {auto}finite and > 0, got {val}")
+        # coefficient strengths may take either sign, but not inf or nan
+        for key in ("problem.c2", "problem.c1", "problem.c0"):
+            if not np.isfinite(v[key]):
+                raise ConfigurationError(f"{key} must be finite, got {v[key]}")
         for key, low in (("weights.M2", 0.0), ("weights.M1", 0.0),
                          ("weights.h", 1.0)):
             val = v[key]
@@ -338,8 +342,7 @@ def report_lines(cfg, assumptions, positivity, params, traj, bundle):
                  f"k0={params.k0:.6g} C1={params.C1:.6g} C2={params.C2:.6g}")
     lines.append(f"conjugator: spectral radius {bundle.spectral_radius:.3e}, "
                  f"inverse residual {bundle.residual:.3e}, "
-                 f"series terms {bundle.series_terms}, "
-                 f"symbol-remainder gap {bundle.symbol_gap:.3e}")
+                 f"series terms {bundle.series_terms}")
     if traj is not None:
         lines.append(f"solver: dt={traj.meta['dt']!r} steps={traj.meta['steps']} "
                      f"C'={traj.C_prime:.6g} gronwall ratio={traj.gronwall_C:.6g}")
@@ -420,7 +423,7 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         try:
             traj, art = run_pipeline(sub, write=False)
             pos = art["positivity"]
-            row.update(status="ok", feasible=pos.passed,
+            row.update(status="ok",
                        margin_order2=pos.min_margin("order2"),
                        margin_order1=pos.min_margin("order1"),
                        margin_theta=pos.min_margin("theta"),
@@ -429,8 +432,7 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
                        radius_T=float(traj.radius[-1]),
                        C_prime=traj.C_prime)
         except GevreyEvolveError as exc:
-            row.update(status=error_category(exc)[0], feasible=False,
-                       error=str(exc))
+            row.update(status=error_category(exc)[0], error=str(exc))
         row["runtime_s"] = time.perf_counter() - t0
         return row
 
@@ -441,17 +443,15 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         with ThreadPoolExecutor(max_workers=nw) as pool:
             rows = list(pool.map(one, values))
 
-    cols = ["axis", "value", "status", "feasible", "margin_order2",
-            "margin_order1", "margin_theta", "terminal_l2", "terminal_hm",
-            "radius_T", "C_prime", "runtime_s"]
-    lines = ["# schema=1", ",".join(cols)]
+    cols = ["axis", "value", "status", "margin_order2", "margin_order1",
+            "margin_theta", "terminal_l2", "terminal_hm", "radius_T",
+            "C_prime", "runtime_s"]
+    lines = ["# schema=2", ",".join(cols)]
     for row in rows:
         cells = []
         for c in cols:
             val = row.get(c, "")
-            if isinstance(val, bool):
-                val = "true" if val else "false"
-            elif isinstance(val, float):
+            if isinstance(val, float):
                 val = serialize.fmt(val)
             cells.append(str(val))
         lines.append(",".join(cells))

@@ -228,7 +228,8 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     ``assumptions`` is a report from check_assumptions(p, grid, theta),
     computed here if absent.  The accepted trial's conjugator is
     details["bundle"] and its positivity certificate details["report"]; if
-    no trial is accepted, raises InfeasibleError."""
+    no trial is accepted, raises InfeasibleError, whose message names every
+    trial's h and why it failed."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
     rep.require()
@@ -263,7 +264,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                 a2 = eval_table(p.a2, grid, float(t))
                 a2_by_time[key] = (a2.values,
                                    _hermitian_half(a2.real).values.real)
-    failure = "h search did not start"
+    failures = []      # "h=...: reason", one per trial
     h = h_start
     while h <= h_max:
         trial = {"h": h, "M2": M2}
@@ -273,9 +274,10 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             region = np.abs(grid.xi) > params.R_a3 * h
             region[grid.nyquist] = False
             if not np.any(region):
-                failure = (f"no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
-                           f"on this grid (xi_max={grid.xi_max:.3g}); "
-                           "refine the grid or shrink L")
+                failures.append(
+                    f"h={h:g}: no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
+                    f"on this grid (xi_max={grid.xi_max:.3g}); "
+                    "refine the grid or shrink L")
                 break
             if M1_pin is None:
                 # constants entering the order-1 inequality, measured with lam2
@@ -311,13 +313,16 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                 return params, details
             details["history"].append({**trial, "passed": False})
             worst = min(report.rows, key=lambda r: r.margin)
-            failure = (f"{worst.bound} margin {worst.margin:.3e} at h={h} "
-                       f"(witness x={worst.witness_x:.3g}, xi={worst.witness_xi:.3g})")
+            failures.append(
+                f"h={h:g}: {worst.bound} margin {worst.margin:.3e} (witness "
+                f"x={worst.witness_x:.3g}, xi={worst.witness_xi:.3g})")
         except (ConvergenceError, ParameterError) as exc:
-            failure = f"h={h}: {exc}"
+            failures.append(f"h={h:g}: {exc}")
             details["history"].append({**trial, "error": str(exc)})
         assembler = None   # release the failed trial's tables before the next
         h *= 2.0
+    tried = "".join(f"{f}; " for f in failures[:-1])
+    last = failures[-1] if failures else "h search did not start"
     raise InfeasibleError(
-        f"no admissible h in [{h_start}, {h_max}]: last failure: {failure}")
+        f"no admissible h in [{h_start}, {h_max}]: {tried}last failure: {last}")
 

@@ -1,21 +1,18 @@
 """Binary dumps and CSV emission.
 
-Two little-endian binary layouts are supported:
+Field snapshots use one little-endian binary layout: magic ``FIELD1``, N
+as uint64, count as uint64, count float64 times, then count rows of 2 N
+float64 (interleaved re/im).
 
-* dense operators:  magic ``PSIDO1``, N as uint64, then 2 N^2 float64
-  (row-major, interleaved re/im);
-* field snapshots:  magic ``FIELD1``, N as uint64, count as uint64,
-  count float64 times, then count rows of 2 N float64 (interleaved re/im).
-
-CSV files start with the comment line ``# schema=1``; floats are written
-with shortest round-trip formatting so identical runs are byte-identical.
+CSV files start with a comment line ``# schema=<version>``; floats are
+written with shortest round-trip formatting so identical runs are
+byte-identical.
 """
 
 import numpy as np
 
 from .errors import ShapeError
 
-_PSIDO_MAGIC = b"PSIDO1"
 _FIELD_MAGIC = b"FIELD1"
 
 
@@ -28,27 +25,6 @@ def _interleave(z):
 
 def _deinterleave(buf):
     return buf[0::2] + 1j * buf[1::2]
-
-
-def write_dense_operator(path, A):
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ShapeError(f"operator must be square, got {A.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_PSIDO_MAGIC)
-        fh.write(np.array(n, dtype="<u8").tobytes())
-        fh.write(_interleave(A).tobytes())
-
-
-def read_dense_operator(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _PSIDO_MAGIC:
-            raise ShapeError(f"bad magic {magic!r}; expected {_PSIDO_MAGIC!r}")
-        n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        buf = np.frombuffer(fh.read(16 * n * n), dtype="<f8")
-    return _deinterleave(buf).reshape(n, n)
 
 
 def write_fields(path, times, fields):

@@ -174,15 +174,6 @@ def model_problem(problem_id: str, sigma: float, strengths=(), s0: float = 1.5,
 # numerical symbol-class membership
 # ----------------------------------------------------------------------
 
-@dataclass
-class SeminormEstimate:
-    value: float
-    precision_warning: bool = False
-
-    def __float__(self):
-        return self.value
-
-
 def _stencil(order, steps):
     """Central offsets for a d^order stencil and its weights per step size
     (shape (len(steps), width)); order 0 is the single point."""
@@ -195,7 +186,7 @@ def _stencil(order, steps):
 
 def estimate_seminorm(sym: Symbol, m: float, mu: float, nu: float, A: float,
                       alpha_max: int, beta_max: int, grid: Grid,
-                      t: float = 0.0) -> SeminormEstimate:
+                      t: float = 0.0) -> float:
     """Estimate the normalized-derivative supremum of a symbol.
 
     Samples sup over (alpha, beta, x, xi) of
@@ -213,12 +204,9 @@ def estimate_seminorm(sym: Symbol, m: float, mu: float, nu: float, A: float,
     hxi = np.maximum(0.02 * sxi, 1e-3)
     hx = np.maximum(0.02 * np.sqrt(1.0 + xs * xs), 1e-3)
     best = 0.0
-    warn = False
     for a in range(alpha_max + 1):
         offs_xi, wxi = _stencil(a, hxi)
         for b in range(beta_max + 1):
-            if np.any(hxi ** max(a, 1) < 1e-12) or np.any(hx ** max(b, 1) < 1e-12):
-                warn = True
             offs_x, wx = _stencil(b, hx)
             # vals[i, j, k, l] = sym at (xs[i] + offs_x[k] hx[i],
             #                            xis[j] + offs_xi[l] hxi[j])
@@ -230,7 +218,7 @@ def estimate_seminorm(sym: Symbol, m: float, mu: float, nu: float, A: float,
             norm = A ** (-(a + b)) / (math.factorial(a) ** mu * math.factorial(b) ** nu)
             q = norm * sxi[None, :] ** (-m + a) * np.abs(d)
             best = max(best, float(np.max(q, initial=0.0, where=~np.isnan(q))))
-    return SeminormEstimate(best, warn)
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +317,8 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
         est = estimate_seminorm(sym, sym.order, 1.0, p.s0, A=4.0,
                                 alpha_max=2, beta_max=2, grid=grid)
         rep.results.append(HypothesisResult(
-            f"hyp-ii-regularity-{j}", bool(np.isfinite(est.value)),
-            constant=est.value, detail="normalized derivative sup, orders <= 2"))
+            f"hyp-ii-regularity-{j}", bool(np.isfinite(est)),
+            constant=est, detail="normalized derivative sup, orders <= 2"))
 
     X, XI = grid.x[:, None], grid.xi[None, :]
     bx = _x_bracket(grid.x)[:, None]

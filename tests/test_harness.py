@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gevrey_evolve.conjugate import build_conjugator
 from gevrey_evolve.errors import ConfigurationError
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    EXIT_INSTABILITY, EXIT_OK, RunConfig,
@@ -169,6 +170,33 @@ def test_explicit_weights_failing_positivity_are_infeasible(tmp_path, capsys,
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+# damped N=256/L=40 with the weights selection resolves for it: at h = 4
+# the conjugator E has condition number about 5, but its remainder R has
+# spectral radius 0.67, so the Neumann series needs 64 terms
+L40_PINNED = ("grid.L = 40\ngrid.N = 256\nweights.M2 = 0.1061441225579437\n"
+              "weights.M1 = 0.10854158781781673\nweights.h = 4\n")
+
+
+def test_well_conditioned_conjugator_is_accepted_at_l40(tmp_path, monkeypatch):
+    # run exits 0 at h = 4, and its pulled-back inverse is the dense one
+    from gevrey_evolve import harness
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(run_pipeline(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "run_pipeline", recording)
+    cfg = tmp_path / "l40.cfg"
+    cfg.write_text(L40_PINNED + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == EXIT_OK
+    bundle = runs[0][1]["bundle"]
+    assert bundle.residual <= 1e-8 and bundle.spectral_radius < 1.0
+    dense = build_conjugator(bundle.assembler, mode="dense").E_inv.dense()
+    gap = np.linalg.norm(bundle.E_inv.dense() - dense, 2)
+    assert gap <= 1e-9 * np.linalg.norm(dense, 2)
+
+
 def test_snapshots_roundtrip(tmp_path):
     from gevrey_evolve.serialize import read_fields
     cfg = RunConfig.from_text(SMALL + "output.snapshots = true\n")
@@ -191,7 +219,7 @@ def test_sweep_rows_ordered_and_inline_failures(tmp_path, monkeypatch):
     assert [r["value"] for r in rows] == [1.7, 2.0]
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"] == "config"      # theta at the open boundary
-    assert lines[0] == "# schema=1"
+    assert lines[0] == "# schema=2"
 
 
 def test_oracle_suite_passes():
@@ -266,7 +294,9 @@ def test_error_category_totality():
     ("tolerances.inverse_tol", "-1"), ("tolerances.series_tol", "nan"),
     ("tolerances.garding_tol", "-1"), ("weights.h", "nan"),
     ("weights.h", "0.5"), ("weights.M2", "inf"), ("weights.k0", "nan"),
-    ("select.margin", "-1"), ("grid.L", "inf"), ("grid.N", "100000000")])
+    ("select.margin", "-1"), ("grid.L", "inf"), ("grid.N", "100000000"),
+    *[(f"problem.{c}", bad) for c in ("c2", "c1", "c0")
+      for bad in ("nan", "inf", "-inf")]])
 def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     text = SMALL + f"{key} = {value}\n"
     with pytest.raises(ConfigurationError) as err:
@@ -279,6 +309,11 @@ def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     assert err.startswith("error (config): ") and key in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_coefficient_strengths_may_be_negative():
+    RunConfig.from_text(
+        SMALL + "problem.c2 = -0.1\nproblem.c1 = -0.2\nproblem.c0 = -3\n").validate()
 
 
 def test_dense_working_set_at_n1024_fits():

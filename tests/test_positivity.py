@@ -88,6 +88,10 @@ def test_infeasible_reports_failing_inequality():
     with pytest.raises(InfeasibleError) as err:
         select_parameters_detailed(prob, 1.8, grid)
     assert "last failure" in str(err.value)
+    # every trial names its h and its reason, not only the last one
+    for h in (1, 2, 4, 8):
+        assert f"h={h}: " in str(err.value)
+    assert "spectral radius" in str(err.value)
 
 
 def test_failed_positivity_builds_no_inverse(monkeypatch):

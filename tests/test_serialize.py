@@ -1,30 +1,6 @@
 import numpy as np
-import pytest
 
-from gevrey_evolve.errors import ShapeError
-from gevrey_evolve.serialize import (fmt, read_dense_operator, read_fields,
-                                     write_dense_operator, write_fields)
-
-
-def test_dense_operator_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    path = tmp_path / "op.bin"
-    write_dense_operator(path, A)
-    B = read_dense_operator(path)
-    assert np.array_equal(A, B)
-    raw = path.read_bytes()
-    assert raw[:6] == b"PSIDO1"
-    assert len(raw) == 6 + 8 + 16 * 16 * 16
-
-
-def test_dense_operator_guards(tmp_path):
-    with pytest.raises(ShapeError):
-        write_dense_operator(tmp_path / "x.bin", np.zeros((3, 4)))
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTMAG" + b"\x00" * 32)
-    with pytest.raises(ShapeError):
-        read_dense_operator(bad)
+from gevrey_evolve.serialize import fmt, read_fields, write_fields
 
 
 def test_fields_roundtrip(tmp_path):

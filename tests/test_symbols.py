@@ -57,14 +57,14 @@ def test_seminorm_linear(grid):
     sym = Symbol(lambda t, x, xi: xi + 0 * x, order=1.0)
     est = estimate_seminorm(sym, m=1.0, mu=1.0, nu=1.0, A=1.0,
                             alpha_max=3, beta_max=2, grid=grid)
-    assert 0.9 < est.value < 1.1
+    assert 0.9 < est < 1.1
 
 
 def test_seminorm_constant(grid):
     sym = Symbol(lambda t, x, xi: np.ones(np.broadcast(x, xi).shape), order=0.0)
     est = estimate_seminorm(sym, m=0.0, mu=1.0, nu=1.0, A=1.0,
                             alpha_max=2, beta_max=2, grid=grid)
-    assert est.value == pytest.approx(1.0, abs=1e-6)
+    assert est == pytest.approx(1.0, abs=1e-6)
 
 
 def test_seminorm_decay_product(grid):
@@ -80,7 +80,7 @@ def test_seminorm_decay_product(grid):
     assert np.max(quot) <= s + 1e-9
     est = estimate_seminorm(sym, m=2.0, mu=1.0, nu=1.0, A=1.0,
                             alpha_max=0, beta_max=1, grid=grid)
-    assert est.value <= 1.0 + 1e-6  # (0,0) quotient dominates, bounded by 1
+    assert est <= 1.0 + 1e-6  # (0,0) quotient dominates, bounded by 1
 
 
 def test_seminorm_product_order(grid):
@@ -90,7 +90,7 @@ def test_seminorm_product_order(grid):
     prod = Symbol(lambda t, x, xi: p.fn(t, x, xi) * q.fn(t, x, xi), order=3.0)
     est = estimate_seminorm(prod, m=3.0, mu=1.0, nu=1.0, A=2.0,
                             alpha_max=2, beta_max=2, grid=grid)
-    assert est.value < 2.0
+    assert est < 2.0
 
 
 def _seminorm_point_loop(sym, m, mu, nu, A, alpha_max, beta_max, grid):
@@ -126,7 +126,7 @@ def test_seminorm_matches_point_loop(grid):
     est = estimate_seminorm(sym, 2.0, 1.0, 1.5, A=4.0, alpha_max=2,
                             beta_max=2, grid=grid)
     ref = _seminorm_point_loop(sym, 2.0, 1.0, 1.5, 4.0, 2, 2, grid)
-    assert est.value == pytest.approx(ref, rel=1e-12)
+    assert est == pytest.approx(ref, rel=1e-12)
 
 
 def test_model_problem_ids():
