@@ -24,8 +24,11 @@ exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
 The time stage enters only through k(t) and k'(t): for each coefficient
 time the conjugated generator is the polynomial
-G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, which
-the assembler caches, so the time stepper evaluates it with a few AXPYs.
+G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables.  The
+assembler keeps their spectral stack [E_syn * G_0, E_syn * G_1, ...] once
+per coefficient time, in place of the tables, so the time stepper applies
+a stage with one GEMV over the stack and one FFT, weighted by the powers
+of k(t), plus the k' row, and forms no N x N array per stage time.
 """
 
 import copy
@@ -36,13 +39,18 @@ import numpy as np
 from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
-from .quantize import (Dense, Multiplier, SymbolTable, adjoint, dx_operator,
-                       exp_table, fourier_rows, multiplier_table, operator_norm,
-                       quantized, sampled_table, to_dense, x_derivative,
-                       xi_derivative)
+from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
+                       dx_operator, exp_table, fourier_rows, multiplier_table,
+                       operator_norm, sampled_table, spectral_stack, to_dense,
+                       x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
                       lambda_x_derivative, lambda1, lambda2, sign_weight)
+
+# coefficient times an assembler of time-dependent coefficients keeps tables
+# for: selection measures at 5 sample times (positivity.N_T_SAMPLES) in every
+# calibration round, and a solve meets each stage time once
+MEMO_TIMES = 5
 
 # ----------------------------------------------------------------------
 # derivatives of <xi>_h^p on the frequency lattice (exact)
@@ -418,10 +426,13 @@ class ConjugationAssembler:
     For problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
     problems rebuild the coefficient-dependent tables per coefficient time
-    (memoized).  ``generator(t)`` is the summed table, evaluated as the
-    polynomial G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; G_0 and the
-    G_j are summed once per coefficient time, on first use.
-    ``stage_operator(t)`` is the operator the time stepper applies.
+    (memoized for MEMO_TIMES times).  ``generator(t)`` is the summed
+    table, evaluated as the polynomial
+    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}, with G_0 and the G_j
+    summed on each call.  ``stage_operator(t)`` is the operator the time
+    stepper applies: the Multiplier of that polynomial's rows, or the
+    Stacked sum over the spectral stack of G_0 and the G_j, built once per
+    coefficient time.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
@@ -543,37 +554,49 @@ class ConjugationAssembler:
 
     def _static_tables(self, t):
         """One entry for time-independent coefficients; one per time
-        (memoized, at most 12) for time-dependent ones.  An entry holds the
-        spatial-stage tables, the k-stage tables and, once asked for, the
-        generator's polynomial coefficients and the Hermitian correction c."""
+        (memoized, at most MEMO_TIMES) for time-dependent ones.  An entry
+        holds the spatial-stage tables, the k-stage tables and, once asked
+        for, the generator's rows or spectral stack and the Hermitian
+        correction c."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
             stage = self._lambda_stage(0.0 if key is None else t)
             self._cache[key] = {"stage": stage, "k": self._k_stage_cache(stage)}
-            if len(self._cache) > 12:
+            if len(self._cache) > MEMO_TIMES:
                 self._cache.pop(next(iter(self._cache)))
         return self._cache[key]
 
     # -- public assembly ----------------------------------------------
 
+    def _tables(self, t):
+        """G_0 and {j: G_j} at the coefficient time of t, summed from the
+        entry's spatial-stage and k-stage tables."""
+        entry = self._static_tables(t)
+        stage = entry["stage"]
+        G0 = sum(stage[name].values for name in (
+            "ia2", "damp2", "ia2_lt", "ia1", "damp1", "id1", "a2cross",
+            "ia1_lt"))
+        Gj = {}
+        for tabs in entry["k"].values():
+            for j, tab in tabs.items():
+                Gj[j] = Gj.get(j, 0.0) + tab.values
+        return G0, Gj
+
     def _polynomial(self, t):
-        """(G_0, {j: G_j}, rows) at the coefficient time of t, summed on
-        first use.  rows holds the same tables' first rows when every row of
-        each is equal, and is None otherwise."""
+        """(rows, powers, stack) at the coefficient time of t, built on
+        first use.  rows = (G_0 row, {j: G_j row}) when every row of each
+        table is equal, and stack is None; otherwise rows is None and stack
+        is spectral_stack([G_0] + [G_j for j in powers]), kept in place of
+        the tables."""
         entry = self._static_tables(t)
         if "poly" not in entry:
-            stage = entry["stage"]
-            G0 = sum(stage[name].values for name in (
-                "ia2", "damp2", "ia2_lt", "ia1", "damp1", "id1", "a2cross",
-                "ia1_lt"))
-            Gj = {}
-            for tabs in entry["k"].values():
-                for j, tab in tabs.items():
-                    Gj[j] = Gj.get(j, 0.0) + tab.values
+            G0, Gj = self._tables(t)
             rows = fourier_rows(G0, *Gj.values())
             if rows is not None:
-                rows = (rows[0], dict(zip(Gj, rows[1:])))
-            entry["poly"] = (G0, Gj, rows)
+                entry["poly"] = ((rows[0], dict(zip(Gj, rows[1:]))), (), None)
+            else:
+                entry["poly"] = (None, tuple(Gj),
+                                 spectral_stack(self.grid, [G0, *Gj.values()]))
         return entry["poly"]
 
     def _kprime_row(self, t):
@@ -592,9 +615,9 @@ class ConjugationAssembler:
 
     def generator(self, t: float) -> np.ndarray:
         """Values of at(t).generator_table(), evaluated as the polynomial
-        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}."""
-        G0, Gj, _ = self._polynomial(t)
-        return self._evaluate(t, G0, Gj)
+        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; the tables are
+        summed on each call (only default_dt and the oracles ask)."""
+        return self._evaluate(t, *self._tables(t))
 
     def stage_operator(self, t: float):
         """The generator at time t as the time stepper applies it.
@@ -602,12 +625,15 @@ class ConjugationAssembler:
         The variant is read off the tables of t's coefficient time by
         fourier_rows: when G_0 and every G_j are x-independent, the
         generator is a Fourier multiplier (the k' term is a row already)
-        and applies with one FFT pair; otherwise it is
-        quantized(generator(t))."""
-        G0, Gj, rows = self._polynomial(t)
+        and applies with one FFT pair; otherwise it is the Stacked sum
+        over that time's spectral stack, with weights (1, k(t)^j, ...) and
+        the k' row, so no N x N array is formed per stage time."""
+        rows, powers, stack = self._polynomial(t)
         if rows is not None:
             return Multiplier(self.grid, self._evaluate(t, *rows))
-        return quantized(self.grid, self._evaluate(t, G0, Gj))
+        k = float(k_of_t(t, self.params))
+        weights = np.array([1.0] + [k ** j for j in powers])
+        return Stacked(self.grid, stack, weights, self._kprime_row(t))
 
     def at(self, t: float) -> ConjugatedSymbols:
         entry = self._static_tables(t)

@@ -10,12 +10,14 @@ library's polynomial time dependence) and a classical four-stage
 Runge-Kutta update for the remaining lower-order part.  The step carries
 the Fourier coefficients v_hat = forward(v): the integrating factor and the
 half-step phases are row products, a Multiplier stage is a row product and
-a Dense stage costs one FFT; the forcing is conjugated straight to
-coefficients, ||v|| comes from Parseval, and v itself is synthesized only
-at the logged times.  Every operator is a Multiplier or a Dense, the
-variant read off its tables (quantize.fourier_rows): both the lower-order
-generator and the conjugator op(e^Lam), through whose inverse the original
-unknown is recovered, are Multipliers on the KdV branch M2 = M1 = 0.
+a Stacked stage is one GEMV over the coefficient time's spectral stack
+plus one FFT; the forcing is conjugated straight to coefficients, ||v||
+comes from Parseval, and v itself is synthesized only at the logged times.
+The variant of every operator is read off its tables
+(quantize.fourier_rows): the lower-order generator is a Multiplier or a
+Stacked sum, the conjugator op(e^Lam), through whose inverse the original
+unknown is recovered, a Multiplier or a Dense, and both are Multipliers on
+the KdV branch M2 = M1 = 0.
 Every run carries an energy log against which the growth inequality is
 re-checked.
 """
@@ -171,10 +173,12 @@ def step(v_hat, t, dt, p, grid: Grid, stage, forcing=None):
 
     ``stage(tau)`` is the lower-order generator at time tau as an operator
     with ``matvec_hat`` (quantize.Multiplier: a row product;
-    quantize.Dense: one FFT), asked for once per stage time:
-    ConjugationAssembler.stage_operator samples the coefficients there and
-    picks the variant, and a constant function freezes the generator
-    across the step.  ``forcing(tau)`` returns coefficients too.
+    quantize.Stacked: one GEMV over a precomputed stack and one FFT;
+    quantize.Dense with ``spectral``: one FFT), asked for once per stage
+    time: ConjugationAssembler.stage_operator weights the stack of the
+    coefficient time there and picks the variant, and a constant function
+    freezes the generator across the step.  ``forcing(tau)`` returns
+    coefficients too.
     """
     t_half = t + 0.5 * dt
     A0, A_half, A_full = (stage(tau) for tau in (t, t_half, t + dt))
@@ -216,7 +220,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    Stage operators are built once per stage time: step i runs with the
+    Stage operators are built once per stage time, each a set of weights
+    on its coefficient time's spectral stack: step i runs with the
     exact (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].
     v0: the conjugated data at the nodes; f_conj: callable t -> the
     coefficients forward(.) of the conjugated forcing, or None.  The steps

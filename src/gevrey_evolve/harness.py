@@ -102,10 +102,12 @@ _AUTO_KEYS = {"weights.M2", "weights.M1", "weights.h", "run.dt", "data.rho"}
 _POSITIVE_KEYS = ("grid.L", "problem.T", "gevrey.rho", "data.rho", "weights.k0",
                   "select.margin", "run.dt", "tolerances.inverse_tol",
                   "tolerances.series_tol", "tolerances.garding_tol")
-# live complex N x N tables at the peak of a damped run (about 65 measured
-# at N = 128, 256 and 384, rounded up): the dense working set is
-# DENSE_TABLES * 16 N^2 bytes
+# live complex N x N tables at the peak of a run, rounded up: the dense
+# working set is DENSE_TABLES * 16 N^2 bytes.  About 65 were measured for
+# complex-damped at N = 128, 256 and 384, and about 200 for time-modulated,
+# whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient times
 DENSE_TABLES = 80
+DENSE_TABLES_TIME_DEPENDENT = 240
 
 
 def _physical_memory():
@@ -192,7 +194,10 @@ class RunConfig:
                 f"(half-open at the top), got {theta}")
         if v["grid.N"] < 8 or v["grid.N"] % 2:
             raise ConfigurationError(f"grid.N must be even and >= 8, got {v['grid.N']}")
-        need, have = DENSE_TABLES * 16 * v["grid.N"] ** 2, _physical_memory()
+        tables = (DENSE_TABLES_TIME_DEPENDENT
+                  if model_problem(v["problem.id"], sigma).time_dependent
+                  else DENSE_TABLES)
+        need, have = tables * 16 * v["grid.N"] ** 2, _physical_memory()
         if have is not None and need > have:
             raise ConfigurationError(
                 f"grid.N = {v['grid.N']} needs about {need / 2**30:.3g} GiB of "

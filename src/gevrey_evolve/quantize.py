@@ -21,7 +21,9 @@ dense conjugation on the resolved band.
 Operators have ``matvec`` on node values, ``matvec_hat`` on coefficients
 (what the time stepper carries) and a ``dense()`` that only oracles call: a
 Multiplier (a row in xi: one FFT pair on node values, a row product on
-coefficients) or a Dense matrix.
+coefficients), a Dense matrix, or a Stacked polynomial (a weighted sum of
+the quantized tables of a fixed spectral stack plus a row product: one
+GEMV over the stack and one FFT on coefficients).
 
 x-derivatives of tables are spectral; xi-derivatives use finite differences
 on the uniform frequency lattice (the Nyquist column is excluded).
@@ -130,6 +132,33 @@ class Dense:
         return self.matrix
 
 
+@dataclass(frozen=True)
+class Stacked:
+    """sum_i weights[i] op(G_i) + diag(row) on coefficients, from the
+    spectral stack A[i] = E_syn * G_i (spectral_stack): the stack is fixed,
+    and only the weights and the row change from one time to the next."""
+
+    grid: Grid
+    stack: np.ndarray       # (J+1, N, N)
+    weights: np.ndarray     # (J+1,)
+    row: np.ndarray         # (N,)
+
+    def matvec(self, w):
+        return self.grid.inverse(self.matvec_hat(self.grid.forward(w)))
+
+    def matvec_hat(self, w_hat):
+        """forward(sum_i weights[i] A[i] w_hat) + row * w_hat: one GEMV
+        over the stack, one FFT."""
+        N = self.grid.N
+        parts = (self.stack.reshape(-1, N) @ w_hat).reshape(-1, N)
+        return self.grid.forward(self.weights @ parts) + self.row * w_hat
+
+    def dense(self):
+        summed = np.tensordot(self.weights, self.stack, axes=1)
+        return (Dense(self.grid, summed, spectral=True).dense()
+                + Multiplier(self.grid, self.row).dense())
+
+
 def fourier_rows(*tables):
     """The tables' first rows if every row of each equals its first, else
     None: the one rule for an operator's variant, since a table with equal
@@ -159,6 +188,16 @@ def multiplier_table(grid, values_xi):
 def quantized(grid, values):
     """op(p), p given by its table values, as E_syn * p on coefficients."""
     return Dense(grid, grid.synthesis_matrix() * values, spectral=True)
+
+
+def spectral_stack(grid, tables):
+    """The stack A[i] = E_syn * tables[i], shape (len(tables), N, N), built
+    in place: the only N x N arrays it allocates are its own."""
+    E_syn = grid.synthesis_matrix()
+    A = np.empty((len(tables), grid.N, grid.N), dtype=complex)
+    for A_i, G in zip(A, tables):
+        np.multiply(E_syn, G, out=A_i)
+    return A
 
 
 def apply(p: SymbolTable, u):

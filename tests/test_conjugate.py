@@ -7,8 +7,8 @@ from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
 from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
-from gevrey_evolve.quantize import (Dense, Multiplier, exp_table,
-                                    multiplier_table, operator_norm,
+from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, exp_table,
+                                    multiplier_table, operator_norm, quantized,
                                     representable_error, to_dense)
 from gevrey_evolve.symbols import model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t, k_prime
@@ -331,7 +331,37 @@ def test_generator_polynomial_matches_generator_table(grid, name):
 
     for t in (0.0, 0.3, 0.3, 1.0):
         check(t)
-    for t in np.linspace(0.05, 0.95, 13):   # more than the memo's 12 times
+    for t in np.linspace(0.05, 0.95, 13):   # more times than the memo keeps
         asm.generator(t)
+    for t in (0.0, 0.3, 1.0):
+        check(t)
+
+
+@pytest.mark.parametrize("name, L_, N_", [("complex-damped", L, N),
+                                          ("complex-damped", 20.0, 256),
+                                          ("time-modulated", L, N)])
+def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
+    # the stage the stepper applies, one GEMV over the spectral stack plus
+    # the k' row, against op(generator_table) built from the named parts, on
+    # fresh, repeated and evicted coefficient times; C1, C2 > 0 make k' != 0
+    g = make_grid(L_, N_)
+    prob = model_problem(name, 0.75, domain=L_)
+    asm = ConjugationAssembler(
+        prob, params_with(C1=0.2, C2=0.01, domain_cap=float(np.sqrt(1 + L_ ** 2))),
+        g)
+    rng = np.random.default_rng(7)
+    w_hat = rng.standard_normal(N_) + 1j * rng.standard_normal(N_)
+
+    def check(t):
+        op = asm.stage_operator(t)
+        assert isinstance(op, Stacked)
+        got = op.matvec_hat(w_hat)
+        ref = quantized(g, asm.at(t).generator_table().values).matvec_hat(w_hat)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for t in (0.0, 0.3, 0.3, 1.0):
+        check(t)
+    for t in np.linspace(0.05, 0.95, 13):   # more times than the memo keeps
+        asm.stage_operator(t)
     for t in (0.0, 0.3, 1.0):
         check(t)

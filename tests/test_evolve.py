@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gevrey_evolve import conjugate, evolve, quantize
 from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
                                      build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError
@@ -12,7 +13,7 @@ from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm, radius_fit,
                                   solve_original, step, synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
-from gevrey_evolve.quantize import multiplier_table, to_dense
+from gevrey_evolve.quantize import Stacked, multiplier_table, to_dense
 from gevrey_evolve.symbols import model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t
 
@@ -178,11 +179,78 @@ def test_multiplier_step_matches_dense_step(N, L):
     assert grid.l2_norm(w_mult - w_dense) <= 1e-13 * scale
 
 
+def test_stacked_step_matches_dense_step(grid):
+    # an x-dependent generator with k' != 0 (C1, C2 > 0): a step through
+    # the Stacked stage equals the step through E_syn * G
+    prob = model_problem("complex-damped", 0.75, domain=grid.L)
+    p = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
+                            M2=0.1, M1=0.1, h=2.0).with_ode_constants(0.5, 0.1)
+    asm = ConjugationAssembler(prob, p, grid)
+    assert isinstance(asm.stage_operator(0.0), Stacked)
+    E_syn = grid.synthesis_matrix()
+    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau), spectral=True)
+    zero = lambda tau: Multiplier(grid, np.zeros(grid.N))
+    v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
+    w_stack = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid,
+                                asm.stage_operator))
+    w_dense = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid, dense))
+    w_zero = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid, zero))
+    scale = grid.l2_norm(w_dense)
+    assert grid.l2_norm(w_dense - w_zero) > 1e-4 * scale
+    assert grid.l2_norm(w_stack - w_dense) <= 1e-13 * scale
+
+
+def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
+    # a damped-64 solve quantizes no table per stage time: it builds the
+    # spectral stack of its one coefficient time once, and every stage it
+    # applies is that stack weighted at its own time, k' row included
+    setup = small_setup
+    grid = setup["grid"]
+    bundle = dataclasses.replace(setup["bundle"], assembler=ConjugationAssembler(
+        setup["problem"], setup["params"], grid))
+    counts = {"quantized": 0, "spectral_stack": 0}
+    oracle = quantize.quantized
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (quantize, conjugate, evolve):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(module, name))
+    stages = {}
+    build = ConjugationAssembler.stage_operator
+
+    def recording(self, t):
+        stages[float(t)] = build(self, t)
+        return stages[float(t)]
+
+    monkeypatch.setattr(ConjugationAssembler, "stage_operator", recording)
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    traj = solve_original(setup["problem"], setup["params"], None, g, grid,
+                          0.5, theta=1.8, bundle=bundle)
+    assert counts == {"quantized": 0, "spectral_stack": 1}
+    assert len(stages) == 2 * traj.meta["steps"] + 1
+    rng = np.random.default_rng(3)
+    w_hat = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+    times = sorted(stages)
+    for t in (times[0], times[1], times[-1]):
+        ref = oracle(grid, bundle.assembler.at(t).generator_table().values)
+        got = stages[t].matvec_hat(w_hat)
+        want = ref.matvec_hat(w_hat)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_stage_variant_read_off_the_tables(small_setup, grid):
-    # complex-damped tables depend on x: dense stages.  kdv-baseline's
+    # complex-damped tables depend on x: stacked stages.  kdv-baseline's
     # vanish (M2 = M1 = 0): multiplier stages.  kdv-baseline with M2 > 0
-    # has an x-dependent phase, hence dense stages again
-    assert isinstance(small_setup["assembler"].stage_operator(0.3), Dense)
+    # has an x-dependent phase, hence stacked stages again
+    assert isinstance(small_setup["assembler"].stage_operator(0.3), Stacked)
     kdv = model_problem("kdv-baseline", 0.75)
     _, details = select_parameters_detailed(kdv, 1.8, grid)
     assert isinstance(details["bundle"].assembler.stage_operator(0.3),
@@ -190,7 +258,7 @@ def test_stage_variant_read_off_the_tables(small_setup, grid):
     weighted = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
                                    M2=0.1, h=2.0)
     assert isinstance(
-        ConjugationAssembler(kdv, weighted, grid).stage_operator(0.3), Dense)
+        ConjugationAssembler(kdv, weighted, grid).stage_operator(0.3), Stacked)
 
 
 def test_step_blowup_detected(grid):

@@ -323,6 +323,26 @@ def test_dense_working_set_at_n1024_fits():
     RunConfig.from_text(SMALL + "grid.N = 1024\n").validate()
 
 
+def test_time_dependent_working_set_is_budgeted(tmp_path, capsys,
+                                                monkeypatch):
+    # time-modulated keeps the tables of several coefficient times, so on a
+    # machine reporting 128 MiB its N = 256 is refused (exit 2, naming
+    # grid.N) while complex-damped at the same N is accepted; nothing large
+    # is allocated, since the refusal comes from the reported memory alone
+    from gevrey_evolve import harness
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 128 * 2 ** 20)
+    text = "grid.L = 20\ngrid.N = 256\n"
+    RunConfig.from_text(text).validate()
+    cfg = tmp_path / "modulated.cfg"
+    cfg.write_text(text + "problem.id = time-modulated\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and "grid.N = 256" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_thread_cap_must_be_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GEVREY_EVOLVE_THREADS", "abc")
     cfg = tmp_path / "sweep.cfg"
