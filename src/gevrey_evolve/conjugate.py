@@ -11,7 +11,8 @@ The two stages are kept separate, mirroring how the operator factorizes:
 
 * the spatial stage op(e^lam) is a Multiplier, inverted exactly by the
   reciprocal row, when the phase is x-independent (M2 = M1 = 0); otherwise
-  it is dense and its inverse is the adjoint of op(e^-lam) composed with the
+  it is a dense matrix on Fourier coefficients, the basis of every
+  operator, and its inverse is the adjoint of op(e^-lam) composed with the
   Neumann series in the exact discrete remainder R, summed in product form
   until the power of R it leaves, which is the residual of the inverse,
   falls below series_tol.  A direct dense inverse is the cross-check mode
@@ -41,7 +42,7 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        dx_operator, exp_table, fourier_rows, multiplier_table,
-                       operator_norm, sampled_table, spectral_stack, to_dense,
+                       operator_norm, sampled_table, spectral_stack,
                        x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
@@ -241,26 +242,15 @@ class ConjugatorBundle:
             raise ParameterError("time-weight multiplier overflows; reduce k0")
         return Multiplier(self.grid, np.exp(expo))
 
-    def apply_full(self, u, t):
-        """op(e^Lam(t)) u: the spatial stage E, then the time stage."""
-        return self.grid.inverse(self.apply_full_hat(u, t))
+    def apply_full(self, u_hat, t):
+        """Coefficients of op(e^Lam(t)) u from those of u: the spatial
+        stage E, then the time stage's row."""
+        return self.time_stage(t).matvec_hat(self.E.matvec_hat(u_hat))
 
-    def apply_full_hat(self, u, t):
-        """forward(op(e^Lam(t)) u), the coefficients the time stepper
-        carries: the spatial stage E, then the time stage's row; one product
-        row when E is a Multiplier too."""
-        row = self.time_stage(t).row
-        if isinstance(self.E, Multiplier):
-            return (row * self.E.row) * self.grid.forward(u)
-        return row * self.grid.forward(self.E.matvec(u))
-
-    def apply_full_inverse(self, v, t):
-        """{op(e^Lam(t))}^{-1} v: the inverse time stage, then E_inv; one
-        product row when E_inv is a Multiplier too."""
-        stage = self.time_stage(t, -1)
-        if isinstance(self.E_inv, Multiplier):
-            return Multiplier(self.grid, self.E_inv.row * stage.row).matvec(v)
-        return self.E_inv.matvec(stage.matvec(v))
+    def apply_full_inverse(self, v_hat, t):
+        """Coefficients of {op(e^Lam(t))}^{-1} v from those of v: the
+        inverse time stage's row, then E_inv."""
+        return self.E_inv.matvec_hat(self.time_stage(t, -1).matvec_hat(v_hat))
 
 
 def build_conjugator(assembler: "ConjugationAssembler",
@@ -272,35 +262,39 @@ def build_conjugator(assembler: "ConjugationAssembler",
 
     When the phase is x-independent (fourier_rows) E and E_inv are the
     Multipliers of the row e^lam and its reciprocal, and every diagnostic
-    is measured on the rows.  Otherwise E_inv = E_star S, with E_star the
+    is measured on the rows.  Otherwise E = E_syn^H (E_syn * e^lam) maps
+    coefficients to coefficients, and E_inv = E_star S, with E_star the
     adjoint of op(e^-lam) and S the Neumann series of (I + R)^{-1} in the
     exact discrete remainder R = E E_star - I, summed in product form:
     S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
     products per factor.  Then E E_inv - I = -R^{2^K}, so the series stops
     at the first K with ||R^{2^K}||_F < series_tol, a bound on the residual
     it leaves.  It needs spectral radius rho(R) < 1, checked before the
-    series starts; the exact residual is checked once at the end.
+    series starts; the exact residual is checked once at the end.  The
+    change of basis from node values is unitary: rho(R) and every norm
+    are those of the node-value matrices.
     ``mode="dense"`` replaces either with a dense E and a direct dense
     inverse (cross-check oracle, N <= 256).
     """
     grid, phase = assembler.grid, assembler.phase
-    N = grid.N
+    N, nyq = grid.N, grid.nyquist
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
     # identity on it so the operator stays invertible
-    nyq = np.zeros(N)
-    nyq[grid.nyquist] = 1.0
     exp_lam, exp_neg = exp_table(phase.lam), exp_table(phase.lam * -1.0)
     if mode != "dense" and fourier_rows(phase.lam.values) is not None:
-        e = exp_lam.values[0] + nyq
-        R = e * np.conj(exp_neg.values[0] + nyq) - 1.0
+        e, e_neg = exp_lam.values[0].copy(), exp_neg.values[0].copy()
+        e[nyq] = e_neg[nyq] = 1.0
+        R = e * np.conj(e_neg) - 1.0
         E, E_inv = Multiplier(grid, e), Multiplier(grid, 1.0 / e)
         rho = float(np.max(np.abs(R)))
         residual, terms = float(np.max(np.abs(e * E_inv.row - 1.0))), 0
     else:
         I = np.eye(N, dtype=complex)
-        P_nyq = Multiplier(grid, nyq).dense()
-        E = to_dense(exp_lam) + P_nyq
-        E_star = adjoint(to_dense(exp_neg) + P_nyq)
+        E_syn = grid.synthesis_matrix()
+        E, E_star = (E_syn.conj().T @ (E_syn * tab.values)
+                     for tab in (exp_lam, exp_neg))
+        E[nyq, nyq] = E_star[nyq, nyq] = 1.0
+        E_star = adjoint(E_star)
         R = E @ E_star - I
         nrm = operator_norm(R)
         rho = nrm if nrm < 1.0 else float(np.max(np.abs(np.linalg.eigvals(R))))
@@ -382,7 +376,8 @@ class ConjugatedSymbols:
         tables of this coefficient time (``_static``)."""
         if not self._herm:
             if "c" not in self._static:
-                self._static["c"] = _hermitian_half(self.parts["re_a2_raw"])
+                # i a2 holds Re a2 as its imaginary part, bit for bit
+                self._static["c"] = _hermitian_half(self.parts["ia2"].imag)
             self._herm["c"] = self._static["c"]
             im_tab = self.parts["b2k"].imag + self.parts["ia2_k"].imag
             self._herm["e"] = _hermitian_half(im_tab)
@@ -465,9 +460,9 @@ class ConjugationAssembler:
         a3 = multiplier_table(g, a3_row)
         da3 = multiplier_table(g, da3_row)
 
-        ia2 = eval_table(p.a2, g, t) * 1j
-        ia1 = eval_table(p.a1, g, t) * 1j
         a2 = eval_table(p.a2, g, t)
+        ia2 = a2 * 1j
+        ia1 = eval_table(p.a1, g, t) * 1j
 
         damp2 = da3 * ph.lam2_x * -1.0
         damp1 = da3 * ph.lam1_x * -1.0
@@ -509,8 +504,8 @@ class ConjugationAssembler:
                                      * (1.0 - ph.psi_window.values.real)))
 
         return dict(a3_row=a3_row, da3_row=da3_row, ia2=ia2, ia1=ia1,
-                    re_a2_raw=a2.real, damp2=damp2, damp1=damp1,
-                    id1=d1 * 1j, d1=d1, ia2_lt=ia2_lt, ia1_lt=ia1_lt,
+                    damp2=damp2, damp1=damp1, d1=d1, ia2_lt=ia2_lt,
+                    ia1_lt=ia1_lt,
                     a2cross=a2cross, m2_main=m2_main.real, m2_tail=m2_tail,
                     m1_main=m1_main.real, m1_tail=m1_tail)
 
@@ -523,7 +518,7 @@ class ConjugationAssembler:
         params = self.params
         groups = {
             "b2k": (stage["ia2"] + stage["damp2"], 2.0),
-            "b1k": (stage["ia1"] + stage["damp1"] + stage["id1"]
+            "b1k": (stage["ia1"] + stage["damp1"] + stage["d1"] * 1j
                     + stage["a2cross"], 1.0),
             "a2k": (stage["ia2_lt"], 2.0 - (2.0 * params.sigma - 1.0)),
             "a1k": (stage["ia1_lt"], 2.0 * (1.0 - params.sigma)),
@@ -572,7 +567,7 @@ class ConjugationAssembler:
         """G_0 and {j: G_j} at the coefficient time of t, summed from the
         entry's spatial-stage and k-stage tables."""
         entry = self._static_tables(t)
-        stage = entry["stage"]
+        stage = dict(entry["stage"], id1=entry["stage"]["d1"] * 1j)
         G0 = sum(stage[name].values for name in (
             "ia2", "damp2", "ia2_lt", "ia1", "damp1", "id1", "a2cross",
             "ia1_lt"))
@@ -658,11 +653,11 @@ class ConjugationAssembler:
 
         parts = dict(
             ia2=stage["ia2"], damp2=stage["damp2"], b2k=b2k, ia2_k=ia2_k,
-            ia1=stage["ia1"], damp1=stage["damp1"], id1=stage["id1"],
+            ia1=stage["ia1"], damp1=stage["damp1"], id1=stage["d1"] * 1j,
             a2cross=stage["a2cross"], kprime=kprime, b1k=b1k, ia1_k=ia1_k,
             m2_main=stage["m2_main"], m2_tail=stage["m2_tail"],
             m1_main=stage["m1_main"], m1_tail=stage["m1_tail"],
-            d1=stage["d1"], re_a2_raw=stage["re_a2_raw"],
+            d1=stage["d1"],
         )
         return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts,
                                  _static=entry)

@@ -7,17 +7,17 @@ The solver integrates the conjugated problem
 with the leading multiplier handled by an exact integrating factor (the
 phase integral uses two-point Gauss quadrature per interval, exact for the
 library's polynomial time dependence) and a classical four-stage
-Runge-Kutta update for the remaining lower-order part.  The step carries
-the Fourier coefficients v_hat = forward(v): the integrating factor and the
-half-step phases are row products, a Multiplier stage is a row product and
-a Stacked stage is one GEMV over the coefficient time's spectral stack
-plus one FFT; the forcing is conjugated straight to coefficients, ||v||
-comes from Parseval, and v itself is synthesized only at the logged times.
-The variant of every operator is read off its tables
-(quantize.fourier_rows): the lower-order generator is a Multiplier or a
-Stacked sum, the conjugator op(e^Lam), through whose inverse the original
-unknown is recovered, a Multiplier or a Dense, and both are Multipliers on
-the KdV branch M2 = M1 = 0.
+Runge-Kutta update for the remaining lower-order part.  Every operator
+maps Fourier coefficients to Fourier coefficients (quantize), so the solve
+carries them throughout: the integrating factor, the half-step phases and
+a Multiplier stage are row products, a Stacked stage is one GEMV over the
+coefficient time's spectral stack plus one FFT; the data and the forcing
+are transformed once, ||v|| comes from Parseval, and the pull-back, its
+equivalence check, the radius fit and the Gevrey norm read coefficients,
+so u is synthesized once per logged time.  The variant of every operator
+is read off its tables (quantize.fourier_rows): the generator is a
+Multiplier or a Stacked sum, the conjugator op(e^Lam) a Multiplier or a
+Dense, and both are Multipliers on the KdV branch M2 = M1 = 0.
 Every run carries an energy log against which the growth inequality is
 re-checked.
 """
@@ -59,9 +59,9 @@ class GevreyNormSpec:
             raise ParameterError("theta must exceed 1")
 
 
-def gevrey_norm(u, spec: GevreyNormSpec, grid: Grid) -> float:
-    """|| <xi>^m e^{rho <xi>^{1/theta}} u_hat ||_2, evaluated in log space."""
-    u_hat = grid.forward(u)
+def gevrey_norm(u_hat, spec: GevreyNormSpec, grid: Grid) -> float:
+    """|| <xi>^m e^{rho <xi>^{1/theta}} u_hat ||_2 of the coefficients
+    u_hat = grid.forward(u), evaluated in log space."""
     b = np.sqrt(1.0 + np.square(grid.xi))
     logw = spec.m * np.log(b) + spec.rho * b ** (1.0 / spec.theta)
     mag = np.abs(u_hat)
@@ -84,9 +84,9 @@ class RadiusFit:
     nonlinear: bool      # large residual relative to the fitted drop
 
 
-def radius_fit_report(u, theta, grid: Grid) -> RadiusFit:
-    """Least squares slope of -log|u_hat| against <xi>^{1/theta}."""
-    u_hat = grid.forward(u)
+def radius_fit_report(u_hat, theta, grid: Grid) -> RadiusFit:
+    """Least squares slope of -log|u_hat| against <xi>^{1/theta}, read off
+    the coefficients u_hat = grid.forward(u)."""
     mag = np.abs(u_hat)
     top = float(np.max(mag))
     if top == 0.0:
@@ -108,9 +108,9 @@ def radius_fit_report(u, theta, grid: Grid) -> RadiusFit:
                      nonlinear=nonlinear)
 
 
-def radius_fit(u, theta, grid: Grid) -> float:
-    """Fitted exponential-decay radius of the spectrum."""
-    return radius_fit_report(u, theta, grid).rho
+def radius_fit(u_hat, theta, grid: Grid) -> float:
+    """Fitted exponential-decay radius of the spectrum u_hat."""
+    return radius_fit_report(u_hat, theta, grid).rho
 
 
 def synthetic_radius_field(grid: Grid, rho, theta, m: float = 0.0,
@@ -142,7 +142,7 @@ class Trajectory:
 
     times: np.ndarray                 # every step boundary
     logged_times: np.ndarray          # subset where fields are stored
-    v_fields: list                    # v at the logged times
+    v_hats: list                      # coefficients of v at the logged times
     u_fields: list = field(default_factory=list)  # u at the logged times
     l2: np.ndarray = None             # ||v||_L2 at every step boundary
     radius: np.ndarray = None         # fitted radius of u at logged times
@@ -174,7 +174,7 @@ def step(v_hat, t, dt, p, grid: Grid, stage, forcing=None):
     ``stage(tau)`` is the lower-order generator at time tau as an operator
     with ``matvec_hat`` (quantize.Multiplier: a row product;
     quantize.Stacked: one GEMV over a precomputed stack and one FFT;
-    quantize.Dense with ``spectral``: one FFT), asked for once per stage
+    quantize.Dense: one GEMV), asked for once per stage
     time: ConjugationAssembler.stage_operator weights the stack of the
     coefficient time there and picks the variant, and a constant function
     freezes the generator across the step.  ``forcing(tau)`` returns
@@ -216,16 +216,16 @@ def default_dt(generator, T):
     return T / steps
 
 
-def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
+def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
     Stage operators are built once per stage time, each a set of weights
     on its coefficient time's spectral stack: step i runs with the
     exact (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].
-    v0: the conjugated data at the nodes; f_conj: callable t -> the
-    coefficients forward(.) of the conjugated forcing, or None.  The steps
-    carry coefficients, and v is synthesized at the logged times only.
+    v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
+    callable t -> those of the conjugated forcing, or None.  The steps
+    carry coefficients, and the trajectory logs them at the logged times.
     The energy log records ||v||_L2 (by Parseval) at every step, the discrete
     growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
     one-constant bound it implies; the residual rate - C' is nonpositive
@@ -242,9 +242,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
     stride = max(1, steps // STORED_FIELDS)
 
     times = np.linspace(0.0, steps * dt, steps + 1)
-    v0 = grid.check_field(v0).copy()
-    v_hat = grid.forward(v0)
-    v_fields, logged = [v0], [0]
+    v_hat = grid.check_field(v0_hat).copy()
+    v_hats, logged = [v_hat], [0]
     # norms of coefficients: the transform is unitary (Parseval)
     E = np.empty(steps + 1)
     F = np.empty(steps + 1)
@@ -264,7 +263,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
         E[i + 1] = norm ** 2
         F[i + 1] = grid.l2_norm(f_conj(times[i + 1])) ** 2 if f_conj is not None else 0.0
         if (i + 1) % stride == 0 or i + 1 == steps:
-            v_fields.append(grid.inverse(v_hat))
+            v_hats.append(v_hat)
             logged.append(i + 1)
 
     rate = (E[1:] - E[:-1]) / (dt * (E[:-1] + F[:-1] + 1e-300))
@@ -276,7 +275,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0, T,
     gron = float(np.max(E / np.maximum(bound, 1e-300)))
 
     traj = Trajectory(times=times, logged_times=times[logged],
-                      v_fields=v_fields, l2=np.sqrt(E),
+                      v_hats=v_hats, l2=np.sqrt(E),
                       energy_rate=rate,
                       energy_residual=residual,
                       C_prime=C_prime, gronwall_C=gron,
@@ -292,13 +291,17 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     f: callable t -> field at nodes, or None; g: field at nodes.
     Checks that the data actually carries the declared radius rho and that
     k0 < rho, mirrors of the structural preconditions.  The bundle supplies
-    the conjugator and the generator.  The forcing is conjugated to
-    coefficients once per stage time: k2 and k3 share t + dt/2, and k4
-    shares t + dt with the energy log and the next step's k1.
+    the conjugator and the generator.  Everything runs on coefficients:
+    g is transformed once, and the forcing is transformed and conjugated
+    once per stage time (k2 and k3 share t + dt/2, and k4 shares t + dt
+    with the energy log and the next step's k1).  At each logged time the
+    pull-back, the equivalence check (by Parseval), the radius fit and the
+    output norm read the coefficients of u, and u is synthesized once.
     """
     theta = params.theta if theta is None else theta
+    g_hat = grid.forward(g)
     if rho is not None:
-        fit = radius_fit(g, theta, grid)
+        fit = radius_fit(g_hat, theta, grid)
         if fit < rho - RADIUS_TOL:
             raise DataError(
                 f"initial state has fitted radius {fit:.4f} < declared {rho}")
@@ -306,28 +309,28 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
             raise DataError(
                 f"k0={params.k0} must stay below the data radius {rho}")
 
-    v0 = bundle.apply_full(grid.check_field(g), 0.0)
     f_conj = None
     if f is not None:
         f_conj = lru_cache(maxsize=4)(
-            lambda tau: bundle.apply_full_hat(grid.check_field(f(tau)), tau))
+            lambda tau: bundle.apply_full(grid.forward(f(tau)), tau))
 
-    traj = solve_conjugated(bundle.assembler, f_conj, v0, T, dt=dt)
+    traj = solve_conjugated(bundle.assembler, f_conj,
+                            bundle.apply_full(g_hat, 0.0), T, dt=dt)
 
     rho_prime = float(k_of_t(T, params)) - REPORT_DELTA
     spec_out = GevreyNormSpec(m, rho_prime, theta)
     u_fields, rad, equiv, hm_u = [], [], [], []
-    for t, v in zip(traj.logged_times, traj.v_fields):
-        u = bundle.apply_full_inverse(v, t)
-        u_fields.append(u)
-        back = bundle.apply_full(u, t)
-        nv = grid.l2_norm(v)
-        equiv.append(grid.l2_norm(back - v) / (nv if nv > 0 else 1.0))
+    for t, v_hat in zip(traj.logged_times, traj.v_hats):
+        u_hat = bundle.apply_full_inverse(v_hat, t)
+        u_fields.append(grid.inverse(u_hat))
+        back = bundle.apply_full(u_hat, t)
+        nv = grid.l2_norm(v_hat)
+        equiv.append(grid.l2_norm(back - v_hat) / (nv if nv > 0 else 1.0))
         try:
-            rad.append(radius_fit(u, theta, grid))
+            rad.append(radius_fit(u_hat, theta, grid))
         except DataError:
             rad.append(float("nan"))
-        hm_u.append(gevrey_norm(u, spec_out, grid))
+        hm_u.append(gevrey_norm(u_hat, spec_out, grid))
 
     traj.u_fields = u_fields
     traj.radius = np.asarray(rad)
@@ -339,9 +342,9 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
         # ||g||^2 + int_0^t ||f||^2 at every step time: one trapezoid sum
         # over the step times, read at the logged ones
         spec_in = GevreyNormSpec(m, rho, theta)
-        den = np.full(traj.times.size, gevrey_norm(g, spec_in, grid) ** 2)
+        den = np.full(traj.times.size, gevrey_norm(g_hat, spec_in, grid) ** 2)
         if f is not None:
-            fn = np.array([gevrey_norm(grid.check_field(f(s)), spec_in, grid) ** 2
+            fn = np.array([gevrey_norm(grid.forward(f(s)), spec_in, grid) ** 2
                            for s in traj.times])
             den[1:] += np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(traj.times))
         C = 0.0

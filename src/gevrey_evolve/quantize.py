@@ -18,12 +18,12 @@ anchors every asymptotic claim made by the composition and conjugation
 expansions: whatever an expansion predicts must match the dense product or
 dense conjugation on the resolved band.
 
-Operators have ``matvec`` on node values, ``matvec_hat`` on coefficients
-(what the time stepper carries) and a ``dense()`` that only oracles call: a
-Multiplier (a row in xi: one FFT pair on node values, a row product on
-coefficients), a Dense matrix, or a Stacked polynomial (a weighted sum of
-the quantized tables of a fixed spectral stack plus a row product: one
-GEMV over the stack and one FFT on coefficients).
+Every operator maps Fourier coefficients to Fourier coefficients
+(``matvec_hat``) and has a node-value ``dense()`` that only oracles call: a
+Multiplier (a row in xi: a row product), a Dense coefficient matrix, or a
+Stacked polynomial (a weighted sum of the quantized tables of a fixed
+spectral stack plus a row product: one GEMV over the stack and one FFT);
+quantized(grid, values) is the one-entry Stacked.
 
 x-derivatives of tables are spectral; xi-derivatives use finite differences
 on the uniform frequency lattice (the Nyquist column is excluded).
@@ -92,44 +92,37 @@ class SymbolTable:
         return SymbolTable(self.grid, np.conj(self.values))
 
 
+def _on_nodes(grid, M):
+    """The node-value matrix M E_syn^H of a coefficient-to-node matrix M."""
+    return M @ grid.synthesis_matrix().conj().T
+
+
 @dataclass(frozen=True)
 class Multiplier:
-    """An operator diagonal in xi, given by its row: one FFT pair."""
+    """An operator diagonal in xi, given by its row: a row product."""
 
     grid: Grid
     row: np.ndarray
-
-    def matvec(self, w):
-        return self.grid.inverse(self.matvec_hat(self.grid.forward(w)))
 
     def matvec_hat(self, w_hat):
         return self.row * w_hat
 
     def dense(self):
-        return quantized(self.grid, self.row[None, :]).dense()
+        return _on_nodes(self.grid, self.grid.synthesis_matrix() * self.row)
 
 
 @dataclass(frozen=True)
 class Dense:
-    """An operator as a matrix on node values or, when ``spectral``, on the
-    coefficients forward(w) (a generator table G as E_syn * G)."""
+    """An operator as a matrix from coefficients to coefficients."""
 
     grid: Grid
     matrix: np.ndarray
-    spectral: bool = False
-
-    def matvec(self, w):
-        return self.matrix @ (self.grid.forward(w) if self.spectral else w)
 
     def matvec_hat(self, w_hat):
-        """forward(matvec(inverse(w_hat))): one FFT when ``spectral``."""
-        w = w_hat if self.spectral else self.grid.inverse(w_hat)
-        return self.grid.forward(self.matrix @ w)
+        return self.matrix @ w_hat
 
     def dense(self):
-        if self.spectral:
-            return self.matrix @ self.grid.synthesis_matrix().conj().T
-        return self.matrix
+        return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)
 
 
 @dataclass(frozen=True)
@@ -143,9 +136,6 @@ class Stacked:
     weights: np.ndarray     # (J+1,)
     row: np.ndarray         # (N,)
 
-    def matvec(self, w):
-        return self.grid.inverse(self.matvec_hat(self.grid.forward(w)))
-
     def matvec_hat(self, w_hat):
         """forward(sum_i weights[i] A[i] w_hat) + row * w_hat: one GEMV
         over the stack, one FFT."""
@@ -155,8 +145,8 @@ class Stacked:
 
     def dense(self):
         summed = np.tensordot(self.weights, self.stack, axes=1)
-        return (Dense(self.grid, summed, spectral=True).dense()
-                + Multiplier(self.grid, self.row).dense())
+        return _on_nodes(self.grid,
+                         summed + self.grid.synthesis_matrix() * self.row)
 
 
 def fourier_rows(*tables):
@@ -186,8 +176,10 @@ def multiplier_table(grid, values_xi):
 
 
 def quantized(grid, values):
-    """op(p), p given by its table values, as E_syn * p on coefficients."""
-    return Dense(grid, grid.synthesis_matrix() * values, spectral=True)
+    """op(p), p given by its table values, on coefficients: the one-entry
+    Stacked of E_syn * p."""
+    return Stacked(grid, (grid.synthesis_matrix() * values)[None],
+                   np.ones(1), np.zeros(grid.N))
 
 
 def spectral_stack(grid, tables):
@@ -202,12 +194,12 @@ def spectral_stack(grid, tables):
 
 def apply(p: SymbolTable, u):
     """Apply the quantized operator to node values; O(N^2)."""
-    return quantized(p.grid, p.values).matvec(u)
+    return (p.grid.synthesis_matrix() * p.values) @ p.grid.forward(u)
 
 
 def to_dense(p: SymbolTable):
     """Dense matrix M acting on node values with M @ u == apply(p, u)."""
-    return quantized(p.grid, p.values).dense()
+    return _on_nodes(p.grid, p.grid.synthesis_matrix() * p.values)
 
 
 def adjoint(A):

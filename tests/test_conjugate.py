@@ -7,10 +7,10 @@ from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
 from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
-from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, exp_table,
-                                    multiplier_table, operator_norm, quantized,
-                                    representable_error, to_dense)
-from gevrey_evolve.symbols import model_problem
+from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
+                                    exp_table, multiplier_table, operator_norm,
+                                    quantized, representable_error, to_dense)
+from gevrey_evolve.symbols import eval_table, model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t, k_prime
 
 L, N = 10.0, 64
@@ -69,9 +69,9 @@ def _check_against_dense_oracle(bundle, variant):
     weight = np.exp(float(k_of_t(t, params))
                     * bracket_h(grid.xi, params.h) ** (1.0 / params.theta))
     full_ref = (E_syn * weight) @ E_syn.conj().T @ E_ref
-    v = bundle.apply_full(u, t)
+    v = grid.inverse(bundle.apply_full(grid.forward(u), t))
     assert grid.l2_norm(v - full_ref @ u) <= 1e-12 * grid.l2_norm(v)
-    back = bundle.apply_full_inverse(v, t)
+    back = grid.inverse(bundle.apply_full_inverse(grid.forward(v), t))
     assert grid.l2_norm(back - u) <= 1e-13 * grid.l2_norm(u)
 
 
@@ -135,6 +135,29 @@ def test_time_multiplier_exactness(grid):
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
     conj = full_matrix(bundle, 0.3) @ a3 @ full_inverse_matrix(bundle, 0.3)
     assert operator_norm(conj - a3) < 1e-12 * operator_norm(a3)
+
+
+def test_stage_keeps_d1_and_a2_once(grid):
+    # a coefficient time's stage tables hold d1 and i a2 once; i d1 and
+    # Re a2 are formed where they are read, bit for bit: the order-1 group
+    # ia1 + damp1 + i d1 + a2cross in its k-stage correction b1k and in
+    # the parts, and Re a2 (the imaginary part of i a2) in the Hermitian
+    # correction c
+    asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
+    stage = asm._static_tables(0.0)["stage"]
+    assert not {"id1", "re_a2_raw"} & set(stage)
+    cs = asm.at(0.0)
+    assert np.array_equal(cs.parts["id1"].values, (stage["d1"] * 1j).values)
+    c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real)
+    assert np.array_equal(cs.hermitian_corrections()["c"].values, c.values)
+    zero = SymbolTable(grid, np.zeros((1, N)))
+    a1t = stage["ia1"] + stage["damp1"] + stage["d1"] * 1j + stage["a2cross"]
+    fed = dict(stage, ia1=a1t, damp1=zero, d1=zero, a2cross=zero)
+    want = asm._k_stage_cache(fed)["b1k"]
+    got = asm._k_stage_cache(stage)["b1k"]
+    assert want.keys() == got.keys() and want
+    for j in want:
+        assert np.array_equal(got[j].values, want[j].values)
 
 
 def test_d1_real_and_lambda1_independent(grid):

@@ -31,7 +31,7 @@ def test_gevrey_norm_reduces_to_l2(grid):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     spec = GevreyNormSpec(0.0, 0.0, 2.0)
-    assert gevrey_norm(u, spec, grid) == pytest.approx(grid.l2_norm(u), rel=1e-12)
+    assert gevrey_norm(grid.forward(u), spec, grid) == pytest.approx(grid.l2_norm(u), rel=1e-12)
 
 
 def test_gevrey_norm_single_mode(grid):
@@ -43,24 +43,24 @@ def test_gevrey_norm_single_mode(grid):
     theta = 2.0
     spec = GevreyNormSpec(0.0, 1.0, theta)
     expect = np.exp(np.sqrt(1 + grid.xi[k] ** 2) ** (1 / theta)) * grid.l2_norm(u)
-    assert gevrey_norm(u, spec, grid) == pytest.approx(expect, rel=1e-10)
+    assert gevrey_norm(grid.forward(u), spec, grid) == pytest.approx(expect, rel=1e-10)
 
 
 def test_gevrey_norm_monotone_in_rho(grid):
     u = synthetic_radius_field(grid, 1.0, 1.8)
-    vals = [gevrey_norm(u, GevreyNormSpec(0.0, r, 1.8), grid)
+    vals = [gevrey_norm(grid.forward(u), GevreyNormSpec(0.0, r, 1.8), grid)
             for r in (0.0, 0.3, 0.6)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_radius_fit_synthetic(grid):
     u = synthetic_radius_field(grid, 0.8, 2.0)
-    assert radius_fit(u, 2.0, grid) == pytest.approx(0.8, abs=0.01)
+    assert radius_fit(grid.forward(u), 2.0, grid) == pytest.approx(0.8, abs=0.01)
 
 
 def test_radius_fit_gaussian_flags_nonlinear(grid):
     u = np.exp(-grid.x ** 2) + 0j
-    rep = radius_fit_report(u, 2.0, grid)
+    rep = radius_fit_report(grid.forward(u), 2.0, grid)
     assert rep.nonlinear
 
 
@@ -68,7 +68,7 @@ def test_radius_fit_white_noise(grid):
     # no spectral decay: near-zero slope, large residual, flagged nonlinear
     rng = np.random.default_rng(7)
     u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    rep = radius_fit_report(u, 2.0, grid)
+    rep = radius_fit_report(grid.forward(u), 2.0, grid)
     assert abs(rep.rho) < 0.3 and rep.residual > 0.1 and rep.nonlinear
 
 
@@ -76,7 +76,7 @@ def test_radius_fit_insufficient_data(grid):
     u_hat = np.zeros(grid.N, dtype=complex)
     u_hat[np.argmin(np.abs(grid.xi))] = 1.0
     with pytest.raises(DataError):
-        radius_fit(grid.inverse(u_hat), 2.0, grid)
+        radius_fit(u_hat, 2.0, grid)
 
 
 # ----------------------------------------------------------------------
@@ -88,9 +88,15 @@ def _trivial_params(domain_cap):
                         domain_cap=domain_cap)
 
 
+def _dense_stage(grid, tab):
+    """op(tab) as the Dense coefficient matrix E_syn^H (E_syn * tab)."""
+    E_syn = grid.synthesis_matrix()
+    return Dense(grid, E_syn.conj().T @ (E_syn * tab))
+
+
 def _frozen(grid, tab):
     """The generator table tab as a dense stage operator at every time."""
-    A = Dense(grid, grid.synthesis_matrix() * tab, spectral=True)
+    A = _dense_stage(grid, tab)
     return lambda tau: A
 
 
@@ -166,8 +172,7 @@ def test_multiplier_step_matches_dense_step(N, L):
     p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(kdv, p, grid)
     assert isinstance(asm.stage_operator(0.0), Multiplier)
-    E_syn = grid.synthesis_matrix()
-    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau), spectral=True)
+    dense = lambda tau: _dense_stage(grid, asm.generator(tau))
     zero = lambda tau: Multiplier(grid, np.zeros(N))
     v = synthetic_radius_field(grid, 0.6, 1.8)
     v_hat = grid.forward(v)
@@ -187,8 +192,7 @@ def test_stacked_step_matches_dense_step(grid):
                             M2=0.1, M1=0.1, h=2.0).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(prob, p, grid)
     assert isinstance(asm.stage_operator(0.0), Stacked)
-    E_syn = grid.synthesis_matrix()
-    dense = lambda tau: Dense(grid, E_syn * asm.generator(tau), spectral=True)
+    dense = lambda tau: _dense_stage(grid, asm.generator(tau))
     zero = lambda tau: Multiplier(grid, np.zeros(grid.N))
     v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
     w_stack = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid,
@@ -246,6 +250,41 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
+    # a forced damped-64 solve (Dense conjugator, Stacked stages) carries
+    # coefficients end to end: its only synthesis is one Grid.inverse per
+    # logged time, and the pull-back (the conjugator inverse, the
+    # equivalence check, the radius fit and the output norm) makes no
+    # Grid.forward
+    from gevrey_evolve.grid import Grid
+    setup = small_setup
+    grid, bundle = setup["grid"], setup["bundle"]
+    assert isinstance(bundle.E_inv, Dense)
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    calls, solved = {"forward": 0, "inverse": 0}, {}
+    for name in calls:
+        def counting(self, u, fn=getattr(Grid, name), name=name):
+            calls[name] += 1
+            return fn(self, u)
+        monkeypatch.setattr(Grid, name, counting)
+    solve = evolve.solve_conjugated
+
+    def recording(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+        solved.update(calls)
+        return traj
+
+    monkeypatch.setattr(evolve, "solve_conjugated", recording)
+    traj = solve_original(setup["problem"], setup["params"],
+                          lambda t: 0.5 * np.exp(-t) * g, g, grid, 0.5,
+                          theta=1.8, bundle=bundle)
+    monkeypatch.undo()
+    assert len(traj.logged_times) > 10
+    assert solved["inverse"] == 0
+    assert calls["inverse"] == len(traj.logged_times)
+    assert calls["forward"] == solved["forward"]
+
+
 def test_stage_variant_read_off_the_tables(small_setup, grid):
     # complex-damped tables depend on x: stacked stages.  kdv-baseline's
     # vanish (M2 = M1 = 0): multiplier stages.  kdv-baseline with M2 > 0
@@ -269,7 +308,7 @@ def test_step_blowup_detected(grid):
     asm = ConjugationAssembler(prob, p, grid)
     v0 = synthetic_radius_field(grid, 0.5, 1.8)
     with pytest.raises(InstabilityError) as err:
-        solve_conjugated(asm, None, v0, 3.0, dt=0.02)
+        solve_conjugated(asm, None, grid.forward(v0), 3.0, dt=0.02)
     assert err.value.t is not None
 
 
@@ -281,7 +320,7 @@ def test_zero_data_gives_zero(small_setup):
     grid = small_setup["grid"]
     traj = solve_conjugated(small_setup["assembler"], None,
                             np.zeros(grid.N, dtype=complex), 0.5)
-    assert all(grid.l2_norm(v) == 0.0 for v in traj.v_fields)
+    assert all(grid.l2_norm(v) == 0.0 for v in traj.v_hats)
 
 
 def test_unitary_flow_kdv(grid):
@@ -333,11 +372,11 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     # plus an output norm per logged field
     assert len(calls) == steps + 2 + logged
 
-    den0 = gevrey_norm(g, spec_in, grid) ** 2
+    den0 = gevrey_norm(grid.forward(g), spec_in, grid) ** 2
     C = 0.0
     for idx, t in enumerate(traj.logged_times):
         ts = np.linspace(0.0, t, max(2, int(round(t / traj.meta["dt"])) + 1))
-        fn = [gevrey_norm(f(s), spec_in, grid) ** 2 for s in ts]
+        fn = [gevrey_norm(grid.forward(f(s)), spec_in, grid) ** 2 for s in ts]
         C = max(C, traj.meta["hm_u"][idx] ** 2 / (den0 + np.trapezoid(fn, ts)))
     assert traj.meta["energy_estimate_C"] == pytest.approx(C, rel=1e-12, abs=0.0)
 
