@@ -25,9 +25,9 @@ from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
 from .positivity import (PositivityReport, calibrate_time_weight,
                          discrete_garding, select_parameters_detailed,
                          verify_lower_bounds)
-from .evolve import (GevreyNormSpec, RadiusFit, Trajectory, gevrey_norm,
-                     radius_fit, radius_fit_report, solve_conjugated,
-                     solve_original, step, synthetic_radius_field)
+from .evolve import (GevreyNormSpec, Trajectory, gevrey_norm, radius_fit,
+                     solve_conjugated, solve_original, step,
+                     synthetic_radius_field)
 from .harness import RunConfig, oracle_suite, run_pipeline, sweep_pipeline
 
 __all__ = [n for n in dir() if not n.startswith("_")]

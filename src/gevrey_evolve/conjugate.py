@@ -32,9 +32,8 @@ a stage with one GEMV over the stack and one FFT, weighted by the powers
 of k(t), plus the k' row, and forms no N x N array per stage time.
 """
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import numpy as np
 
 from ._stencil import exp_derivative_factors
@@ -440,15 +439,6 @@ class ConjugationAssembler:
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
         self._cache = {}
-
-    def with_params(self, params: WeightParams):
-        """This assembler with other k(t) constants C1, C2.  No cached table
-        reads them, so the copy shares the cache."""
-        if replace(params, C1=self.params.C1, C2=self.params.C2) != self.params:
-            raise ParameterError("an assembler's params may differ only in C1, C2")
-        other = copy.copy(self)
-        other.params = params
-        return other
 
     # -- time-independent machinery -----------------------------------
 

@@ -75,18 +75,10 @@ def gevrey_norm(u_hat, spec: GevreyNormSpec, grid: Grid) -> float:
     return float(np.exp(top) * np.sqrt(grid.dx * np.sum(np.exp(2.0 * (la - top)))))
 
 
-@dataclass
-class RadiusFit:
-    rho: float
-    intercept: float
-    residual: float      # RMS deviation of the linear fit
-    n_modes: int
-    nonlinear: bool      # large residual relative to the fitted drop
-
-
-def radius_fit_report(u_hat, theta, grid: Grid) -> RadiusFit:
-    """Least squares slope of -log|u_hat| against <xi>^{1/theta}, read off
-    the coefficients u_hat = grid.forward(u)."""
+def radius_fit(u_hat, theta, grid: Grid) -> float:
+    """Fitted exponential-decay radius of the spectrum u_hat =
+    grid.forward(u): the least squares slope of -log|u_hat| against
+    <xi>^{1/theta} on the band, at the modes above the noise floor."""
     mag = np.abs(u_hat)
     top = float(np.max(mag))
     if top == 0.0:
@@ -97,20 +89,9 @@ def radius_fit_report(u_hat, theta, grid: Grid) -> RadiusFit:
         raise DataError(
             f"only {n} modes above the noise floor (need {RADIUS_MIN_MODES})")
     X = np.sqrt(1.0 + np.square(grid.xi[mask])) ** (1.0 / theta)
-    Y = -np.log(mag[mask])
     A = np.stack([X, np.ones_like(X)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, Y, rcond=None)
-    rho, c0 = float(sol[0]), float(sol[1])
-    resid = float(np.sqrt(np.mean((A @ sol - Y) ** 2)))
-    drop = float(np.max(Y) - np.min(Y))
-    nonlinear = resid > 0.05 * max(drop, 1.0)
-    return RadiusFit(rho=rho, intercept=c0, residual=resid, n_modes=n,
-                     nonlinear=nonlinear)
-
-
-def radius_fit(u_hat, theta, grid: Grid) -> float:
-    """Fitted exponential-decay radius of the spectrum u_hat."""
-    return radius_fit_report(u_hat, theta, grid).rho
+    sol, *_ = np.linalg.lstsq(A, -np.log(mag[mask]), rcond=None)
+    return float(sol[0])
 
 
 def synthetic_radius_field(grid: Grid, rho, theta, m: float = 0.0,
@@ -284,10 +265,12 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     return traj
 
 
-def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
-                   theta=None, dt=None, *, bundle: ConjugatorBundle):
+def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
+                   dt=None):
     """Full pipeline: conjugate the data, integrate, pull the solution back.
 
+    bundle: the accepted conjugator, the one holder of the problem, the
+    grid and the calibrated params (theta included) the solve reads.
     f: callable t -> field at nodes, or None; g: field at nodes.
     Checks that the data actually carries the declared radius rho and that
     k0 < rho, mirrors of the structural preconditions.  The bundle supplies
@@ -298,7 +281,8 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     pull-back, the equivalence check (by Parseval), the radius fit and the
     output norm read the coefficients of u, and u is synthesized once.
     """
-    theta = params.theta if theta is None else theta
+    grid, params = bundle.grid, bundle.params
+    theta = params.theta
     g_hat = grid.forward(g)
     if rho is not None:
         fit = radius_fit(g_hat, theta, grid)
@@ -335,8 +319,7 @@ def solve_original(p, params, f, g, grid: Grid, T, m=0.0, rho=None,
     traj.u_fields = u_fields
     traj.radius = np.asarray(rad)
     traj.equivalence_residual = np.asarray(equiv)
-    traj.meta.update({"rho_prime": rho_prime, "theta": theta,
-                      "hm_u": np.asarray(hm_u)})
+    traj.meta.update({"rho_prime": rho_prime, "hm_u": np.asarray(hm_u)})
 
     if rho is not None:
         # ||g||^2 + int_0^t ||f||^2 at every step time: one trapezoid sum

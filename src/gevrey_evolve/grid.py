@@ -69,15 +69,6 @@ class Grid:
             self._synthesis = E
         return self._synthesis
 
-    # -- differentiation ----------------------------------------------
-
-    def spectral_derivative(self, u, order=1):
-        """(d/dx)^order via the frequency lattice; Nyquist mode zeroed."""
-        u_hat = self.forward(u)
-        mult = (1j * self.xi) ** order
-        mult[self.nyquist] = 0.0
-        return self.inverse(mult * u_hat)
-
     def band_mask(self, fraction=0.5):
         """Boolean mask of the resolved band |xi| <= fraction * xi_max."""
         mask = np.abs(self.xi) <= fraction * self.xi_max + 1e-12

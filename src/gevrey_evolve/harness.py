@@ -259,7 +259,7 @@ def resolve_weights(cfg: RunConfig, problem, grid, assumptions=None):
     v = cfg.values
     kw = {}
     if v["weights.h"] != "auto":
-        kw["h_start"] = kw["h_max"] = float(v["weights.h"])
+        kw["h_pin"] = float(v["weights.h"])
     if v["weights.M2"] != "auto":
         kw["M2_pin"] = float(v["weights.M2"])
     if v["weights.M1"] != "auto":
@@ -300,7 +300,8 @@ def setup_pipeline(cfg: RunConfig):
     """The setup that run and verify share: validate the config, check the
     structural hypotheses (any failed row is a ConfigurationError), resolve
     the weights and publish the positivity certificate of the trial that
-    selection accepted.  Returns the artifacts dict."""
+    selection accepted.  Returns the artifacts dict; its bundle holds the
+    grid, the problem and the calibrated params."""
     cfg.validate()
     v = cfg.values
     grid = make_grid(v["grid.L"], v["grid.N"])
@@ -313,24 +314,23 @@ def setup_pipeline(cfg: RunConfig):
         positivity.garding_floors = garding_floors(bundle.assembler)
     return {"assumptions": assumptions, "positivity": positivity,
             "params": params, "details": details, "resolved": resolved,
-            "grid": grid, "problem": problem, "bundle": bundle}
+            "bundle": bundle}
 
 
 def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     """Full run; returns (trajectory, artifacts dict)."""
     artifacts = setup_pipeline(cfg)
     v = cfg.values
-    grid, problem = artifacts["grid"], artifacts["problem"]
-    g, f, rho = build_data(cfg, grid)
+    bundle = artifacts["bundle"]
+    g, f, rho = build_data(cfg, bundle.grid)
     dt = None if v["run.dt"] == "auto" else float(v["run.dt"])
-    traj = solve_original(problem, artifacts["params"], f, g, grid, problem.T,
-                          m=v["gevrey.m"], rho=rho, theta=v["gevrey.theta"],
-                          dt=dt, bundle=artifacts["bundle"])
+    traj = solve_original(bundle, f, g, bundle.problem.T, m=v["gevrey.m"],
+                          rho=rho, dt=dt)
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})
     if write:
         out = out_dir or v["output.dir"]
-        _write_setup(out, cfg, artifacts, traj)
+        _write_setup(out, artifacts, traj)
         _write_text(os.path.join(out, "trajectory.csv"),
                     serialize.trajectory_csv_lines(traj))
         if v["output.snapshots"]:
@@ -339,7 +339,9 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     return traj, artifacts
 
 
-def report_lines(cfg, assumptions, positivity, params, traj, bundle):
+def report_lines(assumptions, positivity, traj, bundle):
+    """report.txt: the weights are the bundle's calibrated params."""
+    params = bundle.params
     lines = ["gevrey-evolve run report", "========================", ""]
     lines += assumptions.lines() + [""]
     lines += positivity.lines() + [""]
@@ -351,13 +353,11 @@ def report_lines(cfg, assumptions, positivity, params, traj, bundle):
     if traj is not None:
         lines.append(f"solver: dt={traj.meta['dt']!r} steps={traj.meta['steps']} "
                      f"C'={traj.C_prime:.6g} gronwall ratio={traj.gronwall_C:.6g}")
-        if traj.radius is not None and len(traj.radius):
-            lines.append(f"radius: rho_hat(0)={traj.radius[0]:.4f} "
-                         f"rho_hat(T)={traj.radius[-1]:.4f} "
-                         f"rho'={traj.meta.get('rho_prime', float('nan')):.4f}")
-        if traj.equivalence_residual is not None and len(traj.equivalence_residual):
-            lines.append("equivalence: max |op(e^Lam)u - v| / |v| = "
-                         f"{float(np.max(traj.equivalence_residual)):.3e}")
+        lines.append(f"radius: rho_hat(0)={traj.radius[0]:.4f} "
+                     f"rho_hat(T)={traj.radius[-1]:.4f} "
+                     f"rho'={traj.meta['rho_prime']:.4f}")
+        lines.append("equivalence: max |op(e^Lam)u - v| / |v| = "
+                     f"{float(np.max(traj.equivalence_residual)):.3e}")
         if "energy_estimate_C" in traj.meta:
             lines.append(f"energy estimate constant: {traj.meta['energy_estimate_C']:.6g}")
     return lines
@@ -368,14 +368,14 @@ def _write_text(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_setup(out, cfg, art, traj):
+def _write_setup(out, art, traj):
     """positivity.csv, resolved.cfg and report.txt (traj None for verify)."""
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "positivity.csv"), art["positivity"].csv_lines())
     _write_text(os.path.join(out, "resolved.cfg"), art["resolved"].resolved_lines())
     _write_text(os.path.join(out, "report.txt"),
-                report_lines(cfg, art["assumptions"], art["positivity"],
-                             art["params"], traj, art["bundle"]))
+                report_lines(art["assumptions"], art["positivity"], traj,
+                             art["bundle"]))
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +385,7 @@ def _write_setup(out, cfg, art, traj):
 def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
     art = setup_pipeline(cfg)
     if write:
-        _write_setup(out_dir or cfg["output.dir"], cfg, art, None)
+        _write_setup(out_dir or cfg["output.dir"], art, None)
     return art["assumptions"], art["positivity"], art["params"]
 
 
@@ -441,12 +441,8 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         row["runtime_s"] = time.perf_counter() - t0
         return row
 
-    nw = worker_count()
-    if nw == 1:
-        rows = [one(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            rows = list(pool.map(one, values))
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        rows = list(pool.map(one, values))
 
     cols = ["axis", "value", "status", "margin_order2", "margin_order1",
             "margin_theta", "terminal_l2", "terminal_hm", "radius_T",

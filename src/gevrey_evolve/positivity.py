@@ -30,6 +30,7 @@ ZERO_THRESHOLD = 1e-13
 N_T_SAMPLES = 5     # coefficient times on [0, T] where constants are measured
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
 GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
+H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
 
 
 @dataclass
@@ -47,7 +48,6 @@ class BoundRow:
 
 @dataclass
 class PositivityReport:
-    params: WeightParams
     rows: list = field(default_factory=list)
     garding_floors: dict = field(default_factory=dict)
     region_size: int = 0
@@ -97,6 +97,14 @@ def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
     return float(np.linalg.eigvalsh(H_band)[0])
 
 
+def _checked_region(grid, params):
+    """The frequencies |xi| > R_a3 h the lower bounds are checked on,
+    without the unmatched Nyquist mode."""
+    region = np.abs(grid.xi) > params.R_a3 * params.h
+    region[grid.nyquist] = False
+    return region
+
+
 def _margin_normalizers(grid, params):
     bh = bracket_h(grid.xi, params.h)[None, :]
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
@@ -113,9 +121,8 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
     symbols over the grid region |xi| > R_a3 h, at each sample time.
     Failures are rows, not errors."""
     params, grid = assembler.params, assembler.grid
-    region = np.abs(grid.xi) > params.R_a3 * params.h
-    region[grid.nyquist] = False
-    report = PositivityReport(params=params, tolerance=tol,
+    region = _checked_region(grid, params)
+    report = PositivityReport(tolerance=tol,
                               region_size=int(np.count_nonzero(region)))
     if report.region_size == 0:
         report.passed = False
@@ -168,25 +175,24 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
 
     C1 bounds the negative part of the k-stage order-1/theta remainder
     relative to k(t); C2 bounds the k-independent negative contributions
-    (conjugated order-1 tail and the window tails).  Returns the assembler's
-    params with the measured constants installed; raises if k(T) dies
-    inside the horizon.  The assembler's tables read neither C1 nor C2, so
-    it serves every round.
+    (conjugated order-1 tail and the window tails).  Each round installs
+    its constants on the assembler it measures, whose tables read neither
+    C1 nor C2, so one assembler serves every round and leaves calibrated:
+    its params are the returned ones.  Raises if k(T) dies inside the
+    horizon.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     ts = np.linspace(0.0, p.T, N_T_SAMPLES)
-    bx = np.ones((grid.N, 1))
-    norm_t = bracket_h(grid.xi, params.h)[None, :] ** (1.0 / params.theta) * bx
-    region = np.abs(grid.xi) > params.R_a3 * params.h
-    region[grid.nyquist] = False
+    norm_t = _margin_normalizers(grid, params)["theta"]
+    region = _checked_region(grid, params)
     C1, C2 = 0.0, 0.0
     for _ in range(FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
         k_of_t(p.T, params)  # raises ParameterError if k dies on [0, T]
-        asm = assembler.with_params(params)
+        assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            cs = asm.at(float(t))
+            cs = assembler.at(float(t))
             kt = float(k_of_t(t, params))
             neg_b1 = np.maximum(0.0, -cs.parts["b1k"].values.real)
             C1_new = max(C1_new, _sup_normalized(neg_b1, norm_t, region) / kt)
@@ -202,33 +208,35 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
             break
     params = params.with_ode_constants(C1, C2)
     k_of_t(p.T, params)
+    assembler.params = params
     return params
 
 
 def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                k0: float = 0.35, margin: float = 0.08,
-                               h_start: float = 1.0, h_max: float = 2.0 ** 14,
-                               series_tol: float = 1e-10,
+                               h_pin=None, series_tol: float = 1e-10,
                                inverse_tol: float = 1e-8, tol: float = 1e-8,
                                M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
-    Each trial h builds the phase tables and the assembler, calibrates C1
-    and C2 on it and checks the lower bounds to margin tolerance ``tol``;
-    only a trial that passes builds the conjugator's inverse from that
-    assembler.  The first h where both succeed is accepted; a failed
+    Each trial h, doubling across H_SEARCH, builds the phase tables and
+    the assembler, calibrates C1 and C2 on it (calibrate_time_weight
+    installs them there) and checks the lower bounds to margin tolerance
+    ``tol``; only a trial that passes builds the conjugator's inverse from
+    that assembler.  The first h where both succeed is accepted; a failed
     trial's tables are released before the next trial builds its own.
 
-    M2_pin / M1_pin freeze a strength instead of deriving it from the
-    measured constants, and h_start = h_max freezes h: parameter sweeps pin
-    one of them, explicit weights pin all three, a single trial.  A pinned
-    M1 skips the measurement of C_a2l2 and C_c, so those trials' history
-    rows lack the two keys.  With nothing to dominate and nothing pinned,
-    the one trial is the identity conjugator (M2 = M1 = 0 at h_start).
-    ``assumptions`` is a report from check_assumptions(p, grid, theta),
-    computed here if absent.  The accepted trial's conjugator is
-    details["bundle"] and its positivity certificate details["report"]; if
-    no trial is accepted, raises InfeasibleError, whose message names every
+    M2_pin / M1_pin / h_pin freeze a strength or h instead of deriving it:
+    parameter sweeps pin one of them, explicit weights pin all three, a
+    single trial.  A pinned M1 skips the measurement of C_a2l2 and C_c, so
+    those trials' history rows lack the two keys.  With nothing to
+    dominate and nothing pinned, the one trial is the identity conjugator
+    (M2 = M1 = 0 at the first h).  ``assumptions`` is a report from
+    check_assumptions(p, grid, theta), computed here if absent.  The
+    accepted trial's conjugator is details["bundle"]: it holds the problem,
+    the grid and the returned params, the ones its assembler was
+    calibrated to.  Its positivity certificate is details["report"].  If no
+    trial is accepted, raises InfeasibleError, whose message names every
     trial's h and why it failed."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
@@ -237,8 +245,8 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     C_a2 = rep.constant("hyp-iii-order2-decay")
     C_a1 = rep.constant("hyp-iv-order1-decay")
     ts = np.linspace(0.0, p.T, N_T_SAMPLES)
-    details = {"C_a3": C_a3, "C_a2": C_a2, "C_a1": C_a1,
-               "assumptions": rep, "history": []}
+    details = {"C_a3": C_a3, "C_a2": C_a2, "C_a1": C_a1, "history": []}
+    h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)
 
     # overflow surrogate for the smallness threshold on k(0)
     k0_cap = 300.0 / float(np.max(bracket_h(grid.xi, 1.0) ** (1.0 / theta)))
@@ -271,9 +279,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
         try:
             params = WeightParams(M2=M2, M1=0.0, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
-            region = np.abs(grid.xi) > params.R_a3 * h
-            region[grid.nyquist] = False
-            if not np.any(region):
+            if not np.any(_checked_region(grid, params)):
                 failures.append(
                     f"h={h:g}: no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
                     f"on this grid (xi_max={grid.xi_max:.3g}); "
@@ -297,7 +303,6 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
             assembler = ConjugationAssembler(p, params, grid)
             params = calibrate_time_weight(assembler)
-            assembler = assembler.with_params(params)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
             report = verify_lower_bounds(assembler, ts, tol)

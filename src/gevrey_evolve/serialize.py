@@ -67,12 +67,10 @@ def fmt(x):
 def trajectory_csv_lines(traj):
     """Columns: t, l2, hm_rho_theta, radius_fit, energy_residual."""
     lines = ["# schema=1", "t,l2,hm_rho_theta,radius_fit,energy_residual"]
-    logged = traj.meta.get("logged_indices", range(len(traj.logged_times)))
-    hm_u = traj.meta["hm_u"]
-    for row, (t, idx) in enumerate(zip(traj.logged_times, logged)):
-        l2, hm = traj.l2[idx], hm_u[row]
-        rad = traj.radius[row] if traj.radius is not None else float("nan")
-        res = traj.energy_residual[min(idx, len(traj.energy_residual) - 1)] \
-            if traj.energy_residual is not None and len(traj.energy_residual) else float("nan")
-        lines.append(",".join(fmt(v) for v in (t, l2, hm, rad, res)))
+    last = len(traj.energy_residual) - 1   # the final step has no rate
+    for row, (t, idx) in enumerate(zip(traj.logged_times,
+                                       traj.meta["logged_indices"])):
+        lines.append(",".join(fmt(v) for v in (
+            t, traj.l2[idx], traj.meta["hm_u"][row], traj.radius[row],
+            traj.energy_residual[min(idx, last)])))
     return lines

@@ -47,11 +47,9 @@ def damped256():
     rho = 2.0 * params.k0
     g = synthetic_radius_field(grid, rho, THETA)
     t0 = time.perf_counter()
-    traj = solve_original(prob, params, None, g, grid, 1.0, m=0.0, rho=rho,
-                          theta=THETA, bundle=bundle)
+    traj = solve_original(bundle, None, g, 1.0, m=0.0, rho=rho)
     solve_seconds = time.perf_counter() - t0
-    traj_half = solve_original(prob, params, None, g, grid, 1.0, m=0.0,
-                               rho=rho, theta=THETA, bundle=bundle,
+    traj_half = solve_original(bundle, None, g, 1.0, m=0.0, rho=rho,
                                dt=traj.meta["dt"] / 2.0)
     return dict(problem=prob, grid=grid, params=params, bundle=bundle,
                 g=g, rho=rho, traj=traj, traj_half=traj_half,
@@ -75,10 +73,9 @@ def test_criterion_1_unitary_baseline():
     prob = model_problem("kdv-baseline", SIGMA, domain=40.0)
     grid = make_grid(40.0, 256)
     t0 = time.perf_counter()
-    params, details = select_parameters_detailed(prob, THETA, grid)
+    _, details = select_parameters_detailed(prob, THETA, grid)
     g = synthetic_radius_field(grid, 0.7, THETA)
-    traj = solve_original(prob, params, None, g, grid, 1.0, rho=0.7,
-                          theta=THETA, bundle=details["bundle"])
+    traj = solve_original(details["bundle"], None, g, 1.0, rho=0.7)
     elapsed = time.perf_counter() - t0
     dev = float(np.max(np.abs(traj.l2 / traj.l2[0] - 1.0)))
     report(1, "unitary baseline",
@@ -226,7 +223,7 @@ def test_criterion_8_equivalence(damped256):
 def test_criterion_9_order4_convergence():
     prob = model_problem("kdv-baseline", SIGMA, domain=40.0)
     grid = make_grid(40.0, 256)
-    params, details = select_parameters_detailed(prob, THETA, grid)
+    _, details = select_parameters_detailed(prob, THETA, grid)
 
     def band_limited(rho, cut):
         u = synthetic_radius_field(grid, rho, THETA)
@@ -239,9 +236,8 @@ def test_criterion_9_order4_convergence():
     f = lambda t: 0.5 * np.exp(-2.0 * t) * np.cos(3.0 * t) * shape
     finals = {}
     for d in (1, 2, 4, 8):
-        traj = solve_original(prob, params, f, g, grid, 1.0, rho=None,
-                              theta=THETA, dt=1.0 / (32 * d),
-                              bundle=details["bundle"])
+        traj = solve_original(details["bundle"], f, g, 1.0, rho=None,
+                              dt=1.0 / (32 * d))
         finals[d] = traj.u_fields[-1]
     e1 = grid.l2_norm(finals[1] - finals[2])
     e2 = grid.l2_norm(finals[2] - finals[4])

@@ -9,8 +9,8 @@ from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
                                      build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm, radius_fit,
-                                  radius_fit_report, solve_conjugated,
-                                  solve_original, step, synthetic_radius_field)
+                                  solve_conjugated, solve_original, step,
+                                  synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
 from gevrey_evolve.quantize import Stacked, multiplier_table, to_dense
@@ -58,18 +58,11 @@ def test_radius_fit_synthetic(grid):
     assert radius_fit(grid.forward(u), 2.0, grid) == pytest.approx(0.8, abs=0.01)
 
 
-def test_radius_fit_gaussian_flags_nonlinear(grid):
-    u = np.exp(-grid.x ** 2) + 0j
-    rep = radius_fit_report(grid.forward(u), 2.0, grid)
-    assert rep.nonlinear
-
-
 def test_radius_fit_white_noise(grid):
-    # no spectral decay: near-zero slope, large residual, flagged nonlinear
+    # no spectral decay: near-zero slope
     rng = np.random.default_rng(7)
     u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    rep = radius_fit_report(grid.forward(u), 2.0, grid)
-    assert abs(rep.rho) < 0.3 and rep.residual > 0.1 and rep.nonlinear
+    assert abs(radius_fit(grid.forward(u), 2.0, grid)) < 0.3
 
 
 def test_radius_fit_insufficient_data(grid):
@@ -236,8 +229,7 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
 
     monkeypatch.setattr(ConjugationAssembler, "stage_operator", recording)
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(setup["problem"], setup["params"], None, g, grid,
-                          0.5, theta=1.8, bundle=bundle)
+    traj = solve_original(bundle, None, g, 0.5)
     assert counts == {"quantized": 0, "spectral_stack": 1}
     assert len(stages) == 2 * traj.meta["steps"] + 1
     rng = np.random.default_rng(3)
@@ -275,9 +267,7 @@ def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
         return traj
 
     monkeypatch.setattr(evolve, "solve_conjugated", recording)
-    traj = solve_original(setup["problem"], setup["params"],
-                          lambda t: 0.5 * np.exp(-t) * g, g, grid, 0.5,
-                          theta=1.8, bundle=bundle)
+    traj = solve_original(bundle, lambda t: 0.5 * np.exp(-t) * g, g, 0.5)
     monkeypatch.undo()
     assert len(traj.logged_times) > 10
     assert solved["inverse"] == 0
@@ -327,17 +317,28 @@ def test_unitary_flow_kdv(grid):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(kdv, p, None, g, grid, 1.0, rho=0.7, theta=1.8,
-                          bundle=build_conjugator(ConjugationAssembler(kdv, p, grid)))
+    traj = solve_original(build_conjugator(ConjugationAssembler(kdv, p, grid)),
+                          None, g, 1.0, rho=0.7)
     assert np.max(np.abs(traj.l2 / traj.l2[0] - 1.0)) < 1e-10
+
+
+def test_solve_reads_theta_from_the_bundle(grid):
+    # a theta = 1.6 bundle: the solve fits the radius and weighs the output
+    # norm with the bundle's theta (read at 1.8, this data's fit is 0.84)
+    kdv = model_problem("kdv-baseline", 0.75)
+    _, details = select_parameters_detailed(kdv, 1.6, grid)
+    g = synthetic_radius_field(grid, 0.7, 1.6)
+    traj = solve_original(details["bundle"], None, g, 1.0, rho=0.7)
+    assert traj.radius[0] == pytest.approx(0.7, abs=0.01)
+    spec = GevreyNormSpec(0.0, traj.meta["rho_prime"], 1.6)
+    assert traj.meta["hm_u"][-1] == pytest.approx(
+        gevrey_norm(grid.forward(traj.u_fields[-1]), spec, grid), rel=1e-10)
 
 
 def test_damped_solve_energy_log(small_setup):
     grid = small_setup["grid"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(small_setup["problem"], small_setup["params"], None,
-                          g, grid, 1.0, rho=0.7, theta=1.8,
-                          bundle=small_setup["bundle"])
+    traj = solve_original(small_setup["bundle"], None, g, 1.0, rho=0.7)
     # residuals non-positive by construction of the measured constant
     assert np.max(traj.energy_residual) <= 1e-12
     # pointwise bound with the measured growth rate
@@ -350,7 +351,7 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     # one trapezoid sum over the step times gives the constant of the
     # quadrature from t = 0 at every logged time, with one ||f||^2 per step
     from gevrey_evolve import evolve
-    grid, prob = small_setup["grid"], small_setup["problem"]
+    grid = small_setup["grid"]
     rho, theta = 0.7, 1.8
     g = synthetic_radius_field(grid, rho, theta)
     f = lambda t: 0.5 * np.exp(-t) * g
@@ -362,8 +363,7 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
         return norm(u, spec, grid)
 
     monkeypatch.setattr(evolve, "gevrey_norm", counting)
-    traj = solve_original(prob, small_setup["params"], f, g, grid, 0.5,
-                          rho=rho, theta=theta, bundle=small_setup["bundle"])
+    traj = solve_original(small_setup["bundle"], f, g, 0.5, rho=rho)
     monkeypatch.undo()
     steps, logged = traj.meta["steps"], len(traj.logged_times)
     assert logged > 10
@@ -399,8 +399,7 @@ def _stage_times(setup, T, dt, monkeypatch):
         return build(self, t)
 
     monkeypatch.setattr(ConjugationAssembler, "stage_operator", counting)
-    traj = solve_original(setup["problem"], setup["params"], f, g, grid, T,
-                          theta=1.8, dt=dt, bundle=setup["bundle"])
+    traj = solve_original(setup["bundle"], f, g, T, dt=dt)
     return traj.meta["steps"], taus, stage_taus
 
 
@@ -435,9 +434,7 @@ def test_radius_loss_bounded(small_setup):
     params = small_setup["params"]
     rho = 2 * params.k0
     g = synthetic_radius_field(grid, rho, params.theta)
-    traj = solve_original(small_setup["problem"], params, None, g, grid, 1.0,
-                          rho=rho, theta=params.theta,
-                          bundle=small_setup["bundle"])
+    traj = solve_original(small_setup["bundle"], None, g, 1.0, rho=rho)
     kT = float(k_of_t(1.0, params))
     assert traj.radius[-1] >= kT - 0.05
     assert rho - traj.radius[-1] <= params.k0 + 0.05
@@ -447,14 +444,10 @@ def test_radius_precondition_enforced(small_setup):
     grid = small_setup["grid"]
     g = synthetic_radius_field(grid, 0.1, 1.8)   # much flatter than declared
     with pytest.raises(DataError):
-        solve_original(small_setup["problem"], small_setup["params"], None, g,
-                       grid, 1.0, rho=0.7, theta=1.8,
-                       bundle=small_setup["bundle"])
+        solve_original(small_setup["bundle"], None, g, 1.0, rho=0.7)
     g2 = synthetic_radius_field(grid, 0.3, 1.8)  # radius below k0
     with pytest.raises(DataError):
-        solve_original(small_setup["problem"], small_setup["params"], None,
-                       g2, grid, 1.0, rho=0.3, theta=1.8,
-                       bundle=small_setup["bundle"])
+        solve_original(small_setup["bundle"], None, g2, 1.0, rho=0.3)
 
 
 def test_time_modulated_problem_runs():
@@ -462,10 +455,9 @@ def test_time_modulated_problem_runs():
     from gevrey_evolve.positivity import select_parameters_detailed
     prob = model_problem("time-modulated", 0.75, domain=10.0)
     grid = make_grid(10.0, 48)
-    params, details = select_parameters_detailed(prob, 1.8, grid)
+    _, details = select_parameters_detailed(prob, 1.8, grid)
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    traj = solve_original(prob, params, None, g, grid, 1.0, rho=0.7, theta=1.8,
-                          bundle=details["bundle"])
+    traj = solve_original(details["bundle"], None, g, 1.0, rho=0.7)
     assert np.all(np.isfinite(traj.l2))
     assert np.isfinite(traj.radius[-1])
     assert np.max(traj.equivalence_residual) < 1e-7
@@ -475,11 +467,10 @@ def test_uniqueness_probe_dt_refinement(small_setup):
     # identical data, different dt: terminal states agree at integrator order
     grid = small_setup["grid"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    kw = dict(rho=0.7, theta=1.8, bundle=small_setup["bundle"])
     finals = {}
     for div in (1, 2, 4):
-        traj = solve_original(small_setup["problem"], small_setup["params"],
-                              None, g, grid, 0.5, dt=0.5 / (64 * div), **kw)
+        traj = solve_original(small_setup["bundle"], None, g, 0.5, rho=0.7,
+                              dt=0.5 / (64 * div))
         finals[div] = traj.u_fields[-1]
     d1 = grid.l2_norm(finals[1] - finals[2])
     d2 = grid.l2_norm(finals[2] - finals[4])

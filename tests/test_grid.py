@@ -42,14 +42,6 @@ def test_roundtrip_and_parseval(seed):
         < 1e-12 * np.linalg.norm(u)
 
 
-def test_spectral_differentiation():
-    g = make_grid(np.pi, 64)
-    for m in (1, 3, 7, 15):  # |m| < N/4
-        u = np.exp(1j * m * g.x)
-        du = g.spectral_derivative(u)
-        assert np.max(np.abs(du - 1j * m * u)) < 1e-10
-
-
 def test_shape_mismatch():
     g = make_grid(np.pi, 16)
     with pytest.raises(ShapeError):

@@ -7,7 +7,8 @@ import pytest
 from gevrey_evolve.conjugate import ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
-from gevrey_evolve.positivity import (discrete_garding,
+from gevrey_evolve.positivity import (calibrate_time_weight,
+                                      discrete_garding,
                                       select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
@@ -75,7 +76,7 @@ def test_pass_persists_at_doubled_h(large_setup):
     h2 = large_setup["params"].h * 2.0
     region = np.abs(grid.xi) > large_setup["params"].R_a3 * h2
     assert np.any(region)
-    params2, _ = select_parameters_detailed(prob, 1.8, grid, h_start=h2, h_max=h2)
+    params2, _ = select_parameters_detailed(prob, 1.8, grid, h_pin=h2)
     rep = verify_lower_bounds(ConjugationAssembler(prob, params2, grid),
                               T_SAMPLES)
     assert rep.passed
@@ -104,7 +105,7 @@ def test_failed_positivity_builds_no_inverse(monkeypatch):
     prob = model_problem("complex-damped", 0.75, domain=10.0)
     with pytest.raises(InfeasibleError) as err:
         select_parameters_detailed(prob, 1.8, make_grid(10.0, 64),
-                                   h_start=2.0, h_max=2.0, M2_pin=0.0)
+                                   h_pin=2.0, M2_pin=0.0)
     assert "order2 margin" in str(err.value)
     assert builds == []
 
@@ -115,6 +116,52 @@ def test_calibrated_k_stays_positive(small_setup):
     # the calibrated constants close the balance: residual margin >= ~0
     rep = verify_lower_bounds(small_setup["assembler"], T_SAMPLES)
     assert rep.min_margin("theta") >= -1e-8
+
+
+def _check_calibration_installs(prob, grid, accepted):
+    """Calibrating a fresh assembler at the accepted M2, M1, h returns the
+    accepted params and leaves the assembler holding them: its symbols
+    are, bit for bit, those of a fresh assembler built with them."""
+    asm = ConjugationAssembler(prob, accepted.with_ode_constants(0.0, 0.0),
+                               grid)
+    params = calibrate_time_weight(asm)
+    assert params == accepted and params.C1 > 0.0
+    assert asm.params == params
+    got = asm.at(0.5)
+    want = ConjugationAssembler(prob, params, grid).at(0.5)
+    assert np.array_equal(got.a3_row, want.a3_row)
+    assert got.parts.keys() == want.parts.keys()
+    for name, tab in want.parts.items():
+        assert np.array_equal(got.parts[name].values, tab.values), name
+
+
+def test_calibration_installs_constants_on_its_assembler(small_setup):
+    # damped-64
+    _check_calibration_installs(small_setup["problem"], small_setup["grid"],
+                                small_setup["params"])
+
+
+def test_calibration_installs_its_last_round():
+    # time-modulated: C1 still moves in the last round, so the constants
+    # the rounds measured with differ from the returned ones
+    prob = model_problem("time-modulated", 0.75, domain=10.0)
+    grid = make_grid(10.0, 48)
+    accepted, _ = select_parameters_detailed(prob, 1.8, grid)
+    _check_calibration_installs(prob, grid, accepted)
+
+
+def test_pinned_h_is_the_only_trial(small_setup):
+    # damped-64's search fails h = 1 and 2 and accepts h = 4; a pinned h is
+    # one trial, accepted or refused on its own
+    prob, grid = small_setup["problem"], small_setup["grid"]
+    assert [t["h"] for t in small_setup["details"]["history"]] == [1.0, 2.0, 4.0]
+    params, details = select_parameters_detailed(prob, 1.8, grid, h_pin=4.0)
+    assert params == small_setup["params"]
+    assert [t["h"] for t in details["history"]] == [4.0]
+    with pytest.raises(InfeasibleError) as err:
+        select_parameters_detailed(prob, 1.8, grid, h_pin=2.0)
+    assert str(err.value).startswith(
+        "no admissible h in [2.0, 2.0]: last failure: h=2: ")
 
 
 def test_garding_identity():
