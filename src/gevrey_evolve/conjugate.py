@@ -23,9 +23,14 @@ The two stages are kept separate, mirroring how the operator factorizes:
 All expansion terms are assembled as symbol tables.  Derivative factors of
 exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
-The time stage enters only through k(t) and k'(t): for each coefficient
-time the conjugated generator is the polynomial
-G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables.  The
+The generator is declared once, in BLOCKS: its three blocks (orders 2, 1
+and 1/theta) and their named parts.  The time stage enters only through
+k(t) and k'(t): each part is a polynomial in k(t) whose k^0 table comes
+from the spatial stage and whose k^j tables come from the k stage, so for
+each coefficient time the conjugated generator is the polynomial
+G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_0 and
+G_j summing the parts' k^0 and k^j tables.  ``at(t)`` evaluates every
+part from the same tables, and the step size reads their sum.  The
 assembler keeps their spectral stack [E_syn * G_0, E_syn * G_1, ...] once
 per coefficient time, in place of the tables, so the time stepper applies
 a stage with one GEMV over the stack and one FFT, weighted by the powers
@@ -34,6 +39,7 @@ of k(t), plus the k' row, and forms no N x N array per stage time.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 import numpy as np
 
 from ._stencil import exp_derivative_factors
@@ -165,6 +171,22 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
                         for a, v in enumerate(Q)])
 
 
+def _while_shrinking(terms):
+    """Optimal truncation of an asymptotic series: the terms of the
+    (term, size) pairs, up to the first whose size exceeds the size of the
+    term before it."""
+    prev = None
+    for term, size in terms:
+        if prev is not None and size > prev:
+            return
+        yield term
+        prev = size
+
+
+def _sup(table: SymbolTable) -> float:
+    return float(np.max(np.abs(table.values)))
+
+
 def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     """sum over 1 <= a+b < N of (1/a!b!) d_xi^a { P_b D_x^b q Q_a }.
 
@@ -172,33 +194,30 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     and the adjoint of op(e^-lam); the exponentials cancel pointwise inside
     the braces.  The series is asymptotic: the cutoff factors are Gevrey
     of order two, so at finite grid frequencies the terms eventually grow
-    factorially.  Orders are therefore accumulated only while they keep
-    shrinking (optimal truncation), capped by the requested n_trunc.
+    factorially.  Orders are therefore accumulated only while they do not
+    grow (_while_shrinking), capped by the requested n_trunc.
     """
     n_trunc = min(n_trunc, 5)
     g = q.grid
     dxq = {0: q}
     for b in range(1, n_trunc):
         dxq[b] = dx_operator(q, b)
-    total = SymbolTable(g, np.zeros((1, g.N)))
-    prev_size = None
-    for s in range(1, n_trunc):
-        group = SymbolTable(g, np.zeros((1, g.N)))
-        for a in range(0, s + 1):
-            b = s - a
-            core = dxq[b]
-            if b >= 1:
-                core = phase.exp_xi_factors[b - 1] * core
-            if a >= 1:
-                core = core * phase.dx_exp_factors[a - 1]
-                core = xi_derivative(core, a)
-            group = group + core * (1.0 / (math.factorial(a) * math.factorial(b)))
-        size = float(np.max(np.abs(group.values)))
-        if prev_size is not None and size > prev_size:
-            break
-        total = total + group
-        prev_size = size
-    return total
+
+    def orders():
+        for s in range(1, n_trunc):
+            group = SymbolTable(g, np.zeros((1, g.N)))
+            for a in range(0, s + 1):
+                b = s - a
+                core = dxq[b]
+                if b >= 1:
+                    core = phase.exp_xi_factors[b - 1] * core
+                if a >= 1:
+                    core = core * phase.dx_exp_factors[a - 1]
+                    core = xi_derivative(core, a)
+                group = group + core * (1.0 / (math.factorial(a) * math.factorial(b)))
+            yield group, _sup(group)
+
+    return sum(_while_shrinking(orders()), SymbolTable(g, np.zeros((1, g.N))))
 
 
 def truncation_order(m, theta, cap=8):
@@ -328,39 +347,38 @@ def build_conjugator(assembler: "ConjugationAssembler",
 # conjugated symbols and the assembler that builds them
 # ----------------------------------------------------------------------
 
+# The parts of the conjugated generator, by block: order 2, order 1 and
+# order 1/theta.  Each part is a polynomial in k(t): its k^j tables (j >= 1)
+# are k-stage tables and its k^0 table is a spatial-stage table, except for
+# K_ONLY (none) and kprime = -k'(t) <xi>_h^{1/theta}, the time stage's row.
+BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
+          "order1": ("ia1", "damp1", "id1", "a2cross"),
+          "theta": ("kprime", "b1k", "ia1_k")}
+K_ONLY = ("b2k", "b1k")
+
+
 @dataclass
 class ConjugatedSymbols:
-    """Named term tables of the conjugated generator at one time.
-
-    Grouping: order-2 block a2t = ia2 + damp2 + b2k + ia2_k, order-1 block
-    a1t = ia1 + damp1 + i d1 + a2cross, and the 1/theta block
-    atheta = kprime + b1k + ia1_k.  The report decomposition splits the
-    damping terms into their full-strength parts plus window tails (which
-    belong with the 1/theta block for the lower bounds).
+    """Named term tables of the conjugated generator at one time: the parts
+    of BLOCKS, d1 = -i id1, and the report decomposition, which splits the
+    damping terms into their full-strength parts (m2_main, m1_main) plus
+    window tails (m2_tail, m1_tail, which belong with the 1/theta block
+    for the lower bounds).
     """
 
     grid: Grid
     a3_row: np.ndarray
     parts: dict
     _static: dict = field(default_factory=dict, repr=False)
-    _herm: dict = field(default_factory=dict, repr=False)
 
-    def group_order2(self):
-        p = self.parts
-        return p["ia2"] + p["damp2"] + p["b2k"] + p["ia2_k"]
-
-    def group_order1(self):
-        p = self.parts
-        return p["ia1"] + p["damp1"] + p["id1"] + p["a2cross"]
-
-    def group_theta(self):
-        p = self.parts
-        return p["kprime"] + p["b1k"] + p["ia1_k"]
+    def block(self, name):
+        """The sum of the parts of BLOCKS[name], in their order."""
+        return reduce(SymbolTable.__add__, (self.parts[n] for n in BLOCKS[name]))
 
     def generator_table(self):
-        """Everything except the exactly-diagonalized ia3 multiplier (the
-        reference definition of ConjugationAssembler.generator)."""
-        return self.group_order2() + self.group_order1() + self.group_theta()
+        """Everything except the exactly-diagonalized ia3 multiplier: the
+        blocks summed in the order of BLOCKS."""
+        return reduce(SymbolTable.__add__, map(self.block, BLOCKS))
 
     def spatial_table(self):
         """Conjugation of the spatial generator only (no d/dt artifacts):
@@ -373,14 +391,11 @@ class ConjugatedSymbols:
         the Hermitian halves of i Im a2t that feed the order-1 lower bound.
         c reads only the coefficients, so it is kept with the assembler's
         tables of this coefficient time (``_static``)."""
-        if not self._herm:
-            if "c" not in self._static:
-                # i a2 holds Re a2 as its imaginary part, bit for bit
-                self._static["c"] = _hermitian_half(self.parts["ia2"].imag)
-            self._herm["c"] = self._static["c"]
-            im_tab = self.parts["b2k"].imag + self.parts["ia2_k"].imag
-            self._herm["e"] = _hermitian_half(im_tab)
-        return self._herm
+        if "c" not in self._static:
+            # i a2 holds Re a2 as its imaginary part, bit for bit
+            self._static["c"] = _hermitian_half(self.parts["ia2"].imag)
+        im_tab = self.parts["b2k"].imag + self.parts["ia2_k"].imag
+        return {"c": self._static["c"], "e": _hermitian_half(im_tab)}
 
     def margin_tables(self):
         """Re parts of the three groups in report form (window tails moved
@@ -400,17 +415,10 @@ def _hermitian_half(im_table: SymbolTable):
     with optimal truncation (the iterated mixed derivatives are asymptotic
     on the grid)."""
     g = im_table.grid
-    total = SymbolTable(g, np.zeros((1, g.N)))
-    prev_size = None
-    for a in (1, 2, 3):
-        term = xi_derivative(dx_operator(im_table, a), a) \
-            * (1j / (2.0 * math.factorial(a)))
-        size = float(np.max(np.abs(term.values)))
-        if prev_size is not None and size > prev_size:
-            break
-        total = total + term
-        prev_size = size
-    return total
+    terms = (xi_derivative(dx_operator(im_table, a), a)
+             * (1j / (2.0 * math.factorial(a))) for a in (1, 2, 3))
+    return sum(_while_shrinking((term, _sup(term)) for term in terms),
+               SymbolTable(g, np.zeros((1, g.N))))
 
 
 class ConjugationAssembler:
@@ -420,13 +428,14 @@ class ConjugationAssembler:
     For problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
     problems rebuild the coefficient-dependent tables per coefficient time
-    (memoized for MEMO_TIMES times).  ``generator(t)`` is the summed
-    table, evaluated as the polynomial
-    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}, with G_0 and the G_j
-    summed on each call.  ``stage_operator(t)`` is the operator the time
-    stepper applies: the Multiplier of that polynomial's rows, or the
-    Stacked sum over the spectral stack of G_0 and the G_j, built once per
-    coefficient time.
+    (memoized for MEMO_TIMES times).  ``at(t)`` gives the parts of BLOCKS,
+    each evaluated as its k^0 table + sum_j k(t)^j U_j;
+    ``at(t).block(name)`` sums one block and ``at(t).generator_table()``
+    all three.  ``stage_operator(t)`` is the same generator as the time
+    stepper applies it, the polynomial
+    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
+    rows, or the Stacked sum over the spectral stack of G_0 and the G_j,
+    built once per coefficient time.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
@@ -467,13 +476,13 @@ class ConjugationAssembler:
         termC = xi_derivative(a3 * l2x, 1) * ph.dxdxi_lam2
         termD = (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
                        + ph.dxdxi_lam2 * ph.dxdxi_lam2 * 2.0)) * -0.5
-        d1 = termA + termB + termC + termD
+        id1 = (termA + termB + termC + termD) * 1j
 
         n2 = truncation_order(2.0, params.theta)
         ia2_n = conjugation_expansion(ia2, ph, n2)
-        ia2_lt = ia2_n + (ia2_n * ph.dxdxi_lam2) * -1j
+        ia2_k = ia2_n + (ia2_n * ph.dxdxi_lam2) * -1j
         n1 = truncation_order(1.0, params.theta)
-        ia1_lt = conjugation_expansion(ia1, ph, n1)
+        ia1_k = conjugation_expansion(ia1, ph, n1)
 
         a2cross = a2 * ph.dxdxi_lam2
 
@@ -494,30 +503,28 @@ class ConjugationAssembler:
                                      * (1.0 - ph.psi_window.values.real)))
 
         return dict(a3_row=a3_row, da3_row=da3_row, ia2=ia2, ia1=ia1,
-                    damp2=damp2, damp1=damp1, d1=d1, ia2_lt=ia2_lt,
-                    ia1_lt=ia1_lt,
-                    a2cross=a2cross, m2_main=m2_main.real, m2_tail=m2_tail,
-                    m1_main=m1_main.real, m1_tail=m1_tail)
+                    damp2=damp2, damp1=damp1, id1=id1, ia2_k=ia2_k,
+                    ia1_k=ia1_k, a2cross=a2cross, m2_main=m2_main.real,
+                    m2_tail=m2_tail, m1_main=m1_main.real, m1_tail=m1_tail)
 
     def _k_stage_cache(self, stage):
-        """For each group conjugated by the time multiplier, the tables
-        U_j with  correction(t) = sum_j k(t)^j U_j.
+        """For each part conjugated by the time multiplier, its k-stage
+        tables {j: U_j}, j >= 1: the part is its spatial-stage table (none
+        for K_ONLY) + sum_j k(t)^j U_j.
 
         Orders b are kept while the gauge size of their contribution (at
-        k = k0) keeps shrinking; the series is asymptotic on the grid."""
+        k = k0) does not grow (_while_shrinking); the series is asymptotic
+        on the grid."""
         params = self.params
-        groups = {
+        bases = {
             "b2k": (stage["ia2"] + stage["damp2"], 2.0),
-            "b1k": (stage["ia1"] + stage["damp1"] + stage["d1"] * 1j
+            "b1k": (stage["ia1"] + stage["damp1"] + stage["id1"]
                     + stage["a2cross"], 1.0),
-            "a2k": (stage["ia2_lt"], 2.0 - (2.0 * params.sigma - 1.0)),
-            "a1k": (stage["ia1_lt"], 2.0 * (1.0 - params.sigma)),
+            "ia2_k": (stage["ia2_k"], 2.0 - (2.0 * params.sigma - 1.0)),
+            "ia1_k": (stage["ia1_k"], 2.0 * (1.0 - params.sigma)),
         }
-        out = {}
-        for name, (base, order) in groups.items():
-            nk = truncation_order(order, params.theta, cap=5)
-            U = {}
-            prev_size = None
+
+        def orders(base, nk):
             for b in range(1, nk):
                 dxb = dx_operator(base, b).values / math.factorial(b)
                 adds = {}
@@ -528,10 +535,13 @@ class ConjugationAssembler:
                         continue
                     adds[j] = coeff[None, :] * dxb
                     gauge = gauge + (params.k0 ** j) * adds[j]
-                size = float(np.max(np.abs(gauge)))
-                if prev_size is not None and size > prev_size:
-                    break
-                prev_size = size
+                yield adds, float(np.max(np.abs(gauge)))
+
+        out = {}
+        for name, (base, order) in bases.items():
+            U = {}
+            nk = truncation_order(order, params.theta, cap=5)
+            for adds in _while_shrinking(orders(base, nk)):
                 for j, add in adds.items():
                     U[j] = U.get(j, 0.0) + add
             out[name] = {j: SymbolTable(self.grid, v) for j, v in U.items()}
@@ -553,29 +563,23 @@ class ConjugationAssembler:
 
     # -- public assembly ----------------------------------------------
 
-    def _tables(self, t):
-        """G_0 and {j: G_j} at the coefficient time of t, summed from the
-        entry's spatial-stage and k-stage tables."""
-        entry = self._static_tables(t)
-        stage = dict(entry["stage"], id1=entry["stage"]["d1"] * 1j)
-        G0 = sum(stage[name].values for name in (
-            "ia2", "damp2", "ia2_lt", "ia1", "damp1", "id1", "a2cross",
-            "ia1_lt"))
-        Gj = {}
-        for tabs in entry["k"].values():
-            for j, tab in tabs.items():
-                Gj[j] = Gj.get(j, 0.0) + tab.values
-        return G0, Gj
-
     def _polynomial(self, t):
         """(rows, powers, stack) at the coefficient time of t, built on
-        first use.  rows = (G_0 row, {j: G_j row}) when every row of each
-        table is equal, and stack is None; otherwise rows is None and stack
-        is spectral_stack([G_0] + [G_j for j in powers]), kept in place of
-        the tables."""
+        first use from G_0, the sum of the parts' k^0 tables in the order of
+        BLOCKS, and the G_j, the sums of their k^j tables.  rows =
+        (G_0 row, {j: G_j row}) when every row of each table is equal, and
+        stack is None; otherwise rows is None and stack is
+        spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
+        tables."""
         entry = self._static_tables(t)
         if "poly" not in entry:
-            G0, Gj = self._tables(t)
+            stage = entry["stage"]
+            G0 = sum(stage[name].values for block in BLOCKS.values()
+                     for name in block if name not in ("kprime", *K_ONLY))
+            Gj = {}
+            for tabs in entry["k"].values():
+                for j, tab in tabs.items():
+                    Gj[j] = Gj.get(j, 0.0) + tab.values
             rows = fourier_rows(G0, *Gj.values())
             if rows is not None:
                 entry["poly"] = ((rows[0], dict(zip(Gj, rows[1:]))), (), None)
@@ -590,65 +594,45 @@ class ConjugationAssembler:
         row[self.grid.nyquist] = 0.0
         return row
 
-    def _evaluate(self, t, G0, Gj):
-        """G0 + sum_j k(t)^j Gj - k'(t) <xi>_h^{1/theta}, on tables or rows."""
-        k = float(k_of_t(t, self.params))
-        out = G0 + self._kprime_row(t)
-        for j, G in Gj.items():
-            out += (k ** j) * G
-        return out
-
-    def generator(self, t: float) -> np.ndarray:
-        """Values of at(t).generator_table(), evaluated as the polynomial
-        G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}; the tables are
-        summed on each call (only default_dt and the oracles ask)."""
-        return self._evaluate(t, *self._tables(t))
-
     def stage_operator(self, t: float):
         """The generator at time t as the time stepper applies it.
 
         The variant is read off the tables of t's coefficient time by
         fourier_rows: when G_0 and every G_j are x-independent, the
-        generator is a Fourier multiplier (the k' term is a row already)
-        and applies with one FFT pair; otherwise it is the Stacked sum
-        over that time's spectral stack, with weights (1, k(t)^j, ...) and
-        the k' row, so no N x N array is formed per stage time."""
+        generator is the Fourier multiplier of the row
+        G_0 + k'-row + sum_j k(t)^j G_j and applies with one FFT pair;
+        otherwise it is the Stacked sum over that time's spectral stack,
+        with weights (1, k(t)^j, ...) and the k' row, so no N x N array is
+        formed per stage time."""
         rows, powers, stack = self._polynomial(t)
-        if rows is not None:
-            return Multiplier(self.grid, self._evaluate(t, *rows))
         k = float(k_of_t(t, self.params))
+        if rows is not None:
+            G0, Gj = rows
+            row = G0 + self._kprime_row(t)
+            for j, G in Gj.items():
+                row += (k ** j) * G
+            return Multiplier(self.grid, row)
         weights = np.array([1.0] + [k ** j for j in powers])
         return Stacked(self.grid, stack, weights, self._kprime_row(t))
 
     def at(self, t: float) -> ConjugatedSymbols:
+        """The named tables at time t: each part of BLOCKS as its k^0 table
+        (zero for K_ONLY) + sum_j k(t)^j U_j over its k-stage tables,
+        kprime from k'(t), d1 and the report tables."""
         entry = self._static_tables(t)
         stage, kcache = entry["stage"], entry["k"]
-        g, params = self.grid, self.params
-        k = float(k_of_t(t, params))
-
-        def k_sum(name):
-            tabs = kcache[name]
-            if not tabs:
-                return SymbolTable(g, np.zeros((1, g.N)))
-            acc = 0.0
-            for j, tab in tabs.items():
-                acc = acc + (k ** j) * tab.values
-            return SymbolTable(g, acc)
-
-        b2k = k_sum("b2k")
-        b1k = k_sum("b1k")
-        ia2_k = stage["ia2_lt"] + k_sum("a2k")
-        ia1_k = stage["ia1_lt"] + k_sum("a1k")
-        kprime = multiplier_table(g, self._kprime_row(t) + 0j)
-
-        parts = dict(
-            ia2=stage["ia2"], damp2=stage["damp2"], b2k=b2k, ia2_k=ia2_k,
-            ia1=stage["ia1"], damp1=stage["damp1"], id1=stage["d1"] * 1j,
-            a2cross=stage["a2cross"], kprime=kprime, b1k=b1k, ia1_k=ia1_k,
-            m2_main=stage["m2_main"], m2_tail=stage["m2_tail"],
-            m1_main=stage["m1_main"], m1_tail=stage["m1_tail"],
-            d1=stage["d1"],
-        )
+        g = self.grid
+        k = float(k_of_t(t, self.params))
+        zero = SymbolTable(g, np.zeros((1, g.N)))
+        base = dict(stage, kprime=multiplier_table(g, self._kprime_row(t) + 0j))
+        parts = {name: stage[name]
+                 for name in ("m2_main", "m2_tail", "m1_main", "m1_tail")}
+        for name in (n for block in BLOCKS.values() for n in block):
+            parts[name] = zero if name in K_ONLY else base[name]
+            if name in kcache:
+                parts[name] = parts[name] + sum(
+                    ((k ** j) * tab.values for j, tab in kcache[name].items()),
+                    0.0)
+        parts["d1"] = stage["id1"] * -1j
         return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts,
                                  _static=entry)
-

@@ -33,7 +33,7 @@ from .grid import Grid
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
-DT_SAFETY = 1.0         # default dt <= DT_SAFETY / max |generator(0)|
+DT_SAFETY = 1.0         # default dt <= DT_SAFETY / max |generator table at 0|
 MAX_STEPS = 200000
 STORED_FIELDS = 256     # a solve logs every (steps // STORED_FIELDS)-th field
 RADIUS_TOL = 0.05       # tolerated shortfall of the data's fitted radius
@@ -186,10 +186,10 @@ def step(v_hat, t, dt, p, grid: Grid, stage, forcing=None):
     return out
 
 
-def default_dt(generator, T):
-    """Stability-limited step from the size of the lower-order generator
-    at t = 0."""
-    gmax = float(np.max(np.abs(generator(0.0))))
+def default_dt(G, T):
+    """Stability-limited step from the size of G, the table of the
+    lower-order generator at t = 0 (at(0.0).generator_table().values)."""
+    gmax = float(np.max(np.abs(G)))
     dt = min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
     steps = int(np.ceil(T / dt))
     if steps > MAX_STEPS:
@@ -215,7 +215,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     """
     p, grid = assembler.problem, assembler.grid
     if dt is None:
-        dt = default_dt(assembler.generator, T)
+        dt = default_dt(assembler.at(0.0).generator_table().values, T)
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-12 * max(1.0, T):
         steps = int(np.ceil(T / dt))
@@ -280,7 +280,13 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     with the energy log and the next step's k1).  At each logged time the
     pull-back, the equivalence check (by Parseval), the radius fit and the
     output norm read the coefficients of u, and u is synthesized once.
+    The horizon T may not exceed bundle.problem.T: the positivity
+    certificate and the calibrated C1/C2 cover [0, problem.T] only, so a
+    longer T raises ParameterError.
     """
+    if T > bundle.problem.T:
+        raise ParameterError(f"horizon T={T} exceeds the bundle's certified "
+                             f"horizon problem.T={bundle.problem.T}")
     grid, params = bundle.grid, bundle.params
     theta = params.theta
     g_hat = grid.forward(g)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugate import (ConjugationAssembler, _hermitian_half,
+from .conjugate import (BLOCKS, ConjugationAssembler, _hermitian_half,
                         build_conjugator, dxdxi_lambda2)
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
@@ -153,9 +153,8 @@ def garding_floors(assembler: ConjugationAssembler) -> dict:
     """Band-restricted Garding floors of the three blocks at t = 0 (dense
     N x N eigenproblems)."""
     cs, grid = assembler.at(0.0), assembler.grid
-    return {"order2": discrete_garding(cs.group_order2().real, grid),
-            "order1": discrete_garding(cs.group_order1().real, grid),
-            "theta": discrete_garding(cs.group_theta().real, grid)}
+    return {name: discrete_garding(cs.block(name).real, grid)
+            for name in BLOCKS}
 
 
 # ----------------------------------------------------------------------

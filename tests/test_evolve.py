@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from gevrey_evolve import conjugate, evolve, quantize
 from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
                                      build_conjugator)
-from gevrey_evolve.errors import DataError, InstabilityError
+from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm, radius_fit,
                                   solve_conjugated, solve_original, step,
                                   synthetic_radius_field)
@@ -143,8 +143,8 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     # floor of the nonnegative symbols, and the norm decays net
     from gevrey_evolve.positivity import discrete_garding
     floor = sum(abs(min(0.0, discrete_garding(tab, grid)))
-                for tab in (cs.group_order2().real, cs.group_order1().real,
-                            cs.group_theta().real))
+                for tab in (cs.block("order2").real, cs.block("order1").real,
+                            cs.block("theta").real))
     w = v0.copy()
     norms = [grid.l2_norm(w)]
     for i in range(20):
@@ -165,7 +165,8 @@ def test_multiplier_step_matches_dense_step(N, L):
     p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(kdv, p, grid)
     assert isinstance(asm.stage_operator(0.0), Multiplier)
-    dense = lambda tau: _dense_stage(grid, asm.generator(tau))
+    dense = lambda tau: _dense_stage(
+        grid, asm.at(tau).generator_table().values)
     zero = lambda tau: Multiplier(grid, np.zeros(N))
     v = synthetic_radius_field(grid, 0.6, 1.8)
     v_hat = grid.forward(v)
@@ -185,7 +186,8 @@ def test_stacked_step_matches_dense_step(grid):
                             M2=0.1, M1=0.1, h=2.0).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(prob, p, grid)
     assert isinstance(asm.stage_operator(0.0), Stacked)
-    dense = lambda tau: _dense_stage(grid, asm.generator(tau))
+    dense = lambda tau: _dense_stage(
+        grid, asm.at(tau).generator_table().values)
     zero = lambda tau: Multiplier(grid, np.zeros(grid.N))
     v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
     w_stack = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid,
@@ -448,6 +450,19 @@ def test_radius_precondition_enforced(small_setup):
     g2 = synthetic_radius_field(grid, 0.3, 1.8)  # radius below k0
     with pytest.raises(DataError):
         solve_original(small_setup["bundle"], None, g2, 1.0, rho=0.3)
+
+
+def test_solve_refuses_a_horizon_past_its_certificate(small_setup):
+    # the certificate and the calibrated C1/C2 cover [0, problem.T] = [0, 1]:
+    # a longer horizon is refused by name, the certified ones still solve
+    bundle, grid = small_setup["bundle"], small_setup["grid"]
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    with pytest.raises(ParameterError, match=r"T=3\.0 .*problem\.T=1\.0"):
+        solve_original(bundle, None, g, 3.0, rho=0.7)
+    for T in (0.5, 1.0):
+        traj = solve_original(bundle, None, g, T, rho=0.7)
+        assert traj.times[-1] == pytest.approx(T, abs=1e-12)
+        assert traj.radius[-1] > 0.0
 
 
 def test_time_modulated_problem_runs():

@@ -148,12 +148,12 @@ def test_row_tables_where_the_symbol_is_x_independent(monkeypatch):
             monkeypatch.setattr(module, name, wrapper)
     asm = setup_pipeline(RunConfig.from_text(TRIVIAL))["bundle"].assembler
     assert len(shapes) > 10 and set(shapes) == {(1, 64)}
-    assert asm.generator(0.0).shape == (1, 64)
+    assert asm.at(0.0).generator_table().values.shape == (1, 64)
     shapes.clear()
     asm = setup_pipeline(RunConfig.from_text(SMALL))["bundle"].assembler
     assert (64, 64) in shapes
     assert asm.phase.lam.values.shape == (64, 64)
-    assert asm.generator(0.0).shape == (64, 64)
+    assert asm.at(0.0).generator_table().values.shape == (64, 64)
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

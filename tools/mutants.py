@@ -1,0 +1,174 @@
+"""Mutation audit: every listed check must be able to fail.
+
+Each entry of MUTANTS is a named source mutation: a file, the exact text it
+replaces, the replacement and the tests that must kill it.  For each entry
+the script copies src/, tests/ and pyproject.toml into a temporary
+directory, applies the one mutation there (the working tree is never
+touched) and runs only the entry's tests.  A mutant is killed when pytest
+reports a failure or an error; it survives when every test passes.  First
+the union of the entries' tests runs once on an unmutated copy, and must
+pass, so that no kill comes from a test that fails anyway.
+
+    python3 tools/mutants.py
+
+The exit code is 1 if the unmutated tests fail, if any mutant survives,
+if an entry's old text is not found exactly once (so a stale entry cannot
+pass), or if pytest cannot run an entry's tests (a test id that no longer
+exists); otherwise 0.  It is not part of tier-1: each entry starts its own
+pytest process.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+CONJ = "src/gevrey_evolve/conjugate.py"
+EVOLVE = "src/gevrey_evolve/evolve.py"
+POS = "src/gevrey_evolve/positivity.py"
+T_CONJ = "tests/test_conjugate.py::"
+T_EVOLVE = "tests/test_evolve.py::"
+T_POS = "tests/test_positivity.py::"
+STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str       # relative to the repository root
+    old: str        # must occur exactly once in the file
+    new: str
+    tests: tuple    # pytest node ids, at least one of which must fail
+
+
+MUTANTS = [
+    Mutant("blocks-order1-without-damp1", CONJ,
+           '"order1": ("ia1", "damp1", "id1", "a2cross")',
+           '"order1": ("ia1", "id1", "a2cross")',
+           (T_CONJ + "test_order1_block_matches_its_report_form",)),
+    Mutant("k-stage-part-left-out-of-Gj", CONJ,
+           'for tabs in entry["k"].values():',
+           'for tabs in list(entry["k"].values())[1:]:',
+           (STACKED_CASE + "[complex-damped-10.0-64]",)),
+    Mutant("truncation-keeps-a-growing-term", CONJ,
+           "        if prev is not None and size > prev:\n            return\n",
+           "        if prev is not None and size > prev:\n"
+           "            yield term\n            return\n",
+           (T_CONJ + "test_while_shrinking_stops_at_the_first_growing_term",)),
+    Mutant("d1-read-back-with-the-wrong-phase", CONJ,
+           'parts["d1"] = stage["id1"] * -1j',
+           'parts["d1"] = stage["id1"] * 1j',
+           (T_CONJ + "test_stage_keeps_d1_and_a2_once",
+            T_CONJ + "test_d1_matches_independent_derivative_path")),
+    Mutant("multiplier-row-without-kprime", CONJ,
+           "row = G0 + self._kprime_row(t)",
+           "row = G0.copy()",
+           (STACKED_CASE + "[kdv-baseline-10.0-64]",
+            T_EVOLVE + "test_multiplier_step_matches_dense_step[64-10.0]")),
+    Mutant("stacked-without-kprime-row", CONJ,
+           "return Stacked(self.grid, stack, weights, self._kprime_row(t))",
+           "return Stacked(self.grid, stack, weights, np.zeros(self.grid.N))",
+           (STACKED_CASE + "[complex-damped-10.0-64]",
+            T_EVOLVE + "test_stacked_step_matches_dense_step")),
+    Mutant("stack-rebuilt-at-every-stage-time", CONJ,
+           'if "poly" not in entry:',
+           "if True:",
+           (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
+    Mutant("conjugator-nyquist-slot-not-pinned", CONJ,
+           "E[nyq, nyq] = E_star[nyq, nyq] = 1.0",
+           "E_star[nyq, nyq] = 1.0",
+           (T_CONJ + "test_conjugator_variant_against_dense_oracle[kdv-weighted-64]",
+            T_CONJ + "test_conjugator_variant_against_dense_oracle[damped-64]")),
+    Mutant("pull-back-through-E", CONJ,
+           "return self.E_inv.matvec_hat(self.time_stage(t, -1)",
+           "return self.E.matvec_hat(self.time_stage(t, -1)",
+           (T_CONJ + "test_conjugator_variant_against_dense_oracle[damped-64]",)),
+    Mutant("horizon-past-the-certificate-accepted", EVOLVE,
+           "    if T > bundle.problem.T:\n",
+           "    if False:\n",
+           (T_EVOLVE + "test_solve_refuses_a_horizon_past_its_certificate",)),
+    Mutant("solve-with-a-fixed-theta", EVOLVE,
+           "    theta = params.theta\n",
+           "    theta = 1.8\n",
+           (T_EVOLVE + "test_solve_reads_theta_from_the_bundle",)),
+    Mutant("calibration-leaves-its-last-constants-uninstalled", POS,
+           "    k_of_t(p.T, params)\n    assembler.params = params\n    return params\n",
+           "    k_of_t(p.T, params)\n    return params\n",
+           (T_POS + "test_calibration_installs_its_last_round",)),
+    Mutant("h-pin-ignored", POS,
+           "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
+           "h_start, h_max = H_SEARCH",
+           (T_POS + "test_pinned_h_is_the_only_trial",)),
+]
+
+
+def pytest_in_copy(tests, path=None, text=None):
+    """Exit code of pytest on ``tests`` in a temporary copy of the
+    repository, with ``path`` rewritten to ``text`` when given, and the
+    last line of its output."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        for name in COPIED:
+            src, dst = ROOT / name, Path(work) / name
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, dst)
+        if path is not None:
+            (Path(work) / path).write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(work) / "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "--tb=no",
+             "-p", "no:cacheprovider", *tests],
+            cwd=work, env=env, capture_output=True, text=True)
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    return proc.returncode, " ".join(tail)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'SURVIVED' or an 'ERROR: ...' line for one mutant."""
+    source = (ROOT / mutant.path).read_text()
+    count = source.count(mutant.old)
+    if count != 1:
+        return f"ERROR: old text found {count} times in {mutant.path}"
+    code, tail = pytest_in_copy(mutant.tests, mutant.path,
+                                source.replace(mutant.old, mutant.new))
+    # pytest: 0 all passed, 1 some failed, 2 errors during collection;
+    # anything else (4: a test id not found, 5: nothing collected) means
+    # the entry no longer names runnable tests
+    if code == 0:
+        return "SURVIVED"
+    if code in (1, 2):
+        return "killed"
+    return f"ERROR: pytest exit {code}: {tail}"
+
+
+def main():
+    start = time.perf_counter()
+    # a kill counts only if the same tests pass on the unmutated copy
+    code, tail = pytest_in_copy(sorted({t for m in MUTANTS for t in m.tests}))
+    print(f"unmutated: {tail} ({time.perf_counter() - start:.1f} s)")
+    if code != 0:
+        return 1
+    bad = 0
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        verdict = run(m)
+        bad += verdict != "killed"
+        print(f"{m.name}: {verdict} ({time.perf_counter() - t0:.1f} s)",
+              flush=True)
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
