@@ -50,8 +50,8 @@ from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        operator_norm, sampled_table, spectral_stack,
                        x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
-from .weights import (WeightParams, cutoff_psi, k_of_t, k_prime,
-                      lambda_x_derivative, lambda1, lambda2, sign_weight)
+from .weights import (WeightParams, Windows, k_of_t, k_prime,
+                      lambda_x_derivative, spatial_weights, weight_x_derivative)
 
 # coefficient times an assembler of time-dependent coefficients keeps tables
 # for: selection measures at 5 sample times (positivity.N_T_SAMPLES) in every
@@ -124,40 +124,32 @@ class PhaseTables:
     dx_exp_factors: list      # Q_a = e^{lam} D_x^a e^{-lam}, a = 1..4
 
 
-def _lambda_x_table(p, params, grid, which, order):
-    X, XI = grid.x[:, None], grid.xi[None, :]
-    return sampled_table(grid, lambda_x_derivative(
-        X, XI, 0.0, p, params, which=which, order=order))
-
-
 def dxdxi_lambda2(p: ProblemSpec, params: WeightParams,
                   grid: Grid) -> SymbolTable:
     """d_xi d_x lam2 on the lattice.  It reads M2 but not M1, and it needs
     no weight integral (d_x lam2 is in closed form)."""
-    return xi_derivative(_lambda_x_table(p, params, grid, 2, 1), 1)
+    return xi_derivative(sampled_table(grid, lambda_x_derivative(
+        grid.x[:, None], grid.xi, 0.0, p, params, which=2, order=1)), 1)
 
 
 def build_phase_tables(p: ProblemSpec, params: WeightParams,
                        grid: Grid) -> PhaseTables:
     """Sample the spatial phase and its derivatives once per grid/params.
-    The higher derivatives are needed only to form P_b and Q_a."""
-    X, XI = grid.x[:, None], grid.xi[None, :]
-    l2 = sampled_table(grid, lambda2(X, XI, 0.0, p, params))
-    l1 = sampled_table(grid, lambda1(X, XI, 0.0, p, params))
+    The higher derivatives are needed only to form P_b and Q_a.  One
+    Windows serves every table, so each window is evaluated once."""
+    win = Windows(grid.x[:, None], grid.xi, 0.0, p, params)
+    l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
     lam = l2 + l1
 
     lam2_x, lam1_x = {}, {}
     for order in (1, 2, 3):
-        lam2_x[order] = _lambda_x_table(p, params, grid, 2, order)
-        lam1_x[order] = _lambda_x_table(p, params, grid, 1, order)
+        lam2_x[order] = sampled_table(
+            grid, weight_x_derivative(win, params, 2, order))
+        lam1_x[order] = sampled_table(
+            grid, weight_x_derivative(win, params, 1, order))
     lam_x = {o: lam2_x[o] + lam1_x[o] for o in (1, 2, 3)}
     lam_x[4] = x_derivative(lam_x[3], 1)
     lam_xi = {o: xi_derivative(lam, o) for o in (1, 2, 3, 4)}
-
-    cap = np.square(bracket_h(grid.xi, params.h))
-    window = cutoff_psi(np.sqrt(1.0 + np.square(grid.x))[:, None] / cap[None, :])
-    abs_w = np.abs(np.asarray(sign_weight(grid.xi, 0.0, p, params),
-                              dtype=float))
 
     # P_b = Bell_b(lam_xi...), Q_a = (-i)^a Bell_a(-lam_x...)
     P = exp_derivative_factors([lam_xi[o].values for o in (1, 2, 3, 4)])
@@ -165,7 +157,8 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
     return PhaseTables(
         lam=lam, lam2_x=lam2_x[1], lam2_xx=lam2_x[2], lam1_x=lam1_x[1],
         dxdxi_lam2=xi_derivative(lam2_x[1], 1),
-        psi_window=SymbolTable(grid, window.astype(complex)), abs_w=abs_w,
+        psi_window=SymbolTable(grid, win.psi(0).astype(complex)),
+        abs_w=np.abs(win.w),
         exp_xi_factors=[SymbolTable(grid, v) for v in P],
         dx_exp_factors=[SymbolTable(grid, (-1j) ** (a + 1) * v)
                         for a, v in enumerate(Q)])

@@ -48,20 +48,31 @@ class SymbolTable:
     values: np.ndarray          # (N, N) or one row (1, N), [x-index, xi-index]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        # the caller's array is copied and never written to
+        self._own(np.array(self.values, dtype=complex))
+
+    @classmethod
+    def fresh(cls, grid, values):
+        """A table over a newly computed array that nothing else holds: it
+        takes the array over and zeroes its Nyquist column in place."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "grid", grid)
+        table._own(np.asarray(values, dtype=complex))
+        return table
+
+    def _own(self, v):
         N = self.grid.N
         if v.shape not in ((N, N), (1, N)):
             raise ShapeError(f"table shape {v.shape} does not match grid N={N}: "
                              f"expected ({N}, {N}) or one row (1, {N})")
-        v = v.copy()
         v[:, self.grid.nyquist] = 0.0
         object.__setattr__(self, "values", v)
 
     def __add__(self, other):
         if isinstance(other, SymbolTable):
             self._same_grid(other)
-            return SymbolTable(self.grid, self.values + other.values)
-        return SymbolTable(self.grid, self.values + other)
+            return SymbolTable.fresh(self.grid, self.values + other.values)
+        return SymbolTable.fresh(self.grid, self.values + other)
 
     __radd__ = __add__
 
@@ -71,8 +82,8 @@ class SymbolTable:
     def __mul__(self, other):
         if isinstance(other, SymbolTable):
             self._same_grid(other)
-            return SymbolTable(self.grid, self.values * other.values)
-        return SymbolTable(self.grid, self.values * other)
+            return SymbolTable.fresh(self.grid, self.values * other.values)
+        return SymbolTable.fresh(self.grid, self.values * other)
 
     __rmul__ = __mul__
 
@@ -82,14 +93,14 @@ class SymbolTable:
 
     @property
     def real(self):
-        return SymbolTable(self.grid, self.values.real.astype(complex))
+        return SymbolTable.fresh(self.grid, self.values.real.astype(complex))
 
     @property
     def imag(self):
-        return SymbolTable(self.grid, self.values.imag.astype(complex))
+        return SymbolTable.fresh(self.grid, self.values.imag.astype(complex))
 
     def conj(self):
-        return SymbolTable(self.grid, np.conj(self.values))
+        return SymbolTable.fresh(self.grid, np.conj(self.values))
 
 
 def _on_nodes(grid, M):
@@ -267,7 +278,7 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     dbody = diff_uniform(body, g.dxi, order, axis=1, accuracy=accuracy)
     out = np.zeros_like(shifted)
     out[:, 1:] = dbody[:rows]
-    return SymbolTable(g, np.fft.ifftshift(out, axes=1))
+    return SymbolTable.fresh(g, np.fft.ifftshift(out, axes=1))
 
 
 def x_derivative(p: SymbolTable, order=1):
@@ -275,18 +286,18 @@ def x_derivative(p: SymbolTable, order=1):
     of a one-row table, the exact zero row."""
     g = p.grid
     if p.values.shape[0] == 1:
-        return SymbolTable(g, np.zeros((1, g.N)))
+        return SymbolTable.fresh(g, np.zeros((1, g.N)))
     u_hat = g._phase[:, None] * np.fft.fft(p.values, axis=0, norm="ortho")
     mult = (1j * g.xi) ** order
     mult[g.nyquist] = 0.0
     vals = np.fft.ifft(mult[:, None] * u_hat / g._phase[:, None], axis=0, norm="ortho")
-    return SymbolTable(g, vals)
+    return SymbolTable.fresh(g, vals)
 
 
 def dx_operator(p: SymbolTable, order=1):
     """D_x^order = (-i d/dx)^order of a table."""
     out = x_derivative(p, order)
-    return SymbolTable(out.grid, (-1j) ** order * out.values)
+    return SymbolTable.fresh(out.grid, (-1j) ** order * out.values)
 
 
 def exp_table(p: SymbolTable):
@@ -297,7 +308,7 @@ def exp_table(p: SymbolTable):
         raise ParameterError(
             f"exponent reaches {m:.1f} > {EXP_GUARD}; reduce the phase strength "
             "(smaller k0 or weight constants)")
-    return SymbolTable(p.grid, np.exp(vals).astype(complex))
+    return SymbolTable.fresh(p.grid, np.exp(vals).astype(complex))
 
 
 def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):

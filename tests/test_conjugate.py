@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gevrey_evolve import conjugate
+from gevrey_evolve import conjugate, weights
+from gevrey_evolve._stencil import exp_derivative_factors
 from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
                                      truncation_order)
 from gevrey_evolve.errors import ConvergenceError
@@ -9,9 +10,11 @@ from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
                                     exp_table, multiplier_table, operator_norm,
-                                    quantized, representable_error, to_dense)
+                                    quantized, representable_error,
+                                    sampled_table, to_dense, x_derivative)
 from gevrey_evolve.symbols import eval_table, model_problem
-from gevrey_evolve.weights import WeightParams, k_of_t, k_prime
+from gevrey_evolve.weights import (WeightParams, k_of_t, k_prime,
+                                   lambda_x_derivative)
 
 L, N = 10.0, 64
 DCAP = float(np.sqrt(1 + L * L))
@@ -316,6 +319,47 @@ def test_order1_block_matches_its_report_form(grid):
     block = cs.block("order1").real.values
     assert np.max(cs.parts["m1_main"].values[inner]) > 1.0
     assert np.max(np.abs((block - report)[inner])) < 1e-12
+
+
+def test_order2_block_matches_its_report_form(grid):
+    # the order-2 block against margin_tables, which names its own terms:
+    # Re(ia2 + b2k + ia2_k) + m2_main.  Where the domain window is 1
+    # (|x| <= L/2) the damping is m2_main + m2_tail, so a part dropped from
+    # or added to the block shows here
+    cs = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid).at(0.3)
+    report = cs.margin_tables()["order2"].values + cs.parts["m2_tail"].values
+    inner = np.abs(grid.x) <= L / 2
+    block = cs.block("order2").real.values
+    assert np.max(cs.parts["m2_main"].values[inner]) > 1.0
+    assert np.max(np.abs((block - report)[inner])) < 1e-12
+
+
+def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
+    # psi, psi' and psi'' of <x>/<xi>_h^2 once each on the lattice, shared by
+    # all six x-derivative tables, which equal lambda_x_derivative's bit for
+    # bit: lam2_x, lam2_xx and lam1_x directly, all six through Q_a
+    p = params_with()
+    calls, step = [], weights.smooth_step
+
+    def counting(u, derivative=0):
+        calls.append((np.shape(u), derivative))
+        return step(u, derivative)
+
+    monkeypatch.setattr(weights, "smooth_step", counting)
+    phase = conjugate.build_phase_tables(PROB, p, grid)
+    assert sorted(d for shape, d in calls if shape == (N, N)) == [0, 1, 2]
+    X, XI = grid.x[:, None], grid.xi[None, :]
+    ref = {(w, o): sampled_table(grid, lambda_x_derivative(
+        X, XI, 0.0, PROB, p, which=w, order=o)) for w in (2, 1) for o in (1, 2, 3)}
+    for table, key in ((phase.lam2_x, (2, 1)), (phase.lam2_xx, (2, 2)),
+                       (phase.lam1_x, (1, 1))):
+        assert np.array_equal(table.values, ref[key].values)
+    lam_x = [ref[2, o] + ref[1, o] for o in (1, 2, 3)]
+    lam_x.append(x_derivative(lam_x[2], 1))
+    Q = exp_derivative_factors([-t.values for t in lam_x])
+    for a, (table, q) in enumerate(zip(phase.dx_exp_factors, Q)):
+        assert np.array_equal(table.values,
+                              SymbolTable(grid, (-1j) ** (a + 1) * q).values)
 
 
 def test_full_assembly_oracle(small_setup):

@@ -161,6 +161,21 @@ def test_table_shape_guard(grid):
         _ = p + q
 
 
+def test_table_copies_the_callers_array(grid):
+    # the public constructor zeroes the Nyquist column of its own copy; the
+    # results of table arithmetic are fresh arrays, shared with no operand
+    vals = np.arange(grid.N * grid.N, dtype=complex).reshape(grid.N, grid.N) + 1.0
+    before = vals.copy()
+    t = SymbolTable(grid, vals)
+    assert np.array_equal(vals, before)
+    assert not np.shares_memory(t.values, vals)
+    assert np.all(t.values[:, grid.nyquist] == 0.0)
+    u = t * 2.0 + t
+    assert not np.shares_memory(u.values, t.values)
+    assert np.array_equal(u.values, 3.0 * t.values)
+    assert np.array_equal(vals, before)
+
+
 def test_row_tables(grid):
     # an x-independent symbol is one row: its x-derivative is the exact zero
     # row, and it quantizes and xi-differentiates exactly like its tiled twin

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gevrey_evolve import weights
 from gevrey_evolve.errors import ConfigurationError, ParameterError
@@ -170,6 +174,20 @@ def test_lambda_x_derivative_orders_match_fd():
     assert float(ana2) == pytest.approx(fd2, abs=1e-6)
 
 
+def test_lambda_x_derivative_order3_matches_fd_on_the_rolloff():
+    # x0 = 2.5 puts <x>/<xi>_h^2 = 0.69 inside psi's roll-off, so psi' and
+    # psi'' both enter the third derivative
+    p = params_with(h=1.0)
+    xi, x0 = 1.7, 2.5
+    eps = 1e-5
+    for which in (2, 1):
+        d2 = [lambda_x_derivative(x0 + k * eps, xi, 0.0, PROB, p, which=which,
+                                  order=2) for k in (-1, 1)]
+        fd3 = (d2[1] - d2[0]) / (2 * eps)
+        ana3 = lambda_x_derivative(x0, xi, 0.0, PROB, p, which=which, order=3)
+        assert float(ana3) == pytest.approx(float(fd3), abs=1e-6)
+
+
 def test_zero_strength_weights_are_exact_zeros(monkeypatch):
     # M2 = 0 (M1 = 0) gives the full formula's value, 0 times the
     # unit-strength weight, without evaluating a window or the sign selector
@@ -212,6 +230,43 @@ def test_derivative_bounds_h_stable():
         d1 = lambda_x_derivative(x, xi, 0.0, PROB, p, which=1, order=1)
         c1 = np.max(np.abs(d1) * bracket_h(xi, h) * (1 + x ** 2) ** (p.sigma / 4))
         assert c1 <= p.M1 + 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("halved", [False, True], ids=["sigma", "sigma/2"])
+def test_decay_antiderivative_matches_the_closed_form(sigma, halved):
+    # integral_0^x <y>^-s dy = x 2F1(1/2, s/2; 3/2; -x^2), the exponents
+    # of lam2 (s = sigma) and lam1 (s = sigma/2), on |x| <= 100
+    s = sigma / 2.0 if halved else sigma
+    x = np.concatenate((np.linspace(-100.0, 100.0, 2001),
+                        np.geomspace(1e-8, 100.0, 400)))
+    exact = x * special.hyp2f1(0.5, s / 2.0, 1.5, -np.square(x))
+    got = weights.decay_antiderivative(x, s)
+    assert np.all(got[x == 0.0] == 0.0)
+    rel = np.abs(got - exact)[x != 0.0] / np.abs(exact[x != 0.0])
+    assert np.max(rel) <= 1e-13
+
+
+def test_a_damped_phase_table_build_loads_no_scipy():
+    # the run-time package needs numpy alone; scipy is a test dependency
+    src = Path(weights.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import gevrey_evolve\n"
+        "from gevrey_evolve.conjugate import build_phase_tables\n"
+        "from gevrey_evolve.grid import make_grid\n"
+        "from gevrey_evolve.symbols import model_problem\n"
+        "from gevrey_evolve.weights import WeightParams\n"
+        "params = WeightParams(M2=0.5, M1=0.3, h=2.0, k0=0.35, sigma=0.75,\n"
+        "                      theta=1.8, domain_cap=(1 + 10.0 ** 2) ** 0.5)\n"
+        "phase = build_phase_tables(model_problem('complex-damped', 0.75),\n"
+        "                           params, make_grid(10.0, 32))\n"
+        "assert abs(phase.lam.values).max() > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_windowed_integral_with_domain_cap():

@@ -33,9 +33,11 @@ COPIED = ("src", "tests", "pyproject.toml")
 CONJ = "src/gevrey_evolve/conjugate.py"
 EVOLVE = "src/gevrey_evolve/evolve.py"
 POS = "src/gevrey_evolve/positivity.py"
+WEIGHTS = "src/gevrey_evolve/weights.py"
 T_CONJ = "tests/test_conjugate.py::"
 T_EVOLVE = "tests/test_evolve.py::"
 T_POS = "tests/test_positivity.py::"
+T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
 
 
@@ -53,6 +55,10 @@ MUTANTS = [
            '"order1": ("ia1", "damp1", "id1", "a2cross")',
            '"order1": ("ia1", "id1", "a2cross")',
            (T_CONJ + "test_order1_block_matches_its_report_form",)),
+    Mutant("blocks-order2-without-damp2", CONJ,
+           '"order2": ("ia2", "damp2", "b2k", "ia2_k")',
+           '"order2": ("ia2", "b2k", "ia2_k")',
+           (T_CONJ + "test_order2_block_matches_its_report_form",)),
     Mutant("k-stage-part-left-out-of-Gj", CONJ,
            'for tabs in entry["k"].values():',
            'for tabs in list(entry["k"].values())[1:]:',
@@ -106,6 +112,15 @@ MUTANTS = [
            "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
            "h_start, h_max = H_SEARCH",
            (T_POS + "test_pinned_h_is_the_only_trial",)),
+    Mutant("antiderivative-few-nodes", WEIGHTS,
+           "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(40)",
+           "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(6)",
+           (T_WEIGHTS + "test_decay_antiderivative_matches_the_closed_form",)),
+    Mutant("shared-psi1-for-psi2", WEIGHTS,
+           "    psi2 = win.psi(2)\n",
+           "    psi2 = win.psi(1)\n",
+           (T_WEIGHTS + "test_lambda_x_derivative_order3_matches_fd_on_the_rolloff",
+            T_CONJ + "test_phase_tables_evaluate_each_window_once")),
 ]
 
 
