@@ -51,7 +51,7 @@ from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        x_derivative, xi_derivative)
 from .symbols import ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, k_prime,
-                      lambda_x_derivative, spatial_weights, weight_x_derivative)
+                      spatial_weights, weight_x_derivative)
 
 # coefficient times an assembler of time-dependent coefficients keeps tables
 # for: selection measures at 5 sample times (positivity.N_T_SAMPLES) in every
@@ -124,29 +124,45 @@ class PhaseTables:
     dx_exp_factors: list      # Q_a = e^{lam} D_x^a e^{-lam}, a = 1..4
 
 
-def dxdxi_lambda2(p: ProblemSpec, params: WeightParams,
-                  grid: Grid) -> SymbolTable:
-    """d_xi d_x lam2 on the lattice.  It reads M2 but not M1, and it needs
-    no weight integral (d_x lam2 is in closed form)."""
-    return xi_derivative(sampled_table(grid, lambda_x_derivative(
-        grid.x[:, None], grid.xi, 0.0, p, params, which=2, order=1)), 1)
+def lattice_windows(p: ProblemSpec, params: WeightParams,
+                    grid: Grid) -> Windows:
+    """The windows of the phase on the lattice, at t = 0."""
+    return Windows(grid.x[:, None], grid.xi, 0.0, p, params)
+
+
+def _lambda2_x(win: Windows, grid: Grid) -> SymbolTable:
+    """d_x lam2 on the lattice of win, kept in win's memo."""
+    return win._once("lam2_x", lambda: sampled_table(
+        grid, weight_x_derivative(win, win.params, 2, 1)))
+
+
+def dxdxi_lambda2(win: Windows, grid: Grid) -> SymbolTable:
+    """d_xi d_x lam2 on the lattice of win (lattice_windows), formed on
+    first use and kept in win's memo.  It reads M2 but not M1, and it needs
+    no weight integral (d_x lam2 is in closed form): a selection trial
+    forms it before M1 is known, and its assembler reads the same table
+    from the same win."""
+    return win._once("dxdxi_lam2",
+                     lambda: xi_derivative(_lambda2_x(win, grid), 1))
 
 
 def build_phase_tables(p: ProblemSpec, params: WeightParams,
-                       grid: Grid) -> PhaseTables:
+                       grid: Grid, win: Windows = None) -> PhaseTables:
     """Sample the spatial phase and its derivatives once per grid/params.
     The higher derivatives are needed only to form P_b and Q_a.  One
-    Windows serves every table, so each window is evaluated once."""
-    win = Windows(grid.x[:, None], grid.xi, 0.0, p, params)
+    Windows serves every table, so each window is evaluated once; win, if
+    given, is lattice_windows of the same p and grid and of params up to
+    M1 (lam2 and the windows do not read it)."""
+    if win is None:
+        win = lattice_windows(p, params, grid)
     l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
     lam = l2 + l1
 
-    lam2_x, lam1_x = {}, {}
-    for order in (1, 2, 3):
-        lam2_x[order] = sampled_table(
-            grid, weight_x_derivative(win, params, 2, order))
-        lam1_x[order] = sampled_table(
-            grid, weight_x_derivative(win, params, 1, order))
+    lam2_x = {1: _lambda2_x(win, grid)}
+    lam2_x.update({o: sampled_table(grid, weight_x_derivative(win, params, 2, o))
+                   for o in (2, 3)})
+    lam1_x = {o: sampled_table(grid, weight_x_derivative(win, params, 1, o))
+              for o in (1, 2, 3)}
     lam_x = {o: lam2_x[o] + lam1_x[o] for o in (1, 2, 3)}
     lam_x[4] = x_derivative(lam_x[3], 1)
     lam_xi = {o: xi_derivative(lam, o) for o in (1, 2, 3, 4)}
@@ -156,7 +172,7 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
     Q = exp_derivative_factors([-lam_x[o].values for o in (1, 2, 3, 4)])
     return PhaseTables(
         lam=lam, lam2_x=lam2_x[1], lam2_xx=lam2_x[2], lam1_x=lam1_x[1],
-        dxdxi_lam2=xi_derivative(lam2_x[1], 1),
+        dxdxi_lam2=dxdxi_lambda2(win, grid),
         psi_window=SymbolTable(grid, win.psi(0).astype(complex)),
         abs_w=np.abs(win.w),
         exp_xi_factors=[SymbolTable(grid, v) for v in P],
@@ -247,20 +263,24 @@ class ConjugatorBundle:
     problem = property(lambda self: self.assembler.problem)
 
     def time_stage(self, t, sign=+1):
-        """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier."""
-        expo = sign * float(k_of_t(t, self.params)) * self.assembler.xi_pow
+        """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier; for an
+        array of times (B,), the multiplier of their (B, N) rows, which
+        applies row by row to a stack of coefficients."""
+        expo = (sign * k_of_t(t, self.params))[..., None] * self.assembler.xi_pow
         if np.max(expo) > 690.0:
             raise ParameterError("time-weight multiplier overflows; reduce k0")
         return Multiplier(self.grid, np.exp(expo))
 
     def apply_full(self, u_hat, t):
         """Coefficients of op(e^Lam(t)) u from those of u: the spatial
-        stage E, then the time stage's row."""
+        stage E, then the time stage's row.  A stack u_hat (B, N) with
+        times t (B,) maps row i at t[i]."""
         return self.time_stage(t).matvec_hat(self.E.matvec_hat(u_hat))
 
     def apply_full_inverse(self, v_hat, t):
         """Coefficients of {op(e^Lam(t))}^{-1} v from those of v: the
-        inverse time stage's row, then E_inv."""
+        inverse time stage's row, then E_inv; row by row on a stack, as
+        apply_full."""
         return self.E_inv.matvec_hat(self.time_stage(t, -1).matvec_hat(v_hat))
 
 
@@ -424,18 +444,19 @@ class ConjugationAssembler:
     (memoized for MEMO_TIMES times).  ``at(t)`` gives the parts of BLOCKS,
     each evaluated as its k^0 table + sum_j k(t)^j U_j;
     ``at(t).block(name)`` sums one block and ``at(t).generator_table()``
-    all three.  ``stage_operator(t)`` is the same generator as the time
-    stepper applies it, the polynomial
+    all three.  ``stage_operators(taus)`` is the same generator as the time
+    stepper applies it at each time of taus, the polynomial
     G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
     rows, or the Stacked sum over the spectral stack of G_0 and the G_j,
     built once per coefficient time.
     """
 
-    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
+    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
+                 win: Windows = None):
         self.problem = p
         self.params = params
         self.grid = grid
-        self.phase = build_phase_tables(p, params, grid)
+        self.phase = build_phase_tables(p, params, grid, win)
         self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
@@ -559,9 +580,9 @@ class ConjugationAssembler:
     def _polynomial(self, t):
         """(rows, powers, stack) at the coefficient time of t, built on
         first use from G_0, the sum of the parts' k^0 tables in the order of
-        BLOCKS, and the G_j, the sums of their k^j tables.  rows =
-        (G_0 row, {j: G_j row}) when every row of each table is equal, and
-        stack is None; otherwise rows is None and stack is
+        BLOCKS, and the G_j, the sums of their k^j tables, j in powers.
+        rows = [G_0 row, G_j rows...] when every row of each table is
+        equal, and stack is None; otherwise rows is None and stack is
         spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
         tables."""
         entry = self._static_tables(t)
@@ -574,39 +595,53 @@ class ConjugationAssembler:
                 for j, tab in tabs.items():
                     Gj[j] = Gj.get(j, 0.0) + tab.values
             rows = fourier_rows(G0, *Gj.values())
-            if rows is not None:
-                entry["poly"] = ((rows[0], dict(zip(Gj, rows[1:]))), (), None)
-            else:
-                entry["poly"] = (None, tuple(Gj),
-                                 spectral_stack(self.grid, [G0, *Gj.values()]))
+            stack = None if rows is not None else spectral_stack(
+                self.grid, [G0, *Gj.values()])
+            entry["poly"] = (rows, tuple(Gj), stack)
         return entry["poly"]
 
-    def _kprime_row(self, t):
-        """-k'(t) <xi>_h^{1/theta}, zero in the Nyquist slot tables lack."""
-        row = -float(k_prime(t, self.params)) * self.xi_pow
-        row[self.grid.nyquist] = 0.0
-        return row
+    def _kprime_rows(self, taus):
+        """-k'(tau) <xi>_h^{1/theta} at each time of taus, (..., N), zero in
+        the Nyquist slot tables lack."""
+        rows = -k_prime(taus, self.params)[..., None] * self.xi_pow
+        rows[..., self.grid.nyquist] = 0.0
+        return rows
 
-    def stage_operator(self, t: float):
-        """The generator at time t as the time stepper applies it.
+    def stage_operators(self, taus):
+        """The generator at each time of taus as the time stepper applies
+        it: one operator per time, in the order of taus.
 
-        The variant is read off the tables of t's coefficient time by
-        fourier_rows: when G_0 and every G_j are x-independent, the
-        generator is the Fourier multiplier of the row
-        G_0 + k'-row + sum_j k(t)^j G_j and applies with one FFT pair;
-        otherwise it is the Stacked sum over that time's spectral stack,
-        with weights (1, k(t)^j, ...) and the k' row, so no N x N array is
-        formed per stage time."""
-        rows, powers, stack = self._polynomial(t)
-        k = float(k_of_t(t, self.params))
-        if rows is not None:
-            G0, Gj = rows
-            row = G0 + self._kprime_row(t)
-            for j, G in Gj.items():
-                row += (k ** j) * G
-            return Multiplier(self.grid, row)
-        weights = np.array([1.0] + [k ** j for j in powers])
-        return Stacked(self.grid, stack, weights, self._kprime_row(t))
+        k(tau) and k'(tau) are evaluated once for all of taus.  The variant
+        is read off the tables of the coefficient time by fourier_rows:
+        when G_0 and every G_j are x-independent, the generator is the
+        Fourier multiplier of the row G_0 + k'-row + sum_j k(tau)^j G_j, the
+        rows of all times formed as one (B, N) array, and applies with one
+        FFT pair; otherwise it is the Stacked sum over that time's spectral
+        stack, with weights (1, k(tau)^j, ...) and the k' row, so no N x N
+        array is formed per stage time.  Time-independent coefficients share
+        one coefficient time; time-dependent ones have one per tau."""
+        taus = np.asarray(taus, dtype=float)
+        kprime = self._kprime_rows(taus)
+        ks = k_of_t(taus, self.params).tolist()
+        if self.problem.time_dependent:
+            groups = [(taus[i], slice(i, i + 1)) for i in range(taus.size)]
+        else:
+            groups = [(0.0, slice(None))]
+        ops = []
+        for t, sl in groups:
+            rows, powers, stack = self._polynomial(t)
+            # k(tau)^j as scalar powers: numpy's array power can round them
+            # differently, and a stage must not depend on its block
+            K = np.array([[k ** j for j in (0, *powers)] for k in ks[sl]])
+            if rows is not None:
+                R = rows[0] + kprime[sl]
+                for Kj, G in zip(K.T[1:], rows[1:]):
+                    R += Kj[:, None] * G
+                ops += [Multiplier(self.grid, row) for row in R]
+            else:
+                ops += [Stacked(self.grid, stack, w, row)
+                        for w, row in zip(K, kprime[sl])]
+        return ops
 
     def at(self, t: float) -> ConjugatedSymbols:
         """The named tables at time t: each part of BLOCKS as its k^0 table
@@ -617,7 +652,7 @@ class ConjugationAssembler:
         g = self.grid
         k = float(k_of_t(t, self.params))
         zero = SymbolTable(g, np.zeros((1, g.N)))
-        base = dict(stage, kprime=multiplier_table(g, self._kprime_row(t) + 0j))
+        base = dict(stage, kprime=multiplier_table(g, self._kprime_rows(t) + 0j))
         parts = {name: stage[name]
                  for name in ("m2_main", "m2_tail", "m1_main", "m1_tail")}
         for name in (n for block in BLOCKS.values() for n in block):

@@ -47,19 +47,21 @@ class Grid:
     # -- transforms ---------------------------------------------------
 
     def forward(self, u):
-        """Coefficients u_hat with u(x_j) = (1/sqrt N) sum_k u_hat_k e^{i xi_k x_j}."""
+        """Coefficients u_hat with u(x_j) = (1/sqrt N) sum_k u_hat_k e^{i xi_k x_j};
+        of each row of a stack (..., N)."""
         u = self.check_field(u)
         return self._phase * np.fft.fft(u, norm="ortho")
 
     def inverse(self, u_hat):
-        """Inverse of :meth:`forward`."""
+        """Inverse of :meth:`forward`, row by row on a stack."""
         u_hat = self.check_field(u_hat)
         return np.fft.ifft(u_hat / self._phase, norm="ortho")
 
     def check_field(self, u):
+        """u as a complex field of shape (N,), or a stack (..., N) of them."""
         u = np.asarray(u)
-        if u.shape != (self.N,):
-            raise ShapeError(f"field has shape {u.shape}, expected ({self.N},)")
+        if u.ndim == 0 or u.shape[-1] != self.N:
+            raise ShapeError(f"field has shape {u.shape}, expected (..., {self.N})")
         return u.astype(complex, copy=False)
 
     def synthesis_matrix(self):
@@ -76,9 +78,10 @@ class Grid:
         return mask
 
     def l2_norm(self, u):
-        """Discrete L^2 norm with weight dx."""
-        u = np.asarray(u)
-        return float(np.sqrt(self.dx * np.sum(np.abs(u) ** 2)))
+        """Discrete L^2 norm with weight dx: a float for one field, an array
+        of the rows' norms for a stack (..., N)."""
+        norm = np.sqrt(self.dx * np.sum(np.abs(np.asarray(u)) ** 2, axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
 
     def inner(self, u, v):
         """Discrete L^2 inner product <u, v> with weight dx."""

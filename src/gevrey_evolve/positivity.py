@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conjugate import (BLOCKS, ConjugationAssembler, _hermitian_half,
-                        build_conjugator, dxdxi_lambda2)
+                        build_conjugator, dxdxi_lambda2, lattice_windows)
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -284,9 +284,11 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                     f"on this grid (xi_max={grid.xi_max:.3g}); "
                     "refine the grid or shrink L")
                 break
+            # the trial's windows and d_xi d_x lam2, shared with its assembler
+            win = lattice_windows(p, params, grid)
             if M1_pin is None:
                 # constants entering the order-1 inequality, measured with lam2
-                dxdxi_lam2 = dxdxi_lambda2(p, params, grid)
+                dxdxi_lam2 = dxdxi_lambda2(win, grid)
                 norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
                 C_a2l2, C_c = 0.0, 0.0
                 for a2, c_real in a2_by_time.values():
@@ -300,7 +302,8 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                 trial["M1"] = M1
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
-            assembler = ConjugationAssembler(p, params, grid)
+            assembler = ConjugationAssembler(p, params, grid, win)
+            del win     # its N x N windows are not kept past the phase tables
             params = calibrate_time_weight(assembler)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))

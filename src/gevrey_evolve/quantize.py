@@ -130,7 +130,8 @@ class Dense:
     matrix: np.ndarray
 
     def matvec_hat(self, w_hat):
-        return self.matrix @ w_hat
+        """matrix @ w_hat; one GEMM for each row of a stack (B, N)."""
+        return (self.matrix @ w_hat.T).T
 
     def dense(self):
         return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)

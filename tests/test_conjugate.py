@@ -3,8 +3,8 @@ import pytest
 
 from gevrey_evolve import conjugate, weights
 from gevrey_evolve._stencil import exp_derivative_factors
-from gevrey_evolve.conjugate import (ConjugationAssembler, build_conjugator,
-                                     truncation_order)
+from gevrey_evolve.conjugate import (BLOCKS, ConjugationAssembler,
+                                     build_conjugator, truncation_order)
 from gevrey_evolve.errors import ConvergenceError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
@@ -334,6 +334,19 @@ def test_order2_block_matches_its_report_form(grid):
     assert np.max(np.abs((block - report)[inner])) < 1e-12
 
 
+def test_theta_block_matches_its_report_form(grid):
+    # the 1/theta block against margin_tables, which names its own terms:
+    # Re(kprime + b1k + ia1_k) + m2_tail + m1_tail.  C1, C2 > 0 make kprime
+    # nonzero, so a part dropped from or added to the block shows here
+    cs = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid).at(0.3)
+    report = (cs.margin_tables()["theta"].values - cs.parts["m2_tail"].values
+              - cs.parts["m1_tail"].values)
+    block = cs.block("theta").real.values
+    for name in BLOCKS["theta"]:
+        assert np.max(np.abs(cs.parts[name].real.values)) > 1e-3, name
+    assert np.max(np.abs(block - report)) < 1e-12
+
+
 def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     # psi, psi' and psi'' of <x>/<xi>_h^2 once each on the lattice, shared by
     # all six x-derivative tables, which equal lambda_x_derivative's bit for
@@ -430,7 +443,7 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     w_hat = rng.standard_normal(N_) + 1j * rng.standard_normal(N_)
 
     def check(t):
-        op = asm.stage_operator(t)
+        op = asm.stage_operators([t])[0]
         assert isinstance(op, variant)
         got = op.matvec_hat(w_hat)
         ref = quantized(g, asm.at(t).generator_table().values).matvec_hat(w_hat)
@@ -438,7 +451,70 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
 
     for t in (0.0, 0.3, 0.3, 1.0):
         check(t)
-    for t in np.linspace(0.05, 0.95, 13):   # more times than the memo keeps
-        asm.stage_operator(t)
+    # more times than the memo keeps
+    asm.stage_operators(np.linspace(0.05, 0.95, 13))
     for t in (0.0, 0.3, 1.0):
         check(t)
+
+
+def _per_time_stage(asm, t):
+    """The stage at one time, built as before stage_operators: scalar k(t)
+    and k'(t), the row or the weights of that time alone."""
+    rows, powers, stack = asm._polynomial(t)
+    k = float(k_of_t(t, asm.params))
+    kp = -float(k_prime(t, asm.params)) * asm.xi_pow
+    kp[asm.grid.nyquist] = 0.0
+    if rows is not None:
+        row = rows[0] + kp
+        for j, G in zip(powers, rows[1:]):
+            row += (k ** j) * G
+        return Multiplier(asm.grid, row)
+    return Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]),
+                   kp)
+
+
+@pytest.mark.parametrize("name, weights, variant", [
+    ("kdv-baseline", dict(M2=0.0, M1=0.0), Multiplier),
+    ("complex-damped", {}, Stacked),
+    ("time-modulated", {}, Stacked),
+])
+def test_stage_operators_match_the_per_time_build(grid, name, weights,
+                                                  variant):
+    # one call for a block of stage times gives, time by time, the stage of
+    # the per-time build; C1, C2 > 0 so k and k' vary over the block
+    asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
+                               params_with(C1=0.2, C2=0.01, **weights), grid)
+    taus = np.linspace(0.0, 1.0, 9)
+    ops = asm.stage_operators(taus)
+    assert len(ops) == taus.size
+    rng = np.random.default_rng(5)
+    w_hat = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for t, op in zip(taus, ops):
+        assert isinstance(op, variant)
+        want = _per_time_stage(asm, t).matvec_hat(w_hat)
+        got = op.matvec_hat(w_hat)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, weights, exact", [
+    ("kdv-baseline", dict(M2=0.0, M1=0.0, h=1.0), True),
+    ("complex-damped", dict(M2=0.1, M1=0.1, h=2.0), False),
+], ids=["multiplier", "dense"])
+def test_apply_full_on_a_stack_matches_row_by_row(grid, name, weights, exact):
+    # a (B, N) stack with an array of times maps row i at t[i]: bit for bit
+    # for a Multiplier conjugator, to a GEMM's rounding for a Dense one
+    bundle = build_conjugator(ConjugationAssembler(
+        model_problem(name, 0.75, domain=L),
+        params_with(C1=0.2, C2=0.01, **weights), grid))
+    rng = np.random.default_rng(11)
+    U = rng.standard_normal((6, N)) + 1j * rng.standard_normal((6, N))
+    t = np.linspace(0.0, 1.0, 6)
+    for apply in (bundle.apply_full, bundle.apply_full_inverse):
+        stacked = apply(U, t)
+        assert stacked.shape == U.shape
+        for row, ti, got in zip(U, t, stacked):
+            want = apply(row, ti)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

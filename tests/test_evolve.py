@@ -8,7 +8,8 @@ from gevrey_evolve import conjugate, evolve, quantize
 from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
                                      build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
-from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm, radius_fit,
+from gevrey_evolve.evolve import (BLOCK, GevreyNormSpec, gevrey_norm,
+                                  integrating_factors, radius_fit,
                                   solve_conjugated, solve_original, step,
                                   synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
@@ -70,6 +71,35 @@ def test_radius_fit_insufficient_data(grid):
     u_hat[np.argmin(np.abs(grid.xi))] = 1.0
     with pytest.raises(DataError):
         radius_fit(u_hat, 2.0, grid)
+    with pytest.raises(DataError):
+        radius_fit(np.zeros(grid.N, dtype=complex), 2.0, grid)
+
+
+def test_norm_and_radius_fit_on_a_stack(grid):
+    # a (B, N) stack gives each row's value, each row fitted on its own
+    # modes: a row with one mode and a zero row give NaN there (one such
+    # field alone raises DataError), and the zero row has norm 0
+    rng = np.random.default_rng(2)
+    one_mode = np.zeros(grid.N, dtype=complex)
+    one_mode[np.argmin(np.abs(grid.xi))] = 1.0
+    noise = grid.forward(rng.standard_normal(grid.N))
+    steep = grid.forward(synthetic_radius_field(grid, 12.0, 1.8, seed=1))
+    rows = [one_mode, grid.forward(synthetic_radius_field(grid, 0.8, 1.8)),
+            noise, steep, np.zeros(grid.N, dtype=complex)]
+    U = np.array(rows)
+    spec = GevreyNormSpec(0.0, 0.5, 1.8)
+    fits, norms = radius_fit(U, 1.8, grid), gevrey_norm(U, spec, grid)
+    assert fits.shape == norms.shape == (len(rows),)
+    assert np.isnan(fits[0]) and np.isnan(fits[-1])
+    assert norms[-1] == 0.0 and gevrey_norm(rows[-1], spec, grid) == 0.0
+    for row, fit, norm in zip(rows[1:-1], fits[1:-1], norms[1:-1]):
+        assert fit == pytest.approx(radius_fit(row, 1.8, grid), rel=1e-14)
+        assert norm == pytest.approx(gevrey_norm(row, spec, grid), rel=1e-14)
+    assert norms[0] == pytest.approx(gevrey_norm(rows[0], spec, grid), rel=1e-14)
+    # the steep row has fewer modes above the floor than the noise row
+    floor = evolve.RADIUS_FLOOR
+    assert (np.sum(np.abs(steep) > floor * np.max(np.abs(steep)))
+            < np.sum(np.abs(noise) > floor * np.max(np.abs(noise))))
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +120,14 @@ def _dense_stage(grid, tab):
 def _frozen(grid, tab):
     """The generator table tab as a dense stage operator at every time."""
     A = _dense_stage(grid, tab)
-    return lambda tau: A
+    return lambda taus: [A] * len(taus)
+
+
+def _step(v_hat, t, dt, p, grid, stages):
+    """One step from t, its stage operators built by stages(taus) at its
+    three stage times and its integrating factors by integrating_factors."""
+    return step(v_hat, dt, grid, integrating_factors(p, grid, [t, t + dt])[0],
+                stages(np.array([t, t + 0.5 * dt, t + dt])))
 
 
 def test_step_pure_dispersion_is_unitary(grid):
@@ -98,8 +135,8 @@ def test_step_pure_dispersion_is_unitary(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(kdv, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = grid.inverse(step(grid.forward(v), 0.0, 0.05, kdv, grid,
-                          _frozen(grid, tab)))
+    w = grid.inverse(_step(grid.forward(v), 0.0, 0.05, kdv, grid,
+                           _frozen(grid, tab)))
     assert abs(grid.l2_norm(w) - grid.l2_norm(v)) < 1e-12 * grid.l2_norm(v)
 
 
@@ -112,8 +149,8 @@ def test_step_zero_generator_identity(grid):
     p = _trivial_params(np.sqrt(1 + grid.L ** 2))
     tab = ConjugationAssembler(zero3, p, grid).at(0.0).generator_table().values
     v = synthetic_radius_field(grid, 0.6, 1.8)
-    w = grid.inverse(step(grid.forward(v), 0.0, 0.05, zero3, grid,
-                          _frozen(grid, tab)))
+    w = grid.inverse(_step(grid.forward(v), 0.0, 0.05, zero3, grid,
+                           _frozen(grid, tab)))
     assert np.max(np.abs(w - v)) < 1e-12
 
 
@@ -136,7 +173,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     v0 = Pm @ v
     errs = []
     for dt in (2e-3, 1e-3):
-        w = grid.inverse(step(grid.forward(v0), 0.0, dt, prob, grid, frozen))
+        w = grid.inverse(_step(grid.forward(v0), 0.0, dt, prob, grid, frozen))
         errs.append(grid.l2_norm(w - expm(G * dt) @ v0))
     assert errs[0] / errs[1] > 16.0  # local order >= 4 (dt^5 gives 32)
     # damping-dominated group: growth per step stays under the quantization
@@ -148,8 +185,8 @@ def test_step_damping_matches_matrix_exponential(small_setup):
     w = v0.copy()
     norms = [grid.l2_norm(w)]
     for i in range(20):
-        w = grid.inverse(step(grid.forward(w), i * 2e-3, 2e-3, prob, grid,
-                              frozen))
+        w = grid.inverse(_step(grid.forward(w), i * 2e-3, 2e-3, prob, grid,
+                               frozen))
         norms.append(grid.l2_norm(w))
     rates = np.diff(np.log(norms)) / 2e-3
     assert np.max(rates) <= floor + 1e-6
@@ -164,15 +201,16 @@ def test_multiplier_step_matches_dense_step(N, L):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(kdv, p, grid)
-    assert isinstance(asm.stage_operator(0.0), Multiplier)
-    dense = lambda tau: _dense_stage(
-        grid, asm.at(tau).generator_table().values)
-    zero = lambda tau: Multiplier(grid, np.zeros(N))
+    assert isinstance(asm.stage_operators([0.0])[0], Multiplier)
+    dense = lambda taus: [_dense_stage(
+        grid, asm.at(tau).generator_table().values) for tau in taus]
+    zero = lambda taus: [Multiplier(grid, np.zeros(N))] * len(taus)
     v = synthetic_radius_field(grid, 0.6, 1.8)
     v_hat = grid.forward(v)
-    w_mult = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, asm.stage_operator))
-    w_dense = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, dense))
-    w_zero = grid.inverse(step(v_hat, 0.1, 0.05, kdv, grid, zero))
+    w_mult = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid,
+                                asm.stage_operators))
+    w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, dense))
+    w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, zero))
     scale = grid.l2_norm(w_dense)
     assert grid.l2_norm(w_dense - w_zero) > 1e-4 * scale
     assert grid.l2_norm(w_mult - w_dense) <= 1e-13 * scale
@@ -185,15 +223,15 @@ def test_stacked_step_matches_dense_step(grid):
     p = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
                             M2=0.1, M1=0.1, h=2.0).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(prob, p, grid)
-    assert isinstance(asm.stage_operator(0.0), Stacked)
-    dense = lambda tau: _dense_stage(
-        grid, asm.at(tau).generator_table().values)
-    zero = lambda tau: Multiplier(grid, np.zeros(grid.N))
+    assert isinstance(asm.stage_operators([0.0])[0], Stacked)
+    dense = lambda taus: [_dense_stage(
+        grid, asm.at(tau).generator_table().values) for tau in taus]
+    zero = lambda taus: [Multiplier(grid, np.zeros(grid.N))] * len(taus)
     v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
-    w_stack = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid,
-                                asm.stage_operator))
-    w_dense = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid, dense))
-    w_zero = grid.inverse(step(v_hat, 0.1, 0.05, prob, grid, zero))
+    w_stack = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid,
+                                 asm.stage_operators))
+    w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, dense))
+    w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, zero))
     scale = grid.l2_norm(w_dense)
     assert grid.l2_norm(w_dense - w_zero) > 1e-4 * scale
     assert grid.l2_norm(w_stack - w_dense) <= 1e-13 * scale
@@ -223,13 +261,14 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(module, name))
     stages = {}
-    build = ConjugationAssembler.stage_operator
+    build = ConjugationAssembler.stage_operators
 
-    def recording(self, t):
-        stages[float(t)] = build(self, t)
-        return stages[float(t)]
+    def recording(self, taus):
+        ops = build(self, taus)
+        stages.update(zip(map(float, taus), ops))
+        return ops
 
-    monkeypatch.setattr(ConjugationAssembler, "stage_operator", recording)
+    monkeypatch.setattr(ConjugationAssembler, "stage_operators", recording)
     g = synthetic_radius_field(grid, 0.7, 1.8)
     traj = solve_original(bundle, None, g, 0.5)
     assert counts == {"quantized": 0, "spectral_stack": 1}
@@ -246,10 +285,11 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
 
 def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
     # a forced damped-64 solve (Dense conjugator, Stacked stages) carries
-    # coefficients end to end: its only synthesis is one Grid.inverse per
-    # logged time, and the pull-back (the conjugator inverse, the
-    # equivalence check, the radius fit and the output norm) makes no
-    # Grid.forward
+    # coefficients end to end: its only synthesis is one field through
+    # Grid.inverse per logged time, and the pull-back (the conjugator
+    # inverse, the equivalence check, the radius fit and the output norm)
+    # makes no Grid.forward.  The transforms take stacks: a call counts
+    # each field it transforms
     from gevrey_evolve.grid import Grid
     setup = small_setup
     grid, bundle = setup["grid"], setup["bundle"]
@@ -258,8 +298,9 @@ def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
     calls, solved = {"forward": 0, "inverse": 0}, {}
     for name in calls:
         def counting(self, u, fn=getattr(Grid, name), name=name):
-            calls[name] += 1
-            return fn(self, u)
+            out = fn(self, u)
+            calls[name] += out.size // self.N
+            return out
         monkeypatch.setattr(Grid, name, counting)
     solve = evolve.solve_conjugated
 
@@ -281,15 +322,38 @@ def test_stage_variant_read_off_the_tables(small_setup, grid):
     # complex-damped tables depend on x: stacked stages.  kdv-baseline's
     # vanish (M2 = M1 = 0): multiplier stages.  kdv-baseline with M2 > 0
     # has an x-dependent phase, hence stacked stages again
-    assert isinstance(small_setup["assembler"].stage_operator(0.3), Stacked)
+    assert isinstance(small_setup["assembler"].stage_operators([0.3])[0],
+                      Stacked)
     kdv = model_problem("kdv-baseline", 0.75)
     _, details = select_parameters_detailed(kdv, 1.8, grid)
-    assert isinstance(details["bundle"].assembler.stage_operator(0.3),
+    assert isinstance(details["bundle"].assembler.stage_operators([0.3])[0],
                       Multiplier)
     weighted = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
                                    M2=0.1, h=2.0)
     assert isinstance(
-        ConjugationAssembler(kdv, weighted, grid).stage_operator(0.3), Stacked)
+        ConjugationAssembler(kdv, weighted, grid).stage_operators([0.3])[0],
+        Stacked)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_do_not_change_the_solve(small_setup, monkeypatch, block):
+    # the block length only groups the time-only work: a forced damped-64
+    # solve in blocks of 1 or 7 steps (32 steps: a short last block) gives
+    # the same trajectory as in blocks of BLOCK, up to the rounding of the
+    # Dense conjugator's GEMM on a stack
+    grid, bundle = small_setup["grid"], small_setup["bundle"]
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    f = lambda t: 0.5 * np.exp(-t) * g
+    ref = solve_original(bundle, f, g, 0.5, rho=0.7)
+    monkeypatch.setattr(evolve, "BLOCK", block)
+    got = solve_original(bundle, f, g, 0.5, rho=0.7)
+    assert got.meta["steps"] % block or block == 1
+    for a, b in ((ref.l2, got.l2), (ref.radius, got.radius),
+                 (ref.energy_rate, got.energy_rate),
+                 (ref.meta["hm_u"], got.meta["hm_u"])):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    for a, b in zip(ref.v_hats, got.v_hats):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_step_blowup_detected(grid):
@@ -352,6 +416,7 @@ def test_damped_solve_energy_log(small_setup):
 def test_energy_estimate_one_pass(small_setup, monkeypatch):
     # one trapezoid sum over the step times gives the constant of the
     # quadrature from t = 0 at every logged time, with one ||f||^2 per step
+    # (gevrey_norm takes stacks: a call counts each field it measures)
     from gevrey_evolve import evolve
     grid = small_setup["grid"]
     rho, theta = 0.7, 1.8
@@ -361,8 +426,9 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     norm, calls = evolve.gevrey_norm, []
 
     def counting(u, spec, grid):
-        calls.append(spec)
-        return norm(u, spec, grid)
+        out = norm(u, spec, grid)
+        calls.extend([spec] * np.size(out))
+        return out
 
     monkeypatch.setattr(evolve, "gevrey_norm", counting)
     traj = solve_original(small_setup["bundle"], f, g, 0.5, rho=rho)
@@ -394,13 +460,13 @@ def _stage_times(setup, T, dt, monkeypatch):
         taus.append(float(t))
         return 0.5 * np.exp(-t) * g
 
-    build = ConjugationAssembler.stage_operator
+    build = ConjugationAssembler.stage_operators
 
-    def counting(self, t):
-        stage_taus.append(float(t))
-        return build(self, t)
+    def counting(self, taus):
+        stage_taus.extend(map(float, taus))
+        return build(self, taus)
 
-    monkeypatch.setattr(ConjugationAssembler, "stage_operator", counting)
+    monkeypatch.setattr(ConjugationAssembler, "stage_operators", counting)
     traj = solve_original(setup["bundle"], f, g, T, dt=dt)
     return traj.meta["steps"], taus, stage_taus
 
@@ -427,6 +493,8 @@ def test_steps_end_on_the_logged_times(monkeypatch):
                  bundle=details["bundle"])
     steps, taus, stage_taus = _stage_times(setup, 1.0, 0.002, monkeypatch)
     assert steps == 500
+    # more than two blocks, and a last block shorter than the others
+    assert steps > 2 * BLOCK and steps % BLOCK
     assert len(taus) == len(set(taus)) == 2 * steps + 1
     assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
 

@@ -46,6 +46,23 @@ def test_shape_mismatch():
     g = make_grid(np.pi, 16)
     with pytest.raises(ShapeError):
         g.forward(np.zeros(8))
+    with pytest.raises(ShapeError):
+        g.inverse(np.zeros((3, 8)))
+
+
+@pytest.mark.parametrize("N", [40, 64, 256])
+def test_transforms_of_a_stack_match_row_by_row(N):
+    # a (B, N) stack transforms bit for bit as its rows one by one, and the
+    # norms of its rows are the rows' norms
+    g = make_grid(7.0, N)
+    rng = np.random.default_rng(N)
+    U = rng.standard_normal((9, N)) + 1j * rng.standard_normal((9, N))
+    fwd, inv, nrm = g.forward(U), g.inverse(U), g.l2_norm(U)
+    assert fwd.shape == inv.shape == U.shape and nrm.shape == (9,)
+    for row, f, i, n in zip(U, fwd, inv, nrm):
+        assert np.array_equal(f, g.forward(row))
+        assert np.array_equal(i, g.inverse(row))
+        assert n == g.l2_norm(row) and isinstance(g.l2_norm(row), float)
 
 
 def test_bracket_examples():

@@ -12,9 +12,10 @@ from gevrey_evolve.positivity import (calibrate_time_weight,
                                       select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
-                                    table_from_function)
+                                    sampled_table, table_from_function,
+                                    xi_derivative)
 from gevrey_evolve.symbols import Symbol, model_problem
-from gevrey_evolve.weights import WeightParams, k_of_t
+from gevrey_evolve.weights import WeightParams, k_of_t, lambda_x_derivative
 
 T_SAMPLES = np.linspace(0.0, 1.0, 5)
 
@@ -93,6 +94,36 @@ def test_infeasible_reports_failing_inequality():
     for h in (1, 2, 4, 8):
         assert f"h={h}: " in str(err.value)
     assert "spectral radius" in str(err.value)
+
+
+def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
+    # d_xi d_x lam2 reads M2 but not M1: each trial forms it once, before M1
+    # is known, and the trial's assembler reads that same table.  It equals
+    # bit for bit the table formed at M1 = 0 from lambda_x_derivative (the
+    # trial's own former path) and the xi-derivative of the assembler's
+    # d_x lam2 (the phase tables' former path)
+    from gevrey_evolve import weights
+    formed, once = [], weights.Windows._once
+
+    def counting(self, key, evaluate):
+        if key == "dxdxi_lam2" and key not in self._memo:
+            formed.append(self)
+        return once(self, key, evaluate)
+
+    monkeypatch.setattr(weights.Windows, "_once", counting)
+    prob = model_problem("complex-damped", 0.75, domain=10.0)
+    grid = make_grid(10.0, 64)
+    params, details = select_parameters_detailed(prob, 1.8, grid)
+    monkeypatch.undo()
+    assert len(formed) == len(details["history"]) >= 1
+    phase = details["bundle"].assembler.phase
+    assert formed[-1]._memo["dxdxi_lam2"] is phase.dxdxi_lam2
+    at_m1_zero = xi_derivative(sampled_table(grid, lambda_x_derivative(
+        grid.x[:, None], grid.xi[None, :], 0.0, prob,
+        dataclasses.replace(params, M1=0.0), which=2, order=1)), 1)
+    assert np.array_equal(phase.dxdxi_lam2.values, at_m1_zero.values)
+    assert np.array_equal(phase.dxdxi_lam2.values,
+                          xi_derivative(phase.lam2_x, 1).values)
 
 
 def test_failed_positivity_builds_no_inverse(monkeypatch):

@@ -55,6 +55,10 @@ MUTANTS = [
            '"order1": ("ia1", "damp1", "id1", "a2cross")',
            '"order1": ("ia1", "id1", "a2cross")',
            (T_CONJ + "test_order1_block_matches_its_report_form",)),
+    Mutant("blocks-theta-without-b1k", CONJ,
+           '"theta": ("kprime", "b1k", "ia1_k")',
+           '"theta": ("kprime", "ia1_k")',
+           (T_CONJ + "test_theta_block_matches_its_report_form",)),
     Mutant("blocks-order2-without-damp2", CONJ,
            '"order2": ("ia2", "damp2", "b2k", "ia2_k")',
            '"order2": ("ia2", "b2k", "ia2_k")',
@@ -74,13 +78,13 @@ MUTANTS = [
            (T_CONJ + "test_stage_keeps_d1_and_a2_once",
             T_CONJ + "test_d1_matches_independent_derivative_path")),
     Mutant("multiplier-row-without-kprime", CONJ,
-           "row = G0 + self._kprime_row(t)",
-           "row = G0.copy()",
+           "R = rows[0] + kprime[sl]",
+           "R = rows[0] + 0.0 * kprime[sl]",
            (STACKED_CASE + "[kdv-baseline-10.0-64]",
             T_EVOLVE + "test_multiplier_step_matches_dense_step[64-10.0]")),
     Mutant("stacked-without-kprime-row", CONJ,
-           "return Stacked(self.grid, stack, weights, self._kprime_row(t))",
-           "return Stacked(self.grid, stack, weights, np.zeros(self.grid.N))",
+           "for w, row in zip(K, kprime[sl])]",
+           "for w, row in zip(K, 0.0 * kprime[sl])]",
            (STACKED_CASE + "[complex-damped-10.0-64]",
             T_EVOLVE + "test_stacked_step_matches_dense_step")),
     Mutant("stack-rebuilt-at-every-stage-time", CONJ,
@@ -96,6 +100,16 @@ MUTANTS = [
            "return self.E_inv.matvec_hat(self.time_stage(t, -1)",
            "return self.E.matvec_hat(self.time_stage(t, -1)",
            (T_CONJ + "test_conjugator_variant_against_dense_oracle[damped-64]",)),
+    Mutant("block-boundary-node-rebuilt", EVOLVE,
+           "stages = stages[-1:] + assembler.stage_operators(taus)",
+           "stages = assembler.stage_operators(np.concatenate([t0[:1], taus]))",
+           (T_EVOLVE + "test_forcing_conjugated_once_per_stage_time",
+            T_EVOLVE + "test_steps_end_on_the_logged_times")),
+    Mutant("radius-fit-mask-of-first-row", EVOLVE,
+           "    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)\n",
+           "    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)\n"
+           "    mask = np.broadcast_to(mask.reshape(-1, grid.N)[0], mask.shape)\n",
+           (T_EVOLVE + "test_norm_and_radius_fit_on_a_stack",)),
     Mutant("horizon-past-the-certificate-accepted", EVOLVE,
            "    if T > bundle.problem.T:\n",
            "    if False:\n",
@@ -108,6 +122,10 @@ MUTANTS = [
            "    k_of_t(p.T, params)\n    assembler.params = params\n    return params\n",
            "    k_of_t(p.T, params)\n    return params\n",
            (T_POS + "test_calibration_installs_its_last_round",)),
+    Mutant("trial-windows-not-handed-to-its-assembler", POS,
+           "assembler = ConjugationAssembler(p, params, grid, win)",
+           "assembler = ConjugationAssembler(p, params, grid)",
+           (T_POS + "test_each_trial_forms_dxdxi_lambda2_once",)),
     Mutant("h-pin-ignored", POS,
            "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
            "h_start, h_max = H_SEARCH",
