@@ -25,16 +25,16 @@ exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
 The generator is declared once, in BLOCKS: its three blocks (orders 2, 1
 and 1/theta) and their named parts.  The time stage enters only through
-k(t) and k'(t): each part is a polynomial in k(t) whose k^0 table comes
-from the spatial stage and whose k^j tables come from the k stage, so for
-each coefficient time the conjugated generator is the polynomial
-G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_0 and
-G_j summing the parts' k^0 and k^j tables.  ``at(t)`` evaluates every
-part from the same tables, and the step size reads their sum.  The
-assembler keeps their spectral stack [E_syn * G_0, E_syn * G_1, ...] once
-per coefficient time, in place of the tables, so the time stepper applies
-a stage with one GEMV over the stack and one FFT, weighted by the powers
-of k(t), plus the k' row, and forms no N x N array per stage time.
+k(t) and k'(t): each named table is stored once per coefficient time as
+its k-polynomial {j: U_j}, U_0 from the spatial stage and U_j (j >= 1)
+from the k stage, so the conjugated generator is the polynomial
+G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
+summing the parts' U_j.  ``part(name, t)`` evaluates one table, and
+``at(t)`` and calibration read the tables through it.  The assembler keeps
+the spectral stack [E_syn * G_0, E_syn * G_1, ...] once per coefficient
+time, so the time stepper applies a stage with one GEMV over the stack and
+one FFT, weighted by the powers of k(t), plus the k' row, and forms no
+N x N array per stage time.
 """
 
 import math
@@ -49,14 +49,14 @@ from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        dx_operator, exp_table, fourier_rows, multiplier_table,
                        operator_norm, sampled_table, spectral_stack,
                        x_derivative, xi_derivative)
-from .symbols import ProblemSpec, eval_table
+from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, k_prime,
                       spatial_weights, weight_x_derivative)
 
 # coefficient times an assembler of time-dependent coefficients keeps tables
-# for: selection measures at 5 sample times (positivity.N_T_SAMPLES) in every
-# calibration round, and a solve meets each stage time once
-MEMO_TIMES = 5
+# for: selection measures at the sample times in every calibration round,
+# and a solve meets each stage time once
+MEMO_TIMES = N_T_SAMPLES
 
 # ----------------------------------------------------------------------
 # derivatives of <xi>_h^p on the frequency lattice (exact)
@@ -361,13 +361,11 @@ def build_conjugator(assembler: "ConjugationAssembler",
 # ----------------------------------------------------------------------
 
 # The parts of the conjugated generator, by block: order 2, order 1 and
-# order 1/theta.  Each part is a polynomial in k(t): its k^j tables (j >= 1)
-# are k-stage tables and its k^0 table is a spatial-stage table, except for
-# K_ONLY (none) and kprime = -k'(t) <xi>_h^{1/theta}, the time stage's row.
+# order 1/theta.  Each part but kprime = -k'(t) <xi>_h^{1/theta}, the time
+# stage's row, is stored as its k-polynomial (ConjugationAssembler.part).
 BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
           "order1": ("ia1", "damp1", "id1", "a2cross"),
           "theta": ("kprime", "b1k", "ia1_k")}
-K_ONLY = ("b2k", "b1k")
 
 
 @dataclass
@@ -441,8 +439,8 @@ class ConjugationAssembler:
     For problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
     problems rebuild the coefficient-dependent tables per coefficient time
-    (memoized for MEMO_TIMES times).  ``at(t)`` gives the parts of BLOCKS,
-    each evaluated as its k^0 table + sum_j k(t)^j U_j;
+    (memoized for MEMO_TIMES times).  ``part(name, t)`` evaluates one named
+    table, U_0 + sum_j k(t)^j U_j; ``at(t)`` gives every named table;
     ``at(t).block(name)`` sums one block and ``at(t).generator_table()``
     all three.  ``stage_operators(taus)`` is the same generator as the time
     stepper applies it at each time of taus, the polynomial
@@ -466,7 +464,8 @@ class ConjugationAssembler:
     # -- time-independent machinery -----------------------------------
 
     def _lambda_stage(self, t):
-        """Tables from the spatial-stage conjugation at coefficient time t."""
+        """a3's row and the tables from the spatial-stage conjugation at
+        coefficient time t, the U_0 of their k-polynomials."""
         p, params, g, ph = self.problem, self.params, self.grid, self.phase
         a3_row = np.asarray(p.a3(t, 0.0, g.xi), dtype=float)
         da3_row = np.asarray(p.a3.dxi(t, 0.0, g.xi), dtype=float)
@@ -516,15 +515,16 @@ class ConjugationAssembler:
         m1_tail = sampled_table(g, -(m1_main.values
                                      * (1.0 - ph.psi_window.values.real)))
 
-        return dict(a3_row=a3_row, da3_row=da3_row, ia2=ia2, ia1=ia1,
-                    damp2=damp2, damp1=damp1, id1=id1, ia2_k=ia2_k,
-                    ia1_k=ia1_k, a2cross=a2cross, m2_main=m2_main.real,
-                    m2_tail=m2_tail, m1_main=m1_main.real, m1_tail=m1_tail)
+        return a3_row, dict(ia2=ia2, ia1=ia1, damp2=damp2, damp1=damp1,
+                            id1=id1, ia2_k=ia2_k, ia1_k=ia1_k, a2cross=a2cross,
+                            m2_main=m2_main.real, m2_tail=m2_tail,
+                            m1_main=m1_main.real, m1_tail=m1_tail)
 
-    def _k_stage_cache(self, stage):
-        """For each part conjugated by the time multiplier, its k-stage
-        tables {j: U_j}, j >= 1: the part is its spatial-stage table (none
-        for K_ONLY) + sum_j k(t)^j U_j.
+    def _k_polynomials(self, stage):
+        """Every named table but kprime as its k-polynomial {j: U_j}: U_0 is
+        its spatial-stage table in ``stage`` (b2k and b1k have none), and
+        the parts conjugated by the time multiplier get their k-stage
+        tables U_j, j >= 1.
 
         Orders b are kept while the gauge size of their contribution (at
         k = k0) does not grow (_while_shrinking); the series is asymptotic
@@ -551,26 +551,28 @@ class ConjugationAssembler:
                     gauge = gauge + (params.k0 ** j) * adds[j]
                 yield adds, float(np.max(np.abs(gauge)))
 
-        out = {}
+        poly = {name: {0: U0} for name, U0 in stage.items()}
         for name, (base, order) in bases.items():
             U = {}
             nk = truncation_order(order, params.theta, cap=5)
             for adds in _while_shrinking(orders(base, nk)):
                 for j, add in adds.items():
                     U[j] = U.get(j, 0.0) + add
-            out[name] = {j: SymbolTable(self.grid, v) for j, v in U.items()}
-        return out
+            poly.setdefault(name, {}).update(
+                (j, SymbolTable(self.grid, v)) for j, v in U.items())
+        return poly
 
     def _static_tables(self, t):
         """One entry for time-independent coefficients; one per time
         (memoized, at most MEMO_TIMES) for time-dependent ones.  An entry
-        holds the spatial-stage tables, the k-stage tables and, once asked
-        for, the generator's rows or spectral stack and the Hermitian
-        correction c."""
+        holds a3's row, the k-polynomials poly = {name: {j: U_j}} (the
+        report tables are k-constant) and, once asked for, the generator's
+        rows or spectral stack and the Hermitian correction c."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
-            stage = self._lambda_stage(0.0 if key is None else t)
-            self._cache[key] = {"stage": stage, "k": self._k_stage_cache(stage)}
+            a3_row, stage = self._lambda_stage(0.0 if key is None else t)
+            self._cache[key] = {"a3_row": a3_row,
+                                "poly": self._k_polynomials(stage)}
             if len(self._cache) > MEMO_TIMES:
                 self._cache.pop(next(iter(self._cache)))
         return self._cache[key]
@@ -579,26 +581,26 @@ class ConjugationAssembler:
 
     def _polynomial(self, t):
         """(rows, powers, stack) at the coefficient time of t, built on
-        first use from G_0, the sum of the parts' k^0 tables in the order of
-        BLOCKS, and the G_j, the sums of their k^j tables, j in powers.
-        rows = [G_0 row, G_j rows...] when every row of each table is
-        equal, and stack is None; otherwise rows is None and stack is
+        first use from the G_j, each the sum of the parts' U_j in the order
+        of BLOCKS: G_0 and the G_j, j >= 1 in powers.  rows = [G_0 row,
+        G_j rows...] when every row of each table is equal, and stack is
+        None; otherwise rows is None and stack is
         spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
         tables."""
         entry = self._static_tables(t)
-        if "poly" not in entry:
-            stage = entry["stage"]
-            G0 = sum(stage[name].values for block in BLOCKS.values()
-                     for name in block if name not in ("kprime", *K_ONLY))
-            Gj = {}
-            for tabs in entry["k"].values():
-                for j, tab in tabs.items():
-                    Gj[j] = Gj.get(j, 0.0) + tab.values
-            rows = fourier_rows(G0, *Gj.values())
-            stack = None if rows is not None else spectral_stack(
-                self.grid, [G0, *Gj.values()])
-            entry["poly"] = (rows, tuple(Gj), stack)
-        return entry["poly"]
+        if "generator" not in entry:
+            G = {}
+            for name in (n for block in BLOCKS.values() for n in block
+                         if n != "kprime"):
+                for j, U in entry["poly"][name].items():
+                    G[j] = G.get(j, 0.0) + U.values
+            powers = sorted(G)[1:]
+            tables = [G[j] for j in (0, *powers)]
+            rows = fourier_rows(*tables)
+            stack = None if rows is not None else spectral_stack(self.grid,
+                                                                 tables)
+            entry["generator"] = (rows, tuple(powers), stack)
+        return entry["generator"]
 
     def _kprime_rows(self, taus):
         """-k'(tau) <xi>_h^{1/theta} at each time of taus, (..., N), zero in
@@ -643,24 +645,23 @@ class ConjugationAssembler:
                         for w, row in zip(K, kprime[sl])]
         return ops
 
-    def at(self, t: float) -> ConjugatedSymbols:
-        """The named tables at time t: each part of BLOCKS as its k^0 table
-        (zero for K_ONLY) + sum_j k(t)^j U_j over its k-stage tables,
-        kprime from k'(t), d1 and the report tables."""
-        entry = self._static_tables(t)
-        stage, kcache = entry["stage"], entry["k"]
-        g = self.grid
+    def part(self, name, t) -> SymbolTable:
+        """The named table at time t: kprime is the time stage's row
+        -k'(t) <xi>_h^{1/theta}; every other table is its k-polynomial
+        U_0 + sum_{j >= 1} k(t)^j U_j, without U_0 for b2k and b1k."""
+        if name == "kprime":
+            return multiplier_table(self.grid, self._kprime_rows(t) + 0j)
+        poly = self._static_tables(t)["poly"][name]
         k = float(k_of_t(t, self.params))
-        zero = SymbolTable(g, np.zeros((1, g.N)))
-        base = dict(stage, kprime=multiplier_table(g, self._kprime_rows(t) + 0j))
-        parts = {name: stage[name]
-                 for name in ("m2_main", "m2_tail", "m1_main", "m1_tail")}
-        for name in (n for block in BLOCKS.values() for n in block):
-            parts[name] = zero if name in K_ONLY else base[name]
-            if name in kcache:
-                parts[name] = parts[name] + sum(
-                    ((k ** j) * tab.values for j, tab in kcache[name].items()),
-                    0.0)
-        parts["d1"] = stage["id1"] * -1j
-        return ConjugatedSymbols(grid=g, a3_row=stage["a3_row"], parts=parts,
-                                 _static=entry)
+        terms = [(k ** j) * U.values for j, U in poly.items() if j]
+        if 0 not in poly:
+            return SymbolTable.fresh(self.grid, sum(terms))
+        return poly[0] + sum(terms, 0.0) if terms else poly[0]
+
+    def at(self, t: float) -> ConjugatedSymbols:
+        """Every named table at time t (part), and d1 = -i id1."""
+        entry = self._static_tables(t)
+        parts = {name: self.part(name, t) for name in (*entry["poly"], "kprime")}
+        parts["d1"] = parts["id1"] * -1j
+        return ConjugatedSymbols(grid=self.grid, a3_row=entry["a3_row"],
+                                 parts=parts, _static=entry)

@@ -30,8 +30,12 @@ class ConvergenceError(GevreyEvolveError):
 
 
 class InfeasibleError(GevreyEvolveError):
-    """Automatic parameter selection exhausted its search
-    (CLI category: infeasible-parameters)."""
+    """Automatic parameter selection exhausted its search; ``history`` holds
+    each trial's h and reason (CLI category: infeasible-parameters)."""
+
+    def __init__(self, message, history):
+        super().__init__(message)
+        self.history = history
 
 
 class InstabilityError(GevreyEvolveError):

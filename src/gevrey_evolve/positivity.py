@@ -23,11 +23,10 @@ from .conjugate import (BLOCKS, ConjugationAssembler, _hermitian_half,
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
-from .symbols import ProblemSpec, check_assumptions, eval_table
+from .symbols import ProblemSpec, check_assumptions, eval_table, sample_times
 from .weights import WeightParams, k_of_t
 
 ZERO_THRESHOLD = 1e-13
-N_T_SAMPLES = 5     # coefficient times on [0, T] where constants are measured
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
 GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
@@ -170,7 +169,7 @@ def _sup_normalized(values, normalizer, region=None):
 
 def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     """Fixed-point measurement of the constants C1, C2 in k' + C1 k + C2 = 0,
-    at N_T_SAMPLES times in [0, T].
+    at the sample times of [0, T], from the four tables they bound (part).
 
     C1 bounds the negative part of the k-stage order-1/theta remainder
     relative to k(t); C2 bounds the k-independent negative contributions
@@ -181,7 +180,7 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     horizon.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
-    ts = np.linspace(0.0, p.T, N_T_SAMPLES)
+    ts = sample_times(p.T)
     norm_t = _margin_normalizers(grid, params)["theta"]
     region = _checked_region(grid, params)
     C1, C2 = 0.0, 0.0
@@ -191,13 +190,13 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
         assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            cs = assembler.at(float(t))
+            b1k, ia1_k, m2_tail, m1_tail = (
+                assembler.part(name, float(t)).values.real
+                for name in ("b1k", "ia1_k", "m2_tail", "m1_tail"))
             kt = float(k_of_t(t, params))
-            neg_b1 = np.maximum(0.0, -cs.parts["b1k"].values.real)
+            neg_b1 = np.maximum(0.0, -b1k)
             C1_new = max(C1_new, _sup_normalized(neg_b1, norm_t, region) / kt)
-            rest = (cs.parts["ia1_k"].values.real
-                    + cs.parts["m2_tail"].values.real
-                    + cs.parts["m1_tail"].values.real)
+            rest = ia1_k + m2_tail + m1_tail
             C2_new = max(C2_new, _sup_normalized(np.maximum(0.0, -rest),
                                                  norm_t, region))
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
@@ -234,16 +233,17 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     check_assumptions(p, grid, theta), computed here if absent.  The
     accepted trial's conjugator is details["bundle"]: it holds the problem,
     the grid and the returned params, the ones its assembler was
-    calibrated to.  Its positivity certificate is details["report"].  If no
-    trial is accepted, raises InfeasibleError, whose message names every
-    trial's h and why it failed."""
+    calibrated to.  Its positivity certificate is details["report"].  Each
+    trial is one row of details["history"], a failed one with its reason;
+    if no trial is accepted, raises InfeasibleError with those rows, its
+    message naming every trial's h and reason."""
     rep = (check_assumptions(p, grid, theta) if assumptions is None
            else assumptions)
     rep.require()
     C_a3 = rep.constant("hyp-i-leading")
     C_a2 = rep.constant("hyp-iii-order2-decay")
     C_a1 = rep.constant("hyp-iv-order1-decay")
-    ts = np.linspace(0.0, p.T, N_T_SAMPLES)
+    ts = sample_times(p.T)
     details = {"C_a3": C_a3, "C_a2": C_a2, "C_a1": C_a1, "history": []}
     h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)
 
@@ -271,7 +271,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                 a2 = eval_table(p.a2, grid, float(t))
                 a2_by_time[key] = (a2.values,
                                    _hermitian_half(a2.real).values.real)
-    failures = []      # "h=...: reason", one per trial
+    history = details["history"]
     h = h_start
     while h <= h_max:
         trial = {"h": h, "M2": M2}
@@ -279,10 +279,10 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             params = WeightParams(M2=M2, M1=0.0, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
             if not np.any(_checked_region(grid, params)):
-                failures.append(
-                    f"h={h:g}: no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
+                history.append({**trial, "passed": False, "reason": (
+                    f"no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
                     f"on this grid (xi_max={grid.xi_max:.3g}); "
-                    "refine the grid or shrink L")
+                    "refine the grid or shrink L")})
                 break
             # the trial's windows and d_xi d_x lam2, shared with its assembler
             win = lattice_windows(p, params, grid)
@@ -314,22 +314,22 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                 bundle = build_conjugator(assembler, series_tol, inverse_tol)
                 trial.update(spectral_radius=bundle.spectral_radius,
                              inverse_residual=bundle.residual, passed=True)
-                details["history"].append(trial)
+                history.append(trial)
                 details["report"] = report
                 details["bundle"] = bundle
                 return params, details
-            details["history"].append({**trial, "passed": False})
             worst = min(report.rows, key=lambda r: r.margin)
-            failures.append(
-                f"h={h:g}: {worst.bound} margin {worst.margin:.3e} (witness "
-                f"x={worst.witness_x:.3g}, xi={worst.witness_xi:.3g})")
+            history.append({**trial, "passed": False, "reason": (
+                f"{worst.bound} margin {worst.margin:.3e} (witness "
+                f"x={worst.witness_x:.3g}, xi={worst.witness_xi:.3g})")})
         except (ConvergenceError, ParameterError) as exc:
-            failures.append(f"h={h:g}: {exc}")
-            details["history"].append({**trial, "error": str(exc)})
+            history.append({**trial, "passed": False, "reason": str(exc)})
         assembler = None   # release the failed trial's tables before the next
         h *= 2.0
+    failures = [f"h={row['h']:g}: {row['reason']}" for row in history]
     tried = "".join(f"{f}; " for f in failures[:-1])
     last = failures[-1] if failures else "h search did not start"
     raise InfeasibleError(
-        f"no admissible h in [{h_start}, {h_max}]: {tried}last failure: {last}")
+        f"no admissible h in [{h_start}, {h_max}]: {tried}last failure: {last}",
+        history)
 

@@ -267,8 +267,12 @@ class AssumptionReport:
         return out
 
 
-def _t_samples(T, n=5):
-    return np.linspace(0.0, T, n)
+N_T_SAMPLES = 5  # times in [0, T] where hypotheses and constants are measured
+
+
+def sample_times(T):
+    """The N_T_SAMPLES equispaced coefficient times of [0, T]."""
+    return np.linspace(0.0, T, N_T_SAMPLES)
 
 
 def _leading_row(p: ProblemSpec, grid: Grid, ts) -> HypothesisResult:
@@ -302,7 +306,7 @@ def _leading_row(p: ProblemSpec, grid: Grid, ts) -> HypothesisResult:
 def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionReport:
     """Verify the structural hypotheses on the grid; failures are report rows."""
     rep = AssumptionReport(problem=p.name, theta=theta)
-    ts = _t_samples(p.T)
+    ts = sample_times(p.T)
 
     # admissible Gevrey range (half-open at the top)
     ok = p.s0 <= theta < p.theta_sup

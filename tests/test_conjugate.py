@@ -147,7 +147,8 @@ def test_stage_keeps_d1_and_a2_once(grid):
     # k-stage correction b1k, and Re a2 (the imaginary part of i a2) in the
     # Hermitian correction c
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
-    stage = asm._static_tables(0.0)["stage"]
+    poly = asm._static_tables(0.0)["poly"]
+    stage = {name: U[0] for name, U in poly.items() if 0 in U}
     assert not {"d1", "re_a2_raw"} & set(stage)
     cs = asm.at(0.0)
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
@@ -157,8 +158,8 @@ def test_stage_keeps_d1_and_a2_once(grid):
     zero = SymbolTable(grid, np.zeros((1, N)))
     a1t = stage["ia1"] + stage["damp1"] + stage["id1"] + stage["a2cross"]
     fed = dict(stage, ia1=a1t, damp1=zero, id1=zero, a2cross=zero)
-    want = asm._k_stage_cache(fed)["b1k"]
-    got = asm._k_stage_cache(stage)["b1k"]
+    want = asm._k_polynomials(fed)["b1k"]
+    got = asm._k_polynomials(stage)["b1k"]
     assert want.keys() == got.keys() and want
     for j in want:
         assert np.array_equal(got[j].values, want[j].values)
@@ -319,6 +320,19 @@ def test_order1_block_matches_its_report_form(grid):
     block = cs.block("order1").real.values
     assert np.max(cs.parts["m1_main"].values[inner]) > 1.0
     assert np.max(np.abs((block - report)[inner])) < 1e-12
+
+
+def test_order1_block_holds_d1(small_setup):
+    # read without BLOCKS: the imaginary part of the order-1 block is that
+    # of ia1 + damp1 + a2cross plus d1 (real, and checked on its own by
+    # test_d1_matches_independent_derivative_path), so an order-1 block
+    # that drops id1 shows here
+    cs = small_setup["assembler"].at(0.3)
+    p = cs.parts
+    d1 = p["d1"].real.values
+    want = (p["ia1"] + p["damp1"] + p["a2cross"]).imag.values + d1
+    assert np.max(np.abs(d1)) > 1e-2
+    assert np.max(np.abs(cs.block("order1").imag.values - want)) < 1e-12
 
 
 def test_order2_block_matches_its_report_form(grid):

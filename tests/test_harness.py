@@ -280,7 +280,8 @@ def test_error_category_totality():
         cls = getattr(errors, name)
         if isinstance(cls, type) and issubclass(cls, errors.GevreyEvolveError) \
                 and cls is not errors.GevreyEvolveError:
-            exc = cls("x") if cls is not errors.InstabilityError else cls("x", t=0.0)
+            exc = cls("x", **{errors.InstabilityError: {"t": 0.0},
+                              errors.InfeasibleError: {"history": []}}.get(cls, {}))
             cat, code = error_category(exc)
             assert cat in ("config", "infeasible-parameters", "instability")
             cats.add(cat)

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gevrey_evolve import positivity
 from gevrey_evolve.conjugate import ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
@@ -94,6 +95,14 @@ def test_infeasible_reports_failing_inequality():
     for h in (1, 2, 4, 8):
         assert f"h={h}: " in str(err.value)
     assert "spectral radius" in str(err.value)
+    # one record per trial: the message is rendered from the history, whose
+    # every row, the empty-region trial's included, has its h and reason
+    history = err.value.history
+    assert [row["h"] for row in history] == [1.0, 2.0, 4.0, 8.0]
+    assert history[-1]["reason"].startswith("no frequencies beyond")
+    for row in history:
+        assert row["passed"] is False and row["reason"]
+        assert f"h={row['h']:g}: {row['reason']}" in str(err.value)
 
 
 def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
@@ -181,6 +190,63 @@ def test_calibration_installs_its_last_round():
     _check_calibration_installs(prob, grid, accepted)
 
 
+def _calibrated_by_at(assembler):
+    """C1 and C2 measured from at(t).parts, the reference for calibration's
+    reads of the same four tables through part()."""
+    p, params, grid = assembler.problem, assembler.params, assembler.grid
+    norm_t = positivity._margin_normalizers(grid, params)["theta"]
+    region = positivity._checked_region(grid, params)
+    sup = lambda values: positivity._sup_normalized(
+        np.maximum(0.0, -values), norm_t, region)
+    C1, C2 = 0.0, 0.0
+    for _ in range(positivity.FP_ROUNDS):
+        params = params.with_ode_constants(C1, C2)
+        assembler.params = params
+        C1_new, C2_new = 0.0, 0.0
+        for t in np.linspace(0.0, p.T, 5):
+            parts = assembler.at(float(t)).parts
+            kt = float(k_of_t(t, params))
+            C1_new = max(C1_new, sup(parts["b1k"].values.real) / kt)
+            C2_new = max(C2_new, sup(parts["ia1_k"].values.real
+                                     + parts["m2_tail"].values.real
+                                     + parts["m1_tail"].values.real))
+        moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
+                 or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
+        C1, C2 = C1_new, C2_new
+        if not moved:
+            break
+    return C1, C2
+
+
+@pytest.fixture(scope="module")
+def modulated64():
+    prob = model_problem("time-modulated", 0.75, domain=10.0)
+    grid = make_grid(10.0, 64)
+    return prob, grid, select_parameters_detailed(prob, 1.8, grid)[0]
+
+
+@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+def test_calibration_reads_parts_without_at(case, small_setup, modulated64,
+                                            monkeypatch):
+    # calibration reads b1k, ia1_k and the two tails through part() and
+    # makes no at() call; its C1 and C2 equal, bit for bit, those measured
+    # from at(t).parts
+    if case == "damped-64":
+        prob, grid = small_setup["problem"], small_setup["grid"]
+        accepted = small_setup["params"]
+    else:
+        prob, grid, accepted = modulated64
+    start = accepted.with_ode_constants(0.0, 0.0)
+    C1, C2 = _calibrated_by_at(ConjugationAssembler(prob, start, grid))
+    calls, at = [], ConjugationAssembler.at
+    monkeypatch.setattr(ConjugationAssembler, "at",
+                        lambda self, t: calls.append(t) or at(self, t))
+    params = calibrate_time_weight(ConjugationAssembler(prob, start, grid))
+    assert calls == []
+    assert (params.C1, params.C2) == (C1, C2) and C1 > 0.0
+    assert params == accepted
+
+
 def test_pinned_h_is_the_only_trial(small_setup):
     # damped-64's search fails h = 1 and 2 and accepts h = 4; a pinned h is
     # one trial, accepted or refused on its own
@@ -256,10 +322,10 @@ def test_row_tables_certify_like_their_tiled_twins():
     asm = ConjugationAssembler(prob, params, grid)
     rows = verify_lower_bounds(asm, T_SAMPLES).rows
     entry = asm._static_tables(0.0)
-    tables = [t for t in entry["stage"].values() if isinstance(t, SymbolTable)]
+    tables = [U for poly in entry["poly"].values() for U in poly.values()]
     assert len(tables) > 10
     assert all(t.values.shape == (1, grid.N) for t in tables)
-    assert np.any(entry["stage"]["ia2"].values)
+    assert np.any(entry["poly"]["ia2"][0].values)
     twin = copy.copy(asm)
     twin._cache = {None: _tiled(entry)}
     assert twin.at(0.0).parts["ia2"].values.shape == (grid.N, grid.N)

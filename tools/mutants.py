@@ -55,6 +55,10 @@ MUTANTS = [
            '"order1": ("ia1", "damp1", "id1", "a2cross")',
            '"order1": ("ia1", "id1", "a2cross")',
            (T_CONJ + "test_order1_block_matches_its_report_form",)),
+    Mutant("blocks-order1-without-id1", CONJ,
+           '"order1": ("ia1", "damp1", "id1", "a2cross")',
+           '"order1": ("ia1", "damp1", "a2cross")',
+           (T_CONJ + "test_order1_block_holds_d1",)),
     Mutant("blocks-theta-without-b1k", CONJ,
            '"theta": ("kprime", "b1k", "ia1_k")',
            '"theta": ("kprime", "ia1_k")',
@@ -64,8 +68,12 @@ MUTANTS = [
            '"order2": ("ia2", "b2k", "ia2_k")',
            (T_CONJ + "test_order2_block_matches_its_report_form",)),
     Mutant("k-stage-part-left-out-of-Gj", CONJ,
-           'for tabs in entry["k"].values():',
-           'for tabs in list(entry["k"].values())[1:]:',
+           'if n != "kprime"):',
+           'if n not in ("kprime", "b2k")):',
+           (STACKED_CASE + "[complex-damped-10.0-64]",)),
+    Mutant("part-drops-its-k0-table", CONJ,
+           "return poly[0] + sum(terms, 0.0) if terms else poly[0]",
+           "return SymbolTable.fresh(self.grid, sum(terms)) if terms else poly[0]",
            (STACKED_CASE + "[complex-damped-10.0-64]",)),
     Mutant("truncation-keeps-a-growing-term", CONJ,
            "        if prev is not None and size > prev:\n            return\n",
@@ -73,8 +81,8 @@ MUTANTS = [
            "            yield term\n            return\n",
            (T_CONJ + "test_while_shrinking_stops_at_the_first_growing_term",)),
     Mutant("d1-read-back-with-the-wrong-phase", CONJ,
-           'parts["d1"] = stage["id1"] * -1j',
-           'parts["d1"] = stage["id1"] * 1j',
+           'parts["d1"] = parts["id1"] * -1j',
+           'parts["d1"] = parts["id1"] * 1j',
            (T_CONJ + "test_stage_keeps_d1_and_a2_once",
             T_CONJ + "test_d1_matches_independent_derivative_path")),
     Mutant("multiplier-row-without-kprime", CONJ,
@@ -88,7 +96,7 @@ MUTANTS = [
            (STACKED_CASE + "[complex-damped-10.0-64]",
             T_EVOLVE + "test_stacked_step_matches_dense_step")),
     Mutant("stack-rebuilt-at-every-stage-time", CONJ,
-           'if "poly" not in entry:',
+           'if "generator" not in entry:',
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
     Mutant("conjugator-nyquist-slot-not-pinned", CONJ,
