@@ -70,16 +70,18 @@ def diff_uniform(values, spacing, order, axis=0, accuracy=4):
     return np.moveaxis(out, 0, axis)
 
 
-def exp_derivative_factors(derivs):
+def exp_derivative_factors(derivs, bell=()):
     """Given [g', g'', ..., g^(n)] return [B_1, ..., B_n] with
-    d^k/dx^k e^g = B_k e^g (complete Bell polynomial recursion).
+    d^k/dx^k e^g = B_k e^g (complete Bell polynomial recursion).  ``bell``
+    holds B_1, ..., B_m already formed from the same derivatives, m <= n;
+    the list returned extends it.
 
     Entries may be scalars or arrays; broadcasting applies.
     """
     n = len(derivs)
-    bell = []
+    bell = list(bell)
     from math import comb
-    for k in range(1, n + 1):
+    for k in range(len(bell) + 1, n + 1):
         # B_k = sum_{i=0}^{k-1} C(k-1, i) B_{k-1-i} g^(i+1), B_0 = 1
         acc = 0.0
         for i in range(k):

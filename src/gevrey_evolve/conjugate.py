@@ -29,8 +29,9 @@ k(t) and k'(t): each named table is stored once per coefficient time as
 its k-polynomial {j: U_j}, U_0 from the spatial stage and U_j (j >= 1)
 from the k stage, so the conjugated generator is the polynomial
 G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
-summing the parts' U_j.  ``part(name, t)`` evaluates one table, and
-``at(t)`` and calibration read the tables through it.  The assembler keeps
+summing the parts' U_j.  ``part(name, t)`` evaluates one table, formed
+on first read, and ``at(t)`` and calibration read the tables through it;
+the phase tables too are formed on first read.  The assembler keeps
 the spectral stack [E_syn * G_0, E_syn * G_1, ...] once per coefficient
 time, so the time stepper applies a stage with one GEMV over the stack and
 one FFT, weighted by the powers of k(t), plus the k' row, and forms no
@@ -39,7 +40,7 @@ N x N array per stage time.
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 import numpy as np
 
 from ._stencil import exp_derivative_factors
@@ -107,21 +108,120 @@ def partial_bell(n_max, xs):
 # the spatial phase and its derivative tables
 # ----------------------------------------------------------------------
 
-@dataclass
+# the highest order of the factors P_b and Q_a an expansion reads
+FACTOR_ORDER = 4
+
+
 class PhaseTables:
     """What the assembly reads of lam2 + lam1 sampled on the lattice: the
     phase, its first x-derivatives, the window and the exponential
-    derivative factors.  Everything here is independent of time."""
+    derivative factors.  Everything here is independent of time.
 
-    lam: SymbolTable          # lam2 + lam1
-    lam2_x: SymbolTable       # d_x lam2
-    lam2_xx: SymbolTable      # d_x^2 lam2
-    lam1_x: SymbolTable       # d_x lam1
-    dxdxi_lam2: SymbolTable   # d_xi d_x lam2
-    psi_window: SymbolTable   # psi(<x>/<xi>_h^2)
-    abs_w: np.ndarray         # |w(xi/h)| on the frequency lattice
-    exp_xi_factors: list      # P_b = e^{-lam} d_xi^b e^{lam}, b = 1..4
-    dx_exp_factors: list      # Q_a = e^{lam} D_x^a e^{-lam}, a = 1..4
+    Each member is formed on first read from the trial's Windows, so a
+    selection trial pays only for what its verdict reads; the windows are
+    released once every table that reads them exists.  The factors
+    P_b = e^{-lam} d_xi^b e^{lam} and Q_a = e^{lam} D_x^a e^{-lam}
+    (exp_factors) are formed up to the highest order read so far; the
+    derivatives of lam they extend from are kept until the factors reach
+    the orders the order-2 coefficient's expansion reads, the most any
+    expansion reads."""
+
+    def __init__(self, grid: Grid, params: WeightParams, win: Windows):
+        self.grid, self.params = grid, params
+        self._win = win
+        # the orders of P_b, Q_a the order-2 coefficient's expansion reads
+        self._top = min(truncation_order(2.0, params.theta),
+                        FACTOR_ORDER + 1) - 1
+        # the tables that read the windows and are not formed yet; d_x^o of
+        # lam2 and lam1 for o <= 3 feed Q_o
+        self._unread = {"lam", "dxdxi_lam2", "psi_window", "abs_w",
+                        *((which, o) for which in (2, 1)
+                          for o in range(1, min(self._top, 3) + 1))}
+        self._P, self._Q = [], []
+        # d_xi^o lam, -d_x^o lam and the Bell values of P and Q, o = 1, 2, ...
+        self._derivs = {"xi": [], "x": [], "P": [], "Q": []}
+
+    def _windows(self, table):
+        """The windows, read for ``table``; the last such read releases
+        them."""
+        win = self._win
+        self._unread.discard(table)
+        if not self._unread:
+            self._win = None
+        return win
+
+    @cached_property
+    def lam(self) -> SymbolTable:
+        """lam2 + lam1."""
+        win = self._windows("lam")
+        l2, l1 = (sampled_table(self.grid, v)
+                  for v in spatial_weights(win, self.params))
+        return l2 + l1
+
+    def _weight_x(self, which, order) -> SymbolTable:
+        """d_x^order of lam2 (which=2) or lam1 (which=1), from the windows."""
+        win = self._windows((which, order))
+        if (which, order) == (2, 1):
+            return _lambda2_x(win, self.grid)
+        return sampled_table(self.grid, weight_x_derivative(
+            win, self.params, which, order))
+
+    lam2_x = cached_property(lambda self: self._weight_x(2, 1))
+    lam2_xx = cached_property(lambda self: self._weight_x(2, 2))
+    lam1_x = cached_property(lambda self: self._weight_x(1, 1))
+
+    @cached_property
+    def dxdxi_lam2(self) -> SymbolTable:
+        """d_xi d_x lam2, shared with the windows' memo (dxdxi_lambda2)."""
+        return dxdxi_lambda2(self._windows("dxdxi_lam2"), self.grid)
+
+    @cached_property
+    def psi_window(self) -> SymbolTable:
+        """psi(<x>/<xi>_h^2)."""
+        win = self._windows("psi_window")
+        return SymbolTable(self.grid, win.psi(0).astype(complex))
+
+    @cached_property
+    def abs_w(self) -> np.ndarray:
+        """|w(xi/h)| on the frequency lattice."""
+        return np.abs(self._windows("abs_w").w)
+
+    def _lam_x(self, o) -> SymbolTable:
+        """d_x^o lam: lam2's plus lam1's for o <= 3, spectral for o = 4."""
+        if o == 4:
+            return x_derivative(self._derivs["lam_x3"], 1)
+        named = {(2, 1): "lam2_x", (2, 2): "lam2_xx", (1, 1): "lam1_x"}
+        l2, l1 = (getattr(self, named[w, o]) if (w, o) in named
+                  else self._weight_x(w, o) for w in (2, 1))
+        return l2 + l1
+
+    def exp_factors(self, n):
+        """([P_1..P_n], [Q_1..Q_n]): P_b = Bell_b(d_xi lam, ...) and
+        Q_a = (-i)^a Bell_a(-d_x lam, ...), each order formed once, on
+        first read, up to the orders the order-2 expansion reads."""
+        if self._P is None or n > self._top:
+            raise ParameterError(
+                f"factors P_b, Q_a of order {n} are released or past the "
+                f"{self._top} orders an expansion reads")
+        d = self._derivs
+        for o in range(len(self._P) + 1, n + 1):
+            lam_x = self._lam_x(o)
+            if o == 3:
+                d["lam_x3"] = lam_x
+            d["xi"].append(xi_derivative(self.lam, o).values)
+            d["x"].append(-lam_x.values)
+            d["P"] = exp_derivative_factors(d["xi"], d["P"])
+            d["Q"] = exp_derivative_factors(d["x"], d["Q"])
+            self._P.append(SymbolTable(self.grid, d["P"][-1]))
+            self._Q.append(SymbolTable(self.grid, (-1j) ** o * d["Q"][-1]))
+        if len(self._P) == self._top:
+            self._derivs = None
+        return self._P[:n], self._Q[:n]
+
+    def release_factors(self):
+        """Drop P_b, Q_a and what they extend from, once the last table
+        that reads them exists."""
+        self._P = self._Q = self._derivs = None
 
 
 def lattice_windows(p: ProblemSpec, params: WeightParams,
@@ -148,36 +248,13 @@ def dxdxi_lambda2(win: Windows, grid: Grid) -> SymbolTable:
 
 def build_phase_tables(p: ProblemSpec, params: WeightParams,
                        grid: Grid, win: Windows = None) -> PhaseTables:
-    """Sample the spatial phase and its derivatives once per grid/params.
-    The higher derivatives are needed only to form P_b and Q_a.  One
-    Windows serves every table, so each window is evaluated once; win, if
-    given, is lattice_windows of the same p and grid and of params up to
+    """The phase tables of one grid/params, each formed on first read.
+    One Windows serves every table, so each window is evaluated once; win,
+    if given, is lattice_windows of the same p and grid and of params up to
     M1 (lam2 and the windows do not read it)."""
     if win is None:
         win = lattice_windows(p, params, grid)
-    l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
-    lam = l2 + l1
-
-    lam2_x = {1: _lambda2_x(win, grid)}
-    lam2_x.update({o: sampled_table(grid, weight_x_derivative(win, params, 2, o))
-                   for o in (2, 3)})
-    lam1_x = {o: sampled_table(grid, weight_x_derivative(win, params, 1, o))
-              for o in (1, 2, 3)}
-    lam_x = {o: lam2_x[o] + lam1_x[o] for o in (1, 2, 3)}
-    lam_x[4] = x_derivative(lam_x[3], 1)
-    lam_xi = {o: xi_derivative(lam, o) for o in (1, 2, 3, 4)}
-
-    # P_b = Bell_b(lam_xi...), Q_a = (-i)^a Bell_a(-lam_x...)
-    P = exp_derivative_factors([lam_xi[o].values for o in (1, 2, 3, 4)])
-    Q = exp_derivative_factors([-lam_x[o].values for o in (1, 2, 3, 4)])
-    return PhaseTables(
-        lam=lam, lam2_x=lam2_x[1], lam2_xx=lam2_x[2], lam1_x=lam1_x[1],
-        dxdxi_lam2=dxdxi_lambda2(win, grid),
-        psi_window=SymbolTable(grid, win.psi(0).astype(complex)),
-        abs_w=np.abs(win.w),
-        exp_xi_factors=[SymbolTable(grid, v) for v in P],
-        dx_exp_factors=[SymbolTable(grid, (-1j) ** (a + 1) * v)
-                        for a, v in enumerate(Q)])
+    return PhaseTables(grid, params, win)
 
 
 def _while_shrinking(terms):
@@ -204,10 +281,12 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     the braces.  The series is asymptotic: the cutoff factors are Gevrey
     of order two, so at finite grid frequencies the terms eventually grow
     factorially.  Orders are therefore accumulated only while they do not
-    grow (_while_shrinking), capped by the requested n_trunc.
+    grow (_while_shrinking), capped by the requested n_trunc; the factors
+    P_b, Q_a are read up to order n_trunc - 1.
     """
-    n_trunc = min(n_trunc, 5)
+    n_trunc = min(n_trunc, FACTOR_ORDER + 1)
     g = q.grid
+    P, Q = phase.exp_factors(n_trunc - 1)
     dxq = {0: q}
     for b in range(1, n_trunc):
         dxq[b] = dx_operator(q, b)
@@ -219,9 +298,9 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
                 b = s - a
                 core = dxq[b]
                 if b >= 1:
-                    core = phase.exp_xi_factors[b - 1] * core
+                    core = P[b - 1] * core
                 if a >= 1:
-                    core = core * phase.dx_exp_factors[a - 1]
+                    core = core * Q[a - 1]
                     core = xi_derivative(core, a)
                 group = group + core * (1.0 / (math.factorial(a) * math.factorial(b)))
             yield group, _sup(group)
@@ -366,6 +445,8 @@ def build_conjugator(assembler: "ConjugationAssembler",
 BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
           "order1": ("ia1", "damp1", "id1", "a2cross"),
           "theta": ("kprime", "b1k", "ia1_k")}
+# The report split of the damping terms, k-constant polynomials too
+REPORT_PARTS = ("m2_main", "m2_tail", "m1_main", "m1_tail")
 
 
 @dataclass
@@ -436,7 +517,10 @@ class ConjugationAssembler:
     """Builds ConjugatedSymbols at arbitrary times, caching everything that
     does not change with t.
 
-    For problems whose lower-order coefficients are time-independent the
+    Each named table is built when something first reads it, from its own
+    recipe, and kept per coefficient time, so a reader of a few parts (the
+    time-weight calibration) forms only those and what they read.  For
+    problems whose lower-order coefficients are time-independent the
     per-time work is a few table AXPYs in powers of k(t); time-modulated
     problems rebuild the coefficient-dependent tables per coefficient time
     (memoized for MEMO_TIMES times).  ``part(name, t)`` evaluates one named
@@ -461,84 +545,105 @@ class ConjugationAssembler:
         self._bell_xi = partial_bell(4, derivs)
         self._cache = {}
 
-    # -- time-independent machinery -----------------------------------
+    # -- the tables of one coefficient time, each formed on first read ---
 
-    def _lambda_stage(self, t):
-        """a3's row and the tables from the spatial-stage conjugation at
-        coefficient time t, the U_0 of their k-polynomials."""
+    def _entry(self, t):
+        """The tables formed so far at the coefficient time of t: one entry
+        for time-independent coefficients, one per time (memoized, at most
+        MEMO_TIMES) for time-dependent ones.  An entry holds the
+        spatial-stage tables ("stage": a3's rows and the parts' U_0), the
+        k-polynomials ("poly": {name: {j: U_j}}) and, once asked for, the
+        generator's rows or spectral stack and the Hermitian correction c."""
+        key = round(float(t), 12) if self.problem.time_dependent else None
+        if key not in self._cache:
+            self._cache[key] = {"t": 0.0 if key is None else float(t),
+                                "stage": {}, "poly": {}}
+            if len(self._cache) > MEMO_TIMES:
+                self._cache.pop(next(iter(self._cache)))
+        return self._cache[key]
+
+    def _stage(self, e, name):
+        """The spatial-stage table ``name`` of entry e, formed on first read
+        together with the others of its recipe (_spatial_recipe)."""
+        if name not in e["stage"]:
+            e["stage"].update(self._spatial_recipe(e, name))
+            # the expansions are the factors' only readers, and coefficients
+            # that do not depend on time have one of each
+            if (not self.problem.time_dependent
+                    and {"ia2_k", "ia1_k"} <= e["stage"].keys()):
+                self.phase.release_factors()
+        return e["stage"][name]
+
+    def _spatial_recipe(self, e, name):
+        """The tables of the spatial-stage conjugation at the coefficient
+        time of entry e that are formed together with ``name``: a3's rows,
+        or the U_0 of one or two named tables."""
         p, params, g, ph = self.problem, self.params, self.grid, self.phase
-        a3_row = np.asarray(p.a3(t, 0.0, g.xi), dtype=float)
-        da3_row = np.asarray(p.a3.dxi(t, 0.0, g.xi), dtype=float)
-        a3 = multiplier_table(g, a3_row)
-        da3 = multiplier_table(g, da3_row)
+        t = e["t"]
+        stage = lambda n: self._stage(e, n)
+        if name in ("a3_row", "da3_row"):
+            return {"a3_row": np.asarray(p.a3(t, 0.0, g.xi), dtype=float),
+                    "da3_row": np.asarray(p.a3.dxi(t, 0.0, g.xi), dtype=float)}
+        if name in ("ia2", "a2cross"):
+            a2 = eval_table(p.a2, g, t)
+            return {"ia2": a2 * 1j, "a2cross": a2 * ph.dxdxi_lam2}
+        if name == "ia1":
+            return {"ia1": eval_table(p.a1, g, t) * 1j}
+        if name in ("damp2", "damp1"):
+            lam_x = ph.lam2_x if name == "damp2" else ph.lam1_x
+            return {name: multiplier_table(g, stage("da3_row")) * lam_x * -1.0}
+        if name == "id1":
+            # real order-1 symbol produced by the spatial stage (depends only
+            # on lam2): (1/2) d_xi^2 { a3 (lam2_xx - lam2_x^2) }
+            #        - d_xi a3 * d_xi lam2_xx + d_xi(a3 lam2_x) * d_xi lam2_x
+            #        - (1/2) a3 { d_xi^2 (lam2_xx + lam2_x^2) + 2 (d_xi lam2_x)^2 }
+            a3, da3 = (multiplier_table(g, stage(r))
+                       for r in ("a3_row", "da3_row"))
+            l2x, l2xx = ph.lam2_x, ph.lam2_xx
+            termA = xi_derivative(a3 * (l2xx - l2x * l2x), 2) * 0.5
+            termB = da3 * xi_derivative(l2xx, 1) * -1.0
+            termC = xi_derivative(a3 * l2x, 1) * ph.dxdxi_lam2
+            termD = (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
+                           + ph.dxdxi_lam2 * ph.dxdxi_lam2 * 2.0)) * -0.5
+            return {"id1": (termA + termB + termC + termD) * 1j}
+        if name == "ia2_k":
+            ia2_n = conjugation_expansion(stage("ia2"), ph,
+                                          truncation_order(2.0, params.theta))
+            return {"ia2_k": ia2_n + (ia2_n * ph.dxdxi_lam2) * -1j}
+        if name == "ia1_k":
+            return {"ia1_k": conjugation_expansion(
+                stage("ia1"), ph, truncation_order(1.0, params.theta))}
+        # the report split of damp2 (m2) or damp1 (m1): full strength + window
+        # tail, both carried on the support of the sign selector (the
+        # identity damp = main + tail holds where |w| saturates, which is
+        # exactly the region the lower bounds are checked on)
+        which = name[:2]
+        if (params.M2 if which == "m2" else params.M1) == 0.0:
+            # strength 0: exact zero rows, with no window evaluated
+            main = SymbolTable(g, np.zeros((1, g.N)))
+            tail = -main.values
+        else:
+            absda3_w = np.abs(stage("da3_row")) * ph.abs_w
+            bx = np.sqrt(1.0 + np.square(g.x))[:, None]
+            if which == "m2":
+                main = sampled_table(g, absda3_w[None, :] * params.M2
+                                     * bx ** (-params.sigma))
+            else:
+                bh = bracket_h(g.xi, params.h)
+                main = sampled_table(g, absda3_w[None, :] / bh[None, :]
+                                     * params.M1 * bx ** (-params.sigma / 2.0))
+            tail = -(main.values * (1.0 - ph.psi_window.values.real))
+        return {which + "_main": main.real,
+                which + "_tail": sampled_table(g, tail)}
 
-        a2 = eval_table(p.a2, g, t)
-        ia2 = a2 * 1j
-        ia1 = eval_table(p.a1, g, t) * 1j
-
-        damp2 = da3 * ph.lam2_x * -1.0
-        damp1 = da3 * ph.lam1_x * -1.0
-
-        # real order-1 symbol produced by the spatial stage (depends only on
-        # lam2): (1/2) d_xi^2 { a3 (lam2_xx - lam2_x^2) }
-        #        - d_xi a3 * d_xi lam2_xx + d_xi(a3 lam2_x) * d_xi lam2_x
-        #        - (1/2) a3 { d_xi^2 (lam2_xx + lam2_x^2) + 2 (d_xi lam2_x)^2 }
-        l2x, l2xx = ph.lam2_x, ph.lam2_xx
-        termA = xi_derivative(a3 * (l2xx - l2x * l2x), 2) * 0.5
-        termB = da3 * xi_derivative(l2xx, 1) * -1.0
-        termC = xi_derivative(a3 * l2x, 1) * ph.dxdxi_lam2
-        termD = (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
-                       + ph.dxdxi_lam2 * ph.dxdxi_lam2 * 2.0)) * -0.5
-        id1 = (termA + termB + termC + termD) * 1j
-
-        n2 = truncation_order(2.0, params.theta)
-        ia2_n = conjugation_expansion(ia2, ph, n2)
-        ia2_k = ia2_n + (ia2_n * ph.dxdxi_lam2) * -1j
-        n1 = truncation_order(1.0, params.theta)
-        ia1_k = conjugation_expansion(ia1, ph, n1)
-
-        a2cross = a2 * ph.dxdxi_lam2
-
-        # report split of the damping: full strength + window tail, both
-        # carried on the support of the sign selector (the identity
-        # damp = main + tail holds where |w| saturates, which is exactly the
-        # region the lower bounds are checked on)
-        absda3_w = np.abs(da3_row) * ph.abs_w
-        bx = np.sqrt(1.0 + np.square(g.x))[:, None]
-        m2_main = sampled_table(g, absda3_w[None, :] * params.M2
-                                * bx ** (-params.sigma))
-        m2_tail = sampled_table(g, -(m2_main.values
-                                     * (1.0 - ph.psi_window.values.real)))
-        bh = bracket_h(g.xi, params.h)
-        m1_main = sampled_table(g, absda3_w[None, :] / bh[None, :] * params.M1
-                                * bx ** (-params.sigma / 2.0))
-        m1_tail = sampled_table(g, -(m1_main.values
-                                     * (1.0 - ph.psi_window.values.real)))
-
-        return a3_row, dict(ia2=ia2, ia1=ia1, damp2=damp2, damp1=damp1,
-                            id1=id1, ia2_k=ia2_k, ia1_k=ia1_k, a2cross=a2cross,
-                            m2_main=m2_main.real, m2_tail=m2_tail,
-                            m1_main=m1_main.real, m1_tail=m1_tail)
-
-    def _k_polynomials(self, stage):
-        """Every named table but kprime as its k-polynomial {j: U_j}: U_0 is
-        its spatial-stage table in ``stage`` (b2k and b1k have none), and
-        the parts conjugated by the time multiplier get their k-stage
-        tables U_j, j >= 1.
-
-        Orders b are kept while the gauge size of their contribution (at
-        k = k0) does not grow (_while_shrinking); the series is asymptotic
-        on the grid."""
+    def _k_stage(self, base, order):
+        """The k-stage tables {j: U_j}, j >= 1, of conjugating op(base), a
+        symbol of the given order, by the time multiplier.  Orders b are
+        kept while the gauge size of their contribution (at k = k0) does not
+        grow (_while_shrinking); the series is asymptotic on the grid."""
         params = self.params
-        bases = {
-            "b2k": (stage["ia2"] + stage["damp2"], 2.0),
-            "b1k": (stage["ia1"] + stage["damp1"] + stage["id1"]
-                    + stage["a2cross"], 1.0),
-            "ia2_k": (stage["ia2_k"], 2.0 - (2.0 * params.sigma - 1.0)),
-            "ia1_k": (stage["ia1_k"], 2.0 * (1.0 - params.sigma)),
-        }
 
-        def orders(base, nk):
+        def orders(nk):
             for b in range(1, nk):
                 dxb = dx_operator(base, b).values / math.factorial(b)
                 adds = {}
@@ -551,31 +656,33 @@ class ConjugationAssembler:
                     gauge = gauge + (params.k0 ** j) * adds[j]
                 yield adds, float(np.max(np.abs(gauge)))
 
-        poly = {name: {0: U0} for name, U0 in stage.items()}
-        for name, (base, order) in bases.items():
-            U = {}
-            nk = truncation_order(order, params.theta, cap=5)
-            for adds in _while_shrinking(orders(base, nk)):
-                for j, add in adds.items():
-                    U[j] = U.get(j, 0.0) + add
-            poly.setdefault(name, {}).update(
-                (j, SymbolTable(self.grid, v)) for j, v in U.items())
-        return poly
+        U = {}
+        nk = truncation_order(order, params.theta, cap=5)
+        for adds in _while_shrinking(orders(nk)):
+            for j, add in adds.items():
+                U[j] = U.get(j, 0.0) + add
+        return {j: SymbolTable(self.grid, v) for j, v in U.items()}
 
-    def _static_tables(self, t):
-        """One entry for time-independent coefficients; one per time
-        (memoized, at most MEMO_TIMES) for time-dependent ones.  An entry
-        holds a3's row, the k-polynomials poly = {name: {j: U_j}} (the
-        report tables are k-constant) and, once asked for, the generator's
-        rows or spectral stack and the Hermitian correction c."""
-        key = round(float(t), 12) if self.problem.time_dependent else None
-        if key not in self._cache:
-            a3_row, stage = self._lambda_stage(0.0 if key is None else t)
-            self._cache[key] = {"a3_row": a3_row,
-                                "poly": self._k_polynomials(stage)}
-            if len(self._cache) > MEMO_TIMES:
-                self._cache.pop(next(iter(self._cache)))
-        return self._cache[key]
+    def _poly(self, e, name):
+        """The k-polynomial {j: U_j} of a named table (not kprime) at the
+        coefficient time of entry e, built on first read from its own
+        recipe: U_0 its spatial-stage table (b2k and b1k have none), and for
+        the parts the time multiplier conjugates, the k-stage tables U_j,
+        j >= 1, of their spatial-stage tables' sum."""
+        if name not in e["poly"]:
+            stage = lambda n: self._stage(e, n)
+            sigma = self.params.sigma
+            conjugated = {"b2k": (("ia2", "damp2"), 2.0),
+                          "b1k": (("ia1", "damp1", "id1", "a2cross"), 1.0),
+                          "ia2_k": (("ia2_k",), 2.0 - (2.0 * sigma - 1.0)),
+                          "ia1_k": (("ia1_k",), 2.0 * (1.0 - sigma))}
+            U = {} if name in ("b2k", "b1k") else {0: stage(name)}
+            if name in conjugated:
+                names, order = conjugated[name]
+                U.update(self._k_stage(
+                    reduce(SymbolTable.__add__, map(stage, names)), order))
+            e["poly"][name] = U
+        return e["poly"][name]
 
     # -- public assembly ----------------------------------------------
 
@@ -587,12 +694,12 @@ class ConjugationAssembler:
         None; otherwise rows is None and stack is
         spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
         tables."""
-        entry = self._static_tables(t)
+        entry = self._entry(t)
         if "generator" not in entry:
             G = {}
             for name in (n for block in BLOCKS.values() for n in block
                          if n != "kprime"):
-                for j, U in entry["poly"][name].items():
+                for j, U in self._poly(entry, name).items():
                     G[j] = G.get(j, 0.0) + U.values
             powers = sorted(G)[1:]
             tables = [G[j] for j in (0, *powers)]
@@ -651,7 +758,7 @@ class ConjugationAssembler:
         U_0 + sum_{j >= 1} k(t)^j U_j, without U_0 for b2k and b1k."""
         if name == "kprime":
             return multiplier_table(self.grid, self._kprime_rows(t) + 0j)
-        poly = self._static_tables(t)["poly"][name]
+        poly = self._poly(self._entry(t), name)
         k = float(k_of_t(t, self.params))
         terms = [(k ** j) * U.values for j, U in poly.items() if j]
         if 0 not in poly:
@@ -660,8 +767,10 @@ class ConjugationAssembler:
 
     def at(self, t: float) -> ConjugatedSymbols:
         """Every named table at time t (part), and d1 = -i id1."""
-        entry = self._static_tables(t)
-        parts = {name: self.part(name, t) for name in (*entry["poly"], "kprime")}
+        entry = self._entry(t)
+        parts = {name: self.part(name, t)
+                 for block in (*BLOCKS.values(), REPORT_PARTS) for name in block}
         parts["d1"] = parts["id1"] * -1j
-        return ConjugatedSymbols(grid=self.grid, a3_row=entry["a3_row"],
+        return ConjugatedSymbols(grid=self.grid,
+                                 a3_row=self._stage(entry, "a3_row"),
                                  parts=parts, _static=entry)

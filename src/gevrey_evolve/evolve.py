@@ -240,8 +240,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     times[i+1], and the blow-up check runs after every step.
     v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
     callable taking an array of times (B,) to the coefficients (B, N) of
-    the conjugated forcing there, or None.  The steps carry coefficients,
-    and the trajectory logs them at the logged times.
+    the conjugated forcing there, or None.  It is called at t = 0 and then
+    once per block, at each step's half time followed by its end time, so
+    the step times are the first call's time and every second time after
+    it.  The steps carry coefficients, and the trajectory logs them at the
+    logged times.
     The energy log records ||v||_L2 (by Parseval) at every step, the discrete
     growth rate of ||v||_L2^2 against E + F, the largest rate C' and the
     one-constant bound it implies; the residual rate - C' is nonpositive
@@ -330,11 +333,12 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     the conjugator and the generator.  Everything runs on coefficients:
     g is transformed once, and the solve transforms and conjugates the
     forcing at each block's stage times with one stacked Grid.forward and
-    one stacked apply_full, each stage time once.  The pull-back, the
+    one stacked apply_full, each stage time once, so f is called once per
+    stage time; the energy estimate keeps the forcing's input norm at each
+    of them, a scalar, and reads it at the step times.  The pull-back, the
     equivalence check (by Parseval), the radius fit and the output norm
     run on blocks of BLOCK logged coefficients, each a (B, N) stack, and
-    u is synthesized once per logged time; the energy estimate reads the
-    forcing's norm at the step times in blocks the same way.
+    u is synthesized once per logged time.
     The horizon T may not exceed bundle.problem.T: the positivity
     certificate and the calibrated C1/C2 cover [0, problem.T] only, so a
     longer T raises ParameterError.
@@ -354,15 +358,20 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
             raise DataError(
                 f"k0={params.k0} must stay below the data radius {rho}")
 
-    def forced(taus):
-        """The coefficients (B, N) of f at the times taus (B,)."""
-        return grid.forward([f(tau) for tau in taus])
+    spec_in = None if rho is None else GevreyNormSpec(m, rho, theta)
+    # ||f||^2 in the input norm at each step time, in order: the energy
+    # estimate reads it off the coefficients the solve forms there
+    f_norms = []
 
-    f_conj = None
-    if f is not None:
-        f_conj = lambda taus: bundle.apply_full(forced(taus), taus)
+    def f_conj(taus):
+        """The coefficients (B, N) of op(e^Lam) f at the times taus (B,)."""
+        f_hat = grid.forward([f(tau) for tau in taus])
+        if spec_in is not None:
+            ends = slice(None) if taus.size == 1 else slice(1, None, 2)
+            f_norms.extend(gevrey_norm(f_hat[ends], spec_in, grid) ** 2)
+        return bundle.apply_full(f_hat, taus)
 
-    traj = solve_conjugated(bundle.assembler, f_conj,
+    traj = solve_conjugated(bundle.assembler, None if f is None else f_conj,
                             bundle.apply_full(g_hat, 0.0), T, dt=dt)
 
     rho_prime = float(k_of_t(T, params)) - REPORT_DELTA
@@ -388,12 +397,9 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     if rho is not None:
         # ||g||^2 + int_0^t ||f||^2 at every step time: one trapezoid sum
         # over the step times, read at the logged ones
-        spec_in = GevreyNormSpec(m, rho, theta)
         den = np.full(traj.times.size, gevrey_norm(g_hat, spec_in, grid) ** 2)
         if f is not None:
-            fn = np.concatenate([
-                gevrey_norm(forced(traj.times[i:i + BLOCK]), spec_in, grid)
-                for i in range(0, traj.times.size, BLOCK)]) ** 2
+            fn = np.array(f_norms)
             den[1:] += np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(traj.times))
         C = 0.0
         for hm, d in zip(hm_u, den[traj.meta["logged_indices"]]):

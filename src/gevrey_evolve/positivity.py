@@ -177,12 +177,19 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     its constants on the assembler it measures, whose tables read neither
     C1 nor C2, so one assembler serves every round and leaves calibrated:
     its params are the returned ones.  Raises if k(T) dies inside the
-    horizon.
+    horizon.  C2 is measured first: while k is positive it does not grow
+    with C1 (comparison principle), so when C2 alone with C1 = 0 drives
+    k(T) to zero the round raises at once, and a rejected trial never
+    builds b1k.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     ts = sample_times(p.T)
     norm_t = _margin_normalizers(grid, params)["theta"]
     region = _checked_region(grid, params)
+
+    def real(name, t):
+        return assembler.part(name, float(t)).values.real
+
     C1, C2 = 0.0, 0.0
     for _ in range(FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
@@ -190,15 +197,15 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
         assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            b1k, ia1_k, m2_tail, m1_tail = (
-                assembler.part(name, float(t)).values.real
-                for name in ("b1k", "ia1_k", "m2_tail", "m1_tail"))
-            kt = float(k_of_t(t, params))
-            neg_b1 = np.maximum(0.0, -b1k)
-            C1_new = max(C1_new, _sup_normalized(neg_b1, norm_t, region) / kt)
-            rest = ia1_k + m2_tail + m1_tail
+            rest = real("ia1_k", t) + real("m2_tail", t) + real("m1_tail", t)
             C2_new = max(C2_new, _sup_normalized(np.maximum(0.0, -rest),
                                                  norm_t, region))
+        # raises now if C2 alone kills k by T, before b1k is read
+        k_of_t(p.T, params.with_ode_constants(0.0, C2_new))
+        for t in ts:
+            neg_b1 = np.maximum(0.0, -real("b1k", t))
+            kt = float(k_of_t(t, params))
+            C1_new = max(C1_new, _sup_normalized(neg_b1, norm_t, region) / kt)
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -217,12 +224,14 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
                                M2_pin=None, M1_pin=None, assumptions=None):
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
-    Each trial h, doubling across H_SEARCH, builds the phase tables and
-    the assembler, calibrates C1 and C2 on it (calibrate_time_weight
-    installs them there) and checks the lower bounds to margin tolerance
-    ``tol``; only a trial that passes builds the conjugator's inverse from
-    that assembler.  The first h where both succeed is accepted; a failed
-    trial's tables are released before the next trial builds its own.
+    Each trial h, doubling across H_SEARCH, builds the assembler, whose
+    phase and conjugation tables are formed on first read, calibrates C1
+    and C2 on it (calibrate_time_weight installs them there) and checks the
+    lower bounds to margin tolerance ``tol``; only a trial that passes
+    builds the conjugator's inverse from that assembler.  A trial whose
+    time weight C2 alone kills forms only the tables C2 reads.  The first h
+    where both succeed is accepted; a failed trial's tables are released
+    before the next trial builds its own.
 
     M2_pin / M1_pin / h_pin freeze a strength or h instead of deriving it:
     parameter sweeps pin one of them, explicit weights pin all three, a
@@ -303,7 +312,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
                                   theta=theta, R_a3=p.R_a3, domain_cap=D)
             assembler = ConjugationAssembler(p, params, grid, win)
-            del win     # its N x N windows are not kept past the phase tables
+            del win     # its N x N windows go with the tables that read them
             params = calibrate_time_weight(assembler)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))

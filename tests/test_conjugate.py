@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gevrey_evolve import conjugate, weights
 from gevrey_evolve._stencil import exp_derivative_factors
 from gevrey_evolve.conjugate import (BLOCKS, ConjugationAssembler,
                                      build_conjugator, truncation_order)
-from gevrey_evolve.errors import ConvergenceError
+from gevrey_evolve.errors import ConvergenceError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
@@ -147,19 +149,17 @@ def test_stage_keeps_d1_and_a2_once(grid):
     # k-stage correction b1k, and Re a2 (the imaginary part of i a2) in the
     # Hermitian correction c
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
-    poly = asm._static_tables(0.0)["poly"]
+    cs = asm.at(0.0)
+    poly = asm._entry(0.0)["poly"]
     stage = {name: U[0] for name, U in poly.items() if 0 in U}
     assert not {"d1", "re_a2_raw"} & set(stage)
-    cs = asm.at(0.0)
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
     assert np.array_equal(cs.parts["d1"].values, (stage["id1"] * -1j).values)
     c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real)
     assert np.array_equal(cs.hermitian_corrections()["c"].values, c.values)
-    zero = SymbolTable(grid, np.zeros((1, N)))
     a1t = stage["ia1"] + stage["damp1"] + stage["id1"] + stage["a2cross"]
-    fed = dict(stage, ia1=a1t, damp1=zero, id1=zero, a2cross=zero)
-    want = asm._k_polynomials(fed)["b1k"]
-    got = asm._k_polynomials(stage)["b1k"]
+    want = asm._k_stage(a1t, 1.0)
+    got = poly["b1k"]
     assert want.keys() == got.keys() and want
     for j in want:
         assert np.array_equal(got[j].values, want[j].values)
@@ -374,6 +374,7 @@ def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
 
     monkeypatch.setattr(weights, "smooth_step", counting)
     phase = conjugate.build_phase_tables(PROB, p, grid)
+    _, Q_tables = phase.exp_factors(conjugate.FACTOR_ORDER)
     assert sorted(d for shape, d in calls if shape == (N, N)) == [0, 1, 2]
     X, XI = grid.x[:, None], grid.xi[None, :]
     ref = {(w, o): sampled_table(grid, lambda_x_derivative(
@@ -384,7 +385,7 @@ def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     lam_x = [ref[2, o] + ref[1, o] for o in (1, 2, 3)]
     lam_x.append(x_derivative(lam_x[2], 1))
     Q = exp_derivative_factors([-t.values for t in lam_x])
-    for a, (table, q) in enumerate(zip(phase.dx_exp_factors, Q)):
+    for a, (table, q) in enumerate(zip(Q_tables, Q)):
         assert np.array_equal(table.values,
                               SymbolTable(grid, (-1j) ** (a + 1) * q).values)
 
@@ -433,6 +434,152 @@ def test_assembler_time_caching(grid):
     assert np.array_equal(a, b)
     c = asm.at(0.5).generator_table().values
     assert not np.array_equal(a, c)
+
+
+def test_time_dependent_parts_kept_per_coefficient_time():
+    # a part read at one coefficient time is not reused at another: each
+    # time keeps its own tables, equal to a fresh assembler's
+    prob = model_problem("time-modulated", 0.75, domain=L)
+    grid = make_grid(L, N)
+    p = params_with(C1=0.1)
+    asm = ConjugationAssembler(prob, p, grid)
+    early = asm.part("ia2", 0.0).values
+    late = asm.part("ia2", 0.5).values
+    assert len(asm._cache) == 2
+    assert not np.array_equal(early, late)
+    fresh = ConjugationAssembler(prob, p, grid)
+    assert np.array_equal(late, fresh.part("ia2", 0.5).values)
+
+
+def test_zero_strength_damping_split_reads_no_window(grid, monkeypatch):
+    # at M2 = M1 = 0 the report split of the damping is exact zero rows,
+    # formed without psi on the lattice or the sign selector: selecting the
+    # identity conjugator and building every table evaluate no smooth step
+    from gevrey_evolve.positivity import select_parameters_detailed
+    calls, step = [], weights.smooth_step
+
+    def counting(u, derivative=0):
+        calls.append(np.shape(u))
+        return step(u, derivative)
+
+    monkeypatch.setattr(weights, "smooth_step", counting)
+    params, details = select_parameters_detailed(KDV, 1.8, grid)
+    assert (params.M2, params.M1) == (0.0, 0.0)
+    cs = details["bundle"].assembler.at(0.0)
+    assert calls == []
+    for name in ("m2_main", "m2_tail", "m1_main", "m1_tail"):
+        assert cs.parts[name].values.shape == (1, N)
+        assert not np.any(cs.parts[name].values), name
+
+
+def _eager_tables(prob, params, grid):
+    """The phase tables and every k-polynomial, built in one pass as before
+    they were formed on first read: (phase dict, P, Q, poly)."""
+    from types import SimpleNamespace
+    from gevrey_evolve.quantize import dx_operator, xi_derivative
+    from gevrey_evolve.weights import spatial_weights, weight_x_derivative
+    win = conjugate.lattice_windows(prob, params, grid)
+    l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
+    lam = l2 + l1
+    wx = {(w, o): sampled_table(grid, weight_x_derivative(win, params, w, o))
+          for w in (2, 1) for o in (1, 2, 3)}
+    lam_x = {o: wx[2, o] + wx[1, o] for o in (1, 2, 3)}
+    lam_x[4] = x_derivative(lam_x[3], 1)
+    P = [SymbolTable(grid, v) for v in exp_derivative_factors(
+        [xi_derivative(lam, o).values for o in (1, 2, 3, 4)])]
+    Q = [SymbolTable(grid, (-1j) ** (a + 1) * v) for a, v in enumerate(
+        exp_derivative_factors([-lam_x[o].values for o in (1, 2, 3, 4)]))]
+    dxdxi = xi_derivative(wx[2, 1], 1)
+    phase = dict(lam=lam, lam2_x=wx[2, 1], lam2_xx=wx[2, 2], lam1_x=wx[1, 1],
+                 dxdxi_lam2=dxdxi,
+                 psi_window=SymbolTable(grid, win.psi(0).astype(complex)),
+                 abs_w=np.abs(win.w))
+    eager = SimpleNamespace(exp_factors=lambda n: (P[:n], Q[:n]))
+
+    # the spatial stage
+    a3_row = np.asarray(prob.a3(0.0, 0.0, grid.xi), dtype=float)
+    da3_row = np.asarray(prob.a3.dxi(0.0, 0.0, grid.xi), dtype=float)
+    a3, da3 = multiplier_table(grid, a3_row), multiplier_table(grid, da3_row)
+    a2 = eval_table(prob.a2, grid, 0.0)
+    ia2, ia1 = a2 * 1j, eval_table(prob.a1, grid, 0.0) * 1j
+    l2x, l2xx = wx[2, 1], wx[2, 2]
+    id1 = (xi_derivative(a3 * (l2xx - l2x * l2x), 2) * 0.5
+           + da3 * xi_derivative(l2xx, 1) * -1.0
+           + xi_derivative(a3 * l2x, 1) * dxdxi
+           + (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
+                    + dxdxi * dxdxi * 2.0)) * -0.5) * 1j
+    ia2_n = conjugate.conjugation_expansion(
+        ia2, eager, truncation_order(2.0, params.theta))
+    absda3_w = np.abs(da3_row) * phase["abs_w"]
+    bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
+    m2 = sampled_table(grid, absda3_w[None, :] * params.M2 * bx ** (-params.sigma))
+    m1 = sampled_table(grid, absda3_w[None, :] / bracket_h(grid.xi, params.h)
+                       * params.M1 * bx ** (-params.sigma / 2.0))
+    psi = phase["psi_window"].values.real
+    stage = dict(ia2=ia2, ia1=ia1, damp2=da3 * l2x * -1.0,
+                 damp1=da3 * wx[1, 1] * -1.0, id1=id1,
+                 ia2_k=ia2_n + (ia2_n * dxdxi) * -1j,
+                 ia1_k=conjugate.conjugation_expansion(
+                     ia1, eager, truncation_order(1.0, params.theta)),
+                 a2cross=a2 * dxdxi, m2_main=m2.real,
+                 m2_tail=sampled_table(grid, -(m2.values * (1.0 - psi))),
+                 m1_main=m1.real,
+                 m1_tail=sampled_table(grid, -(m1.values * (1.0 - psi))))
+
+    # the k stage
+    bell = conjugate.partial_bell(4, conjugate.bracket_power_derivatives(
+        grid.xi, params.h, 1.0 / params.theta, 4))
+    s = params.sigma
+    bases = {"b2k": (stage["ia2"] + stage["damp2"], 2.0),
+             "b1k": (stage["ia1"] + stage["damp1"] + stage["id1"]
+                     + stage["a2cross"], 1.0),
+             "ia2_k": (stage["ia2_k"], 2.0 - (2.0 * s - 1.0)),
+             "ia1_k": (stage["ia1_k"], 2.0 * (1.0 - s))}
+    poly = {name: {0: U0} for name, U0 in stage.items()}
+    for name, (base, order) in bases.items():
+        def orders(nk):
+            for b in range(1, nk):
+                dxb = dx_operator(base, b).values / math.factorial(b)
+                adds, gauge = {}, np.zeros_like(dxb)
+                for j in range(1, b + 1):
+                    if np.isscalar(bell[b][j]) and bell[b][j] == 0.0:
+                        continue
+                    adds[j] = bell[b][j][None, :] * dxb
+                    gauge = gauge + (params.k0 ** j) * adds[j]
+                yield adds, float(np.max(np.abs(gauge)))
+        U = {}
+        nk = truncation_order(order, params.theta, cap=5)
+        for adds in conjugate._while_shrinking(orders(nk)):
+            for j, add in adds.items():
+                U[j] = U.get(j, 0.0) + add
+        poly.setdefault(name, {}).update(
+            (j, SymbolTable(grid, v)) for j, v in U.items())
+    return phase, P, Q, poly
+
+
+def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
+    # every table of the accepted assembler, each formed when first read,
+    # equals bit for bit its one-pass build; the factors, released once
+    # both expansions exist, equal it in a fresh phase
+    prob, grid, asm = (small_setup[k] for k in ("problem", "grid", "assembler"))
+    phase, P, Q, poly = _eager_tables(prob, asm.params, grid)
+    for name, want in phase.items():
+        got = getattr(asm.phase, name)
+        got = got.values if isinstance(got, SymbolTable) else got
+        want = want.values if isinstance(want, SymbolTable) else want
+        assert np.array_equal(got, want), name
+    with pytest.raises(ParameterError):
+        asm.phase.exp_factors(1)
+    fresh = conjugate.build_phase_tables(prob, asm.params, grid)
+    for got, want in zip(fresh.exp_factors(4), (P, Q)):
+        assert len(got) == len(want) == 4
+        assert all(np.array_equal(g.values, w.values) for g, w in zip(got, want))
+    entry = asm._entry(0.0)
+    assert entry["poly"].keys() == poly.keys()
+    for name, U in poly.items():
+        assert entry["poly"][name].keys() == U.keys(), name
+        for j in U:
+            assert np.array_equal(entry["poly"][name][j].values, U[j].values)
 
 
 @pytest.mark.parametrize("name, L_, N_", [("complex-damped", L, N),

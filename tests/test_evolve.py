@@ -482,6 +482,36 @@ def test_forcing_conjugated_once_per_stage_time(small_setup, monkeypatch):
     assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
 
 
+def test_energy_estimate_calls_f_once_per_stage_time(small_setup):
+    # the energy estimate reads ||f||^2 off the coefficients the solve forms
+    # at the step times, which are stage times: f is called once per stage
+    # time, and the constant equals, bit for bit, the one from f evaluated
+    # and transformed again at every step time in blocks of BLOCK
+    grid, bundle = small_setup["grid"], small_setup["bundle"]
+    rho, theta = 0.7, 1.8
+    g = synthetic_radius_field(grid, rho, theta)
+    taus = []
+
+    def f(t):
+        taus.append(float(t))
+        return 0.5 * np.exp(-t) * g
+
+    traj = solve_original(bundle, f, g, 0.5, rho=rho)
+    steps = traj.meta["steps"]
+    assert len(taus) == len(set(taus)) == 2 * steps + 1
+
+    spec_in = GevreyNormSpec(0.0, rho, theta)
+    times = traj.times
+    fn = np.concatenate([
+        gevrey_norm(grid.forward([f(t) for t in times[i:i + BLOCK]]),
+                    spec_in, grid) for i in range(0, times.size, BLOCK)]) ** 2
+    den = np.full(times.size, gevrey_norm(grid.forward(g), spec_in, grid) ** 2)
+    den[1:] += np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(times))
+    C = max(hm ** 2 / d for hm, d in
+            zip(traj.meta["hm_u"], den[traj.meta["logged_indices"]]))
+    assert traj.meta["energy_estimate_C"] == C
+
+
 def test_steps_end_on_the_logged_times(monkeypatch):
     # forced kdv-baseline at N=256 with dt = 0.002: times[i] + dt misses
     # times[i+1] by an ulp at 22 of the 500 steps, so a step that ended at

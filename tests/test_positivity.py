@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gevrey_evolve import positivity
+from gevrey_evolve import conjugate, positivity
 from gevrey_evolve.conjugate import ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
@@ -103,6 +103,96 @@ def test_infeasible_reports_failing_inequality():
     for row in history:
         assert row["passed"] is False and row["reason"]
         assert f"h={row['h']:g}: {row['reason']}" in str(err.value)
+
+
+def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
+    # damped-64 rejects h = 1 by the time weight: C2 alone drives k(T) to
+    # zero, so that trial forms the ia1 expansion (n = 3) with the two tails
+    # and the factors P_1, P_2, Q_1, Q_2, and no order-2 expansion, no
+    # P_3, P_4, Q_3, Q_4 and no b1k or its spatial-stage inputs
+    trials, expansions = [], []
+    calibrate = positivity.calibrate_time_weight
+    expand = conjugate.conjugation_expansion
+
+    def capturing(assembler):
+        trials.append(assembler)
+        return calibrate(assembler)
+
+    def counting(q, phase, n_trunc):
+        expansions.append((len(trials), n_trunc))
+        return expand(q, phase, n_trunc)
+
+    monkeypatch.setattr(positivity, "calibrate_time_weight", capturing)
+    monkeypatch.setattr(conjugate, "conjugation_expansion", counting)
+    prob = model_problem("complex-damped", 0.75, domain=10.0)
+    _, details = select_parameters_detailed(prob, 1.8, make_grid(10.0, 64))
+    rows = details["history"]
+    assert [row["h"] for row in rows] == [1.0, 2.0, 4.0]
+    assert rows[0]["reason"].startswith("time weight k(t) reaches zero")
+    assert rows[1]["reason"].startswith("order1 margin")
+    # one expansion at n = 3 in the rejected trial, both in the others
+    assert expansions == [(1, 3), (2, 3), (2, 5), (3, 3), (3, 5)]
+    rejected = trials[0]
+    assert len(rejected.phase._P) == len(rejected.phase._Q) == 2
+    entry = rejected._entry(0.0)
+    assert set(entry["poly"]) == {"ia1_k", "m2_tail", "m1_tail"}
+    assert not {"b1k", "id1", "damp1", "a2cross", "ia2_k"} & set(entry["stage"])
+    # a trial that passes the early check builds b1k; both expansions
+    # released the factors
+    assert "b1k" in trials[1]._entry(0.0)["poly"]
+    assert trials[1].phase._P is None
+
+
+def _calibrated_in_full(assembler):
+    """calibrate_time_weight without the early check on C2: each round
+    reads all four tables at every sample time before k(T) is checked."""
+    p, params, grid = assembler.problem, assembler.params, assembler.grid
+    norm_t = positivity._margin_normalizers(grid, params)["theta"]
+    region = positivity._checked_region(grid, params)
+    sup = lambda values: positivity._sup_normalized(
+        np.maximum(0.0, -values), norm_t, region)
+    real = lambda name, t: assembler.part(name, float(t)).values.real
+    C1, C2 = 0.0, 0.0
+    for _ in range(positivity.FP_ROUNDS):
+        params = params.with_ode_constants(C1, C2)
+        k_of_t(p.T, params)
+        assembler.params = params
+        C1_new, C2_new = 0.0, 0.0
+        for t in np.linspace(0.0, p.T, 5):
+            kt = float(k_of_t(t, params))
+            C1_new = max(C1_new, sup(real("b1k", t)) / kt)
+            C2_new = max(C2_new, sup(real("ia1_k", t) + real("m2_tail", t)
+                                     + real("m1_tail", t)))
+        moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
+                 or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
+        C1, C2 = C1_new, C2_new
+        if not moved:
+            break
+    params = params.with_ode_constants(C1, C2)
+    k_of_t(p.T, params)
+    assembler.params = params
+    return params
+
+
+@pytest.mark.parametrize("strengths", [None, (2.0, 1.0, 0.1)])
+def test_early_time_weight_check_keeps_every_verdict(strengths, monkeypatch):
+    # the selection's history, accepted or not, and the InfeasibleError
+    # message are those of a calibration without the early check
+    kw = {} if strengths is None else {"strengths": strengths}
+    prob = model_problem("complex-damped", 0.75, domain=10.0, **kw)
+    grid = make_grid(10.0, 64)
+
+    def select():
+        try:
+            return select_parameters_detailed(prob, 1.8, grid)[1]["history"], None
+        except InfeasibleError as err:
+            return err.history, str(err)
+
+    got = select()
+    monkeypatch.setattr(positivity, "calibrate_time_weight", _calibrated_in_full)
+    assert got == select()
+    assert any(row["reason"].startswith("time weight") for row in got[0]
+               if not row["passed"])
 
 
 def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
@@ -321,7 +411,7 @@ def test_row_tables_certify_like_their_tiled_twins():
                           C1=0.5, C2=0.1)
     asm = ConjugationAssembler(prob, params, grid)
     rows = verify_lower_bounds(asm, T_SAMPLES).rows
-    entry = asm._static_tables(0.0)
+    entry = asm._entry(0.0)
     tables = [U for poly in entry["poly"].values() for U in poly.values()]
     assert len(tables) > 10
     assert all(t.values.shape == (1, grid.N) for t in tables)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from gevrey_evolve import weights
@@ -350,6 +352,31 @@ def test_k_ode_residual():
         assert abs(kp + p.C1 * kk + p.C2) < 1e-12
         fd = (float(k_of_t(t + 1e-6, p)) - float(k_of_t(t - 1e-6, p))) / 2e-6
         assert abs(kp - fd) < 1e-8
+
+
+def _k_dies(T, p):
+    try:
+        k_of_t(T, p)
+    except ParameterError:
+        return True
+    return False
+
+
+# the grid the early check of calibrate_time_weight runs on: C1 * T is
+# far above the rounding of k0 - C2 T, where the two verdicts could differ
+@settings(max_examples=400, deadline=None)
+@given(k0=st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5, 1.0]),
+       T=st.sampled_from([0.25, 0.5, 1.0, 2.0, 5.0]),
+       C2=st.floats(0.0, 5.0) | st.sampled_from([0.07, 0.175, 0.35, 0.7]),
+       C1=st.floats(1e-3, 50.0))
+@example(k0=0.35, T=1.0, C2=0.35, C1=1e-3)    # k(T) = 0 exactly at C1 = 0
+def test_k_that_c2_alone_kills_dies_for_every_c1(k0, T, C2, C1):
+    # k' = -C1 k - C2 falls faster with C1 > 0 while k is positive
+    # (comparison principle): a k that C2 drives to zero by T with C1 = 0
+    # reaches zero with every C1 > 0 too
+    base = params_with(k0=k0)
+    if _k_dies(T, base.with_ode_constants(0.0, C2)):
+        assert _k_dies(T, base.with_ode_constants(C1, C2))
 
 
 def test_k_death_instructs_larger_h():

@@ -99,6 +99,10 @@ MUTANTS = [
            'if "generator" not in entry:',
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
+    Mutant("part-memo-ignores-coefficient-time", CONJ,
+           "key = round(float(t), 12) if self.problem.time_dependent else None",
+           "key = None",
+           (T_CONJ + "test_time_dependent_parts_kept_per_coefficient_time",)),
     Mutant("conjugator-nyquist-slot-not-pinned", CONJ,
            "E[nyq, nyq] = E_star[nyq, nyq] = 1.0",
            "E_star[nyq, nyq] = 1.0",
@@ -134,6 +138,10 @@ MUTANTS = [
            "assembler = ConjugationAssembler(p, params, grid, win)",
            "assembler = ConjugationAssembler(p, params, grid)",
            (T_POS + "test_each_trial_forms_dxdxi_lambda2_once",)),
+    Mutant("time-weight-precheck-skipped", POS,
+           "        k_of_t(p.T, params.with_ode_constants(0.0, C2_new))\n",
+           "",
+           (T_POS + "test_time_weight_rejection_builds_only_what_c2_reads",)),
     Mutant("h-pin-ignored", POS,
            "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
            "h_start, h_max = H_SEARCH",
