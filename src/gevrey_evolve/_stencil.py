@@ -2,17 +2,35 @@
 
 Fornberg's algorithm generates derivative weights on arbitrary nodes, which
 lets us difference uniform frequency lattices with one-sided stencils near
-the edges.  The Bell-polynomial recursion turns derivative lists of an
-exponent into derivatives of its exponential with the exponential factor
-cancelled, so no large exponentials are ever formed.
+the edges; each stencil is computed once per process.  The Bell-polynomial
+recursion turns derivative lists of an exponent into derivatives of its
+exponential with the exponential factor cancelled, so no large
+exponentials are ever formed.
 """
 
 import numpy as np
 
+# bytes of the interior block diff_uniform sums its terms into at a time
+BLOCK_BYTES = 1 << 18
+
+# the stencils computed so far, by (nodes, x0, order)
+_WEIGHTS = {}
+
 
 def fd_weights(nodes, x0, order):
-    """Weights w with sum(w*f(nodes)) ~ f^(order)(x0) (Fornberg 1988)."""
+    """Weights w with sum(w*f(nodes)) ~ f^(order)(x0) (Fornberg 1988), as a
+    read-only array computed once per (nodes, x0, order)."""
     nodes = np.asarray(nodes, dtype=float)
+    key = (tuple(nodes.tolist()), float(x0), order)
+    if key not in _WEIGHTS:
+        weights = _fornberg(nodes, float(x0), order)
+        weights.flags.writeable = False
+        _WEIGHTS[key] = weights
+    return _WEIGHTS[key]
+
+
+def _fornberg(nodes, x0, order):
+    """Fornberg's recursion for the weights of fd_weights."""
     n = len(nodes)
     if order >= n:
         raise ValueError("need more nodes than derivative order")
@@ -43,7 +61,10 @@ def diff_uniform(values, spacing, order, axis=0, accuracy=4):
     """Differentiate sampled values on a uniform lattice along ``axis``.
 
     Central stencils of the requested accuracy in the interior, one-sided
-    stencils of the same width near the boundary.
+    stencils of the same width near the boundary.  The interior adds its
+    terms in stencil order into preallocated buffers, starting from 0 as
+    sum() does, so it rounds as the sum of the terms; along axis 0 of a
+    C-contiguous array each term is one contiguous block.
     """
     values = np.asarray(values)
     n = values.shape[axis]
@@ -53,19 +74,28 @@ def diff_uniform(values, spacing, order, axis=0, accuracy=4):
     if width > n:
         raise ValueError("lattice too short for requested stencil")
     half = width // 2
+    scale = spacing**order
     moved = np.moveaxis(values, axis, 0)
     out = np.empty_like(moved)
-    # interior: one shared central stencil
-    offsets = np.arange(-half, half + 1)
-    w = fd_weights(offsets.astype(float), 0.0, order) / spacing**order
-    core = sum(w[j] * moved[half + offsets[j]: n - half + offsets[j] or None]
-               for j in range(width))
-    out[half: n - half] = core
+    # interior: one shared central stencil, a block of lattice points at a
+    # time so that the block and its term buffer stay in cache
+    w = fd_weights(np.arange(-half, half + 1.0), 0.0, order) / scale
+    core = out[half: n - half]
+    block = max(1, BLOCK_BYTES // max(moved[0].nbytes, 1))
+    term = np.empty_like(core[:block])
+    for lo in range(0, n - 2 * half, block):
+        acc = core[lo: lo + block]
+        t = term[:len(acc)]
+        acc[...] = 0
+        for j in range(width):
+            np.multiply(w[j], moved[lo + j: lo + j + len(acc)], out=t)
+            acc += t
     # edges: one-sided stencils
+    nodes = np.arange(width, dtype=float)
     for i in range(half):
-        w = fd_weights(np.arange(width, dtype=float), float(i), order) / spacing**order
+        w = fd_weights(nodes, float(i), order) / scale
         out[i] = np.tensordot(w, moved[:width], axes=(0, 0))
-        w = fd_weights(np.arange(width, dtype=float), float(width - 1 - i), order) / spacing**order
+        w = fd_weights(nodes, float(width - 1 - i), order) / scale
         out[n - 1 - i] = np.tensordot(w, moved[n - width:], axes=(0, 0))
     return np.moveaxis(out, 0, axis)
 

@@ -47,7 +47,7 @@ from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
-                       dx_operator, exp_table, fourier_rows, multiplier_table,
+                       dx_operators, exp_table, fourier_rows, multiplier_table,
                        operator_norm, sampled_table, spectral_stack,
                        x_derivative, xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
@@ -287,9 +287,10 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     n_trunc = min(n_trunc, FACTOR_ORDER + 1)
     g = q.grid
     P, Q = phase.exp_factors(n_trunc - 1)
+    dx_q = dx_operators(q)
     dxq = {0: q}
     for b in range(1, n_trunc):
-        dxq[b] = dx_operator(q, b)
+        dxq[b] = dx_q(b)
 
     def orders():
         for s in range(1, n_trunc):
@@ -507,7 +508,8 @@ def _hermitian_half(im_table: SymbolTable):
     with optimal truncation (the iterated mixed derivatives are asymptotic
     on the grid)."""
     g = im_table.grid
-    terms = (xi_derivative(dx_operator(im_table, a), a)
+    dx_im = dx_operators(im_table)
+    terms = (xi_derivative(dx_im(a), a)
              * (1j / (2.0 * math.factorial(a))) for a in (1, 2, 3))
     return sum(_while_shrinking((term, _sup(term)) for term in terms),
                SymbolTable(g, np.zeros((1, g.N))))
@@ -642,10 +644,11 @@ class ConjugationAssembler:
         kept while the gauge size of their contribution (at k = k0) does not
         grow (_while_shrinking); the series is asymptotic on the grid."""
         params = self.params
+        dx_base = dx_operators(base)
 
         def orders(nk):
             for b in range(1, nk):
-                dxb = dx_operator(base, b).values / math.factorial(b)
+                dxb = dx_base(b).values / math.factorial(b)
                 adds = {}
                 gauge = np.zeros_like(dxb)
                 for j in range(1, b + 1):

@@ -165,7 +165,9 @@ def integrating_factors(p, grid: Grid, times):
     array (steps, 2, N) whose row i holds e^{-i int a3} over
     [t, t + dt/2] and over [t, t + dt], t = times[i].  The phase integrals
     use two-point Gauss quadrature per interval, and a3 is evaluated once,
-    at every Gauss time of the steps together."""
+    at every Gauss time of the steps together.  The exponential is taken
+    once per distinct row of phase integrals, whatever a3 is: steps of one
+    length over a time-independent a3 share their rows."""
     times = np.asarray(times, dtype=float)
     t0 = times[:-1, None]
     dt = times[1:, None] - t0
@@ -175,7 +177,14 @@ def integrating_factors(p, grid: Grid, times):
     gauss = np.stack([mid - off, mid + off], axis=-1)[..., None]
     a3 = np.broadcast_to(np.asarray(p.a3(gauss, 0.0, grid.xi), dtype=float),
                          gauss.shape[:-1] + (grid.N,))
-    return np.exp(-1j * (rad[..., None] * (a3[:, :, 0] + a3[:, :, 1])))
+    phase = rad[..., None] * (a3[:, :, 0] + a3[:, :, 1])
+    # rows with equal bytes share one exponential; the dict keeps them in
+    # order of first appearance
+    slot = {}
+    inv = [slot.setdefault(row.tobytes(), len(slot))
+           for row in phase.reshape(-1, grid.N)]
+    distinct = np.frombuffer(b"".join(slot), dtype=float).reshape(-1, grid.N)
+    return np.exp(-1j * distinct)[inv].reshape(phase.shape)
 
 
 def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):

@@ -25,8 +25,13 @@ Stacked polynomial (a weighted sum of the quantized tables of a fixed
 spectral stack plus a row product: one GEMV over the stack and one FFT);
 quantized(grid, values) is the one-entry Stacked.
 
-x-derivatives of tables are spectral; xi-derivatives use finite differences
-on the uniform frequency lattice (the Nyquist column is excluded).
+x-derivatives of tables are spectral: a plain FFT along x, the multiplier
+(i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
+e^{i xi L} node offset would multiply the spectrum and divide it back
+out, so it is not applied.  x_derivatives(p) and dx_operators(p) serve
+every order a caller reads from one spectrum.  xi-derivatives use finite
+differences on the uniform frequency lattice (the Nyquist column is
+excluded).
 """
 
 from dataclasses import dataclass
@@ -263,42 +268,58 @@ def representable_error(A, B, grid, domain_cap, fraction=0.5,
 def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     """d^order/dxi^order of a table by finite differences on the xi lattice.
 
-    Works on the monotone (fftshifted) lattice with the Nyquist sample
-    excluded so the zeroed column cannot contaminate its neighbours.  A
-    one-row table is differentiated as four equal rows: BLAS rounds the
-    edge stencils' product with a lone column differently from the columns
-    of a wider one, and a row must differentiate exactly like its tiled
-    twin.
+    Works on the monotone lattice: the columns past the Nyquist one, then
+    those before it, gathered by slicing into one contiguous array with xi
+    as its first axis (so each stencil term is a contiguous block) and
+    scattered back the same way.  The Nyquist sample is excluded so the
+    zeroed column cannot contaminate its neighbours.  A one-row table is
+    differentiated as four equal rows: BLAS rounds the edge stencils'
+    product with a lone column differently from the columns of a wider
+    one, and a row must differentiate exactly like its tiled twin.
     """
     g = p.grid
+    nyq = g.nyquist
     rows = p.values.shape[0]
-    shifted = np.fft.fftshift(p.values, axes=1)  # column 0 is the Nyquist mode
-    body = shifted[:, 1:]
-    if rows == 1:
-        body = np.repeat(body, 4, axis=0)
-    dbody = diff_uniform(body, g.dxi, order, axis=1, accuracy=accuracy)
-    out = np.zeros_like(shifted)
-    out[:, 1:] = dbody[:rows]
-    return SymbolTable.fresh(g, np.fft.ifftshift(out, axes=1))
+    body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=complex)
+    body[:nyq - 1] = p.values[:, nyq + 1:].T
+    body[nyq - 1:] = p.values[:, :nyq].T
+    dbody = diff_uniform(body, g.dxi, order, axis=0, accuracy=accuracy)
+    out = np.empty((rows, g.N), dtype=complex)
+    out[:, nyq + 1:] = dbody[:nyq - 1, :rows].T
+    out[:, :nyq] = dbody[nyq - 1:, :rows].T
+    return SymbolTable.fresh(g, out)
+
+
+def x_derivatives(p: SymbolTable):
+    """The function order -> d^order/dx^order of a table, by spectral
+    differentiation per column: one forward FFT serves every order, each
+    order read costs one inverse.  Of a one-row table, the exact zero
+    row."""
+    g = p.grid
+    if p.values.shape[0] == 1:
+        return lambda order: SymbolTable.fresh(g, np.zeros((1, g.N)))
+    spectrum = np.fft.fft(p.values, axis=0, norm="ortho")
+
+    def derivative(order):
+        mult = (1j * g.xi) ** order
+        mult[g.nyquist] = 0.0
+        return SymbolTable.fresh(
+            g, np.fft.ifft(mult[:, None] * spectrum, axis=0, norm="ortho"))
+
+    return derivative
 
 
 def x_derivative(p: SymbolTable, order=1):
-    """d^order/dx^order of a table by spectral differentiation per column;
-    of a one-row table, the exact zero row."""
-    g = p.grid
-    if p.values.shape[0] == 1:
-        return SymbolTable.fresh(g, np.zeros((1, g.N)))
-    u_hat = g._phase[:, None] * np.fft.fft(p.values, axis=0, norm="ortho")
-    mult = (1j * g.xi) ** order
-    mult[g.nyquist] = 0.0
-    vals = np.fft.ifft(mult[:, None] * u_hat / g._phase[:, None], axis=0, norm="ortho")
-    return SymbolTable.fresh(g, vals)
+    """d^order/dx^order of a table (x_derivatives)."""
+    return x_derivatives(p)(order)
 
 
-def dx_operator(p: SymbolTable, order=1):
-    """D_x^order = (-i d/dx)^order of a table."""
-    out = x_derivative(p, order)
-    return SymbolTable.fresh(out.grid, (-1j) ** order * out.values)
+def dx_operators(p: SymbolTable):
+    """The function order -> D_x^order = (-i d/dx)^order of a table, every
+    order from the one spectrum of x_derivatives."""
+    derivative = x_derivatives(p)
+    return lambda order: SymbolTable.fresh(
+        p.grid, (-1j) ** order * derivative(order).values)
 
 
 def exp_table(p: SymbolTable):
@@ -319,7 +340,8 @@ def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):
     p._same_grid(q)
     from math import factorial
     total = p * q
+    dxq = dx_operators(q)
     for a in range(1, n_trunc):
-        term = xi_derivative(p, a) * dx_operator(q, a)
+        term = xi_derivative(p, a) * dxq(a)
         total = total + term * (1.0 / factorial(a))
     return total

@@ -12,7 +12,8 @@ and w is a smooth sign selector vanishing for |xi| <= h and saturating at
 -sgn(d_xi a3) beyond R_a3 h.  Both cutoffs are built from the normalized
 antiderivative of the classical bump exp(-1/(1-u^2)) (order-2 Gevrey),
 represented once as a Chebyshev series so evaluation is vectorized, smooth
-and reproducible.
+and reproducible; the series is summed by Clenshaw's recurrence in three
+rotating buffers, bit for bit numpy's chebval.
 
 The weight integrals split into the antiderivative of <y>^-s on the region
 where psi == 1 plus Gauss-Legendre panels across the window roll-off; the
@@ -67,12 +68,29 @@ for _ in range(3):
 _STEP_DERIVS[0] = _STEP_SERIES[:158]
 
 
+def _clenshaw(x, c):
+    """chebval(x, c) for a 1-D x and len(c) >= 3: the same recurrence in the
+    same operation order, so bit for bit the same values, run in three
+    buffers that rotate instead of a new array per operation."""
+    c0, c1, nxt = (np.empty_like(x) for _ in range(3))
+    c0[...], c1[...] = c[-2], c[-1]
+    x2 = 2 * x
+    for i in range(3, len(c) + 1):
+        # c0, c1 <- c[-i] - c1, c0 + c1 * x2
+        np.subtract(c[-i], c1, out=nxt)
+        np.multiply(c1, x2, out=c1)
+        np.add(c0, c1, out=c1)
+        c0, nxt = nxt, c0
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c0)
+
+
 def smooth_step(u, derivative=0):
     """Monotone C^inf step: 0 for u <= -1, 1 for u >= 1 (Gevrey order 2)."""
     u = np.asarray(u, dtype=float)
     out = np.array(u >= 1.0, dtype=float) if derivative == 0 else np.zeros(u.shape)
     inside = ~(np.abs(u) >= 1.0)     # NaN stays inside and propagates
-    out[inside] = _cheb.chebval(u[inside], _STEP_DERIVS[derivative])
+    out[inside] = _clenshaw(u[inside], _STEP_DERIVS[derivative])
     return out
 
 

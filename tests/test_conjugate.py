@@ -476,7 +476,7 @@ def _eager_tables(prob, params, grid):
     """The phase tables and every k-polynomial, built in one pass as before
     they were formed on first read: (phase dict, P, Q, poly)."""
     from types import SimpleNamespace
-    from gevrey_evolve.quantize import dx_operator, xi_derivative
+    from gevrey_evolve.quantize import dx_operators, xi_derivative
     from gevrey_evolve.weights import spatial_weights, weight_x_derivative
     win = conjugate.lattice_windows(prob, params, grid)
     l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
@@ -539,7 +539,7 @@ def _eager_tables(prob, params, grid):
     for name, (base, order) in bases.items():
         def orders(nk):
             for b in range(1, nk):
-                dxb = dx_operator(base, b).values / math.factorial(b)
+                dxb = dx_operators(base)(b).values / math.factorial(b)
                 adds, gauge = {}, np.zeros_like(dxb)
                 for j in range(1, b + 1):
                     if np.isscalar(bell[b][j]) and bell[b][j] == 0.0:

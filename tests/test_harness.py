@@ -142,7 +142,7 @@ def test_row_tables_where_the_symbol_is_x_independent(monkeypatch):
             return fn(p, *args, **kwargs)
         return wrapper
 
-    for name in ("x_derivative", "xi_derivative"):
+    for name in ("x_derivative", "dx_operators", "xi_derivative"):
         wrapper = recording(getattr(quantize, name))
         for module in (quantize, conjugate):
             monkeypatch.setattr(module, name, wrapper)

@@ -33,9 +33,12 @@ COPIED = ("src", "tests", "pyproject.toml")
 CONJ = "src/gevrey_evolve/conjugate.py"
 EVOLVE = "src/gevrey_evolve/evolve.py"
 POS = "src/gevrey_evolve/positivity.py"
+QUANTIZE = "src/gevrey_evolve/quantize.py"
+STENCIL = "src/gevrey_evolve/_stencil.py"
 WEIGHTS = "src/gevrey_evolve/weights.py"
 T_CONJ = "tests/test_conjugate.py::"
 T_EVOLVE = "tests/test_evolve.py::"
+T_KERNELS = "tests/test_kernels.py::"
 T_POS = "tests/test_positivity.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
@@ -146,6 +149,19 @@ MUTANTS = [
            "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
            "h_start, h_max = H_SEARCH",
            (T_POS + "test_pinned_h_is_the_only_trial",)),
+    Mutant("stencil-cache-ignores-order", STENCIL,
+           "key = (tuple(nodes.tolist()), float(x0), order)",
+           "key = (tuple(nodes.tolist()), float(x0))",
+           (T_KERNELS + "test_fd_weights_computes_each_stencil_once",
+            T_KERNELS + "test_xi_derivative_equals_reference")),
+    Mutant("x-derivatives-one-multiplier", QUANTIZE,
+           "mult = (1j * g.xi) ** order",
+           "mult = (1j * g.xi) ** 1",
+           (T_KERNELS + "test_x_derivatives_match_reference_to_rounding",)),
+    Mutant("integrating-factors-first-row-only", EVOLVE,
+           "return np.exp(-1j * distinct)[inv].reshape(phase.shape)",
+           "return np.exp(-1j * distinct)[[0] * len(inv)].reshape(phase.shape)",
+           (T_KERNELS + "test_integrating_factors_equal_reference",)),
     Mutant("antiderivative-few-nodes", WEIGHTS,
            "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(40)",
            "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(6)",
