@@ -29,9 +29,11 @@ k(t) and k'(t): each named table is stored once per coefficient time as
 its k-polynomial {j: U_j}, U_0 from the spatial stage and U_j (j >= 1)
 from the k stage, so the conjugated generator is the polynomial
 G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
-summing the parts' U_j.  ``part(name, t)`` evaluates one table, formed
-on first read, and ``at(t)`` and calibration read the tables through it;
-the phase tables too are formed on first read.  The assembler keeps
+summing the parts' U_j.  MARGINS declares the positivity certificate's
+three lower bounds by their tables.  ``part(name, t)`` evaluates one
+table, formed on first read, for the certificate, calibration and
+``at(t)``, the oracles' view of every named table; the phase tables too
+are formed on first read.  The assembler keeps
 the spectral stack [E_syn * G_0, E_syn * G_1, ...] once per coefficient
 time, so the time stepper applies a stage with one GEMV over the stack and
 one FFT, weighted by the powers of k(t), plus the k' row, and forms no
@@ -39,7 +41,7 @@ N x N array per stage time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 import numpy as np
 
@@ -446,23 +448,23 @@ def build_conjugator(assembler: "ConjugationAssembler",
 BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
           "order1": ("ia1", "damp1", "id1", "a2cross"),
           "theta": ("kprime", "b1k", "ia1_k")}
-# The report split of the damping terms, k-constant polynomials too
-REPORT_PARTS = ("m2_main", "m2_tail", "m1_main", "m1_tail")
+# The positivity certificate: each lower bound sums its tables' real parts
+# in this order.  The damping counts at full strength (m2_main, m1_main),
+# its window tails (m2_tail, m1_tail) in the 1/theta bound; c and e are the
+# Hermitian halves of i Im a2t, of i a2 and of the k stage's b2k + ia2_k.
+MARGINS = {"order2": ("ia2", "m2_main", "b2k", "ia2_k"),
+           "order1": ("ia1", "m1_main", "a2cross", "c", "e"),
+           "theta": ("kprime", "b1k", "ia1_k", "m2_tail", "m1_tail")}
 
 
 @dataclass
 class ConjugatedSymbols:
-    """Named term tables of the conjugated generator at one time: the parts
-    of BLOCKS, d1 = -i id1, and the report decomposition, which splits the
-    damping terms into their full-strength parts (m2_main, m1_main) plus
-    window tails (m2_tail, m1_tail, which belong with the 1/theta block
-    for the lower bounds).
-    """
+    """Every named table of BLOCKS and MARGINS at one time, and
+    d1 = -i id1: the view the oracles and tests read."""
 
     grid: Grid
     a3_row: np.ndarray
     parts: dict
-    _static: dict = field(default_factory=dict, repr=False)
 
     def block(self, name):
         """The sum of the parts of BLOCKS[name], in their order."""
@@ -478,29 +480,6 @@ class ConjugatedSymbols:
         drops the -k' <xi>^{1/theta} term produced by the time stage."""
         ia3 = multiplier_table(self.grid, 1j * self.a3_row)
         return ia3 + self.generator_table() - self.parts["kprime"]
-
-    def hermitian_corrections(self):
-        """Symbols c (from Re a2) and e (from the k-stage imaginary parts):
-        the Hermitian halves of i Im a2t that feed the order-1 lower bound.
-        c reads only the coefficients, so it is kept with the assembler's
-        tables of this coefficient time (``_static``)."""
-        if "c" not in self._static:
-            # i a2 holds Re a2 as its imaginary part, bit for bit
-            self._static["c"] = _hermitian_half(self.parts["ia2"].imag)
-        im_tab = self.parts["b2k"].imag + self.parts["ia2_k"].imag
-        return {"c": self._static["c"], "e": _hermitian_half(im_tab)}
-
-    def margin_tables(self):
-        """Re parts of the three groups in report form (window tails moved
-        into the 1/theta group, damping at full strength in its own group)."""
-        p = self.parts
-        herm = self.hermitian_corrections()
-        re2 = (p["ia2"].real + p["m2_main"] + p["b2k"].real + p["ia2_k"].real)
-        re1 = (p["ia1"].real + p["m1_main"] + p["a2cross"].real
-               + herm["c"].real + herm["e"].real)
-        ret = (p["kprime"].real + p["b1k"].real + p["ia1_k"].real
-               + p["m2_tail"] + p["m1_tail"])
-        return {"order2": re2, "order1": re1, "theta": ret}
 
 
 def _hermitian_half(im_table: SymbolTable):
@@ -553,9 +532,9 @@ class ConjugationAssembler:
         """The tables formed so far at the coefficient time of t: one entry
         for time-independent coefficients, one per time (memoized, at most
         MEMO_TIMES) for time-dependent ones.  An entry holds the
-        spatial-stage tables ("stage": a3's rows and the parts' U_0), the
+        spatial-stage tables ("stage": a3's rows and the tables' U_0), the
         k-polynomials ("poly": {name: {j: U_j}}) and, once asked for, the
-        generator's rows or spectral stack and the Hermitian correction c."""
+        generator's rows or spectral stack."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
             self._cache[key] = {"t": 0.0 if key is None else float(t),
@@ -615,10 +594,14 @@ class ConjugationAssembler:
         if name == "ia1_k":
             return {"ia1_k": conjugation_expansion(
                 stage("ia1"), ph, truncation_order(1.0, params.theta))}
-        # the report split of damp2 (m2) or damp1 (m1): full strength + window
-        # tail, both carried on the support of the sign selector (the
-        # identity damp = main + tail holds where |w| saturates, which is
-        # exactly the region the lower bounds are checked on)
+        if name == "c":
+            # i a2 holds Re a2 as its imaginary part, bit for bit
+            return {"c": _hermitian_half(stage("ia2").imag)}
+        # the certificate's split of damp2 (m2) or damp1 (m1): full strength
+        # + window tail, both carried on the support of the sign selector
+        # (the identity damp = main + tail holds where |w| saturates, which
+        # is the region the lower bounds are checked on, and the domain
+        # window is 1: main leaves that window out)
         which = name[:2]
         if (params.M2 if which == "m2" else params.M1) == 0.0:
             # strength 0: exact zero rows, with no window evaluated
@@ -757,10 +740,14 @@ class ConjugationAssembler:
 
     def part(self, name, t) -> SymbolTable:
         """The named table at time t: kprime is the time stage's row
-        -k'(t) <xi>_h^{1/theta}; every other table is its k-polynomial
+        -k'(t) <xi>_h^{1/theta}, and e the Hermitian half of the imaginary
+        parts of b2k + ia2_k at t; every other table is its k-polynomial
         U_0 + sum_{j >= 1} k(t)^j U_j, without U_0 for b2k and b1k."""
         if name == "kprime":
             return multiplier_table(self.grid, self._kprime_rows(t) + 0j)
+        if name == "e":
+            return _hermitian_half(self.part("b2k", t).imag
+                                   + self.part("ia2_k", t).imag)
         poly = self._poly(self._entry(t), name)
         k = float(k_of_t(t, self.params))
         terms = [(k ** j) * U.values for j, U in poly.items() if j]
@@ -769,11 +756,11 @@ class ConjugationAssembler:
         return poly[0] + sum(terms, 0.0) if terms else poly[0]
 
     def at(self, t: float) -> ConjugatedSymbols:
-        """Every named table at time t (part), and d1 = -i id1."""
-        entry = self._entry(t)
+        """Every named table of BLOCKS and MARGINS at time t (part), and
+        d1 = -i id1."""
         parts = {name: self.part(name, t)
-                 for block in (*BLOCKS.values(), REPORT_PARTS) for name in block}
+                 for names in (*BLOCKS.values(), *MARGINS.values())
+                 for name in names}
         parts["d1"] = parts["id1"] * -1j
-        return ConjugatedSymbols(grid=self.grid,
-                                 a3_row=self._stage(entry, "a3_row"),
-                                 parts=parts, _static=entry)
+        return ConjugatedSymbols(grid=self.grid, parts=parts,
+                                 a3_row=self._stage(self._entry(t), "a3_row"))

@@ -226,13 +226,10 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
 
 def default_dt(G, T):
     """Stability-limited step from the size of G, the table of the
-    lower-order generator at t = 0 (at(0.0).generator_table().values)."""
+    lower-order generator at t = 0 (at(0.0).generator_table().values);
+    solve_conjugated fits it to a whole number of steps."""
     gmax = float(np.max(np.abs(G)))
-    dt = min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
-    steps = int(np.ceil(T / dt))
-    if steps > MAX_STEPS:
-        raise ParameterError(f"time step {dt:.3e} needs {steps} steps")
-    return T / steps
+    return min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
 
 
 def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
@@ -269,6 +266,9 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     if abs(steps * dt - T) > 1e-12 * max(1.0, T):
         steps = int(np.ceil(T / dt))
         dt = T / steps
+    if steps > MAX_STEPS:
+        raise ParameterError(f"time step {dt:.3e} needs {steps} steps, more "
+                             f"than the {MAX_STEPS} a solve takes")
     stride = max(1, steps // STORED_FIELDS)
 
     times = np.linspace(0.0, steps * dt, steps + 1)

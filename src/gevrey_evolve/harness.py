@@ -26,10 +26,9 @@ import numpy as np
 
 from . import serialize
 from .conjugate import build_conjugator
-from .errors import (ConfigurationError, ConvergenceError, DataError,
-                     EvaluationError, GevreyEvolveError, InfeasibleError,
-                     InstabilityError, ParameterError, ShapeError)
-from .evolve import solve_original, synthetic_radius_field
+from .errors import (ConfigurationError, ConvergenceError, GevreyEvolveError,
+                     InfeasibleError, InstabilityError, ParameterError)
+from .evolve import MAX_STEPS, solve_original, synthetic_radius_field
 from .grid import make_grid
 from .positivity import garding_floors, select_parameters_detailed
 from .symbols import MODEL_PROBLEM_IDS, check_assumptions, model_problem
@@ -41,10 +40,6 @@ EXIT_INFEASIBLE = 3
 EXIT_INSTABILITY = 4
 
 _CATEGORY = {
-    ConfigurationError: ("config", EXIT_CONFIG),
-    DataError: ("config", EXIT_CONFIG),
-    ShapeError: ("config", EXIT_CONFIG),
-    EvaluationError: ("config", EXIT_CONFIG),
     InfeasibleError: ("infeasible-parameters", EXIT_INFEASIBLE),
     ParameterError: ("infeasible-parameters", EXIT_INFEASIBLE),
     ConvergenceError: ("infeasible-parameters", EXIT_INFEASIBLE),
@@ -132,11 +127,11 @@ def parse_config_text(text):
         if key not in _DEFAULTS:
             raise ConfigurationError(
                 f"line {ln}: unknown key {key!r} (known: {', '.join(sorted(_DEFAULTS))})")
-        values[key] = _coerce(key, val, ln)
+        values[key] = _coerce(key, val, f"line {ln}")
     return values
 
 
-def _coerce(key, val, ln=0):
+def _coerce(key, val, where):
     if key in _STR_KEYS:
         return val
     if key in _BOOL_KEYS:
@@ -144,13 +139,14 @@ def _coerce(key, val, ln=0):
             return True
         if val.lower() in ("false", "0", "no"):
             return False
-        raise ConfigurationError(f"line {ln}: {key} expects true/false, got {val!r}")
+        raise ConfigurationError(f"{where}: {key} expects true/false, got {val!r}")
     if key in _AUTO_KEYS and val == "auto":
         return "auto"
     try:
         return int(val) if key in _INT_KEYS else float(val)
     except ValueError:
-        raise ConfigurationError(f"line {ln}: cannot parse {key} value {val!r}")
+        raise ConfigurationError(
+            f"{where}: cannot parse {key} value {val!r}") from None
 
 
 @dataclass
@@ -159,8 +155,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls(parse_config_text(fh.read()))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read {path}: {exc.strerror or exc}") from None
+        return cls(parse_config_text(text))
 
     @classmethod
     def from_text(cls, text):
@@ -211,6 +212,11 @@ class RunConfig:
                 auto = "'auto' or " if key in _AUTO_KEYS else ""
                 raise ConfigurationError(
                     f"{key} must be {auto}finite and > 0, got {val}")
+        T, dt = v["problem.T"], v["run.dt"]
+        if dt != "auto" and T / dt > MAX_STEPS:
+            raise ConfigurationError(
+                f"run.dt = {dt!r} needs {np.ceil(T / dt):.0f} steps to reach "
+                f"problem.T = {T!r}, more than the {MAX_STEPS} allowed")
         # coefficient strengths may take either sign, but not inf or nan
         for key in ("problem.c2", "problem.c1", "problem.c0"):
             if not np.isfinite(v[key]):
@@ -420,9 +426,8 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
             f"unknown sweep axis {axis!r}; known: {', '.join(sorted(_SWEEP_AXES))}")
     key = _SWEEP_AXES[axis]
 
-    def one(value):
+    def one(val):
         t0 = time.perf_counter()
-        val = int(value) if key == "grid.N" else float(value)
         sub = cfg.with_overrides(**{key: val})
         row = {"axis": axis, "value": val}
         try:
@@ -441,8 +446,10 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         row["runtime_s"] = time.perf_counter() - t0
         return row
 
+    # every value is parsed before the first row runs
+    vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, values))
+        rows = list(pool.map(one, vals))
 
     cols = ["axis", "value", "status", "margin_order2", "margin_order1",
             "margin_theta", "terminal_l2", "terminal_hm", "radius_T",
@@ -596,8 +603,9 @@ def main(argv=None):
             _write_text(os.path.join(args.out, "oracle.txt"), lines)
         return EXIT_OK if passed else EXIT_ORACLE
     except OSError as exc:
-        print(f"error (config): cannot read {args.config}: {exc.strerror or exc}",
-              file=sys.stderr)
+        # from_file reports its own read: this is an artifact write
+        print(f"error (config): cannot write {exc.filename}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GevreyEvolveError as exc:
         cat, code = error_category(exc)

@@ -7,6 +7,9 @@ real parts of its three blocks are nonnegative after normalization:
     Re (a1t + c + e) / ( <xi>_h <x>^-sigma/2 )   order-1 block,
     Re atheta / <xi>_h^{1/theta}                 residual block.
 
+Each margin sums the real parts of the tables conjugate.MARGINS names for
+it, read through ConjugationAssembler.part.
+
 Selection works constant-first: measure what must be dominated, choose the
 weight strengths with a margin, then grow h until the h-suppressed
 remainder terms fit inside the margin and the time weight stays positive.
@@ -15,11 +18,13 @@ into the weight parameters.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .conjugate import (BLOCKS, ConjugationAssembler, _hermitian_half,
-                        build_conjugator, dxdxi_lambda2, lattice_windows)
+from .conjugate import (BLOCKS, MARGINS, ConjugationAssembler,
+                        _hermitian_half, build_conjugator, dxdxi_lambda2,
+                        lattice_windows)
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -30,6 +35,9 @@ ZERO_THRESHOLD = 1e-13
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
 GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
+# the parts of the 1/theta margin but kprime that C1 and C2 bound
+C1_PARTS = ("b1k",)
+C2_PARTS = ("ia1_k", "m2_tail", "m1_tail")
 
 
 @dataclass
@@ -68,7 +76,7 @@ class PositivityReport:
                f"(region nodes per time: {self.region_size}, tol={self.tolerance})"]
         if self.detail:
             out.append(f"  {self.detail}")
-        for name in ("order2", "order1", "theta"):
+        for name in MARGINS:
             rows = [r for r in self.rows if r.bound == name]
             if rows:
                 worst = min(rows, key=lambda r: r.margin)
@@ -114,28 +122,31 @@ def _margin_normalizers(grid, params):
     }
 
 
+def real_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
+    """The sum of the real parts of the named tables at time t, in the
+    order of names."""
+    return reduce(np.add, (assembler.part(name, float(t)).values.real
+                           for name in names))
+
+
 def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
                         tol: float = 1e-8) -> PositivityReport:
-    """Normalized minima of the three real-part blocks of the assembler's
-    symbols over the grid region |xi| > R_a3 h, at each sample time.
-    Failures are rows, not errors."""
+    """Normalized minima of the three margins of MARGINS over the grid
+    region |xi| > R_a3 h, at each sample time.  Failures are rows, not
+    errors."""
     params, grid = assembler.params, assembler.grid
     region = _checked_region(grid, params)
     report = PositivityReport(tolerance=tol,
                               region_size=int(np.count_nonzero(region)))
     if report.region_size == 0:
-        report.passed = False
         report.detail = (f"no grid frequencies beyond R_a3*h = "
                          f"{params.R_a3 * params.h:.3g}; xi_max = {grid.xi_max:.3g}")
         return report
     norms = _margin_normalizers(grid, params)
     ok = True
     for t in np.atleast_1d(t_samples):
-        cs = assembler.at(float(t))
-        tables = cs.margin_tables()
-        for name, tab in tables.items():
-            vals = tab.values.real / norms[name]
-            sub = vals[:, region]
+        for name, parts in MARGINS.items():
+            sub = (real_sum(assembler, parts, t) / norms[name])[:, region]
             j, kk = np.unravel_index(np.argmin(sub), sub.shape)
             margin = float(sub[j, kk])
             xi_region = grid.xi[region]
@@ -169,7 +180,8 @@ def _sup_normalized(values, normalizer, region=None):
 
 def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     """Fixed-point measurement of the constants C1, C2 in k' + C1 k + C2 = 0,
-    at the sample times of [0, T], from the four tables they bound (part).
+    at the sample times of [0, T], from the parts of the 1/theta margin
+    they bound (C1_PARTS, C2_PARTS).
 
     C1 bounds the negative part of the k-stage order-1/theta remainder
     relative to k(t); C2 bounds the k-independent negative contributions
@@ -187,9 +199,6 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     norm_t = _margin_normalizers(grid, params)["theta"]
     region = _checked_region(grid, params)
 
-    def real(name, t):
-        return assembler.part(name, float(t)).values.real
-
     C1, C2 = 0.0, 0.0
     for _ in range(FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
@@ -197,15 +206,15 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
         assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            rest = real("ia1_k", t) + real("m2_tail", t) + real("m1_tail", t)
+            rest = real_sum(assembler, C2_PARTS, t)
             C2_new = max(C2_new, _sup_normalized(np.maximum(0.0, -rest),
                                                  norm_t, region))
         # raises now if C2 alone kills k by T, before b1k is read
         k_of_t(p.T, params.with_ode_constants(0.0, C2_new))
         for t in ts:
-            neg_b1 = np.maximum(0.0, -real("b1k", t))
+            neg = np.maximum(0.0, -real_sum(assembler, C1_PARTS, t))
             kt = float(k_of_t(t, params))
-            C1_new = max(C1_new, _sup_normalized(neg_b1, norm_t, region) / kt)
+            C1_new = max(C1_new, _sup_normalized(neg, norm_t, region) / kt)
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -268,18 +277,14 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
         h_max = h_start
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
-    bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
     # the h-independent inputs of C_a2l2 and C_c, once per coefficient time:
     # a2 and the real part of its Hermitian correction c.  They only set M1,
     # so a pinned M1 measures neither
-    a2_by_time = {}
+    a2_by_time = []
     if M1_pin is None:
-        for t in ts:
-            key = float(t) if p.time_dependent else None
-            if key not in a2_by_time:
-                a2 = eval_table(p.a2, grid, float(t))
-                a2_by_time[key] = (a2.values,
-                                   _hermitian_half(a2.real).values.real)
+        for t in (ts if p.time_dependent else ts[:1]):
+            a2 = eval_table(p.a2, grid, float(t))
+            a2_by_time.append((a2.values, _hermitian_half(a2.real).values.real))
     history = details["history"]
     h = h_start
     while h <= h_max:
@@ -298,9 +303,9 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             if M1_pin is None:
                 # constants entering the order-1 inequality, measured with lam2
                 dxdxi_lam2 = dxdxi_lambda2(win, grid)
-                norm1 = bracket_h(grid.xi, h)[None, :] * bx ** (-p.sigma / 2.0)
+                norm1 = _margin_normalizers(grid, params)["order1"]
                 C_a2l2, C_c = 0.0, 0.0
-                for a2, c_real in a2_by_time.values():
+                for a2, c_real in a2_by_time:
                     cross = (a2 * dxdxi_lam2.values).real
                     C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
                     C_c = max(C_c, _sup_normalized(c_real, norm1))
@@ -317,8 +322,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))
             report = verify_lower_bounds(assembler, ts, tol)
-            trial["margins"] = {b: report.min_margin(b)
-                                for b in ("order2", "order1", "theta")}
+            trial["margins"] = {b: report.min_margin(b) for b in MARGINS}
             if report.passed:
                 bundle = build_conjugator(assembler, series_tol, inverse_tol)
                 trial.update(spectral_radius=bundle.spectral_radius,

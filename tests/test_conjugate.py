@@ -5,11 +5,12 @@ import pytest
 
 from gevrey_evolve import conjugate, weights
 from gevrey_evolve._stencil import exp_derivative_factors
-from gevrey_evolve.conjugate import (BLOCKS, ConjugationAssembler,
+from gevrey_evolve.conjugate import (BLOCKS, MARGINS, ConjugationAssembler,
                                      build_conjugator, truncation_order)
 from gevrey_evolve.errors import ConvergenceError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
+from gevrey_evolve.positivity import real_sum
 from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
                                     exp_table, multiplier_table, operator_norm,
                                     quantized, representable_error,
@@ -156,7 +157,7 @@ def test_stage_keeps_d1_and_a2_once(grid):
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
     assert np.array_equal(cs.parts["d1"].values, (stage["id1"] * -1j).values)
     c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real)
-    assert np.array_equal(cs.hermitian_corrections()["c"].values, c.values)
+    assert np.array_equal(cs.parts["c"].values, c.values)
     a1t = stage["ia1"] + stage["damp1"] + stage["id1"] + stage["a2cross"]
     want = asm._k_stage(a1t, 1.0)
     got = poly["b1k"]
@@ -308,14 +309,14 @@ def test_zero_lower_order_groups(grid):
 
 
 def test_order1_block_matches_its_report_form(grid):
-    # the order-1 block against margin_tables, which names its own terms:
+    # the order-1 block against its margin, which names its own terms:
     # Re(ia1 + a2cross) + m1_main + c + e.  Where the domain window is 1
     # (|x| <= L/2) the damping is m1_main + m1_tail, so a part dropped from
     # or added to the block shows here
-    cs = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid).at(0.3)
-    herm = cs.hermitian_corrections()
-    report = (cs.margin_tables()["order1"].values - herm["c"].real.values
-              - herm["e"].real.values + cs.parts["m1_tail"].values)
+    asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
+    cs = asm.at(0.3)
+    report = (real_sum(asm, MARGINS["order1"], 0.3) - cs.parts["c"].real.values
+              - cs.parts["e"].real.values + cs.parts["m1_tail"].values)
     inner = np.abs(grid.x) <= L / 2
     block = cs.block("order1").real.values
     assert np.max(cs.parts["m1_main"].values[inner]) > 1.0
@@ -336,12 +337,13 @@ def test_order1_block_holds_d1(small_setup):
 
 
 def test_order2_block_matches_its_report_form(grid):
-    # the order-2 block against margin_tables, which names its own terms:
+    # the order-2 block against its margin, which names its own terms:
     # Re(ia2 + b2k + ia2_k) + m2_main.  Where the domain window is 1
     # (|x| <= L/2) the damping is m2_main + m2_tail, so a part dropped from
     # or added to the block shows here
-    cs = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid).at(0.3)
-    report = cs.margin_tables()["order2"].values + cs.parts["m2_tail"].values
+    asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
+    cs = asm.at(0.3)
+    report = real_sum(asm, MARGINS["order2"], 0.3) + cs.parts["m2_tail"].values
     inner = np.abs(grid.x) <= L / 2
     block = cs.block("order2").real.values
     assert np.max(cs.parts["m2_main"].values[inner]) > 1.0
@@ -349,11 +351,12 @@ def test_order2_block_matches_its_report_form(grid):
 
 
 def test_theta_block_matches_its_report_form(grid):
-    # the 1/theta block against margin_tables, which names its own terms:
+    # the 1/theta block against its margin, which names its own terms:
     # Re(kprime + b1k + ia1_k) + m2_tail + m1_tail.  C1, C2 > 0 make kprime
     # nonzero, so a part dropped from or added to the block shows here
-    cs = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid).at(0.3)
-    report = (cs.margin_tables()["theta"].values - cs.parts["m2_tail"].values
+    asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
+    cs = asm.at(0.3)
+    report = (real_sum(asm, MARGINS["theta"], 0.3) - cs.parts["m2_tail"].values
               - cs.parts["m1_tail"].values)
     block = cs.block("theta").real.values
     for name in BLOCKS["theta"]:
@@ -404,11 +407,10 @@ def test_hermitian_correction_bound(small_setup):
     # |c| <= C <xi> <x>^-sigma on the grid
     cs = small_setup["assembler"].at(0.0)
     grid = small_setup["grid"]
-    herm = cs.hermitian_corrections()
     bx = np.sqrt(1 + grid.x ** 2)[:, None]
     bxi = np.sqrt(1 + grid.xi ** 2)[None, :]
     mask = grid.band_mask()
-    quot = np.abs(herm["c"].values) / (bxi * bx ** -0.75)
+    quot = np.abs(cs.parts["c"].values) / (bxi * bx ** -0.75)
     assert np.max(quot[:, mask]) < 1.0
 
 
@@ -524,7 +526,8 @@ def _eager_tables(prob, params, grid):
                  a2cross=a2 * dxdxi, m2_main=m2.real,
                  m2_tail=sampled_table(grid, -(m2.values * (1.0 - psi))),
                  m1_main=m1.real,
-                 m1_tail=sampled_table(grid, -(m1.values * (1.0 - psi))))
+                 m1_tail=sampled_table(grid, -(m1.values * (1.0 - psi))),
+                 c=conjugate._hermitian_half(ia2.imag))
 
     # the k stage
     bell = conjugate.partial_bell(4, conjugate.bracket_power_derivatives(

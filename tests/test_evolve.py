@@ -563,6 +563,19 @@ def test_solve_refuses_a_horizon_past_its_certificate(small_setup):
         assert traj.radius[-1] > 0.0
 
 
+def test_explicit_dt_past_the_step_cap_is_refused_before_stepping(
+        small_setup, monkeypatch):
+    # dt = 1e-6 on [0, 1] is 10^6 steps, past MAX_STEPS: the explicit step
+    # is refused as the automatic one is, before anything steps
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(evolve, "step", no_step)
+    v0_hat = np.zeros(small_setup["grid"].N, dtype=complex)
+    with pytest.raises(ParameterError, match=r"needs 1000000 steps.* 200000"):
+        solve_conjugated(small_setup["assembler"], None, v0_hat, 1.0, dt=1e-6)
+
+
 def test_time_modulated_problem_runs():
     # time-dependent coefficients take the per-stage rebuild path
     from gevrey_evolve.positivity import select_parameters_detailed

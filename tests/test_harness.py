@@ -312,6 +312,61 @@ def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_explicit_dt_past_the_step_cap_is_a_config_error(tmp_path, capsys):
+    # run.dt = 1e-6 on T = 1 is 10^6 steps, past evolve.MAX_STEPS: refused
+    # by validate with one line naming run.dt, the step count and the cap
+    text = "grid.L = 5\ngrid.N = 40\nrun.dt = 1e-6\n"
+    with pytest.raises(ConfigurationError,
+                       match=r"run\.dt = 1e-06 needs 1000000 steps.* 200000"):
+        RunConfig.from_text(text).validate()
+    cfg = tmp_path / "tiny_dt.cfg"
+    cfg.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): run.dt = ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_run_into_an_existing_file_names_the_write(tmp_path, capsys):
+    # output.dir is a file: the write fails and is reported as a write,
+    # naming the path, not as a failed read of the config
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + f"output.dir = {blocker}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error (config): cannot write {blocker}: File exists\n"
+
+
+def test_oracle_out_below_a_file_names_the_write(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(SMALL)
+    out = blocker / "sub"
+    assert main(["oracle", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.endswith(f"error (config): cannot write {out}: "
+                        "Not a directory\n")
+    assert "cannot read" not in err
+
+
+@pytest.mark.parametrize("axis, values, bad", [("h", "1,abc", "abc"),
+                                               ("N", "40.5", "40.5")])
+def test_sweep_values_that_do_not_parse_are_a_config_error(
+        tmp_path, capsys, axis, values, bad):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["sweep", str(cfg), "--axis", axis, "--values", values]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (config): sweep axis {axis}: cannot parse ")
+    assert err.rstrip().endswith(f" value {bad!r}")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_coefficient_strengths_may_be_negative():
     RunConfig.from_text(
         SMALL + "problem.c2 = -0.1\nproblem.c1 = -0.2\nproblem.c0 = -3\n").validate()

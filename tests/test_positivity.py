@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gevrey_evolve import conjugate, positivity
-from gevrey_evolve.conjugate import ConjugationAssembler
+from gevrey_evolve.conjugate import MARGINS, ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
-from gevrey_evolve.positivity import (calibrate_time_weight,
-                                      discrete_garding,
+from gevrey_evolve.positivity import (C1_PARTS, C2_PARTS,
+                                      calibrate_time_weight,
+                                      discrete_garding, real_sum,
                                       select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
@@ -62,10 +63,10 @@ def test_margin_monotone_in_m2(small_setup):
     margins = []
     for scale in (1.0, 1.25, 1.5):
         p = dataclasses.replace(base, M2=base.M2 * scale)
-        cs = ConjugationAssembler(prob, p, grid).at(0.0)
+        asm = ConjugationAssembler(prob, p, grid)
         region = np.abs(grid.xi) > p.R_a3 * p.h
         region[grid.nyquist] = False
-        re2 = cs.margin_tables()["order2"].values.real[:, region]
+        re2 = real_sum(asm, MARGINS["order2"], 0.0)[:, region]
         margins.append(re2)
     assert np.all(margins[1] >= margins[0] - 1e-10)
     assert np.all(margins[2] >= margins[1] - 1e-10)
@@ -335,6 +336,53 @@ def test_calibration_reads_parts_without_at(case, small_setup, modulated64,
     assert calls == []
     assert (params.C1, params.C2) == (C1, C2) and C1 > 0.0
     assert params == accepted
+
+
+def test_time_weight_constants_bound_the_theta_margin():
+    # C1 and C2 bound every part of the 1/theta margin but kprime, each once
+    assert sorted(("kprime", *C1_PARTS, *C2_PARTS)) == sorted(MARGINS["theta"])
+
+
+def _margins_by_hand(cs):
+    """The three margins summed by hand from at(t).parts, as before MARGINS
+    declared them, with c and e formed here from their inputs."""
+    p = cs.parts
+    c = conjugate._hermitian_half(p["ia2"].imag)
+    e = conjugate._hermitian_half(p["b2k"].imag + p["ia2_k"].imag)
+    re2 = p["ia2"].real + p["m2_main"] + p["b2k"].real + p["ia2_k"].real
+    re1 = (p["ia1"].real + p["m1_main"] + p["a2cross"].real + c.real
+           + e.real)
+    ret = (p["kprime"].real + p["b1k"].real + p["ia1_k"].real
+           + p["m2_tail"] + p["m1_tail"])
+    return {"order2": re2, "order1": re1, "theta": ret}
+
+
+@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+def test_margins_read_parts_without_at(case, small_setup, modulated64,
+                                       monkeypatch):
+    # each margin of MARGINS equals, bit for bit, its hand-written sum at
+    # the sample times, and verify_lower_bounds reads the tables through
+    # part() alone, with no at() call
+    if case == "damped-64":
+        prob, grid = small_setup["problem"], small_setup["grid"]
+        params = small_setup["params"]
+    else:
+        prob, grid, params = modulated64
+    ref = ConjugationAssembler(prob, params, grid)
+    asm = ConjugationAssembler(prob, params, grid)
+    for t in T_SAMPLES:
+        want = _margins_by_hand(ref.at(float(t)))
+        assert want.keys() == MARGINS.keys()
+        for name, table in want.items():
+            got = real_sum(asm, MARGINS[name], t)
+            assert np.array_equal(got, table.values.real), (name, t)
+    calls, at = [], ConjugationAssembler.at
+    monkeypatch.setattr(ConjugationAssembler, "at",
+                        lambda self, t: calls.append(t) or at(self, t))
+    report = verify_lower_bounds(ConjugationAssembler(prob, params, grid),
+                                 T_SAMPLES)
+    assert calls == []
+    assert report.passed and len(report.rows) == 3 * len(T_SAMPLES)
 
 
 def test_pinned_h_is_the_only_trial(small_setup):

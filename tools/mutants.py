@@ -42,6 +42,7 @@ T_KERNELS = "tests/test_kernels.py::"
 T_POS = "tests/test_positivity.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
+MARGINS_CASE = T_POS + "test_margins_read_parts_without_at"
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,14 @@ MUTANTS = [
            '"order2": ("ia2", "damp2", "b2k", "ia2_k")',
            '"order2": ("ia2", "b2k", "ia2_k")',
            (T_CONJ + "test_order2_block_matches_its_report_form",)),
+    Mutant("margins-order1-without-e", CONJ,
+           '"order1": ("ia1", "m1_main", "a2cross", "c", "e")',
+           '"order1": ("ia1", "m1_main", "a2cross", "c")',
+           (MARGINS_CASE + "[damped-64]",)),
+    Mutant("margins-theta-without-m2-tail", CONJ,
+           '"theta": ("kprime", "b1k", "ia1_k", "m2_tail", "m1_tail")',
+           '"theta": ("kprime", "b1k", "ia1_k", "m1_tail")',
+           (MARGINS_CASE + "[damped-64]",)),
     Mutant("k-stage-part-left-out-of-Gj", CONJ,
            'if n != "kprime"):',
            'if n not in ("kprime", "b2k")):',
