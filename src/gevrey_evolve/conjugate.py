@@ -32,12 +32,12 @@ G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
 summing the parts' U_j.  MARGINS declares the positivity certificate's
 three lower bounds by their tables.  ``part(name, t)`` evaluates one
 table, formed on first read, for the certificate, calibration and
-``at(t)``, the oracles' view of every named table; the phase tables too
-are formed on first read.  The assembler keeps
-the spectral stack [E_syn * G_0, E_syn * G_1, ...] once per coefficient
-time, so the time stepper applies a stage with one GEMV over the stack and
-one FFT, weighted by the powers of k(t), plus the k' row, and forms no
-N x N array per stage time.
+``at(t)``, the view of the generator's parts; the phase tables too are
+formed on first read.  The assembler keeps the spectral stack
+[E_syn * G_0, E_syn * G_1, ...] once per coefficient time, so the time
+stepper applies a stage with one GEMV over the stack and one FFT, weighted
+by the powers of k(t), plus the k' row, and forms no N x N array per stage
+time.
 """
 
 import math
@@ -132,8 +132,7 @@ class PhaseTables:
         self.grid, self.params = grid, params
         self._win = win
         # the orders of P_b, Q_a the order-2 coefficient's expansion reads
-        self._top = min(truncation_order(2.0, params.theta),
-                        FACTOR_ORDER + 1) - 1
+        self._top = truncation_order(2.0, params.theta) - 1
         # the tables that read the windows and are not formed yet; d_x^o of
         # lam2 and lam1 for o <= 3 feed Q_o
         self._unread = {"lam", "dxdxi_lam2", "psi_window", "abs_w",
@@ -286,7 +285,6 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     grow (_while_shrinking), capped by the requested n_trunc; the factors
     P_b, Q_a are read up to order n_trunc - 1.
     """
-    n_trunc = min(n_trunc, FACTOR_ORDER + 1)
     g = q.grid
     P, Q = phase.exp_factors(n_trunc - 1)
     dx_q = dx_operators(q)
@@ -311,12 +309,13 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     return sum(_while_shrinking(orders()), SymbolTable(g, np.zeros((1, g.N))))
 
 
-def truncation_order(m, theta, cap=8):
-    """Smallest N with m - (1 - 1/theta) N <= 0, capped for stability."""
+def truncation_order(m, theta):
+    """Smallest N with m - (1 - 1/theta) N <= 0, capped at FACTOR_ORDER + 1,
+    the most orders the factors P_b, Q_a serve."""
     step = 1.0 - 1.0 / theta
     if step <= 0:
         raise ParameterError("theta must exceed 1")
-    return max(1, min(cap, math.ceil(m / step)))
+    return max(1, min(FACTOR_ORDER + 1, math.ceil(m / step)))
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +458,8 @@ MARGINS = {"order2": ("ia2", "m2_main", "b2k", "ia2_k"),
 
 @dataclass
 class ConjugatedSymbols:
-    """Every named table of BLOCKS and MARGINS at one time, and
-    d1 = -i id1: the view the oracles and tests read."""
+    """The generator's parts (BLOCKS) at one time, and d1 = -i id1: the
+    view the Garding floors, the automatic dt and the oracles read."""
 
     grid: Grid
     a3_row: np.ndarray
@@ -499,15 +498,16 @@ class ConjugationAssembler:
     does not change with t.
 
     Each named table is built when something first reads it, from its own
-    recipe, and kept per coefficient time, so a reader of a few parts (the
-    time-weight calibration) forms only those and what they read.  For
-    problems whose lower-order coefficients are time-independent the
-    per-time work is a few table AXPYs in powers of k(t); time-modulated
-    problems rebuild the coefficient-dependent tables per coefficient time
-    (memoized for MEMO_TIMES times).  ``part(name, t)`` evaluates one named
-    table, U_0 + sum_j k(t)^j U_j; ``at(t)`` gives every named table;
-    ``at(t).block(name)`` sums one block and ``at(t).generator_table()``
-    all three.  ``stage_operators(taus)`` is the same generator as the time
+    recipe, and kept once per coefficient time as its k-polynomial, so a
+    reader of a few parts (the time-weight calibration) forms only those
+    and what they read.  For problems whose lower-order coefficients are
+    time-independent the per-time work is a few table AXPYs in powers of
+    k(t); time-modulated problems rebuild the coefficient-dependent tables
+    per coefficient time (memoized for MEMO_TIMES times).
+    ``part(name, t)`` evaluates one named table, U_0 + sum_j k(t)^j U_j;
+    ``at(t)`` gives the parts of BLOCKS; ``at(t).block(name)`` sums one
+    block and ``at(t).generator_table()`` all three.
+    ``stage_operators(taus)`` is the same generator as the time
     stepper applies it at each time of taus, the polynomial
     G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
     rows, or the Stacked sum over the spectral stack of G_0 and the G_j,
@@ -531,40 +531,28 @@ class ConjugationAssembler:
     def _entry(self, t):
         """The tables formed so far at the coefficient time of t: one entry
         for time-independent coefficients, one per time (memoized, at most
-        MEMO_TIMES) for time-dependent ones.  An entry holds the
-        spatial-stage tables ("stage": a3's rows and the tables' U_0), the
-        k-polynomials ("poly": {name: {j: U_j}}) and, once asked for, the
-        generator's rows or spectral stack."""
+        MEMO_TIMES) for time-dependent ones.  An entry holds a3's rows, the
+        k-polynomials ("poly": {name: {j: U_j}}), each formed on first read,
+        and, once asked for, the generator's rows or spectral stack."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         if key not in self._cache:
-            self._cache[key] = {"t": 0.0 if key is None else float(t),
-                                "stage": {}, "poly": {}}
+            t0, xi = (0.0 if key is None else float(t)), self.grid.xi
+            a3 = self.problem.a3
+            self._cache[key] = {
+                "t": t0, "poly": {},
+                "a3_row": np.asarray(a3(t0, 0.0, xi), dtype=float),
+                "da3_row": np.asarray(a3.dxi(t0, 0.0, xi), dtype=float)}
             if len(self._cache) > MEMO_TIMES:
                 self._cache.pop(next(iter(self._cache)))
         return self._cache[key]
 
-    def _stage(self, e, name):
-        """The spatial-stage table ``name`` of entry e, formed on first read
-        together with the others of its recipe (_spatial_recipe)."""
-        if name not in e["stage"]:
-            e["stage"].update(self._spatial_recipe(e, name))
-            # the expansions are the factors' only readers, and coefficients
-            # that do not depend on time have one of each
-            if (not self.problem.time_dependent
-                    and {"ia2_k", "ia1_k"} <= e["stage"].keys()):
-                self.phase.release_factors()
-        return e["stage"][name]
-
     def _spatial_recipe(self, e, name):
-        """The tables of the spatial-stage conjugation at the coefficient
-        time of entry e that are formed together with ``name``: a3's rows,
-        or the U_0 of one or two named tables."""
+        """The U_0 of the tables of the spatial-stage conjugation at the
+        coefficient time of entry e that are formed together with
+        ``name``: one or two named tables."""
         p, params, g, ph = self.problem, self.params, self.grid, self.phase
         t = e["t"]
-        stage = lambda n: self._stage(e, n)
-        if name in ("a3_row", "da3_row"):
-            return {"a3_row": np.asarray(p.a3(t, 0.0, g.xi), dtype=float),
-                    "da3_row": np.asarray(p.a3.dxi(t, 0.0, g.xi), dtype=float)}
+        stage = lambda n: self._poly(e, n)[0]
         if name in ("ia2", "a2cross"):
             a2 = eval_table(p.a2, g, t)
             return {"ia2": a2 * 1j, "a2cross": a2 * ph.dxdxi_lam2}
@@ -572,14 +560,13 @@ class ConjugationAssembler:
             return {"ia1": eval_table(p.a1, g, t) * 1j}
         if name in ("damp2", "damp1"):
             lam_x = ph.lam2_x if name == "damp2" else ph.lam1_x
-            return {name: multiplier_table(g, stage("da3_row")) * lam_x * -1.0}
+            return {name: multiplier_table(g, e["da3_row"]) * lam_x * -1.0}
         if name == "id1":
             # real order-1 symbol produced by the spatial stage (depends only
             # on lam2): (1/2) d_xi^2 { a3 (lam2_xx - lam2_x^2) }
             #        - d_xi a3 * d_xi lam2_xx + d_xi(a3 lam2_x) * d_xi lam2_x
             #        - (1/2) a3 { d_xi^2 (lam2_xx + lam2_x^2) + 2 (d_xi lam2_x)^2 }
-            a3, da3 = (multiplier_table(g, stage(r))
-                       for r in ("a3_row", "da3_row"))
+            a3, da3 = (multiplier_table(g, e[r]) for r in ("a3_row", "da3_row"))
             l2x, l2xx = ph.lam2_x, ph.lam2_xx
             termA = xi_derivative(a3 * (l2xx - l2x * l2x), 2) * 0.5
             termB = da3 * xi_derivative(l2xx, 1) * -1.0
@@ -608,7 +595,7 @@ class ConjugationAssembler:
             main = SymbolTable(g, np.zeros((1, g.N)))
             tail = -main.values
         else:
-            absda3_w = np.abs(stage("da3_row")) * ph.abs_w
+            absda3_w = np.abs(e["da3_row"]) * ph.abs_w
             bx = np.sqrt(1.0 + np.square(g.x))[:, None]
             if which == "m2":
                 main = sampled_table(g, absda3_w[None, :] * params.M2
@@ -643,7 +630,7 @@ class ConjugationAssembler:
                 yield adds, float(np.max(np.abs(gauge)))
 
         U = {}
-        nk = truncation_order(order, params.theta, cap=5)
+        nk = truncation_order(order, params.theta)
         for adds in _while_shrinking(orders(nk)):
             for j, add in adds.items():
                 U[j] = U.get(j, 0.0) + add
@@ -652,23 +639,31 @@ class ConjugationAssembler:
     def _poly(self, e, name):
         """The k-polynomial {j: U_j} of a named table (not kprime) at the
         coefficient time of entry e, built on first read from its own
-        recipe: U_0 its spatial-stage table (b2k and b1k have none), and for
-        the parts the time multiplier conjugates, the k-stage tables U_j,
-        j >= 1, of their spatial-stage tables' sum."""
-        if name not in e["poly"]:
-            stage = lambda n: self._stage(e, n)
+        recipe: U_0 from the spatial stage (b2k and b1k have none), stored
+        with the others of its recipe (_spatial_recipe), and for the parts
+        the time multiplier conjugates, the k-stage tables U_j, j >= 1, of
+        their U_0s' sum."""
+        store = e["poly"]
+        if name not in store:
             sigma = self.params.sigma
             conjugated = {"b2k": (("ia2", "damp2"), 2.0),
                           "b1k": (("ia1", "damp1", "id1", "a2cross"), 1.0),
                           "ia2_k": (("ia2_k",), 2.0 - (2.0 * sigma - 1.0)),
                           "ia1_k": (("ia1_k",), 2.0 * (1.0 - sigma))}
-            U = {} if name in ("b2k", "b1k") else {0: stage(name)}
+            if name not in ("b2k", "b1k"):
+                for n, U0 in self._spatial_recipe(e, name).items():
+                    store.setdefault(n, {0: U0})
             if name in conjugated:
                 names, order = conjugated[name]
-                U.update(self._k_stage(
-                    reduce(SymbolTable.__add__, map(stage, names)), order))
-            e["poly"][name] = U
-        return e["poly"][name]
+                base = reduce(SymbolTable.__add__,
+                              (self._poly(e, n)[0] for n in names))
+                store.setdefault(name, {}).update(self._k_stage(base, order))
+            # the expansions are the factors' only readers, and coefficients
+            # that do not depend on time have one of each
+            if (not self.problem.time_dependent
+                    and {"ia2_k", "ia1_k"} <= store.keys()):
+                self.phase.release_factors()
+        return store[name]
 
     # -- public assembly ----------------------------------------------
 
@@ -756,11 +751,10 @@ class ConjugationAssembler:
         return poly[0] + sum(terms, 0.0) if terms else poly[0]
 
     def at(self, t: float) -> ConjugatedSymbols:
-        """Every named table of BLOCKS and MARGINS at time t (part), and
+        """The generator's parts (BLOCKS) at time t (part), and
         d1 = -i id1."""
         parts = {name: self.part(name, t)
-                 for names in (*BLOCKS.values(), *MARGINS.values())
-                 for name in names}
+                 for names in BLOCKS.values() for name in names}
         parts["d1"] = parts["id1"] * -1j
         return ConjugatedSymbols(grid=self.grid, parts=parts,
-                                 a3_row=self._stage(self._entry(t), "a3_row"))
+                                 a3_row=self._entry(t)["a3_row"])

@@ -16,6 +16,7 @@ Exit categories: 0 ok, 2 config, 3 infeasible-parameters, 4 instability,
 """
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -302,13 +303,28 @@ def build_data(cfg: RunConfig, grid):
     return g, f, rho
 
 
-def setup_pipeline(cfg: RunConfig):
-    """The setup that run and verify share: validate the config, check the
+def require_output_dir(path):
+    """Raise, before any work, the OSError that os.makedirs(path,
+    exist_ok=True) raises when path is not a directory, or its nearest
+    existing ancestor is not one.  Creates nothing."""
+    child = None
+    while not os.path.lexists(path):
+        path, child = os.path.dirname(path) or os.curdir, path
+    if not os.path.isdir(path):
+        code = errno.EEXIST if child is None else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), child or path)
+
+
+def setup_pipeline(cfg: RunConfig, out_dir=None):
+    """The setup that run and verify share: validate the config, refuse an
+    output directory out_dir (if given) that cannot be written, check the
     structural hypotheses (any failed row is a ConfigurationError), resolve
     the weights and publish the positivity certificate of the trial that
     selection accepted.  Returns the artifacts dict; its bundle holds the
     grid, the problem and the calibrated params."""
     cfg.validate()
+    if out_dir:
+        require_output_dir(out_dir)
     v = cfg.values
     grid = make_grid(v["grid.L"], v["grid.N"])
     problem = build_problem(cfg)
@@ -325,7 +341,8 @@ def setup_pipeline(cfg: RunConfig):
 
 def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     """Full run; returns (trajectory, artifacts dict)."""
-    artifacts = setup_pipeline(cfg)
+    out = (out_dir or cfg["output.dir"]) if write else None
+    artifacts = setup_pipeline(cfg, out)
     v = cfg.values
     bundle = artifacts["bundle"]
     g, f, rho = build_data(cfg, bundle.grid)
@@ -335,7 +352,6 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})
     if write:
-        out = out_dir or v["output.dir"]
         _write_setup(out, artifacts, traj)
         _write_text(os.path.join(out, "trajectory.csv"),
                     serialize.trajectory_csv_lines(traj))
@@ -389,9 +405,10 @@ def _write_setup(out, art, traj):
 # ----------------------------------------------------------------------
 
 def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
-    art = setup_pipeline(cfg)
+    out = (out_dir or cfg["output.dir"]) if write else None
+    art = setup_pipeline(cfg, out)
     if write:
-        _write_setup(out_dir or cfg["output.dir"], art, None)
+        _write_setup(out, art, None)
     return art["assumptions"], art["positivity"], art["params"]
 
 
@@ -446,8 +463,12 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         row["runtime_s"] = time.perf_counter() - t0
         return row
 
-    # every value is parsed before the first row runs
+    # every value is parsed, and the output directory checked, before the
+    # first row runs
     vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
+    out = out_dir or cfg["output.dir"]
+    if write:
+        require_output_dir(out)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, vals))
 
@@ -464,18 +485,21 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
             cells.append(str(val))
         lines.append(",".join(cells))
     if write:
-        out = out_dir or cfg["output.dir"]
         os.makedirs(out, exist_ok=True)
         _write_text(os.path.join(out, "sweep.csv"), lines)
     return rows, lines
 
 
-def oracle_suite(cfg: RunConfig, n_max=64):
-    """Dense-oracle consistency checks at small N; returns (passed, lines)."""
+def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
+    """Dense-oracle consistency checks at small N; returns (passed, lines).
+    An output directory out_dir, if given, that cannot be written is
+    refused before the checks run."""
     from .quantize import (adjoint, apply, band_relative_error,
                            compose_expansion, representable_error,
                            table_from_function, to_dense)
     cfg.validate()
+    if out_dir:
+        require_output_dir(out_dir)
     v = cfg.values
     N = min(int(v["grid.N"]), n_max)
     grid = make_grid(min(v["grid.L"], 10.0), N)
@@ -595,7 +619,7 @@ def main(argv=None):
             rows, lines = sweep_pipeline(cfg, args.axis, values, out_dir=args.out)
             print(f"{len(rows)} rows")
             return EXIT_OK
-        passed, lines = oracle_suite(cfg)
+        passed, lines = oracle_suite(cfg, out_dir=args.out)
         for line in lines:
             print(line)
         if args.out:

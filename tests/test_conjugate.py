@@ -144,11 +144,11 @@ def test_time_multiplier_exactness(grid):
 
 
 def test_stage_keeps_d1_and_a2_once(grid):
-    # a coefficient time's stage tables hold i d1 and i a2 once; d1 and
-    # Re a2 are formed where they are read, bit for bit: d1 = -i (i d1) in
-    # the parts, the order-1 group ia1 + damp1 + i d1 + a2cross in its
-    # k-stage correction b1k, and Re a2 (the imaginary part of i a2) in the
-    # Hermitian correction c
+    # a coefficient time's store holds i d1 and i a2 once, as the U_0 of
+    # their k-polynomials; d1 and Re a2 are formed where they are read, bit
+    # for bit: d1 = -i (i d1) in the parts, the order-1 group ia1 + damp1 +
+    # i d1 + a2cross in its k-stage correction b1k, and Re a2 (the
+    # imaginary part of i a2) in the Hermitian correction c
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     cs = asm.at(0.0)
     poly = asm._entry(0.0)["poly"]
@@ -157,7 +157,7 @@ def test_stage_keeps_d1_and_a2_once(grid):
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
     assert np.array_equal(cs.parts["d1"].values, (stage["id1"] * -1j).values)
     c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real)
-    assert np.array_equal(cs.parts["c"].values, c.values)
+    assert np.array_equal(asm.part("c", 0.0).values, c.values)
     a1t = stage["ia1"] + stage["damp1"] + stage["id1"] + stage["a2cross"]
     want = asm._k_stage(a1t, 1.0)
     got = poly["b1k"]
@@ -315,11 +315,12 @@ def test_order1_block_matches_its_report_form(grid):
     # or added to the block shows here
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     cs = asm.at(0.3)
-    report = (real_sum(asm, MARGINS["order1"], 0.3) - cs.parts["c"].real.values
-              - cs.parts["e"].real.values + cs.parts["m1_tail"].values)
+    part = lambda name: asm.part(name, 0.3)
+    report = (real_sum(asm, MARGINS["order1"], 0.3) - part("c").real.values
+              - part("e").real.values + part("m1_tail").values)
     inner = np.abs(grid.x) <= L / 2
     block = cs.block("order1").real.values
-    assert np.max(cs.parts["m1_main"].values[inner]) > 1.0
+    assert np.max(part("m1_main").values[inner]) > 1.0
     assert np.max(np.abs((block - report)[inner])) < 1e-12
 
 
@@ -343,10 +344,11 @@ def test_order2_block_matches_its_report_form(grid):
     # or added to the block shows here
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     cs = asm.at(0.3)
-    report = real_sum(asm, MARGINS["order2"], 0.3) + cs.parts["m2_tail"].values
+    report = (real_sum(asm, MARGINS["order2"], 0.3)
+              + asm.part("m2_tail", 0.3).values)
     inner = np.abs(grid.x) <= L / 2
     block = cs.block("order2").real.values
-    assert np.max(cs.parts["m2_main"].values[inner]) > 1.0
+    assert np.max(asm.part("m2_main", 0.3).values[inner]) > 1.0
     assert np.max(np.abs((block - report)[inner])) < 1e-12
 
 
@@ -356,8 +358,9 @@ def test_theta_block_matches_its_report_form(grid):
     # nonzero, so a part dropped from or added to the block shows here
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     cs = asm.at(0.3)
-    report = (real_sum(asm, MARGINS["theta"], 0.3) - cs.parts["m2_tail"].values
-              - cs.parts["m1_tail"].values)
+    report = (real_sum(asm, MARGINS["theta"], 0.3)
+              - asm.part("m2_tail", 0.3).values
+              - asm.part("m1_tail", 0.3).values)
     block = cs.block("theta").real.values
     for name in BLOCKS["theta"]:
         assert np.max(np.abs(cs.parts[name].real.values)) > 1e-3, name
@@ -405,12 +408,12 @@ def test_full_assembly_oracle(small_setup):
 
 def test_hermitian_correction_bound(small_setup):
     # |c| <= C <xi> <x>^-sigma on the grid
-    cs = small_setup["assembler"].at(0.0)
+    c = small_setup["assembler"].part("c", 0.0)
     grid = small_setup["grid"]
     bx = np.sqrt(1 + grid.x ** 2)[:, None]
     bxi = np.sqrt(1 + grid.xi ** 2)[None, :]
     mask = grid.band_mask()
-    quot = np.abs(cs.parts["c"].values) / (bxi * bx ** -0.75)
+    quot = np.abs(c.values) / (bxi * bx ** -0.75)
     assert np.max(quot[:, mask]) < 1.0
 
 
@@ -425,7 +428,8 @@ def test_while_shrinking_stops_at_the_first_growing_term():
 def test_truncation_order_rule():
     assert truncation_order(2.0, 1.8) == 5
     assert truncation_order(1.0, 1.8) == 3
-    assert truncation_order(2.0, 1.2, cap=8) == 8
+    # capped at the most orders the factors serve
+    assert truncation_order(2.0, 1.2) == conjugate.FACTOR_ORDER + 1 == 5
 
 
 def test_assembler_time_caching(grid):
@@ -453,6 +457,16 @@ def test_time_dependent_parts_kept_per_coefficient_time():
     assert np.array_equal(late, fresh.part("ia2", 0.5).values)
 
 
+def test_at_forms_the_generator_parts_only(grid):
+    # at(t) is the generator's view: the parts of BLOCKS and d1, and none
+    # of the certificate's own tables is formed for it
+    asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
+    parts = asm.at(0.0).parts
+    assert set(parts) == {n for names in BLOCKS.values() for n in names} | {"d1"}
+    store = asm._entry(0.0)["poly"]
+    assert not {"c", "m2_main", "m1_main", "m2_tail", "m1_tail"} & set(store)
+
+
 def test_zero_strength_damping_split_reads_no_window(grid, monkeypatch):
     # at M2 = M1 = 0 the report split of the damping is exact zero rows,
     # formed without psi on the lattice or the sign selector: selecting the
@@ -467,11 +481,14 @@ def test_zero_strength_damping_split_reads_no_window(grid, monkeypatch):
     monkeypatch.setattr(weights, "smooth_step", counting)
     params, details = select_parameters_detailed(KDV, 1.8, grid)
     assert (params.M2, params.M1) == (0.0, 0.0)
-    cs = details["bundle"].assembler.at(0.0)
+    asm = details["bundle"].assembler
+    asm.at(0.0)
+    split = {name: asm.part(name, 0.0)
+             for name in ("m2_main", "m2_tail", "m1_main", "m1_tail")}
     assert calls == []
-    for name in ("m2_main", "m2_tail", "m1_main", "m1_tail"):
-        assert cs.parts[name].values.shape == (1, N)
-        assert not np.any(cs.parts[name].values), name
+    for name, table in split.items():
+        assert table.values.shape == (1, N)
+        assert not np.any(table.values), name
 
 
 def _eager_tables(prob, params, grid):
@@ -551,7 +568,7 @@ def _eager_tables(prob, params, grid):
                     gauge = gauge + (params.k0 ** j) * adds[j]
                 yield adds, float(np.max(np.abs(gauge)))
         U = {}
-        nk = truncation_order(order, params.theta, cap=5)
+        nk = truncation_order(order, params.theta)
         for adds in conjugate._while_shrinking(orders(nk)):
             for j, add in adds.items():
                 U[j] = U.get(j, 0.0) + add

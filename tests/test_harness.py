@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gevrey_evolve import harness
 from gevrey_evolve.conjugate import build_conjugator
 from gevrey_evolve.errors import ConfigurationError
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    EXIT_INSTABILITY, EXIT_OK, RunConfig,
                                    error_category, main, oracle_suite,
-                                   run_pipeline, sweep_pipeline)
+                                   require_output_dir, run_pipeline,
+                                   sweep_pipeline)
 
 SMALL = "grid.L = 10\ngrid.N = 64\n"
 
@@ -350,6 +352,54 @@ def test_oracle_out_below_a_file_names_the_write(tmp_path, capsys):
     assert err.endswith(f"error (config): cannot write {out}: "
                         "Not a directory\n")
     assert "cannot read" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep", "oracle"])
+def test_unwritable_output_is_refused_before_selection(tmp_path, capsys,
+                                                       monkeypatch, command):
+    # each command checks the path it will write right after the config:
+    # an output.dir that is a file, or an --out below one, ends the command
+    # with the late write's message, and selection never runs
+    def selection(*args, **kwargs):
+        raise AssertionError("selection ran before the output check")
+
+    monkeypatch.setattr(harness, "resolve_weights", selection)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = tmp_path / "c.cfg"
+    if command in ("run", "verify"):
+        cfg.write_text(SMALL + f"output.dir = {blocker}\n")
+        argv, want = [command, str(cfg)], f"{blocker}: File exists"
+    else:
+        cfg.write_text(SMALL)
+        out = blocker / "sub"
+        argv = [command, str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "h", "--values", "4"]
+        want = f"{out}: Not a directory"
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error (config): cannot write {want}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "c.cfg"]
+
+
+def test_output_check_raises_what_makedirs_raises(tmp_path):
+    # the early check names the path and the error the late os.makedirs
+    # would, and creates nothing
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for path in (blocker, blocker / "a", blocker / "a" / "b"):
+        with pytest.raises(OSError) as late:
+            os.makedirs(str(path), exist_ok=True)
+        with pytest.raises(OSError) as early:
+            require_output_dir(str(path))
+        assert type(early.value) is type(late.value)
+        assert early.value.errno == late.value.errno
+        assert early.value.filename == late.value.filename
+    require_output_dir(str(tmp_path))
+    require_output_dir(str(tmp_path / "a" / "b"))
+    assert sorted(os.listdir(tmp_path)) == ["blocker"]
 
 
 @pytest.mark.parametrize("axis, values, bad", [("h", "1,abc", "abc"),

@@ -109,8 +109,9 @@ def test_infeasible_reports_failing_inequality():
 def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
     # damped-64 rejects h = 1 by the time weight: C2 alone drives k(T) to
     # zero, so that trial forms the ia1 expansion (n = 3) with the two tails
-    # and the factors P_1, P_2, Q_1, Q_2, and no order-2 expansion, no
-    # P_3, P_4, Q_3, Q_4 and no b1k or its spatial-stage inputs
+    # (and their recipes' ia1, m2_main, m1_main) and the factors P_1, P_2,
+    # Q_1, Q_2, and no order-2 expansion, no P_3, P_4, Q_3, Q_4 and no b1k
+    # or its spatial-stage inputs
     trials, expansions = [], []
     calibrate = positivity.calibrate_time_weight
     expand = conjugate.conjugation_expansion
@@ -136,8 +137,9 @@ def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
     rejected = trials[0]
     assert len(rejected.phase._P) == len(rejected.phase._Q) == 2
     entry = rejected._entry(0.0)
-    assert set(entry["poly"]) == {"ia1_k", "m2_tail", "m1_tail"}
-    assert not {"b1k", "id1", "damp1", "a2cross", "ia2_k"} & set(entry["stage"])
+    assert set(entry["poly"]) == {"ia1", "ia1_k", "m2_main", "m2_tail",
+                                  "m1_main", "m1_tail"}
+    assert not {"b1k", "id1", "damp1", "a2cross", "ia2_k"} & set(entry["poly"])
     # a trial that passes the early check builds b1k; both expansions
     # released the factors
     assert "b1k" in trials[1]._entry(0.0)["poly"]
@@ -251,8 +253,9 @@ def test_calibrated_k_stays_positive(small_setup):
 
 def _check_calibration_installs(prob, grid, accepted):
     """Calibrating a fresh assembler at the accepted M2, M1, h returns the
-    accepted params and leaves the assembler holding them: its symbols
-    are, bit for bit, those of a fresh assembler built with them."""
+    accepted params and leaves the assembler holding them: its symbols and
+    the certificate's tables are, bit for bit, those of a fresh assembler
+    built with them."""
     asm = ConjugationAssembler(prob, accepted.with_ode_constants(0.0, 0.0),
                                grid)
     params = calibrate_time_weight(asm)
@@ -264,6 +267,10 @@ def _check_calibration_installs(prob, grid, accepted):
     assert got.parts.keys() == want.parts.keys()
     for name, tab in want.parts.items():
         assert np.array_equal(got.parts[name].values, tab.values), name
+    fresh = ConjugationAssembler(prob, params, grid)
+    for name in (n for names in MARGINS.values() for n in names):
+        assert np.array_equal(asm.part(name, 0.5).values,
+                              fresh.part(name, 0.5).values), name
 
 
 def test_calibration_installs_constants_on_its_assembler(small_setup):
@@ -282,8 +289,9 @@ def test_calibration_installs_its_last_round():
 
 
 def _calibrated_by_at(assembler):
-    """C1 and C2 measured from at(t).parts, the reference for calibration's
-    reads of the same four tables through part()."""
+    """C1 and C2 measured from at(t).parts, and the two tails, which at(t)
+    does not hold, from part(): the reference for calibration's reads of
+    the same four tables through real_sum."""
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     norm_t = positivity._margin_normalizers(grid, params)["theta"]
     region = positivity._checked_region(grid, params)
@@ -296,11 +304,11 @@ def _calibrated_by_at(assembler):
         C1_new, C2_new = 0.0, 0.0
         for t in np.linspace(0.0, p.T, 5):
             parts = assembler.at(float(t)).parts
+            tail = lambda name: assembler.part(name, float(t)).values.real
             kt = float(k_of_t(t, params))
             C1_new = max(C1_new, sup(parts["b1k"].values.real) / kt)
             C2_new = max(C2_new, sup(parts["ia1_k"].values.real
-                                     + parts["m2_tail"].values.real
-                                     + parts["m1_tail"].values.real))
+                                     + tail("m2_tail") + tail("m1_tail")))
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -343,10 +351,12 @@ def test_time_weight_constants_bound_the_theta_margin():
     assert sorted(("kprime", *C1_PARTS, *C2_PARTS)) == sorted(MARGINS["theta"])
 
 
-def _margins_by_hand(cs):
-    """The three margins summed by hand from at(t).parts, as before MARGINS
-    declared them, with c and e formed here from their inputs."""
-    p = cs.parts
+def _margins_by_hand(asm, t):
+    """The three margins summed by hand from at(t).parts and the damping
+    split, which at(t) does not hold, read through part(), as before
+    MARGINS declared them, with c and e formed here from their inputs."""
+    split = ("m2_main", "m2_tail", "m1_main", "m1_tail")
+    p = dict(asm.at(t).parts, **{name: asm.part(name, t) for name in split})
     c = conjugate._hermitian_half(p["ia2"].imag)
     e = conjugate._hermitian_half(p["b2k"].imag + p["ia2_k"].imag)
     re2 = p["ia2"].real + p["m2_main"] + p["b2k"].real + p["ia2_k"].real
@@ -371,7 +381,7 @@ def test_margins_read_parts_without_at(case, small_setup, modulated64,
     ref = ConjugationAssembler(prob, params, grid)
     asm = ConjugationAssembler(prob, params, grid)
     for t in T_SAMPLES:
-        want = _margins_by_hand(ref.at(float(t)))
+        want = _margins_by_hand(ref, float(t))
         assert want.keys() == MARGINS.keys()
         for name, table in want.items():
             got = real_sum(asm, MARGINS[name], t)
@@ -383,6 +393,31 @@ def test_margins_read_parts_without_at(case, small_setup, modulated64,
                                  T_SAMPLES)
     assert calls == []
     assert report.passed and len(report.rows) == 3 * len(T_SAMPLES)
+
+
+@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+def test_each_recipe_runs_once_per_coefficient_time(case, small_setup,
+                                                    modulated64, monkeypatch):
+    # the certificate and the generator's view read one store: a2 is
+    # sampled once per coefficient time, for ia2 and a2cross together, and
+    # every later read of either (c, b2k, b1k, ia2_k) finds it there
+    if case == "damped-64":
+        prob, grid = small_setup["problem"], small_setup["grid"]
+        params, times = small_setup["params"], 1
+    else:
+        (prob, grid, params), times = modulated64, len(T_SAMPLES)
+    calls, sample = [], conjugate.eval_table
+
+    def counting(symbol, g, t):
+        if symbol is prob.a2:
+            calls.append(t)
+        return sample(symbol, g, t)
+
+    monkeypatch.setattr(conjugate, "eval_table", counting)
+    asm = ConjugationAssembler(prob, params, grid)
+    verify_lower_bounds(asm, T_SAMPLES)
+    asm.at(0.0)
+    assert len(calls) == times
 
 
 def test_pinned_h_is_the_only_trial(small_setup):

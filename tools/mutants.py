@@ -32,17 +32,20 @@ COPIED = ("src", "tests", "pyproject.toml")
 
 CONJ = "src/gevrey_evolve/conjugate.py"
 EVOLVE = "src/gevrey_evolve/evolve.py"
+HARNESS = "src/gevrey_evolve/harness.py"
 POS = "src/gevrey_evolve/positivity.py"
 QUANTIZE = "src/gevrey_evolve/quantize.py"
 STENCIL = "src/gevrey_evolve/_stencil.py"
 WEIGHTS = "src/gevrey_evolve/weights.py"
 T_CONJ = "tests/test_conjugate.py::"
 T_EVOLVE = "tests/test_evolve.py::"
+T_HARNESS = "tests/test_harness.py::"
 T_KERNELS = "tests/test_kernels.py::"
 T_POS = "tests/test_positivity.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
 MARGINS_CASE = T_POS + "test_margins_read_parts_without_at"
+ORACLE_CASE = T_CONJ + "test_conjugator_variant_against_dense_oracle"
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,16 @@ MUTANTS = [
     Mutant("margins-theta-without-m2-tail", CONJ,
            '"theta": ("kprime", "b1k", "ia1_k", "m2_tail", "m1_tail")',
            '"theta": ("kprime", "b1k", "ia1_k", "m1_tail")',
-           (MARGINS_CASE + "[damped-64]",)),
+           (T_CONJ + "test_theta_block_matches_its_report_form",)),
+    Mutant("at-forms-the-margins-too", CONJ,
+           "for names in BLOCKS.values() for name in names}",
+           "for names in (*BLOCKS.values(), *MARGINS.values())"
+           " for name in names}",
+           (T_CONJ + "test_at_forms_the_generator_parts_only",)),
+    Mutant("store-keeps-only-the-asked-table", CONJ,
+           "for n, U0 in self._spatial_recipe(e, name).items():",
+           "for n, U0 in [(name, self._spatial_recipe(e, name)[name])]:",
+           (T_POS + "test_each_recipe_runs_once_per_coefficient_time[damped-64]",)),
     Mutant("k-stage-part-left-out-of-Gj", CONJ,
            'if n != "kprime"):',
            'if n not in ("kprime", "b2k")):',
@@ -118,12 +130,36 @@ MUTANTS = [
     Mutant("conjugator-nyquist-slot-not-pinned", CONJ,
            "E[nyq, nyq] = E_star[nyq, nyq] = 1.0",
            "E_star[nyq, nyq] = 1.0",
-           (T_CONJ + "test_conjugator_variant_against_dense_oracle[kdv-weighted-64]",
-            T_CONJ + "test_conjugator_variant_against_dense_oracle[damped-64]")),
+           (ORACLE_CASE + "[kdv-weighted-64]", ORACLE_CASE + "[damped-64]")),
     Mutant("pull-back-through-E", CONJ,
            "return self.E_inv.matvec_hat(self.time_stage(t, -1)",
            "return self.E.matvec_hat(self.time_stage(t, -1)",
-           (T_CONJ + "test_conjugator_variant_against_dense_oracle[damped-64]",)),
+           (ORACLE_CASE + "[damped-64]",)),
+    Mutant("inverse-time-stage-sign-flipped", CONJ,
+           "self.time_stage(t, -1).matvec_hat(v_hat))",
+           "self.time_stage(t).matvec_hat(v_hat))",
+           (ORACLE_CASE + "[damped-64]",)),
+    Mutant("time-stage-sign-flipped", CONJ,
+           "expo = (sign * k_of_t(t, self.params))",
+           "expo = (-sign * k_of_t(t, self.params))",
+           (ORACLE_CASE + "[damped-64]",)),
+    Mutant("row-inverse-is-the-row", CONJ,
+           "Multiplier(grid, 1.0 / e)",
+           "Multiplier(grid, e)",
+           (T_CONJ + "test_x_independent_phase_gives_multiplier_pair",)),
+    Mutant("multiplier-applies-without-its-row", QUANTIZE,
+           "        return self.row * w_hat\n",
+           "        return w_hat\n",
+           (ORACLE_CASE + "[kdv-64]",)),
+    Mutant("horizon-not-checked-positive", HARNESS,
+           '_POSITIVE_KEYS = ("grid.L", "problem.T", ',
+           '_POSITIVE_KEYS = ("grid.L", ',
+           (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
+            "[problem.T-0]",)),
+    Mutant("artifact-write-error-uncaught", HARNESS,
+           "    except OSError as exc:\n        # from_file",
+           "    except () as exc:\n        # from_file",
+           (T_HARNESS + "test_run_into_an_existing_file_names_the_write",)),
     Mutant("block-boundary-node-rebuilt", EVOLVE,
            "stages = stages[-1:] + assembler.stage_operators(taus)",
            "stages = assembler.stage_operators(np.concatenate([t0[:1], taus]))",
