@@ -31,9 +31,10 @@ from the k stage, so the conjugated generator is the polynomial
 G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
 summing the parts' U_j.  MARGINS declares the positivity certificate's
 three lower bounds by their tables.  ``part(name, t)`` evaluates one
-table, formed on first read, for the certificate, calibration and
-``at(t)``, the view of the generator's parts; the phase tables too are
-formed on first read.  The assembler keeps the spectral stack
+table, formed on first read, for the certificate, selection's M1
+constants, calibration and ``at(t)``, the view of the generator's parts;
+the phase tables too are formed on first read.  The assembler keeps the
+spectral stack
 [E_syn * G_0, E_syn * G_1, ...] once per coefficient time, so the time
 stepper applies a stage with one GEMV over the stack and one FFT, weighted
 by the powers of k(t), plus the k' row, and forms no N x N array per stage
@@ -119,9 +120,11 @@ class PhaseTables:
     phase, its first x-derivatives, the window and the exponential
     derivative factors.  Everything here is independent of time.
 
-    Each member is formed on first read from the trial's Windows, so a
-    selection trial pays only for what its verdict reads; the windows are
-    released once every table that reads them exists.  The factors
+    Each member is formed on first read from one Windows, so a selection
+    trial pays only for what its verdict reads; the windows are released
+    once every table that reads them exists.  Neither they nor lam2's
+    tables read M1, C1 or C2, which may be installed on params after
+    them.  The factors
     P_b = e^{-lam} d_xi^b e^{lam} and Q_a = e^{lam} D_x^a e^{-lam}
     (exp_factors) are formed up to the highest order read so far; the
     derivatives of lam they extend from are kept until the factors reach
@@ -135,7 +138,7 @@ class PhaseTables:
         self._top = truncation_order(2.0, params.theta) - 1
         # the tables that read the windows and are not formed yet; d_x^o of
         # lam2 and lam1 for o <= 3 feed Q_o
-        self._unread = {"lam", "dxdxi_lam2", "psi_window", "abs_w",
+        self._unread = {"lam", "psi_window", "abs_w",
                         *((which, o) for which in (2, 1)
                           for o in range(1, min(self._top, 3) + 1))}
         self._P, self._Q = [], []
@@ -161,11 +164,8 @@ class PhaseTables:
 
     def _weight_x(self, which, order) -> SymbolTable:
         """d_x^order of lam2 (which=2) or lam1 (which=1), from the windows."""
-        win = self._windows((which, order))
-        if (which, order) == (2, 1):
-            return _lambda2_x(win, self.grid)
         return sampled_table(self.grid, weight_x_derivative(
-            win, self.params, which, order))
+            self._windows((which, order)), self.params, which, order))
 
     lam2_x = cached_property(lambda self: self._weight_x(2, 1))
     lam2_xx = cached_property(lambda self: self._weight_x(2, 2))
@@ -173,8 +173,8 @@ class PhaseTables:
 
     @cached_property
     def dxdxi_lam2(self) -> SymbolTable:
-        """d_xi d_x lam2, shared with the windows' memo (dxdxi_lambda2)."""
-        return dxdxi_lambda2(self._windows("dxdxi_lam2"), self.grid)
+        """d_xi d_x lam2."""
+        return xi_derivative(self.lam2_x, 1)
 
     @cached_property
     def psi_window(self) -> SymbolTable:
@@ -225,37 +225,13 @@ class PhaseTables:
         self._P = self._Q = self._derivs = None
 
 
-def lattice_windows(p: ProblemSpec, params: WeightParams,
-                    grid: Grid) -> Windows:
-    """The windows of the phase on the lattice, at t = 0."""
-    return Windows(grid.x[:, None], grid.xi, 0.0, p, params)
-
-
-def _lambda2_x(win: Windows, grid: Grid) -> SymbolTable:
-    """d_x lam2 on the lattice of win, kept in win's memo."""
-    return win._once("lam2_x", lambda: sampled_table(
-        grid, weight_x_derivative(win, win.params, 2, 1)))
-
-
-def dxdxi_lambda2(win: Windows, grid: Grid) -> SymbolTable:
-    """d_xi d_x lam2 on the lattice of win (lattice_windows), formed on
-    first use and kept in win's memo.  It reads M2 but not M1, and it needs
-    no weight integral (d_x lam2 is in closed form): a selection trial
-    forms it before M1 is known, and its assembler reads the same table
-    from the same win."""
-    return win._once("dxdxi_lam2",
-                     lambda: xi_derivative(_lambda2_x(win, grid), 1))
-
-
 def build_phase_tables(p: ProblemSpec, params: WeightParams,
-                       grid: Grid, win: Windows = None) -> PhaseTables:
+                       grid: Grid) -> PhaseTables:
     """The phase tables of one grid/params, each formed on first read.
-    One Windows serves every table, so each window is evaluated once; win,
-    if given, is lattice_windows of the same p and grid and of params up to
-    M1 (lam2 and the windows do not read it)."""
-    if win is None:
-        win = lattice_windows(p, params, grid)
-    return PhaseTables(grid, params, win)
+    One Windows on the lattice serves every table, so each window is
+    evaluated once."""
+    return PhaseTables(grid, params,
+                       Windows(grid.x[:, None], grid.xi, 0.0, p, params))
 
 
 def _while_shrinking(terms):
@@ -512,19 +488,27 @@ class ConjugationAssembler:
     G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
     rows, or the Stacked sum over the spectral stack of G_0 and the G_j,
     built once per coefficient time.
+    ``params`` is the phase tables' WeightParams, so the constants that
+    selection (M1) and calibration (C1, C2) install reach both.
     """
 
-    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
-                 win: Windows = None):
+    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
         self.problem = p
-        self.params = params
         self.grid = grid
-        self.phase = build_phase_tables(p, params, grid, win)
+        self.phase = build_phase_tables(p, params, grid)
         self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
         self._cache = {}
+
+    @property
+    def params(self) -> WeightParams:
+        return self.phase.params
+
+    @params.setter
+    def params(self, params: WeightParams):
+        self.phase.params = params
 
     # -- the tables of one coefficient time, each formed on first read ---
 

@@ -466,6 +466,9 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
     # every value is parsed, and the output directory checked, before the
     # first row runs
     vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
+    if not vals:
+        raise ConfigurationError(
+            f"sweep --values lists no value for axis {axis}")
     out = out_dir or cfg["output.dir"]
     if write:
         require_output_dir(out)

@@ -17,24 +17,24 @@ The constants entering the k(t) equation are measured here and fed back
 into the weight parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
 
-from .conjugate import (BLOCKS, MARGINS, ConjugationAssembler,
-                        _hermitian_half, build_conjugator, dxdxi_lambda2,
-                        lattice_windows)
+from .conjugate import BLOCKS, MARGINS, ConjugationAssembler, build_conjugator
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
-from .symbols import ProblemSpec, check_assumptions, eval_table, sample_times
+from .symbols import ProblemSpec, check_assumptions, sample_times
 from .weights import WeightParams, k_of_t
 
 ZERO_THRESHOLD = 1e-13
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
 GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
+# the parts of the order-1 margin that M1 dominates, C_a2l2 and C_c in turn
+M1_PARTS = ("a2cross", "c")
 # the parts of the 1/theta margin but kprime that C1 and C2 bound
 C1_PARTS = ("b1k",)
 C2_PARTS = ("ia1_k", "m2_tail", "m1_tail")
@@ -234,11 +234,14 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     """Measure-dominate-verify loop; returns (WeightParams, details dict).
 
     Each trial h, doubling across H_SEARCH, builds the assembler, whose
-    phase and conjugation tables are formed on first read, calibrates C1
-    and C2 on it (calibrate_time_weight installs them there) and checks the
-    lower bounds to margin tolerance ``tol``; only a trial that passes
-    builds the conjugator's inverse from that assembler.  A trial whose
-    time weight C2 alone kills forms only the tables C2 reads.  The first h
+    phase and conjugation tables are formed on first read, at M1 = 0 or
+    the pinned M1.  An unpinned M1 is set from the sups C_a2l2 and C_c of
+    the parts M1_PARTS over the coefficient times, which read none of M1,
+    C1 and C2, and installed on that assembler; calibrate_time_weight
+    installs C1 and C2 there too.  The trial checks the lower bounds to
+    margin tolerance ``tol``; only a trial that passes builds the
+    conjugator's inverse from that assembler.  A trial whose time weight
+    C2 alone kills forms only the tables M1 and C2 read.  The first h
     where both succeed is accepted; a failed trial's tables are released
     before the next trial builds its own.
 
@@ -277,47 +280,35 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
         h_max = h_start
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
-    # the h-independent inputs of C_a2l2 and C_c, once per coefficient time:
-    # a2 and the real part of its Hermitian correction c.  They only set M1,
-    # so a pinned M1 measures neither
-    a2_by_time = []
-    if M1_pin is None:
-        for t in (ts if p.time_dependent else ts[:1]):
-            a2 = eval_table(p.a2, grid, float(t))
-            a2_by_time.append((a2.values, _hermitian_half(a2.real).values.real))
+    # the coefficient times an unpinned M1's constants are measured at
+    t_coef = ts if p.time_dependent else ts[:1]
     history = details["history"]
     h = h_start
     while h <= h_max:
         trial = {"h": h, "M2": M2}
         try:
-            params = WeightParams(M2=M2, M1=0.0, h=h, k0=k0, sigma=p.sigma,
-                                  theta=theta, R_a3=p.R_a3, domain_cap=D)
+            params = WeightParams(M2=M2, M1=float(M1_pin or 0.0),
+                                  h=h, k0=k0, sigma=p.sigma, theta=theta,
+                                  R_a3=p.R_a3, domain_cap=D)
             if not np.any(_checked_region(grid, params)):
                 history.append({**trial, "passed": False, "reason": (
                     f"no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
                     f"on this grid (xi_max={grid.xi_max:.3g}); "
                     "refine the grid or shrink L")})
                 break
-            # the trial's windows and d_xi d_x lam2, shared with its assembler
-            win = lattice_windows(p, params, grid)
+            assembler = ConjugationAssembler(p, params, grid)
             if M1_pin is None:
-                # constants entering the order-1 inequality, measured with lam2
-                dxdxi_lam2 = dxdxi_lambda2(win, grid)
+                # constants entering the order-1 inequality, read before M1
+                # is installed: the tables of M1_PARTS do not read it
                 norm1 = _margin_normalizers(grid, params)["order1"]
-                C_a2l2, C_c = 0.0, 0.0
-                for a2, c_real in a2_by_time:
-                    cross = (a2 * dxdxi_lam2.values).real
-                    C_a2l2 = max(C_a2l2, _sup_normalized(cross, norm1))
-                    C_c = max(C_c, _sup_normalized(c_real, norm1))
+                C_a2l2, C_c = (max(_sup_normalized(
+                    assembler.part(name, float(t)).values.real, norm1)
+                    for t in t_coef) for name in M1_PARTS)
                 M1 = 2.0 * (C_a1 + C_a2l2 + C_c + margin) / C_a3
                 trial.update(M1=M1, C_a2l2=C_a2l2, C_c=C_c)
+                assembler.params = replace(params, M1=M1)
             else:
-                M1 = float(M1_pin)
-                trial["M1"] = M1
-            params = WeightParams(M2=M2, M1=M1, h=h, k0=k0, sigma=p.sigma,
-                                  theta=theta, R_a3=p.R_a3, domain_cap=D)
-            assembler = ConjugationAssembler(p, params, grid, win)
-            del win     # its N x N windows go with the tables that read them
+                trial["M1"] = params.M1
             params = calibrate_time_weight(assembler)
             trial.update(C1=params.C1, C2=params.C2,
                          kT=float(k_of_t(p.T, params)))

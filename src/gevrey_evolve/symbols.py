@@ -193,7 +193,8 @@ def estimate_seminorm(sym: Symbol, m: float, mu: float, nu: float, A: float,
     A^{-a-b} a!^{-mu} b!^{-nu} <xi>^{-m+a} |d_xi^a d_x^b sym| using
     4th-order central differences with steps scaled to the local bracket.
     Each (alpha, beta) evaluates the symbol once on the whole lattice of
-    sample points times stencil offsets.
+    sample points times stencil offsets.  A NaN sample makes the estimate
+    NaN, so no check passes on it.
     """
     if alpha_max > 6 or beta_max > 6:
         raise ParameterError("finite differencing is unstable beyond order 6")
@@ -217,7 +218,10 @@ def estimate_seminorm(sym: Symbol, m: float, mu: float, nu: float, A: float,
             d = np.einsum("ik,ijkl,jl->ij", wx, vals, wxi)
             norm = A ** (-(a + b)) / (math.factorial(a) ** mu * math.factorial(b) ** nu)
             q = norm * sxi[None, :] ** (-m + a) * np.abs(d)
-            best = max(best, float(np.max(q, initial=0.0, where=~np.isnan(q))))
+            top = float(np.max(q, initial=0.0))
+            if np.isnan(top):
+                return top
+            best = max(best, top)
     return best
 
 

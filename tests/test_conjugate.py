@@ -496,8 +496,9 @@ def _eager_tables(prob, params, grid):
     they were formed on first read: (phase dict, P, Q, poly)."""
     from types import SimpleNamespace
     from gevrey_evolve.quantize import dx_operators, xi_derivative
-    from gevrey_evolve.weights import spatial_weights, weight_x_derivative
-    win = conjugate.lattice_windows(prob, params, grid)
+    from gevrey_evolve.weights import (Windows, spatial_weights,
+                                       weight_x_derivative)
+    win = Windows(grid.x[:, None], grid.xi, 0.0, prob, params)
     l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
     lam = l2 + l1
     wx = {(w, o): sampled_table(grid, weight_x_derivative(win, params, w, o))

@@ -417,6 +417,20 @@ def test_sweep_values_that_do_not_parse_are_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values", [",", ""])
+def test_empty_sweep_is_a_config_error(tmp_path, capsys, values):
+    # a value list with no entries runs no row: it is refused before the
+    # output directory is made, and no header-only sweep.csv is written
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["sweep", str(cfg), "--axis", "h", "--values", values]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): sweep --values lists no value")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_coefficient_strengths_may_be_negative():
     RunConfig.from_text(
         SMALL + "problem.c2 = -0.1\nproblem.c1 = -0.2\nproblem.c0 = -3\n").validate()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from gevrey_evolve import conjugate, positivity
-from gevrey_evolve.conjugate import MARGINS, ConjugationAssembler
+from gevrey_evolve.conjugate import BLOCKS, MARGINS, ConjugationAssembler
 from gevrey_evolve.errors import InfeasibleError
 from gevrey_evolve.grid import make_grid
-from gevrey_evolve.positivity import (C1_PARTS, C2_PARTS,
+from gevrey_evolve.positivity import (C1_PARTS, C2_PARTS, M1_PARTS,
                                       calibrate_time_weight,
                                       discrete_garding, real_sum,
                                       select_parameters_detailed,
@@ -16,7 +16,8 @@ from gevrey_evolve.positivity import (C1_PARTS, C2_PARTS,
 from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
                                     sampled_table, table_from_function,
                                     xi_derivative)
-from gevrey_evolve.symbols import Symbol, model_problem
+from gevrey_evolve.symbols import (Symbol, eval_table, model_problem,
+                                   sample_times)
 from gevrey_evolve.weights import WeightParams, k_of_t, lambda_x_derivative
 
 T_SAMPLES = np.linspace(0.0, 1.0, 5)
@@ -108,10 +109,11 @@ def test_infeasible_reports_failing_inequality():
 
 def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
     # damped-64 rejects h = 1 by the time weight: C2 alone drives k(T) to
-    # zero, so that trial forms the ia1 expansion (n = 3) with the two tails
-    # (and their recipes' ia1, m2_main, m1_main) and the factors P_1, P_2,
-    # Q_1, Q_2, and no order-2 expansion, no P_3, P_4, Q_3, Q_4 and no b1k
-    # or its spatial-stage inputs
+    # zero, so that trial forms M1's two tables a2cross and c (and their
+    # recipe's ia2), the ia1 expansion (n = 3) with the two tails (and their
+    # recipes' ia1, m2_main, m1_main) and the factors P_1, P_2, Q_1, Q_2,
+    # and no order-2 expansion, no P_3, P_4, Q_3, Q_4 and no b1k or its
+    # other spatial-stage inputs
     trials, expansions = [], []
     calibrate = positivity.calibrate_time_weight
     expand = conjugate.conjugation_expansion
@@ -137,9 +139,9 @@ def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
     rejected = trials[0]
     assert len(rejected.phase._P) == len(rejected.phase._Q) == 2
     entry = rejected._entry(0.0)
-    assert set(entry["poly"]) == {"ia1", "ia1_k", "m2_main", "m2_tail",
-                                  "m1_main", "m1_tail"}
-    assert not {"b1k", "id1", "damp1", "a2cross", "ia2_k"} & set(entry["poly"])
+    assert set(entry["poly"]) == {"ia2", "a2cross", "c", "ia1", "ia1_k",
+                                  "m2_main", "m2_tail", "m1_main", "m1_tail"}
+    assert not {"b1k", "id1", "damp1", "ia2_k"} & set(entry["poly"])
     # a trial that passes the early check builds b1k; both expansions
     # released the factors
     assert "b1k" in trials[1]._entry(0.0)["poly"]
@@ -199,27 +201,25 @@ def test_early_time_weight_check_keeps_every_verdict(strengths, monkeypatch):
 
 
 def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
-    # d_xi d_x lam2 reads M2 but not M1: each trial forms it once, before M1
-    # is known, and the trial's assembler reads that same table.  It equals
-    # bit for bit the table formed at M1 = 0 from lambda_x_derivative (the
-    # trial's own former path) and the xi-derivative of the assembler's
-    # d_x lam2 (the phase tables' former path)
-    from gevrey_evolve import weights
-    formed, once = [], weights.Windows._once
+    # d_x lam2 and d_xi d_x lam2 read M2 but not M1: each trial's assembler
+    # forms d_x lam2 once, before M1 is installed, and C_a2l2 and the
+    # generator read the same tables.  d_xi d_x lam2 equals bit for bit the
+    # table formed at M1 = 0 from lambda_x_derivative and the xi-derivative
+    # of the assembler's d_x lam2
+    formed, weight_x = [], conjugate.weight_x_derivative
 
-    def counting(self, key, evaluate):
-        if key == "dxdxi_lam2" and key not in self._memo:
-            formed.append(self)
-        return once(self, key, evaluate)
+    def counting(win, params, which=2, order=1):
+        if (which, order) == (2, 1):
+            formed.append(params.M1)
+        return weight_x(win, params, which, order)
 
-    monkeypatch.setattr(weights.Windows, "_once", counting)
+    monkeypatch.setattr(conjugate, "weight_x_derivative", counting)
     prob = model_problem("complex-damped", 0.75, domain=10.0)
     grid = make_grid(10.0, 64)
     params, details = select_parameters_detailed(prob, 1.8, grid)
     monkeypatch.undo()
-    assert len(formed) == len(details["history"]) >= 1
+    assert formed == [0.0] * len(details["history"]) and len(formed) == 3
     phase = details["bundle"].assembler.phase
-    assert formed[-1]._memo["dxdxi_lam2"] is phase.dxdxi_lam2
     at_m1_zero = xi_derivative(sampled_table(grid, lambda_x_derivative(
         grid.x[:, None], grid.xi[None, :], 0.0, prob,
         dataclasses.replace(params, M1=0.0), which=2, order=1)), 1)
@@ -318,10 +318,73 @@ def _calibrated_by_at(assembler):
 
 
 @pytest.fixture(scope="module")
-def modulated64():
+def modulated64_selection():
     prob = model_problem("time-modulated", 0.75, domain=10.0)
     grid = make_grid(10.0, 64)
-    return prob, grid, select_parameters_detailed(prob, 1.8, grid)[0]
+    return (prob, grid, *select_parameters_detailed(prob, 1.8, grid))
+
+
+@pytest.fixture(scope="module")
+def modulated64(modulated64_selection):
+    return modulated64_selection[:3]
+
+
+def _selection(case, small_setup, modulated64_selection):
+    """(problem, grid, params, details) of the selection of case."""
+    if case == "damped-64":
+        return tuple(small_setup[k]
+                     for k in ("problem", "grid", "params", "details"))
+    return modulated64_selection
+
+
+@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+def test_selection_formula_m1(case, small_setup, modulated64_selection):
+    # each trial's C_a2l2 and C_c, read through part() from its assembler
+    # at M1 = 0, equal bit for bit the sups formed by hand from a2, its
+    # Hermitian correction and d_xi d_x lam2 at M1 = 0, over the
+    # coefficient times; M1 dominates them with the margin
+    prob, grid, params, details = _selection(case, small_setup,
+                                             modulated64_selection)
+    times = sample_times(prob.T) if prob.time_dependent else [0.0]
+    a2s = [eval_table(prob.a2, grid, float(t)) for t in times]
+    c_reals = [conjugate._hermitian_half(a2.real).values.real for a2 in a2s]
+    rows = details["history"]
+    assert len(rows) >= 1
+    for row in rows:
+        trial = dataclasses.replace(params, h=row["h"], M1=0.0, C1=0.0,
+                                    C2=0.0)
+        norm1 = positivity._margin_normalizers(grid, trial)["order1"]
+        dxdxi = xi_derivative(sampled_table(grid, lambda_x_derivative(
+            grid.x[:, None], grid.xi[None, :], 0.0, prob, trial, which=2,
+            order=1)), 1)
+        C_a2l2 = max(float(np.max(np.abs((a2.values * dxdxi.values).real)
+                                  / norm1)) for a2 in a2s)
+        C_c = max(float(np.max(np.abs(c) / norm1)) for c in c_reals)
+        assert (row["C_a2l2"], row["C_c"]) == (C_a2l2, C_c), row["h"]
+        assert C_c > 0.0
+        assert row["M1"] == 2.0 * (details["C_a1"] + C_a2l2 + C_c
+                                   + 0.08) / details["C_a3"]
+    assert params.M1 == rows[-1]["M1"]
+
+
+@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+def test_accepted_assembler_equals_a_fresh_one(case, small_setup,
+                                               modulated64_selection):
+    # the accepted assembler, built at M1 = 0 and given M1, C1 and C2 on
+    # the way, holds bit for bit the tables a fresh assembler builds at the
+    # returned params
+    prob, grid, params, details = _selection(case, small_setup,
+                                             modulated64_selection)
+    asm = details["bundle"].assembler
+    fresh = ConjugationAssembler(prob, params, grid)
+    assert asm.params == asm.phase.params == params
+    assert np.array_equal(asm.phase.lam.values, fresh.phase.lam.values)
+    names = {n for table in (BLOCKS, MARGINS) for names in table.values()
+             for n in names}
+    for t in (0.0, 0.5):
+        for name in sorted(names):
+            assert np.array_equal(asm.part(name, t).values,
+                                  fresh.part(name, t).values), (name, t)
 
 
 @pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
@@ -351,6 +414,11 @@ def test_time_weight_constants_bound_the_theta_margin():
     assert sorted(("kprime", *C1_PARTS, *C2_PARTS)) == sorted(MARGINS["theta"])
 
 
+def test_m1_dominates_parts_of_the_order1_margin():
+    assert len(set(M1_PARTS)) == len(M1_PARTS) == 2
+    assert set(M1_PARTS) <= set(MARGINS["order1"])
+
+
 def _margins_by_hand(asm, t):
     """The three margins summed by hand from at(t).parts and the damping
     split, which at(t) does not hold, read through part(), as before
@@ -367,18 +435,26 @@ def _margins_by_hand(asm, t):
     return {"order2": re2, "order1": re1, "theta": ret}
 
 
-@pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
+@pytest.mark.parametrize("case", ["damped-64", "damped-64-h2",
+                                  "time-modulated-64"])
 def test_margins_read_parts_without_at(case, small_setup, modulated64,
                                        monkeypatch):
     # each margin of MARGINS equals, bit for bit, its hand-written sum at
     # the sample times, and verify_lower_bounds reads the tables through
-    # part() alone, with no at() call
-    if case == "damped-64":
+    # part() alone, with no at() call.  The window tails are 0 at the
+    # accepted h = 4; damped-64's weights at h = 2 make both nonzero, and
+    # fail the order-1 and 1/theta margins there
+    if case.startswith("damped-64"):
         prob, grid = small_setup["problem"], small_setup["grid"]
         params = small_setup["params"]
     else:
         prob, grid, params = modulated64
+    if case == "damped-64-h2":
+        params = dataclasses.replace(params, h=2.0)
     ref = ConjugationAssembler(prob, params, grid)
+    if case == "damped-64-h2":
+        for name in ("m2_tail", "m1_tail"):
+            assert np.max(np.abs(ref.part(name, 0.0).values)) > 0.0, name
     asm = ConjugationAssembler(prob, params, grid)
     for t in T_SAMPLES:
         want = _margins_by_hand(ref, float(t))
@@ -392,7 +468,8 @@ def test_margins_read_parts_without_at(case, small_setup, modulated64,
     report = verify_lower_bounds(ConjugationAssembler(prob, params, grid),
                                  T_SAMPLES)
     assert calls == []
-    assert report.passed and len(report.rows) == 3 * len(T_SAMPLES)
+    assert len(report.rows) == 3 * len(T_SAMPLES)
+    assert report.passed == (case != "damped-64-h2")
 
 
 @pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])

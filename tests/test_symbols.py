@@ -184,6 +184,22 @@ def test_check_assumptions_no_decay_fails(grid, field, symbol, row_name):
     assert len(row.witness) == 3  # (t, x, xi) witness node
 
 
+def test_nan_symbol_fails_its_regularity_row(grid):
+    # a0 that is NaN on |x| < 0.5 makes its seminorm estimate NaN, so the
+    # regularity row fails and require() refuses the problem; a0 is not
+    # read past the assumption check, so nothing later would see the NaN
+    import dataclasses
+    p = model_problem("complex-damped", 0.75, domain=grid.L)
+    a0 = p.a0
+    nan_a0 = Symbol(lambda t, x, xi: a0(t, x, xi)
+                    * np.where(np.abs(x) < 0.5, np.nan, 1.0), order=a0.order)
+    rep = check_assumptions(dataclasses.replace(p, a0=nan_a0), grid, 1.8)
+    row = [r for r in rep.results if r.name == "hyp-ii-regularity-a0"][0]
+    assert not row.passed and math.isnan(row.constant)
+    with pytest.raises(ConfigurationError, match="hyp-ii-regularity-a0"):
+        rep.require()
+
+
 def test_complex_damped_im_a2_bound(grid):
     # |Im a2| = c2 <x>^-sigma xi^2 on its support: hypothesis constant is O(c2)
     p = model_problem("complex-damped", 0.75, strengths=(1.0,), domain=grid.L)

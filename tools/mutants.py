@@ -36,12 +36,14 @@ HARNESS = "src/gevrey_evolve/harness.py"
 POS = "src/gevrey_evolve/positivity.py"
 QUANTIZE = "src/gevrey_evolve/quantize.py"
 STENCIL = "src/gevrey_evolve/_stencil.py"
+SYMBOLS = "src/gevrey_evolve/symbols.py"
 WEIGHTS = "src/gevrey_evolve/weights.py"
 T_CONJ = "tests/test_conjugate.py::"
 T_EVOLVE = "tests/test_evolve.py::"
 T_HARNESS = "tests/test_harness.py::"
 T_KERNELS = "tests/test_kernels.py::"
 T_POS = "tests/test_positivity.py::"
+T_SYMBOLS = "tests/test_symbols.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
 MARGINS_CASE = T_POS + "test_margins_read_parts_without_at"
@@ -81,7 +83,7 @@ MUTANTS = [
     Mutant("margins-theta-without-m2-tail", CONJ,
            '"theta": ("kprime", "b1k", "ia1_k", "m2_tail", "m1_tail")',
            '"theta": ("kprime", "b1k", "ia1_k", "m1_tail")',
-           (T_CONJ + "test_theta_block_matches_its_report_form",)),
+           (MARGINS_CASE + "[damped-64-h2]",)),
     Mutant("at-forms-the-margins-too", CONJ,
            "for names in BLOCKS.values() for name in names}",
            "for names in (*BLOCKS.values(), *MARGINS.values())"
@@ -143,6 +145,14 @@ MUTANTS = [
            "expo = (sign * k_of_t(t, self.params))",
            "expo = (-sign * k_of_t(t, self.params))",
            (ORACLE_CASE + "[damped-64]",)),
+    Mutant("conjugator-always-dense", CONJ,
+           'if mode != "dense" and fourier_rows(phase.lam.values) is not None:',
+           "if False:",
+           (T_CONJ + "test_x_independent_phase_gives_multiplier_pair",)),
+    Mutant("apply-full-skips-the-spatial-stage", CONJ,
+           "return self.time_stage(t).matvec_hat(self.E.matvec_hat(u_hat))",
+           "return self.time_stage(t).matvec_hat(u_hat)",
+           (ORACLE_CASE + "[damped-64]",)),
     Mutant("row-inverse-is-the-row", CONJ,
            "Multiplier(grid, 1.0 / e)",
            "Multiplier(grid, e)",
@@ -156,6 +166,23 @@ MUTANTS = [
            '_POSITIVE_KEYS = ("grid.L", ',
            (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
             "[problem.T-0]",)),
+    Mutant("margin-not-checked-positive", HARNESS,
+           '"select.margin", "run.dt", ',
+           '"run.dt", ',
+           (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
+            "[select.margin--1]",)),
+    Mutant("time-dependent-budgeted-like-time-independent", HARNESS,
+           'if model_problem(v["problem.id"], sigma).time_dependent',
+           "if False",
+           (T_HARNESS + "test_time_dependent_working_set_is_budgeted",)),
+    Mutant("setup-without-garding-floors", HARNESS,
+           "positivity.garding_floors = garding_floors(bundle.assembler)",
+           "positivity.garding_floors = {}",
+           (T_HARNESS + "test_run_builds_each_setup_object_once",)),
+    Mutant("empty-sweep-runs", HARNESS,
+           "    if not vals:\n",
+           "    if False:\n",
+           (T_HARNESS + "test_empty_sweep_is_a_config_error[,]",)),
     Mutant("artifact-write-error-uncaught", HARNESS,
            "    except OSError as exc:\n        # from_file",
            "    except () as exc:\n        # from_file",
@@ -182,10 +209,22 @@ MUTANTS = [
            "    k_of_t(p.T, params)\n    assembler.params = params\n    return params\n",
            "    k_of_t(p.T, params)\n    return params\n",
            (T_POS + "test_calibration_installs_its_last_round",)),
-    Mutant("trial-windows-not-handed-to-its-assembler", POS,
-           "assembler = ConjugationAssembler(p, params, grid, win)",
-           "assembler = ConjugationAssembler(p, params, grid)",
-           (T_POS + "test_each_trial_forms_dxdxi_lambda2_once",)),
+    Mutant("m1-measured-without-c", POS,
+           'M1_PARTS = ("a2cross", "c")',
+           'M1_PARTS = ("a2cross", "a2cross")',
+           (T_POS + "test_selection_formula_m1[damped-64]",)),
+    Mutant("m1-installed-after-calibration", POS,
+           "                assembler.params = replace(params, M1=M1)\n"
+           "            else:\n"
+           '                trial["M1"] = params.M1\n'
+           "            params = calibrate_time_weight(assembler)\n",
+           "                pass\n"
+           "            else:\n"
+           '                trial["M1"] = params.M1\n'
+           "            params = calibrate_time_weight(assembler)\n"
+           "            if M1_pin is None:\n"
+           "                assembler.params = params = replace(params, M1=M1)\n",
+           (T_POS + "test_accepted_assembler_equals_a_fresh_one[damped-64]",)),
     Mutant("time-weight-precheck-skipped", POS,
            "        k_of_t(p.T, params.with_ode_constants(0.0, C2_new))\n",
            "",
@@ -194,6 +233,14 @@ MUTANTS = [
            "h_start, h_max = H_SEARCH if h_pin is None else (h_pin, h_pin)",
            "h_start, h_max = H_SEARCH",
            (T_POS + "test_pinned_h_is_the_only_trial",)),
+    Mutant("hyp-iii-checked-on-a1", SYMBOLS,
+           'decay_check("hyp-iii-order2-decay", p.a2,',
+           'decay_check("hyp-iii-order2-decay", p.a1,',
+           (T_SYMBOLS + "test_check_assumptions_no_decay_fails[a2]",)),
+    Mutant("seminorm-skips-nan-samples", SYMBOLS,
+           "            if np.isnan(top):\n                return top\n",
+           "",
+           (T_SYMBOLS + "test_nan_symbol_fails_its_regularity_row",)),
     Mutant("stencil-cache-ignores-order", STENCIL,
            "key = (tuple(nodes.tolist()), float(x0), order)",
            "key = (tuple(nodes.tolist()), float(x0))",
