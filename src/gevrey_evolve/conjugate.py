@@ -34,11 +34,12 @@ three lower bounds by their tables.  ``part(name, t)`` evaluates one
 table, formed on first read, for the certificate, selection's M1
 constants, calibration and ``at(t)``, the view of the generator's parts;
 the phase tables too are formed on first read.  The assembler keeps the
-spectral stack
-[E_syn * G_0, E_syn * G_1, ...] once per coefficient time, so the time
-stepper applies a stage with one GEMV over the stack and one FFT, weighted
-by the powers of k(t), plus the k' row, and forms no N x N array per stage
-time.
+coefficient stack [E_syn^H (E_syn * G_0), E_syn^H (E_syn * G_1), ...] once
+per coefficient time, one FFT along x per table; a stage at time t is that
+stack weighted by the powers of k(t), plus the k' row.  The time stepper
+forms each stage time's coefficient matrix once, two times in one GEMM
+over the stack (quantize.StageSlots), and applies a stage with one N x N
+GEMV and no FFT.
 """
 
 import math
@@ -50,9 +51,10 @@ from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
-                       dx_operators, exp_table, fourier_rows, multiplier_table,
-                       operator_norm, sampled_table, spectral_stack,
-                       x_derivative, xi_derivative)
+                       coefficient_matrix, dx_operators, exp_table,
+                       fourier_rows, multiplier_table, operator_norm,
+                       sampled_table, spectral_stack, x_derivative,
+                       xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, k_prime,
                       spatial_weights, weight_x_derivative)
@@ -351,7 +353,8 @@ def build_conjugator(assembler: "ConjugationAssembler",
     When the phase is x-independent (fourier_rows) E and E_inv are the
     Multipliers of the row e^lam and its reciprocal, and every diagnostic
     is measured on the rows.  Otherwise E = E_syn^H (E_syn * e^lam) maps
-    coefficients to coefficients, and E_inv = E_star S, with E_star the
+    coefficients to coefficients (coefficient_matrix, one FFT along x),
+    and E_inv = E_star S, with E_star the
     adjoint of op(e^-lam) and S the Neumann series of (I + R)^{-1} in the
     exact discrete remainder R = E E_star - I, summed in product form:
     S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
@@ -378,8 +381,7 @@ def build_conjugator(assembler: "ConjugationAssembler",
         residual, terms = float(np.max(np.abs(e * E_inv.row - 1.0))), 0
     else:
         I = np.eye(N, dtype=complex)
-        E_syn = grid.synthesis_matrix()
-        E, E_star = (E_syn.conj().T @ (E_syn * tab.values)
+        E, E_star = (coefficient_matrix(grid, tab.values)
                      for tab in (exp_lam, exp_neg))
         E[nyq, nyq] = E_star[nyq, nyq] = 1.0
         E_star = adjoint(E_star)
@@ -486,7 +488,7 @@ class ConjugationAssembler:
     ``stage_operators(taus)`` is the same generator as the time
     stepper applies it at each time of taus, the polynomial
     G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
-    rows, or the Stacked sum over the spectral stack of G_0 and the G_j,
+    rows, or the Stacked sum over the coefficient stack of G_0 and the G_j,
     built once per coefficient time.
     ``params`` is the phase tables' WeightParams, so the constants that
     selection (M1) and calibration (C1, C2) install reach both.
@@ -656,7 +658,7 @@ class ConjugationAssembler:
         first use from the G_j, each the sum of the parts' U_j in the order
         of BLOCKS: G_0 and the G_j, j >= 1 in powers.  rows = [G_0 row,
         G_j rows...] when every row of each table is equal, and stack is
-        None; otherwise rows is None and stack is
+        None; otherwise rows is None and stack is the coefficient stack
         spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
         tables."""
         entry = self._entry(t)
@@ -690,10 +692,12 @@ class ConjugationAssembler:
         when G_0 and every G_j are x-independent, the generator is the
         Fourier multiplier of the row G_0 + k'-row + sum_j k(tau)^j G_j, the
         rows of all times formed as one (B, N) array, and applies with one
-        FFT pair; otherwise it is the Stacked sum over that time's spectral
-        stack, with weights (1, k(tau)^j, ...) and the k' row, so no N x N
-        array is formed per stage time.  Time-independent coefficients share
-        one coefficient time; time-dependent ones have one per tau."""
+        FFT pair; otherwise it is the Stacked sum over that time's
+        coefficient stack, with weights (1, k(tau)^j, ...) and the k' row.
+        No N x N array is formed here: the solve forms each stage's matrix
+        in its StageSlots, and an op outside a solve forms it when applied.
+        Time-independent coefficients share one coefficient time;
+        time-dependent ones have one per tau."""
         taus = np.asarray(taus, dtype=float)
         kprime = self._kprime_rows(taus)
         ks = k_of_t(taus, self.params).tolist()

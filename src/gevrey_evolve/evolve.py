@@ -10,14 +10,17 @@ library's polynomial time dependence) and a classical four-stage
 Runge-Kutta update for the remaining lower-order part.  Every operator
 maps Fourier coefficients to Fourier coefficients (quantize), so the solve
 carries them throughout: the integrating factor, the half-step phases and
-a Multiplier stage are row products, a Stacked stage is one GEMV over the
-coefficient time's spectral stack plus one FFT.  What depends on time but
-not on v is computed once per block of BLOCK steps, as in the
+a Multiplier stage are row products, a Stacked stage is one N x N GEMV on
+its stage time's coefficient matrix, with no FFT.  What depends on time
+but not on v is computed once per block of BLOCK steps, as in the
 exponential integrators of Kassam & Trefethen (SIAM J. Sci. Comput. 26,
 2005), which form their integrating factors outside the time loop: one
 a3 call for the block's integrating factors, one stage_operators call for
 its stage operators, and one stacked transform and conjugation of its
-forcing; step() is then only the Runge-Kutta arithmetic.  The data is
+forcing.  Each step's two new stage times (t + dt/2, t + dt) get their
+coefficient matrices from one GEMM over the stack, into slots the solve
+reuses (quantize.StageSlots); its first stage is the step before's last.
+step() is then only the Runge-Kutta arithmetic.  The data is
 transformed once, ||v|| comes from Parseval, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients
 on (B, N) stacks of logged fields, so u is synthesized once per logged
@@ -36,6 +39,7 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
+from .quantize import StageSlots
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -196,8 +200,9 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     the step's row of integrating_factors; stages are the lower-order
     generator at t, t + dt/2 and t + dt, each an operator with
     ``matvec_hat`` (quantize.Multiplier: a row product; quantize.Stacked:
-    one GEMV over a precomputed stack and one FFT; quantize.Dense: one
-    GEMV), as ConjugationAssembler.stage_operators builds them; forcing is
+    one GEMV on its coefficient matrix, formed before the step;
+    quantize.Dense: one GEMV), as ConjugationAssembler.stage_operators
+    builds them; forcing is
     None or the conjugated forcing's coefficients at the same three times.
     """
     ph_half, ph_full = phases
@@ -241,7 +246,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     vectorized calls: the integrating factors, the stage operators and the
     conjugated forcing at the block's stage times (every half step and
     step end).  The block before hands on the stage at its last step end,
-    so each stage time is built and conjugated exactly once.  Step i runs
+    so each stage time is built and conjugated exactly once.  A Stacked
+    stage's coefficient matrix is formed once, in one of three StageSlots
+    slots: step i forms its half and end times' matrices together (one
+    GEMM) into the two slots its first stage does not hold, and releases
+    its first two stages when it ends.  Step i runs
     with the exact (Sterbenz) step times[i+1] - times[i], so it ends on
     times[i+1], and the blow-up check runs after every step.
     v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
@@ -286,6 +295,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     # the stage (and forcing) at t = 0; afterwards, at each block's start
     stages = assembler.stage_operators(times[:1])
     forcing = None if f_conj is None else f_conj(times[:1])
+    slots = StageSlots(grid)
+    slots.form(stages)
 
     for start in range(0, steps, BLOCK):
         stop = min(start + BLOCK, steps)
@@ -299,9 +310,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
         phases = integrating_factors(p, grid, times[start:stop + 1])
         for i in range(start, stop):
             j = 2 * (i - start)
+            slots.form(stages[j + 1:j + 3])
             v_hat = step(v_hat, t1[i - start] - t0[i - start], grid,
                          phases[i - start], stages[j:j + 3],
                          None if forcing is None else forcing[j:j + 3])
+            slots.release(stages[j:j + 2])
             norm = grid.l2_norm(v_hat)
             if not np.all(np.isfinite(v_hat)) or norm > BLOWUP_FACTOR * scale0:
                 raise InstabilityError(
@@ -311,6 +324,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
             if logged[n_logged] == i + 1:
                 v_hats[n_logged] = v_hat
                 n_logged += 1
+    slots.release(stages[-1:])
 
     rate = (E[1:] - E[:-1]) / (dt * (E[:-1] + F[:-1] + 1e-300))
     C_prime = float(np.max(rate)) if rate.size else 0.0

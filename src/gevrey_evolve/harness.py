@@ -464,11 +464,17 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         return row
 
     # every value is parsed, and the output directory checked, before the
-    # first row runs
-    vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
-    if not vals:
+    # first row runs; an empty entry (as in "4,,8" or "4,8,") is refused,
+    # not skipped
+    if not values:
         raise ConfigurationError(
             f"sweep --values lists no value for axis {axis}")
+    for pos, value in enumerate(values, 1):
+        if not str(value).strip():
+            raise ConfigurationError(
+                f"sweep --values lists no value at entry {pos} of "
+                f"{len(values)} for axis {axis}")
+    vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
     out = out_dir or cfg["output.dir"]
     if write:
         require_output_dir(out)
@@ -618,8 +624,9 @@ def main(argv=None):
                 print(line)
             return EXIT_OK
         if args.command == "sweep":
-            values = [s for s in args.values.split(",") if s]
-            rows, lines = sweep_pipeline(cfg, args.axis, values, out_dir=args.out)
+            rows, lines = sweep_pipeline(cfg, args.axis,
+                                         args.values.split(","),
+                                         out_dir=args.out)
             print(f"{len(rows)} rows")
             return EXIT_OK
         passed, lines = oracle_suite(cfg, out_dir=args.out)

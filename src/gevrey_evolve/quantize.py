@@ -21,9 +21,12 @@ dense conjugation on the resolved band.
 Every operator maps Fourier coefficients to Fourier coefficients
 (``matvec_hat``) and has a node-value ``dense()`` that only oracles call: a
 Multiplier (a row in xi: a row product), a Dense coefficient matrix, or a
-Stacked polynomial (a weighted sum of the quantized tables of a fixed
-spectral stack plus a row product: one GEMV over the stack and one FFT);
-quantized(grid, values) is the one-entry Stacked.
+Stacked polynomial (a weighted sum of the coefficient matrices of a fixed
+stack plus a row product: one N x N GEMV on the summed matrix, with no
+FFT); quantized(grid, values) is the one-entry Stacked.  The coefficient
+matrix of a table, E_syn^H (E_syn * p), is one FFT along x
+(coefficient_matrix); StageSlots holds the summed matrices of the stages a
+solve steps with, formed two at a time by one real GEMM.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -34,7 +37,7 @@ differences on the uniform frequency lattice (the Nyquist column is
 excluded).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,28 +145,90 @@ class Dense:
         return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Stacked:
     """sum_i weights[i] op(G_i) + diag(row) on coefficients, from the
-    spectral stack A[i] = E_syn * G_i (spectral_stack): the stack is fixed,
-    and only the weights and the row change from one time to the next."""
+    coefficient stack A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the
+    stack is fixed, and only the weights and the row change from one time
+    to the next.  It applies its coefficient matrix sum_i weights[i] A[i]:
+    the one a StageSlots slot holds for it (matrix), else one it forms for
+    the call."""
 
     grid: Grid
     stack: np.ndarray       # (J+1, N, N)
     weights: np.ndarray     # (J+1,)
     row: np.ndarray         # (N,)
+    matrix: np.ndarray = field(default=None, repr=False)  # (N, N) in a slot
+
+    def _matrix(self):
+        if self.matrix is not None:
+            return self.matrix
+        return stage_matrices([self])[0]
 
     def matvec_hat(self, w_hat):
-        """forward(sum_i weights[i] A[i] w_hat) + row * w_hat: one GEMV
-        over the stack, one FFT."""
-        N = self.grid.N
-        parts = (self.stack.reshape(-1, N) @ w_hat).reshape(-1, N)
-        return self.grid.forward(self.weights @ parts) + self.row * w_hat
+        """M w_hat + row * w_hat with M the coefficient matrix: one N x N
+        GEMV, one GEMM for each row of a stack (B, N)."""
+        return (self._matrix() @ w_hat.T).T + self.row * w_hat
 
     def dense(self):
-        summed = np.tensordot(self.weights, self.stack, axes=1)
-        return _on_nodes(self.grid,
-                         summed + self.grid.synthesis_matrix() * self.row)
+        E_syn = self.grid.synthesis_matrix()
+        return _on_nodes(self.grid, E_syn @ self._matrix() + E_syn * self.row)
+
+
+def stage_matrices(ops, out=None):
+    """The coefficient matrices sum_i weights[i] A[i] of the Stacked ops, a
+    (len(ops), N, N) array, written into out when given.  The weights are
+    real, so the matrices of ops over one stack are one real GEMM,
+    (B x (J+1)) @ ((J+1) x 2N^2), on the stack seen as float64; ops over
+    different stacks take one such product each."""
+    N = ops[0].grid.N
+    if out is None:
+        out = np.empty((len(ops), N, N), dtype=complex)
+    flat = out.reshape(len(ops), N * N).view(float)
+    stack = ops[0].stack
+    if all(op.stack is stack for op in ops):
+        np.matmul(np.array([op.weights for op in ops]),
+                  stack.reshape(len(stack), N * N).view(float), out=flat)
+    else:
+        for op, M in zip(ops, flat):
+            np.matmul(op.weights, op.stack.reshape(len(op.stack), N * N)
+                      .view(float), out=M)
+    return out
+
+
+class StageSlots:
+    """Three N x N slots, allocated on first use, for the coefficient
+    matrices of the Stacked stages a solve steps with; kept by the solve,
+    never shared.  form(ops) writes the matrices of ops (at most two) into
+    slots that no op holds, by one stage_matrices call; release(ops) hands
+    their slots back, and a released op forms its own matrix when it is
+    applied again, so it never reads a slot formed since."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.buffer = None
+        self.holders = [None] * 3
+
+    def form(self, ops):
+        ops = [op for op in ops if isinstance(op, Stacked)]
+        if not ops:
+            return
+        if self.buffer is None:
+            N = self.grid.N
+            self.buffer = np.empty((3, N, N), dtype=complex)
+        free = [i for i, op in enumerate(self.holders) if op is None]
+        # the free slots a and b as one view: slots 0 and 2 are strided
+        a, b = free[0], free[len(ops) - 1]
+        stage_matrices(ops, self.buffer[a:b + 1:max(b - a, 1)])
+        for i, op in zip(free, ops):
+            self.holders[i], op.matrix = op, self.buffer[i]
+
+    def release(self, ops):
+        if self.buffer is None:
+            return
+        for i, held in enumerate(self.holders):
+            if any(held is op for op in ops):
+                self.holders[i] = held.matrix = None
 
 
 def fourier_rows(*tables):
@@ -192,20 +257,31 @@ def multiplier_table(grid, values_xi):
     return SymbolTable(grid, np.asarray(values_xi, dtype=complex)[None, :])
 
 
+def coefficient_matrix(grid, values, out=None):
+    """The coefficient-to-coefficient matrix E_syn^H (E_syn * p) of op(p), p
+    given by its table values ((N, N) or a row), written into out when
+    given: the forward transform of each column of E_syn * p, one FFT along
+    x, in place."""
+    out = np.multiply(grid.synthesis_matrix(), values, out=out)
+    np.fft.fft(out, axis=0, norm="ortho", out=out)
+    out *= grid._phase[:, None]
+    return out
+
+
 def quantized(grid, values):
     """op(p), p given by its table values, on coefficients: the one-entry
-    Stacked of E_syn * p."""
-    return Stacked(grid, (grid.synthesis_matrix() * values)[None],
-                   np.ones(1), np.zeros(grid.N))
+    Stacked of its coefficient matrix."""
+    return Stacked(grid, coefficient_matrix(grid, values)[None], np.ones(1),
+                   np.zeros(grid.N))
 
 
 def spectral_stack(grid, tables):
-    """The stack A[i] = E_syn * tables[i], shape (len(tables), N, N), built
-    in place: the only N x N arrays it allocates are its own."""
-    E_syn = grid.synthesis_matrix()
+    """The coefficient stack A[i] = E_syn^H (E_syn * tables[i]), shape
+    (len(tables), N, N), each formed in place (coefficient_matrix): the
+    only N x N arrays it allocates are its own."""
     A = np.empty((len(tables), grid.N, grid.N), dtype=complex)
     for A_i, G in zip(A, tables):
-        np.multiply(E_syn, G, out=A_i)
+        coefficient_matrix(grid, G, out=A_i)
     return A
 
 

@@ -11,10 +11,11 @@ from gevrey_evolve.errors import ConvergenceError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.positivity import real_sum
-from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
-                                    exp_table, multiplier_table, operator_norm,
-                                    quantized, representable_error,
-                                    sampled_table, to_dense, x_derivative)
+from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, StageSlots,
+                                    SymbolTable, exp_table, multiplier_table,
+                                    operator_norm, quantized,
+                                    representable_error, sampled_table,
+                                    stage_matrices, to_dense, x_derivative)
 from gevrey_evolve.symbols import eval_table, model_problem
 from gevrey_evolve.weights import (WeightParams, k_of_t, k_prime,
                                    lambda_x_derivative)
@@ -608,9 +609,10 @@ def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
                                           ("time-modulated", L, N),
                                           ("kdv-baseline", L, N)])
 def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
-    # the stage the stepper applies, one GEMV over the spectral stack plus
-    # the k' row, against op(generator_table) built from the named parts, on
-    # fresh, repeated and evicted coefficient times; C1, C2 > 0 make k' != 0.
+    # the stage the stepper applies, its coefficient matrix (the coefficient
+    # stack weighted by the powers of k) plus the k' row, against
+    # op(generator_table) built from the named parts, on fresh, repeated and
+    # evicted coefficient times; C1, C2 > 0 make k' != 0.
     # kdv-baseline with M2 = M1 = 0 is x-independent: its stage is the
     # Multiplier of the same polynomial's row
     g = make_grid(L_, N_)
@@ -641,7 +643,8 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
 
 def _per_time_stage(asm, t):
     """The stage at one time, built as before stage_operators: scalar k(t)
-    and k'(t), the row or the weights of that time alone."""
+    and k'(t), the row, or the coefficient matrix of that time's weights
+    formed alone."""
     rows, powers, stack = asm._polynomial(t)
     k = float(k_of_t(t, asm.params))
     kp = -float(k_prime(t, asm.params)) * asm.xi_pow
@@ -651,8 +654,10 @@ def _per_time_stage(asm, t):
         for j, G in zip(powers, rows[1:]):
             row += (k ** j) * G
         return Multiplier(asm.grid, row)
-    return Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]),
-                   kp)
+    op = Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]),
+                 kp)
+    op.matrix = stage_matrices([op])[0]
+    return op
 
 
 @pytest.mark.parametrize("name, weights, variant", [
@@ -676,6 +681,35 @@ def test_stage_operators_match_the_per_time_build(grid, name, weights,
         want = _per_time_stage(asm, t).matvec_hat(w_hat)
         got = op.matvec_hat(w_hat)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
+def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name):
+    # the solve forms a step's two new stage times in one GEMM over the
+    # stack (time-modulated: one product per time's own stack), in slots it
+    # reuses; each matrix equals the stage's own, formed alone, and the
+    # slot pattern of three steps (pairs into slots 1-2, 0-1 and 0-2, the
+    # last strided) writes every pair where its stages read it
+    asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
+                               params_with(C1=0.2, C2=0.01), grid)
+    taus = np.linspace(0.0, 0.3, 7)
+    ops = asm.stage_operators(taus)
+    alone = [stage_matrices([op])[0] for op in ops]
+    for j in (1, 3):
+        for M, want in zip(stage_matrices(ops[j:j + 2]), alone[j:j + 2]):
+            assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
+    slots, seen = StageSlots(grid), set()
+    slots.form(ops[:1])
+    for j in (0, 2, 4):
+        slots.form(ops[j + 1:j + 3])
+        for op, want in zip(ops[j:j + 3], alone[j:j + 3]):
+            assert np.max(np.abs(op.matrix - want)) \
+                <= 1e-15 * np.max(np.abs(want))
+            seen.add(op.matrix.__array_interface__["data"][0])
+        slots.release(ops[j:j + 2])
+    assert len(seen) == 3
+    slots.release(ops[-1:])
+    assert all(op.matrix is None for op in ops)
 
 
 @pytest.mark.parametrize("name, weights, exact", [

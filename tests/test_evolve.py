@@ -239,8 +239,10 @@ def test_stacked_step_matches_dense_step(grid):
 
 def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     # a damped-64 solve quantizes no table per stage time: it builds the
-    # spectral stack of its one coefficient time once, and every stage it
-    # applies is that stack weighted at its own time, k' row included
+    # coefficient stack of its one coefficient time once, and every stage
+    # it applies is that stack weighted at its own time, k' row included.
+    # The stages are applied after the solve has ended and reused its
+    # slots: each must then form its own matrix, not read a stale slot
     setup = small_setup
     grid = setup["grid"]
     bundle = dataclasses.replace(setup["bundle"], assembler=ConjugationAssembler(
@@ -281,6 +283,82 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
         got = stages[t].matvec_hat(w_hat)
         want = ref.matvec_hat(w_hat)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _count_stage_forms(monkeypatch):
+    """Record each stage_matrices call's op count: one GEMM per call when
+    its ops share a stack."""
+    sizes = []
+    form = quantize.stage_matrices
+
+    def counting(ops, out=None):
+        sizes.append(len(ops))
+        return form(ops, out)
+
+    monkeypatch.setattr(quantize, "stage_matrices", counting)
+    return sizes
+
+
+def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
+    # an unforced damped-64 solve forms the t = 0 stage's coefficient
+    # matrix alone and each step's two new ones in one GEMM over the one
+    # stack: steps + 1 GEMMs, into at most three slots for the whole solve.
+    # Every stage a step applies holds its matrix, equal to the one it
+    # forms alone, and no Grid.forward call comes from a stage
+    from gevrey_evolve.grid import Grid
+    grid, bundle = small_setup["grid"], small_setup["bundle"]
+    sizes = _count_stage_forms(monkeypatch)
+    slots, inside, forwards = set(), [False], [0]
+    forward = Grid.forward
+
+    def counting_forward(self, u):
+        forwards[0] += inside[0]
+        return forward(self, u)
+
+    def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
+        for op in stages:
+            assert isinstance(op, Stacked) and op.matrix is not None
+            slots.add(op.matrix.__array_interface__["data"][0])
+            want = np.tensordot(op.weights, op.stack, axes=1)
+            assert np.max(np.abs(op.matrix - want)) \
+                <= 1e-15 * np.max(np.abs(want))
+        inside[0] = True
+        try:
+            return step(v_hat, dt, grid, phases, stages, forcing)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Grid, "forward", counting_forward)
+    monkeypatch.setattr(evolve, "step", checking_step)
+    traj = solve_conjugated(bundle.assembler, None,
+                            grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
+                            0.5)
+    assert sizes == [1] + [2] * traj.meta["steps"]
+    assert 0 < len(slots) <= 3
+    assert forwards[0] == 0
+
+
+def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
+    # kdv-baseline at its selected weights (M2 = M1 = 0) steps with
+    # Multiplier stages: a solve makes no stage GEMM and allocates no slot
+    kdv = model_problem("kdv-baseline", 0.75)
+    _, details = select_parameters_detailed(kdv, 1.8, grid)
+    bundle = details["bundle"]
+    assert isinstance(bundle.assembler.stage_operators([0.0])[0], Multiplier)
+    sizes = _count_stage_forms(monkeypatch)
+    made = []
+
+    class Recording(quantize.StageSlots):
+        def __init__(self, grid):
+            super().__init__(grid)
+            made.append(self)
+
+    monkeypatch.setattr(evolve, "StageSlots", Recording)
+    traj = solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8),
+                          0.5)
+    assert traj.meta["steps"] > 0
+    assert sizes == []
+    assert len(made) == 1 and made[0].buffer is None
 
 
 def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):

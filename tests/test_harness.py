@@ -431,6 +431,24 @@ def test_empty_sweep_is_a_config_error(tmp_path, capsys, values):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values, pos", [("4,,8", "entry 2 of 3"),
+                                         ("4,8,", "entry 3 of 3"),
+                                         (",4", "entry 1 of 2")])
+def test_empty_sweep_entry_is_a_config_error(tmp_path, capsys, values, pos):
+    # an empty entry is a typo, not a value to skip: the sweep is refused
+    # with exit 2 and one line naming --values and the entry's position,
+    # before the output directory is made and before any row runs
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["sweep", str(cfg), "--axis", "h", "--values", values]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): sweep --values lists no value")
+    assert pos in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_coefficient_strengths_may_be_negative():
     RunConfig.from_text(
         SMALL + "problem.c2 = -0.1\nproblem.c1 = -0.2\nproblem.c0 = -3\n").validate()

@@ -46,6 +46,7 @@ T_POS = "tests/test_positivity.py::"
 T_SYMBOLS = "tests/test_symbols.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
+PAIR_CASE = T_CONJ + "test_stage_formed_in_a_pair_equals_it_formed_alone"
 MARGINS_CASE = T_POS + "test_margins_read_parts_without_at"
 ORACLE_CASE = T_CONJ + "test_conjugator_variant_against_dense_oracle"
 
@@ -125,6 +126,25 @@ MUTANTS = [
            'if "generator" not in entry:',
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
+    Mutant("slot-not-released-after-its-step", QUANTIZE,
+           "self.holders[i] = held.matrix = None",
+           "self.holders[i] = None",
+           (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
+    Mutant("pair-gemm-drops-top-power", QUANTIZE,
+           "np.matmul(np.array([op.weights for op in ops]),",
+           "np.matmul(np.array([op.weights for op in ops])\n"
+           "                  * (np.arange(len(stack)) < len(stack) - (len(ops) > 1)),",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
+            PAIR_CASE + "[complex-damped]")),
+    Mutant("pair-overwrites-the-first-stage", QUANTIZE,
+           "free = [i for i, op in enumerate(self.holders) if op is None]",
+           "free = [1, 2]",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
+            PAIR_CASE + "[complex-damped]")),
+    Mutant("stage-matrices-formed-per-rhs", EVOLVE,
+           "            slots.form(stages[j + 1:j + 3])\n",
+           "",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("part-memo-ignores-coefficient-time", CONJ,
            "key = round(float(t), 12) if self.problem.time_dependent else None",
            "key = None",
@@ -180,9 +200,10 @@ MUTANTS = [
            "positivity.garding_floors = {}",
            (T_HARNESS + "test_run_builds_each_setup_object_once",)),
     Mutant("empty-sweep-runs", HARNESS,
-           "    if not vals:\n",
-           "    if False:\n",
-           (T_HARNESS + "test_empty_sweep_is_a_config_error[,]",)),
+           "        if not str(value).strip():\n",
+           "        if False:\n",
+           (T_HARNESS + "test_empty_sweep_is_a_config_error[,]",
+            T_HARNESS + "test_empty_sweep_entry_is_a_config_error[4,,8-entry 2 of 3]")),
     Mutant("artifact-write-error-uncaught", HARNESS,
            "    except OSError as exc:\n        # from_file",
            "    except () as exc:\n        # from_file",
