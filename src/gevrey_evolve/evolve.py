@@ -12,16 +12,23 @@ maps Fourier coefficients to Fourier coefficients (quantize), so the solve
 carries them throughout: the integrating factor, the half-step phases and
 a Multiplier stage are row products, a Stacked stage is one N x N GEMV on
 its stage time's coefficient matrix, with no FFT.  What depends on time
-but not on v is computed once per block of BLOCK steps, as in the
-exponential integrators of Kassam & Trefethen (SIAM J. Sci. Comput. 26,
-2005), which form their integrating factors outside the time loop: one
-a3 call for the block's integrating factors, one stage_operators call for
-its stage operators, and one stacked transform and conjugation of its
-forcing.  Each step's two new stage times (t + dt/2, t + dt) get their
-coefficient matrices from one GEMM over the stack, into slots the solve
-reuses (quantize.StageSlots); its first stage is the step before's last.
-step() is then only the Runge-Kutta arithmetic.  The data is
-transformed once, ||v|| comes from Parseval, and the pull-back, its
+but not on v is computed once per block of steps, as in the exponential
+integrators of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005), which
+form their integrating factors outside the time loop: one a3 call for
+the block's integrating factors, one stage_operators call for its stage
+operators, and one stacked transform and conjugation of its forcing.  A
+block holds as many steps as fit in BLOCK_BYTES (step_bytes), so a
+solve whose stages each hold their own coefficient stack (time-dependent
+coefficients) steps one step per block, and a Multiplier or
+time-independent Stacked solve tens of steps.  A Multiplier step is
+affine and diagonal in v, v -> P * v + Q, and a block forms its P and Q
+rows with one step() call each on (B, N) stacks; its step loop is then
+two row operations per step.  A Stacked step's two new stage times
+(t + dt/2, t + dt) get their coefficient matrices from one GEMM over
+the stack, into slots the solve reuses (quantize.StageSlots); its first
+stage is the step before's last.  step() is only the Runge-Kutta
+arithmetic.  The data is transformed once, ||v|| comes from Parseval and
+is read, with the blow-up check, once per block, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients
 on (B, N) stacks of logged fields, so u is synthesized once per logged
 time.  The variant of every operator is read off its tables
@@ -39,15 +46,16 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import StageSlots
+from .quantize import Multiplier, StageSlots
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
 DT_SAFETY = 1.0         # default dt <= DT_SAFETY / max |generator table at 0|
 MAX_STEPS = 200000
 STORED_FIELDS = 256     # a solve logs every (steps // STORED_FIELDS)-th field
-BLOCK = 8               # steps per block of time-only work; logged fields per
-                        # block of the pull-back
+BLOCK_BYTES = 2 ** 20   # what a block of steps (step_bytes), or of logged
+                        # fields in the pull-back, may hold
+PULLBACK_ROWS = 8       # complex N-rows the pull-back holds per logged field
 RADIUS_TOL = 0.05       # tolerated shortfall of the data's fitted radius
 REPORT_DELTA = 0.01     # output norm radius rho' = k(T) - REPORT_DELTA
 RADIUS_BAND = 0.5       # radius fits read the band |xi| <= RADIUS_BAND xi_max
@@ -204,6 +212,9 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     quantize.Dense: one GEMV), as ConjugationAssembler.stage_operators
     builds them; forcing is
     None or the conjugated forcing's coefficients at the same three times.
+    With Multiplier stages the step is row arithmetic throughout, so B
+    steps run at once on (B, N) stacks: v_hat, the phases, the stages'
+    rows and the forcing (B, N) each, and dt a (B, 1) column.
     """
     ph_half, ph_full = phases
     A0, A_half, A_full = stages
@@ -225,8 +236,47 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     # pointwise coefficient products alias into the unmatched Nyquist slot;
     # the final integrating factor projects it back out
     out = ph_full * v_tilde
-    out[grid.nyquist] = 0.0
+    out[..., grid.nyquist] = 0.0
     return out
+
+
+def step_bytes(stage, forced, own_stack):
+    """The bytes one step adds to a block whose stages are like stage: the
+    rows of its two stage times (the stage's or its k' row, and the
+    forcing's when forced), its two integrating-factor rows and its state
+    row, with the P and Q rows of a Multiplier block; and the two stages'
+    coefficient stacks when each stage holds its own (own_stack)."""
+    rows = 5 + 2 * forced + 2 * isinstance(stage, Multiplier)
+    stacks = 2 * stage.stack.nbytes if own_stack else 0
+    return rows * 16 * stage.grid.N + stacks
+
+
+def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
+    """The steps of a block with Multiplier stages, written into the rows of
+    out; returns the last.  Such a step is affine and diagonal in v_hat,
+    step(v_hat) = P * v_hat + Q, with P = step(1) unforced and Q = step(0)
+    forced: both come from one step() call on the block's (B, N) stacks,
+    and each step is then two row operations.  dts are the B step lengths,
+    phases the block's integrating factors (B, 2, N), stages the 2B + 1
+    stage operators at t = times[0] and every half step and step end, and
+    forcing None or its coefficients at the same times."""
+    def by_stage(a):
+        """The rows of a at each step's start, half and end time."""
+        return a[0:-1:2], a[1::2], a[2::2]
+
+    ops = [Multiplier(grid, row)
+           for row in by_stage(np.array([op.row for op in stages]))]
+    ph = phases.transpose(1, 0, 2)
+    dt = dts[:, None]
+    P = step(np.ones(out.shape, dtype=complex), dt, grid, ph, ops)
+    Q = None if forcing is None else step(
+        np.zeros_like(P), dt, grid, ph, ops, by_stage(forcing))
+    for j, row in enumerate(out):
+        np.multiply(P[j], v_hat, out=row)
+        if Q is not None:
+            row += Q[j]
+        v_hat = row
+    return v_hat
 
 
 def default_dt(G, T):
@@ -241,18 +291,22 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    The steps run in blocks of BLOCK.  Before each block, everything that
-    depends on time but not on v is computed for the whole block in a few
-    vectorized calls: the integrating factors, the stage operators and the
-    conjugated forcing at the block's stage times (every half step and
-    step end).  The block before hands on the stage at its last step end,
-    so each stage time is built and conjugated exactly once.  A Stacked
-    stage's coefficient matrix is formed once, in one of three StageSlots
-    slots: step i forms its half and end times' matrices together (one
-    GEMM) into the two slots its first stage does not hold, and releases
-    its first two stages when it ends.  Step i runs
-    with the exact (Sterbenz) step times[i+1] - times[i], so it ends on
-    times[i+1], and the blow-up check runs after every step.
+    The steps run in blocks of max(1, BLOCK_BYTES // step_bytes) steps.
+    Before each block, everything that depends on time but not on v is
+    computed for the whole block in a few vectorized calls: the
+    integrating factors, the stage operators and the conjugated forcing at
+    the block's stage times (every half step and step end).  The block
+    before hands on the stage at its last step end, so each stage time is
+    built and conjugated exactly once.  A Multiplier block steps as one
+    affine row map per step (affine_steps).  A Stacked stage's coefficient
+    matrix is formed once, in one of three StageSlots slots: step i forms
+    its half and end times' matrices together (one GEMM) into the two
+    slots its first stage does not hold, and releases its first two
+    stages when it ends.  Step i runs with the exact (Sterbenz) step
+    times[i+1] - times[i], so it ends on times[i+1].  A block's states
+    are one (B, N) array: their norms, the finite check, the blow-up cap
+    and the logged copies are read from it once per block, and a blow-up
+    names the first step that crossed the cap.
     v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
     callable taking an array of times (B,) to the coefficients (B, N) of
     the conjugated forcing there, or None.  It is called at t = 0 and then
@@ -281,7 +335,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     stride = max(1, steps // STORED_FIELDS)
 
     times = np.linspace(0.0, steps * dt, steps + 1)
-    logged = [*range(0, steps, stride), steps]
+    logged = np.array([*range(0, steps, stride), steps])
     # one array for the logged fields, so that they do not scatter among
     # the blocks' temporaries on the heap
     v_hats = np.empty((len(logged), grid.N), dtype=complex)
@@ -291,15 +345,18 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     E = np.empty(steps + 1)
     F = np.zeros(steps + 1)
     E[0] = grid.l2_norm(v_hat) ** 2
-    scale0 = np.sqrt(E[0]) + 1.0
+    cap = BLOWUP_FACTOR * (np.sqrt(E[0]) + 1.0)
     # the stage (and forcing) at t = 0; afterwards, at each block's start
     stages = assembler.stage_operators(times[:1])
     forcing = None if f_conj is None else f_conj(times[:1])
+    affine = isinstance(stages[0], Multiplier)
+    block = max(1, BLOCK_BYTES // step_bytes(
+        stages[0], f_conj is not None, not affine and p.time_dependent))
     slots = StageSlots(grid)
     slots.form(stages)
 
-    for start in range(0, steps, BLOCK):
-        stop = min(start + BLOCK, steps)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
         t0, t1 = times[start:stop], times[start + 1:stop + 1]
         taus = np.empty(2 * (stop - start))
         taus[0::2], taus[1::2] = t0 + 0.5 * (t1 - t0), t1
@@ -308,22 +365,32 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
             forcing = np.concatenate([forcing[-1:], f_conj(taus)])
             F[start:stop + 1] = grid.l2_norm(forcing[0::2]) ** 2
         phases = integrating_factors(p, grid, times[start:stop + 1])
-        for i in range(start, stop):
-            j = 2 * (i - start)
-            slots.form(stages[j + 1:j + 3])
-            v_hat = step(v_hat, t1[i - start] - t0[i - start], grid,
-                         phases[i - start], stages[j:j + 3],
-                         None if forcing is None else forcing[j:j + 3])
-            slots.release(stages[j:j + 2])
-            norm = grid.l2_norm(v_hat)
-            if not np.all(np.isfinite(v_hat)) or norm > BLOWUP_FACTOR * scale0:
-                raise InstabilityError(
-                    f"solution blew up at t={times[i+1]:.6g} (step {i+1})",
-                    t=float(times[i + 1]))
-            E[i + 1] = norm ** 2
-            if logged[n_logged] == i + 1:
-                v_hats[n_logged] = v_hat
-                n_logged += 1
+        states = np.empty((stop - start, grid.N), dtype=complex)
+        # a blow-up is found after the block: the steps past it may
+        # overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            if affine:
+                v_hat = affine_steps(v_hat, t1 - t0, grid, phases, stages,
+                                     forcing, states)
+            else:
+                for j in range(stop - start):
+                    slots.form(stages[2 * j + 1:2 * j + 3])
+                    states[j] = v_hat = step(
+                        v_hat, t1[j] - t0[j], grid, phases[j],
+                        stages[2 * j:2 * j + 3],
+                        None if forcing is None else forcing[2 * j:2 * j + 3])
+                    slots.release(stages[2 * j:2 * j + 2])
+            norms = grid.l2_norm(states)
+            bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)
+        if np.any(bad):
+            i = start + 1 + int(np.argmax(bad))
+            raise InstabilityError(
+                f"solution blew up at t={times[i]:.6g} (step {i})",
+                t=float(times[i]))
+        E[start + 1:stop + 1] = norms ** 2
+        done = np.searchsorted(logged, stop, side="right")
+        v_hats[n_logged:done] = states[logged[n_logged:done] - start - 1]
+        n_logged = done
     slots.release(stages[-1:])
 
     rate = (E[1:] - E[:-1]) / (dt * (E[:-1] + F[:-1] + 1e-300))
@@ -340,7 +407,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                       energy_residual=residual,
                       C_prime=C_prime, gronwall_C=gron,
                       meta={"dt": dt, "steps": steps,
-                            "logged_indices": logged})
+                            "logged_indices": logged.tolist()})
     return traj
 
 
@@ -360,8 +427,9 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     stage time; the energy estimate keeps the forcing's input norm at each
     of them, a scalar, and reads it at the step times.  The pull-back, the
     equivalence check (by Parseval), the radius fit and the output norm
-    run on blocks of BLOCK logged coefficients, each a (B, N) stack, and
-    u is synthesized once per logged time.
+    run on groups of logged coefficients, each a (B, N) stack of as many
+    fields as fit in BLOCK_BYTES at PULLBACK_ROWS rows a field, and u is
+    synthesized once per logged time.
     The horizon T may not exceed bundle.problem.T: the positivity
     certificate and the calibrated C1/C2 cover [0, problem.T] only, so a
     longer T raises ParameterError.
@@ -400,9 +468,10 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     rho_prime = float(k_of_t(T, params)) - REPORT_DELTA
     spec_out = GevreyNormSpec(m, rho_prime, theta)
     u_fields, rad, equiv, hm_u = [], [], [], []
-    for i in range(0, len(traj.v_hats), BLOCK):
-        t = traj.logged_times[i:i + BLOCK]
-        v_hat = traj.v_hats[i:i + BLOCK]
+    group = max(1, BLOCK_BYTES // (PULLBACK_ROWS * 16 * grid.N))
+    for i in range(0, len(traj.v_hats), group):
+        t = traj.logged_times[i:i + group]
+        v_hat = traj.v_hats[i:i + group]
         u_hat = bundle.apply_full_inverse(v_hat, t)
         u_fields.extend(grid.inverse(u_hat))
         back = bundle.apply_full(u_hat, t)

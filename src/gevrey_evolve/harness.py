@@ -100,8 +100,10 @@ _POSITIVE_KEYS = ("grid.L", "problem.T", "gevrey.rho", "data.rho", "weights.k0",
                   "tolerances.series_tol", "tolerances.garding_tol")
 # live complex N x N tables at the peak of a run, rounded up: the dense
 # working set is DENSE_TABLES * 16 N^2 bytes.  About 65 were measured for
-# complex-damped at N = 128, 256 and 384, and about 200 for time-modulated,
-# whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient times
+# complex-damped at N = 128, 256 and 384, and about 160 for time-modulated
+# at N = 128 and 256, whose assembler keeps the tables of
+# conjugate.MEMO_TIMES coefficient times and whose solve steps one step per
+# block, each stage holding its own coefficient stack
 DENSE_TABLES = 80
 DENSE_TABLES_TIME_DEPENDENT = 240
 

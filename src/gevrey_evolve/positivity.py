@@ -96,10 +96,17 @@ def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
     products, which drives the unrestricted floor down like xi_max^order;
     restricted to band-limited states the floor is N-stable and matches the
     continuum lower-bound picture.
+
+    A one-row table quantizes to a multiplier, whose Hermitian part is
+    diagonal in xi: its floor is the smallest real part of the row on the
+    band, in O(N).  An N x N table takes the dense eigenproblem.
     """
+    band = grid.band_mask(GARDING_BAND)
+    if sym.values.shape[0] == 1:
+        return float(np.min(sym.values[0, band].real))
     A = to_dense(sym)
     H = 0.5 * (A + A.conj().T)
-    basis = grid.synthesis_matrix()[:, grid.band_mask(GARDING_BAND)]
+    basis = grid.synthesis_matrix()[:, band]
     H_band = basis.conj().T @ H @ basis
     return float(np.linalg.eigvalsh(H_band)[0])
 
@@ -160,8 +167,9 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
 
 
 def garding_floors(assembler: ConjugationAssembler) -> dict:
-    """Band-restricted Garding floors of the three blocks at t = 0 (dense
-    N x N eigenproblems)."""
+    """Band-restricted Garding floors of the three blocks at t = 0
+    (discrete_garding: the row minimum of a multiplier block, a dense
+    eigenproblem of an N x N one)."""
     cs, grid = assembler.at(0.0), assembler.grid
     return {name: discrete_garding(cs.block(name).real, grid)
             for name in BLOCKS}

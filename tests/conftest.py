@@ -36,3 +36,11 @@ def large_setup():
     grid = make_grid(20.0, 256)
     params, details = select_parameters_detailed(prob, THETA, grid)
     return dict(problem=prob, grid=grid, params=params, details=details)
+
+
+@pytest.fixture(scope="session")
+def modulated64_selection():
+    """time-modulated at (L=10, N=64): (problem, grid, params, details)."""
+    prob = model_problem("time-modulated", SIGMA, domain=10.0)
+    grid = make_grid(10.0, 64)
+    return (prob, grid, *select_parameters_detailed(prob, THETA, grid))

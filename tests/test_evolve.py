@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from gevrey_evolve import conjugate, evolve, quantize
 from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
                                      build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
-from gevrey_evolve.evolve import (BLOCK, GevreyNormSpec, gevrey_norm,
+from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
                                   integrating_factors, radius_fit,
                                   solve_conjugated, solve_original, step,
-                                  synthetic_radius_field)
+                                  step_bytes, synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
 from gevrey_evolve.quantize import Stacked, multiplier_table, to_dense
@@ -416,14 +417,17 @@ def test_stage_variant_read_off_the_tables(small_setup, grid):
 @pytest.mark.parametrize("block", [1, 7])
 def test_blocks_do_not_change_the_solve(small_setup, monkeypatch, block):
     # the block length only groups the time-only work: a forced damped-64
-    # solve in blocks of 1 or 7 steps (32 steps: a short last block) gives
-    # the same trajectory as in blocks of BLOCK, up to the rounding of the
-    # Dense conjugator's GEMM on a stack
+    # solve in blocks of 1 or 7 steps (32 steps: a short last block), the
+    # byte budget set to that many steps' bytes, gives the same trajectory
+    # as in blocks of the default budget, up to the rounding of the Dense
+    # conjugator's GEMM on a stack
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
     f = lambda t: 0.5 * np.exp(-t) * g
     ref = solve_original(bundle, f, g, 0.5, rho=0.7)
-    monkeypatch.setattr(evolve, "BLOCK", block)
+    stage = bundle.assembler.stage_operators([0.0])[0]
+    monkeypatch.setattr(evolve, "BLOCK_BYTES",
+                        block * step_bytes(stage, True, False))
     got = solve_original(bundle, f, g, 0.5, rho=0.7)
     assert got.meta["steps"] % block or block == 1
     for a, b in ((ref.l2, got.l2), (ref.radius, got.radius),
@@ -444,6 +448,86 @@ def test_step_blowup_detected(grid):
     with pytest.raises(InstabilityError) as err:
         solve_conjugated(asm, None, grid.forward(v0), 3.0, dt=0.02)
     assert err.value.t is not None
+
+
+def _per_step(asm, f_conj, v0_hat, times):
+    """The states at every step time, stepped one step() at a time, each on
+    its own stage operators, integrating factors and forcing."""
+    p, grid = asm.problem, asm.grid
+    out = [v0_hat]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1 in zip(times[:-1], times[1:]):
+            taus = np.array([t0, t0 + 0.5 * (t1 - t0), t1])
+            out.append(step(out[-1], t1 - t0, grid,
+                            integrating_factors(p, grid, [t0, t1])[0],
+                            asm.stage_operators(taus),
+                            None if f_conj is None else f_conj(taus)))
+    return np.array(out)
+
+
+def _kdv_assembler(grid, C1, C2):
+    kdv = model_problem("kdv-baseline", 0.75)
+    params = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
+                                 C1=C1, C2=C2)
+    return ConjugationAssembler(kdv, params, grid)
+
+
+def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
+    # kdv-baseline with C1, C2 > 0 (a time-dependent k' row) and a forcing
+    # steps with Multiplier stages: each block is one step() call for P and
+    # one for Q on (B, N) stacks, and then P * v + Q per step.  In blocks of
+    # 3 (25 steps: a short last block) it gives the states of step() taken
+    # one step at a time
+    asm = _kdv_assembler(grid, 0.5, 0.3)
+    assert isinstance(asm.stage_operators([0.0])[0], Multiplier)
+    f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))
+
+    def f_conj(taus):
+        return (np.cos(3.0 * taus)[:, None] * f_hat
+                + 1j * taus[:, None] * np.conj(f_hat))
+
+    monkeypatch.setattr(evolve, "BLOCK_BYTES",
+                        3 * step_bytes(asm.stage_operators([0.0])[0], True,
+                                       False))
+    shapes = []
+
+    def recording(v_hat, *args, **kwargs):
+        shapes.append(np.shape(v_hat))
+        return step(v_hat, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step", recording)
+    v0 = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
+    traj = solve_conjugated(asm, f_conj, v0, 0.5, dt=0.02)
+    monkeypatch.undo()
+    assert traj.meta["steps"] == 25
+    assert shapes == [(3, grid.N)] * 16 + [(1, grid.N)] * 2
+    ref = _per_step(asm, f_conj, v0, traj.times)
+    got = traj.v_hats
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    l2 = grid.l2_norm(ref)
+    assert np.max(np.abs(traj.l2 - l2)) <= 1e-13 * np.max(l2)
+
+
+def test_multiplier_blowup_names_the_first_step(grid):
+    # k' = -C2 > 0 makes a kdv-baseline Multiplier solve grow past the cap
+    # at step 2 and overflow later in the same block: the error names the
+    # step and t at which step() taken one step at a time first crosses the
+    # cap, and the overflow past it prints no RuntimeWarning
+    asm = _kdv_assembler(grid, 0.0, -5000.0)
+    v0 = grid.forward(synthetic_radius_field(grid, 0.5, 1.8))
+    times = np.linspace(0.0, 1.0, 101)
+    ref = _per_step(asm, None, v0, times)
+    cap = evolve.BLOWUP_FACTOR * (grid.l2_norm(v0) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.all(np.isfinite(ref), axis=1) | (grid.l2_norm(ref) > cap)
+    first = int(np.argmax(bad))
+    assert 1 < first < 100 and not np.all(np.isfinite(ref[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError) as err:
+            solve_conjugated(asm, None, v0, 1.0, dt=0.01)
+    assert err.value.t == times[first]
+    assert str(err.value).endswith(f"(step {first})")
 
 
 # ----------------------------------------------------------------------
@@ -527,44 +611,54 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
     assert traj.meta["energy_estimate_C"] == pytest.approx(C, rel=1e-12, abs=0.0)
 
 
+def _stage_calls(monkeypatch):
+    """Record the times of each stage_operators call, one list per call."""
+    calls = []
+    build = ConjugationAssembler.stage_operators
+
+    def counting(self, taus):
+        calls.append(list(map(float, taus)))
+        return build(self, taus)
+
+    monkeypatch.setattr(ConjugationAssembler, "stage_operators", counting)
+    return calls
+
+
 def _stage_times(setup, T, dt, monkeypatch):
     """A forced solve's step count, the times its forcing is evaluated at
-    and the times its stage operators are built at."""
+    and the times of each of its stage_operators calls."""
     grid = setup["grid"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
-    taus, stage_taus = [], []
+    taus = []
 
     def f(t):
         taus.append(float(t))
         return 0.5 * np.exp(-t) * g
 
-    build = ConjugationAssembler.stage_operators
-
-    def counting(self, taus):
-        stage_taus.extend(map(float, taus))
-        return build(self, taus)
-
-    monkeypatch.setattr(ConjugationAssembler, "stage_operators", counting)
+    calls = _stage_calls(monkeypatch)
     traj = solve_original(setup["bundle"], f, g, T, dt=dt)
-    return traj.meta["steps"], taus, stage_taus
+    return traj.meta["steps"], taus, calls
 
 
 def test_forcing_conjugated_once_per_stage_time(small_setup, monkeypatch):
     # k2 and k3 share t + dt/2, and k4 shares t + dt with the energy log and
     # the next k1: no time's forcing reaches apply_full twice, and no time's
     # stage operator is built twice
-    steps, taus, stage_taus = _stage_times(small_setup, 0.5, None, monkeypatch)
+    steps, taus, calls = _stage_times(small_setup, 0.5, None, monkeypatch)
+    stage_taus = sum(calls, [])
     assert len(taus) == len(set(taus))
     # t = 0, every half step and every step end
     assert len(taus) == 2 * steps + 1
     assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
 
 
-def test_energy_estimate_calls_f_once_per_stage_time(small_setup):
+def test_energy_estimate_calls_f_once_per_stage_time(small_setup,
+                                                     monkeypatch):
     # the energy estimate reads ||f||^2 off the coefficients the solve forms
     # at the step times, which are stage times: f is called once per stage
     # time, and the constant equals, bit for bit, the one from f evaluated
-    # and transformed again at every step time in blocks of BLOCK
+    # and transformed again at every step time, grouped as the solve's
+    # blocks group them (t = 0 alone, then each block's step ends)
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     rho, theta = 0.7, 1.8
     g = synthetic_radius_field(grid, rho, theta)
@@ -574,15 +668,19 @@ def test_energy_estimate_calls_f_once_per_stage_time(small_setup):
         taus.append(float(t))
         return 0.5 * np.exp(-t) * g
 
+    calls = _stage_calls(monkeypatch)
     traj = solve_original(bundle, f, g, 0.5, rho=rho)
+    monkeypatch.undo()
     steps = traj.meta["steps"]
     assert len(taus) == len(set(taus)) == 2 * steps + 1
 
     spec_in = GevreyNormSpec(0.0, rho, theta)
     times = traj.times
+    groups = [call[1::2] for call in calls[1:]]
+    assert calls[0] == [0.0] and sum(map(len, groups)) == steps
     fn = np.concatenate([
-        gevrey_norm(grid.forward([f(t) for t in times[i:i + BLOCK]]),
-                    spec_in, grid) for i in range(0, times.size, BLOCK)]) ** 2
+        gevrey_norm(grid.forward([f(t) for t in group]), spec_in, grid)
+        for group in [[0.0], *groups]]) ** 2
     den = np.full(times.size, gevrey_norm(grid.forward(g), spec_in, grid) ** 2)
     den[1:] += np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(times))
     C = max(hm ** 2 / d for hm, d in
@@ -590,21 +688,51 @@ def test_energy_estimate_calls_f_once_per_stage_time(small_setup):
     assert traj.meta["energy_estimate_C"] == C
 
 
-def test_steps_end_on_the_logged_times(monkeypatch):
-    # forced kdv-baseline at N=256 with dt = 0.002: times[i] + dt misses
-    # times[i+1] by an ulp at 22 of the 500 steps, so a step that ended at
-    # t + dt would make those 22 times extra stage times
+@pytest.fixture(scope="module")
+def kdv256():
+    """kdv-baseline at (L=40, N=256) with its selected weights."""
     prob = model_problem("kdv-baseline", 0.75, domain=40.0)
     grid = make_grid(40.0, 256)
     params, details = select_parameters_detailed(prob, 1.8, grid)
-    setup = dict(problem=prob, grid=grid, params=params,
-                 bundle=details["bundle"])
-    steps, taus, stage_taus = _stage_times(setup, 1.0, 0.002, monkeypatch)
+    return dict(problem=prob, grid=grid, params=params,
+                bundle=details["bundle"])
+
+
+def test_steps_end_on_the_logged_times(kdv256, monkeypatch):
+    # forced kdv-baseline at N=256 with dt = 0.002: times[i] + dt misses
+    # times[i+1] by an ulp at 22 of the 500 steps, so a step that ended at
+    # t + dt would make those 22 times extra stage times
+    steps, taus, calls = _stage_times(kdv256, 1.0, 0.002, monkeypatch)
+    stage_taus = sum(calls, [])
     assert steps == 500
     # more than two blocks, and a last block shorter than the others
-    assert steps > 2 * BLOCK and steps % BLOCK
+    blocks = calls[1:]
+    assert len(blocks) > 2 and len(blocks[-1]) < len(blocks[0])
     assert len(taus) == len(set(taus)) == 2 * steps + 1
     assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
+
+
+@pytest.mark.parametrize("case", ["time-modulated-64", "kdv-256"])
+def test_block_length_follows_the_bytes_a_step_adds(
+        case, modulated64_selection, kdv256, monkeypatch):
+    # each time-modulated stage holds its own coefficient stack, so a step
+    # adds two stacks to a block and a block holds one step (a call builds
+    # at most its two stage times); a kdv-baseline stage is a row, and a
+    # block at N = 256 holds tens of steps
+    if case == "kdv-256":
+        bundle, T, dt = kdv256["bundle"], 0.2, 0.002
+    else:
+        bundle, T, dt = modulated64_selection[3]["bundle"], 0.1, None
+    grid = bundle.grid
+    calls = _stage_calls(monkeypatch)
+    solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8), T,
+                   dt=dt)
+    sizes = [len(c) for c in calls[1:]]
+    assert len(sizes) > 1
+    if case == "kdv-256":
+        assert max(sizes) > 16
+    else:
+        assert max(sizes) <= 2
 
 
 def test_radius_loss_bounded(small_setup):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -327,6 +329,21 @@ def test_explicit_dt_past_the_step_cap_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error (config): run.dt = ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_module_runs_the_command_line(tmp_path):
+    # python3 -m gevrey_evolve runs harness.main once: an odd grid.N is a
+    # config error with one stderr line, and runpy has nothing to warn of
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(f"grid.N = 7\noutput.dir = {tmp_path / 'out'}\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gevrey_evolve", "verify",
+                           str(cfg)], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_CONFIG
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error (config): grid.N must be even")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_run_into_an_existing_file_names_the_write(tmp_path, capsys):

@@ -318,13 +318,6 @@ def _calibrated_by_at(assembler):
 
 
 @pytest.fixture(scope="module")
-def modulated64_selection():
-    prob = model_problem("time-modulated", 0.75, domain=10.0)
-    grid = make_grid(10.0, 64)
-    return (prob, grid, *select_parameters_detailed(prob, 1.8, grid))
-
-
-@pytest.fixture(scope="module")
 def modulated64(modulated64_selection):
     return modulated64_selection[:3]
 
@@ -517,6 +510,29 @@ def test_garding_identity():
     assert discrete_garding(one, grid) == pytest.approx(1.0, abs=1e-12)
     sq = multiplier_table(grid, grid.xi ** 2)
     assert discrete_garding(sq, grid) >= -1e-10
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_garding_floor_of_a_row_equals_the_dense_floor(n, sign):
+    # kdv-baseline's 1/theta block is the one row -k'(0) <xi>_h^{1/theta}:
+    # its floor, the row's minimum on the band, equals the dense
+    # band-restricted eigenvalue of the same symbol as an N x N table.
+    # With C1, C2 < 0 the row falls with |xi|, so its minimum over the
+    # whole lattice lies outside the band and below the floor
+    grid = make_grid(40.0, n)
+    params = WeightParams(M2=0.0, M1=0.0, h=1.0, k0=0.35, sigma=0.75,
+                          theta=1.8, C1=0.5 * sign, C2=0.3 * sign,
+                          domain_cap=np.sqrt(1 + grid.L ** 2))
+    asm = ConjugationAssembler(model_problem("kdv-baseline", 0.75), params,
+                               grid)
+    row = asm.at(0.0).block("theta").real
+    assert row.values.shape == (1, n)
+    tiled = SymbolTable(grid, np.repeat(row.values, n, axis=0))
+    floor, dense = discrete_garding(row, grid), discrete_garding(tiled, grid)
+    assert abs(floor - dense) <= 1e-12 * abs(dense)
+    if sign < 0:
+        assert np.min(row.values.real) < floor - 1e-3 * abs(floor)
 
 
 def test_garding_floor_bounded_in_n():

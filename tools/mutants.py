@@ -142,9 +142,28 @@ MUTANTS = [
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             PAIR_CASE + "[complex-damped]")),
     Mutant("stage-matrices-formed-per-rhs", EVOLVE,
-           "            slots.form(stages[j + 1:j + 3])\n",
+           "                    slots.form(stages[2 * j + 1:2 * j + 3])\n",
            "",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
+    Mutant("affine-block-drops-forcing", EVOLVE,
+           "            row += Q[j]\n",
+           "            pass\n",
+           (T_EVOLVE + "test_affine_blocks_equal_per_step_stepping",)),
+    Mutant("block-ignores-own-stacks", EVOLVE,
+           "    stacks = 2 * stage.stack.nbytes if own_stack else 0\n",
+           "    stacks = 0\n",
+           (T_EVOLVE + "test_block_length_follows_the_bytes_a_step_adds"
+            "[time-modulated-64]",)),
+    Mutant("blowup-checked-on-last-row-only", EVOLVE,
+           "            bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)\n",
+           "            bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)\n"
+           "            bad[:-1] = False\n",
+           (T_EVOLVE + "test_multiplier_blowup_names_the_first_step",)),
+    Mutant("garding-row-floor-over-full-lattice", POS,
+           "        return float(np.min(sym.values[0, band].real))",
+           "        return float(np.min(sym.values[0].real))",
+           (T_POS + "test_garding_floor_of_a_row_equals_the_dense_floor"
+            "[-1.0-64]",)),
     Mutant("part-memo-ignores-coefficient-time", CONJ,
            "key = round(float(t), 12) if self.problem.time_dependent else None",
            "key = None",
@@ -164,6 +183,10 @@ MUTANTS = [
     Mutant("time-stage-sign-flipped", CONJ,
            "expo = (sign * k_of_t(t, self.params))",
            "expo = (-sign * k_of_t(t, self.params))",
+           (ORACLE_CASE + "[damped-64]",)),
+    Mutant("conjugator-always-multiplier", CONJ,
+           'if mode != "dense" and fourier_rows(phase.lam.values) is not None:',
+           'if mode != "dense":',
            (ORACLE_CASE + "[damped-64]",)),
     Mutant("conjugator-always-dense", CONJ,
            'if mode != "dense" and fourier_rows(phase.lam.values) is not None:',
@@ -191,6 +214,17 @@ MUTANTS = [
            '"run.dt", ',
            (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
             "[select.margin--1]",)),
+    Mutant("dt-not-checked-positive", HARNESS,
+           '"run.dt", "tolerances.inverse_tol",',
+           '"tolerances.inverse_tol",',
+           (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
+            "[run.dt-0]",)),
+    Mutant("thread-cap-catches-the-wrong-error", HARNESS,
+           "        except ValueError:\n            raise ConfigurationError(\n"
+           '                f"GEVREY_EVOLVE_THREADS',
+           "        except KeyError:\n            raise ConfigurationError(\n"
+           '                f"GEVREY_EVOLVE_THREADS',
+           (T_HARNESS + "test_thread_cap_must_be_an_integer",)),
     Mutant("time-dependent-budgeted-like-time-independent", HARNESS,
            'if model_problem(v["problem.id"], sigma).time_dependent',
            "if False",
@@ -279,6 +313,19 @@ MUTANTS = [
            "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(40)",
            "_AD_NODES, _AD_WEIGHTS = np.polynomial.legendre.leggauss(6)",
            (T_WEIGHTS + "test_decay_antiderivative_matches_the_closed_form",)),
+    Mutant("h-guard-lets-nan-through", WEIGHTS,
+           "        if not (1.0 <= self.h < np.inf):",
+           "        if self.h < 1.0:",
+           (T_WEIGHTS + "test_weight_params_validation",)),
+    Mutant("zero-strength-weight-evaluated", WEIGHTS,
+           "    live = [k for k in which if _strength(params, k) != 0.0]",
+           "    live = list(which)",
+           (T_WEIGHTS + "test_zero_strength_weights_are_exact_zeros",)),
+    Mutant("zero-strength-derivative-evaluated", WEIGHTS,
+           "    if _strength(params, which) == 0.0:\n"
+           "        return _zero_weight(win.x, win.xi)\n",
+           "",
+           (T_WEIGHTS + "test_zero_strength_weights_are_exact_zeros",)),
     Mutant("shared-psi1-for-psi2", WEIGHTS,
            "    psi2 = win.psi(2)\n",
            "    psi2 = win.psi(1)\n",
