@@ -91,13 +91,21 @@ _DEFAULTS = {
     "seed": 0,
 }
 
-_INT_KEYS = {"grid.N", "data.mode", "seed"}
-_BOOL_KEYS = {"output.snapshots"}
-_STR_KEYS = {"problem.id", "data.kind", "output.dir"}
-_AUTO_KEYS = {"weights.M2", "weights.M1", "weights.h", "run.dt", "data.rho"}
-_POSITIVE_KEYS = ("grid.L", "problem.T", "gevrey.rho", "data.rho", "weights.k0",
-                  "select.margin", "run.dt", "tolerances.inverse_tol",
-                  "tolerances.series_tol", "tolerances.garding_tol")
+# every number must be finite and clear its key's bound (low, strict):
+# > low where strict, >= low otherwise; a key not named here is bounded
+# by _FINITE alone, so nan, inf and -inf are refused for every key
+_FINITE = (-np.inf, True)
+_BOUNDS = {
+    **dict.fromkeys(("grid.L", "problem.T", "gevrey.rho", "data.rho",
+                     "data.width", "weights.k0", "select.margin", "run.dt",
+                     "tolerances.inverse_tol", "tolerances.series_tol",
+                     "tolerances.garding_tol"), (0.0, True)),
+    "weights.M2": (0.0, False), "weights.M1": (0.0, False),
+    "weights.h": (1.0, False),
+    "seed": (0, False),
+}
+_CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
+            "data.kind": ("gevrey", "gaussian", "mode")}
 # live complex N x N tables at the peak of a run, rounded up: the dense
 # working set is DENSE_TABLES * 16 N^2 bytes.  About 65 were measured for
 # complex-damped at N = 128, 256 and 384, and about 160 for time-modulated
@@ -135,18 +143,22 @@ def parse_config_text(text):
 
 
 def _coerce(key, val, where):
-    if key in _STR_KEYS:
-        return val
-    if key in _BOOL_KEYS:
+    """val as the type of key's default, bool before int; a default of
+    "auto" takes "auto" or a float, any other str default a string."""
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):
         if val.lower() in ("true", "1", "yes"):
             return True
         if val.lower() in ("false", "0", "no"):
             return False
         raise ConfigurationError(f"{where}: {key} expects true/false, got {val!r}")
-    if key in _AUTO_KEYS and val == "auto":
-        return "auto"
+    if default == "auto":
+        if val == "auto":
+            return val
+    elif isinstance(default, str):
+        return val
     try:
-        return int(val) if key in _INT_KEYS else float(val)
+        return int(val) if isinstance(default, int) else float(val)
     except ValueError:
         raise ConfigurationError(
             f"{where}: cannot parse {key} value {val!r}") from None
@@ -181,10 +193,18 @@ class RunConfig:
 
     def validate(self):
         v = self.values
-        if v["problem.id"] not in MODEL_PROBLEM_IDS:
-            raise ConfigurationError(
-                f"unknown problem id {v['problem.id']!r}; known: "
-                + ", ".join(MODEL_PROBLEM_IDS))
+        for key, val in v.items():
+            if key in _CHOICES and val not in _CHOICES[key]:
+                raise ConfigurationError(
+                    f"{key} must be {'|'.join(_CHOICES[key])}, got {val!r}")
+            low, strict = _BOUNDS.get(key, _FINITE)
+            # written so that nan fails it
+            if isinstance(val, (str, bool)) or (
+                    low < val if strict else low <= val) and val < np.inf:
+                continue
+            auto = "'auto' or " if _DEFAULTS[key] == "auto" else ""
+            bound = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
+            raise ConfigurationError(f"{key} must be {auto}finite{bound}, got {val}")
         sigma, s0, theta = v["problem.sigma"], v["problem.s0"], v["gevrey.theta"]
         if not (0.5 < sigma < 1.0):
             raise ConfigurationError(f"problem.sigma must lie in (1/2, 1), got {sigma}")
@@ -207,33 +227,11 @@ class RunConfig:
                 f"grid.N = {v['grid.N']} needs about {need / 2**30:.3g} GiB of "
                 f"dense N x N tables, more than the {have / 2**30:.3g} GiB of "
                 "physical memory; lower grid.N")
-        # sizes, radii, tolerances, a step or a horizon that is 0, negative,
-        # inf or nan has no meaning; each test is written so that nan fails it
-        for key in _POSITIVE_KEYS:
-            val = v[key]
-            if val != "auto" and not (0.0 < val < np.inf):
-                auto = "'auto' or " if key in _AUTO_KEYS else ""
-                raise ConfigurationError(
-                    f"{key} must be {auto}finite and > 0, got {val}")
         T, dt = v["problem.T"], v["run.dt"]
         if dt != "auto" and T / dt > MAX_STEPS:
             raise ConfigurationError(
                 f"run.dt = {dt!r} needs {np.ceil(T / dt):.0f} steps to reach "
                 f"problem.T = {T!r}, more than the {MAX_STEPS} allowed")
-        # coefficient strengths may take either sign, but not inf or nan
-        for key in ("problem.c2", "problem.c1", "problem.c0"):
-            if not np.isfinite(v[key]):
-                raise ConfigurationError(f"{key} must be finite, got {v[key]}")
-        for key, low in (("weights.M2", 0.0), ("weights.M1", 0.0),
-                         ("weights.h", 1.0)):
-            val = v[key]
-            if val != "auto" and (not isinstance(val, float)
-                                  or not (low <= val < np.inf)):
-                raise ConfigurationError(
-                    f"{key} must be 'auto' or finite and >= {low:g}, got {val}")
-        if v["data.kind"] not in ("gevrey", "gaussian", "mode"):
-            raise ConfigurationError(
-                f"data.kind must be gevrey|gaussian|mode, got {v['data.kind']!r}")
         return self
 
     def resolved_lines(self):
@@ -414,17 +412,9 @@ def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
     return art["assumptions"], art["positivity"], art["params"]
 
 
-_SWEEP_AXES = {
-    "theta": "gevrey.theta",
-    "sigma": "problem.sigma",
-    "h": "weights.h",
-    "M2": "weights.M2",
-    "M1": "weights.M1",
-    "N": "grid.N",
-    "dt": "run.dt",
-    "c2": "problem.c2",
-    "c1": "problem.c1",
-}
+_SWEEP_AXES = {key.rpartition(".")[2]: key for key in (
+    "gevrey.theta", "problem.sigma", "weights.h", "weights.M2", "weights.M1",
+    "grid.N", "run.dt", "problem.c2", "problem.c1")}
 
 
 def worker_count():

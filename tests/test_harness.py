@@ -301,17 +301,57 @@ def test_error_category_totality():
     ("weights.h", "0.5"), ("weights.M2", "inf"), ("weights.k0", "nan"),
     ("select.margin", "-1"), ("grid.L", "inf"), ("grid.N", "100000000"),
     *[(f"problem.{c}", bad) for c in ("c2", "c1", "c0")
-      for bad in ("nan", "inf", "-inf")]])
+      for bad in ("nan", "inf", "-inf")],
+    ("gevrey.m", "nan"), *[("forcing.amplitude", bad)
+                           for bad in ("nan", "inf", "-inf")],
+    ("data.width", "0"), ("data.width", "nan")])
 def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
-    text = SMALL + f"{key} = {value}\n"
+    # gaussian data reads data.width; a bad value is refused all the same
+    text = SMALL + f"data.kind = gaussian\n{key} = {value}\n"
     with pytest.raises(ConfigurationError) as err:
         RunConfig.from_text(text).validate()
     assert key in str(err.value)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text + f"output.dir = {tmp_path / 'out'}\n")
+    for command in ("run", "verify"):
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ") and key in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# every key whose default is a number or "auto", with the values each must
+# refuse: nan, inf and -inf, a strict bound itself and a value below any
+# bound; a key added to _DEFAULTS or _BOUNDS is covered without an edit here
+_NUMERIC_KEYS = [k for k, d in harness._DEFAULTS.items()
+                 if d == "auto" or not isinstance(d, (str, bool))]
+_REFUSED = [(k, bad) for k in _NUMERIC_KEYS for bad in ("nan", "inf", "-inf")]
+_REFUSED += [(k, repr(low - 1)) for k, (low, _) in harness._BOUNDS.items()]
+_REFUSED += [(k, repr(low)) for k, (low, strict) in harness._BOUNDS.items()
+             if strict]
+
+
+@pytest.mark.parametrize("key, value", _REFUSED)
+def test_every_number_is_finite_and_clears_its_bound(tmp_path, capsys, key,
+                                                     value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL + f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
     assert main(["verify", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error (config): ") and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_refuses_a_negative_seed(tmp_path, capsys):
+    # seed = -1 would reach numpy's default_rng, which raises ValueError
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(SMALL + "seed = -1\n")
+    assert main(["oracle", str(cfg), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): seed ")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

@@ -205,20 +205,33 @@ MUTANTS = [
            "        return w_hat\n",
            (ORACLE_CASE + "[kdv-64]",)),
     Mutant("horizon-not-checked-positive", HARNESS,
-           '_POSITIVE_KEYS = ("grid.L", "problem.T", ',
-           '_POSITIVE_KEYS = ("grid.L", ',
+           '**dict.fromkeys(("grid.L", "problem.T", ',
+           '**dict.fromkeys(("grid.L", ',
            (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
             "[problem.T-0]",)),
     Mutant("margin-not-checked-positive", HARNESS,
-           '"select.margin", "run.dt", ',
-           '"run.dt", ',
+           '"select.margin", "run.dt",',
+           '"run.dt",',
            (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
             "[select.margin--1]",)),
     Mutant("dt-not-checked-positive", HARNESS,
-           '"run.dt", "tolerances.inverse_tol",',
-           '"tolerances.inverse_tol",',
+           '"select.margin", "run.dt",',
+           '"select.margin",',
            (T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
             "[run.dt-0]",)),
+    Mutant("numbers-not-finite-by-default", HARNESS,
+           "            low, strict = _BOUNDS.get(key, _FINITE)\n",
+           "            if key not in _BOUNDS:\n"
+           "                continue\n"
+           "            low, strict = _BOUNDS[key]\n",
+           (T_HARNESS + "test_every_number_is_finite_and_clears_its_bound"
+            "[gevrey.m-nan]",
+            T_HARNESS + "test_solve_inputs_must_be_finite_and_positive"
+            "[forcing.amplitude-inf]")),
+    Mutant("seed-not-bounded", HARNESS,
+           '    "seed": (0, False),\n',
+           "",
+           (T_HARNESS + "test_oracle_refuses_a_negative_seed",)),
     Mutant("thread-cap-catches-the-wrong-error", HARNESS,
            "        except ValueError:\n            raise ConfigurationError(\n"
            '                f"GEVREY_EVOLVE_THREADS',
