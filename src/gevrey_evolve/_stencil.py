@@ -116,6 +116,18 @@ def exp_derivative_factors(derivs, bell=()):
         acc = 0.0
         for i in range(k):
             prev = bell[k - 2 - i] if k - 2 - i >= 0 else 1.0
-            acc = acc + comb(k - 1, i) * prev * derivs[i]
+            term = comb(k - 1, i) * prev * derivs[i]
+            acc = _accumulate(acc, term) if i else acc + term
         bell.append(acc)
     return bell
+
+
+def _accumulate(acc, term):
+    """acc + term, written into acc when acc is an array that holds the
+    sum's shape and type; a new array or scalar otherwise."""
+    if (isinstance(acc, np.ndarray)
+            and np.broadcast_shapes(acc.shape, np.shape(term)) == acc.shape
+            and np.can_cast(np.result_type(acc, term), acc.dtype)):
+        acc += term
+        return acc
+    return acc + term

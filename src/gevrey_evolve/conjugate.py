@@ -31,9 +31,13 @@ from the k stage, so the conjugated generator is the polynomial
 G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
 summing the parts' U_j.  MARGINS declares the positivity certificate's
 three lower bounds by their tables.  ``part(name, t)`` evaluates one
-table, formed on first read, for the certificate, selection's M1
-constants, calibration and ``at(t)``, the view of the generator's parts;
-the phase tables too are formed on first read.  The assembler keeps the
+table, formed on first read, for selection's M1 constants and ``at(t)``,
+the view of the generator's parts; ``block_polynomial(names, t)`` is the
+real k-polynomial of a sum of tables on the checked region, which the
+certificate and the calibration evaluate.  The phase tables too are
+formed on first read, and the tables that read no weight (i a2, i a1,
+c) are kept per coefficient time in a CoefficientTables that the
+assemblers of one selection share.  The assembler keeps the
 coefficient stack [E_syn^H (E_syn * G_0), E_syn^H (E_syn * G_1), ...] once
 per coefficient time, one FFT along x per table; a stage at time t is that
 stack weighted by the powers of k(t), plus the k' row.  The time stepper
@@ -215,8 +219,11 @@ class PhaseTables:
             d["x"].append(-lam_x.values)
             d["P"] = exp_derivative_factors(d["xi"], d["P"])
             d["Q"] = exp_derivative_factors(d["x"], d["Q"])
-            self._P.append(SymbolTable(self.grid, d["P"][-1]))
-            self._Q.append(SymbolTable(self.grid, (-1j) ** o * d["Q"][-1]))
+            # the Bell values stay in d; zeroing their Nyquist column does
+            # not reach the other columns of the elementwise recursion
+            self._P.append(SymbolTable.fresh(self.grid, d["P"][-1]))
+            self._Q.append(SymbolTable.fresh(self.grid,
+                                             (-1j) ** o * d["Q"][-1]))
         if len(self._P) == self._top:
             self._derivs = None
         return self._P[:n], self._Q[:n]
@@ -313,7 +320,7 @@ class ConjugatorBundle:
     E: "Multiplier | Dense"        # op(e^lam)
     E_inv: "Multiplier | Dense"    # 1 / row, E_star sum_j (-R)^j, or inv(E)
     spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
-    residual: float                # ||E E_inv - I||_2
+    residual: float                # ||E E_inv - I||_F
     series_terms: int              # 2^K summands of the series; 0 for rows
     assembler: "ConjugationAssembler"
 
@@ -360,10 +367,13 @@ def build_conjugator(assembler: "ConjugationAssembler",
     S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
     products per factor.  Then E E_inv - I = -R^{2^K}, so the series stops
     at the first K with ||R^{2^K}||_F < series_tol, a bound on the residual
-    it leaves.  It needs spectral radius rho(R) < 1, checked before the
-    series starts; the exact residual is checked once at the end.  The
-    change of basis from node values is unitary: rho(R) and every norm
-    are those of the node-value matrices.
+    it leaves; once ||P||_F^2 < series_tol for P = R^{2^(K-1)}, the last
+    square is not formed, since ||P^2||_F <= ||P||_F^2.  It needs spectral
+    radius rho(R) < 1, checked before the series starts (on the spectral
+    norm); the exact residual ||E E_inv - I||_F, which bounds the spectral
+    norm from above, is checked once at the end.  The change of basis from
+    node values is unitary: rho(R) and every norm are those of the
+    node-value matrices.
     ``mode="dense"`` replaces either with a dense E and a direct dense
     inverse (cross-check oracle, N <= 256).
     """
@@ -378,7 +388,7 @@ def build_conjugator(assembler: "ConjugationAssembler",
         R = e * np.conj(e_neg) - 1.0
         E, E_inv = Multiplier(grid, e), Multiplier(grid, 1.0 / e)
         rho = float(np.max(np.abs(R)))
-        residual, terms = float(np.max(np.abs(e * E_inv.row - 1.0))), 0
+        residual, terms = float(np.linalg.norm(e * E_inv.row - 1.0)), 0
     else:
         I = np.eye(N, dtype=complex)
         E, E_star = (coefficient_matrix(grid, tab.values)
@@ -399,12 +409,15 @@ def build_conjugator(assembler: "ConjugationAssembler",
                     f"Neumann remainder has spectral radius {rho:.3f} >= 1; "
                     "increase h")
             S, P, terms = I - R, R @ R, 2      # P = R^terms
-            while np.linalg.norm(P) >= series_tol:
+            while (size := np.linalg.norm(P)) >= series_tol:
                 S = S + S @ P
-                P = P @ P
                 terms *= 2
+                if size * size < series_tol:
+                    # ||P^2||_F <= ||P||_F^2: the next power ends the series
+                    break
+                P = P @ P
             E_inv = E_star @ S
-        residual = operator_norm(E @ E_inv - I)
+        residual = float(np.linalg.norm(E @ E_inv - I))
         E, E_inv = Dense(grid, E), Dense(grid, E_inv)
     if residual > inverse_tol:
         raise ConvergenceError(
@@ -471,6 +484,49 @@ def _hermitian_half(im_table: SymbolTable):
                SymbolTable(g, np.zeros((1, g.N))))
 
 
+def _memo(cache, key, make):
+    """cache[key], made by make() on first read; past MEMO_TIMES keys the
+    oldest is evicted."""
+    if key not in cache:
+        cache[key] = make()
+        if len(cache) > MEMO_TIMES:
+            cache.pop(next(iter(cache)))
+    return cache[key]
+
+
+def checked_region(grid, params):
+    """The frequencies |xi| > R_a3 h the lower bounds are checked on,
+    without the unmatched Nyquist mode."""
+    region = np.abs(grid.xi) > params.R_a3 * params.h
+    region[grid.nyquist] = False
+    return region
+
+
+class CoefficientTables:
+    """The tables of one problem on one grid that read neither h nor any
+    weight: i a2, i a1 and c, the Hermitian half of i a2, kept per
+    coefficient time (at most MEMO_TIMES, the oldest evicted first) and
+    each formed on first read.  Selection makes one for all its trials;
+    an assembler built without one makes its own.  The samples of a2 and
+    a1 are not kept: -i times i a2 is a2 but for the sign of its zeros."""
+
+    def __init__(self, p: ProblemSpec, grid: Grid):
+        self.problem, self.grid = p, grid
+        self._cache = {}
+
+    def table(self, name, t):
+        """The named table at coefficient time t."""
+        store = _memo(self._cache, float(t), dict)
+        if name not in store:
+            if name == "c":
+                # i a2 holds Re a2 as its imaginary part, bit for bit
+                store[name] = _hermitian_half(self.table("ia2", t).imag)
+            else:
+                coefficient = {"ia2": self.problem.a2, "ia1": self.problem.a1}
+                store[name] = eval_table(coefficient[name], self.grid, t) * 1j
+        return store[name]
+
+
 class ConjugationAssembler:
     """Builds ConjugatedSymbols at arbitrary times, caching everything that
     does not change with t.
@@ -478,11 +534,19 @@ class ConjugationAssembler:
     Each named table is built when something first reads it, from its own
     recipe, and kept once per coefficient time as its k-polynomial, so a
     reader of a few parts (the time-weight calibration) forms only those
-    and what they read.  For problems whose lower-order coefficients are
-    time-independent the per-time work is a few table AXPYs in powers of
-    k(t); time-modulated problems rebuild the coefficient-dependent tables
-    per coefficient time (memoized for MEMO_TIMES times).
+    and what they read.  i a2, i a1 and c read neither h nor a weight:
+    they come from ``tables``, a CoefficientTables that selection shares
+    among its trials (an assembler built without one makes its own), and
+    a2cross reads a2 off i a2.  For problems whose lower-order
+    coefficients are time-independent the per-time work is a few table
+    AXPYs in powers of k(t); time-modulated problems rebuild the
+    coefficient-dependent tables per coefficient time (memoized for
+    MEMO_TIMES times).
     ``part(name, t)`` evaluates one named table, U_0 + sum_j k(t)^j U_j;
+    ``block_polynomial(names, t)`` is the real k-polynomial of the sum of
+    named tables on the checked region's columns, R[j] its k^j table,
+    kept per coefficient time, which the certificate and the calibration
+    evaluate by Horner (positivity.block_sum);
     ``at(t)`` gives the parts of BLOCKS; ``at(t).block(name)`` sums one
     block and ``at(t).generator_table()`` all three.
     ``stage_operators(taus)`` is the same generator as the time
@@ -494,9 +558,11 @@ class ConjugationAssembler:
     selection (M1) and calibration (C1, C2) install reach both.
     """
 
-    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid):
+    def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
+                 tables: CoefficientTables = None):
         self.problem = p
         self.grid = grid
+        self.tables = tables or CoefficientTables(p, grid)
         self.phase = build_phase_tables(p, params, grid)
         self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
@@ -519,31 +585,28 @@ class ConjugationAssembler:
         for time-independent coefficients, one per time (memoized, at most
         MEMO_TIMES) for time-dependent ones.  An entry holds a3's rows, the
         k-polynomials ("poly": {name: {j: U_j}}), each formed on first read,
-        and, once asked for, the generator's rows or spectral stack."""
+        and, once asked for, the generator's rows or spectral stack and the
+        block polynomials ("blocks": {names: R})."""
         key = round(float(t), 12) if self.problem.time_dependent else None
-        if key not in self._cache:
-            t0, xi = (0.0 if key is None else float(t)), self.grid.xi
-            a3 = self.problem.a3
-            self._cache[key] = {
-                "t": t0, "poly": {},
-                "a3_row": np.asarray(a3(t0, 0.0, xi), dtype=float),
-                "da3_row": np.asarray(a3.dxi(t0, 0.0, xi), dtype=float)}
-            if len(self._cache) > MEMO_TIMES:
-                self._cache.pop(next(iter(self._cache)))
-        return self._cache[key]
+        t0 = 0.0 if key is None else float(t)
+        xi, a3 = self.grid.xi, self.problem.a3
+        return _memo(self._cache, key, lambda: {
+            "t": t0, "poly": {}, "blocks": {},
+            "a3_row": np.asarray(a3(t0, 0.0, xi), dtype=float),
+            "da3_row": np.asarray(a3.dxi(t0, 0.0, xi), dtype=float)})
 
     def _spatial_recipe(self, e, name):
         """The U_0 of the tables of the spatial-stage conjugation at the
         coefficient time of entry e that are formed together with
         ``name``: one or two named tables."""
-        p, params, g, ph = self.problem, self.params, self.grid, self.phase
+        params, g, ph = self.params, self.grid, self.phase
         t = e["t"]
         stage = lambda n: self._poly(e, n)[0]
         if name in ("ia2", "a2cross"):
-            a2 = eval_table(p.a2, g, t)
-            return {"ia2": a2 * 1j, "a2cross": a2 * ph.dxdxi_lam2}
-        if name == "ia1":
-            return {"ia1": eval_table(p.a1, g, t) * 1j}
+            ia2 = self.tables.table("ia2", t)
+            return {"ia2": ia2, "a2cross": ia2 * ph.dxdxi_lam2 * -1j}
+        if name in ("ia1", "c"):
+            return {name: self.tables.table(name, t)}
         if name in ("damp2", "damp1"):
             lam_x = ph.lam2_x if name == "damp2" else ph.lam1_x
             return {name: multiplier_table(g, e["da3_row"]) * lam_x * -1.0}
@@ -567,9 +630,6 @@ class ConjugationAssembler:
         if name == "ia1_k":
             return {"ia1_k": conjugation_expansion(
                 stage("ia1"), ph, truncation_order(1.0, params.theta))}
-        if name == "c":
-            # i a2 holds Re a2 as its imaginary part, bit for bit
-            return {"c": _hermitian_half(stage("ia2").imag)}
         # the certificate's split of damp2 (m2) or damp1 (m1): full strength
         # + window tail, both carried on the support of the sign selector
         # (the identity damp = main + tail holds where |w| saturates, which
@@ -612,15 +672,18 @@ class ConjugationAssembler:
                     if np.isscalar(coeff) and coeff == 0.0:
                         continue
                     adds[j] = coeff[None, :] * dxb
-                    gauge = gauge + (params.k0 ** j) * adds[j]
+                    gauge += (params.k0 ** j) * adds[j]
                 yield adds, float(np.max(np.abs(gauge)))
 
         U = {}
         nk = truncation_order(order, params.theta)
         for adds in _while_shrinking(orders(nk)):
             for j, add in adds.items():
-                U[j] = U.get(j, 0.0) + add
-        return {j: SymbolTable(self.grid, v) for j, v in U.items()}
+                if j in U:
+                    U[j] += add
+                else:
+                    U[j] = 0.0 + add
+        return {j: SymbolTable.fresh(self.grid, v) for j, v in U.items()}
 
     def _poly(self, e, name):
         """The k-polynomial {j: U_j} of a named table (not kprime) at the
@@ -737,6 +800,35 @@ class ConjugationAssembler:
         if 0 not in poly:
             return SymbolTable.fresh(self.grid, sum(terms))
         return poly[0] + sum(terms, 0.0) if terms else poly[0]
+
+    def block_polynomial(self, names, t):
+        """The real k-polynomial of the named tables (neither kprime nor e)
+        at the coefficient time of t, as one array R of shape
+        (J + 1, rows, columns): R[j] sums Re U_j over the names, in their
+        order, on the columns of checked_region (zero where no name has a
+        k^j table).  A sum of rows stays a row (rows = 1).  Kept in the
+        entry, so every calibration round reads the one formed first,
+        until release_block_polynomials."""
+        entry = self._entry(t)
+        blocks = entry["blocks"]
+        if tuple(names) not in blocks:
+            region = checked_region(self.grid, self.params)
+            polys = [self._poly(entry, name) for name in names]
+            R = np.zeros((max(j for poly in polys for j in poly) + 1,
+                          max(U.values.shape[0] for poly in polys
+                              for U in poly.values()),
+                          np.count_nonzero(region)))
+            for poly in polys:
+                for j, U in poly.items():
+                    R[j] += U.values.real[:, region]
+            blocks[tuple(names)] = R
+        return blocks[tuple(names)]
+
+    def release_block_polynomials(self):
+        """Drop the block polynomials of every coefficient time, once the
+        certificate that reads them is published."""
+        for entry in self._cache.values():
+            entry["blocks"].clear()
 
     def at(self, t: float) -> ConjugatedSymbols:
         """The generator's parts (BLOCKS) at time t (part), and

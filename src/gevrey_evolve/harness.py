@@ -218,6 +218,16 @@ class RunConfig:
                 f"(half-open at the top), got {theta}")
         if v["grid.N"] < 8 or v["grid.N"] % 2:
             raise ConfigurationError(f"grid.N must be even and >= 8, got {v['grid.N']}")
+        if v["data.kind"] == "mode":
+            # exp(i m x) is periodic on [-L, L) only for m = n pi / L
+            m, L = v["data.mode"], v["grid.L"]
+            n = round(m * L / np.pi)
+            if abs(m * L / np.pi - n) > 1e-9:
+                raise ConfigurationError(
+                    f"data.mode = {m} is no lattice mode of grid.L = {L!r} "
+                    f"(data.mode * grid.L / pi = {m * L / np.pi:.6g}); the "
+                    f"nearest lattice mode is {n} pi / grid.L = "
+                    f"{n * np.pi / L:.6g}")
         tables = (DENSE_TABLES_TIME_DEPENDENT
                   if model_problem(v["problem.id"], sigma).time_dependent
                   else DENSE_TABLES)
@@ -370,7 +380,7 @@ def report_lines(assumptions, positivity, traj, bundle):
     lines.append(f"weights: M2={params.M2:.6g} M1={params.M1:.6g} h={params.h:.6g} "
                  f"k0={params.k0:.6g} C1={params.C1:.6g} C2={params.C2:.6g}")
     lines.append(f"conjugator: spectral radius {bundle.spectral_radius:.3e}, "
-                 f"inverse residual {bundle.residual:.3e}, "
+                 f"inverse residual ||E E_inv - I||_F {bundle.residual:.3e}, "
                  f"series terms {bundle.series_terms}")
     if traj is not None:
         lines.append(f"solver: dt={traj.meta['dt']!r} steps={traj.meta['steps']} "

@@ -8,7 +8,14 @@ real parts of its three blocks are nonnegative after normalization:
     Re atheta / <xi>_h^{1/theta}                 residual block.
 
 Each margin sums the real parts of the tables conjugate.MARGINS names for
-it, read through ConjugationAssembler.part.
+it (block_sum): all but kprime and e form a fixed real polynomial in k per
+coefficient time, ConjugationAssembler.block_polynomial on the checked
+region's columns, evaluated by Horner at k(t); kprime, which is
+(C2 + C1 k(t)) <xi>_h^{1/theta}, and e, whose truncation is chosen at each
+t, are read at t through ConjugationAssembler.part and added.  The
+calibration of C1 and C2 reads its sums the same way, so each of its
+rounds evaluates the polynomials the first one formed.  real_sum, the sum
+of the parts read one by one, is the reference they are checked against.
 
 Selection works constant-first: measure what must be dominated, choose the
 weight strengths with a margin, then grow h until the h-suppressed
@@ -22,7 +29,8 @@ from functools import reduce
 
 import numpy as np
 
-from .conjugate import BLOCKS, MARGINS, ConjugationAssembler, build_conjugator
+from .conjugate import (BLOCKS, MARGINS, CoefficientTables,
+                        ConjugationAssembler, build_conjugator, checked_region)
 from .errors import ConvergenceError, InfeasibleError, ParameterError
 from .grid import Grid, bracket_h
 from .quantize import SymbolTable, to_dense
@@ -38,6 +46,9 @@ M1_PARTS = ("a2cross", "c")
 # the parts of the 1/theta margin but kprime that C1 and C2 bound
 C1_PARTS = ("b1k",)
 C2_PARTS = ("ia1_k", "m2_tail", "m1_tail")
+# the tables of MARGINS that are no k-polynomial in fixed tables: kprime
+# reads C1 and C2, and e's truncation is chosen at each t
+PER_TIME = ("kprime", "e")
 
 
 @dataclass
@@ -111,14 +122,6 @@ def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
     return float(np.linalg.eigvalsh(H_band)[0])
 
 
-def _checked_region(grid, params):
-    """The frequencies |xi| > R_a3 h the lower bounds are checked on,
-    without the unmatched Nyquist mode."""
-    region = np.abs(grid.xi) > params.R_a3 * params.h
-    region[grid.nyquist] = False
-    return region
-
-
 def _margin_normalizers(grid, params):
     bh = bracket_h(grid.xi, params.h)[None, :]
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
@@ -131,18 +134,40 @@ def _margin_normalizers(grid, params):
 
 def real_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
     """The sum of the real parts of the named tables at time t, in the
-    order of names."""
+    order of names: the reference block_sum is checked against."""
     return reduce(np.add, (assembler.part(name, float(t)).values.real
                            for name in names))
+
+
+def block_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
+    """The sum of the real parts of the named tables at time t on the
+    columns of checked_region: the block polynomial of the names but
+    PER_TIME, by Horner at k(t), then each of PER_TIME the names hold, read
+    at t through part() (kprime is (C2 + C1 k(t)) <xi>_h^{1/theta})."""
+    R = assembler.block_polynomial(
+        [n for n in names if n not in PER_TIME], t)
+    k = float(k_of_t(t, assembler.params))
+    value = 0.0
+    for R_j in R[::-1]:
+        value = value * k + R_j
+    region = checked_region(assembler.grid, assembler.params)
+    for name in PER_TIME:
+        if name in names:
+            value = value + assembler.part(name, t).values.real[:, region]
+    return value
 
 
 def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
                         tol: float = 1e-8) -> PositivityReport:
     """Normalized minima of the three margins of MARGINS over the grid
-    region |xi| > R_a3 h, at each sample time.  Failures are rows, not
+    region |xi| > R_a3 h, at each sample time, each margin summed by
+    block_sum and divided by its normalizer.  The margins are evaluated
+    one after the other, at every sample time each, and each margin's
+    block polynomials are released before the next margin's are formed;
+    the rows are listed by time, then margin.  Failures are rows, not
     errors."""
     params, grid = assembler.params, assembler.grid
-    region = _checked_region(grid, params)
+    region = checked_region(grid, params)
     report = PositivityReport(tolerance=tol,
                               region_size=int(np.count_nonzero(region)))
     if report.region_size == 0:
@@ -150,18 +175,22 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
                          f"{params.R_a3 * params.h:.3g}; xi_max = {grid.xi_max:.3g}")
         return report
     norms = _margin_normalizers(grid, params)
-    ok = True
-    for t in np.atleast_1d(t_samples):
-        for name, parts in MARGINS.items():
-            sub = (real_sum(assembler, parts, t) / norms[name])[:, region]
+    xi_region = grid.xi[region]
+    ts = np.atleast_1d(t_samples)
+    rows, ok = {}, True
+    for name, parts in MARGINS.items():
+        norm = norms[name][:, region]
+        for i, t in enumerate(ts):
+            sub = block_sum(assembler, parts, t) / norm
             j, kk = np.unravel_index(np.argmin(sub), sub.shape)
             margin = float(sub[j, kk])
-            xi_region = grid.xi[region]
-            report.rows.append(BoundRow(name, float(t), margin,
-                                        float(grid.x[j]), float(xi_region[kk])))
+            rows[i, name] = BoundRow(name, float(t), margin,
+                                     float(grid.x[j]), float(xi_region[kk]))
             scale = max(1.0, float(np.max(np.abs(sub))))
             if margin < -tol * scale:
                 ok = False
+        assembler.release_block_polynomials()
+    report.rows = [rows[i, name] for i in range(ts.size) for name in MARGINS]
     report.passed = ok
     return report
 
@@ -179,10 +208,8 @@ def garding_floors(assembler: ConjugationAssembler) -> dict:
 # parameter selection
 # ----------------------------------------------------------------------
 
-def _sup_normalized(values, normalizer, region=None):
+def _sup_normalized(values, normalizer):
     q = np.abs(values) / normalizer
-    if region is not None:
-        q = q[:, region]
     return float(np.max(q)) if q.size else 0.0
 
 
@@ -200,12 +227,13 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     horizon.  C2 is measured first: while k is positive it does not grow
     with C1 (comparison principle), so when C2 alone with C1 = 0 drives
     k(T) to zero the round raises at once, and a rejected trial never
-    builds b1k.
+    builds b1k.  The block polynomials of the rounds' sums (block_sum) are
+    formed in the first round and released when the calibration returns.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     ts = sample_times(p.T)
-    norm_t = _margin_normalizers(grid, params)["theta"]
-    region = _checked_region(grid, params)
+    norm_t = _margin_normalizers(grid, params)["theta"][
+        :, checked_region(grid, params)]
 
     C1, C2 = 0.0, 0.0
     for _ in range(FP_ROUNDS):
@@ -214,15 +242,15 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
         assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            rest = real_sum(assembler, C2_PARTS, t)
+            rest = block_sum(assembler, C2_PARTS, t)
             C2_new = max(C2_new, _sup_normalized(np.maximum(0.0, -rest),
-                                                 norm_t, region))
+                                                 norm_t))
         # raises now if C2 alone kills k by T, before b1k is read
         k_of_t(p.T, params.with_ode_constants(0.0, C2_new))
         for t in ts:
-            neg = np.maximum(0.0, -real_sum(assembler, C1_PARTS, t))
+            neg = np.maximum(0.0, -block_sum(assembler, C1_PARTS, t))
             kt = float(k_of_t(t, params))
-            C1_new = max(C1_new, _sup_normalized(neg, norm_t, region) / kt)
+            C1_new = max(C1_new, _sup_normalized(neg, norm_t) / kt)
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -231,6 +259,7 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     params = params.with_ode_constants(C1, C2)
     k_of_t(p.T, params)
     assembler.params = params
+    assembler.release_block_polynomials()
     return params
 
 
@@ -243,9 +272,12 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
 
     Each trial h, doubling across H_SEARCH, builds the assembler, whose
     phase and conjugation tables are formed on first read, at M1 = 0 or
-    the pinned M1.  An unpinned M1 is set from the sups C_a2l2 and C_c of
-    the parts M1_PARTS over the coefficient times, which read none of M1,
-    C1 and C2, and installed on that assembler; calibrate_time_weight
+    the pinned M1; the tables that read no h (i a2, i a1, c) are formed
+    once, before the first trial, at the coefficient times, in one
+    CoefficientTables every trial's assembler reads.  An unpinned M1 is
+    set from the sups C_a2l2 and C_c of the parts M1_PARTS over the
+    coefficient times, which read none of M1, C1 and C2, and installed
+    on that assembler; calibrate_time_weight
     installs C1 and C2 there too.  The trial checks the lower bounds to
     margin tolerance ``tol``; only a trial that passes builds the
     conjugator's inverse from that assembler.  A trial whose time weight
@@ -288,9 +320,17 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
         h_max = h_start
 
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
-    # the coefficient times an unpinned M1's constants are measured at
+    # the coefficient times the trials read alike: an unpinned M1's
+    # constants are measured at them
     t_coef = ts if p.time_dependent else ts[:1]
     history = details["history"]
+    # formed before any trial's own tables: held through the whole
+    # selection, they then lie together in memory, not between the tables
+    # of the trial that formed them
+    tables = CoefficientTables(p, grid)
+    for t in t_coef:
+        for name in ("ia2", "ia1", "c"):
+            tables.table(name, float(t))
     h = h_start
     while h <= h_max:
         trial = {"h": h, "M2": M2}
@@ -298,13 +338,13 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
             params = WeightParams(M2=M2, M1=float(M1_pin or 0.0),
                                   h=h, k0=k0, sigma=p.sigma, theta=theta,
                                   R_a3=p.R_a3, domain_cap=D)
-            if not np.any(_checked_region(grid, params)):
+            if not np.any(checked_region(grid, params)):
                 history.append({**trial, "passed": False, "reason": (
                     f"no frequencies beyond R_a3*h={params.R_a3 * h:.3g} "
                     f"on this grid (xi_max={grid.xi_max:.3g}); "
                     "refine the grid or shrink L")})
                 break
-            assembler = ConjugationAssembler(p, params, grid)
+            assembler = ConjugationAssembler(p, params, grid, tables)
             if M1_pin is None:
                 # constants entering the order-1 inequality, read before M1
                 # is installed: the tables of M1_PARTS do not read it

@@ -241,8 +241,9 @@ def fourier_rows(*tables):
 
 def sampled_table(grid, values):
     """Table of samples on the lattice (anything broadcasting to (N, N)):
-    one row when every row is equal (fourier_rows), else (N, N)."""
-    vals = np.broadcast_to(np.asarray(values, dtype=complex), (grid.N, grid.N))
+    one row when every row is equal (fourier_rows), else (N, N).  The
+    table converts the samples to complex and copies them, once."""
+    vals = np.broadcast_to(values, (grid.N, grid.N))
     rows = fourier_rows(vals)
     return SymbolTable(grid, vals if rows is None else rows[0][None, :])
 

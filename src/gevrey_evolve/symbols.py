@@ -335,10 +335,11 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
     def decay_check(name, sym, xi_weight, x_weight, take_imag):
         """Normalized sup plus a growth probe: on a bounded grid the sup is
         always finite, so failure is detected as persistent growth of the
-        per-|x| maxima (positive log-log slope means no constant works)."""
+        per-|x| maxima (positive log-log slope means no constant works).
+        Time-independent coefficients are evaluated at t = 0 alone."""
         c_best, wit = 0.0, ()
         qmax_x = np.zeros(grid.N)
-        for t in ts:
+        for t in (ts if p.time_dependent else ts[:1]):
             vals = np.asarray(sym(t, X, XI), dtype=complex)
             part = np.abs(vals.imag) if take_imag else np.abs(vals)
             q = part / (xi_weight * x_weight)

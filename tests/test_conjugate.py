@@ -128,6 +128,34 @@ def test_inverse_residual_and_modes(small_setup):
     assert agree <= 1e-9
 
 
+def test_neumann_series_stops_by_the_power_it_leaves(small_setup):
+    # damped-64: the product-form series squares P = R^terms until
+    # ||P||_F < series_tol.  The build skips the last square once
+    # ||P||_F^2 < series_tol and keeps the terms and the bits of E_inv; the
+    # residual is the Frobenius norm of E E_inv - I, above its 2-norm
+    from gevrey_evolve.quantize import adjoint, coefficient_matrix
+    asm, tol = small_setup["assembler"], 1e-10
+    bundle = build_conjugator(asm, series_tol=tol)
+    g, lam = asm.grid, asm.phase.lam
+    E, E_star = (coefficient_matrix(g, exp_table(tab).values)
+                 for tab in (lam, lam * -1.0))
+    E[g.nyquist, g.nyquist] = E_star[g.nyquist, g.nyquist] = 1.0
+    E_star, I = adjoint(E_star), np.eye(g.N)
+    R = E @ E_star - I
+    S, P, terms = I - R, R @ R, 2
+    while np.linalg.norm(P) >= tol:
+        skipped = np.linalg.norm(P) ** 2 < tol
+        S = S + S @ P
+        P = P @ P
+        terms *= 2
+    assert skipped and terms == bundle.series_terms == 32
+    E_inv = E_star @ S
+    assert np.array_equal(bundle.E_inv.matrix, E_inv)
+    assert np.array_equal(bundle.E.matrix, E)
+    assert bundle.residual == np.linalg.norm(E @ E_inv - I)
+    assert bundle.residual >= operator_norm(E @ E_inv - I)
+
+
 def test_infeasible_phase_raises_convergence_error(grid):
     big = params_with(M2=1.5, M1=1.0)
     with pytest.raises(ConvergenceError):

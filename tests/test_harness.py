@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gevrey_evolve import harness
+from gevrey_evolve import harness, make_grid
 from gevrey_evolve.conjugate import build_conjugator
 from gevrey_evolve.errors import ConfigurationError
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
@@ -319,6 +319,35 @@ def test_solve_inputs_must_be_finite_and_positive(tmp_path, capsys, key, value):
         assert err.startswith("error (config): ") and key in err
         assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_mode_data_off_the_lattice_is_a_config_error(tmp_path, capsys):
+    # exp(i m x) is periodic on [-L, L) only when m L / pi is an integer:
+    # at L = 10 mode 1 jumps at the seam and is refused in one line naming
+    # data.mode, grid.L and the nearest lattice mode 3 pi / L; at L = 3 pi
+    # it is the lattice mode xi = 1, whose spectrum is one coefficient
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(SMALL + "data.kind = mode\ndata.mode = 1\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    for command in ("run", "verify"):
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ")
+        assert len(err.strip().splitlines()) == 1
+        for name in ("data.mode = 1", "grid.L = 10.0",
+                     "nearest lattice mode is 3 pi / grid.L = 0.942478"):
+            assert name in err
+    assert not (tmp_path / "out").exists()
+    L = 3.0 * np.pi
+    good = RunConfig.from_text(
+        f"grid.L = {L!r}\ngrid.N = 64\ndata.kind = mode\ndata.mode = 1\n")
+    good.validate()
+    grid = make_grid(L, 64)
+    spectrum = np.abs(grid.forward(harness.build_data(good, grid)[0]))
+    assert np.argmax(spectrum) == 3
+    assert np.sort(spectrum)[-2] < 1e-12 * spectrum[3]
+    # data.mode is read only by mode data
+    RunConfig.from_text(SMALL + "data.kind = gaussian\n").validate()
 
 
 # every key whose default is a number or "auto", with the values each must

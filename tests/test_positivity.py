@@ -153,9 +153,9 @@ def _calibrated_in_full(assembler):
     reads all four tables at every sample time before k(T) is checked."""
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     norm_t = positivity._margin_normalizers(grid, params)["theta"]
-    region = positivity._checked_region(grid, params)
-    sup = lambda values: positivity._sup_normalized(
-        np.maximum(0.0, -values), norm_t, region)
+    region = conjugate.checked_region(grid, params)
+    sup = lambda values: float(np.max(
+        (np.maximum(0.0, -values) / norm_t)[:, region]))
     real = lambda name, t: assembler.part(name, float(t)).values.real
     C1, C2 = 0.0, 0.0
     for _ in range(positivity.FP_ROUNDS):
@@ -294,9 +294,9 @@ def _calibrated_by_at(assembler):
     the same four tables through real_sum."""
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     norm_t = positivity._margin_normalizers(grid, params)["theta"]
-    region = positivity._checked_region(grid, params)
-    sup = lambda values: positivity._sup_normalized(
-        np.maximum(0.0, -values), norm_t, region)
+    region = conjugate.checked_region(grid, params)
+    sup = lambda values: float(np.max(
+        (np.maximum(0.0, -values) / norm_t)[:, region]))
     C1, C2 = 0.0, 0.0
     for _ in range(positivity.FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
@@ -469,25 +469,38 @@ def test_margins_read_parts_without_at(case, small_setup, modulated64,
 def test_each_recipe_runs_once_per_coefficient_time(case, small_setup,
                                                     modulated64, monkeypatch):
     # the certificate and the generator's view read one store: a2 is
-    # sampled once per coefficient time, for ia2 and a2cross together, and
-    # every later read of either (c, b2k, b1k, ia2_k) finds it there
+    # sampled once per coefficient time, each recipe runs once per
+    # coefficient time, for all the tables it forms (ia2 with a2cross, and
+    # each damping's main part with its tail), and every later read of
+    # one of them (c, b2k, b1k, ia2_k) finds it there
     if case == "damped-64":
         prob, grid = small_setup["problem"], small_setup["grid"]
         params, times = small_setup["params"], 1
     else:
         (prob, grid, params), times = modulated64, len(T_SAMPLES)
     calls, sample = [], conjugate.eval_table
+    runs, recipe = [], ConjugationAssembler._spatial_recipe
 
     def counting(symbol, g, t):
         if symbol is prob.a2:
             calls.append(t)
         return sample(symbol, g, t)
 
+    def recording(self, e, name):
+        tables = recipe(self, e, name)
+        runs.append((e["t"], tuple(tables)))
+        return tables
+
     monkeypatch.setattr(conjugate, "eval_table", counting)
+    monkeypatch.setattr(ConjugationAssembler, "_spatial_recipe", recording)
     asm = ConjugationAssembler(prob, params, grid)
     verify_lower_bounds(asm, T_SAMPLES)
     asm.at(0.0)
     assert len(calls) == times
+    assert len(runs) == len(set(runs))
+    for group in (("ia2", "a2cross"), ("m2_main", "m2_tail"),
+                  ("m1_main", "m1_tail")):
+        assert sum(tables == group for _, tables in runs) == times, group
 
 
 def test_pinned_h_is_the_only_trial(small_setup):
@@ -593,6 +606,95 @@ def test_row_tables_certify_like_their_tiled_twins():
     assert all(t.values.shape == (1, grid.N) for t in tables)
     assert np.any(entry["poly"]["ia2"][0].values)
     twin = copy.copy(asm)
-    twin._cache = {None: _tiled(entry)}
+    # the twin forms its block polynomials from the tiled tables
+    twin._cache = {None: _tiled(dict(entry, blocks={}))}
     assert twin.at(0.0).parts["ia2"].values.shape == (grid.N, grid.N)
     assert verify_lower_bounds(twin, T_SAMPLES).rows == rows
+
+
+@pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
+def test_trials_share_the_coefficient_tables(name, monkeypatch):
+    # damped-64 and time-modulated N=64 try h = 1, 2 and 4.  The three
+    # trials read one CoefficientTables: a2 is sampled once per coefficient
+    # time (t = 0 alone for time-independent coefficients), and each trial
+    # holds the same i a2, i a1 and c, equal at each time to a fresh sample.
+    # The accepted trial keeps no block polynomial past its certificate
+    prob = model_problem(name, 0.75, domain=10.0)
+    grid = make_grid(10.0, 64)
+    sampled, trials = [], []
+    sample, calibrate = conjugate.eval_table, positivity.calibrate_time_weight
+
+    def counting(symbol, g, t):
+        if symbol is prob.a2:
+            sampled.append(t)
+        return sample(symbol, g, t)
+
+    monkeypatch.setattr(conjugate, "eval_table", counting)
+    monkeypatch.setattr(positivity, "calibrate_time_weight",
+                        lambda asm: trials.append(asm) or calibrate(asm))
+    _, details = select_parameters_detailed(prob, 1.8, grid)
+    monkeypatch.undo()
+    assert [row["h"] for row in details["history"]] == [1.0, 2.0, 4.0]
+    times = list(T_SAMPLES) if prob.time_dependent else [0.0]
+    assert sampled == times
+    tables = trials[0].tables
+    assert all(trial.tables is tables for trial in trials)
+    assert details["bundle"].assembler is trials[-1]
+    assert not any(entry["blocks"] for entry in trials[-1]._cache.values())
+    for t in times:
+        ia2 = eval_table(prob.a2, grid, t) * 1j
+        want = {"ia2": ia2, "ia1": eval_table(prob.a1, grid, t) * 1j,
+                "c": conjugate._hermitian_half(ia2.imag)}
+        for part, table in want.items():
+            shared = tables.table(part, t)
+            assert np.array_equal(shared.values, table.values), (part, t)
+            for trial in trials:
+                assert trial._entry(t)["poly"][part][0] is shared, (part, t)
+
+
+def _block_case(case, small_setup, modulated64):
+    """A fresh assembler of case and a second one, for the reference."""
+    if case.startswith("damped-64"):
+        prob, grid = small_setup["problem"], small_setup["grid"]
+        params = small_setup["params"]
+        if case == "damped-64-h2":
+            params = dataclasses.replace(params, h=2.0)
+    elif case == "time-modulated-64":
+        prob, grid, params = modulated64
+    else:
+        # nothing to dominate: M2 = M1 = 0 at h = 1, with C1 and C2 set so
+        # that the 1/theta margin is not zero
+        prob = model_problem("kdv-baseline", 0.75, domain=10.0)
+        grid = make_grid(10.0, 64)
+        params = select_parameters_detailed(prob, 1.8, grid)[0]
+        params = params.with_ode_constants(0.5, 0.1)
+    return (ConjugationAssembler(prob, params, grid),
+            ConjugationAssembler(prob, params, grid))
+
+
+@pytest.mark.parametrize("case", ["damped-64", "damped-64-h2",
+                                  "time-modulated-64", "kdv-baseline-64"])
+def test_block_sums_match_real_sum(case, small_setup, modulated64):
+    # each margin and the calibration's C1 and C2 sums, from the block
+    # polynomials by Horner at k(t), match real_sum on the checked region
+    # to 1e-13 of their largest magnitude at every sample time (kdv-baseline
+    # has only the 1/theta margin: the others are exact zeros).  Sums of
+    # one-row tables (kdv-baseline) stay rows; the polynomials are kept
+    asm, ref = _block_case(case, small_setup, modulated64)
+    grid = asm.grid
+    region = conjugate.checked_region(grid, asm.params)
+    sums = {**MARGINS, "C1": C1_PARTS, "C2": C2_PARTS}
+    for t in T_SAMPLES:
+        for name, names in sums.items():
+            got = positivity.block_sum(asm, names, t)
+            want = real_sum(ref, names, t)[:, region]
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0.0 or (case == "kdv-baseline-64"
+                                   and name != "theta"), (name, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, t)
+            fixed = [n for n in names if n not in positivity.PER_TIME]
+            poly = asm.block_polynomial(fixed, t)
+            assert poly is asm.block_polynomial(fixed, t)
+            rows = 1 if case == "kdv-baseline-64" else grid.N
+            assert poly.shape[1:] == (rows, region.sum())
+            assert got.shape == want.shape

@@ -206,3 +206,33 @@ def test_complex_damped_im_a2_bound(grid):
     rep = check_assumptions(p, grid, 1.8)
     c = rep.constant("hyp-iii-order2-decay")
     assert 0.5 < c < 1.5
+
+
+@pytest.mark.parametrize("pid", ["complex-damped", "time-modulated"])
+def test_decay_checks_sample_each_coefficient_time_once(grid, pid):
+    # the decay checks evaluate a2 and a1 on the lattice at the five sample
+    # times when the coefficients depend on time, and once otherwise; the
+    # rows equal those of an evaluation at all five times
+    import dataclasses
+    p = model_problem(pid, 0.75, domain=grid.L)
+    calls = []
+
+    def counted(sym):
+        def fn(t, x, xi):
+            if np.shape(x) == (grid.N, 1):
+                calls.append((sym.name, t))
+            return sym.fn(t, x, xi)
+        return dataclasses.replace(sym, fn=fn)
+
+    rep = check_assumptions(dataclasses.replace(p, a2=counted(p.a2),
+                                                a1=counted(p.a1)), grid, 1.8)
+    times = 5 if p.time_dependent else 1
+    assert len(calls) == 2 * times
+    # the same rows from a problem flagged time-dependent, evaluated 5 times
+    every = check_assumptions(dataclasses.replace(p, time_dependent=True),
+                              grid, 1.8)
+    for name in ("hyp-iii-order2-decay", "hyp-iv-order1-decay"):
+        got, want = (next(r for r in report.results if r.name == name)
+                     for report in (rep, every))
+        assert (got.constant, got.witness, got.detail) == (
+            want.constant, want.witness, want.detail)

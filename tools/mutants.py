@@ -168,6 +168,19 @@ MUTANTS = [
            "key = round(float(t), 12) if self.problem.time_dependent else None",
            "key = None",
            (T_CONJ + "test_time_dependent_parts_kept_per_coefficient_time",)),
+    Mutant("coefficient-tables-keyed-without-time", CONJ,
+           "store = _memo(self._cache, float(t), dict)",
+           "store = _memo(self._cache, 0.0, dict)",
+           (T_POS + "test_trials_share_the_coefficient_tables"
+            "[time-modulated]",)),
+    Mutant("horner-drops-the-top-power", POS,
+           "for R_j in R[::-1]:",
+           "for R_j in R[-2::-1]:",
+           (T_POS + "test_block_sums_match_real_sum[damped-64]",)),
+    Mutant("neumann-stops-once-below-one", CONJ,
+           "if size * size < series_tol:",
+           "if size < 1.0:",
+           (T_CONJ + "test_neumann_series_stops_by_the_power_it_leaves",)),
     Mutant("conjugator-nyquist-slot-not-pinned", CONJ,
            "E[nyq, nyq] = E_star[nyq, nyq] = 1.0",
            "E_star[nyq, nyq] = 1.0",
@@ -274,8 +287,9 @@ MUTANTS = [
            "    theta = 1.8\n",
            (T_EVOLVE + "test_solve_reads_theta_from_the_bundle",)),
     Mutant("calibration-leaves-its-last-constants-uninstalled", POS,
-           "    k_of_t(p.T, params)\n    assembler.params = params\n    return params\n",
-           "    k_of_t(p.T, params)\n    return params\n",
+           "    k_of_t(p.T, params)\n    assembler.params = params\n"
+           "    assembler.release_block_polynomials()\n",
+           "    k_of_t(p.T, params)\n    assembler.release_block_polynomials()\n",
            (T_POS + "test_calibration_installs_its_last_round",)),
     Mutant("m1-measured-without-c", POS,
            'M1_PARTS = ("a2cross", "c")',
