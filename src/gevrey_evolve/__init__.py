@@ -10,7 +10,8 @@ tracking its exponential frequency-decay radius.
 
 from .errors import (ConfigurationError, ConvergenceError, DataError,
                      EvaluationError, GevreyEvolveError, InfeasibleError,
-                     InstabilityError, ParameterError, ShapeError)
+                     InstabilityError, ParameterError, ReleasedError,
+                     ShapeError)
 from .grid import Grid, bracket_h, make_grid
 from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        apply, band_relative_error, compose_expansion,

@@ -90,13 +90,20 @@ def diff_uniform(values, spacing, order, axis=0, accuracy=4):
         for j in range(width):
             np.multiply(w[j], moved[lo + j: lo + j + len(acc)], out=t)
             acc += t
-    # edges: one-sided stencils
+    # edges: one-sided stencils.  A real edge block is cast to complex for
+    # the product: BLAS rounds the complex product (zgemv) and the real one
+    # (dgemv) differently, and a real table must differentiate as the real
+    # part of its complex cast.  The cast is C-contiguous, the copy numpy's
+    # product makes of a strided complex block
     nodes = np.arange(width, dtype=float)
+    head, tail = (np.ascontiguousarray(edge, dtype=complex)
+                  for edge in (moved[:width], moved[n - width:]))
+    part = np.asarray if np.iscomplexobj(out) else np.real
     for i in range(half):
         w = fd_weights(nodes, float(i), order) / scale
-        out[i] = np.tensordot(w, moved[:width], axes=(0, 0))
+        out[i] = part(np.tensordot(w, head, axes=(0, 0)))
         w = fd_weights(nodes, float(width - 1 - i), order) / scale
-        out[n - 1 - i] = np.tensordot(w, moved[n - width:], axes=(0, 0))
+        out[n - 1 - i] = part(np.tensordot(w, tail, axes=(0, 0)))
     return np.moveaxis(out, 0, axis)
 
 

@@ -43,7 +43,8 @@ per coefficient time, one FFT along x per table; a stage at time t is that
 stack weighted by the powers of k(t), plus the k' row.  The time stepper
 forms each stage time's coefficient matrix once, two times in one GEMM
 over the stack (quantize.StageSlots), and applies a stage with one N x N
-GEMV and no FFT.
+GEMV and no FFT.  Once a run has its step, the assembler of time-independent
+coefficients keeps only that stack (release_tables).
 """
 
 import math
@@ -52,7 +53,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from ._stencil import exp_derivative_factors
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, ReleasedError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        coefficient_matrix, dx_operators, exp_table,
@@ -135,7 +136,10 @@ class PhaseTables:
     (exp_factors) are formed up to the highest order read so far; the
     derivatives of lam they extend from are kept until the factors reach
     the orders the order-2 coefficient's expansion reads, the most any
-    expansion reads."""
+    expansion reads.  lam, its derivative tables, psi_window, P_b and the
+    Bell values that stand for Q_a are real, float64 tables;
+    conjugation_expansion applies Q_a's phase (-i)^a where it reads Q_a.
+    release() drops every table; a read after it raises ReleasedError."""
 
     def __init__(self, grid: Grid, params: WeightParams, win: Windows):
         self.grid, self.params = grid, params
@@ -153,8 +157,11 @@ class PhaseTables:
 
     def _windows(self, table):
         """The windows, read for ``table``; the last such read releases
-        them."""
+        them.  A table read after release() raises ReleasedError."""
         win = self._win
+        if win is None:
+            raise ReleasedError(f"phase table {table!r} read after the "
+                                "phase tables were released")
         self._unread.discard(table)
         if not self._unread:
             self._win = None
@@ -186,7 +193,7 @@ class PhaseTables:
     def psi_window(self) -> SymbolTable:
         """psi(<x>/<xi>_h^2)."""
         win = self._windows("psi_window")
-        return SymbolTable(self.grid, win.psi(0).astype(complex))
+        return SymbolTable(self.grid, win.psi(0))
 
     @cached_property
     def abs_w(self) -> np.ndarray:
@@ -203,9 +210,11 @@ class PhaseTables:
         return l2 + l1
 
     def exp_factors(self, n):
-        """([P_1..P_n], [Q_1..Q_n]): P_b = Bell_b(d_xi lam, ...) and
-        Q_a = (-i)^a Bell_a(-d_x lam, ...), each order formed once, on
-        first read, up to the orders the order-2 expansion reads."""
+        """([P_1..P_n], [B_1..B_n]): P_b = Bell_b(d_xi lam, ...) and the
+        Bell values B_a = Bell_a(-d_x lam, ...) of Q_a = (-i)^a B_a, each
+        order formed once, on first read, up to the orders the order-2
+        expansion reads.  Both are real where the derivatives of lam are;
+        the reader applies Q_a's phase (-i)^a."""
         if self._P is None or n > self._top:
             raise ParameterError(
                 f"factors P_b, Q_a of order {n} are released or past the "
@@ -222,8 +231,7 @@ class PhaseTables:
             # the Bell values stay in d; zeroing their Nyquist column does
             # not reach the other columns of the elementwise recursion
             self._P.append(SymbolTable.fresh(self.grid, d["P"][-1]))
-            self._Q.append(SymbolTable.fresh(self.grid,
-                                             (-1j) ** o * d["Q"][-1]))
+            self._Q.append(SymbolTable.fresh(self.grid, d["Q"][-1]))
         if len(self._P) == self._top:
             self._derivs = None
         return self._P[:n], self._Q[:n]
@@ -232,6 +240,14 @@ class PhaseTables:
         """Drop P_b, Q_a and what they extend from, once the last table
         that reads them exists."""
         self._P = self._Q = self._derivs = None
+
+    def release(self):
+        """Drop every table and the windows; params stay."""
+        self.release_factors()
+        self._win = None
+        for name in ("lam", "lam2_x", "lam2_xx", "lam1_x", "dxdxi_lam2",
+                     "psi_window", "abs_w"):
+            self.__dict__.pop(name, None)
 
 
 def build_phase_tables(p: ProblemSpec, params: WeightParams,
@@ -268,25 +284,26 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     of order two, so at finite grid frequencies the terms eventually grow
     factorially.  Orders are therefore accumulated only while they do not
     grow (_while_shrinking), capped by the requested n_trunc; the factors
-    P_b, Q_a are read up to order n_trunc - 1.
+    P_b, Q_a are read up to order n_trunc - 1.  The phase holds Q_a as its
+    real Bell values B_a, and a product takes Q_a's phase (-i)^a after
+    B_a: (core B_a) (-i)^a rounds as core ((-i)^a B_a), since multiplying
+    by +-1 or +-i is exact.  D_x^b q is formed from q's one spectrum where
+    it is read, so no order holds more than one of them.
     """
     g = q.grid
     P, Q = phase.exp_factors(n_trunc - 1)
     dx_q = dx_operators(q)
-    dxq = {0: q}
-    for b in range(1, n_trunc):
-        dxq[b] = dx_q(b)
 
     def orders():
         for s in range(1, n_trunc):
             group = SymbolTable(g, np.zeros((1, g.N)))
             for a in range(0, s + 1):
                 b = s - a
-                core = dxq[b]
+                core = q
                 if b >= 1:
-                    core = P[b - 1] * core
+                    core = P[b - 1] * dx_q(b)
                 if a >= 1:
-                    core = core * Q[a - 1]
+                    core = (core * Q[a - 1]) * (-1j) ** a
                     core = xi_derivative(core, a)
                 group = group + core * (1.0 / (math.factorial(a) * math.factorial(b)))
             yield group, _sup(group)
@@ -438,6 +455,9 @@ def build_conjugator(assembler: "ConjugationAssembler",
 BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
           "order1": ("ia1", "damp1", "id1", "a2cross"),
           "theta": ("kprime", "b1k", "ia1_k")}
+# the parts stored as k-polynomials, in the order of BLOCKS
+POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
+                   if n != "kprime")
 # The positivity certificate: each lower bound sums its tables' real parts
 # in this order.  The damping counts at full strength (m2_main, m1_main),
 # its window tails (m2_tail, m1_tail) in the 1/theta bound; c and e are the
@@ -556,6 +576,12 @@ class ConjugationAssembler:
     built once per coefficient time.
     ``params`` is the phase tables' WeightParams, so the constants that
     selection (M1) and calibration (C1, C2) install reach both.
+    ``release_tables()`` is called by the run pipeline once the Garding
+    floors and the step exist: for time-independent coefficients it keeps
+    the generator's rows or coefficient stack, which is all the solve
+    reads, and drops the k-polynomials, the block polynomials and the
+    phase and coefficient tables; a later read of a table raises
+    ReleasedError.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -650,35 +676,38 @@ class ConjugationAssembler:
                 bh = bracket_h(g.xi, params.h)
                 main = sampled_table(g, absda3_w[None, :] / bh[None, :]
                                      * params.M1 * bx ** (-params.sigma / 2.0))
-            tail = -(main.values * (1.0 - ph.psi_window.values.real))
-        return {which + "_main": main.real,
-                which + "_tail": sampled_table(g, tail)}
+            tail = -(main.values * (1.0 - ph.psi_window.values))
+        return {which + "_main": main, which + "_tail": sampled_table(g, tail)}
 
     def _k_stage(self, base, order):
         """The k-stage tables {j: U_j}, j >= 1, of conjugating op(base), a
         symbol of the given order, by the time multiplier.  Orders b are
         kept while the gauge size of their contribution (at k = k0) does not
-        grow (_while_shrinking); the series is asymptotic on the grid."""
+        grow (_while_shrinking); the series is asymptotic on the grid.  An
+        order's addends coeff_j D_x^b base / b! are formed for its gauge one
+        at a time, and again for U_j once the order is kept, so no order
+        holds more than its D_x^b base and the gauge."""
         params = self.params
         dx_base = dx_operators(base)
+        bell = self._bell_xi
+
+        def terms(b):
+            return [j for j in range(1, b + 1)
+                    if not (np.isscalar(bell[b][j]) and bell[b][j] == 0.0)]
 
         def orders(nk):
             for b in range(1, nk):
                 dxb = dx_base(b).values / math.factorial(b)
-                adds = {}
                 gauge = np.zeros_like(dxb)
-                for j in range(1, b + 1):
-                    coeff = self._bell_xi[b][j]
-                    if np.isscalar(coeff) and coeff == 0.0:
-                        continue
-                    adds[j] = coeff[None, :] * dxb
-                    gauge += (params.k0 ** j) * adds[j]
-                yield adds, float(np.max(np.abs(gauge)))
+                for j in terms(b):
+                    gauge += (params.k0 ** j) * (bell[b][j][None, :] * dxb)
+                yield (b, dxb), float(np.max(np.abs(gauge)))
 
         U = {}
         nk = truncation_order(order, params.theta)
-        for adds in _while_shrinking(orders(nk)):
-            for j, add in adds.items():
+        for b, dxb in _while_shrinking(orders(nk)):
+            for j in terms(b):
+                add = bell[b][j][None, :] * dxb
                 if j in U:
                     U[j] += add
                 else:
@@ -693,6 +722,9 @@ class ConjugationAssembler:
         the time multiplier conjugates, the k-stage tables U_j, j >= 1, of
         their U_0s' sum."""
         store = e["poly"]
+        if store is None:
+            raise ReleasedError(f"table {name!r} read after the assembler's "
+                                "tables were released")
         if name not in store:
             sigma = self.params.sigma
             conjugated = {"b2k": (("ia2", "damp2"), 2.0),
@@ -716,20 +748,22 @@ class ConjugationAssembler:
 
     # -- public assembly ----------------------------------------------
 
-    def _polynomial(self, t):
+    def _polynomial(self, t, polys=None):
         """(rows, powers, stack) at the coefficient time of t, built on
         first use from the G_j, each the sum of the parts' U_j in the order
         of BLOCKS: G_0 and the G_j, j >= 1 in powers.  rows = [G_0 row,
         G_j rows...] when every row of each table is equal, and stack is
         None; otherwise rows is None and stack is the coefficient stack
         spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
-        tables."""
+        tables.  polys, when given, yields the k-polynomials of POLY_PARTS
+        in their order, in place of the entry's."""
         entry = self._entry(t)
         if "generator" not in entry:
+            if polys is None:
+                polys = (self._poly(entry, name) for name in POLY_PARTS)
             G = {}
-            for name in (n for block in BLOCKS.values() for n in block
-                         if n != "kprime"):
-                for j, U in self._poly(entry, name).items():
+            for poly in polys:
+                for j, U in poly.items():
                     G[j] = G.get(j, 0.0) + U.values
             powers = sorted(G)[1:]
             tables = [G[j] for j in (0, *powers)]
@@ -829,6 +863,28 @@ class ConjugationAssembler:
         certificate that reads them is published."""
         for entry in self._cache.values():
             entry["blocks"].clear()
+
+    def release_tables(self):
+        """Drop what a solve does not read, once the run has its Garding
+        floors and its step: the k-polynomials, the block polynomials, the
+        coefficient tables and the phase tables.  The generator's rows or
+        coefficient stack, formed here if not yet, a3's rows and params
+        stay.  Only for time-independent coefficients, whose solve reads
+        one coefficient time; time-dependent ones keep every table, since
+        each stage time is a new coefficient time.  A later read of a table
+        raises ReleasedError."""
+        if self.problem.time_dependent:
+            return
+        entry = self._entry(0.0)
+        if entry["poly"] is None:
+            return
+        # every part first, while the phase can still form them; then the
+        # generator sums the parts, each dropped once summed
+        parts = {name: self._poly(entry, name) for name in POLY_PARTS}
+        entry["poly"], entry["blocks"] = None, {}
+        self.tables = None
+        self.phase.release()
+        self._polynomial(0.0, (parts.pop(name) for name in POLY_PARTS))
 
     def at(self, t: float) -> ConjugatedSymbols:
         """The generator's parts (BLOCKS) at time t (part), and

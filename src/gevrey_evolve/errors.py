@@ -25,6 +25,11 @@ class ParameterError(GevreyEvolveError):
     """Weight/conjugator parameters out of their admissible range."""
 
 
+class ReleasedError(GevreyEvolveError):
+    """A table is read after its holder released it (a run drops the
+    accepted assembler's tables once its solve no longer reads them)."""
+
+
 class ConvergenceError(GevreyEvolveError):
     """An iterative construction (Neumann series, quadrature) did not converge."""
 

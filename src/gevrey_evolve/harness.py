@@ -29,7 +29,8 @@ from . import serialize
 from .conjugate import build_conjugator
 from .errors import (ConfigurationError, ConvergenceError, GevreyEvolveError,
                      InfeasibleError, InstabilityError, ParameterError)
-from .evolve import MAX_STEPS, solve_original, synthetic_radius_field
+from .evolve import (MAX_STEPS, default_dt, solve_original,
+                     synthetic_radius_field)
 from .grid import make_grid
 from .positivity import garding_floors, select_parameters_detailed
 from .symbols import MODEL_PROBLEM_IDS, check_assumptions, model_problem
@@ -107,12 +108,14 @@ _BOUNDS = {
 _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
             "data.kind": ("gevrey", "gaussian", "mode")}
 # live complex N x N tables at the peak of a run, rounded up: the dense
-# working set is DENSE_TABLES * 16 N^2 bytes.  About 65 were measured for
-# complex-damped at N = 128, 256 and 384, and about 160 for time-modulated
-# at N = 128 and 256, whose assembler keeps the tables of
-# conjugate.MEMO_TIMES coefficient times and whose solve steps one step per
-# block, each stage holding its own coefficient stack
-DENSE_TABLES = 80
+# working set is DENSE_TABLES * 16 N^2 bytes, (peak RSS - RSS after import)
+# / 16 N^2 measured.  42 to 50 were measured for complex-damped at N = 128,
+# 256 and 1024 (real tables are float64, and a run drops the tables its
+# solve does not read), and 147 to 156 for time-modulated at N = 128 and
+# 256, whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient
+# times and whose solve steps one step per block, each stage holding its
+# own coefficient stack
+DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
 
 
@@ -350,15 +353,22 @@ def setup_pipeline(cfg: RunConfig, out_dir=None):
 
 
 def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
-    """Full run; returns (trajectory, artifacts dict)."""
+    """Full run; returns (trajectory, artifacts dict).  Once the setup has
+    the Garding floors and the step is known (run.dt, or default_dt of the
+    accepted generator), the accepted assembler drops every table its
+    solve does not read (ConjugationAssembler.release_tables)."""
     out = (out_dir or cfg["output.dir"]) if write else None
     artifacts = setup_pipeline(cfg, out)
     v = cfg.values
     bundle = artifacts["bundle"]
+    T = bundle.problem.T
     g, f, rho = build_data(cfg, bundle.grid)
-    dt = None if v["run.dt"] == "auto" else float(v["run.dt"])
-    traj = solve_original(bundle, f, g, bundle.problem.T, m=v["gevrey.m"],
-                          rho=rho, dt=dt)
+    if v["run.dt"] == "auto":
+        dt = default_dt(bundle.assembler.at(0.0).generator_table().values, T)
+    else:
+        dt = float(v["run.dt"])
+    bundle.assembler.release_tables()
+    traj = solve_original(bundle, f, g, T, m=v["gevrey.m"], rho=rho, dt=dt)
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})
     if write:

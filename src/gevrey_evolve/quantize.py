@@ -7,6 +7,13 @@ x-derivative of a row is the exact zero row.  Sampled values keep one row
 when every row equals the first (fourier_rows), so a Fourier multiplier is
 stored and differentiated in O(N) (the rank-one case of a separated symbol
 representation; Demanet & Ying, Discrete symbol calculus, SIAM Rev. 2011).
+A table of real-typed values is float64 and any other complex128, half the
+bytes for the real symbols (the phase, its derivatives, the windows and
+the damping).  Arithmetic promotes as numpy does, which rounds a real
+operand exactly as its complex cast, and the kernels keep those bits: a
+real table xi-differentiates to the real part of its complex cast's
+derivative, and x-differentiates (through its complex spectrum) to the
+complex cast's derivative.
 
 Quantization is the left (Kohn-Nirenberg) rule
 
@@ -48,16 +55,23 @@ from .grid import Grid
 EXP_GUARD = 700.0  # log-scale overflow guard for entrywise exponentials
 
 
+def _table_dtype(values):
+    """complex for complex-typed values, float for any other."""
+    return complex if np.iscomplexobj(values) else float
+
+
 @dataclass(frozen=True)
 class SymbolTable:
-    """Samples p(x_j, xi_k) of a symbol at one time; Nyquist column zero."""
+    """Samples p(x_j, xi_k) of a symbol at one time; Nyquist column zero.
+    The values are float64 when they are real-typed and complex128
+    otherwise; .real and .imag are float tables."""
 
     grid: Grid
     values: np.ndarray          # (N, N) or one row (1, N), [x-index, xi-index]
 
     def __post_init__(self):
         # the caller's array is copied and never written to
-        self._own(np.array(self.values, dtype=complex))
+        self._own(np.array(self.values, dtype=_table_dtype(self.values)))
 
     @classmethod
     def fresh(cls, grid, values):
@@ -65,7 +79,7 @@ class SymbolTable:
         takes the array over and zeroes its Nyquist column in place."""
         table = object.__new__(cls)
         object.__setattr__(table, "grid", grid)
-        table._own(np.asarray(values, dtype=complex))
+        table._own(np.asarray(values, dtype=_table_dtype(values)))
         return table
 
     def _own(self, v):
@@ -101,11 +115,11 @@ class SymbolTable:
 
     @property
     def real(self):
-        return SymbolTable.fresh(self.grid, self.values.real.astype(complex))
+        return SymbolTable.fresh(self.grid, self.values.real.copy())
 
     @property
     def imag(self):
-        return SymbolTable.fresh(self.grid, self.values.imag.astype(complex))
+        return SymbolTable.fresh(self.grid, self.values.imag.copy())
 
     def conj(self):
         return SymbolTable.fresh(self.grid, np.conj(self.values))
@@ -138,7 +152,11 @@ class Dense:
     matrix: np.ndarray
 
     def matvec_hat(self, w_hat):
-        """matrix @ w_hat; one GEMM for each row of a stack (B, N)."""
+        """matrix @ w_hat; one GEMM for each row of a stack (B, N).  A
+        one-row stack is padded to two rows: numpy takes a GEMV for one,
+        which rounds it differently from the same row in a wider stack."""
+        if np.ndim(w_hat) == 2 and len(w_hat) == 1:
+            return (self.matrix @ np.concatenate([w_hat, w_hat]).T).T[:1]
         return (self.matrix @ w_hat.T).T
 
     def dense(self):
@@ -242,7 +260,7 @@ def fourier_rows(*tables):
 def sampled_table(grid, values):
     """Table of samples on the lattice (anything broadcasting to (N, N)):
     one row when every row is equal (fourier_rows), else (N, N).  The
-    table converts the samples to complex and copies them, once."""
+    table copies the samples once, float64 if they are real."""
     vals = np.broadcast_to(values, (grid.N, grid.N))
     rows = fourier_rows(vals)
     return SymbolTable(grid, vals if rows is None else rows[0][None, :])
@@ -255,7 +273,7 @@ def table_from_function(grid, fn):
 
 def multiplier_table(grid, values_xi):
     """Table of an x-independent symbol given its values on the xi lattice."""
-    return SymbolTable(grid, np.asarray(values_xi, dtype=complex)[None, :])
+    return SymbolTable(grid, np.asarray(values_xi)[None, :])
 
 
 def coefficient_matrix(grid, values, out=None):
@@ -357,11 +375,11 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     g = p.grid
     nyq = g.nyquist
     rows = p.values.shape[0]
-    body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=complex)
+    body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=p.values.dtype)
     body[:nyq - 1] = p.values[:, nyq + 1:].T
     body[nyq - 1:] = p.values[:, :nyq].T
     dbody = diff_uniform(body, g.dxi, order, axis=0, accuracy=accuracy)
-    out = np.empty((rows, g.N), dtype=complex)
+    out = np.empty((rows, g.N), dtype=p.values.dtype)
     out[:, nyq + 1:] = dbody[:nyq - 1, :rows].T
     out[:, :nyq] = dbody[nyq - 1:, :rows].T
     return SymbolTable.fresh(g, out)
@@ -400,14 +418,14 @@ def dx_operators(p: SymbolTable):
 
 
 def exp_table(p: SymbolTable):
-    """Entrywise exponential of a real-valued table."""
+    """Entrywise exponential of a real-valued table, a float table."""
     vals = p.values.real
     m = float(np.max(vals))
     if m > EXP_GUARD:
         raise ParameterError(
             f"exponent reaches {m:.1f} > {EXP_GUARD}; reduce the phase strength "
             "(smaller k0 or weight constants)")
-    return SymbolTable.fresh(p.grid, np.exp(vals).astype(complex))
+    return SymbolTable.fresh(p.grid, np.exp(vals))
 
 
 def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):

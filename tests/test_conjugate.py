@@ -399,7 +399,8 @@ def test_theta_block_matches_its_report_form(grid):
 def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     # psi, psi' and psi'' of <x>/<xi>_h^2 once each on the lattice, shared by
     # all six x-derivative tables, which equal lambda_x_derivative's bit for
-    # bit: lam2_x, lam2_xx and lam1_x directly, all six through Q_a
+    # bit: lam2_x, lam2_xx and lam1_x directly, all six through the Bell
+    # values of Q_a (the expansion applies their phase (-i)^a)
     p = params_with()
     calls, step = [], weights.smooth_step
 
@@ -420,9 +421,8 @@ def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     lam_x = [ref[2, o] + ref[1, o] for o in (1, 2, 3)]
     lam_x.append(x_derivative(lam_x[2], 1))
     Q = exp_derivative_factors([-t.values for t in lam_x])
-    for a, (table, q) in enumerate(zip(Q_tables, Q)):
-        assert np.array_equal(table.values,
-                              SymbolTable(grid, (-1j) ** (a + 1) * q).values)
+    for table, q in zip(Q_tables, Q):
+        assert np.array_equal(table.values, SymbolTable(grid, q).values)
 
 
 def test_full_assembly_oracle(small_setup):
@@ -520,10 +520,32 @@ def test_zero_strength_damping_split_reads_no_window(grid, monkeypatch):
         assert not np.any(table.values), name
 
 
+def _expansion(q, P, Q, n_trunc):
+    """conjugation_expansion with Q_a = (-i)^a Bell_a as one complex table,
+    the representation before the expansion took the phase."""
+    from gevrey_evolve.quantize import dx_operators, xi_derivative
+    g, dxq = q.grid, dx_operators(q)
+
+    def orders():
+        for s in range(1, n_trunc):
+            group = SymbolTable(g, np.zeros((1, g.N)))
+            for a in range(s + 1):
+                b = s - a
+                core = P[b - 1] * dxq(b) if b else q
+                if a:
+                    core = xi_derivative(core * Q[a - 1], a)
+                group = group + core * (1.0 / (math.factorial(a)
+                                               * math.factorial(b)))
+            yield group, conjugate._sup(group)
+
+    return sum(conjugate._while_shrinking(orders()),
+               SymbolTable(g, np.zeros((1, g.N))))
+
+
 def _eager_tables(prob, params, grid):
     """The phase tables and every k-polynomial, built in one pass as before
-    they were formed on first read: (phase dict, P, Q, poly)."""
-    from types import SimpleNamespace
+    they were formed on first read: (phase dict, P, Q, poly), with Q_a the
+    complex table (-i)^a Bell_a."""
     from gevrey_evolve.quantize import dx_operators, xi_derivative
     from gevrey_evolve.weights import (Windows, spatial_weights,
                                        weight_x_derivative)
@@ -541,9 +563,8 @@ def _eager_tables(prob, params, grid):
     dxdxi = xi_derivative(wx[2, 1], 1)
     phase = dict(lam=lam, lam2_x=wx[2, 1], lam2_xx=wx[2, 2], lam1_x=wx[1, 1],
                  dxdxi_lam2=dxdxi,
-                 psi_window=SymbolTable(grid, win.psi(0).astype(complex)),
+                 psi_window=SymbolTable(grid, win.psi(0)),
                  abs_w=np.abs(win.w))
-    eager = SimpleNamespace(exp_factors=lambda n: (P[:n], Q[:n]))
 
     # the spatial stage
     a3_row = np.asarray(prob.a3(0.0, 0.0, grid.xi), dtype=float)
@@ -557,8 +578,7 @@ def _eager_tables(prob, params, grid):
            + xi_derivative(a3 * l2x, 1) * dxdxi
            + (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
                     + dxdxi * dxdxi * 2.0)) * -0.5) * 1j
-    ia2_n = conjugate.conjugation_expansion(
-        ia2, eager, truncation_order(2.0, params.theta))
+    ia2_n = _expansion(ia2, P, Q, truncation_order(2.0, params.theta))
     absda3_w = np.abs(da3_row) * phase["abs_w"]
     bx = np.sqrt(1.0 + np.square(grid.x))[:, None]
     m2 = sampled_table(grid, absda3_w[None, :] * params.M2 * bx ** (-params.sigma))
@@ -568,8 +588,7 @@ def _eager_tables(prob, params, grid):
     stage = dict(ia2=ia2, ia1=ia1, damp2=da3 * l2x * -1.0,
                  damp1=da3 * wx[1, 1] * -1.0, id1=id1,
                  ia2_k=ia2_n + (ia2_n * dxdxi) * -1j,
-                 ia1_k=conjugate.conjugation_expansion(
-                     ia1, eager, truncation_order(1.0, params.theta)),
+                 ia1_k=_expansion(ia1, P, Q, truncation_order(1.0, params.theta)),
                  a2cross=a2 * dxdxi, m2_main=m2.real,
                  m2_tail=sampled_table(grid, -(m2.values * (1.0 - psi))),
                  m1_main=m1.real,
@@ -607,10 +626,55 @@ def _eager_tables(prob, params, grid):
     return phase, P, Q, poly
 
 
+def test_real_tables_stay_real(small_setup):
+    # the tables of the real phase, its factors and the damping are float64
+    prob, grid, asm = (small_setup[k] for k in ("problem", "grid", "assembler"))
+    for name in ("lam", "lam2_x", "lam2_xx", "lam1_x", "dxdxi_lam2",
+                 "psi_window"):
+        assert getattr(asm.phase, name).values.dtype == np.float64, name
+    P, bell = conjugate.build_phase_tables(prob, asm.params, grid).exp_factors(3)
+    assert all(t.values.dtype == np.float64 for t in P + bell)
+    for name in ("damp2", "damp1", "m2_main", "m1_main", "m2_tail", "m1_tail"):
+        assert asm._entry(0.0)["poly"][name][0].values.dtype == np.float64, name
+
+
+def _held_bytes(obj):
+    """Bytes of the distinct array buffers obj reaches through attributes,
+    dicts and sequences, the grid's and the problem's left out."""
+    from gevrey_evolve.grid import Grid
+    from gevrey_evolve.symbols import ProblemSpec
+    seen, buffers, todo = set(), {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (Grid, ProblemSpec)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            buffers[id(o)] = o.nbytes
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, (list, tuple, set)):
+            todo.extend(o)
+        elif hasattr(o, "__dict__"):
+            todo.extend(vars(o).values())
+    return sum(buffers.values())
+
+
+def test_accepted_assembler_holds_at_most_23_complex_tables():
+    # damped-64 after selection: 1,449,984 bytes, 22.1 complex N x N tables
+    # (27.1 with every table complex)
+    from gevrey_evolve.positivity import select_parameters_detailed
+    _, details = select_parameters_detailed(PROB, 1.8, make_grid(L, N))
+    assert _held_bytes(details["bundle"].assembler) <= 23 * 16 * N * N
+
+
 def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
     # every table of the accepted assembler, each formed when first read,
     # equals bit for bit its one-pass build; the factors, released once
-    # both expansions exist, equal it in a fresh phase
+    # both expansions exist, equal it in a fresh phase: P_b, and Q_a as its
+    # Bell values times the phase (-i)^a the expansion applies
     prob, grid, asm = (small_setup[k] for k in ("problem", "grid", "assembler"))
     phase, P, Q, poly = _eager_tables(prob, asm.params, grid)
     for name, want in phase.items():
@@ -621,9 +685,11 @@ def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
     with pytest.raises(ParameterError):
         asm.phase.exp_factors(1)
     fresh = conjugate.build_phase_tables(prob, asm.params, grid)
-    for got, want in zip(fresh.exp_factors(4), (P, Q)):
-        assert len(got) == len(want) == 4
-        assert all(np.array_equal(g.values, w.values) for g, w in zip(got, want))
+    P_got, bell = fresh.exp_factors(4)
+    assert len(P_got) == len(bell) == len(P) == len(Q) == 4
+    assert all(np.array_equal(g.values, w.values) for g, w in zip(P_got, P))
+    assert all(np.array_equal(SymbolTable(grid, (-1j) ** a * b.values).values,
+                              w.values) for a, (b, w) in enumerate(zip(bell, Q), 1))
     entry = asm._entry(0.0)
     assert entry["poly"].keys() == poly.keys()
     for name, U in poly.items():

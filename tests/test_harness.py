@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gevrey_evolve import harness, make_grid
-from gevrey_evolve.conjugate import build_conjugator
-from gevrey_evolve.errors import ConfigurationError
+from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
+from gevrey_evolve.errors import ConfigurationError, ReleasedError
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    EXIT_INSTABILITY, EXIT_OK, RunConfig,
                                    error_category, main, oracle_suite,
@@ -182,7 +182,9 @@ L40_PINNED = ("grid.L = 40\ngrid.N = 256\nweights.M2 = 0.1061441225579437\n"
 
 
 def test_well_conditioned_conjugator_is_accepted_at_l40(tmp_path, monkeypatch):
-    # run exits 0 at h = 4, and its pulled-back inverse is the dense one
+    # run exits 0 at h = 4, and its pulled-back inverse is the dense one;
+    # the run released its assembler's tables, so the dense inverse is
+    # built on a fresh assembler of the same problem, params and grid
     from gevrey_evolve import harness
     runs = []
 
@@ -196,9 +198,28 @@ def test_well_conditioned_conjugator_is_accepted_at_l40(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == EXIT_OK
     bundle = runs[0][1]["bundle"]
     assert bundle.residual <= 1e-8 and bundle.spectral_radius < 1.0
-    dense = build_conjugator(bundle.assembler, mode="dense").E_inv.dense()
+    fresh = ConjugationAssembler(bundle.problem, bundle.params, bundle.grid)
+    dense = build_conjugator(fresh, mode="dense").E_inv.dense()
     gap = np.linalg.norm(bundle.E_inv.dense() - dense, 2)
     assert gap <= 1e-9 * np.linalg.norm(dense, 2)
+
+
+def test_run_releases_the_tables_its_solve_does_not_read(modulated64_selection):
+    # a run keeps its generator's coefficient stack and drops every other
+    # table: a later read raises ReleasedError, and nothing is re-formed
+    _, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
+    asm = art["bundle"].assembler
+    reads = (lambda: asm.part("ia2", 0.0), lambda: asm.phase.lam,
+             lambda: asm.block_polynomial(("ia2",), 0.0),
+             lambda: build_conjugator(asm))
+    for read in reads:
+        with pytest.raises(ReleasedError):
+            read()
+    assert len(asm.stage_operators(np.array([0.25, 0.5]))) == 2
+    # time-dependent coefficients keep every table
+    modulated = modulated64_selection[3]["bundle"].assembler
+    modulated.release_tables()
+    assert modulated.part("ia2", 0.0).values.shape == (64, 64)
 
 
 def test_snapshots_roundtrip(tmp_path):

@@ -130,6 +130,64 @@ def test_x_derivatives_match_reference_to_rounding(N):
     assert x_derivative(row, 1).values.shape == (1, N)
 
 
+def real_table(grid, rows, seed):
+    rng = np.random.default_rng(seed)
+    return SymbolTable(grid, rng.standard_normal((rows, grid.N)))
+
+
+def complex_cast(p):
+    return SymbolTable(p.grid, p.values.astype(complex))
+
+
+# a real table is float64 and differentiates as the real part of its
+# complex cast, bit for bit, one-sided edges included
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_diff_uniform_of_real_values_is_the_complex_casts_real_part(axis, order):
+    values = np.random.default_rng(order + 10).standard_normal((70, 45))
+    got = _stencil.diff_uniform(values, 0.3, order, axis=axis)
+    want = _stencil.diff_uniform(values.astype(complex), 0.3, order, axis=axis)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, want.real)
+
+
+@pytest.mark.parametrize("N", [40, 64, 256])
+@pytest.mark.parametrize("one_row", [False, True])
+def test_xi_derivative_of_real_table_is_the_complex_casts_real_part(N, one_row):
+    p = real_table(make_grid(10.0, N), 1 if one_row else N, N + 2)
+    for order in (1, 2, 3, 4):
+        got = xi_derivative(p, order).values
+        assert got.dtype == float
+        np.testing.assert_array_equal(
+            got, xi_derivative(complex_cast(p), order).values.real)
+
+
+@pytest.mark.parametrize("N", [40, 64, 256])
+def test_x_derivatives_of_real_table_equal_the_complex_casts(N):
+    # the spectrum of a real table is complex: every order equals the
+    # complex cast's, real and imaginary parts
+    p = real_table(make_grid(10.0, N), N, N + 3)
+    got, want = dx_operators(p), dx_operators(complex_cast(p))
+    for order in (1, 2, 3, 4):
+        np.testing.assert_array_equal(got(order).values, want(order).values)
+        np.testing.assert_array_equal(
+            x_derivative(p, order).values,
+            x_derivative(complex_cast(p), order).values)
+
+
+def test_exp_derivative_factors_of_real_derivatives_are_the_complex_casts_real_part():
+    rng = np.random.default_rng(5)
+    derivs = [rng.standard_normal((8, 9)) for _ in range(4)]
+    cast = [d.astype(complex) for d in derivs]
+    got = _stencil.exp_derivative_factors(derivs[:4],
+                                          _stencil.exp_derivative_factors(derivs[:2]))
+    want = _stencil.exp_derivative_factors(cast)
+    for g, w in zip(got, want):
+        assert g.dtype == float
+        np.testing.assert_array_equal(g, w.real)
+
+
 @pytest.mark.parametrize("derivative", [0, 1, 2, 3])
 def test_smooth_step_equals_chebval(derivative):
     u = np.concatenate([np.linspace(-1.5, 1.5, 3001),

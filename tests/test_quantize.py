@@ -3,7 +3,7 @@ import pytest
 
 from gevrey_evolve.errors import ParameterError, ShapeError
 from gevrey_evolve.grid import bracket_h, make_grid
-from gevrey_evolve.quantize import (SymbolTable, adjoint, apply,
+from gevrey_evolve.quantize import (Dense, SymbolTable, adjoint, apply,
                                     band_relative_error, compose_expansion,
                                     exp_table, multiplier_table,
                                     table_from_function, to_dense,
@@ -203,3 +203,33 @@ def test_row_tables(grid):
     assert q.values.shape == (grid.N, grid.N)
     with pytest.raises(ShapeError):
         SymbolTable(grid, np.zeros((2, grid.N)))
+
+
+def test_real_values_make_float_tables(grid):
+    # real-typed values are float64, any other complex128; .real, .imag,
+    # exp_table and a real multiplier row are float tables
+    real = SymbolTable(grid, np.ones((1, grid.N), dtype=int))
+    cplx = SymbolTable(grid, np.full((1, grid.N), 1j))
+    assert real.values.dtype == np.float64
+    assert cplx.values.dtype == np.complex128
+    for table in (cplx.real, cplx.imag, real.imag, exp_table(real),
+                  multiplier_table(grid, grid.xi), real * real):
+        assert table.values.dtype == np.float64
+    assert (real * cplx).values.dtype == np.complex128
+    # the real part is a copy, not a view into the complex values
+    part = cplx.imag
+    part.values[0, 0] = 5.0
+    assert cplx.values[0, 0] == 1j
+
+
+def test_dense_stack_rows_do_not_depend_on_the_grouping(grid):
+    # 33 fields as groups of 32 + 1 or as one group of 33: the lone row
+    # takes the GEMM of the wider stack, so every row has the same bits
+    rng = np.random.default_rng(3)
+    N = grid.N
+    op = Dense(grid, rng.standard_normal((N, N))
+               + 1j * rng.standard_normal((N, N)))
+    fields = rng.standard_normal((33, N)) + 1j * rng.standard_normal((33, N))
+    grouped = np.concatenate([op.matvec_hat(fields[:32]),
+                              op.matvec_hat(fields[32:])])
+    assert np.array_equal(grouped, op.matvec_hat(fields))

@@ -95,8 +95,9 @@ MUTANTS = [
            "for n, U0 in [(name, self._spatial_recipe(e, name)[name])]:",
            (T_POS + "test_each_recipe_runs_once_per_coefficient_time[damped-64]",)),
     Mutant("k-stage-part-left-out-of-Gj", CONJ,
-           'if n != "kprime"):',
-           'if n not in ("kprime", "b2k")):',
+           "polys = (self._poly(entry, name) for name in POLY_PARTS)",
+           "polys = (self._poly(entry, name) for name in POLY_PARTS\n"
+           "                         if name != \"b2k\")",
            (STACKED_CASE + "[complex-damped-10.0-64]",)),
     Mutant("part-drops-its-k0-table", CONJ,
            "return poly[0] + sum(terms, 0.0) if terms else poly[0]",
@@ -358,6 +359,29 @@ MUTANTS = [
            "    psi2 = win.psi(1)\n",
            (T_WEIGHTS + "test_lambda_x_derivative_order3_matches_fd_on_the_rolloff",
             T_CONJ + "test_phase_tables_evaluate_each_window_once")),
+    Mutant("real-edge-stencils-take-dgemv", STENCIL,
+           "    head, tail = (np.ascontiguousarray(edge, dtype=complex)\n"
+           "                  for edge in (moved[:width], moved[n - width:]))\n",
+           "    head, tail = moved[:width], moved[n - width:]\n",
+           (T_KERNELS + "test_diff_uniform_of_real_values_is_the_complex_casts_real_part",
+            T_KERNELS + "test_xi_derivative_of_real_table_is_the_complex_casts_real_part")),
+    Mutant("q-phase-dropped-in-expansion", CONJ,
+           "core = (core * Q[a - 1]) * (-1j) ** a",
+           "core = core * Q[a - 1]",
+           (T_CONJ + "test_tables_formed_on_first_read_equal_the_eager_build",)),
+    Mutant("psi-window-complex", CONJ,
+           "return SymbolTable(self.grid, win.psi(0))",
+           "return SymbolTable(self.grid, win.psi(0).astype(complex))",
+           (T_CONJ + "test_real_tables_stay_real",)),
+    Mutant("run-keeps-every-table", HARNESS,
+           "    bundle.assembler.release_tables()\n",
+           "",
+           (T_HARNESS + "test_run_releases_the_tables_its_solve_does_not_read",)),
+    Mutant("dense-lone-row-takes-gemv", QUANTIZE,
+           "        if np.ndim(w_hat) == 2 and len(w_hat) == 1:\n",
+           "        if False:\n",
+           ("tests/test_quantize.py::"
+            "test_dense_stack_rows_do_not_depend_on_the_grouping",)),
 ]
 
 
