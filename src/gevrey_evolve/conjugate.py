@@ -34,16 +34,17 @@ three lower bounds by their tables.  ``part(name, t)`` evaluates one
 table, formed on first read, for selection's M1 constants and ``at(t)``,
 the view of the generator's parts; ``block_polynomial(names, t)`` is the
 real k-polynomial of a sum of tables on the checked region, which the
-certificate and the calibration evaluate.  The phase tables too are
-formed on first read, and the tables that read no weight (i a2, i a1,
-c) are kept per coefficient time in a CoefficientTables that the
-assemblers of one selection share.  The assembler keeps the
-coefficient stack [E_syn^H (E_syn * G_0), E_syn^H (E_syn * G_1), ...] once
-per coefficient time, one FFT along x per table; a stage at time t is that
-stack weighted by the powers of k(t), plus the k' row.  The time stepper
-forms each stage time's coefficient matrix once, two times in one GEMM
-over the stack (quantize.StageSlots), and applies a stage with one N x N
-GEMV and no FFT.  Once a run has its step, the assembler of time-independent
+certificate and the calibration evaluate and keep for as long as they
+read it.  The phase tables too are formed on first read, and the tables
+that read no weight (i a2, i a1, c) are kept per coefficient time in a
+CoefficientTables that the assemblers of one selection share.  The
+assembler keeps the coefficient stack [E_syn^H (E_syn * G_0),
+E_syn^H (E_syn * G_1), ...] once per coefficient time, one FFT along x
+per table; a stage at time t is that stack weighted by the powers of
+k(t), plus the k' row.  The time stepper forms each stage time's
+coefficient matrix once, two times in one GEMM over the stack
+(quantize.stage_matrices), and applies a stage with one N x N GEMV and
+no FFT.  Once a run has its step, the assembler of time-independent
 coefficients keeps only that stack (release_tables).
 """
 
@@ -565,8 +566,8 @@ class ConjugationAssembler:
     ``part(name, t)`` evaluates one named table, U_0 + sum_j k(t)^j U_j;
     ``block_polynomial(names, t)`` is the real k-polynomial of the sum of
     named tables on the checked region's columns, R[j] its k^j table,
-    kept per coefficient time, which the certificate and the calibration
-    evaluate by Horner (positivity.block_sum);
+    which the certificate and the calibration keep per coefficient time
+    (``coefficient_time(t)``) and evaluate by Horner (positivity.block_sum);
     ``at(t)`` gives the parts of BLOCKS; ``at(t).block(name)`` sums one
     block and ``at(t).generator_table()`` all three.
     ``stage_operators(taus)`` is the same generator as the time
@@ -579,9 +580,8 @@ class ConjugationAssembler:
     ``release_tables()`` is called by the run pipeline once the Garding
     floors and the step exist: for time-independent coefficients it keeps
     the generator's rows or coefficient stack, which is all the solve
-    reads, and drops the k-polynomials, the block polynomials and the
-    phase and coefficient tables; a later read of a table raises
-    ReleasedError.
+    reads, and drops the k-polynomials and the phase and coefficient
+    tables; a later read of a table raises ReleasedError.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -609,15 +609,15 @@ class ConjugationAssembler:
     def _entry(self, t):
         """The tables formed so far at the coefficient time of t: one entry
         for time-independent coefficients, one per time (memoized, at most
-        MEMO_TIMES) for time-dependent ones.  An entry holds a3's rows, the
-        k-polynomials ("poly": {name: {j: U_j}}), each formed on first read,
-        and, once asked for, the generator's rows or spectral stack and the
-        block polynomials ("blocks": {names: R})."""
+        MEMO_TIMES) for time-dependent ones.  An entry holds its coefficient
+        time ("t"), a3's rows, the k-polynomials ("poly": {name: {j: U_j}}),
+        each formed on first read, and, once asked for, the generator's
+        rows or spectral stack."""
         key = round(float(t), 12) if self.problem.time_dependent else None
         t0 = 0.0 if key is None else float(t)
         xi, a3 = self.grid.xi, self.problem.a3
         return _memo(self._cache, key, lambda: {
-            "t": t0, "poly": {}, "blocks": {},
+            "t": t0, "poly": {},
             "a3_row": np.asarray(a3(t0, 0.0, xi), dtype=float),
             "da3_row": np.asarray(a3.dxi(t0, 0.0, xi), dtype=float)})
 
@@ -791,8 +791,10 @@ class ConjugationAssembler:
         rows of all times formed as one (B, N) array, and applies with one
         FFT pair; otherwise it is the Stacked sum over that time's
         coefficient stack, with weights (1, k(tau)^j, ...) and the k' row.
-        No N x N array is formed here: the solve forms each stage's matrix
-        in its StageSlots, and an op outside a solve forms it when applied.
+        No N x N array is formed here, and the ops carry none: the solve
+        forms each stage's matrix in its own slots and steps with copies
+        that have them attached, and an op outside a solve forms it when
+        applied.
         Time-independent coefficients share one coefficient time;
         time-dependent ones have one per tau."""
         taus = np.asarray(taus, dtype=float)
@@ -840,39 +842,34 @@ class ConjugationAssembler:
         at the coefficient time of t, as one array R of shape
         (J + 1, rows, columns): R[j] sums Re U_j over the names, in their
         order, on the columns of checked_region (zero where no name has a
-        k^j table).  A sum of rows stays a row (rows = 1).  Kept in the
-        entry, so every calibration round reads the one formed first,
-        until release_block_polynomials."""
+        k^j table).  A sum of rows stays a row (rows = 1).  Formed at each
+        call and not kept: a caller that reads it again keeps it."""
         entry = self._entry(t)
-        blocks = entry["blocks"]
-        if tuple(names) not in blocks:
-            region = checked_region(self.grid, self.params)
-            polys = [self._poly(entry, name) for name in names]
-            R = np.zeros((max(j for poly in polys for j in poly) + 1,
-                          max(U.values.shape[0] for poly in polys
-                              for U in poly.values()),
-                          np.count_nonzero(region)))
-            for poly in polys:
-                for j, U in poly.items():
-                    R[j] += U.values.real[:, region]
-            blocks[tuple(names)] = R
-        return blocks[tuple(names)]
+        region = checked_region(self.grid, self.params)
+        polys = [self._poly(entry, name) for name in names]
+        R = np.zeros((max(j for poly in polys for j in poly) + 1,
+                      max(U.values.shape[0] for poly in polys
+                          for U in poly.values()),
+                      np.count_nonzero(region)))
+        for poly in polys:
+            for j, U in poly.items():
+                R[j] += U.values.real[:, region]
+        return R
 
-    def release_block_polynomials(self):
-        """Drop the block polynomials of every coefficient time, once the
-        certificate that reads them is published."""
-        for entry in self._cache.values():
-            entry["blocks"].clear()
+    def coefficient_time(self, t):
+        """The coefficient time the tables of t are formed at: 0.0 for
+        time-independent coefficients, t for time-dependent ones."""
+        return self._entry(t)["t"]
 
     def release_tables(self):
         """Drop what a solve does not read, once the run has its Garding
-        floors and its step: the k-polynomials, the block polynomials, the
-        coefficient tables and the phase tables.  The generator's rows or
-        coefficient stack, formed here if not yet, a3's rows and params
-        stay.  Only for time-independent coefficients, whose solve reads
-        one coefficient time; time-dependent ones keep every table, since
-        each stage time is a new coefficient time.  A later read of a table
-        raises ReleasedError."""
+        floors and its step: the k-polynomials, the coefficient tables and
+        the phase tables.  The generator's rows or coefficient stack,
+        formed here if not yet, a3's rows and params stay.  Only for
+        time-independent coefficients, whose solve reads one coefficient
+        time; time-dependent ones keep every table, since each stage time
+        is a new coefficient time.  A later read of a table raises
+        ReleasedError."""
         if self.problem.time_dependent:
             return
         entry = self._entry(0.0)
@@ -881,7 +878,7 @@ class ConjugationAssembler:
         # every part first, while the phase can still form them; then the
         # generator sums the parts, each dropped once summed
         parts = {name: self._poly(entry, name) for name in POLY_PARTS}
-        entry["poly"], entry["blocks"] = None, {}
+        entry["poly"] = None
         self.tables = None
         self.phase.release()
         self._polynomial(0.0, (parts.pop(name) for name in POLY_PARTS))

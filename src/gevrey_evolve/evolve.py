@@ -25,10 +25,11 @@ affine and diagonal in v, v -> P * v + Q, and a block forms its P and Q
 rows with one step() call each on (B, N) stacks; its step loop is then
 two row operations per step.  A Stacked step's two new stage times
 (t + dt/2, t + dt) get their coefficient matrices from one GEMM over
-the stack, into slots the solve reuses (quantize.StageSlots); its first
-stage is the step before's last.  step() is only the Runge-Kutta
-arithmetic.  The data is transformed once, ||v|| comes from Parseval and
-is read, with the blow-up check, once per block, and the pull-back, its
+the stack, into two of three slots the solve holds, and the step applies
+copies of its stages with their slots attached; its first stage is the
+step before's last.  step() is only the Runge-Kutta arithmetic.  The
+data is transformed once, ||v|| comes from Parseval and is read, with
+the blow-up check, once per block, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients
 on (B, N) stacks of logged fields, so u is synthesized once per logged
 time.  The variant of every operator is read off its tables
@@ -39,14 +40,14 @@ Every run carries an energy log against which the growth inequality is
 re-checked.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import Multiplier, StageSlots
+from .quantize import Multiplier, stage_matrices
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -279,11 +280,11 @@ def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
     return v_hat
 
 
-def default_dt(G, T):
-    """Stability-limited step from the size of G, the table of the
-    lower-order generator at t = 0 (at(0.0).generator_table().values);
-    solve_conjugated fits it to a whole number of steps."""
-    gmax = float(np.max(np.abs(G)))
+def default_dt(assembler: ConjugationAssembler, T):
+    """Stability-limited step from the size of the assembler's lower-order
+    generator table at t = 0; solve_conjugated fits it to a whole number
+    of steps."""
+    gmax = float(np.max(np.abs(assembler.at(0.0).generator_table().values)))
     return min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
 
 
@@ -299,11 +300,14 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     before hands on the stage at its last step end, so each stage time is
     built and conjugated exactly once.  A Multiplier block steps as one
     affine row map per step (affine_steps).  A Stacked stage's coefficient
-    matrix is formed once, in one of three StageSlots slots: step i forms
-    its half and end times' matrices together (one GEMM) into the two
-    slots its first stage does not hold, and releases its first two
-    stages when it ends.  Step i runs with the exact (Sterbenz) step
-    times[i+1] - times[i], so it ends on times[i+1].  A block's states
+    matrix is formed once, in one of three N x N slots the solve holds
+    (allocated only for Stacked stages): step i forms its half and end
+    times' matrices together (one stage_matrices call) into the two slots
+    its first stage does not hold, the lower one the half time's, and
+    steps with copies of its three stages that have their slots attached;
+    the ops stage_operators returns carry no matrix.  Step i runs with
+    the exact (Sterbenz) step times[i+1] - times[i], so it ends on
+    times[i+1].  A block's states
     are one (B, N) array: their norms, the finite check, the blow-up cap
     and the logged copies are read from it once per block, and a blow-up
     names the first step that crossed the cap.
@@ -324,7 +328,7 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     if np.shape(v0_hat) != (grid.N,):
         raise ShapeError(f"data has shape {np.shape(v0_hat)}, expected ({grid.N},)")
     if dt is None:
-        dt = default_dt(assembler.at(0.0).generator_table().values, T)
+        dt = default_dt(assembler, T)
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-12 * max(1.0, T):
         steps = int(np.ceil(T / dt))
@@ -352,8 +356,11 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     affine = isinstance(stages[0], Multiplier)
     block = max(1, BLOCK_BYTES // step_bytes(
         stages[0], f_conj is not None, not affine and p.time_dependent))
-    slots = StageSlots(grid)
-    slots.form(stages)
+    if not affine:
+        slots = np.empty((3, grid.N, grid.N), dtype=complex)
+        held = 0    # the slot of the next step's first stage
+        first = replace(stages[0],
+                        matrix=stage_matrices(stages, slots[:1])[0])
 
     for start in range(0, steps, block):
         stop = min(start + block, steps)
@@ -374,12 +381,16 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                                      forcing, states)
             else:
                 for j in range(stop - start):
-                    slots.form(stages[2 * j + 1:2 * j + 3])
+                    a, b = (i for i in range(3) if i != held)
+                    new = stages[2 * j + 1:2 * j + 3]
+                    # slots 0 and 2 as one strided view
+                    half, end = (replace(op, matrix=M) for op, M in zip(
+                        new, stage_matrices(new, slots[a:b + 1:b - a])))
                     states[j] = v_hat = step(
                         v_hat, t1[j] - t0[j], grid, phases[j],
-                        stages[2 * j:2 * j + 3],
+                        (first, half, end),
                         None if forcing is None else forcing[2 * j:2 * j + 3])
-                    slots.release(stages[2 * j:2 * j + 2])
+                    first, held = end, b
             norms = grid.l2_norm(states)
             bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)
         if np.any(bad):
@@ -391,7 +402,6 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
         done = np.searchsorted(logged, stop, side="right")
         v_hats[n_logged:done] = states[logged[n_logged:done] - start - 1]
         n_logged = done
-    slots.release(stages[-1:])
 
     rate = (E[1:] - E[:-1]) / (dt * (E[:-1] + F[:-1] + 1e-300))
     C_prime = float(np.max(rate)) if rate.size else 0.0

@@ -355,7 +355,7 @@ def setup_pipeline(cfg: RunConfig, out_dir=None):
 def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     """Full run; returns (trajectory, artifacts dict).  Once the setup has
     the Garding floors and the step is known (run.dt, or default_dt of the
-    accepted generator), the accepted assembler drops every table its
+    accepted assembler), the accepted assembler drops every table its
     solve does not read (ConjugationAssembler.release_tables)."""
     out = (out_dir or cfg["output.dir"]) if write else None
     artifacts = setup_pipeline(cfg, out)
@@ -364,7 +364,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     T = bundle.problem.T
     g, f, rho = build_data(cfg, bundle.grid)
     if v["run.dt"] == "auto":
-        dt = default_dt(bundle.assembler.at(0.0).generator_table().values, T)
+        dt = default_dt(bundle.assembler, T)
     else:
         dt = float(v["run.dt"])
     bundle.assembler.release_tables()

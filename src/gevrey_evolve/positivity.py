@@ -13,8 +13,9 @@ coefficient time, ConjugationAssembler.block_polynomial on the checked
 region's columns, evaluated by Horner at k(t); kprime, which is
 (C2 + C1 k(t)) <xi>_h^{1/theta}, and e, whose truncation is chosen at each
 t, are read at t through ConjugationAssembler.part and added.  The
-calibration of C1 and C2 reads its sums the same way, so each of its
-rounds evaluates the polynomials the first one formed.  real_sum, the sum
+polynomials live in a dict of the caller's: the certificate keeps one per
+margin, and the calibration of C1 and C2 one across its rounds, so each
+round evaluates the polynomials the first one formed.  real_sum, the sum
 of the parts read one by one, is the reference they are checked against.
 
 Selection works constant-first: measure what must be dominated, choose the
@@ -139,13 +140,19 @@ def real_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
                            for name in names))
 
 
-def block_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
+def block_sum(assembler: ConjugationAssembler, names, t,
+              polys) -> np.ndarray:
     """The sum of the real parts of the named tables at time t on the
     columns of checked_region: the block polynomial of the names but
     PER_TIME, by Horner at k(t), then each of PER_TIME the names hold, read
-    at t through part() (kprime is (C2 + C1 k(t)) <xi>_h^{1/theta})."""
-    R = assembler.block_polynomial(
-        [n for n in names if n not in PER_TIME], t)
+    at t through part() (kprime is (C2 + C1 k(t)) <xi>_h^{1/theta}).  The
+    polynomial is read from the caller's dict polys, keyed by coefficient
+    time and names, and formed into it on first read."""
+    fixed = tuple(n for n in names if n not in PER_TIME)
+    key = (assembler.coefficient_time(t), fixed)
+    if key not in polys:
+        polys[key] = assembler.block_polynomial(fixed, t)
+    R = polys[key]
     k = float(k_of_t(t, assembler.params))
     value = 0.0
     for R_j in R[::-1]:
@@ -163,9 +170,9 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
     region |xi| > R_a3 h, at each sample time, each margin summed by
     block_sum and divided by its normalizer.  The margins are evaluated
     one after the other, at every sample time each, and each margin's
-    block polynomials are released before the next margin's are formed;
-    the rows are listed by time, then margin.  Failures are rows, not
-    errors."""
+    block polynomials are kept in a dict of its own, dropped before the
+    next margin's are formed; the rows are listed by time, then margin.
+    Failures are rows, not errors."""
     params, grid = assembler.params, assembler.grid
     region = checked_region(grid, params)
     report = PositivityReport(tolerance=tol,
@@ -180,8 +187,9 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
     rows, ok = {}, True
     for name, parts in MARGINS.items():
         norm = norms[name][:, region]
+        polys = {}
         for i, t in enumerate(ts):
-            sub = block_sum(assembler, parts, t) / norm
+            sub = block_sum(assembler, parts, t, polys) / norm
             j, kk = np.unravel_index(np.argmin(sub), sub.shape)
             margin = float(sub[j, kk])
             rows[i, name] = BoundRow(name, float(t), margin,
@@ -189,7 +197,6 @@ def verify_lower_bounds(assembler: ConjugationAssembler, t_samples,
             scale = max(1.0, float(np.max(np.abs(sub))))
             if margin < -tol * scale:
                 ok = False
-        assembler.release_block_polynomials()
     report.rows = [rows[i, name] for i in range(ts.size) for name in MARGINS]
     report.passed = ok
     return report
@@ -228,27 +235,28 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     with C1 (comparison principle), so when C2 alone with C1 = 0 drives
     k(T) to zero the round raises at once, and a rejected trial never
     builds b1k.  The block polynomials of the rounds' sums (block_sum) are
-    formed in the first round and released when the calibration returns.
+    formed in the first round into a dict that the calibration keeps until
+    it returns.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     ts = sample_times(p.T)
     norm_t = _margin_normalizers(grid, params)["theta"][
         :, checked_region(grid, params)]
 
-    C1, C2 = 0.0, 0.0
+    C1, C2, polys = 0.0, 0.0, {}
     for _ in range(FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
         k_of_t(p.T, params)  # raises ParameterError if k dies on [0, T]
         assembler.params = params
         C1_new, C2_new = 0.0, 0.0
         for t in ts:
-            rest = block_sum(assembler, C2_PARTS, t)
+            rest = block_sum(assembler, C2_PARTS, t, polys)
             C2_new = max(C2_new, _sup_normalized(np.maximum(0.0, -rest),
                                                  norm_t))
         # raises now if C2 alone kills k by T, before b1k is read
         k_of_t(p.T, params.with_ode_constants(0.0, C2_new))
         for t in ts:
-            neg = np.maximum(0.0, -block_sum(assembler, C1_PARTS, t))
+            neg = np.maximum(0.0, -block_sum(assembler, C1_PARTS, t, polys))
             kt = float(k_of_t(t, params))
             C1_new = max(C1_new, _sup_normalized(neg, norm_t) / kt)
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
@@ -259,7 +267,6 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     params = params.with_ode_constants(C1, C2)
     k_of_t(p.T, params)
     assembler.params = params
-    assembler.release_block_polynomials()
     return params
 
 

@@ -32,8 +32,9 @@ Stacked polynomial (a weighted sum of the coefficient matrices of a fixed
 stack plus a row product: one N x N GEMV on the summed matrix, with no
 FFT); quantized(grid, values) is the one-entry Stacked.  The coefficient
 matrix of a table, E_syn^H (E_syn * p), is one FFT along x
-(coefficient_matrix); StageSlots holds the summed matrices of the stages a
-solve steps with, formed two at a time by one real GEMM.
+(coefficient_matrix); stage_matrices forms the summed matrices of Stacked
+ops over one stack by one real GEMM, which a solve attaches to copies of
+the stages it steps with.  A Stacked op never changes after it is made.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -121,9 +122,6 @@ class SymbolTable:
     def imag(self):
         return SymbolTable.fresh(self.grid, self.values.imag.copy())
 
-    def conj(self):
-        return SymbolTable.fresh(self.grid, np.conj(self.values))
-
 
 def _on_nodes(grid, M):
     """The node-value matrix M E_syn^H of a coefficient-to-node matrix M."""
@@ -163,20 +161,21 @@ class Dense:
         return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Stacked:
     """sum_i weights[i] op(G_i) + diag(row) on coefficients, from the
     coefficient stack A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the
     stack is fixed, and only the weights and the row change from one time
     to the next.  It applies its coefficient matrix sum_i weights[i] A[i]:
-    the one a StageSlots slot holds for it (matrix), else one it forms for
-    the call."""
+    the attached matrix, which a solve gives the copies of the stages it
+    steps with (dataclasses.replace(op, matrix=slot)), else one it forms
+    for the call."""
 
     grid: Grid
     stack: np.ndarray       # (J+1, N, N)
     weights: np.ndarray     # (J+1,)
     row: np.ndarray         # (N,)
-    matrix: np.ndarray = field(default=None, repr=False)  # (N, N) in a slot
+    matrix: np.ndarray = field(default=None, repr=False)  # (N, N), attached
 
     def _matrix(self):
         if self.matrix is not None:
@@ -212,41 +211,6 @@ def stage_matrices(ops, out=None):
             np.matmul(op.weights, op.stack.reshape(len(op.stack), N * N)
                       .view(float), out=M)
     return out
-
-
-class StageSlots:
-    """Three N x N slots, allocated on first use, for the coefficient
-    matrices of the Stacked stages a solve steps with; kept by the solve,
-    never shared.  form(ops) writes the matrices of ops (at most two) into
-    slots that no op holds, by one stage_matrices call; release(ops) hands
-    their slots back, and a released op forms its own matrix when it is
-    applied again, so it never reads a slot formed since."""
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.buffer = None
-        self.holders = [None] * 3
-
-    def form(self, ops):
-        ops = [op for op in ops if isinstance(op, Stacked)]
-        if not ops:
-            return
-        if self.buffer is None:
-            N = self.grid.N
-            self.buffer = np.empty((3, N, N), dtype=complex)
-        free = [i for i, op in enumerate(self.holders) if op is None]
-        # the free slots a and b as one view: slots 0 and 2 are strided
-        a, b = free[0], free[len(ops) - 1]
-        stage_matrices(ops, self.buffer[a:b + 1:max(b - a, 1)])
-        for i, op in zip(free, ops):
-            self.holders[i], op.matrix = op, self.buffer[i]
-
-    def release(self, ops):
-        if self.buffer is None:
-            return
-        for i, held in enumerate(self.holders):
-            if any(held is op for op in ops):
-                self.holders[i] = held.matrix = None
 
 
 def fourier_rows(*tables):

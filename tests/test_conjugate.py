@@ -1,21 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gevrey_evolve import conjugate, weights
+from gevrey_evolve import conjugate, evolve, weights
 from gevrey_evolve._stencil import exp_derivative_factors
 from gevrey_evolve.conjugate import (BLOCKS, MARGINS, ConjugationAssembler,
                                      build_conjugator, truncation_order)
 from gevrey_evolve.errors import ConvergenceError, ParameterError
+from gevrey_evolve.evolve import solve_conjugated, synthetic_radius_field
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.positivity import real_sum
-from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, StageSlots,
-                                    SymbolTable, exp_table, multiplier_table,
-                                    operator_norm, quantized,
-                                    representable_error, sampled_table,
-                                    stage_matrices, to_dense, x_derivative)
+from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
+                                    exp_table, multiplier_table, operator_norm,
+                                    quantized, representable_error,
+                                    sampled_table, stage_matrices, to_dense,
+                                    x_derivative)
 from gevrey_evolve.symbols import eval_table, model_problem
 from gevrey_evolve.weights import (WeightParams, k_of_t, k_prime,
                                    lambda_x_derivative)
@@ -750,8 +752,7 @@ def _per_time_stage(asm, t):
         return Multiplier(asm.grid, row)
     op = Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]),
                  kp)
-    op.matrix = stage_matrices([op])[0]
-    return op
+    return replace(op, matrix=stage_matrices([op])[0])
 
 
 @pytest.mark.parametrize("name, weights, variant", [
@@ -778,12 +779,13 @@ def test_stage_operators_match_the_per_time_build(grid, name, weights,
 
 
 @pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
-def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name):
+def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
+                                                       monkeypatch):
     # the solve forms a step's two new stage times in one GEMM over the
     # stack (time-modulated: one product per time's own stack), in slots it
     # reuses; each matrix equals the stage's own, formed alone, and the
-    # slot pattern of three steps (pairs into slots 1-2, 0-1 and 0-2, the
-    # last strided) writes every pair where its stages read it
+    # slot pattern of a three-step solve (pairs into slots 1-2, 0-1 and
+    # 0-2, the last strided) writes every pair where its stages read it
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
                                params_with(C1=0.2, C2=0.01), grid)
     taus = np.linspace(0.0, 0.3, 7)
@@ -792,18 +794,25 @@ def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name):
     for j in (1, 3):
         for M, want in zip(stage_matrices(ops[j:j + 2]), alone[j:j + 2]):
             assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
-    slots, seen = StageSlots(grid), set()
-    slots.form(ops[:1])
-    for j in (0, 2, 4):
-        slots.form(ops[j + 1:j + 3])
-        for op, want in zip(ops[j:j + 3], alone[j:j + 3]):
+    seen = []
+
+    def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
+        for op in stages:
+            want = stage_matrices([replace(op, matrix=None)])[0]
             assert np.max(np.abs(op.matrix - want)) \
                 <= 1e-15 * np.max(np.abs(want))
-            seen.add(op.matrix.__array_interface__["data"][0])
-        slots.release(ops[j:j + 2])
-    assert len(seen) == 3
-    slots.release(ops[-1:])
-    assert all(op.matrix is None for op in ops)
+        seen.append([op.matrix.__array_interface__["data"][0]
+                     for op in stages])
+        return step(v_hat, dt, grid, phases, stages, forcing)
+
+    step = evolve.step
+    monkeypatch.setattr(evolve, "step", checking_step)
+    v0_hat = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
+    traj = solve_conjugated(asm, None, v0_hat, 0.3, dt=0.1)
+    assert traj.meta["steps"] == 3
+    base, size = seen[0][0], grid.N * grid.N * 16
+    assert [[(a - base) / size for a in s] for s in seen] \
+        == [[0, 1, 2], [2, 0, 1], [1, 0, 2]]
 
 
 @pytest.mark.parametrize("name, weights, exact", [

@@ -296,7 +296,7 @@ def _count_stage_forms(monkeypatch):
         sizes.append(len(ops))
         return form(ops, out)
 
-    monkeypatch.setattr(quantize, "stage_matrices", counting)
+    monkeypatch.setattr(evolve, "stage_matrices", counting)
     return sizes
 
 
@@ -342,24 +342,57 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
 def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
     # kdv-baseline at its selected weights (M2 = M1 = 0) steps with
     # Multiplier stages: a solve makes no stage GEMM and allocates no slot
+    # (no np.empty of a stack of N x N matrices)
     kdv = model_problem("kdv-baseline", 0.75)
     _, details = select_parameters_detailed(kdv, 1.8, grid)
     bundle = details["bundle"]
     assert isinstance(bundle.assembler.stage_operators([0.0])[0], Multiplier)
     sizes = _count_stage_forms(monkeypatch)
-    made = []
+    shapes, empty = [], np.empty
 
-    class Recording(quantize.StageSlots):
-        def __init__(self, grid):
-            super().__init__(grid)
-            made.append(self)
+    def recording(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape).tolist()))
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(evolve, "StageSlots", Recording)
+    monkeypatch.setattr(np, "empty", recording)
     traj = solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8),
                           0.5)
+    monkeypatch.undo()
     assert traj.meta["steps"] > 0
     assert sizes == []
-    assert len(made) == 1 and made[0].buffer is None
+    assert shapes and not any(len(s) == 3 and s[1:] == (grid.N, grid.N)
+                              for s in shapes)
+
+
+def test_stage_operators_carry_no_matrix_through_a_solve(small_setup,
+                                                        monkeypatch):
+    # a damped-64 solve steps with copies of its Stacked stages that have
+    # their slots attached: the ops stage_operators returns carry no
+    # matrix before, during or after the solve, and cannot be given one
+    grid, bundle = small_setup["grid"], small_setup["bundle"]
+    made, build = [], ConjugationAssembler.stage_operators
+
+    def recording(self, taus):
+        ops = build(self, taus)
+        assert all(op.matrix is None for op in ops)
+        made.extend(ops)
+        return ops
+
+    def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
+        assert all(op.matrix is None for op in made)
+        assert all(op.matrix is not None for op in stages)
+        assert not any(op is m for op in stages for m in made)
+        return step(v_hat, dt, grid, phases, stages, forcing)
+
+    monkeypatch.setattr(ConjugationAssembler, "stage_operators", recording)
+    monkeypatch.setattr(evolve, "step", checking_step)
+    traj = solve_conjugated(bundle.assembler, None,
+                            grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
+                            0.5)
+    assert len(made) == 2 * traj.meta["steps"] + 1
+    assert all(isinstance(op, Stacked) and op.matrix is None for op in made)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made[0].matrix = np.eye(grid.N)
 
 
 def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):

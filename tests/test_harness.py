@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gevrey_evolve import harness, make_grid
+from gevrey_evolve import harness, make_grid, serialize
 from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
 from gevrey_evolve.errors import ConfigurationError, ReleasedError
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
@@ -17,6 +19,8 @@ from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    sweep_pipeline)
 
 SMALL = "grid.L = 10\ngrid.N = 64\n"
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "reference")
 
 
 def test_config_defaults_and_parse():
@@ -78,6 +82,32 @@ def test_run_artifacts(tmp_path):
 
 EXPLICIT = SMALL + "weights.M2 = 0.12\nweights.M1 = 0.12\nweights.h = 4\n"
 TRIVIAL = SMALL + "problem.id = kdv-baseline\n"
+
+
+def test_run_outputs_match_the_benchmark_reference():
+    # damped-64 (SMALL) publishes the weights and trajectory.csv columns
+    # the benchmark's stored reference holds, by the benchmark's rule: to
+    # 100 inverse_tol, relative to |reference| for a weight and to the
+    # column's largest |value| for a column; NaN where the reference is
+    # null
+    with open(os.path.join(REFERENCE, "damped-64.json")) as fh:
+        ref = json.load(fh)
+    traj, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
+    rtol = 100.0 * art["resolved"]["tolerances.inverse_tol"]
+    assert art["positivity"].passed == ref["positivity_passed"]
+    for name, want in ref["params"].items():
+        got = getattr(art["params"], name)
+        assert abs(got - want) <= rtol * abs(want), (name, got, want)
+    lines = [ln for ln in serialize.trajectory_csv_lines(traj)
+             if not ln.startswith("#")]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    for col, want in ref["trajectory"].items():
+        got = [float(row[header.index(col)]) for row in rows]
+        assert len(got) == len(want), col
+        scale = max(abs(w) for w in want if w is not None)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert (math.isnan(g) if w is None
+                    else abs(g - w) <= rtol * scale), (col, i, g, w)
 
 
 def test_run_builds_each_setup_object_once(monkeypatch):

@@ -607,7 +607,7 @@ def test_row_tables_certify_like_their_tiled_twins():
     assert np.any(entry["poly"]["ia2"][0].values)
     twin = copy.copy(asm)
     # the twin forms its block polynomials from the tiled tables
-    twin._cache = {None: _tiled(dict(entry, blocks={}))}
+    twin._cache = {None: _tiled(entry)}
     assert twin.at(0.0).parts["ia2"].values.shape == (grid.N, grid.N)
     assert verify_lower_bounds(twin, T_SAMPLES).rows == rows
 
@@ -618,7 +618,9 @@ def test_trials_share_the_coefficient_tables(name, monkeypatch):
     # trials read one CoefficientTables: a2 is sampled once per coefficient
     # time (t = 0 alone for time-independent coefficients), and each trial
     # holds the same i a2, i a1 and c, equal at each time to a fresh sample.
-    # The accepted trial keeps no block polynomial past its certificate
+    # The accepted trial's assembler holds no block polynomial: its entries
+    # hold the coefficient time, a3's rows, the k-polynomials and the
+    # generator only
     prob = model_problem(name, 0.75, domain=10.0)
     grid = make_grid(10.0, 64)
     sampled, trials = [], []
@@ -640,7 +642,8 @@ def test_trials_share_the_coefficient_tables(name, monkeypatch):
     tables = trials[0].tables
     assert all(trial.tables is tables for trial in trials)
     assert details["bundle"].assembler is trials[-1]
-    assert not any(entry["blocks"] for entry in trials[-1]._cache.values())
+    assert all(entry.keys() <= {"t", "a3_row", "da3_row", "poly", "generator"}
+               for entry in trials[-1]._cache.values())
     for t in times:
         ia2 = eval_table(prob.a2, grid, t) * 1j
         want = {"ia2": ia2, "ia1": eval_table(prob.a1, grid, t) * 1j,
@@ -679,22 +682,26 @@ def test_block_sums_match_real_sum(case, small_setup, modulated64):
     # polynomials by Horner at k(t), match real_sum on the checked region
     # to 1e-13 of their largest magnitude at every sample time (kdv-baseline
     # has only the 1/theta margin: the others are exact zeros).  Sums of
-    # one-row tables (kdv-baseline) stay rows; the polynomials are kept
+    # one-row tables (kdv-baseline) stay rows; the polynomials are kept in
+    # the caller's dict, one per coefficient time and names
     asm, ref = _block_case(case, small_setup, modulated64)
     grid = asm.grid
     region = conjugate.checked_region(grid, asm.params)
     sums = {**MARGINS, "C1": C1_PARTS, "C2": C2_PARTS}
+    polys = {}
     for t in T_SAMPLES:
         for name, names in sums.items():
-            got = positivity.block_sum(asm, names, t)
+            got = positivity.block_sum(asm, names, t, polys)
             want = real_sum(ref, names, t)[:, region]
             scale = float(np.max(np.abs(want)))
             assert scale > 0.0 or (case == "kdv-baseline-64"
                                    and name != "theta"), (name, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, t)
-            fixed = [n for n in names if n not in positivity.PER_TIME]
-            poly = asm.block_polynomial(fixed, t)
-            assert poly is asm.block_polynomial(fixed, t)
+            fixed = tuple(n for n in names if n not in positivity.PER_TIME)
+            poly = polys[asm.coefficient_time(t), fixed]
+            again = positivity.block_sum(asm, names, t, polys)
+            assert polys[asm.coefficient_time(t), fixed] is poly
+            assert np.array_equal(again, got)
             rows = 1 if case == "kdv-baseline-64" else grid.N
             assert poly.shape[1:] == (rows, region.sum())
             assert got.shape == want.shape

@@ -2,12 +2,13 @@
 
 Each entry of MUTANTS is a named source mutation: a file, the exact text it
 replaces, the replacement and the tests that must kill it.  For each entry
-the script copies src/, tests/ and pyproject.toml into a temporary
-directory, applies the one mutation there (the working tree is never
-touched) and runs only the entry's tests.  A mutant is killed when pytest
-reports a failure or an error; it survives when every test passes.  First
-the union of the entries' tests runs once on an unmutated copy, and must
-pass, so that no kill comes from a test that fails anyway.
+the script copies src/, tests/, perfbench/ (a test reads its stored
+references) and pyproject.toml into a temporary directory, applies the one
+mutation there (the working tree is never touched) and runs only the
+entry's tests.  A mutant is killed when pytest reports a failure or an
+error; it survives when every test passes.  First the union of the
+entries' tests runs once on an unmutated copy, and must pass, so that no
+kill comes from a test that fails anyway.
 
     python3 tools/mutants.py
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 CONJ = "src/gevrey_evolve/conjugate.py"
 EVOLVE = "src/gevrey_evolve/evolve.py"
@@ -127,24 +128,25 @@ MUTANTS = [
            'if "generator" not in entry:',
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
-    Mutant("slot-not-released-after-its-step", QUANTIZE,
-           "self.holders[i] = held.matrix = None",
-           "self.holders[i] = None",
-           (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
     Mutant("pair-gemm-drops-top-power", QUANTIZE,
            "np.matmul(np.array([op.weights for op in ops]),",
            "np.matmul(np.array([op.weights for op in ops])\n"
            "                  * (np.arange(len(stack)) < len(stack) - (len(ops) > 1)),",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             PAIR_CASE + "[complex-damped]")),
-    Mutant("pair-overwrites-the-first-stage", QUANTIZE,
-           "free = [i for i, op in enumerate(self.holders) if op is None]",
-           "free = [1, 2]",
-           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
-            PAIR_CASE + "[complex-damped]")),
+    Mutant("pair-overwrites-the-first-stage", EVOLVE,
+           "a, b = (i for i in range(3) if i != held)",
+           "a, b = 1, 2",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
+    Mutant("slots-allocated-for-multiplier-stages", EVOLVE,
+           "    if not affine:\n"
+           "        slots = np.empty((3, grid.N, grid.N), dtype=complex)\n",
+           "    slots = np.empty((3, grid.N, grid.N), dtype=complex)\n"
+           "    if not affine:\n",
+           (T_EVOLVE + "test_multiplier_solve_forms_no_stage_matrix",)),
     Mutant("stage-matrices-formed-per-rhs", EVOLVE,
-           "                    slots.form(stages[2 * j + 1:2 * j + 3])\n",
-           "",
+           "                        (first, half, end),\n",
+           "                        stages[2 * j:2 * j + 3],\n",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("affine-block-drops-forcing", EVOLVE,
            "            row += Q[j]\n",
@@ -174,6 +176,16 @@ MUTANTS = [
            "store = _memo(self._cache, 0.0, dict)",
            (T_POS + "test_trials_share_the_coefficient_tables"
             "[time-modulated]",)),
+    Mutant("block-sum-keyed-without-coefficient-time", POS,
+           "key = (assembler.coefficient_time(t), fixed)",
+           "key = fixed",
+           (T_POS + "test_block_sums_match_real_sum[time-modulated-64]",)),
+    Mutant("generator-without-ia1-k", CONJ,
+           """POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
+                   if n != "kprime")""",
+           """POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
+                   if n not in ("kprime", "ia1_k"))""",
+           (T_HARNESS + "test_run_outputs_match_the_benchmark_reference",)),
     Mutant("horner-drops-the-top-power", POS,
            "for R_j in R[::-1]:",
            "for R_j in R[-2::-1]:",
@@ -289,8 +301,8 @@ MUTANTS = [
            (T_EVOLVE + "test_solve_reads_theta_from_the_bundle",)),
     Mutant("calibration-leaves-its-last-constants-uninstalled", POS,
            "    k_of_t(p.T, params)\n    assembler.params = params\n"
-           "    assembler.release_block_polynomials()\n",
-           "    k_of_t(p.T, params)\n    assembler.release_block_polynomials()\n",
+           "    return params\n",
+           "    k_of_t(p.T, params)\n    return params\n",
            (T_POS + "test_calibration_installs_its_last_round",)),
     Mutant("m1-measured-without-c", POS,
            'M1_PARTS = ("a2cross", "c")',
