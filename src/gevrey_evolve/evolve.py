@@ -23,11 +23,14 @@ coefficients) steps one step per block, and a Multiplier or
 time-independent Stacked solve tens of steps.  A Multiplier step is
 affine and diagonal in v, v -> P * v + Q, and a block forms its P and Q
 rows with one step() call each on (B, N) stacks; its step loop is then
-two row operations per step.  A Stacked step's two new stage times
-(t + dt/2, t + dt) get their coefficient matrices from one GEMM over
-the stack, into two of three slots the solve holds, and the step applies
-copies of its stages with their slots attached; its first stage is the
-step before's last.  step() is only the Runge-Kutta arithmetic.  The
+two row operations per step.  A Stacked solve steps in batches of up
+to J steps (batch_steps), J + 1 the tables of its coefficient stack:
+one GEMM over the stack forms the coefficient matrices of a batch's 2B
+new stage times (each step's t + dt/2 and t + dt), so the stack is read
+once per batch, not once per step.  The matrices go into slots the solve
+holds, each step applies stages built with their slots attached, and a
+batch's first stage is the batch before's last, copied to a slot of its
+own.  step() is only the Runge-Kutta arithmetic.  The
 data is transformed once, ||v|| comes from Parseval and is read, with
 the blow-up check, once per block, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients
@@ -40,14 +43,14 @@ Every run carries an energy log against which the growth inequality is
 re-checked.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import Multiplier, stage_matrices
+from .quantize import Multiplier, Stacked, stage_matrices
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -252,6 +255,14 @@ def step_bytes(stage, forced, own_stack):
     return rows * 16 * stage.grid.N + stacks
 
 
+def batch_steps(stage, own_stack):
+    """The steps of a Stacked solve whose stage matrices one GEMM over
+    stage's coefficient stack forms: J for a stack of J + 1 tables, so
+    that the GEMM writes at most twice the bytes it reads, and 1 when each
+    stage holds its own stack (own_stack), which no two stages share."""
+    return 1 if own_stack else max(1, len(stage.stack) - 1)
+
+
 def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
     """The steps of a block with Multiplier stages, written into the rows of
     out; returns the last.  Such a step is affine and diagonal in v_hat,
@@ -300,12 +311,14 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     before hands on the stage at its last step end, so each stage time is
     built and conjugated exactly once.  A Multiplier block steps as one
     affine row map per step (affine_steps).  A Stacked stage's coefficient
-    matrix is formed once, in one of three N x N slots the solve holds
-    (allocated only for Stacked stages): step i forms its half and end
-    times' matrices together (one stage_matrices call) into the two slots
-    its first stage does not hold, the lower one the half time's, and
-    steps with copies of its three stages that have their slots attached;
-    the ops stage_operators returns carry no matrix.  Step i runs with
+    matrix is formed once, in one of 2B + 1 N x N slots the solve holds
+    (allocated only for Stacked stages), B = batch_steps: a block's steps
+    run in batches of B, the last one cut at the block's end, and a batch
+    of b steps forms the matrices of its 2b half and end times with one
+    stage_matrices call (one GEMM over the stack) into slots 1 to 2b.
+    Its steps apply Stacked stages built with those slots attached, its
+    first stage the batch before's last end, copied to slot 0; the ops
+    stage_operators returns carry no matrix.  Step i runs with
     the exact (Sterbenz) step times[i+1] - times[i], so it ends on
     times[i+1].  A block's states
     are one (B, N) array: their norms, the finite check, the blow-up cap
@@ -357,10 +370,15 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     block = max(1, BLOCK_BYTES // step_bytes(
         stages[0], f_conj is not None, not affine and p.time_dependent))
     if not affine:
-        slots = np.empty((3, grid.N, grid.N), dtype=complex)
-        held = 0    # the slot of the next step's first stage
-        first = replace(stages[0],
-                        matrix=stage_matrices(stages, slots[:1])[0])
+        batch = batch_steps(stages[0], p.time_dependent)
+        # slot 0 holds a batch's first stage, and a batch of b steps writes
+        # its 2b new stage matrices into slots 1 to 2b
+        slots = np.empty((2 * batch + 1, grid.N, grid.N), dtype=complex)
+
+        def attached(op, M):
+            return Stacked(grid, op.stack, op.weights, op.row, M)
+
+        first = attached(stages[0], stage_matrices(stages, slots[:1])[0])
 
     for start in range(0, steps, block):
         stop = min(start + block, steps)
@@ -380,17 +398,20 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                 v_hat = affine_steps(v_hat, t1 - t0, grid, phases, stages,
                                      forcing, states)
             else:
-                for j in range(stop - start):
-                    a, b = (i for i in range(3) if i != held)
-                    new = stages[2 * j + 1:2 * j + 3]
-                    # slots 0 and 2 as one strided view
-                    half, end = (replace(op, matrix=M) for op, M in zip(
-                        new, stage_matrices(new, slots[a:b + 1:b - a])))
-                    states[j] = v_hat = step(
-                        v_hat, t1[j] - t0[j], grid, phases[j],
-                        (first, half, end),
-                        None if forcing is None else forcing[2 * j:2 * j + 3])
-                    first, held = end, b
+                for i in range(0, stop - start, batch):
+                    b = min(batch, stop - start - i)
+                    new = stages[2 * i + 1:2 * i + 2 * b + 1]
+                    ops = [first] + [attached(op, M) for op, M in zip(
+                        new, stage_matrices(new, slots[1:2 * b + 1]))]
+                    for k in range(b):
+                        j = i + k
+                        states[j] = v_hat = step(
+                            v_hat, t1[j] - t0[j], grid, phases[j],
+                            ops[2 * k:2 * k + 3],
+                            None if forcing is None
+                            else forcing[2 * j:2 * j + 3])
+                    slots[0] = ops[-1].matrix
+                    first = attached(ops[-1], slots[0])
             norms = grid.l2_norm(states)
             bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)
         if np.any(bad):

@@ -109,12 +109,13 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
             "data.kind": ("gevrey", "gaussian", "mode")}
 # live complex N x N tables at the peak of a run, rounded up: the dense
 # working set is DENSE_TABLES * 16 N^2 bytes, (peak RSS - RSS after import)
-# / 16 N^2 measured.  42 to 50 were measured for complex-damped at N = 128,
+# / 16 N^2 measured.  42 to 53 were measured for complex-damped at N = 128,
 # 256 and 1024 (real tables are float64, and a run drops the tables its
-# solve does not read), and 147 to 156 for time-modulated at N = 128 and
-# 256, whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient
-# times and whose solve steps one step per block, each stage holding its
-# own coefficient stack
+# solve does not read; the solve's 2B + 1 stage slots, 9 there, are
+# allocated after release_tables and stay below the setup's peak), and
+# 147 to 156 for time-modulated at N = 128 and 256, whose assembler keeps
+# the tables of conjugate.MEMO_TIMES coefficient times and whose solve
+# steps one step per block, each stage holding its own coefficient stack
 DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
 

@@ -167,9 +167,9 @@ class Stacked:
     coefficient stack A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the
     stack is fixed, and only the weights and the row change from one time
     to the next.  It applies its coefficient matrix sum_i weights[i] A[i]:
-    the attached matrix, which a solve gives the copies of the stages it
-    steps with (dataclasses.replace(op, matrix=slot)), else one it forms
-    for the call."""
+    the attached matrix, which a solve gives the stages it steps with
+    (Stacked(grid, stack, weights, row, slot)), else one it forms for the
+    call."""
 
     grid: Grid
     stack: np.ndarray       # (J+1, N, N)
@@ -196,8 +196,10 @@ def stage_matrices(ops, out=None):
     """The coefficient matrices sum_i weights[i] A[i] of the Stacked ops, a
     (len(ops), N, N) array, written into out when given.  The weights are
     real, so the matrices of ops over one stack are one real GEMM,
-    (B x (J+1)) @ ((J+1) x 2N^2), on the stack seen as float64; ops over
-    different stacks take one such product each."""
+    (B x (J+1)) @ ((J+1) x 2N^2), on the stack seen as float64, which
+    reads the stack once however many ops it forms (a solve forms the 2B
+    stage times of a batch of B steps with one call); ops over different
+    stacks take one such product each."""
     N = ops[0].grid.N
     if out is None:
         out = np.empty((len(ops), N, N), dtype=complex)

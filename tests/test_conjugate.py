@@ -781,38 +781,51 @@ def test_stage_operators_match_the_per_time_build(grid, name, weights,
 @pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
 def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
                                                        monkeypatch):
-    # the solve forms a step's two new stage times in one GEMM over the
-    # stack (time-modulated: one product per time's own stack), in slots it
-    # reuses; each matrix equals the stage's own, formed alone, and the
-    # slot pattern of a three-step solve (pairs into slots 1-2, 0-1 and
-    # 0-2, the last strided) writes every pair where its stages read it
+    # the solve forms a batch's new stage times, a pair per step, in one
+    # GEMM over the stack (time-modulated: one product per time's own
+    # stack), in slots it reuses; each matrix equals the stage's own,
+    # formed alone, and in a three-step solve each batch writes only into
+    # slots its carried first stage does not hold, the slots its steps
+    # read their half and end stages from
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
                                params_with(C1=0.2, C2=0.01), grid)
     taus = np.linspace(0.0, 0.3, 7)
     ops = asm.stage_operators(taus)
     alone = [stage_matrices([op])[0] for op in ops]
-    for j in (1, 3):
-        for M, want in zip(stage_matrices(ops[j:j + 2]), alone[j:j + 2]):
+    for j, n in ((1, 2), (3, 2), (1, 6)):
+        for M, want in zip(stage_matrices(ops[j:j + n]), alone[j:j + n]):
             assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
-    seen = []
+    events = []
+
+    def address(M):
+        return M.__array_interface__["data"][0]
+
+    def recording_form(ops, out=None):
+        events.append(("form", {address(M) for M in out}))
+        return form(ops, out)
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
         for op in stages:
             want = stage_matrices([replace(op, matrix=None)])[0]
             assert np.max(np.abs(op.matrix - want)) \
                 <= 1e-15 * np.max(np.abs(want))
-        seen.append([op.matrix.__array_interface__["data"][0]
-                     for op in stages])
+        events.append(("step", [address(op.matrix) for op in stages]))
         return step(v_hat, dt, grid, phases, stages, forcing)
 
-    step = evolve.step
+    form, step = evolve.stage_matrices, evolve.step
+    monkeypatch.setattr(evolve, "stage_matrices", recording_form)
     monkeypatch.setattr(evolve, "step", checking_step)
     v0_hat = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
     traj = solve_conjugated(asm, None, v0_hat, 0.3, dt=0.1)
     assert traj.meta["steps"] == 3
-    base, size = seen[0][0], grid.N * grid.N * 16
-    assert [[(a - base) / size for a in s] for s in seen] \
-        == [[0, 1, 2], [2, 0, 1], [1, 0, 2]]
+    assert [kind for kind, _ in events].count("step") == 3
+    assert events[0][0] == "form" and events[1][0] == "form"
+    for i, (kind, written) in enumerate(events[1:], 1):
+        if kind == "form":
+            batch = events[i + 1:i + 1 + len(written) // 2]
+            assert [k for k, _ in batch] == ["step"] * len(batch)
+            assert batch[0][1][0] not in written
+            assert {a for _, s in batch for a in s[1:]} == written
 
 
 @pytest.mark.parametrize("name, weights, exact", [

@@ -301,11 +301,12 @@ def _count_stage_forms(monkeypatch):
 
 
 def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
-    # an unforced damped-64 solve forms the t = 0 stage's coefficient
-    # matrix alone and each step's two new ones in one GEMM over the one
-    # stack: steps + 1 GEMMs, into at most three slots for the whole solve.
-    # Every stage a step applies holds its matrix, equal to the one it
-    # forms alone, and no Grid.forward call comes from a stage
+    # an unforced damped-64 solve (one block) forms the t = 0 stage's
+    # coefficient matrix alone and the 2B new ones of each batch of B = J
+    # steps (the last batch r <= B) in one GEMM over the stack of J + 1
+    # tables: one matrix per stage time, into at most 2B + 1 slots for the
+    # whole solve.  Every stage a step applies holds its matrix, equal to
+    # the one it forms alone, and no Grid.forward call comes from a stage
     from gevrey_evolve.grid import Grid
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     sizes = _count_stage_forms(monkeypatch)
@@ -334,9 +335,50 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
     traj = solve_conjugated(bundle.assembler, None,
                             grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
                             0.5)
-    assert sizes == [1] + [2] * traj.meta["steps"]
-    assert 0 < len(slots) <= 3
+    B = len(bundle.assembler.stage_operators([0.0])[0].stack) - 1
+    steps = traj.meta["steps"]
+    q, r = divmod(steps, B)
+    assert B > 1
+    assert sizes == [1] + [2 * B] * q + [2 * r] * (r > 0)
+    assert sum(sizes) == 2 * steps + 1
+    assert 0 < len(slots) <= 2 * B + 1
     assert forwards[0] == 0
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
+                                               forced):
+    # a damped-64 solve of 25 steps in blocks of 10, so batches of B = J
+    # steps end early at each block's end and at the solve's, gives bit for
+    # bit the solve whose batches are one step each
+    grid, asm = small_setup["grid"], small_setup["assembler"]
+    stage = asm.stage_operators([0.0])[0]
+    f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))
+
+    def f_conj(taus):
+        return (np.cos(3.0 * taus)[:, None] * f_hat
+                + 1j * taus[:, None] * np.conj(f_hat))
+
+    monkeypatch.setattr(evolve, "BLOCK_BYTES",
+                        10 * step_bytes(stage, forced, False))
+    v0 = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
+    sizes = _count_stage_forms(monkeypatch)
+    batched = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
+                               dt=0.02)
+    B = len(stage.stack) - 1
+
+    def batches(n):
+        q, r = divmod(n, B)
+        return [2 * B] * q + [2 * r] * (r > 0)
+
+    assert batched.meta["steps"] == 25 and 10 % B and 5 % B
+    assert sizes == [1] + batches(10) * 2 + batches(5)
+    monkeypatch.setattr(evolve, "batch_steps", lambda stage, own_stack: 1)
+    single = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
+                              dt=0.02)
+    assert sizes[-25:] == [2] * 25
+    for name in ("v_hats", "l2", "energy_rate"):
+        assert np.array_equal(getattr(batched, name), getattr(single, name))
 
 
 def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):

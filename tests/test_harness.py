@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -84,15 +85,27 @@ EXPLICIT = SMALL + "weights.M2 = 0.12\nweights.M1 = 0.12\nweights.h = 4\n"
 TRIVIAL = SMALL + "problem.id = kdv-baseline\n"
 
 
-def test_run_outputs_match_the_benchmark_reference():
-    # damped-64 (SMALL) publishes the weights and trajectory.csv columns
-    # the benchmark's stored reference holds, by the benchmark's rule: to
-    # 100 inverse_tol, relative to |reference| for a weight and to the
-    # column's largest |value| for a column; NaN where the reference is
-    # null
-    with open(os.path.join(REFERENCE, "damped-64.json")) as fh:
+def _benchmark_workloads():
+    """perfbench/run.py's WORKLOADS, read off its source text."""
+    with open(os.path.join(REFERENCE, os.pardir, "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["WORKLOADS"])
+
+
+@pytest.mark.parametrize("workload", ["damped-64", "damped-256",
+                                      "kdv-forced-256"])
+def test_run_outputs_match_the_benchmark_reference(workload):
+    # each benchmark workload publishes the weights and trajectory.csv
+    # columns the benchmark's stored reference holds, by the benchmark's
+    # rule: to 100 inverse_tol, relative to |reference| for a weight and to
+    # the column's largest |value| for a column; NaN where the reference
+    # is null
+    with open(os.path.join(REFERENCE, f"{workload}.json")) as fh:
         ref = json.load(fh)
-    traj, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
+    text = _benchmark_workloads()[workload]
+    traj, art = run_pipeline(RunConfig.from_text(text), write=False)
     rtol = 100.0 * art["resolved"]["tolerances.inverse_tol"]
     assert art["positivity"].passed == ref["positivity_passed"]
     for name, want in ref["params"].items():

@@ -135,19 +135,29 @@ MUTANTS = [
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             PAIR_CASE + "[complex-damped]")),
     Mutant("pair-overwrites-the-first-stage", EVOLVE,
-           "a, b = (i for i in range(3) if i != held)",
-           "a, b = 1, 2",
+           "first = attached(ops[-1], slots[0])",
+           "first = ops[-1]",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("slots-allocated-for-multiplier-stages", EVOLVE,
            "    if not affine:\n"
-           "        slots = np.empty((3, grid.N, grid.N), dtype=complex)\n",
+           "        batch = batch_steps(",
            "    slots = np.empty((3, grid.N, grid.N), dtype=complex)\n"
-           "    if not affine:\n",
+           "    if not affine:\n"
+           "        batch = batch_steps(",
            (T_EVOLVE + "test_multiplier_solve_forms_no_stage_matrix",)),
     Mutant("stage-matrices-formed-per-rhs", EVOLVE,
-           "                        (first, half, end),\n",
-           "                        stages[2 * j:2 * j + 3],\n",
+           "                            ops[2 * k:2 * k + 3],\n",
+           "                            stages[2 * j:2 * j + 3],\n",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
+    Mutant("batch-overwrites-the-carried-stage", EVOLVE,
+           "new, slots[1:2 * b + 1]",
+           "new, slots[0:2 * b]",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
+            PAIR_CASE + "[complex-damped]")),
+    Mutant("batch-ignores-block-end", EVOLVE,
+           "b = min(batch, stop - start - i)",
+           "b = batch",
+           (T_EVOLVE + "test_batched_stages_equal_one_step_batches",)),
     Mutant("affine-block-drops-forcing", EVOLVE,
            "            row += Q[j]\n",
            "            pass\n",
