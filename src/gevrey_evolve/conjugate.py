@@ -23,34 +23,27 @@ The two stages are kept separate, mirroring how the operator factorizes:
 All expansion terms are assembled as symbol tables.  Derivative factors of
 exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
-The generator is declared once, in BLOCKS: its three blocks (orders 2, 1
-and 1/theta) and their named parts.  The time stage enters only through
-k(t) and k'(t): each named table is stored once per coefficient time as
-its k-polynomial {j: U_j}, U_0 from the spatial stage and U_j (j >= 1)
-from the k stage, so the conjugated generator is the polynomial
-G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta} in fixed tables, G_j
-summing the parts' U_j.  MARGINS declares the positivity certificate's
-three lower bounds by their tables.  ``part(name, t)`` evaluates one
-table, formed on first read, for selection's M1 constants and ``at(t)``,
-the view of the generator's parts; ``block_polynomial(names, t)`` is the
-real k-polynomial of a sum of tables on the checked region, which the
-certificate and the calibration evaluate and keep for as long as they
-read it.  The phase tables too are formed on first read, and the tables
-that read no weight (i a2, i a1, c) are kept per coefficient time in a
-CoefficientTables that the assemblers of one selection share.  The
-assembler keeps the coefficient stack [E_syn^H (E_syn * G_0),
-E_syn^H (E_syn * G_1), ...] once per coefficient time, one FFT along x
-per table; a stage at time t is that stack weighted by the powers of
-k(t), plus the k' row.  The time stepper forms each stage time's
-coefficient matrix once, two times in one GEMM over the stack
-(quantize.stage_matrices), and applies a stage with one N x N GEMV and
-no FFT.  Once a run has its step, the assembler of time-independent
-coefficients keeps only that stack (release_tables).
+BLOCKS declares the generator's three blocks (orders 2, 1 and 1/theta) by
+their named parts, and MARGINS the positivity certificate's three lower
+bounds by their tables.  The time stage enters only through k(t) and
+k'(t): every table but kprime = -k'(t) <xi>_h^{1/theta} is, per
+coefficient time, a k-polynomial {j: U_j} in fixed tables, U_0 from the
+spatial stage and U_j (j >= 1) from the k stage, so the generator is
+G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}, G_j summing the parts'
+U_j.  Each asymptotic series behind the tables stops where its first
+read stopped it, at t = 0 on every pipeline path (_truncated), so the
+tables of every coefficient time are cut at the same orders.  Per
+coefficient time the assembler keeps the coefficient stack of G_0 and
+the G_j, one FFT along x per table, from which the time stepper forms
+each stage's coefficient matrix by one GEMM (quantize.stage_matrices);
+once a run has its step, the assembler of time-independent coefficients
+keeps only that stack (release_tables).
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import islice
 import numpy as np
 
 from ._stencil import exp_derivative_factors
@@ -260,23 +253,31 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
                        Windows(grid.x[:, None], grid.xi, 0.0, p, params))
 
 
-def _while_shrinking(terms):
-    """Optimal truncation of an asymptotic series: the terms of the
-    (term, size) pairs, up to the first whose size exceeds the size of the
-    term before it."""
-    prev = None
-    for term, size in terms:
-        if prev is not None and size > prev:
-            return
+def _truncated(terms, size, stops, key):
+    """Optimal truncation of an asymptotic series, decided once per key:
+    the first read keeps the terms up to the first whose size(term)
+    exceeds the size of the term before it, and records in stops[key] how
+    many it kept; every later read keeps as many and forms no term past
+    them."""
+    if key in stops:
+        yield from islice(terms, stops[key])
+        return
+    prev, kept = None, 0
+    for term in terms:
+        now = size(term)
+        if prev is not None and now > prev:
+            break
         yield term
-        prev = size
+        prev, kept = now, kept + 1
+    stops[key] = kept
 
 
 def _sup(table: SymbolTable) -> float:
     return float(np.max(np.abs(table.values)))
 
 
-def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
+def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int,
+                          stops: dict, key):
     """sum over 1 <= a+b < N of (1/a!b!) d_xi^a { P_b D_x^b q Q_a }.
 
     This is the correction produced by sandwiching op(q) between op(e^lam)
@@ -284,12 +285,13 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
     the braces.  The series is asymptotic: the cutoff factors are Gevrey
     of order two, so at finite grid frequencies the terms eventually grow
     factorially.  Orders are therefore accumulated only while they do not
-    grow (_while_shrinking), capped by the requested n_trunc; the factors
-    P_b, Q_a are read up to order n_trunc - 1.  The phase holds Q_a as its
-    real Bell values B_a, and a product takes Q_a's phase (-i)^a after
-    B_a: (core B_a) (-i)^a rounds as core ((-i)^a B_a), since multiplying
-    by +-1 or +-i is exact.  D_x^b q is formed from q's one spectrum where
-    it is read, so no order holds more than one of them.
+    grow, up to the stop stops[key] (_truncated) and capped by the
+    requested n_trunc; the factors P_b, Q_a are read up to order
+    n_trunc - 1.  The phase holds Q_a as its real Bell values B_a, and a
+    product takes Q_a's phase (-i)^a after B_a: (core B_a) (-i)^a rounds as
+    core ((-i)^a B_a), since multiplying by +-1 or +-i is exact.  D_x^b q is
+    formed from q's one spectrum where it is read, so no order holds more
+    than one of them.
     """
     g = q.grid
     P, Q = phase.exp_factors(n_trunc - 1)
@@ -307,9 +309,10 @@ def conjugation_expansion(q: SymbolTable, phase: PhaseTables, n_trunc: int):
                     core = (core * Q[a - 1]) * (-1j) ** a
                     core = xi_derivative(core, a)
                 group = group + core * (1.0 / (math.factorial(a) * math.factorial(b)))
-            yield group, _sup(group)
+            yield group
 
-    return sum(_while_shrinking(orders()), SymbolTable(g, np.zeros((1, g.N))))
+    return sum(_truncated(orders(), _sup, stops, key),
+               SymbolTable(g, np.zeros((1, g.N))))
 
 
 def truncation_order(m, theta):
@@ -493,15 +496,15 @@ class ConjugatedSymbols:
         return ia3 + self.generator_table() - self.parts["kprime"]
 
 
-def _hermitian_half(im_table: SymbolTable):
+def _hermitian_half(im_table: SymbolTable, stops: dict, key):
     """sum_{a>=1} (i / (2 a!)) d_xi^a D_x^a of a real table, up to order 3
-    with optimal truncation (the iterated mixed derivatives are asymptotic
-    on the grid)."""
+    and the stop stops[key] (_truncated: the iterated mixed derivatives
+    are asymptotic on the grid)."""
     g = im_table.grid
     dx_im = dx_operators(im_table)
     terms = (xi_derivative(dx_im(a), a)
              * (1j / (2.0 * math.factorial(a))) for a in (1, 2, 3))
-    return sum(_while_shrinking((term, _sup(term)) for term in terms),
+    return sum(_truncated(terms, _sup, stops, key),
                SymbolTable(g, np.zeros((1, g.N))))
 
 
@@ -527,13 +530,14 @@ class CoefficientTables:
     """The tables of one problem on one grid that read neither h nor any
     weight: i a2, i a1 and c, the Hermitian half of i a2, kept per
     coefficient time (at most MEMO_TIMES, the oldest evicted first) and
-    each formed on first read.  Selection makes one for all its trials;
-    an assembler built without one makes its own.  The samples of a2 and
-    a1 are not kept: -i times i a2 is a2 but for the sign of its zeros."""
+    each formed on first read, c cut where its first read stopped (stops).
+    Selection makes one for all its trials; an assembler built without one
+    makes its own.  The samples of a2 and a1 are not kept: -i times i a2
+    is a2 but for the sign of its zeros."""
 
     def __init__(self, p: ProblemSpec, grid: Grid):
         self.problem, self.grid = p, grid
-        self._cache = {}
+        self._cache, self.stops = {}, {}
 
     def table(self, name, t):
         """The named table at coefficient time t."""
@@ -541,7 +545,8 @@ class CoefficientTables:
         if name not in store:
             if name == "c":
                 # i a2 holds Re a2 as its imaginary part, bit for bit
-                store[name] = _hermitian_half(self.table("ia2", t).imag)
+                store[name] = _hermitian_half(self.table("ia2", t).imag,
+                                              self.stops, "c")
             else:
                 coefficient = {"ia2": self.problem.a2, "ia1": self.problem.a1}
                 store[name] = eval_table(coefficient[name], self.grid, t) * 1j
@@ -553,48 +558,41 @@ class ConjugationAssembler:
     does not change with t.
 
     Each named table is built when something first reads it, from its own
-    recipe, and kept once per coefficient time as its k-polynomial, so a
-    reader of a few parts (the time-weight calibration) forms only those
-    and what they read.  i a2, i a1 and c read neither h nor a weight:
-    they come from ``tables``, a CoefficientTables that selection shares
-    among its trials (an assembler built without one makes its own), and
-    a2cross reads a2 off i a2.  For problems whose lower-order
-    coefficients are time-independent the per-time work is a few table
-    AXPYs in powers of k(t); time-modulated problems rebuild the
-    coefficient-dependent tables per coefficient time (memoized for
-    MEMO_TIMES times).
+    recipe, and kept once per coefficient time as its k-polynomial (but e,
+    whose one reader is kept by the certificate), so a reader of a few
+    parts (the time-weight calibration) forms only those and what they
+    read.  i a2, i a1 and c read neither h nor a weight: they come from
+    ``tables``, a CoefficientTables that selection shares among its
+    trials.  Time-independent coefficients have one coefficient time;
+    time-dependent ones one per t (memoized for MEMO_TIMES times).
+    ``stops``, beside ``params``, records how many orders each series
+    keeps: the expansions of ia2_k and ia1_k and the Hermitian half e by
+    the part's name, each k stage by "k:" and its part's name.
     ``part(name, t)`` evaluates one named table, U_0 + sum_j k(t)^j U_j;
     ``block_polynomial(names, t)`` is the real k-polynomial of the sum of
-    named tables on the checked region's columns, R[j] its k^j table,
-    which the certificate and the calibration keep per coefficient time
-    (``coefficient_time(t)``) and evaluate by Horner (positivity.block_sum);
-    ``at(t)`` gives the parts of BLOCKS; ``at(t).block(name)`` sums one
-    block and ``at(t).generator_table()`` all three.
-    ``stage_operators(taus)`` is the same generator as the time
-    stepper applies it at each time of taus, the polynomial
-    G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}: the Multiplier of its
-    rows, or the Stacked sum over the coefficient stack of G_0 and the G_j,
-    built once per coefficient time.
-    ``params`` is the phase tables' WeightParams, so the constants that
-    selection (M1) and calibration (C1, C2) install reach both.
-    ``release_tables()`` is called by the run pipeline once the Garding
-    floors and the step exist: for time-independent coefficients it keeps
-    the generator's rows or coefficient stack, which is all the solve
-    reads, and drops the k-polynomials and the phase and coefficient
-    tables; a later read of a table raises ReleasedError.
+    named tables on the checked region's columns, which the certificate
+    and the calibration keep per coefficient time (``coefficient_time``)
+    and evaluate by Horner (positivity.block_sum); ``at(t)`` gives the
+    parts of BLOCKS.  ``stage_operators(taus)`` is the generator as the
+    time stepper applies it at each time of taus: the Multiplier of its
+    rows, or the Stacked sum over a coefficient stack.  ``params`` is the
+    phase tables' WeightParams, so the constants that selection (M1) and
+    calibration (C1, C2) install reach both.  ``release_tables()``, called
+    once a run has its Garding floors and step, keeps for time-independent
+    coefficients only the generator's rows or stack, which is all the
+    solve reads; a later read of a table raises ReleasedError.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
                  tables: CoefficientTables = None):
-        self.problem = p
-        self.grid = grid
+        self.problem, self.grid = p, grid
         self.tables = tables or CoefficientTables(p, grid)
         self.phase = build_phase_tables(p, params, grid)
         self.xi_pow = bracket_h(grid.xi, params.h) ** (1.0 / params.theta)
         # derivatives of <xi>_h^{1/theta}: incomplete Bell table over beta<=4
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
-        self._cache = {}
+        self._cache, self.stops = {}, {}
 
     @property
     def params(self) -> WeightParams:
@@ -649,13 +647,12 @@ class ConjugationAssembler:
             termD = (a3 * (xi_derivative(l2xx + l2x * l2x, 2)
                            + ph.dxdxi_lam2 * ph.dxdxi_lam2 * 2.0)) * -0.5
             return {"id1": (termA + termB + termC + termD) * 1j}
-        if name == "ia2_k":
-            ia2_n = conjugation_expansion(stage("ia2"), ph,
-                                          truncation_order(2.0, params.theta))
-            return {"ia2_k": ia2_n + (ia2_n * ph.dxdxi_lam2) * -1j}
-        if name == "ia1_k":
-            return {"ia1_k": conjugation_expansion(
-                stage("ia1"), ph, truncation_order(1.0, params.theta))}
+        if name in ("ia2_k", "ia1_k"):
+            n = truncation_order(2.0 if name == "ia2_k" else 1.0, params.theta)
+            q = conjugation_expansion(stage(name[:3]), ph, n, self.stops, name)
+            if name == "ia2_k":
+                q = q + (q * ph.dxdxi_lam2) * -1j
+            return {name: q}
         # the certificate's split of damp2 (m2) or damp1 (m1): full strength
         # + window tail, both carried on the support of the sign selector
         # (the identity damp = main + tail holds where |w| saturates, which
@@ -679,14 +676,14 @@ class ConjugationAssembler:
             tail = -(main.values * (1.0 - ph.psi_window.values))
         return {which + "_main": main, which + "_tail": sampled_table(g, tail)}
 
-    def _k_stage(self, base, order):
+    def _k_stage(self, base, order, key):
         """The k-stage tables {j: U_j}, j >= 1, of conjugating op(base), a
         symbol of the given order, by the time multiplier.  Orders b are
         kept while the gauge size of their contribution (at k = k0) does not
-        grow (_while_shrinking); the series is asymptotic on the grid.  An
-        order's addends coeff_j D_x^b base / b! are formed for its gauge one
-        at a time, and again for U_j once the order is kept, so no order
-        holds more than its D_x^b base and the gauge."""
+        grow, up to stops[key] (_truncated: the series is asymptotic on the
+        grid).  An order's addends coeff_j D_x^b base / b! are formed for
+        its gauge one at a time, and again for U_j once the order is kept,
+        so no order holds more than its D_x^b base and the gauge."""
         params = self.params
         dx_base = dx_operators(base)
         bell = self._bell_xi
@@ -695,17 +692,18 @@ class ConjugationAssembler:
             return [j for j in range(1, b + 1)
                     if not (np.isscalar(bell[b][j]) and bell[b][j] == 0.0)]
 
-        def orders(nk):
-            for b in range(1, nk):
-                dxb = dx_base(b).values / math.factorial(b)
-                gauge = np.zeros_like(dxb)
-                for j in terms(b):
-                    gauge += (params.k0 ** j) * (bell[b][j][None, :] * dxb)
-                yield (b, dxb), float(np.max(np.abs(gauge)))
+        def gauge(order_b):
+            b, dxb = order_b
+            total = np.zeros_like(dxb)
+            for j in terms(b):
+                total += (params.k0 ** j) * (bell[b][j][None, :] * dxb)
+            return float(np.max(np.abs(total)))
 
         U = {}
         nk = truncation_order(order, params.theta)
-        for b, dxb in _while_shrinking(orders(nk)):
+        orders = ((b, dx_base(b).values / math.factorial(b))
+                  for b in range(1, nk))
+        for b, dxb in _truncated(orders, gauge, self.stops, key):
             for j in terms(b):
                 add = bell[b][j][None, :] * dxb
                 if j in U:
@@ -720,11 +718,22 @@ class ConjugationAssembler:
         recipe: U_0 from the spatial stage (b2k and b1k have none), stored
         with the others of its recipe (_spatial_recipe), and for the parts
         the time multiplier conjugates, the k-stage tables U_j, j >= 1, of
-        their U_0s' sum."""
+        their U_0s' sum.  e_j, the Hermitian half of Im U_j(b2k) +
+        Im U_j(ia2_k), stops where that of their sum at k(t) stopped at the
+        first coefficient time read; e is not kept."""
         store = e["poly"]
         if store is None:
             raise ReleasedError(f"table {name!r} read after the assembler's "
                                 "tables were released")
+        if name == "e":
+            polys = [self._poly(e, n) for n in ("b2k", "ia2_k")]
+            if "e" not in self.stops:
+                _hermitian_half(self.part("b2k", e["t"]).imag
+                                + self.part("ia2_k", e["t"]).imag,
+                                self.stops, "e")
+            return {j: _hermitian_half(reduce(SymbolTable.__add__, (
+                p[j].imag for p in polys if j in p)), self.stops, "e")
+                for j in sorted({*polys[0], *polys[1]})}
         if name not in store:
             sigma = self.params.sigma
             conjugated = {"b2k": (("ia2", "damp2"), 2.0),
@@ -738,7 +747,8 @@ class ConjugationAssembler:
                 names, order = conjugated[name]
                 base = reduce(SymbolTable.__add__,
                               (self._poly(e, n)[0] for n in names))
-                store.setdefault(name, {}).update(self._k_stage(base, order))
+                store.setdefault(name, {}).update(
+                    self._k_stage(base, order, "k:" + name))
             # the expansions are the factors' only readers, and coefficients
             # that do not depend on time have one of each
             if (not self.problem.time_dependent
@@ -822,14 +832,10 @@ class ConjugationAssembler:
 
     def part(self, name, t) -> SymbolTable:
         """The named table at time t: kprime is the time stage's row
-        -k'(t) <xi>_h^{1/theta}, and e the Hermitian half of the imaginary
-        parts of b2k + ia2_k at t; every other table is its k-polynomial
+        -k'(t) <xi>_h^{1/theta}; every other table is its k-polynomial
         U_0 + sum_{j >= 1} k(t)^j U_j, without U_0 for b2k and b1k."""
         if name == "kprime":
             return multiplier_table(self.grid, self._kprime_rows(t) + 0j)
-        if name == "e":
-            return _hermitian_half(self.part("b2k", t).imag
-                                   + self.part("ia2_k", t).imag)
         poly = self._poly(self._entry(t), name)
         k = float(k_of_t(t, self.params))
         terms = [(k ** j) * U.values for j, U in poly.items() if j]
@@ -838,8 +844,8 @@ class ConjugationAssembler:
         return poly[0] + sum(terms, 0.0) if terms else poly[0]
 
     def block_polynomial(self, names, t):
-        """The real k-polynomial of the named tables (neither kprime nor e)
-        at the coefficient time of t, as one array R of shape
+        """The real k-polynomial of the named tables (not kprime) at the
+        coefficient time of t, as one array R of shape
         (J + 1, rows, columns): R[j] sums Re U_j over the names, in their
         order, on the columns of checked_region (zero where no name has a
         k^j table).  A sum of rows stays a row (rows = 1).  Formed at each
@@ -864,12 +870,10 @@ class ConjugationAssembler:
     def release_tables(self):
         """Drop what a solve does not read, once the run has its Garding
         floors and its step: the k-polynomials, the coefficient tables and
-        the phase tables.  The generator's rows or coefficient stack,
-        formed here if not yet, a3's rows and params stay.  Only for
-        time-independent coefficients, whose solve reads one coefficient
-        time; time-dependent ones keep every table, since each stage time
-        is a new coefficient time.  A later read of a table raises
-        ReleasedError."""
+        the phase tables; the generator's rows or coefficient stack, formed
+        here if not yet, a3's rows and params stay.  Time-dependent
+        coefficients keep every table, since each stage time is a new
+        coefficient time.  A later read of a table raises ReleasedError."""
         if self.problem.time_dependent:
             return
         entry = self._entry(0.0)

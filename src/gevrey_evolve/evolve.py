@@ -449,8 +449,10 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     bundle: the accepted conjugator, the one holder of the problem, the
     grid and the calibrated params (theta included) the solve reads.
     f: callable t -> field at nodes, or None; g: field at nodes.
-    Checks that the data actually carries the declared radius rho and that
-    k0 < rho, mirrors of the structural preconditions.  The bundle supplies
+    Checks that the data actually carries the declared radius rho (a
+    nonzero g with too few modes above the noise floor to fit one is a
+    trigonometric polynomial and passes) and that k0 < rho, mirrors of the
+    structural preconditions.  The bundle supplies
     the conjugator and the generator.  Everything runs on coefficients:
     g is transformed once, and the solve transforms and conjugates the
     forcing at each block's stage times with one stacked Grid.forward and
@@ -472,7 +474,12 @@ def solve_original(bundle: ConjugatorBundle, f, g, T, m=0.0, rho=None,
     theta = params.theta
     g_hat = grid.forward(g)
     if rho is not None:
-        fit = radius_fit(g_hat, theta, grid)
+        if not np.any(g_hat):
+            raise DataError("initial state is identically zero; no radius "
+                            "to fit")
+        # NaN, and no check, for fewer than RADIUS_MIN_MODES modes above the
+        # noise floor: a trigonometric polynomial, which has every radius
+        fit = radius_fit(g_hat[None], theta, grid)[0]
         if fit < rho - RADIUS_TOL:
             raise DataError(
                 f"initial state has fitted radius {fit:.4f} < declared {rho}")

@@ -8,15 +8,15 @@ real parts of its three blocks are nonnegative after normalization:
     Re atheta / <xi>_h^{1/theta}                 residual block.
 
 Each margin sums the real parts of the tables conjugate.MARGINS names for
-it (block_sum): all but kprime and e form a fixed real polynomial in k per
+it (block_sum): all but kprime form a fixed real polynomial in k per
 coefficient time, ConjugationAssembler.block_polynomial on the checked
-region's columns, evaluated by Horner at k(t); kprime, which is
-(C2 + C1 k(t)) <xi>_h^{1/theta}, and e, whose truncation is chosen at each
-t, are read at t through ConjugationAssembler.part and added.  The
-polynomials live in a dict of the caller's: the certificate keeps one per
-margin, and the calibration of C1 and C2 one across its rounds, so each
-round evaluates the polynomials the first one formed.  real_sum, the sum
-of the parts read one by one, is the reference they are checked against.
+region's columns, evaluated by Horner at k(t), and kprime,
+(C2 + C1 k(t)) <xi>_h^{1/theta}, is read at t through part() and added.
+The polynomials live in a dict of the caller's: the certificate keeps one
+per margin, and the calibration of C1 and C2 one across its rounds, so
+each round evaluates the polynomials the first one formed.  real_sum, the
+sum of the parts read one by one, is the reference they are checked
+against.
 
 Selection works constant-first: measure what must be dominated, choose the
 weight strengths with a margin, then grow h until the h-suppressed
@@ -47,9 +47,6 @@ M1_PARTS = ("a2cross", "c")
 # the parts of the 1/theta margin but kprime that C1 and C2 bound
 C1_PARTS = ("b1k",)
 C2_PARTS = ("ia1_k", "m2_tail", "m1_tail")
-# the tables of MARGINS that are no k-polynomial in fixed tables: kprime
-# reads C1 and C2, and e's truncation is chosen at each t
-PER_TIME = ("kprime", "e")
 
 
 @dataclass
@@ -144,11 +141,11 @@ def block_sum(assembler: ConjugationAssembler, names, t,
               polys) -> np.ndarray:
     """The sum of the real parts of the named tables at time t on the
     columns of checked_region: the block polynomial of the names but
-    PER_TIME, by Horner at k(t), then each of PER_TIME the names hold, read
-    at t through part() (kprime is (C2 + C1 k(t)) <xi>_h^{1/theta}).  The
-    polynomial is read from the caller's dict polys, keyed by coefficient
-    time and names, and formed into it on first read."""
-    fixed = tuple(n for n in names if n not in PER_TIME)
+    kprime, by Horner at k(t), then kprime if the names hold it, read at t
+    through part() ((C2 + C1 k(t)) <xi>_h^{1/theta}, which reads C1 and C2).
+    The polynomial is read from the caller's dict polys, keyed by
+    coefficient time and names, and formed into it on first read."""
+    fixed = tuple(n for n in names if n != "kprime")
     key = (assembler.coefficient_time(t), fixed)
     if key not in polys:
         polys[key] = assembler.block_polynomial(fixed, t)
@@ -157,10 +154,9 @@ def block_sum(assembler: ConjugationAssembler, names, t,
     value = 0.0
     for R_j in R[::-1]:
         value = value * k + R_j
-    region = checked_region(assembler.grid, assembler.params)
-    for name in PER_TIME:
-        if name in names:
-            value = value + assembler.part(name, t).values.real[:, region]
+    if "kprime" in names:
+        region = checked_region(assembler.grid, assembler.params)
+        value = value + assembler.part("kprime", t).values.real[:, region]
     return value
 
 

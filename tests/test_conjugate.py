@@ -18,7 +18,7 @@ from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
                                     quantized, representable_error,
                                     sampled_table, stage_matrices, to_dense,
                                     x_derivative)
-from gevrey_evolve.symbols import eval_table, model_problem
+from gevrey_evolve.symbols import Symbol, eval_table, model_problem
 from gevrey_evolve.weights import (WeightParams, k_of_t, k_prime,
                                    lambda_x_derivative)
 
@@ -187,10 +187,11 @@ def test_stage_keeps_d1_and_a2_once(grid):
     assert not {"d1", "re_a2_raw"} & set(stage)
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
     assert np.array_equal(cs.parts["d1"].values, (stage["id1"] * -1j).values)
-    c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real)
+    c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real, {},
+                                 "c")
     assert np.array_equal(asm.part("c", 0.0).values, c.values)
     a1t = stage["ia1"] + stage["damp1"] + stage["id1"] + stage["a2cross"]
-    want = asm._k_stage(a1t, 1.0)
+    want = asm._k_stage(a1t, 1.0, "k:b1k")
     got = poly["b1k"]
     assert want.keys() == got.keys() and want
     for j in want:
@@ -448,12 +449,85 @@ def test_hermitian_correction_bound(small_setup):
     assert np.max(quot[:, mask]) < 1.0
 
 
-def test_while_shrinking_stops_at_the_first_growing_term():
+def test_truncation_stops_at_the_first_growing_term():
     # optimal truncation keeps terms of equal size and stops for good at
-    # the first term larger than the one before it
-    pairs = [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 2.5), ("e", 1.0)]
-    assert list(conjugate._while_shrinking(iter(pairs))) == ["a", "b", "c"]
-    assert list(conjugate._while_shrinking(iter([]))) == []
+    # the first term larger than the one before it; it records how many it
+    # kept, and a later read of the same key keeps as many, whatever their
+    # sizes, and draws no term past them
+    sizes = {"a": 3.0, "b": 2.0, "c": 2.0, "d": 2.5, "e": 1.0}
+    stops = {}
+    kept = conjugate._truncated(iter(sizes), sizes.get, stops, "s")
+    assert list(kept) == ["a", "b", "c"] and stops == {"s": 3}
+    terms = iter("vwxyz")
+    again = conjugate._truncated(terms, {"v": 1.0}.get, stops, "s")
+    assert list(again) == ["v", "w", "x"] and next(terms) == "y"
+    assert list(conjugate._truncated(iter([]), sizes.get, stops, "t")) == []
+    assert stops == {"s": 3, "t": 0}
+
+
+def test_each_series_keeps_its_t0_stop(grid):
+    # a2 = cos(omega x) cos(nu(t) xi) and a1 = 0.3 a2: the order-a terms of
+    # the series grow like (omega nu(t))^a, so a fresh decision at t = 1
+    # stops several series elsewhere than at t = 0 (c keeps one term at
+    # t = 0 and all three at t = 1).  An assembler read first at t = 0
+    # keeps those stops at t = 1: each table there equals one formed with
+    # the t = 0 stops, and some differ from a fresh decision's
+    omega, nu = 5.0 * np.pi / L, lambda t: 2.0 - 1.4 * t
+    wave = lambda s: Symbol(
+        fn=lambda t, x, xi: s * np.cos(omega * x) * np.cos(nu(t) * xi),
+        order=0.0)
+    prob = replace(model_problem("time-modulated", 0.75, domain=L),
+                   a2=wave(1.0), a1=wave(0.3))
+    names = ("c", "e", "ia2_k", "ia1_k", "b2k", "b1k")
+    asm, kept, fresh = (ConjugationAssembler(prob, params_with(), grid)
+                        for _ in range(3))
+    for name in names:
+        asm.part(name, 0.0)
+    stops = dict(asm.stops), dict(asm.tables.stops)
+    late = {name: asm.part(name, 1.0).values for name in names}
+    assert (asm.stops, asm.tables.stops) == stops
+    kept.stops.update(stops[0])
+    kept.tables.stops.update(stops[1])
+    moved = set()
+    for name in names:
+        assert np.array_equal(late[name], kept.part(name, 1.0).values), name
+        if not np.array_equal(late[name], fresh.part(name, 1.0).values):
+            moved.add(name)
+    assert stops[1] == {"c": 1} and fresh.tables.stops == {"c": 3}
+    assert moved >= {"c", "ia2_k", "ia1_k", "b2k"}
+    assert fresh.stops != stops[0]
+
+
+def test_solve_forms_no_series_order_past_a_recorded_stop(monkeypatch):
+    # time-modulated N=48/L=8: selection decides every stop at t = 0, and
+    # the solve forms the series of each new stage time up to the recorded
+    # stop and no order past it
+    from gevrey_evolve.evolve import solve_original
+    from gevrey_evolve.positivity import select_parameters_detailed
+    prob = model_problem("time-modulated", 0.75, domain=8.0)
+    grid = make_grid(8.0, 48)
+    bundle = select_parameters_detailed(prob, 1.8, grid)[1]["bundle"]
+    calls, truncated = [], conjugate._truncated
+
+    def counting(terms, size, stops, key):
+        recorded, formed = stops.get(key), []
+
+        def counted():
+            for term in terms:
+                formed.append(key)
+                yield term
+
+        yield from truncated(counted(), size, stops, key)
+        calls.append((key, recorded, len(formed)))
+
+    monkeypatch.setattr(conjugate, "_truncated", counting)
+    solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8), 1.0,
+                   rho=0.7)
+    assert {key for key, _, _ in calls} == {
+        "ia2_k", "ia1_k", "k:b2k", "k:b1k", "k:ia2_k", "k:ia1_k"}
+    assert len(calls) > 6
+    assert all(stop is not None and formed == stop
+               for _, stop, formed in calls)
 
 
 def test_truncation_order_rule():
@@ -538,9 +612,9 @@ def _expansion(q, P, Q, n_trunc):
                     core = xi_derivative(core * Q[a - 1], a)
                 group = group + core * (1.0 / (math.factorial(a)
                                                * math.factorial(b)))
-            yield group, conjugate._sup(group)
+            yield group
 
-    return sum(conjugate._while_shrinking(orders()),
+    return sum(conjugate._truncated(orders(), conjugate._sup, {}, "q"),
                SymbolTable(g, np.zeros((1, g.N))))
 
 
@@ -595,7 +669,7 @@ def _eager_tables(prob, params, grid):
                  m2_tail=sampled_table(grid, -(m2.values * (1.0 - psi))),
                  m1_main=m1.real,
                  m1_tail=sampled_table(grid, -(m1.values * (1.0 - psi))),
-                 c=conjugate._hermitian_half(ia2.imag))
+                 c=conjugate._hermitian_half(ia2.imag, {}, "c"))
 
     # the k stage
     bell = conjugate.partial_bell(4, conjugate.bracket_power_derivatives(
@@ -620,7 +694,8 @@ def _eager_tables(prob, params, grid):
                 yield adds, float(np.max(np.abs(gauge)))
         U = {}
         nk = truncation_order(order, params.theta)
-        for adds in conjugate._while_shrinking(orders(nk)):
+        for adds, _ in conjugate._truncated(orders(nk), lambda o: o[1], {},
+                                            name):
             for j, add in adds.items():
                 U[j] = U.get(j, 0.0) + add
         poly.setdefault(name, {}).update(

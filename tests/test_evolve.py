@@ -829,6 +829,9 @@ def test_radius_precondition_enforced(small_setup):
     g2 = synthetic_radius_field(grid, 0.3, 1.8)  # radius below k0
     with pytest.raises(DataError):
         solve_original(small_setup["bundle"], None, g2, 1.0, rho=0.3)
+    with pytest.raises(DataError, match="identically zero"):
+        solve_original(small_setup["bundle"], None, np.zeros(grid.N), 1.0,
+                       rho=0.7)
 
 
 def test_solve_refuses_a_horizon_past_its_certificate(small_setup):

@@ -389,7 +389,9 @@ def test_mode_data_off_the_lattice_is_a_config_error(tmp_path, capsys):
     # exp(i m x) is periodic on [-L, L) only when m L / pi is an integer:
     # at L = 10 mode 1 jumps at the seam and is refused in one line naming
     # data.mode, grid.L and the nearest lattice mode 3 pi / L; at L = 3 pi
-    # it is the lattice mode xi = 1, whose spectrum is one coefficient
+    # it is the lattice mode xi = 1, whose spectrum is one coefficient: a
+    # trigonometric polynomial, which has every radius, so the run fits
+    # none to it, exits 0 and logs radius_fit nan at t = 0
     cfg = tmp_path / "mode.cfg"
     cfg.write_text(SMALL + "data.kind = mode\ndata.mode = 1\n"
                    f"output.dir = {tmp_path / 'out'}\n")
@@ -403,13 +405,19 @@ def test_mode_data_off_the_lattice_is_a_config_error(tmp_path, capsys):
             assert name in err
     assert not (tmp_path / "out").exists()
     L = 3.0 * np.pi
-    good = RunConfig.from_text(
-        f"grid.L = {L!r}\ngrid.N = 64\ndata.kind = mode\ndata.mode = 1\n")
+    text = f"grid.L = {L!r}\ngrid.N = 64\ndata.kind = mode\ndata.mode = 1\n"
+    good = RunConfig.from_text(text)
     good.validate()
     grid = make_grid(L, 64)
     spectrum = np.abs(grid.forward(harness.build_data(good, grid)[0]))
     assert np.argmax(spectrum) == 3
     assert np.sort(spectrum)[-2] < 1e-12 * spectrum[3]
+    cfg.write_text(text + f"output.dir = {tmp_path / 'lattice'}\n")
+    assert main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "lattice" / "trajectory.csv").read_text().splitlines()
+    assert rows[1] == "t,l2,hm_rho_theta,radius_fit,energy_residual"
+    assert rows[2].split(",")[0] == "0.0"
+    assert rows[2].split(",")[3] == "nan"
     # data.mode is read only by mode data
     RunConfig.from_text(SMALL + "data.kind = gaussian\n").validate()
 

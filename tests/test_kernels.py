@@ -255,11 +255,11 @@ def test_one_forward_fft_per_differentiated_table(monkeypatch):
     q = table_from_function(grid, lambda x, xi: np.exp(-(x / 2.0) ** 2)
                             * (1.0 + 0.1 * xi * xi))
     calls = count_x_ffts(monkeypatch)
-    conjugate.conjugation_expansion(q, asm.phase, n)
+    conjugate.conjugation_expansion(q, asm.phase, n, {}, "q")
     assert calls == [(64, 64)]
     calls.clear()
-    conjugate._hermitian_half(q.real)
+    conjugate._hermitian_half(q.real, {}, "q")
     assert calls == [(64, 64)]
     calls.clear()
     # the k stage reads D_x^b q for b = 1..4 here
-    assert len(asm._k_stage(q, 2.0)) == 4 and calls == [(64, 64)]
+    assert len(asm._k_stage(q, 2.0, "q")) == 4 and calls == [(64, 64)]

@@ -122,9 +122,9 @@ def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
         trials.append(assembler)
         return calibrate(assembler)
 
-    def counting(q, phase, n_trunc):
+    def counting(q, phase, n_trunc, *stop):
         expansions.append((len(trials), n_trunc))
-        return expand(q, phase, n_trunc)
+        return expand(q, phase, n_trunc, *stop)
 
     monkeypatch.setattr(positivity, "calibrate_time_weight", capturing)
     monkeypatch.setattr(conjugate, "conjugation_expansion", counting)
@@ -340,7 +340,8 @@ def test_selection_formula_m1(case, small_setup, modulated64_selection):
                                              modulated64_selection)
     times = sample_times(prob.T) if prob.time_dependent else [0.0]
     a2s = [eval_table(prob.a2, grid, float(t)) for t in times]
-    c_reals = [conjugate._hermitian_half(a2.real).values.real for a2 in a2s]
+    c_reals = [conjugate._hermitian_half(a2.real, {}, "c").values.real
+               for a2 in a2s]
     rows = details["history"]
     assert len(rows) >= 1
     for row in rows:
@@ -415,11 +416,15 @@ def test_m1_dominates_parts_of_the_order1_margin():
 def _margins_by_hand(asm, t):
     """The three margins summed by hand from at(t).parts and the damping
     split, which at(t) does not hold, read through part(), as before
-    MARGINS declared them, with c and e formed here from their inputs."""
+    MARGINS declared them, with c and e formed here from their inputs: e
+    from b2k + ia2_k at t, cut where that sum stops at t = 0."""
     split = ("m2_main", "m2_tail", "m1_main", "m1_tail")
     p = dict(asm.at(t).parts, **{name: asm.part(name, t) for name in split})
-    c = conjugate._hermitian_half(p["ia2"].imag)
-    e = conjugate._hermitian_half(p["b2k"].imag + p["ia2_k"].imag)
+    c = conjugate._hermitian_half(p["ia2"].imag, {}, "c")
+    stops = {}
+    conjugate._hermitian_half(asm.part("b2k", 0.0).imag
+                              + asm.part("ia2_k", 0.0).imag, stops, "e")
+    e = conjugate._hermitian_half(p["b2k"].imag + p["ia2_k"].imag, stops, "e")
     re2 = p["ia2"].real + p["m2_main"] + p["b2k"].real + p["ia2_k"].real
     re1 = (p["ia1"].real + p["m1_main"] + p["a2cross"].real + c.real
            + e.real)
@@ -433,7 +438,9 @@ def _margins_by_hand(asm, t):
 def test_margins_read_parts_without_at(case, small_setup, modulated64,
                                        monkeypatch):
     # each margin of MARGINS equals, bit for bit, its hand-written sum at
-    # the sample times, and verify_lower_bounds reads the tables through
+    # the sample times (the order-1 margin to 1e-13 of its largest
+    # magnitude: e is a k-polynomial, summed in another order than its
+    # hand-written form), and verify_lower_bounds reads the tables through
     # part() alone, with no at() call.  The window tails are 0 at the
     # accepted h = 4; damped-64's weights at h = 2 make both nonzero, and
     # fail the order-1 and 1/theta margins there
@@ -453,8 +460,12 @@ def test_margins_read_parts_without_at(case, small_setup, modulated64,
         want = _margins_by_hand(ref, float(t))
         assert want.keys() == MARGINS.keys()
         for name, table in want.items():
-            got = real_sum(asm, MARGINS[name], t)
-            assert np.array_equal(got, table.values.real), (name, t)
+            got, want_real = real_sum(asm, MARGINS[name], t), table.values.real
+            if name == "order1":
+                scale = float(np.max(np.abs(want_real)))
+                assert np.max(np.abs(got - want_real)) <= 1e-13 * scale, t
+            else:
+                assert np.array_equal(got, want_real), (name, t)
     calls, at = [], ConjugationAssembler.at
     monkeypatch.setattr(ConjugationAssembler, "at",
                         lambda self, t: calls.append(t) or at(self, t))
@@ -501,6 +512,25 @@ def test_each_recipe_runs_once_per_coefficient_time(case, small_setup,
     for group in (("ia2", "a2cross"), ("m2_main", "m2_tail"),
                   ("m1_main", "m1_tail")):
         assert sum(tables == group for _, tables in runs) == times, group
+
+
+def test_e_is_formed_once_per_coefficient_time(small_setup, monkeypatch):
+    # e is a k-polynomial: one certificate over the sample times forms its
+    # tables once at damped-64's one coefficient time, one per power of k,
+    # after one decision of its stop on their sum at k(0), not once per
+    # sample time (c, the other Hermitian half, is formed beforehand)
+    prob, grid = small_setup["problem"], small_setup["grid"]
+    tables = conjugate.CoefficientTables(prob, grid)
+    tables.table("c", 0.0)
+    asm = ConjugationAssembler(prob, small_setup["params"], grid, tables)
+    calls, half = [], conjugate._hermitian_half
+    monkeypatch.setattr(conjugate, "_hermitian_half", lambda im, stops, key:
+                        calls.append(key) or half(im, stops, key))
+    verify_lower_bounds(asm, T_SAMPLES)
+    poly = asm._entry(0.0)["poly"]
+    powers = {*poly["b2k"], *poly["ia2_k"]}
+    assert calls == ["e"] * (1 + len(powers))
+    assert powers == {0, 1, 2, 3, 4} and asm.stops["e"] == 1
 
 
 def test_pinned_h_is_the_only_trial(small_setup):
@@ -647,7 +677,7 @@ def test_trials_share_the_coefficient_tables(name, monkeypatch):
     for t in times:
         ia2 = eval_table(prob.a2, grid, t) * 1j
         want = {"ia2": ia2, "ia1": eval_table(prob.a1, grid, t) * 1j,
-                "c": conjugate._hermitian_half(ia2.imag)}
+                "c": conjugate._hermitian_half(ia2.imag, {}, "c")}
         for part, table in want.items():
             shared = tables.table(part, t)
             assert np.array_equal(shared.values, table.values), (part, t)
@@ -697,7 +727,7 @@ def test_block_sums_match_real_sum(case, small_setup, modulated64):
             assert scale > 0.0 or (case == "kdv-baseline-64"
                                    and name != "theta"), (name, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, t)
-            fixed = tuple(n for n in names if n not in positivity.PER_TIME)
+            fixed = tuple(n for n in names if n != "kprime")
             poly = polys[asm.coefficient_time(t), fixed]
             again = positivity.block_sum(asm, names, t, polys)
             assert polys[asm.coefficient_time(t), fixed] is poly

@@ -105,10 +105,18 @@ MUTANTS = [
            "return SymbolTable.fresh(self.grid, sum(terms)) if terms else poly[0]",
            (STACKED_CASE + "[complex-damped-10.0-64]",)),
     Mutant("truncation-keeps-a-growing-term", CONJ,
-           "        if prev is not None and size > prev:\n            return\n",
-           "        if prev is not None and size > prev:\n"
-           "            yield term\n            return\n",
-           (T_CONJ + "test_while_shrinking_stops_at_the_first_growing_term",)),
+           "        if prev is not None and now > prev:\n            break\n",
+           "        if prev is not None and now > prev:\n"
+           "            yield term\n            break\n",
+           (T_CONJ + "test_truncation_stops_at_the_first_growing_term",)),
+    Mutant("stops-decided-per-coefficient-time", CONJ,
+           "    if key in stops:\n        yield from islice(terms, stops[key])\n",
+           "    if False:\n        yield from islice(terms, stops[key])\n",
+           (T_CONJ + "test_each_series_keeps_its_t0_stop",)),
+    Mutant("e-stop-ignored", CONJ,
+           'p[j].imag for p in polys if j in p)), self.stops, "e")',
+           'p[j].imag for p in polys if j in p)), {"e": 3}, "e")',
+           (MARGINS_CASE + "[damped-64]",)),
     Mutant("d1-read-back-with-the-wrong-phase", CONJ,
            'parts["d1"] = parts["id1"] * -1j',
            'parts["d1"] = parts["id1"] * 1j',
