@@ -25,14 +25,15 @@ exponentials are produced by Bell-polynomial recursions with the
 exponential factors cancelled, so nothing large is ever exponentiated.
 BLOCKS declares the generator's three blocks (orders 2, 1 and 1/theta) by
 their named parts, and MARGINS the positivity certificate's three lower
-bounds by their tables.  The time stage enters only through k(t) and
-k'(t): every table but kprime = -k'(t) <xi>_h^{1/theta} is, per
-coefficient time, a k-polynomial {j: U_j} in fixed tables, U_0 from the
-spatial stage and U_j (j >= 1) from the k stage, so the generator is
-G_0 + sum_j k(t)^j G_j - k'(t) <xi>_h^{1/theta}, G_j summing the parts'
-U_j.  Each asymptotic series behind the tables stops where its first
-read stopped it, at t = 0 on every pipeline path (_truncated), so the
-tables of every coefficient time are cut at the same orders.  Per
+bounds by their tables.  The time stage enters only through k(t): every
+table is, per coefficient time, a k-polynomial {j: U_j} in fixed tables,
+U_0 from the spatial stage and U_j (j >= 1) from the k stage; kprime =
+-k'(t) <xi>_h^{1/theta} is (C2 + C1 k(t)) <xi>_h^{1/theta}, since k solves
+k' + C1 k + C2 = 0.  So the generator is G_0 + sum_j k(t)^j G_j, G_j
+summing the parts' U_j.  Each asymptotic series behind the tables stops
+where its first read stopped it, at t = 0 on every pipeline path
+(_truncated), so the tables of every coefficient time are cut at the same
+orders.  Per
 coefficient time the assembler keeps the coefficient stack of G_0 and
 the G_j, one FFT along x per table, from which the time stepper forms
 each stage's coefficient matrix by one GEMM (quantize.stage_matrices);
@@ -55,8 +56,8 @@ from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
                        sampled_table, spectral_stack, x_derivative,
                        xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
-from .weights import (WeightParams, Windows, k_of_t, k_prime,
-                      spatial_weights, weight_x_derivative)
+from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
+                      weight_x_derivative)
 
 # coefficient times an assembler of time-dependent coefficients keeps tables
 # for: selection measures at the sample times in every calibration round,
@@ -454,14 +455,12 @@ def build_conjugator(assembler: "ConjugationAssembler",
 # ----------------------------------------------------------------------
 
 # The parts of the conjugated generator, by block: order 2, order 1 and
-# order 1/theta.  Each part but kprime = -k'(t) <xi>_h^{1/theta}, the time
-# stage's row, is stored as its k-polynomial (ConjugationAssembler.part).
+# order 1/theta, each a k-polynomial (ConjugationAssembler.part).
 BLOCKS = {"order2": ("ia2", "damp2", "b2k", "ia2_k"),
           "order1": ("ia1", "damp1", "id1", "a2cross"),
           "theta": ("kprime", "b1k", "ia1_k")}
-# the parts stored as k-polynomials, in the order of BLOCKS
-POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
-                   if n != "kprime")
+# the generator's parts, in the order of BLOCKS
+POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names)
 # The positivity certificate: each lower bound sums its tables' real parts
 # in this order.  The damping counts at full strength (m2_main, m1_main),
 # its window tails (m2_tail, m1_tail) in the 1/theta bound; c and e are the
@@ -600,7 +599,11 @@ class ConjugationAssembler:
 
     @params.setter
     def params(self, params: WeightParams):
+        """Install params; a generator formed under the old ones is
+        dropped, since its kprime part reads C1 and C2."""
         self.phase.params = params
+        for entry in self._cache.values():
+            entry.pop("generator", None)
 
     # -- the tables of one coefficient time, each formed on first read ---
 
@@ -713,18 +716,22 @@ class ConjugationAssembler:
         return {j: SymbolTable.fresh(self.grid, v) for j, v in U.items()}
 
     def _poly(self, e, name):
-        """The k-polynomial {j: U_j} of a named table (not kprime) at the
-        coefficient time of entry e, built on first read from its own
-        recipe: U_0 from the spatial stage (b2k and b1k have none), stored
-        with the others of its recipe (_spatial_recipe), and for the parts
-        the time multiplier conjugates, the k-stage tables U_j, j >= 1, of
-        their U_0s' sum.  e_j, the Hermitian half of Im U_j(b2k) +
-        Im U_j(ia2_k), stops where that of their sum at k(t) stopped at the
-        first coefficient time read; e is not kept."""
+        """The k-polynomial {j: U_j} of a named table at the coefficient
+        time of entry e, built on first read from its own recipe: U_0 from
+        the spatial stage (b2k and b1k have none), stored with the others
+        of its recipe (_spatial_recipe), and for the parts the time
+        multiplier conjugates, the k-stage tables U_j, j >= 1, of their
+        U_0s' sum.  kprime is {0: C2 X, 1: C1 X}, X = <xi>_h^{1/theta}, and
+        e_j, the Hermitian half of Im U_j(b2k) + Im U_j(ia2_k), stops where
+        that of their sum at k(t) stopped at the first coefficient time
+        read; neither is kept, and kprime reads the current C1 and C2."""
         store = e["poly"]
         if store is None:
             raise ReleasedError(f"table {name!r} read after the assembler's "
                                 "tables were released")
+        if name == "kprime":
+            X = multiplier_table(self.grid, self.xi_pow)
+            return {0: X * self.params.C2, 1: X * self.params.C1}
         if name == "e":
             polys = [self._poly(e, n) for n in ("b2k", "ia2_k")]
             if "e" not in self.stops:
@@ -783,32 +790,22 @@ class ConjugationAssembler:
             entry["generator"] = (rows, tuple(powers), stack)
         return entry["generator"]
 
-    def _kprime_rows(self, taus):
-        """-k'(tau) <xi>_h^{1/theta} at each time of taus, (..., N), zero in
-        the Nyquist slot tables lack."""
-        rows = -k_prime(taus, self.params)[..., None] * self.xi_pow
-        rows[..., self.grid.nyquist] = 0.0
-        return rows
-
     def stage_operators(self, taus):
         """The generator at each time of taus as the time stepper applies
         it: one operator per time, in the order of taus.
 
-        k(tau) and k'(tau) are evaluated once for all of taus.  The variant
-        is read off the tables of the coefficient time by fourier_rows:
-        when G_0 and every G_j are x-independent, the generator is the
-        Fourier multiplier of the row G_0 + k'-row + sum_j k(tau)^j G_j, the
-        rows of all times formed as one (B, N) array, and applies with one
-        FFT pair; otherwise it is the Stacked sum over that time's
-        coefficient stack, with weights (1, k(tau)^j, ...) and the k' row.
-        No N x N array is formed here, and the ops carry none: the solve
-        forms each stage's matrix in its own slots and steps with copies
-        that have them attached, and an op outside a solve forms it when
-        applied.
+        k(tau) is evaluated once for all of taus.  The variant is read off
+        the tables of the coefficient time by fourier_rows: when G_0 and
+        every G_j are x-independent, the generator is the Fourier
+        multiplier of the row G_0 + sum_j k(tau)^j G_j, the rows of all
+        times formed as one (B, N) array; otherwise it is the Stacked sum
+        over that time's coefficient stack, with weights (1, k(tau)^j, ...).
+        No N x N array is formed here: the solve forms the matrices of a
+        batch of stages in its own slots (quantize.stage_matrices), and an
+        op outside a solve forms its matrix when applied.
         Time-independent coefficients share one coefficient time;
         time-dependent ones have one per tau."""
         taus = np.asarray(taus, dtype=float)
-        kprime = self._kprime_rows(taus)
         ks = k_of_t(taus, self.params).tolist()
         if self.problem.time_dependent:
             groups = [(taus[i], slice(i, i + 1)) for i in range(taus.size)]
@@ -821,21 +818,17 @@ class ConjugationAssembler:
             # differently, and a stage must not depend on its block
             K = np.array([[k ** j for j in (0, *powers)] for k in ks[sl]])
             if rows is not None:
-                R = rows[0] + kprime[sl]
+                R = K[:, :1] * rows[0]
                 for Kj, G in zip(K.T[1:], rows[1:]):
                     R += Kj[:, None] * G
                 ops += [Multiplier(self.grid, row) for row in R]
             else:
-                ops += [Stacked(self.grid, stack, w, row)
-                        for w, row in zip(K, kprime[sl])]
+                ops += [Stacked(self.grid, stack, w) for w in K]
         return ops
 
     def part(self, name, t) -> SymbolTable:
-        """The named table at time t: kprime is the time stage's row
-        -k'(t) <xi>_h^{1/theta}; every other table is its k-polynomial
+        """The named table at time t, its k-polynomial
         U_0 + sum_{j >= 1} k(t)^j U_j, without U_0 for b2k and b1k."""
-        if name == "kprime":
-            return multiplier_table(self.grid, self._kprime_rows(t) + 0j)
         poly = self._poly(self._entry(t), name)
         k = float(k_of_t(t, self.params))
         terms = [(k ** j) * U.values for j, U in poly.items() if j]
@@ -844,11 +837,11 @@ class ConjugationAssembler:
         return poly[0] + sum(terms, 0.0) if terms else poly[0]
 
     def block_polynomial(self, names, t):
-        """The real k-polynomial of the named tables (not kprime) at the
-        coefficient time of t, as one array R of shape
-        (J + 1, rows, columns): R[j] sums Re U_j over the names, in their
-        order, on the columns of checked_region (zero where no name has a
-        k^j table).  A sum of rows stays a row (rows = 1).  Formed at each
+        """The real k-polynomial of the named tables at the coefficient time
+        of t, as one array R of shape (J + 1, rows, columns): R[j] sums
+        Re U_j over the names, in their order, on the columns of
+        checked_region (zero where no name has a k^j table); kprime's reads
+        the current C1 and C2.  A sum of rows stays a row (rows = 1).  Formed at each
         call and not kept: a caller that reads it again keeps it."""
         entry = self._entry(t)
         region = checked_region(self.grid, self.params)

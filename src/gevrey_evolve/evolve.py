@@ -11,34 +11,32 @@ Runge-Kutta update for the remaining lower-order part.  Every operator
 maps Fourier coefficients to Fourier coefficients (quantize), so the solve
 carries them throughout: the integrating factor, the half-step phases and
 a Multiplier stage are row products, a Stacked stage is one N x N GEMV on
-its stage time's coefficient matrix, with no FFT.  What depends on time
-but not on v is computed once per block of steps, as in the exponential
-integrators of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005), which
-form their integrating factors outside the time loop: one a3 call for
-the block's integrating factors, one stage_operators call for its stage
-operators, and one stacked transform and conjugation of its forcing.  A
-block holds as many steps as fit in BLOCK_BYTES (step_bytes), so a
-solve whose stages each hold their own coefficient stack (time-dependent
-coefficients) steps one step per block, and a Multiplier or
-time-independent Stacked solve tens of steps.  A Multiplier step is
+its stage time's coefficient matrix (a Dense operator), with no FFT.  What
+depends on time but not on v is computed once per block of steps, as in
+the exponential integrators of Kassam & Trefethen (SIAM J. Sci. Comput.
+26, 2005), which form their integrating factors outside the time loop: one
+a3 call for the block's integrating factors, one stage_operators call for
+its stage operators, and one stacked transform and conjugation of its
+forcing.  A block holds as many steps as fit in BLOCK_BYTES (step_bytes),
+so a solve whose stages each hold their own coefficient stack
+(time-dependent coefficients) steps one step per block, and a Multiplier
+or time-independent Stacked solve tens of steps.  A Multiplier step is
 affine and diagonal in v, v -> P * v + Q, and a block forms its P and Q
-rows with one step() call each on (B, N) stacks; its step loop is then
-two row operations per step.  A Stacked solve steps in batches of up
-to J steps (batch_steps), J + 1 the tables of its coefficient stack:
-one GEMM over the stack forms the coefficient matrices of a batch's 2B
-new stage times (each step's t + dt/2 and t + dt), so the stack is read
-once per batch, not once per step.  The matrices go into slots the solve
-holds, each step applies stages built with their slots attached, and a
-batch's first stage is the batch before's last, copied to a slot of its
-own.  step() is only the Runge-Kutta arithmetic.  The
-data is transformed once, ||v|| comes from Parseval and is read, with
-the blow-up check, once per block, and the pull-back, its
-equivalence check, the radius fit and the Gevrey norm read coefficients
-on (B, N) stacks of logged fields, so u is synthesized once per logged
-time.  The variant of every operator is read off its tables
+rows with one step() call each on (B, N) stacks; its step loop is then two
+row operations per step.  A Stacked solve steps in batches of up to J
+steps (batch_steps), J + 1 the tables of its coefficient stack: one GEMM
+over the stack forms the coefficient matrices of a batch's 2B + 1 stage
+times (its start and each step's t + dt/2 and t + dt) into slots the solve
+holds, so the stack is read once per batch, not once per step, and the
+steps apply them as Dense operators.  step() is only the Runge-Kutta
+arithmetic.  The data is transformed once, ||v|| comes from Parseval and
+is read, with the blow-up check, once per block, and the pull-back, its
+equivalence check, the radius fit and the Gevrey norm read coefficients on
+(B, N) stacks of logged fields, so u is synthesized once per logged time.
+The variant of every operator is read off its tables
 (quantize.fourier_rows): the generator is a Multiplier or a Stacked sum,
-the conjugator op(e^Lam) a Multiplier or a Dense, and both are
-Multipliers on the KdV branch M2 = M1 = 0.
+the conjugator op(e^Lam) a Multiplier or a Dense, and both are Multipliers
+on the KdV branch M2 = M1 = 0.
 Every run carries an energy log against which the growth inequality is
 re-checked.
 """
@@ -50,7 +48,7 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import Multiplier, Stacked, stage_matrices
+from .quantize import Dense, Multiplier, stage_matrices
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -211,11 +209,10 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     Everything that depends on time alone comes in precomputed: phases is
     the step's row of integrating_factors; stages are the lower-order
     generator at t, t + dt/2 and t + dt, each an operator with
-    ``matvec_hat`` (quantize.Multiplier: a row product; quantize.Stacked:
-    one GEMV on its coefficient matrix, formed before the step;
-    quantize.Dense: one GEMV), as ConjugationAssembler.stage_operators
-    builds them; forcing is
-    None or the conjugated forcing's coefficients at the same three times.
+    ``matvec_hat`` (quantize.Multiplier: a row product; quantize.Dense:
+    one GEMV, on a Stacked stage's coefficient matrix in a solve); forcing
+    is None or the conjugated forcing's coefficients at the same three
+    times.
     With Multiplier stages the step is row arithmetic throughout, so B
     steps run at once on (B, N) stacks: v_hat, the phases, the stages'
     rows and the forcing (B, N) each, and dt a (B, 1) column.
@@ -246,7 +243,7 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
 
 def step_bytes(stage, forced, own_stack):
     """The bytes one step adds to a block whose stages are like stage: the
-    rows of its two stage times (the stage's or its k' row, and the
+    rows of its two stage times (the stage's row or weights, and the
     forcing's when forced), its two integrating-factor rows and its state
     row, with the P and Q rows of a Multiplier block; and the two stages'
     coefficient stacks when each stage holds its own (own_stack)."""
@@ -311,16 +308,16 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     before hands on the stage at its last step end, so each stage time is
     built and conjugated exactly once.  A Multiplier block steps as one
     affine row map per step (affine_steps).  A Stacked stage's coefficient
-    matrix is formed once, in one of 2B + 1 N x N slots the solve holds
+    matrix is formed in one of 2B + 1 N x N slots the solve holds
     (allocated only for Stacked stages), B = batch_steps: a block's steps
     run in batches of B, the last one cut at the block's end, and a batch
-    of b steps forms the matrices of its 2b half and end times with one
-    stage_matrices call (one GEMM over the stack) into slots 1 to 2b.
-    Its steps apply Stacked stages built with those slots attached, its
-    first stage the batch before's last end, copied to slot 0; the ops
-    stage_operators returns carry no matrix.  Step i runs with
-    the exact (Sterbenz) step times[i+1] - times[i], so it ends on
-    times[i+1].  A block's states
+    of b steps forms the matrices of its start and its 2b half and end
+    times with one stage_matrices call (one GEMM over the stack) into
+    slots 0 to 2b, and its steps apply them as Dense operators.  A
+    batch's start is the batch before's last end, formed again: the GEMM
+    row of a stage time does not depend on the batch, and one more row
+    costs what a copy does.  Step i runs with the exact (Sterbenz) step
+    times[i+1] - times[i], so it ends on times[i+1].  A block's states
     are one (B, N) array: their norms, the finite check, the blow-up cap
     and the logged copies are read from it once per block, and a blow-up
     names the first step that crossed the cap.
@@ -371,14 +368,9 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
         stages[0], f_conj is not None, not affine and p.time_dependent))
     if not affine:
         batch = batch_steps(stages[0], p.time_dependent)
-        # slot 0 holds a batch's first stage, and a batch of b steps writes
-        # its 2b new stage matrices into slots 1 to 2b
+        # a batch of b steps writes its 2b + 1 stage matrices into slots 0
+        # to 2b
         slots = np.empty((2 * batch + 1, grid.N, grid.N), dtype=complex)
-
-        def attached(op, M):
-            return Stacked(grid, op.stack, op.weights, op.row, M)
-
-        first = attached(stages[0], stage_matrices(stages, slots[:1])[0])
 
     for start in range(0, steps, block):
         stop = min(start + block, steps)
@@ -400,9 +392,8 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
             else:
                 for i in range(0, stop - start, batch):
                     b = min(batch, stop - start - i)
-                    new = stages[2 * i + 1:2 * i + 2 * b + 1]
-                    ops = [first] + [attached(op, M) for op, M in zip(
-                        new, stage_matrices(new, slots[1:2 * b + 1]))]
+                    ops = [Dense(grid, M) for M in stage_matrices(
+                        stages[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]
                     for k in range(b):
                         j = i + k
                         states[j] = v_hat = step(
@@ -410,8 +401,6 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                             ops[2 * k:2 * k + 3],
                             None if forcing is None
                             else forcing[2 * j:2 * j + 3])
-                    slots[0] = ops[-1].matrix
-                    first = attached(ops[-1], slots[0])
             norms = grid.l2_norm(states)
             bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)
         if np.any(bad):

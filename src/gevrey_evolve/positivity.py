@@ -8,15 +8,16 @@ real parts of its three blocks are nonnegative after normalization:
     Re atheta / <xi>_h^{1/theta}                 residual block.
 
 Each margin sums the real parts of the tables conjugate.MARGINS names for
-it (block_sum): all but kprime form a fixed real polynomial in k per
-coefficient time, ConjugationAssembler.block_polynomial on the checked
-region's columns, evaluated by Horner at k(t), and kprime,
-(C2 + C1 k(t)) <xi>_h^{1/theta}, is read at t through part() and added.
+it (block_sum): they form one real polynomial in k per coefficient time,
+ConjugationAssembler.block_polynomial on the checked region's columns,
+evaluated by Horner at k(t).  kprime, (C2 + C1 k(t)) <xi>_h^{1/theta},
+is one of those tables, so a polynomial that names it reads C1 and C2.
 The polynomials live in a dict of the caller's: the certificate keeps one
-per margin, and the calibration of C1 and C2 one across its rounds, so
-each round evaluates the polynomials the first one formed.  real_sum, the
-sum of the parts read one by one, is the reference they are checked
-against.
+per margin, formed after the calibration, and the calibration of C1 and
+C2 one across its rounds, in which C1 and C2 move, so each round
+evaluates the polynomials the first one formed: the sums it reads
+(C1_PARTS, C2_PARTS) name no kprime.  real_sum, the sum of the parts
+read one by one, is the reference they are checked against.
 
 Selection works constant-first: measure what must be dominated, choose the
 weight strengths with a margin, then grow h until the h-suppressed
@@ -44,7 +45,8 @@ GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
 # the parts of the order-1 margin that M1 dominates, C_a2l2 and C_c in turn
 M1_PARTS = ("a2cross", "c")
-# the parts of the 1/theta margin but kprime that C1 and C2 bound
+# the parts of the 1/theta margin that C1 and C2 bound: all but kprime,
+# which reads them
 C1_PARTS = ("b1k",)
 C2_PARTS = ("ia1_k", "m2_tail", "m1_tail")
 
@@ -140,23 +142,18 @@ def real_sum(assembler: ConjugationAssembler, names, t) -> np.ndarray:
 def block_sum(assembler: ConjugationAssembler, names, t,
               polys) -> np.ndarray:
     """The sum of the real parts of the named tables at time t on the
-    columns of checked_region: the block polynomial of the names but
-    kprime, by Horner at k(t), then kprime if the names hold it, read at t
-    through part() ((C2 + C1 k(t)) <xi>_h^{1/theta}, which reads C1 and C2).
+    columns of checked_region: their block polynomial by Horner at k(t).
     The polynomial is read from the caller's dict polys, keyed by
-    coefficient time and names, and formed into it on first read."""
-    fixed = tuple(n for n in names if n != "kprime")
-    key = (assembler.coefficient_time(t), fixed)
+    coefficient time and names, and formed into it on first read; one that
+    names kprime holds the C1 and C2 of that read."""
+    key = (assembler.coefficient_time(t), tuple(names))
     if key not in polys:
-        polys[key] = assembler.block_polynomial(fixed, t)
+        polys[key] = assembler.block_polynomial(names, t)
     R = polys[key]
     k = float(k_of_t(t, assembler.params))
     value = 0.0
     for R_j in R[::-1]:
         value = value * k + R_j
-    if "kprime" in names:
-        region = checked_region(assembler.grid, assembler.params)
-        value = value + assembler.part("kprime", t).values.real[:, region]
     return value
 
 
@@ -232,7 +229,9 @@ def calibrate_time_weight(assembler: ConjugationAssembler) -> WeightParams:
     k(T) to zero the round raises at once, and a rejected trial never
     builds b1k.  The block polynomials of the rounds' sums (block_sum) are
     formed in the first round into a dict that the calibration keeps until
-    it returns.
+    it returns: C1_PARTS and C2_PARTS name no kprime, the one table that
+    reads C1 and C2, so the polynomials hold across rounds in which they
+    move.
     """
     p, params, grid = assembler.problem, assembler.params, assembler.grid
     ts = sample_times(p.T)

@@ -29,12 +29,11 @@ Every operator maps Fourier coefficients to Fourier coefficients
 (``matvec_hat``) and has a node-value ``dense()`` that only oracles call: a
 Multiplier (a row in xi: a row product), a Dense coefficient matrix, or a
 Stacked polynomial (a weighted sum of the coefficient matrices of a fixed
-stack plus a row product: one N x N GEMV on the summed matrix, with no
-FFT); quantized(grid, values) is the one-entry Stacked.  The coefficient
-matrix of a table, E_syn^H (E_syn * p), is one FFT along x
-(coefficient_matrix); stage_matrices forms the summed matrices of Stacked
-ops over one stack by one real GEMM, which a solve attaches to copies of
-the stages it steps with.  A Stacked op never changes after it is made.
+stack, which it forms for the call); quantized(grid, values) is the
+one-entry Stacked.  The coefficient matrix of a table, E_syn^H (E_syn * p),
+is one FFT along x (coefficient_matrix); stage_matrices forms the summed
+matrices of Stacked ops over one stack by one real GEMM, and a solve
+steps on them as Dense operators.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -45,7 +44,7 @@ differences on the uniform frequency lattice (the Nyquist column is
 excluded).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,33 +162,24 @@ class Dense:
 
 @dataclass(frozen=True, eq=False)
 class Stacked:
-    """sum_i weights[i] op(G_i) + diag(row) on coefficients, from the
-    coefficient stack A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the
-    stack is fixed, and only the weights and the row change from one time
-    to the next.  It applies its coefficient matrix sum_i weights[i] A[i]:
-    the attached matrix, which a solve gives the stages it steps with
-    (Stacked(grid, stack, weights, row, slot)), else one it forms for the
-    call."""
+    """sum_i weights[i] op(G_i) on coefficients, from the coefficient stack
+    A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the stack is fixed, and
+    only the weights change from one time to the next.  Applied, it is the
+    Dense operator of its coefficient matrix sum_i weights[i] A[i], formed
+    for the call (stage_matrices)."""
 
     grid: Grid
     stack: np.ndarray       # (J+1, N, N)
     weights: np.ndarray     # (J+1,)
-    row: np.ndarray         # (N,)
-    matrix: np.ndarray = field(default=None, repr=False)  # (N, N), attached
 
-    def _matrix(self):
-        if self.matrix is not None:
-            return self.matrix
-        return stage_matrices([self])[0]
+    def _dense(self):
+        return Dense(self.grid, stage_matrices([self])[0])
 
     def matvec_hat(self, w_hat):
-        """M w_hat + row * w_hat with M the coefficient matrix: one N x N
-        GEMV, one GEMM for each row of a stack (B, N)."""
-        return (self._matrix() @ w_hat.T).T + self.row * w_hat
+        return self._dense().matvec_hat(w_hat)
 
     def dense(self):
-        E_syn = self.grid.synthesis_matrix()
-        return _on_nodes(self.grid, E_syn @ self._matrix() + E_syn * self.row)
+        return self._dense().dense()
 
 
 def stage_matrices(ops, out=None):
@@ -197,7 +187,7 @@ def stage_matrices(ops, out=None):
     (len(ops), N, N) array, written into out when given.  The weights are
     real, so the matrices of ops over one stack are one real GEMM,
     (B x (J+1)) @ ((J+1) x 2N^2), on the stack seen as float64, which
-    reads the stack once however many ops it forms (a solve forms the 2B
+    reads the stack once however many ops it forms (a solve forms the 2B + 1
     stage times of a batch of B steps with one call); ops over different
     stacks take one such product each."""
     N = ops[0].grid.N
@@ -256,8 +246,7 @@ def coefficient_matrix(grid, values, out=None):
 def quantized(grid, values):
     """op(p), p given by its table values, on coefficients: the one-entry
     Stacked of its coefficient matrix."""
-    return Stacked(grid, coefficient_matrix(grid, values)[None], np.ones(1),
-                   np.zeros(grid.N))
+    return Stacked(grid, coefficient_matrix(grid, values)[None], np.ones(1))
 
 
 def spectral_stack(grid, tables):

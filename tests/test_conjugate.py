@@ -310,6 +310,39 @@ def test_time_weight_terms(grid):
     assert terms["kprime"].values[0, k_col].real == pytest.approx(expect, rel=1e-12)
 
 
+def test_kprime_part_is_the_time_stage_term(grid):
+    # the k-polynomial {0: C2 X, 1: C1 X} of kprime, X = <xi>_h^{1/theta},
+    # is -k'(t) X, the term the time stage adds, since k' + C1 k + C2 = 0
+    p = params_with(C1=0.2, C2=0.01)
+    asm = ConjugationAssembler(PROB, p, grid)
+    X = bracket_h(grid.xi, p.h) ** (1 / p.theta)
+    X[grid.nyquist] = 0.0
+    for t in (0.0, 0.3, 1.0):
+        want = -float(k_prime(t, p)) * X
+        got = asm.part("kprime", t).values
+        assert got.shape == (1, N)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["complex-damped", "kdv-baseline"])
+def test_stage_follows_new_time_weight_constants(grid, name):
+    # a generator formed before C1 and C2 change is not applied after: the
+    # kprime part reads them, so the stage after the change is the
+    # quantized generator table at the new constants
+    weights = {"M2": 0.0, "M1": 0.0} if name == "kdv-baseline" else {}
+    asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
+                               params_with(C1=0.2, C2=0.01, **weights), grid)
+    rng = np.random.default_rng(9)
+    w_hat = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    asm.stage_operators([0.0, 0.3])
+    asm.params = asm.params.with_ode_constants(0.5, 0.1)
+    for t in (0.0, 0.3):
+        got = asm.stage_operators([t])[0].matvec_hat(w_hat)
+        ref = quantized(grid, asm.at(t).generator_table().values
+                        ).matvec_hat(w_hat)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_b2k_bound_measured(grid):
     p = params_with(C1=0.05)
     cs = ConjugationAssembler(PROB, p, grid).at(0.2)
@@ -813,21 +846,18 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
 
 
 def _per_time_stage(asm, t):
-    """The stage at one time, built as before stage_operators: scalar k(t)
-    and k'(t), the row, or the coefficient matrix of that time's weights
-    formed alone."""
+    """The stage at one time, built as before stage_operators: scalar k(t),
+    the row G_0 + sum_j k^j G_j, or the coefficient matrix of that time's
+    weights formed alone."""
     rows, powers, stack = asm._polynomial(t)
     k = float(k_of_t(t, asm.params))
-    kp = -float(k_prime(t, asm.params)) * asm.xi_pow
-    kp[asm.grid.nyquist] = 0.0
     if rows is not None:
-        row = rows[0] + kp
+        row = rows[0].copy()
         for j, G in zip(powers, rows[1:]):
             row += (k ** j) * G
         return Multiplier(asm.grid, row)
-    op = Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]),
-                 kp)
-    return replace(op, matrix=stage_matrices([op])[0])
+    op = Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]))
+    return Dense(asm.grid, stage_matrices([op])[0])
 
 
 @pytest.mark.parametrize("name, weights, variant", [
@@ -838,7 +868,7 @@ def _per_time_stage(asm, t):
 def test_stage_operators_match_the_per_time_build(grid, name, weights,
                                                   variant):
     # one call for a block of stage times gives, time by time, the stage of
-    # the per-time build; C1, C2 > 0 so k and k' vary over the block
+    # the per-time build; C1, C2 > 0 so k varies over the block
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
                                params_with(C1=0.2, C2=0.01, **weights), grid)
     taus = np.linspace(0.0, 1.0, 9)
@@ -856,18 +886,18 @@ def test_stage_operators_match_the_per_time_build(grid, name, weights,
 @pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
 def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
                                                        monkeypatch):
-    # the solve forms a batch's new stage times, a pair per step, in one
-    # GEMM over the stack (time-modulated: one product per time's own
-    # stack), in slots it reuses; each matrix equals the stage's own,
-    # formed alone, and in a three-step solve each batch writes only into
-    # slots its carried first stage does not hold, the slots its steps
-    # read their half and end stages from
+    # the solve forms a batch's stage times, its start and a pair per step,
+    # in one GEMM over the stack (time-modulated: one product per time's
+    # own stack), in slots it reuses; each matrix equals the stage's own,
+    # formed alone, and in a three-step solve each batch's steps read, in
+    # order, the slots that batch wrote: step k its start, half and end
+    # stages 2k, 2k + 1 and 2k + 2
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
                                params_with(C1=0.2, C2=0.01), grid)
     taus = np.linspace(0.0, 0.3, 7)
     ops = asm.stage_operators(taus)
     alone = [stage_matrices([op])[0] for op in ops]
-    for j, n in ((1, 2), (3, 2), (1, 6)):
+    for j, n in ((0, 3), (2, 3), (0, 7)):
         for M, want in zip(stage_matrices(ops[j:j + n]), alone[j:j + n]):
             assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
     events = []
@@ -876,15 +906,17 @@ def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
         return M.__array_interface__["data"][0]
 
     def recording_form(ops, out=None):
-        events.append(("form", {address(M) for M in out}))
+        events.append(("form", {address(M): op for M, op in zip(out, ops)}))
         return form(ops, out)
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
-        for op in stages:
-            want = stage_matrices([replace(op, matrix=None)])[0]
-            assert np.max(np.abs(op.matrix - want)) \
+        formed = [e for kind, e in events if kind == "form"][-1]
+        for M in stages:
+            assert isinstance(M, Dense)
+            want = stage_matrices([formed[address(M.matrix)]])[0]
+            assert np.max(np.abs(M.matrix - want)) \
                 <= 1e-15 * np.max(np.abs(want))
-        events.append(("step", [address(op.matrix) for op in stages]))
+        events.append(("step", [address(M.matrix) for M in stages]))
         return step(v_hat, dt, grid, phases, stages, forcing)
 
     form, step = evolve.stage_matrices, evolve.step
@@ -894,13 +926,14 @@ def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
     traj = solve_conjugated(asm, None, v0_hat, 0.3, dt=0.1)
     assert traj.meta["steps"] == 3
     assert [kind for kind, _ in events].count("step") == 3
-    assert events[0][0] == "form" and events[1][0] == "form"
-    for i, (kind, written) in enumerate(events[1:], 1):
+    assert events[0][0] == "form"
+    for i, (kind, written) in enumerate(events):
         if kind == "form":
             batch = events[i + 1:i + 1 + len(written) // 2]
             assert [k for k, _ in batch] == ["step"] * len(batch)
-            assert batch[0][1][0] not in written
-            assert {a for _, s in batch for a in s[1:]} == written
+            order = list(written)
+            for k, (_, read) in enumerate(batch):
+                assert read == order[2 * k:2 * k + 3]
 
 
 @pytest.mark.parametrize("name, weights, exact", [

@@ -241,7 +241,7 @@ def test_stacked_step_matches_dense_step(grid):
 def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     # a damped-64 solve quantizes no table per stage time: it builds the
     # coefficient stack of its one coefficient time once, and every stage
-    # it applies is that stack weighted at its own time, k' row included.
+    # it applies is that stack weighted at its own time, kprime included.
     # The stages are applied after the solve has ended and reused its
     # slots: each must then form its own matrix, not read a stale slot
     setup = small_setup
@@ -300,17 +300,26 @@ def _count_stage_forms(monkeypatch):
     return sizes
 
 
+def _batches(n, B):
+    """The stage_matrices sizes of n steps in batches of B: 2b + 1 each."""
+    q, r = divmod(n, B)
+    return [2 * B + 1] * q + [2 * r + 1] * (r > 0)
+
+
 def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
-    # an unforced damped-64 solve (one block) forms the t = 0 stage's
-    # coefficient matrix alone and the 2B new ones of each batch of B = J
-    # steps (the last batch r <= B) in one GEMM over the stack of J + 1
-    # tables: one matrix per stage time, into at most 2B + 1 slots for the
-    # whole solve.  Every stage a step applies holds its matrix, equal to
-    # the one it forms alone, and no Grid.forward call comes from a stage
+    # an unforced damped-64 solve (one block) forms the 2B + 1 stage
+    # matrices of each batch of B = J steps (the last batch r <= B) in one
+    # GEMM over the stack of J + 1 tables: one matrix per stage time, and
+    # one more per batch past the first for its start, into at most
+    # 2B + 1 slots for the whole solve.  Every stage a step applies is a
+    # Dense operator on the matrix of its own time (the step's start, half
+    # and end), equal to the weighted stack, and no Grid.forward call comes
+    # from a stage
     from gevrey_evolve.grid import Grid
     grid, bundle = small_setup["grid"], small_setup["bundle"]
+    asm = bundle.assembler
     sizes = _count_stage_forms(monkeypatch)
-    slots, inside, forwards = set(), [False], [0]
+    slots, applied, inside, forwards = set(), [], [False], [0]
     forward = Grid.forward
 
     def counting_forward(self, u):
@@ -318,12 +327,9 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
         return forward(self, u)
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
-        for op in stages:
-            assert isinstance(op, Stacked) and op.matrix is not None
-            slots.add(op.matrix.__array_interface__["data"][0])
-            want = np.tensordot(op.weights, op.stack, axes=1)
-            assert np.max(np.abs(op.matrix - want)) \
-                <= 1e-15 * np.max(np.abs(want))
+        assert all(isinstance(M, Dense) for M in stages)
+        slots.update(M.matrix.__array_interface__["data"][0] for M in stages)
+        applied.append([M.matrix.copy() for M in stages])
         inside[0] = True
         try:
             return step(v_hat, dt, grid, phases, stages, forcing)
@@ -332,17 +338,47 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
 
     monkeypatch.setattr(Grid, "forward", counting_forward)
     monkeypatch.setattr(evolve, "step", checking_step)
-    traj = solve_conjugated(bundle.assembler, None,
+    traj = solve_conjugated(asm, None,
                             grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
                             0.5)
-    B = len(bundle.assembler.stage_operators([0.0])[0].stack) - 1
+    B = len(asm.stage_operators([0.0])[0].stack) - 1
     steps = traj.meta["steps"]
-    q, r = divmod(steps, B)
+    assert len(applied) == steps
+    for mats, t0, t1 in zip(applied, traj.times, traj.times[1:]):
+        for M, tau in zip(mats, (t0, t0 + 0.5 * (t1 - t0), t1)):
+            op = asm.stage_operators([tau])[0]
+            want = np.tensordot(op.weights, op.stack, axes=1)
+            assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
     assert B > 1
-    assert sizes == [1] + [2 * B] * q + [2 * r] * (r > 0)
-    assert sum(sizes) == 2 * steps + 1
+    assert sizes == _batches(steps, B)
+    assert sum(sizes) == 2 * steps + len(sizes)
     assert 0 < len(slots) <= 2 * B + 1
     assert forwards[0] == 0
+
+
+def test_batch_start_is_formed_as_the_last_end(small_setup, monkeypatch):
+    # a damped-64 solve of 25 steps in blocks of 10 forms each batch's start
+    # again, within a block and across blocks: bit for bit the matrix the
+    # batch before formed for its last end
+    grid, asm = small_setup["grid"], small_setup["assembler"]
+    stage = asm.stage_operators([0.0])[0]
+    monkeypatch.setattr(evolve, "BLOCK_BYTES",
+                        10 * step_bytes(stage, False, False))
+    forms, form = [], quantize.stage_matrices
+
+    def recording(ops, out=None):
+        out = form(ops, out)
+        forms.append(out.copy())
+        return out
+
+    monkeypatch.setattr(evolve, "stage_matrices", recording)
+    traj = solve_conjugated(asm, None, grid.forward(
+        synthetic_radius_field(grid, 0.7, 1.8)), 0.5, dt=0.02)
+    B = len(stage.stack) - 1
+    assert traj.meta["steps"] == 25 and B > 1
+    assert len(forms) == len(_batches(10, B) * 2 + _batches(5, B)) > 3
+    for before, after in zip(forms, forms[1:]):
+        assert np.array_equal(after[0], before[-1])
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
@@ -366,17 +402,12 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
     batched = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
                                dt=0.02)
     B = len(stage.stack) - 1
-
-    def batches(n):
-        q, r = divmod(n, B)
-        return [2 * B] * q + [2 * r] * (r > 0)
-
     assert batched.meta["steps"] == 25 and 10 % B and 5 % B
-    assert sizes == [1] + batches(10) * 2 + batches(5)
+    assert sizes == _batches(10, B) * 2 + _batches(5, B)
     monkeypatch.setattr(evolve, "batch_steps", lambda stage, own_stack: 1)
     single = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
                               dt=0.02)
-    assert sizes[-25:] == [2] * 25
+    assert sizes[-25:] == [3] * 25
     for name in ("v_hats", "l2", "energy_rate"):
         assert np.array_equal(getattr(batched, name), getattr(single, name))
 
@@ -408,22 +439,19 @@ def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
 
 def test_stage_operators_carry_no_matrix_through_a_solve(small_setup,
                                                         monkeypatch):
-    # a damped-64 solve steps with copies of its Stacked stages that have
-    # their slots attached: the ops stage_operators returns carry no
-    # matrix before, during or after the solve, and cannot be given one
+    # a damped-64 solve steps on Dense operators over its slots, never on
+    # the ops stage_operators returns: those are Stacked weights over the
+    # coefficient stack alone, hold no matrix and cannot be given one
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     made, build = [], ConjugationAssembler.stage_operators
 
     def recording(self, taus):
         ops = build(self, taus)
-        assert all(op.matrix is None for op in ops)
         made.extend(ops)
         return ops
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
-        assert all(op.matrix is None for op in made)
-        assert all(op.matrix is not None for op in stages)
-        assert not any(op is m for op in stages for m in made)
+        assert all(isinstance(op, Dense) for op in stages)
         return step(v_hat, dt, grid, phases, stages, forcing)
 
     monkeypatch.setattr(ConjugationAssembler, "stage_operators", recording)
@@ -432,7 +460,9 @@ def test_stage_operators_carry_no_matrix_through_a_solve(small_setup,
                             grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
                             0.5)
     assert len(made) == 2 * traj.meta["steps"] + 1
-    assert all(isinstance(op, Stacked) and op.matrix is None for op in made)
+    assert all(isinstance(op, Stacked) for op in made)
+    assert [f.name for f in dataclasses.fields(Stacked)] == [
+        "grid", "stack", "weights"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         made[0].matrix = np.eye(grid.N)
 
@@ -548,11 +578,11 @@ def _kdv_assembler(grid, C1, C2):
 
 
 def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
-    # kdv-baseline with C1, C2 > 0 (a time-dependent k' row) and a forcing
-    # steps with Multiplier stages: each block is one step() call for P and
-    # one for Q on (B, N) stacks, and then P * v + Q per step.  In blocks of
-    # 3 (25 steps: a short last block) it gives the states of step() taken
-    # one step at a time
+    # kdv-baseline with C1, C2 > 0 (a time-dependent kprime part) and a
+    # forcing steps with Multiplier stages: each block is one step() call
+    # for P and one for Q on (B, N) stacks, and then P * v + Q per step.  In
+    # blocks of 3 (25 steps: a short last block) it gives the states of
+    # step() taken one step at a time
     asm = _kdv_assembler(grid, 0.5, 0.3)
     assert isinstance(asm.stage_operators([0.0])[0], Multiplier)
     f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))

@@ -727,10 +727,9 @@ def test_block_sums_match_real_sum(case, small_setup, modulated64):
             assert scale > 0.0 or (case == "kdv-baseline-64"
                                    and name != "theta"), (name, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, t)
-            fixed = tuple(n for n in names if n != "kprime")
-            poly = polys[asm.coefficient_time(t), fixed]
+            poly = polys[asm.coefficient_time(t), names]
             again = positivity.block_sum(asm, names, t, polys)
-            assert polys[asm.coefficient_time(t), fixed] is poly
+            assert polys[asm.coefficient_time(t), names] is poly
             assert np.array_equal(again, got)
             rows = 1 if case == "kdv-baseline-64" else grid.N
             assert poly.shape[1:] == (rows, region.sum())

@@ -123,15 +123,26 @@ MUTANTS = [
            (T_CONJ + "test_stage_keeps_d1_and_a2_once",
             T_CONJ + "test_d1_matches_independent_derivative_path")),
     Mutant("multiplier-row-without-kprime", CONJ,
-           "R = rows[0] + kprime[sl]",
-           "R = rows[0] + 0.0 * kprime[sl]",
+           "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names)",
+           "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names\n"
+           "                   if n != \"kprime\")",
            (STACKED_CASE + "[kdv-baseline-10.0-64]",
             T_EVOLVE + "test_multiplier_step_matches_dense_step[64-10.0]")),
-    Mutant("stacked-without-kprime-row", CONJ,
-           "for w, row in zip(K, kprime[sl])]",
-           "for w, row in zip(K, 0.0 * kprime[sl])]",
+    Mutant("stacked-without-kprime", CONJ,
+           "polys = (self._poly(entry, name) for name in POLY_PARTS)",
+           "polys = (self._poly(entry, name) for name in POLY_PARTS\n"
+           "                         if name != \"kprime\")",
            (STACKED_CASE + "[complex-damped-10.0-64]",
             T_EVOLVE + "test_stacked_step_matches_dense_step")),
+    Mutant("kprime-part-drops-C1", CONJ,
+           "return {0: X * self.params.C2, 1: X * self.params.C1}",
+           "return {0: X * self.params.C2, 1: X * 0.0}",
+           (T_CONJ + "test_kprime_part_is_the_time_stage_term",)),
+    Mutant("generator-kept-across-params", CONJ,
+           "        for entry in self._cache.values():\n"
+           "            entry.pop(\"generator\", None)\n",
+           "",
+           (T_CONJ + "test_stage_follows_new_time_weight_constants",)),
     Mutant("stack-rebuilt-at-every-stage-time", CONJ,
            'if "generator" not in entry:',
            "if True:",
@@ -142,10 +153,16 @@ MUTANTS = [
            "                  * (np.arange(len(stack)) < len(stack) - (len(ops) > 1)),",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             PAIR_CASE + "[complex-damped]")),
-    Mutant("pair-overwrites-the-first-stage", EVOLVE,
-           "first = attached(ops[-1], slots[0])",
-           "first = ops[-1]",
-           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
+    Mutant("batch-start-read-from-a-stale-slot", EVOLVE,
+           "ops = [Dense(grid, M) for M in stage_matrices(\n"
+           "                        stages[2 * i:2 * i + 2 * b + 1], "
+           "slots[:2 * b + 1])]",
+           "ops = [Dense(grid, slots[0])] + [Dense(grid, M) for M in "
+           "stage_matrices(\n"
+           "                        stages[2 * i + 1:2 * i + 2 * b + 1], "
+           "slots[1:2 * b + 1])]",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
+            T_EVOLVE + "test_batch_start_is_formed_as_the_last_end")),
     Mutant("slots-allocated-for-multiplier-stages", EVOLVE,
            "    if not affine:\n"
            "        batch = batch_steps(",
@@ -157,11 +174,11 @@ MUTANTS = [
            "                            ops[2 * k:2 * k + 3],\n",
            "                            stages[2 * j:2 * j + 3],\n",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
-    Mutant("batch-overwrites-the-carried-stage", EVOLVE,
-           "new, slots[1:2 * b + 1]",
-           "new, slots[0:2 * b]",
-           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
-            PAIR_CASE + "[complex-damped]")),
+    Mutant("batch-stages-shifted-by-one-time", EVOLVE,
+           "stages[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]",
+           "stages[2 * i + 1:2 * i + 2 * b + 1] + stages[-1:], "
+           "slots[:2 * b + 1])]",
+           (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("batch-ignores-block-end", EVOLVE,
            "b = min(batch, stop - start - i)",
            "b = batch",
@@ -195,14 +212,13 @@ MUTANTS = [
            (T_POS + "test_trials_share_the_coefficient_tables"
             "[time-modulated]",)),
     Mutant("block-sum-keyed-without-coefficient-time", POS,
-           "key = (assembler.coefficient_time(t), fixed)",
-           "key = fixed",
+           "key = (assembler.coefficient_time(t), tuple(names))",
+           "key = tuple(names)",
            (T_POS + "test_block_sums_match_real_sum[time-modulated-64]",)),
     Mutant("generator-without-ia1-k", CONJ,
-           """POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
-                   if n != "kprime")""",
-           """POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names
-                   if n not in ("kprime", "ia1_k"))""",
+           "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names)",
+           "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names\n"
+           "                   if n != \"ia1_k\")",
            (T_HARNESS + "test_run_outputs_match_the_benchmark_reference",)),
     Mutant("horner-drops-the-top-power", POS,
            "for R_j in R[::-1]:",
