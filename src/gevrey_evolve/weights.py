@@ -48,12 +48,21 @@ _STEP_DEGREE = 360
 
 
 def _build_step_series():
-    deg = _STEP_DEGREE
-    nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
+    """The normalized antiderivative of the bump's Chebyshev interpolant at
+    the n = deg + 1 Chebyshev-Gauss nodes x_k = cos(pi (k + 1/2) / n), in
+    closed form: c_j = (2/n) sum_k f(x_k) cos(j pi (k + 1/2) / n), c_0
+    halved.  The angles are reduced exactly, as integers j (2k + 1) mod 4n
+    of pi / 2n, and the sums are numpy reductions, not a BLAS product, so
+    the series does not depend on the BLAS build or its thread count."""
+    n = _STEP_DEGREE + 1
+    k = np.arange(n)
+    nodes = np.cos(np.pi * (k + 0.5) / n)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         vals = np.where(np.abs(nodes) < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - nodes ** 2, 1e-300)), 0.0)
-    coef = _cheb.chebfit(nodes, vals, deg)
+    angles = np.outer(k, 2 * k + 1) % (4 * n) * (np.pi / (2 * n))
+    coef = (2.0 / n) * np.sum(np.cos(angles) * vals, axis=1)
+    coef[0] *= 0.5
     integral = _cheb.chebint(coef, lbnd=-1.0)
     total = _cheb.chebval(1.0, integral)
     return integral / total

@@ -150,13 +150,15 @@ def test_time_weight_rejection_builds_only_what_c2_reads(monkeypatch):
 
 def _calibrated_in_full(assembler):
     """calibrate_time_weight without the early check on C2: each round
-    reads all four tables at every sample time before k(T) is checked."""
+    reads all four tables at every sample time before k(T) is checked.
+    The sums are read through block_sum, as the calibration reads them, so
+    the verdicts compare bit for bit."""
     p, params, grid = assembler.problem, assembler.params, assembler.grid
-    norm_t = positivity._margin_normalizers(grid, params)["theta"]
     region = conjugate.checked_region(grid, params)
-    sup = lambda values: float(np.max(
-        (np.maximum(0.0, -values) / norm_t)[:, region]))
-    real = lambda name, t: assembler.part(name, float(t)).values.real
+    norm_t = positivity._margin_normalizers(grid, params)["theta"][:, region]
+    sup = lambda values: float(np.max(np.maximum(0.0, -values) / norm_t))
+    polys = {}
+    real = lambda names, t: positivity.block_sum(assembler, names, t, polys)
     C1, C2 = 0.0, 0.0
     for _ in range(positivity.FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
@@ -165,9 +167,9 @@ def _calibrated_in_full(assembler):
         C1_new, C2_new = 0.0, 0.0
         for t in np.linspace(0.0, p.T, 5):
             kt = float(k_of_t(t, params))
-            C1_new = max(C1_new, sup(real("b1k", t)) / kt)
-            C2_new = max(C2_new, sup(real("ia1_k", t) + real("m2_tail", t)
-                                     + real("m1_tail", t)))
+            C1_new = max(C1_new, sup(real(("b1k",), t)) / kt)
+            C2_new = max(C2_new, sup(real(("ia1_k", "m2_tail", "m1_tail"),
+                                          t)))
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -289,14 +291,23 @@ def test_calibration_installs_its_last_round():
 
 
 def _calibrated_by_at(assembler):
-    """C1 and C2 measured from at(t).parts, and the two tails, which at(t)
-    does not hold, from part(): the reference for calibration's reads of
-    the same four tables through real_sum."""
+    """C1 and C2 measured from the sums of at(t).parts and the two tails,
+    which at(t) does not hold, read from part(): the reference for
+    calibration's reads of the same four tables.  Each sum must match
+    block_sum's Horner sum of the same tables to 1e-13, and the constants
+    are measured from block_sum's, so that they compare bit for bit."""
     p, params, grid = assembler.problem, assembler.params, assembler.grid
-    norm_t = positivity._margin_normalizers(grid, params)["theta"]
     region = conjugate.checked_region(grid, params)
-    sup = lambda values: float(np.max(
-        (np.maximum(0.0, -values) / norm_t)[:, region]))
+    norm_t = positivity._margin_normalizers(grid, params)["theta"][:, region]
+    sup = lambda values: float(np.max(np.maximum(0.0, -values) / norm_t))
+    polys = {}
+
+    def checked(names, by_at, t):
+        got = positivity.block_sum(assembler, names, t, polys)
+        want = by_at[:, region]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        return got
+
     C1, C2 = 0.0, 0.0
     for _ in range(positivity.FP_ROUNDS):
         params = params.with_ode_constants(C1, C2)
@@ -306,9 +317,12 @@ def _calibrated_by_at(assembler):
             parts = assembler.at(float(t)).parts
             tail = lambda name: assembler.part(name, float(t)).values.real
             kt = float(k_of_t(t, params))
-            C1_new = max(C1_new, sup(parts["b1k"].values.real) / kt)
-            C2_new = max(C2_new, sup(parts["ia1_k"].values.real
-                                     + tail("m2_tail") + tail("m1_tail")))
+            b1k = checked(("b1k",), parts["b1k"].values.real, t)
+            rest = checked(("ia1_k", "m2_tail", "m1_tail"),
+                           parts["ia1_k"].values.real + tail("m2_tail")
+                           + tail("m1_tail"), t)
+            C1_new = max(C1_new, sup(b1k) / kt)
+            C2_new = max(C2_new, sup(rest))
         moved = (abs(C1_new - C1) > 0.01 * max(C1, 1e-12)
                  or abs(C2_new - C2) > 0.01 * max(C2, 1e-12))
         C1, C2 = C1_new, C2_new
@@ -384,9 +398,9 @@ def test_accepted_assembler_equals_a_fresh_one(case, small_setup,
 @pytest.mark.parametrize("case", ["damped-64", "time-modulated-64"])
 def test_calibration_reads_parts_without_at(case, small_setup, modulated64,
                                             monkeypatch):
-    # calibration reads b1k, ia1_k and the two tails through part() and
-    # makes no at() call; its C1 and C2 equal, bit for bit, those measured
-    # from at(t).parts
+    # calibration reads b1k, ia1_k and the two tails through their block
+    # polynomials and makes no at() call; its C1 and C2 equal, bit for bit,
+    # those measured from the same sums, which match at(t).parts
     if case == "damped-64":
         prob, grid = small_setup["problem"], small_setup["grid"]
         accepted = small_setup["params"]

@@ -271,6 +271,25 @@ def test_a_damped_phase_table_build_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_selected_weights_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a damped-64 verify resolves M1 bit for bit alike under one and two
+    # BLAS threads: the smooth step's series, which every window reads, is
+    # formed without a BLAS call whose rounding follows the thread count
+    src = Path(weights.__file__).resolve().parents[1]
+    m1 = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        cfg = tmp_path / f"{threads}.cfg"
+        cfg.write_text(f"grid.L = 10\ngrid.N = 64\noutput.dir = {out}\n")
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "gevrey_evolve", "verify",
+                        str(cfg)], env=env, capture_output=True, check=True)
+        resolved = (out / "resolved.cfg").read_text().splitlines()
+        m1 += [line for line in resolved if line.startswith("weights.M1 =")]
+    assert len(m1) == 2 and m1[0] == m1[1]
+
+
 def test_windowed_integral_with_domain_cap():
     # the domain roll-off freezes the integral before the seam
     D = np.sqrt(1 + 100.0)
