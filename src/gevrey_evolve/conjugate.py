@@ -33,12 +33,11 @@ k' + C1 k + C2 = 0.  So the generator is G_0 + sum_j k(t)^j G_j, G_j
 summing the parts' U_j.  Each asymptotic series behind the tables stops
 where its first read stopped it, at t = 0 on every pipeline path
 (_truncated), so the tables of every coefficient time are cut at the same
-orders.  Per
-coefficient time the assembler keeps the coefficient stack of G_0 and
-the G_j, one FFT along x per table, from which the time stepper forms
-each stage's coefficient matrix by one GEMM (quantize.stage_matrices);
-once a run has its step, the assembler of time-independent coefficients
-keeps only that stack (release_tables).
+orders.  Per coefficient time the assembler keeps the coefficient stack
+of G_0 and the G_j, one FFT along x per table, from which the time
+stepper forms each stage's coefficient matrix by one GEMM
+(quantize.stage_matrices); once a run has its step, the assembler of
+time-independent coefficients keeps only that stack (release_tables).
 """
 
 import math
@@ -840,9 +839,10 @@ class ConjugationAssembler:
         """The real k-polynomial of the named tables at the coefficient time
         of t, as one array R of shape (J + 1, rows, columns): R[j] sums
         Re U_j over the names, in their order, on the columns of
-        checked_region (zero where no name has a k^j table); kprime's reads
-        the current C1 and C2.  A sum of rows stays a row (rows = 1).  Formed at each
-        call and not kept: a caller that reads it again keeps it."""
+        checked_region (zero where no name has a k^j table); kprime's U_j
+        read the current C1 and C2.  A sum of rows stays a row (rows = 1).
+        Formed at each call and not kept: a caller that reads it again
+        keeps it."""
         entry = self._entry(t)
         region = checked_region(self.grid, self.params)
         polys = [self._poly(entry, name) for name in names]

@@ -111,7 +111,8 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
 # working set is DENSE_TABLES * 16 N^2 bytes, (peak RSS - RSS after import)
 # / 16 N^2 measured.  42 to 53 were measured for complex-damped at N = 128,
 # 256 and 1024 (real tables are float64, and a run drops the tables its
-# solve does not read; the solve's 2B + 1 stage slots, 9 there, are
+# solve does not read; the solve's 2B + 1 stage slots, 9 there, into
+# which each batch forms its start again rather than copying it, are
 # allocated after release_tables and stay below the setup's peak), and
 # 147 to 156 for time-modulated at N = 128 and 256, whose assembler keeps
 # the tables of conjugate.MEMO_TIMES coefficient times and whose solve
@@ -442,10 +443,14 @@ def worker_count():
     cap = os.environ.get("GEVREY_EVOLVE_THREADS")
     if cap:
         try:
-            return max(1, int(cap))
+            workers = int(cap)
+            if workers < 1:
+                raise ValueError(cap)
         except ValueError:
             raise ConfigurationError(
-                f"GEVREY_EVOLVE_THREADS must be an integer, got {cap!r}")
+                f"GEVREY_EVOLVE_THREADS must be a positive integer, "
+                f"got {cap!r}")
+        return workers
     return min(4, os.cpu_count() or 1)
 
 

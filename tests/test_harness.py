@@ -639,14 +639,18 @@ def test_time_dependent_working_set_is_budgeted(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_thread_cap_must_be_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GEVREY_EVOLVE_THREADS", "abc")
+@pytest.mark.parametrize("cap", ["abc", "0", "-2"])
+def test_thread_cap_must_be_an_integer(cap, tmp_path, capsys, monkeypatch):
+    # a thread cap that is no positive integer is a config error with one
+    # stderr line, not a pool of one worker
+    monkeypatch.setenv("GEVREY_EVOLVE_THREADS", cap)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SMALL)
     assert main(["sweep", str(cfg), "--axis", "h", "--values", "4"]) \
         == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "GEVREY_EVOLVE_THREADS" in err and len(err.strip().splitlines()) == 1
+    assert err == ("error (config): GEVREY_EVOLVE_THREADS must be a positive "
+                   f"integer, got {cap!r}\n")
 
 
 # grid.N = 8 on L = 40 resolves no frequency beyond R_a3, yet validates
