@@ -20,7 +20,6 @@ import errno
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,14 +108,19 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
             "data.kind": ("gevrey", "gaussian", "mode")}
 # live complex N x N tables at the peak of a run, rounded up: the dense
 # working set is DENSE_TABLES * 16 N^2 bytes, (peak RSS - RSS after import)
-# / 16 N^2 measured.  42 to 53 were measured for complex-damped at N = 128,
-# 256 and 1024 (real tables are float64, and a run drops the tables its
-# solve does not read; the solve's 2B + 1 stage slots, 9 there, into
-# which each batch forms its start again rather than copying it, are
-# allocated after release_tables and stay below the setup's peak), and
-# 147 to 156 for time-modulated at N = 128 and 256, whose assembler keeps
-# the tables of conjugate.MEMO_TIMES coefficient times and whose solve
-# steps one step per block, each stage holding its own coefficient stack
+# / 16 N^2 measured through main, under its allocator policy
+# (reuse_freed_memory).  57, 45 and 42 were measured for complex-damped at
+# N = 128, 256 and 1024 (55, 45 and 42 without the policy; real tables are
+# float64, and a run drops the tables its solve does not read).  The
+# solve's 2B + 1 stage slots, into which each batch forms its start again
+# rather than copying it, are allocated after release_tables; at N <= 256
+# they come from the heap the released tables leave, and the solve raises
+# the setup's peak by 0.9 MiB at N = 128, 0.3 at 256 and 0.3 at 1024,
+# which the figures include.  159 and 152 were measured for
+# time-modulated at N = 128 and 256 (161 and 149 without the policy),
+# whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient
+# times and whose solve, which sets the peak, steps one step per block,
+# each stage holding its own coefficient stack
 DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
 
@@ -496,6 +500,9 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
     out = out_dir or cfg["output.dir"]
     if write:
         require_output_dir(out)
+    # imported here: concurrent.futures pulls in logging, threading and
+    # queue, which no other command reads
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, vals))
 
@@ -613,7 +620,41 @@ def model_problem_spatial_dense(problem, grid, t):
 # CLI
 # ----------------------------------------------------------------------
 
+# glibc's allocator policy for a command-line run (malloc.h: M_TRIM_THRESHOLD
+# -1, M_MMAP_THRESHOLD -3).  By default glibc maps each block of 128 KiB or
+# more, raises that threshold only as mapped blocks are freed, and trims the
+# heap top past twice it, so the freed N x N tables of one kernel go back to
+# the kernel and the next kernel faults them in again.  Blocks below
+# MMAP_THRESHOLD (32 MiB, glibc's cap for its dynamic threshold on 64-bit;
+# one N = 1024 complex table is 16 MiB) come from the heap, and the heap
+# keeps up to TRIM_THRESHOLD of free top.  Both are set: setting either one
+# switches the dynamic threshold off, and the trim threshold alone would
+# map every block from 128 KiB on.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def reuse_freed_memory():
+    """Set the allocator policy above through glibc's mallopt; returns
+    whether both settings took.  A silent no-op, returning False, where
+    the C library is not glibc.  main calls it once; a library caller
+    (run_pipeline, the tests) keeps its host's allocator."""
+    import ctypes
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mmap_set = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    trim_set = mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return bool(mmap_set and trim_set)
+
+
 def main(argv=None):
+    reuse_freed_memory()
     parser = argparse.ArgumentParser(
         prog="gevrey-evolve",
         description="Well-posedness pipeline for third-order evolution "

@@ -1,10 +1,19 @@
 import pytest
 
-from gevrey_evolve import make_grid, model_problem
+from gevrey_evolve import harness, make_grid, model_problem
 from gevrey_evolve.positivity import select_parameters_detailed
 
 THETA = 1.8
 SIGMA = 0.75
+
+
+@pytest.fixture(autouse=True)
+def host_allocator(monkeypatch):
+    """harness.main sets glibc's allocator policy for the rest of its
+    process; a test that calls main in-process keeps the host's allocator,
+    as a library caller does (test_harness runs the real policy in
+    subprocesses)."""
+    monkeypatch.setattr(harness, "reuse_freed_memory", lambda: False)
 
 
 @pytest.fixture(scope="session")

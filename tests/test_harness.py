@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -71,9 +73,14 @@ def test_resolved_config_is_replayable(tmp_path):
             == (tmp_path / "replay" / name).read_bytes()
 
 
-def test_run_artifacts(tmp_path):
+def test_run_artifacts(tmp_path, monkeypatch):
+    # a library run keeps its host's allocator: only main sets the policy
+    calls = []
+    monkeypatch.setattr(harness, "reuse_freed_memory",
+                        lambda: calls.append(True))
     cfg = RunConfig.from_text(SMALL)
     run_pipeline(cfg, out_dir=str(tmp_path))
+    assert calls == []
     for name in ("trajectory.csv", "positivity.csv", "report.txt", "resolved.cfg"):
         assert (tmp_path / name).exists()
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
@@ -485,6 +492,51 @@ def test_module_runs_the_command_line(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("error (config): grid.N must be even")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# one `run` through main in a fresh interpreter, since the allocator policy
+# holds for the rest of a process once main sets it; prints the list of what
+# each reuse_freed_memory call returned
+_POLICY_RUN = """
+import ctypes, sys
+from gevrey_evolve import harness
+mode, cfg, out = sys.argv[1:]
+if mode == "stubbed":
+    harness.reuse_freed_memory = lambda: None
+elif mode == "no-libc":
+    def no_libc(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+    ctypes.CDLL = no_libc
+helper, calls = harness.reuse_freed_memory, []
+harness.reuse_freed_memory = lambda: calls.append(helper())
+code = harness.main(["run", cfg, "--out", out])
+print(calls)
+sys.exit(code)
+"""
+
+
+def test_allocator_policy_changes_no_output(tmp_path):
+    # main sets the policy once where the C library is glibc; a run with
+    # the policy, one with the helper stubbed out and one whose libc
+    # lookup fails all exit 0 and write the same bytes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL)
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    glibc = platform.libc_ver()[0] == "glibc"
+    digests = {}
+    for mode, calls in (("policy", [glibc]), ("stubbed", [None]),
+                        ("no-libc", [False])):
+        out = tmp_path / mode
+        proc = subprocess.run([sys.executable, "-c", _POLICY_RUN, mode,
+                               str(cfg), str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(calls)
+        digests[mode] = [hashlib.md5((out / name).read_bytes()).hexdigest()
+                         for name in ("trajectory.csv", "positivity.csv",
+                                      "report.txt")]
+    assert digests["policy"] == digests["stubbed"] == digests["no-libc"]
 
 
 def test_run_into_an_existing_file_names_the_write(tmp_path, capsys):

@@ -129,6 +129,56 @@ def test_seminorm_matches_point_loop(grid):
     assert est == pytest.approx(ref, rel=1e-12)
 
 
+def _seminorm_per_pair(sym, m, mu, nu, A, alpha_max, beta_max, grid, t=0.0):
+    """estimate_seminorm with one symbol evaluation per (alpha, beta), on
+    that pair's stencils alone."""
+    from gevrey_evolve.symbols import _stencil
+    xs = grid.x[:: max(1, grid.N // 16)]
+    band = grid.xi[grid.band_mask()]
+    xis = np.sort(band)[:: max(1, band.size // 16)]
+    sxi = np.sqrt(1.0 + xis * xis)
+    hxi = np.maximum(0.02 * sxi, 1e-3)
+    hx = np.maximum(0.02 * np.sqrt(1.0 + xs * xs), 1e-3)
+    best = 0.0
+    for a in range(alpha_max + 1):
+        offs_xi, wxi = _stencil(a, hxi)
+        for b in range(beta_max + 1):
+            offs_x, wx = _stencil(b, hx)
+            nodes_x = (xs[:, None] + offs_x * hx[:, None])[:, None, :, None]
+            nodes_xi = (xis[:, None] + offs_xi * hxi[:, None])[None, :, None, :]
+            vals = np.asarray(sym.fn(t, nodes_x, nodes_xi), dtype=complex)
+            vals = np.broadcast_to(vals, np.broadcast(nodes_x, nodes_xi).shape)
+            d = np.einsum("ik,ijkl,jl->ij", wx, vals, wxi)
+            norm = A ** (-(a + b)) / (math.factorial(a) ** mu * math.factorial(b) ** nu)
+            top = float(np.max(norm * sxi[None, :] ** (-m + a) * np.abs(d), initial=0.0))
+            if np.isnan(top):
+                return top
+            best = max(best, top)
+    return best
+
+
+@pytest.mark.parametrize("pid", ["complex-damped", "time-modulated"])
+@pytest.mark.parametrize("name", ["a2", "a1", "a0"])
+def test_seminorm_of_one_wide_evaluation_equals_one_per_pair(grid, pid, name):
+    # check_assumptions' constants from one evaluation on the widest
+    # stencils are those of an evaluation per (alpha, beta), bit for bit
+    p = model_problem(pid, 0.75, domain=grid.L)
+    sym = getattr(p, name)
+    for t in (0.0, 0.5):
+        args = (sym, sym.order, 1.0, p.s0, 4.0, 2, 2, grid, t)
+        assert estimate_seminorm(*args) == _seminorm_per_pair(*args)
+
+
+def test_seminorm_of_a_nan_sample_is_nan(grid):
+    p = model_problem("complex-damped", 0.75, domain=grid.L)
+    a0 = p.a0
+    nan_a0 = Symbol(lambda t, x, xi: a0(t, x, xi)
+                    * np.where(np.abs(x - 1.0) < 0.2, np.nan, 1.0), order=0.0)
+    args = (nan_a0, 0.0, 1.0, 1.5, 4.0, 2, 2, grid)
+    assert math.isnan(estimate_seminorm(*args))
+    assert math.isnan(_seminorm_per_pair(*args))
+
+
 def test_model_problem_ids():
     with pytest.raises(ConfigurationError) as err:
         model_problem("unknown", 0.75)

@@ -370,6 +370,10 @@ MUTANTS = [
            "            if np.isnan(top):\n                return top\n",
            "",
            (T_SYMBOLS + "test_nan_symbol_fails_its_regularity_row",)),
+    Mutant("seminorm-slice-off-centre", SYMBOLS,
+           "vals[:, :, cx - rx:cx + rx + 1, cxi - rxi:cxi + rxi + 1]",
+           "vals[:, :, cx - rx - 1:cx + rx, cxi - rxi:cxi + rxi + 1]",
+           (T_SYMBOLS + "test_seminorm_of_one_wide_evaluation_equals_one_per_pair",)),
     Mutant("stencil-cache-ignores-order", STENCIL,
            "key = (tuple(nodes.tolist()), float(x0), order)",
            "key = (tuple(nodes.tolist()), float(x0))",
@@ -419,6 +423,10 @@ MUTANTS = [
            "return SymbolTable(self.grid, win.psi(0))",
            "return SymbolTable(self.grid, win.psi(0).astype(complex))",
            (T_CONJ + "test_real_tables_stay_real",)),
+    Mutant("cli-keeps-the-host-allocator", HARNESS,
+           "def main(argv=None):\n    reuse_freed_memory()\n",
+           "def main(argv=None):\n",
+           (T_HARNESS + "test_allocator_policy_changes_no_output",)),
     Mutant("run-keeps-every-table", HARNESS,
            "    bundle.assembler.release_tables()\n",
            "",
