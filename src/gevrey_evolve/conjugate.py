@@ -33,11 +33,11 @@ k' + C1 k + C2 = 0.  So the generator is G_0 + sum_j k(t)^j G_j, G_j
 summing the parts' U_j.  Each asymptotic series behind the tables stops
 where its first read stopped it, at t = 0 on every pipeline path
 (_truncated), so the tables of every coefficient time are cut at the same
-orders.  Per coefficient time the assembler keeps the coefficient stack
-of G_0 and the G_j, one FFT along x per table, from which the time
-stepper forms each stage's coefficient matrix by one GEMM
-(quantize.stage_matrices); once a run has its step, the assembler of
-time-independent coefficients keeps only that stack (release_tables).
+orders.  Per coefficient time the assembler keeps G_0 and the G_j as one
+array G of Fourier rows or of coefficient matrices, one variant per
+assembler; a stage is the weights k(tau)^j over G, one GEMM for many
+stages (quantize.stage_matrices).  Once a run has its step, the assembler
+of time-independent coefficients keeps only G (release_tables).
 """
 
 import math
@@ -49,11 +49,11 @@ import numpy as np
 from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError, ReleasedError
 from .grid import Grid, bracket_h
-from .quantize import (Dense, Multiplier, Stacked, SymbolTable, adjoint,
+from .quantize import (Dense, Multiplier, SymbolTable, adjoint,
                        coefficient_matrix, dx_operators, exp_table,
                        fourier_rows, multiplier_table, operator_norm,
-                       sampled_table, spectral_stack, x_derivative,
-                       xi_derivative)
+                       sampled_table, spectral_stack, stage_matrices,
+                       x_derivative, xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
                       weight_x_derivative)
@@ -571,13 +571,13 @@ class ConjugationAssembler:
     named tables on the checked region's columns, which the certificate
     and the calibration keep per coefficient time (``coefficient_time``)
     and evaluate by Horner (positivity.block_sum); ``at(t)`` gives the
-    parts of BLOCKS.  ``stage_operators(taus)`` is the generator as the
-    time stepper applies it at each time of taus: the Multiplier of its
-    rows, or the Stacked sum over a coefficient stack.  ``params`` is the
-    phase tables' WeightParams, so the constants that selection (M1) and
-    calibration (C1, C2) install reach both.  ``release_tables()``, called
-    once a run has its Garding floors and step, keeps for time-independent
-    coefficients only the generator's rows or stack, which is all the
+    parts of BLOCKS.  ``polynomial(t)`` is the generator's k-polynomial
+    (powers, G), and ``stages(taus)`` the generator at each time of taus
+    as the time stepper applies it, weights k(tau)^j over G.  ``params``
+    is the phase tables' WeightParams, so the constants that selection
+    (M1) and calibration (C1, C2) install reach both.  ``release_tables()``,
+    called once a run has its Garding floors and step, keeps for
+    time-independent coefficients only the generator's G, which is all the
     solve reads; a later read of a table raises ReleasedError.
     """
 
@@ -591,6 +591,7 @@ class ConjugationAssembler:
         derivs = bracket_power_derivatives(grid.xi, params.h, 1.0 / params.theta, 4)
         self._bell_xi = partial_bell(4, derivs)
         self._cache, self.stops = {}, {}
+        self._rows = None   # whether G holds rows, set by the first polynomial
 
     @property
     def params(self) -> WeightParams:
@@ -764,15 +765,17 @@ class ConjugationAssembler:
 
     # -- public assembly ----------------------------------------------
 
-    def _polynomial(self, t, polys=None):
-        """(rows, powers, stack) at the coefficient time of t, built on
-        first use from the G_j, each the sum of the parts' U_j in the order
-        of BLOCKS: G_0 and the G_j, j >= 1 in powers.  rows = [G_0 row,
-        G_j rows...] when every row of each table is equal, and stack is
-        None; otherwise rows is None and stack is the coefficient stack
-        spectral_stack([G_0] + [G_j for j in powers]), kept in place of the
-        tables.  polys, when given, yields the k-polynomials of POLY_PARTS
-        in their order, in place of the entry's."""
+    def polynomial(self, t, polys=None):
+        """(powers, G) at the coefficient time of t, built on first use from
+        the G_j, each the sum of the parts' U_j in the order of BLOCKS: G
+        holds G_0 and the G_j, j in powers, as Fourier rows (J + 1, N) or
+        as their coefficient stack (J + 1, N, N), kept in place of the
+        tables.  fourier_rows at the first coefficient time formed (t = 0
+        on every pipeline path) decides which: a later time of a stack is
+        a stack, x-independent or not, and an x-dependent later time of
+        rows raises ParameterError.  polys, when given, yields the
+        k-polynomials of POLY_PARTS in their order, in place of the
+        entry's."""
         entry = self._entry(t)
         if "generator" not in entry:
             if polys is None:
@@ -784,46 +787,42 @@ class ConjugationAssembler:
             powers = sorted(G)[1:]
             tables = [G[j] for j in (0, *powers)]
             rows = fourier_rows(*tables)
-            stack = None if rows is not None else spectral_stack(self.grid,
-                                                                 tables)
-            entry["generator"] = (rows, tuple(powers), stack)
+            if self._rows is None:
+                self._rows = rows is not None
+            if self._rows and rows is None:
+                raise ParameterError(
+                    f"the generator depends on x at t={entry['t']:.6g} but not"
+                    " at the first time formed: its stages cannot be rows")
+            entry["generator"] = (tuple(powers), np.array(rows, dtype=complex)
+                                  if self._rows else
+                                  spectral_stack(self.grid, tables))
         return entry["generator"]
 
-    def stage_operators(self, taus):
-        """The generator at each time of taus as the time stepper applies
-        it: one operator per time, in the order of taus.
-
-        k(tau) is evaluated once for all of taus.  The variant is read off
-        the tables of the coefficient time by fourier_rows: when G_0 and
-        every G_j are x-independent, the generator is the Fourier
-        multiplier of the row G_0 + sum_j k(tau)^j G_j, the rows of all
-        times formed as one (B, N) array; otherwise it is the Stacked sum
-        over that time's coefficient stack, with weights (1, k(tau)^j, ...).
-        No N x N array is formed here: the solve forms the matrices of a
-        batch of stages in its own slots (quantize.stage_matrices), and an
-        op outside a solve forms its matrix when applied.
-        Time-independent coefficients share one coefficient time;
-        time-dependent ones have one per tau."""
+    def stages(self, taus, out=None):
+        """The generator G_0 + sum_j k(tau)^j G_j at each time of taus, in
+        their order, one array written into out when given: (B, N) rows or
+        (B, N, N) matrices, as polynomial holds G.  The stages of one
+        coefficient time are one stage_matrices GEMM over its G, each the
+        same bits in any call: time-independent coefficients share one
+        coefficient time, time-dependent ones have one per tau."""
         taus = np.asarray(taus, dtype=float)
         ks = k_of_t(taus, self.params).tolist()
-        if self.problem.time_dependent:
-            groups = [(taus[i], slice(i, i + 1)) for i in range(taus.size)]
-        else:
-            groups = [(0.0, slice(None))]
-        ops = []
+        groups = ([(t, slice(i, i + 1)) for i, t in enumerate(taus)]
+                  if self.problem.time_dependent else [(0.0, slice(None))])
         for t, sl in groups:
-            rows, powers, stack = self._polynomial(t)
+            powers, G = self.polynomial(t)
+            if out is None:
+                out = np.empty((taus.size, *G.shape[1:]), dtype=complex)
             # k(tau)^j as scalar powers: numpy's array power can round them
             # differently, and a stage must not depend on its block
             K = np.array([[k ** j for j in (0, *powers)] for k in ks[sl]])
-            if rows is not None:
-                R = K[:, :1] * rows[0]
-                for Kj, G in zip(K.T[1:], rows[1:]):
-                    R += Kj[:, None] * G
-                ops += [Multiplier(self.grid, row) for row in R]
+            if len(K) < 2 and not self.problem.time_dependent:
+                # numpy takes a GEMV for one row, which rounds it unlike the
+                # same row in a wider GEMM: a lone stage is the first of two
+                out[sl] = stage_matrices(np.tile(K, (2, 1)), G)[:1]
             else:
-                ops += [Stacked(self.grid, stack, w) for w in K]
-        return ops
+                stage_matrices(K, G, out[sl])
+        return out
 
     def part(self, name, t) -> SymbolTable:
         """The named table at time t, its k-polynomial
@@ -878,7 +877,7 @@ class ConjugationAssembler:
         entry["poly"] = None
         self.tables = None
         self.phase.release()
-        self._polynomial(0.0, (parts.pop(name) for name in POLY_PARTS))
+        self.polynomial(0.0, (parts.pop(name) for name in POLY_PARTS))
 
     def at(self, t: float) -> ConjugatedSymbols:
         """The generator's parts (BLOCKS) at time t (part), and

@@ -10,33 +10,34 @@ library's polynomial time dependence) and a classical four-stage
 Runge-Kutta update for the remaining lower-order part.  Every operator
 maps Fourier coefficients to Fourier coefficients (quantize), so the solve
 carries them throughout: the integrating factor, the half-step phases and
-a Multiplier stage are row products, a Stacked stage is one N x N GEMV on
-its stage time's coefficient matrix (a Dense operator), with no FFT.  What
+a row stage are row products, a matrix stage is one N x N GEMV on its
+stage time's coefficient matrix (a Dense operator), with no FFT.  What
 depends on time but not on v is computed once per block of steps, as in
 the exponential integrators of Kassam & Trefethen (SIAM J. Sci. Comput.
 26, 2005), which form their integrating factors outside the time loop: one
-a3 call for the block's integrating factors, one stage_operators call for
-its stage operators, and one stacked transform and conjugation of its
-forcing.  A block holds as many steps as fit in BLOCK_BYTES (step_bytes),
-so a solve whose stages each hold their own coefficient stack
-(time-dependent coefficients) steps one step per block, and a Multiplier
-or time-independent Stacked solve tens of steps.  A Multiplier step is
-affine and diagonal in v, v -> P * v + Q, and a block forms its P and Q
-rows with one step() call each on (B, N) stacks; its step loop is then two
-row operations per step.  A Stacked solve steps in batches of up to J
-steps (batch_steps), J + 1 the tables of its coefficient stack: one GEMM
-over the stack forms the coefficient matrices of a batch's 2B + 1 stage
-times (its start and each step's t + dt/2 and t + dt) into slots the solve
-holds, so the stack is read once per batch, not once per step, and the
-steps apply them as Dense operators.  step() is only the Runge-Kutta
+a3 call for the block's integrating factors, and one stacked transform and
+conjugation of its forcing.  The stages are weights k(tau)^j over the
+generator's G (ConjugationAssembler.polynomial), Fourier rows or
+coefficient matrices, and G alone sets the path.  A block holds as many
+steps as fit in BLOCK_BYTES (step_bytes), so a matrix solve whose stage
+times each hold their own coefficient stack (time-dependent coefficients)
+steps one step per block, and a row or time-independent matrix solve tens
+of steps.  A row step is affine and diagonal in v, v -> P * v + Q: a block
+forms its stage rows with one stages call and its P and Q rows with one
+step() call each on (B, N) stacks, and its step loop is then two row
+operations per step.  A matrix solve steps in batches of up to J steps
+(batch_steps): one stages call, one GEMM over the stack, forms the
+coefficient matrices of a batch's 2B + 1 stage times (its start and each
+step's t + dt/2 and t + dt) into slots the solve holds, and the steps
+apply them as Dense operators.  step() is only the Runge-Kutta
 arithmetic.  The data is transformed once, ||v|| comes from Parseval and
 is read, with the blow-up check, once per block, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients on
 (B, N) stacks of logged fields, so u is synthesized once per logged time.
 The variant of every operator is read off its tables
-(quantize.fourier_rows): the generator is a Multiplier or a Stacked sum,
-the conjugator op(e^Lam) a Multiplier or a Dense, and both are Multipliers
-on the KdV branch M2 = M1 = 0.
+(quantize.fourier_rows): the generator holds rows or matrices, the
+conjugator op(e^Lam) is a Multiplier or a Dense, and both are rows on the
+KdV branch M2 = M1 = 0.
 Every run carries an energy log against which the growth inequality is
 re-checked.
 """
@@ -48,7 +49,7 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import Dense, Multiplier, stage_matrices
+from .quantize import Dense, Multiplier
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -209,10 +210,9 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     Everything that depends on time alone comes in precomputed: phases is
     the step's row of integrating_factors; stages are the lower-order
     generator at t, t + dt/2 and t + dt, each an operator with
-    ``matvec_hat`` (quantize.Multiplier: a row product; quantize.Dense:
-    one GEMV, on a Stacked stage's coefficient matrix in a solve); forcing
-    is None or the conjugated forcing's coefficients at the same three
-    times.
+    ``matvec_hat`` (quantize.Multiplier of a stage row: a row product;
+    quantize.Dense of a stage matrix: one GEMV); forcing is None or the
+    conjugated forcing's coefficients at the same three times.
     With Multiplier stages the step is row arithmetic throughout, so B
     steps run at once on (B, N) stacks: v_hat, the phases, the stages'
     rows and the forcing (B, N) each, and dt a (B, 1) column.
@@ -241,40 +241,39 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     return out
 
 
-def step_bytes(stage, forced, own_stack):
-    """The bytes one step adds to a block whose stages are like stage: the
-    rows of its two stage times (the stage's row or weights, and the
-    forcing's when forced), its two integrating-factor rows and its state
-    row, with the P and Q rows of a Multiplier block; and the two stages'
-    coefficient stacks when each stage holds its own (own_stack)."""
-    rows = 5 + 2 * forced + 2 * isinstance(stage, Multiplier)
-    stacks = 2 * stage.stack.nbytes if own_stack else 0
-    return rows * 16 * stage.grid.N + stacks
+def step_bytes(G, forced, own_stack):
+    """The bytes one step adds to a block of a solve over the generator's G
+    (ConjugationAssembler.polynomial): the rows of its two stage times
+    (stages, or times, and forcing when forced), its two integrating-factor
+    rows and its state row, with the P and Q rows when G holds rows; and
+    the two stages' coefficient stacks when each holds its own (own_stack)."""
+    rows = 5 + 2 * forced + 2 * (G.ndim == 2)
+    stacks = 2 * G.nbytes if own_stack else 0
+    return rows * 16 * G.shape[-1] + stacks
 
 
-def batch_steps(stage, own_stack):
-    """The steps of a Stacked solve whose stage matrices one GEMM over
-    stage's coefficient stack forms: J for a stack of J + 1 tables, so
-    that the GEMM writes at most twice the bytes it reads, and 1 when each
-    stage holds its own stack (own_stack), which no two stages share."""
-    return 1 if own_stack else max(1, len(stage.stack) - 1)
+def batch_steps(G, own_stack):
+    """The steps of a matrix solve whose stage matrices one GEMM over its
+    coefficient stack G forms: J for a stack of J + 1 tables, so that the
+    GEMM writes at most twice the bytes it reads, and 1 when each stage
+    time holds its own stack (own_stack), which no two stages share."""
+    return 1 if own_stack else max(1, len(G) - 1)
 
 
 def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
-    """The steps of a block with Multiplier stages, written into the rows of
-    out; returns the last.  Such a step is affine and diagonal in v_hat,
+    """The steps of a block with row stages, written into the rows of out;
+    returns the last.  Such a step is affine and diagonal in v_hat,
     step(v_hat) = P * v_hat + Q, with P = step(1) unforced and Q = step(0)
     forced: both come from one step() call on the block's (B, N) stacks,
     and each step is then two row operations.  dts are the B step lengths,
-    phases the block's integrating factors (B, 2, N), stages the 2B + 1
-    stage operators at t = times[0] and every half step and step end, and
-    forcing None or its coefficients at the same times."""
+    phases the block's integrating factors (B, 2, N), stages the (2B + 1,
+    N) generator rows at the block's start and every half step and step
+    end, and forcing None or its coefficients at the same times."""
     def by_stage(a):
         """The rows of a at each step's start, half and end time."""
         return a[0:-1:2], a[1::2], a[2::2]
 
-    ops = [Multiplier(grid, row)
-           for row in by_stage(np.array([op.row for op in stages]))]
+    ops = [Multiplier(grid, row) for row in by_stage(stages)]
     ph = phases.transpose(1, 0, 2)
     dt = dts[:, None]
     P = step(np.ones(out.shape, dtype=complex), dt, grid, ph, ops)
@@ -300,23 +299,25 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
-    The steps run in blocks of max(1, BLOCK_BYTES // step_bytes) steps.
+    The steps run in blocks of max(1, BLOCK_BYTES // step_bytes) steps,
+    and the generator's G at t = 0 (ConjugationAssembler.polynomial) sets
+    the path: its ndim, length and bytes are all the solve reads of it.
     Before each block, everything that depends on time but not on v is
     computed for the whole block in a few vectorized calls: the
-    integrating factors, the stage operators and the conjugated forcing at
-    the block's stage times (every half step and step end).  The block
-    before hands on the stage at its last step end, so each stage time is
-    built and conjugated exactly once.  A Multiplier block steps as one
-    affine row map per step (affine_steps).  A Stacked stage's coefficient
-    matrix is formed in one of 2B + 1 N x N slots the solve holds
-    (allocated only for Stacked stages), B = batch_steps: a block's steps
-    run in batches of B, the last one cut at the block's end, and a batch
-    of b steps forms the matrices of its start and its 2b half and end
-    times with one stage_matrices call (one GEMM over the stack) into
-    slots 0 to 2b, and its steps apply them as Dense operators.  A
-    batch's start is the batch before's last end, formed again: the GEMM
-    row of a stage time does not depend on the batch, and one more row
-    costs what a copy does.  Step i runs with the exact (Sterbenz) step
+    integrating factors and the conjugated forcing at the block's stage
+    times (every half step and step end).  The block before hands on the
+    forcing at its last step end, so each stage time's forcing is
+    conjugated exactly once.  A block of row stages forms them with one
+    stages call and steps as one affine row map per step (affine_steps).
+    A matrix stage is formed in one of 2B + 1 N x N slots the solve holds
+    (allocated only for matrices), B = batch_steps: a block's steps run in
+    batches of B, the last one cut at the block's end, and a batch of b
+    steps forms the matrices of its start and its 2b half and end times
+    with one stages call (one GEMM over the stack) into slots 0 to 2b, and
+    its steps apply them as Dense operators.  Each block or batch forms
+    its start again: a stage is the same bits in any call, the stack of a
+    time-dependent stage time is built once, and one more row costs what
+    a copy does.  Step i runs with the exact (Sterbenz) step
     times[i+1] - times[i], so it ends on times[i+1].  A block's states
     are one (B, N) array: their norms, the finite check, the blow-up cap
     and the logged copies are read from it once per block, and a blow-up
@@ -360,14 +361,15 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     F = np.zeros(steps + 1)
     E[0] = grid.l2_norm(v_hat) ** 2
     cap = BLOWUP_FACTOR * (np.sqrt(E[0]) + 1.0)
-    # the stage (and forcing) at t = 0; afterwards, at each block's start
-    stages = assembler.stage_operators(times[:1])
+    # the generator's G at t = 0 sets the path: rows step as affine maps
+    _, G = assembler.polynomial(0.0)
+    affine = G.ndim == 2
+    # the forcing at t = 0; afterwards, at each block's start
     forcing = None if f_conj is None else f_conj(times[:1])
-    affine = isinstance(stages[0], Multiplier)
     block = max(1, BLOCK_BYTES // step_bytes(
-        stages[0], f_conj is not None, not affine and p.time_dependent))
+        G, f_conj is not None, not affine and p.time_dependent))
     if not affine:
-        batch = batch_steps(stages[0], p.time_dependent)
+        batch = batch_steps(G, p.time_dependent)
         # a batch of b steps writes its 2b + 1 stage matrices into slots 0
         # to 2b
         slots = np.empty((2 * batch + 1, grid.N, grid.N), dtype=complex)
@@ -375,11 +377,12 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     for start in range(0, steps, block):
         stop = min(start + block, steps)
         t0, t1 = times[start:stop], times[start + 1:stop + 1]
-        taus = np.empty(2 * (stop - start))
-        taus[0::2], taus[1::2] = t0 + 0.5 * (t1 - t0), t1
-        stages = stages[-1:] + assembler.stage_operators(taus)
+        # the block's stage times: its start, then each step's half time
+        # and end time
+        taus = np.empty(2 * (stop - start) + 1)
+        taus[0::2], taus[1::2] = times[start:stop + 1], t0 + 0.5 * (t1 - t0)
         if f_conj is not None:
-            forcing = np.concatenate([forcing[-1:], f_conj(taus)])
+            forcing = np.concatenate([forcing[-1:], f_conj(taus[1:])])
             F[start:stop + 1] = grid.l2_norm(forcing[0::2]) ** 2
         phases = integrating_factors(p, grid, times[start:stop + 1])
         states = np.empty((stop - start, grid.N), dtype=complex)
@@ -387,13 +390,13 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
         # overflow
         with np.errstate(over="ignore", invalid="ignore"):
             if affine:
-                v_hat = affine_steps(v_hat, t1 - t0, grid, phases, stages,
-                                     forcing, states)
+                v_hat = affine_steps(v_hat, t1 - t0, grid, phases,
+                                     assembler.stages(taus), forcing, states)
             else:
                 for i in range(0, stop - start, batch):
                     b = min(batch, stop - start - i)
-                    ops = [Dense(grid, M) for M in stage_matrices(
-                        stages[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]
+                    ops = [Dense(grid, M) for M in assembler.stages(
+                        taus[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]
                     for k in range(b):
                         j = i + k
                         states[j] = v_hat = step(

@@ -27,13 +27,14 @@ dense conjugation on the resolved band.
 
 Every operator maps Fourier coefficients to Fourier coefficients
 (``matvec_hat``) and has a node-value ``dense()`` that only oracles call: a
-Multiplier (a row in xi: a row product), a Dense coefficient matrix, or a
-Stacked polynomial (a weighted sum of the coefficient matrices of a fixed
-stack, which it forms for the call); quantized(grid, values) is the
-one-entry Stacked.  The coefficient matrix of a table, E_syn^H (E_syn * p),
-is one FFT along x (coefficient_matrix); stage_matrices forms the summed
-matrices of Stacked ops over one stack by one real GEMM, and a solve
-steps on them as Dense operators.
+Multiplier (a row in xi: a row product) or a Dense coefficient matrix;
+quantized(grid, values) is the Dense operator of a table.  The coefficient
+matrix of a table, E_syn^H (E_syn * p), is one FFT along x
+(coefficient_matrix), and spectral_stack stacks those of several tables.
+A stage of a solve is a weighted sum over such a fixed stack, of Fourier
+rows or of coefficient matrices: stage_matrices forms the stages of many
+weight vectors by one real GEMM, and a solve steps on them as Multiplier
+rows or Dense operators.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -160,48 +161,17 @@ class Dense:
         return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class Stacked:
-    """sum_i weights[i] op(G_i) on coefficients, from the coefficient stack
-    A[i] = E_syn^H (E_syn * G_i) (spectral_stack): the stack is fixed, and
-    only the weights change from one time to the next.  Applied, it is the
-    Dense operator of its coefficient matrix sum_i weights[i] A[i], formed
-    for the call (stage_matrices)."""
-
-    grid: Grid
-    stack: np.ndarray       # (J+1, N, N)
-    weights: np.ndarray     # (J+1,)
-
-    def _dense(self):
-        return Dense(self.grid, stage_matrices([self])[0])
-
-    def matvec_hat(self, w_hat):
-        return self._dense().matvec_hat(w_hat)
-
-    def dense(self):
-        return self._dense().dense()
-
-
-def stage_matrices(ops, out=None):
-    """The coefficient matrices sum_i weights[i] A[i] of the Stacked ops, a
-    (len(ops), N, N) array, written into out when given.  The weights are
-    real, so the matrices of ops over one stack are one real GEMM,
-    (B x (J+1)) @ ((J+1) x 2N^2), on the stack seen as float64, which
-    reads the stack once however many ops it forms (a solve forms the 2B + 1
-    stage times of a batch of B steps with one call); ops over different
-    stacks take one such product each."""
-    N = ops[0].grid.N
+def stage_matrices(weights, stack, out=None):
+    """The stages sum_i weights[b, i] stack[i], one for each row b of the
+    weights (B, J+1), as one array (B, *stack.shape[1:]) written into out
+    when given.  The weights are real, so every stage is one real GEMM,
+    (B x (J+1)) @ ((J+1) x 2n), on the complex stack seen as float64 (n
+    entries per table: an N-row or an N x N matrix), which reads the stack
+    once however many stages it forms."""
     if out is None:
-        out = np.empty((len(ops), N, N), dtype=complex)
-    flat = out.reshape(len(ops), N * N).view(float)
-    stack = ops[0].stack
-    if all(op.stack is stack for op in ops):
-        np.matmul(np.array([op.weights for op in ops]),
-                  stack.reshape(len(stack), N * N).view(float), out=flat)
-    else:
-        for op, M in zip(ops, flat):
-            np.matmul(op.weights, op.stack.reshape(len(op.stack), N * N)
-                      .view(float), out=M)
+        out = np.empty((len(weights), *stack.shape[1:]), dtype=complex)
+    np.matmul(weights, stack.reshape(len(stack), -1).view(float),
+              out=out.reshape(len(weights), -1).view(float))
     return out
 
 
@@ -244,9 +214,9 @@ def coefficient_matrix(grid, values, out=None):
 
 
 def quantized(grid, values):
-    """op(p), p given by its table values, on coefficients: the one-entry
-    Stacked of its coefficient matrix."""
-    return Stacked(grid, coefficient_matrix(grid, values)[None], np.ones(1))
+    """op(p), p given by its table values, on coefficients: the Dense
+    operator of its coefficient matrix."""
+    return Dense(grid, coefficient_matrix(grid, values))
 
 
 def spectral_stack(grid, tables):

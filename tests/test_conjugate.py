@@ -13,7 +13,7 @@ from gevrey_evolve.evolve import solve_conjugated, synthetic_radius_field
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.positivity import real_sum
-from gevrey_evolve.quantize import (Dense, Multiplier, Stacked, SymbolTable,
+from gevrey_evolve.quantize import (Dense, Multiplier, SymbolTable,
                                     exp_table, multiplier_table, operator_norm,
                                     quantized, representable_error,
                                     sampled_table, stage_matrices, to_dense,
@@ -334,10 +334,10 @@ def test_stage_follows_new_time_weight_constants(grid, name):
                                params_with(C1=0.2, C2=0.01, **weights), grid)
     rng = np.random.default_rng(9)
     w_hat = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    asm.stage_operators([0.0, 0.3])
+    asm.stages([0.0, 0.3])
     asm.params = asm.params.with_ode_constants(0.5, 0.1)
     for t in (0.0, 0.3):
-        got = asm.stage_operators([t])[0].matvec_hat(w_hat)
+        got = _stage(asm, t).matvec_hat(w_hat)
         ref = quantized(grid, asm.at(t).generator_table().values
                         ).matvec_hat(w_hat)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -808,6 +808,13 @@ def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
             assert np.array_equal(entry["poly"][name][j].values, U[j].values)
 
 
+def _stage(asm, t):
+    """The stage at t as step() applies it: the Multiplier of its row or
+    the Dense operator of its coefficient matrix."""
+    S = asm.stages([t])[0]
+    return (Multiplier if S.ndim == 1 else Dense)(asm.grid, S)
+
+
 @pytest.mark.parametrize("name, L_, N_", [("complex-damped", L, N),
                                           ("complex-damped", 20.0, 256),
                                           ("time-modulated", L, N),
@@ -823,7 +830,7 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     prob = model_problem(name, 0.75, domain=L_)
     rows = name == "kdv-baseline"
     weights = {"M2": 0.0, "M1": 0.0} if rows else {}
-    variant = Multiplier if rows else Stacked
+    variant = Multiplier if rows else Dense
     asm = ConjugationAssembler(
         prob, params_with(C1=0.2, C2=0.01, domain_cap=float(np.sqrt(1 + L_ ** 2)),
                           **weights), g)
@@ -831,7 +838,7 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     w_hat = rng.standard_normal(N_) + 1j * rng.standard_normal(N_)
 
     def check(t):
-        op = asm.stage_operators([t])[0]
+        op = _stage(asm, t)
         assert isinstance(op, variant)
         got = op.matvec_hat(w_hat)
         ref = quantized(g, asm.at(t).generator_table().values).matvec_hat(w_hat)
@@ -840,87 +847,92 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     for t in (0.0, 0.3, 0.3, 1.0):
         check(t)
     # more times than the memo keeps
-    asm.stage_operators(np.linspace(0.05, 0.95, 13))
+    asm.stages(np.linspace(0.05, 0.95, 13))
     for t in (0.0, 0.3, 1.0):
         check(t)
 
 
 def _per_time_stage(asm, t):
-    """The stage at one time, built as before stage_operators: scalar k(t),
-    the row G_0 + sum_j k^j G_j, or the coefficient matrix of that time's
-    weights formed alone."""
-    rows, powers, stack = asm._polynomial(t)
+    """The stage at one time, built as before stages: scalar k(t), the row
+    G_0 + sum_j k^j G_j, or the coefficient matrix of that time's weights
+    formed alone."""
+    powers, G = asm.polynomial(t)
     k = float(k_of_t(t, asm.params))
-    if rows is not None:
-        row = rows[0].copy()
-        for j, G in zip(powers, rows[1:]):
-            row += (k ** j) * G
+    if G.ndim == 2:
+        row = G[0].copy()
+        for j, G_j in zip(powers, G[1:]):
+            row += (k ** j) * G_j
         return Multiplier(asm.grid, row)
-    op = Stacked(asm.grid, stack, np.array([1.0] + [k ** j for j in powers]))
-    return Dense(asm.grid, stage_matrices([op])[0])
+    weights = np.array([[1.0] + [k ** j for j in powers]])
+    return Dense(asm.grid, stage_matrices(weights, G)[0])
 
 
 @pytest.mark.parametrize("name, weights, variant", [
     ("kdv-baseline", dict(M2=0.0, M1=0.0), Multiplier),
-    ("complex-damped", {}, Stacked),
-    ("time-modulated", {}, Stacked),
-])
-def test_stage_operators_match_the_per_time_build(grid, name, weights,
-                                                  variant):
+    ("complex-damped", {}, Dense),
+    ("time-modulated", {}, Dense),
+], ids=["kdv-baseline-rows", "complex-damped-matrices",
+        "time-modulated-matrices"])
+def test_stages_match_the_per_time_build(grid, name, weights, variant):
     # one call for a block of stage times gives, time by time, the stage of
     # the per-time build; C1, C2 > 0 so k varies over the block
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
                                params_with(C1=0.2, C2=0.01, **weights), grid)
     taus = np.linspace(0.0, 1.0, 9)
-    ops = asm.stage_operators(taus)
-    assert len(ops) == taus.size
+    stages = asm.stages(taus)
+    assert len(stages) == taus.size
     rng = np.random.default_rng(5)
     w_hat = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    for t, op in zip(taus, ops):
-        assert isinstance(op, variant)
+    for t, S in zip(taus, stages):
+        op = variant(grid, S)
         want = _per_time_stage(asm, t).matvec_hat(w_hat)
         got = op.matvec_hat(w_hat)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["complex-damped", "time-modulated"])
+@pytest.mark.parametrize("name", ["complex-damped", "time-modulated",
+                                  "kdv-baseline"])
 def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
                                                        monkeypatch):
-    # the solve forms a batch's stage times, its start and a pair per step,
-    # in one GEMM over the stack (time-modulated: one product per time's
-    # own stack), in slots it reuses; each matrix equals the stage's own,
-    # formed alone, and in a three-step solve each batch's steps read, in
-    # order, the slots that batch wrote: step k its start, half and end
-    # stages 2k, 2k + 1 and 2k + 2
+    # a time's stage is the same bits in any call: formed alone, in a
+    # pair or in a batch (complex-damped: one GEMM over the stack;
+    # time-modulated: one product per time's own stack; kdv-baseline with
+    # M2 = M1 = 0: one GEMM over the rows), so outputs do not depend on
+    # where blocks and batches cut.  The solve forms a batch's stage times,
+    # its start and a pair per step, in slots it reuses; in a three-step
+    # solve each batch's steps read, in order, the slots that batch wrote:
+    # step k its start, half and end stages 2k, 2k + 1 and 2k + 2
+    weights = dict(M2=0.0, M1=0.0) if name == "kdv-baseline" else {}
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
-                               params_with(C1=0.2, C2=0.01), grid)
+                               params_with(C1=0.2, C2=0.01, **weights), grid)
     taus = np.linspace(0.0, 0.3, 7)
-    ops = asm.stage_operators(taus)
-    alone = [stage_matrices([op])[0] for op in ops]
-    for j, n in ((0, 3), (2, 3), (0, 7)):
-        for M, want in zip(stage_matrices(ops[j:j + n]), alone[j:j + n]):
-            assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
+    alone = [asm.stages([t])[0] for t in taus]
+    assert alone[0].ndim == (1 if weights else 2)
+    for j, n in ((0, 3), (2, 3), (0, 7), (3, 2)):
+        for S, want in zip(asm.stages(taus[j:j + n]), alone[j:j + n]):
+            assert np.array_equal(S, want)
+    if weights:
+        return      # row stages step as affine maps, in no slot
     events = []
 
     def address(M):
         return M.__array_interface__["data"][0]
 
-    def recording_form(ops, out=None):
-        events.append(("form", {address(M): op for M, op in zip(out, ops)}))
-        return form(ops, out)
+    def recording_form(taus, out=None):
+        events.append(("form", {address(M): t for M, t in zip(out, taus)}))
+        return form(taus, out)
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
         formed = [e for kind, e in events if kind == "form"][-1]
         for M in stages:
             assert isinstance(M, Dense)
-            want = stage_matrices([formed[address(M.matrix)]])[0]
-            assert np.max(np.abs(M.matrix - want)) \
-                <= 1e-15 * np.max(np.abs(want))
+            want = form([formed[address(M.matrix)]])[0]
+            assert np.array_equal(M.matrix, want)
         events.append(("step", [address(M.matrix) for M in stages]))
         return step(v_hat, dt, grid, phases, stages, forcing)
 
-    form, step = evolve.stage_matrices, evolve.step
-    monkeypatch.setattr(evolve, "stage_matrices", recording_form)
+    form, step = asm.stages, evolve.step
+    monkeypatch.setattr(asm, "stages", recording_form)
     monkeypatch.setattr(evolve, "step", checking_step)
     v0_hat = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
     traj = solve_conjugated(asm, None, v0_hat, 0.3, dt=0.1)

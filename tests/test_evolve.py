@@ -15,8 +15,8 @@ from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
                                   step_bytes, synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
-from gevrey_evolve.quantize import Stacked, multiplier_table, to_dense
-from gevrey_evolve.symbols import model_problem
+from gevrey_evolve.quantize import multiplier_table, quantized, to_dense
+from gevrey_evolve.symbols import Symbol, model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t
 
 
@@ -124,6 +124,16 @@ def _frozen(grid, tab):
     return lambda taus: [A] * len(taus)
 
 
+def _operators(asm):
+    """The function taus -> the stages of asm at taus as step() applies
+    them: the Multiplier of each row or the Dense of each matrix."""
+    def operators(taus):
+        S = asm.stages(taus)
+        return [(Multiplier if S.ndim == 2 else Dense)(asm.grid, s)
+                for s in S]
+    return operators
+
+
 def _step(v_hat, t, dt, p, grid, stages):
     """One step from t, its stage operators built by stages(taus) at its
     three stage times and its integrating factors by integrating_factors."""
@@ -202,14 +212,14 @@ def test_multiplier_step_matches_dense_step(N, L):
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(kdv, p, grid)
-    assert isinstance(asm.stage_operators([0.0])[0], Multiplier)
+    assert asm.polynomial(0.0)[1].ndim == 2
     dense = lambda taus: [_dense_stage(
         grid, asm.at(tau).generator_table().values) for tau in taus]
     zero = lambda taus: [Multiplier(grid, np.zeros(N))] * len(taus)
     v = synthetic_radius_field(grid, 0.6, 1.8)
     v_hat = grid.forward(v)
     w_mult = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid,
-                                asm.stage_operators))
+                                _operators(asm)))
     w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, dense))
     w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, zero))
     scale = grid.l2_norm(w_dense)
@@ -219,18 +229,18 @@ def test_multiplier_step_matches_dense_step(N, L):
 
 def test_stacked_step_matches_dense_step(grid):
     # an x-dependent generator with k' != 0 (C1, C2 > 0): a step through
-    # the Stacked stage equals the step through E_syn * G
+    # the stage's coefficient matrix equals the step through E_syn * G
     prob = model_problem("complex-damped", 0.75, domain=grid.L)
     p = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
                             M2=0.1, M1=0.1, h=2.0).with_ode_constants(0.5, 0.1)
     asm = ConjugationAssembler(prob, p, grid)
-    assert isinstance(asm.stage_operators([0.0])[0], Stacked)
+    assert asm.polynomial(0.0)[1].ndim == 3
     dense = lambda taus: [_dense_stage(
         grid, asm.at(tau).generator_table().values) for tau in taus]
     zero = lambda taus: [Multiplier(grid, np.zeros(grid.N))] * len(taus)
     v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
     w_stack = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid,
-                                 asm.stage_operators))
+                                 _operators(asm)))
     w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, dense))
     w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, zero))
     scale = grid.l2_norm(w_dense)
@@ -242,8 +252,8 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     # a damped-64 solve quantizes no table per stage time: it builds the
     # coefficient stack of its one coefficient time once, and every stage
     # it applies is that stack weighted at its own time, kprime included.
-    # The stages are applied after the solve has ended and reused its
-    # slots: each must then form its own matrix, not read a stale slot
+    # The stages are copied as they are formed, since the solve reuses its
+    # slots
     setup = small_setup
     grid = setup["grid"]
     bundle = dataclasses.replace(setup["bundle"], assembler=ConjugationAssembler(
@@ -264,14 +274,14 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(module, name))
     stages = {}
-    build = ConjugationAssembler.stage_operators
+    build = ConjugationAssembler.stages
 
-    def recording(self, taus):
-        ops = build(self, taus)
-        stages.update(zip(map(float, taus), ops))
-        return ops
+    def recording(self, taus, out=None):
+        out = build(self, taus, out)
+        stages.update(zip(map(float, taus), out.copy()))
+        return out
 
-    monkeypatch.setattr(ConjugationAssembler, "stage_operators", recording)
+    monkeypatch.setattr(ConjugationAssembler, "stages", recording)
     g = synthetic_radius_field(grid, 0.7, 1.8)
     traj = solve_original(bundle, None, g, 0.5)
     assert counts == {"quantized": 0, "spectral_stack": 1}
@@ -281,22 +291,23 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     times = sorted(stages)
     for t in (times[0], times[1], times[-1]):
         ref = oracle(grid, bundle.assembler.at(t).generator_table().values)
-        got = stages[t].matvec_hat(w_hat)
+        got = Dense(grid, stages[t]).matvec_hat(w_hat)
         want = ref.matvec_hat(w_hat)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _count_stage_forms(monkeypatch):
-    """Record each stage_matrices call's op count: one GEMM per call when
-    its ops share a stack."""
+    """Record the stage count of each stage_matrices call over a stack of
+    coefficient matrices: one GEMM per call."""
     sizes = []
     form = quantize.stage_matrices
 
-    def counting(ops, out=None):
-        sizes.append(len(ops))
-        return form(ops, out)
+    def counting(weights, stack, out=None):
+        if stack.ndim == 3:
+            sizes.append(len(weights))
+        return form(weights, stack, out)
 
-    monkeypatch.setattr(evolve, "stage_matrices", counting)
+    monkeypatch.setattr(conjugate, "stage_matrices", counting)
     return sizes
 
 
@@ -341,13 +352,14 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
     traj = solve_conjugated(asm, None,
                             grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
                             0.5)
-    B = len(asm.stage_operators([0.0])[0].stack) - 1
+    powers, G = asm.polynomial(0.0)
+    B = len(G) - 1
     steps = traj.meta["steps"]
     assert len(applied) == steps
     for mats, t0, t1 in zip(applied, traj.times, traj.times[1:]):
         for M, tau in zip(mats, (t0, t0 + 0.5 * (t1 - t0), t1)):
-            op = asm.stage_operators([tau])[0]
-            want = np.tensordot(op.weights, op.stack, axes=1)
+            k = float(k_of_t(tau, asm.params))
+            want = np.tensordot([k ** j for j in (0, *powers)], G, axes=1)
             assert np.max(np.abs(M - want)) <= 1e-15 * np.max(np.abs(want))
     assert B > 1
     assert sizes == _batches(steps, B)
@@ -361,20 +373,20 @@ def test_batch_start_is_formed_as_the_last_end(small_setup, monkeypatch):
     # again, within a block and across blocks: bit for bit the matrix the
     # batch before formed for its last end
     grid, asm = small_setup["grid"], small_setup["assembler"]
-    stage = asm.stage_operators([0.0])[0]
+    G = asm.polynomial(0.0)[1]
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        10 * step_bytes(stage, False, False))
+                        10 * step_bytes(G, False, False))
     forms, form = [], quantize.stage_matrices
 
-    def recording(ops, out=None):
-        out = form(ops, out)
+    def recording(weights, stack, out=None):
+        out = form(weights, stack, out)
         forms.append(out.copy())
         return out
 
-    monkeypatch.setattr(evolve, "stage_matrices", recording)
+    monkeypatch.setattr(conjugate, "stage_matrices", recording)
     traj = solve_conjugated(asm, None, grid.forward(
         synthetic_radius_field(grid, 0.7, 1.8)), 0.5, dt=0.02)
-    B = len(stage.stack) - 1
+    B = len(G) - 1
     assert traj.meta["steps"] == 25 and B > 1
     assert len(forms) == len(_batches(10, B) * 2 + _batches(5, B)) > 3
     for before, after in zip(forms, forms[1:]):
@@ -388,7 +400,7 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
     # steps end early at each block's end and at the solve's, gives bit for
     # bit the solve whose batches are one step each
     grid, asm = small_setup["grid"], small_setup["assembler"]
-    stage = asm.stage_operators([0.0])[0]
+    G = asm.polynomial(0.0)[1]
     f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))
 
     def f_conj(taus):
@@ -396,15 +408,15 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
                 + 1j * taus[:, None] * np.conj(f_hat))
 
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        10 * step_bytes(stage, forced, False))
+                        10 * step_bytes(G, forced, False))
     v0 = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
     sizes = _count_stage_forms(monkeypatch)
     batched = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
                                dt=0.02)
-    B = len(stage.stack) - 1
+    B = len(G) - 1
     assert batched.meta["steps"] == 25 and 10 % B and 5 % B
     assert sizes == _batches(10, B) * 2 + _batches(5, B)
-    monkeypatch.setattr(evolve, "batch_steps", lambda stage, own_stack: 1)
+    monkeypatch.setattr(evolve, "batch_steps", lambda G, own_stack: 1)
     single = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
                               dt=0.02)
     assert sizes[-25:] == [3] * 25
@@ -413,13 +425,13 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
 
 
 def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
-    # kdv-baseline at its selected weights (M2 = M1 = 0) steps with
-    # Multiplier stages: a solve makes no stage GEMM and allocates no slot
-    # (no np.empty of a stack of N x N matrices)
+    # kdv-baseline at its selected weights (M2 = M1 = 0) steps with row
+    # stages: a solve makes no GEMM over a stack of matrices and allocates
+    # no slot (no np.empty of a stack of N x N matrices)
     kdv = model_problem("kdv-baseline", 0.75)
     _, details = select_parameters_detailed(kdv, 1.8, grid)
     bundle = details["bundle"]
-    assert isinstance(bundle.assembler.stage_operators([0.0])[0], Multiplier)
+    assert bundle.assembler.polynomial(0.0)[1].ndim == 2
     sizes = _count_stage_forms(monkeypatch)
     shapes, empty = [], np.empty
 
@@ -437,38 +449,33 @@ def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
                               for s in shapes)
 
 
-def test_stage_operators_carry_no_matrix_through_a_solve(small_setup,
-                                                        monkeypatch):
-    # a damped-64 solve steps on Dense operators over its slots, never on
-    # the ops stage_operators returns: those are Stacked weights over the
-    # coefficient stack alone, hold no matrix and cannot be given one
+def test_solve_steps_on_the_stages_in_its_slots(small_setup, monkeypatch):
+    # a damped-64 solve steps on Dense operators over the matrices its
+    # stages calls write, and every call writes into the one array of
+    # slots the solve holds: no stage matrix outlives its batch
     grid, bundle = small_setup["grid"], small_setup["bundle"]
-    made, build = [], ConjugationAssembler.stage_operators
+    made, build = [], ConjugationAssembler.stages
 
-    def recording(self, taus):
-        ops = build(self, taus)
-        made.extend(ops)
-        return ops
+    def recording(self, taus, out=None):
+        made.append(build(self, taus, out))
+        return made[-1]
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
         assert all(isinstance(op, Dense) for op in stages)
+        assert all(np.shares_memory(op.matrix, made[-1]) for op in stages)
         return step(v_hat, dt, grid, phases, stages, forcing)
 
-    monkeypatch.setattr(ConjugationAssembler, "stage_operators", recording)
+    monkeypatch.setattr(ConjugationAssembler, "stages", recording)
     monkeypatch.setattr(evolve, "step", checking_step)
     traj = solve_conjugated(bundle.assembler, None,
                             grid.forward(synthetic_radius_field(grid, 0.7, 1.8)),
                             0.5)
-    assert len(made) == 2 * traj.meta["steps"] + 1
-    assert all(isinstance(op, Stacked) for op in made)
-    assert [f.name for f in dataclasses.fields(Stacked)] == [
-        "grid", "stack", "weights"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        made[0].matrix = np.eye(grid.N)
+    assert sum(map(len, made)) == 2 * traj.meta["steps"] + len(made)
+    assert all(np.shares_memory(M, made[0]) for M in made)
 
 
 def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
-    # a forced damped-64 solve (Dense conjugator, Stacked stages) carries
+    # a forced damped-64 solve (Dense conjugator, matrix stages) carries
     # coefficients end to end: its only synthesis is one field through
     # Grid.inverse per logged time, and the pull-back (the conjugator
     # inverse, the equivalence check, the radius fit and the output norm)
@@ -503,20 +510,17 @@ def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
 
 
 def test_stage_variant_read_off_the_tables(small_setup, grid):
-    # complex-damped tables depend on x: stacked stages.  kdv-baseline's
-    # vanish (M2 = M1 = 0): multiplier stages.  kdv-baseline with M2 > 0
-    # has an x-dependent phase, hence stacked stages again
-    assert isinstance(small_setup["assembler"].stage_operators([0.3])[0],
-                      Stacked)
+    # complex-damped tables depend on x: matrix stages.  kdv-baseline's
+    # vanish (M2 = M1 = 0): row stages.  kdv-baseline with M2 > 0 has an
+    # x-dependent phase, hence matrix stages again
+    assert small_setup["assembler"].stages([0.3]).shape == (1, 64, 64)
     kdv = model_problem("kdv-baseline", 0.75)
     _, details = select_parameters_detailed(kdv, 1.8, grid)
-    assert isinstance(details["bundle"].assembler.stage_operators([0.3])[0],
-                      Multiplier)
+    assert details["bundle"].assembler.stages([0.3]).shape == (1, 64)
     weighted = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
                                    M2=0.1, h=2.0)
-    assert isinstance(
-        ConjugationAssembler(kdv, weighted, grid).stage_operators([0.3])[0],
-        Stacked)
+    assert ConjugationAssembler(kdv, weighted, grid).stages(
+        [0.3]).shape == (1, 64, 64)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -530,9 +534,9 @@ def test_blocks_do_not_change_the_solve(small_setup, monkeypatch, block):
     g = synthetic_radius_field(grid, 0.7, 1.8)
     f = lambda t: 0.5 * np.exp(-t) * g
     ref = solve_original(bundle, f, g, 0.5, rho=0.7)
-    stage = bundle.assembler.stage_operators([0.0])[0]
+    G = bundle.assembler.polynomial(0.0)[1]
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        block * step_bytes(stage, True, False))
+                        block * step_bytes(G, True, False))
     got = solve_original(bundle, f, g, 0.5, rho=0.7)
     assert got.meta["steps"] % block or block == 1
     for a, b in ((ref.l2, got.l2), (ref.radius, got.radius),
@@ -557,7 +561,7 @@ def test_step_blowup_detected(grid):
 
 def _per_step(asm, f_conj, v0_hat, times):
     """The states at every step time, stepped one step() at a time, each on
-    its own stage operators, integrating factors and forcing."""
+    its own stages, integrating factors and forcing."""
     p, grid = asm.problem, asm.grid
     out = [v0_hat]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -565,7 +569,7 @@ def _per_step(asm, f_conj, v0_hat, times):
             taus = np.array([t0, t0 + 0.5 * (t1 - t0), t1])
             out.append(step(out[-1], t1 - t0, grid,
                             integrating_factors(p, grid, [t0, t1])[0],
-                            asm.stage_operators(taus),
+                            _operators(asm)(taus),
                             None if f_conj is None else f_conj(taus)))
     return np.array(out)
 
@@ -584,7 +588,8 @@ def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
     # blocks of 3 (25 steps: a short last block) it gives the states of
     # step() taken one step at a time
     asm = _kdv_assembler(grid, 0.5, 0.3)
-    assert isinstance(asm.stage_operators([0.0])[0], Multiplier)
+    G = asm.polynomial(0.0)[1]
+    assert G.ndim == 2
     f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))
 
     def f_conj(taus):
@@ -592,8 +597,7 @@ def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
                 + 1j * taus[:, None] * np.conj(f_hat))
 
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        3 * step_bytes(asm.stage_operators([0.0])[0], True,
-                                       False))
+                        3 * step_bytes(G, True, False))
     shapes = []
 
     def recording(v_hat, *args, **kwargs):
@@ -611,6 +615,52 @@ def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     l2 = grid.l2_norm(ref)
     assert np.max(np.abs(traj.l2 - l2)) <= 1e-13 * np.max(l2)
+
+
+def _switching_problem(factor):
+    """kdv-baseline's a3 with a2 = 0 and a1 = 0.05 factor(t) e^{-x^2} xi:
+    the generator depends on x at the times where factor(t) != 0."""
+    a1 = Symbol(fn=lambda t, x, xi: 0.05 * factor(t) * np.exp(-x ** 2) * xi,
+                order=1.0, name="switching-a1")
+    return dataclasses.replace(model_problem("kdv-baseline", 0.75),
+                               name="switching", a1=a1, time_dependent=True)
+
+
+def test_stack_solve_forms_an_x_independent_time_as_a_stack(grid):
+    # a1 vanishes at T = 1 only: the variant is decided at t = 0, where the
+    # generator depends on x, so the solve steps on matrices throughout,
+    # the x-independent last stage time included, and its v(T) is that of
+    # steps on the quantized generator table at each stage time
+    prob = _switching_problem(lambda t: 1.0 - t)
+    params, details = select_parameters_detailed(prob, 1.8, grid)
+    assert (params.M2, params.M1, params.h) == (0.0, 0.0, 1.0)
+    asm = details["bundle"].assembler
+    v0 = details["bundle"].apply_full(
+        grid.forward(synthetic_radius_field(grid, 0.7, 1.8)), 0.0)
+    traj = solve_conjugated(asm, None, v0, 1.0)
+    assert asm.polynomial(0.0)[1].ndim == 3
+    assert asm.at(1.0).generator_table().values.shape == (1, grid.N)
+    ref = v0
+    for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
+        ref = step(ref, t1 - t0, grid,
+                   integrating_factors(prob, grid, [t0, t1])[0],
+                   [quantized(grid, asm.at(tau).generator_table().values)
+                    for tau in (t0, t0 + 0.5 * (t1 - t0), t1)])
+    got = traj.v_hats[-1]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rows_solve_refuses_an_x_dependent_time(grid):
+    # a1 vanishes at t = 0 only: the variant is decided there, on rows, and
+    # the first stage time whose generator depends on x (the first half
+    # step, t = 1/64) raises ParameterError naming it
+    prob = _switching_problem(lambda t: t)
+    params, details = select_parameters_detailed(prob, 1.8, grid)
+    assert (params.M2, params.M1, params.h) == (0.0, 0.0, 1.0)
+    g = synthetic_radius_field(grid, 0.7, 1.8)
+    with pytest.raises(ParameterError, match=r"depends on x at t=0\.015625"):
+        solve_original(details["bundle"], None, g, 1.0)
+    assert details["bundle"].assembler.polynomial(0.0)[1].ndim == 2
 
 
 def test_multiplier_blowup_names_the_first_step(grid):
@@ -717,21 +767,34 @@ def test_energy_estimate_one_pass(small_setup, monkeypatch):
 
 
 def _stage_calls(monkeypatch):
-    """Record the times of each stage_operators call, one list per call."""
+    """Record the times of each stages call, one list per call."""
     calls = []
-    build = ConjugationAssembler.stage_operators
+    build = ConjugationAssembler.stages
 
-    def counting(self, taus):
+    def counting(self, taus, out=None):
         calls.append(list(map(float, taus)))
-        return build(self, taus)
+        return build(self, taus, out)
 
-    monkeypatch.setattr(ConjugationAssembler, "stage_operators", counting)
+    monkeypatch.setattr(ConjugationAssembler, "stages", counting)
     return calls
+
+
+def _block_times(monkeypatch):
+    """Record the step times of each block of a solve, one list per block:
+    the times its integrating factors are formed for."""
+    blocks, factors = [], evolve.integrating_factors
+
+    def recording(p, grid, times):
+        blocks.append(list(map(float, times)))
+        return factors(p, grid, times)
+
+    monkeypatch.setattr(evolve, "integrating_factors", recording)
+    return blocks
 
 
 def _stage_times(setup, T, dt, monkeypatch):
     """A forced solve's step count, the times its forcing is evaluated at
-    and the times of each of its stage_operators calls."""
+    and the times of each of its stages calls."""
     grid = setup["grid"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
     taus = []
@@ -747,14 +810,30 @@ def _stage_times(setup, T, dt, monkeypatch):
 
 def test_forcing_conjugated_once_per_stage_time(small_setup, monkeypatch):
     # k2 and k3 share t + dt/2, and k4 shares t + dt with the energy log and
-    # the next k1: no time's forcing reaches apply_full twice, and no time's
-    # stage operator is built twice
+    # the next k1: no time's forcing reaches apply_full twice, the stages
+    # are formed at those times, and on time-dependent coefficients
+    # (time-modulated N=48/L=8) no stage time's coefficient stack is built
+    # twice, though each batch forms its start stage again
     steps, taus, calls = _stage_times(small_setup, 0.5, None, monkeypatch)
-    stage_taus = sum(calls, [])
     assert len(taus) == len(set(taus))
     # t = 0, every half step and every step end
     assert len(taus) == 2 * steps + 1
-    assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
+    assert set(sum(calls, [])) == set(taus)
+    monkeypatch.undo()
+    prob = model_problem("time-modulated", 0.75, domain=8.0)
+    grid = make_grid(8.0, 48)
+    _, details = select_parameters_detailed(prob, 1.8, grid)
+    stacks, build = [], conjugate.spectral_stack
+
+    def counting(grid, tables):
+        stacks.append(len(tables))
+        return build(grid, tables)
+
+    monkeypatch.setattr(conjugate, "spectral_stack", counting)
+    steps, taus, calls = _stage_times(
+        {"grid": grid, "bundle": details["bundle"]}, 1.0, None, monkeypatch)
+    assert len(taus) == len(set(taus)) == 2 * steps + 1
+    assert steps == 32 and len(stacks) == 2 * steps + 1 == 65
 
 
 def test_energy_estimate_calls_f_once_per_stage_time(small_setup,
@@ -773,7 +852,7 @@ def test_energy_estimate_calls_f_once_per_stage_time(small_setup,
         taus.append(float(t))
         return 0.5 * np.exp(-t) * g
 
-    calls = _stage_calls(monkeypatch)
+    blocks = _block_times(monkeypatch)
     traj = solve_original(bundle, f, g, 0.5, rho=rho)
     monkeypatch.undo()
     steps = traj.meta["steps"]
@@ -781,8 +860,8 @@ def test_energy_estimate_calls_f_once_per_stage_time(small_setup,
 
     spec_in = GevreyNormSpec(0.0, rho, theta)
     times = traj.times
-    groups = [call[1::2] for call in calls[1:]]
-    assert calls[0] == [0.0] and sum(map(len, groups)) == steps
+    groups = [block[1:] for block in blocks]
+    assert sum(map(len, groups)) == steps
     fn = np.concatenate([
         gevrey_norm(grid.forward([f(t) for t in group]), spec_in, grid)
         for group in [[0.0], *groups]]) ** 2
@@ -810,34 +889,34 @@ def test_steps_end_on_the_logged_times(kdv256, monkeypatch):
     steps, taus, calls = _stage_times(kdv256, 1.0, 0.002, monkeypatch)
     stage_taus = sum(calls, [])
     assert steps == 500
-    # more than two blocks, and a last block shorter than the others
-    blocks = calls[1:]
-    assert len(blocks) > 2 and len(blocks[-1]) < len(blocks[0])
+    # more than two blocks, one stages call each, and a last block shorter
+    # than the others; each block forms its start again
+    assert len(calls) > 2 and len(calls[-1]) < len(calls[0])
     assert len(taus) == len(set(taus)) == 2 * steps + 1
-    assert len(stage_taus) == len(set(stage_taus)) == 2 * steps + 1
+    assert len(set(stage_taus)) == 2 * steps + 1
+    assert len(stage_taus) == 2 * steps + len(calls)
 
 
 @pytest.mark.parametrize("case", ["time-modulated-64", "kdv-256"])
 def test_block_length_follows_the_bytes_a_step_adds(
         case, modulated64_selection, kdv256, monkeypatch):
     # each time-modulated stage holds its own coefficient stack, so a step
-    # adds two stacks to a block and a block holds one step (a call builds
-    # at most its two stage times); a kdv-baseline stage is a row, and a
-    # block at N = 256 holds tens of steps
+    # adds two stacks to a block and a block holds one step; a kdv-baseline
+    # stage is a row, and a block at N = 256 holds tens of steps
     if case == "kdv-256":
         bundle, T, dt = kdv256["bundle"], 0.2, 0.002
     else:
         bundle, T, dt = modulated64_selection[3]["bundle"], 0.1, None
     grid = bundle.grid
-    calls = _stage_calls(monkeypatch)
+    blocks = _block_times(monkeypatch)
     solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8), T,
                    dt=dt)
-    sizes = [len(c) for c in calls[1:]]
+    sizes = [len(b) - 1 for b in blocks]
     assert len(sizes) > 1
     if case == "kdv-256":
-        assert max(sizes) > 16
+        assert max(sizes) > 8
     else:
-        assert max(sizes) <= 2
+        assert max(sizes) == 1
 
 
 def test_radius_loss_bounded(small_setup):

@@ -265,7 +265,7 @@ def test_run_releases_the_tables_its_solve_does_not_read(modulated64_selection):
     for read in reads:
         with pytest.raises(ReleasedError):
             read()
-    assert len(asm.stage_operators(np.array([0.25, 0.5]))) == 2
+    assert len(asm.stages(np.array([0.25, 0.5]))) == 2
     # time-dependent coefficients keep every table
     modulated = modulated64_selection[3]["bundle"].assembler
     modulated.release_tables()

@@ -143,23 +143,30 @@ MUTANTS = [
            "            entry.pop(\"generator\", None)\n",
            "",
            (T_CONJ + "test_stage_follows_new_time_weight_constants",)),
+    Mutant("variant-decided-per-coefficient-time", CONJ,
+           "            if self._rows is None:\n"
+           "                self._rows = rows is not None\n",
+           "            self._rows = rows is not None\n",
+           (T_EVOLVE + "test_stack_solve_forms_an_x_independent_time_as_a_stack",
+            T_EVOLVE + "test_rows_solve_refuses_an_x_dependent_time")),
     Mutant("stack-rebuilt-at-every-stage-time", CONJ,
            'if "generator" not in entry:',
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
     Mutant("pair-gemm-drops-top-power", QUANTIZE,
-           "np.matmul(np.array([op.weights for op in ops]),",
-           "np.matmul(np.array([op.weights for op in ops])\n"
-           "                  * (np.arange(len(stack)) < len(stack) - (len(ops) > 1)),",
+           "np.matmul(weights, stack.reshape(len(stack), -1).view(float),",
+           "np.matmul(weights * (np.arange(len(stack))\n"
+           "                         < len(stack) - (len(weights) > 1)),\n"
+           "              stack.reshape(len(stack), -1).view(float),",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             PAIR_CASE + "[complex-damped]")),
     Mutant("batch-start-read-from-a-stale-slot", EVOLVE,
-           "ops = [Dense(grid, M) for M in stage_matrices(\n"
-           "                        stages[2 * i:2 * i + 2 * b + 1], "
+           "ops = [Dense(grid, M) for M in assembler.stages(\n"
+           "                        taus[2 * i:2 * i + 2 * b + 1], "
            "slots[:2 * b + 1])]",
            "ops = [Dense(grid, slots[0])] + [Dense(grid, M) for M in "
-           "stage_matrices(\n"
-           "                        stages[2 * i + 1:2 * i + 2 * b + 1], "
+           "assembler.stages(\n"
+           "                        taus[2 * i + 1:2 * i + 2 * b + 1], "
            "slots[1:2 * b + 1])]",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             T_EVOLVE + "test_batch_start_is_formed_as_the_last_end")),
@@ -171,12 +178,15 @@ MUTANTS = [
            "        batch = batch_steps(",
            (T_EVOLVE + "test_multiplier_solve_forms_no_stage_matrix",)),
     Mutant("stage-matrices-formed-per-rhs", EVOLVE,
-           "                            ops[2 * k:2 * k + 3],\n",
-           "                            stages[2 * j:2 * j + 3],\n",
+           "ops = [Dense(grid, M) for M in assembler.stages(\n"
+           "                        taus[2 * i:2 * i + 2 * b + 1], "
+           "slots[:2 * b + 1])]",
+           "ops = [Dense(grid, assembler.stages([tau])[0])\n"
+           "                           for tau in taus[2 * i:2 * i + 2 * b + 1]]",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("batch-stages-shifted-by-one-time", EVOLVE,
-           "stages[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]",
-           "stages[2 * i + 1:2 * i + 2 * b + 1] + stages[-1:], "
+           "taus[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]",
+           "np.append(taus[2 * i + 1:2 * i + 2 * b + 1], taus[-1]), "
            "slots[:2 * b + 1])]",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("batch-ignores-block-end", EVOLVE,
@@ -188,7 +198,7 @@ MUTANTS = [
            "            pass\n",
            (T_EVOLVE + "test_affine_blocks_equal_per_step_stepping",)),
     Mutant("block-ignores-own-stacks", EVOLVE,
-           "    stacks = 2 * stage.stack.nbytes if own_stack else 0\n",
+           "    stacks = 2 * G.nbytes if own_stack else 0\n",
            "    stacks = 0\n",
            (T_EVOLVE + "test_block_length_follows_the_bytes_a_step_adds"
             "[time-modulated-64]",)),
@@ -316,8 +326,8 @@ MUTANTS = [
            "    except () as exc:\n        # from_file",
            (T_HARNESS + "test_run_into_an_existing_file_names_the_write",)),
     Mutant("block-boundary-node-rebuilt", EVOLVE,
-           "stages = stages[-1:] + assembler.stage_operators(taus)",
-           "stages = assembler.stage_operators(np.concatenate([t0[:1], taus]))",
+           "f_conj(taus[1:])",
+           "f_conj(taus)",
            (T_EVOLVE + "test_forcing_conjugated_once_per_stage_time",
             T_EVOLVE + "test_steps_end_on_the_logged_times")),
     Mutant("radius-fit-mask-of-first-row", EVOLVE,
