@@ -64,7 +64,8 @@ def diff_uniform(values, spacing, order, axis=0, accuracy=4):
     stencils of the same width near the boundary.  The interior adds its
     terms in stencil order into preallocated buffers, starting from 0 as
     sum() does, so it rounds as the sum of the terms; along axis 0 of a
-    C-contiguous array each term is one contiguous block.
+    C-contiguous array, such as the xi-major body quantize.xi_derivative
+    gathers from a column-major table, each term is one contiguous block.
     """
     values = np.asarray(values)
     n = values.shape[axis]

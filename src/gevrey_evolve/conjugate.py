@@ -165,14 +165,14 @@ class PhaseTables:
     def lam(self) -> SymbolTable:
         """lam2 + lam1."""
         win = self._windows("lam")
-        l2, l1 = (sampled_table(self.grid, v)
+        l2, l1 = (sampled_table(self.grid, v.T)
                   for v in spatial_weights(win, self.params))
         return l2 + l1
 
     def _weight_x(self, which, order) -> SymbolTable:
         """d_x^order of lam2 (which=2) or lam1 (which=1), from the windows."""
         return sampled_table(self.grid, weight_x_derivative(
-            self._windows((which, order)), self.params, which, order))
+            self._windows((which, order)), self.params, which, order).T)
 
     lam2_x = cached_property(lambda self: self._weight_x(2, 1))
     lam2_xx = cached_property(lambda self: self._weight_x(2, 2))
@@ -187,12 +187,12 @@ class PhaseTables:
     def psi_window(self) -> SymbolTable:
         """psi(<x>/<xi>_h^2)."""
         win = self._windows("psi_window")
-        return SymbolTable(self.grid, win.psi(0))
+        return SymbolTable(self.grid, win.psi(0).T)
 
     @cached_property
     def abs_w(self) -> np.ndarray:
         """|w(xi/h)| on the frequency lattice."""
-        return np.abs(self._windows("abs_w").w)
+        return np.abs(self._windows("abs_w").w[:, 0])
 
     def _lam_x(self, o) -> SymbolTable:
         """d_x^o lam: lam2's plus lam1's for o <= 3, spectral for o = 4."""
@@ -248,9 +248,12 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
                        grid: Grid) -> PhaseTables:
     """The phase tables of one grid/params, each formed on first read.
     One Windows on the lattice serves every table, so each window is
-    evaluated once."""
+    evaluated once.  It is laid out xi by x, so that the transpose of each
+    window value is a column-major table that sampled_table copies
+    without transposing."""
     return PhaseTables(grid, params,
-                       Windows(grid.x[:, None], grid.xi, 0.0, p, params))
+                       Windows(grid.x[None, :], grid.xi[:, None], 0.0, p,
+                               params))
 
 
 def _truncated(terms, size, stops, key):

@@ -15,6 +15,16 @@ real table xi-differentiates to the real part of its complex cast's
 derivative, and x-differentiates (through its complex spectrum) to the
 complex cast's derivative.
 
+An (N, N) table is stored column-major (x fastest): it is created so
+where it is born (the SymbolTable copy, sampled_table, the derivatives,
+.real and .imag), and numpy's elementwise arithmetic keeps the layout.
+Both table kernels then run over contiguous memory: an x-derivative
+transforms contiguous columns, and an xi-derivative gathers and scatters
+its xi-major body by row copies of the transpose.  A 1-D FFT rounds alike
+at any stride, so the layout changes no bit.  What the solve multiplies
+(the coefficient stack, the stage matrices and every GEMM or GEMV operand)
+stays row-major, so the BLAS kernels and their rounding do not change.
+
 Quantization is the left (Kohn-Nirenberg) rule
 
     (p(x, D) u)(x_j) = (1/sqrt N) sum_k e^{i xi_k x_j} p(x_j, xi_k) u_hat_k,
@@ -65,14 +75,17 @@ def _table_dtype(values):
 class SymbolTable:
     """Samples p(x_j, xi_k) of a symbol at one time; Nyquist column zero.
     The values are float64 when they are real-typed and complex128
-    otherwise; .real and .imag are float tables."""
+    otherwise; .real and .imag are float tables.  An (N, N) table is
+    column-major (order="F"), so that its x-transforms and xi-stencils read
+    contiguous columns; see the module docstring."""
 
     grid: Grid
     values: np.ndarray          # (N, N) or one row (1, N), [x-index, xi-index]
 
     def __post_init__(self):
-        # the caller's array is copied and never written to
-        self._own(np.array(self.values, dtype=_table_dtype(self.values)))
+        # the caller's array is copied, column-major, and never written to
+        self._own(np.array(self.values, dtype=_table_dtype(self.values),
+                           order="F"))
 
     @classmethod
     def fresh(cls, grid, values):
@@ -116,11 +129,11 @@ class SymbolTable:
 
     @property
     def real(self):
-        return SymbolTable.fresh(self.grid, self.values.real.copy())
+        return SymbolTable.fresh(self.grid, self.values.real.copy(order="K"))
 
     @property
     def imag(self):
-        return SymbolTable.fresh(self.grid, self.values.imag.copy())
+        return SymbolTable.fresh(self.grid, self.values.imag.copy(order="K"))
 
 
 def _on_nodes(grid, M):
@@ -289,32 +302,36 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     """d^order/dxi^order of a table by finite differences on the xi lattice.
 
     Works on the monotone lattice: the columns past the Nyquist one, then
-    those before it, gathered by slicing into one contiguous array with xi
-    as its first axis (so each stencil term is a contiguous block) and
-    scattered back the same way.  The Nyquist sample is excluded so the
-    zeroed column cannot contaminate its neighbours.  A one-row table is
-    differentiated as four equal rows: BLAS rounds the edge stencils'
+    those before it, gathered into one contiguous array with xi as its
+    first axis (so each stencil term is a contiguous block) and scattered
+    back the same way; of a column-major table each column is a row of
+    its transpose, so both are row copies.  The Nyquist sample is
+    excluded so the zeroed column cannot contaminate its neighbours.  The
+    result is column-major: its transpose is what is written.  A one-row
+    table is differentiated as four equal rows: BLAS rounds the edge stencils'
     product with a lone column differently from the columns of a wider
     one, and a row must differentiate exactly like its tiled twin.
     """
     g = p.grid
     nyq = g.nyquist
     rows = p.values.shape[0]
-    body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=p.values.dtype)
-    body[:nyq - 1] = p.values[:, nyq + 1:].T
-    body[nyq - 1:] = p.values[:, :nyq].T
+    # the xi-major view of the column-major table and of its derivative
+    cols = p.values.T
+    body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=cols.dtype)
+    body[:nyq - 1] = cols[nyq + 1:]
+    body[nyq - 1:] = cols[:nyq]
     dbody = diff_uniform(body, g.dxi, order, axis=0, accuracy=accuracy)
-    out = np.empty((rows, g.N), dtype=p.values.dtype)
-    out[:, nyq + 1:] = dbody[:nyq - 1, :rows].T
-    out[:, :nyq] = dbody[nyq - 1:, :rows].T
-    return SymbolTable.fresh(g, out)
+    out = np.empty((g.N, rows), dtype=cols.dtype)
+    out[nyq + 1:] = dbody[:nyq - 1, :rows]
+    out[:nyq] = dbody[nyq - 1:, :rows]
+    return SymbolTable.fresh(g, out.T)
 
 
 def x_derivatives(p: SymbolTable):
     """The function order -> d^order/dx^order of a table, by spectral
     differentiation per column: one forward FFT serves every order, each
-    order read costs one inverse.  Of a one-row table, the exact zero
-    row."""
+    order read costs one inverse.  The columns of a column-major table are
+    contiguous.  Of a one-row table, the exact zero row."""
     g = p.grid
     if p.values.shape[0] == 1:
         return lambda order: SymbolTable.fresh(g, np.zeros((1, g.N)))

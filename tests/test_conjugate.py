@@ -748,28 +748,58 @@ def test_real_tables_stay_real(small_setup):
         assert asm._entry(0.0)["poly"][name][0].values.dtype == np.float64, name
 
 
-def _held_bytes(obj):
-    """Bytes of the distinct array buffers obj reaches through attributes,
-    dicts and sequences, the grid's and the problem's left out."""
+def _reachable(obj):
+    """Every object obj reaches through attributes, dicts and sequences,
+    once each, the grid's and the problem's left out."""
     from gevrey_evolve.grid import Grid
     from gevrey_evolve.symbols import ProblemSpec
-    seen, buffers, todo = set(), {}, [obj]
+    seen, todo = set(), [obj]
     while todo:
         o = todo.pop()
         if id(o) in seen or isinstance(o, (Grid, ProblemSpec)):
             continue
         seen.add(id(o))
-        if isinstance(o, np.ndarray):
-            while isinstance(o.base, np.ndarray):
-                o = o.base
-            buffers[id(o)] = o.nbytes
-        elif isinstance(o, dict):
+        yield o
+        if isinstance(o, dict):
             todo.extend(o.values())
         elif isinstance(o, (list, tuple, set)):
             todo.extend(o)
         elif hasattr(o, "__dict__"):
             todo.extend(vars(o).values())
+
+
+def _held_bytes(obj):
+    """Bytes of the distinct array buffers obj reaches (_reachable)."""
+    buffers = {}
+    for o in _reachable(obj):
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            buffers[id(o)] = o.nbytes
     return sum(buffers.values())
+
+
+def test_stored_tables_are_column_major(small_setup):
+    # every N x N table the accepted assembler keeps (k-polynomials,
+    # coefficient and phase tables) and the factors P_b, Q_a of its phase
+    # store x fastest, so x-transforms and xi-stencils read contiguous
+    # columns
+    prob, grid, asm = (small_setup[k] for k in ("problem", "grid", "assembler"))
+    factors = conjugate.build_phase_tables(prob, asm.params, grid).exp_factors(4)
+    tables = [o.values for o in _reachable((asm, factors))
+              if isinstance(o, SymbolTable) and o.values.shape == (N, N)]
+    assert len(tables) >= 30
+    assert all(v.flags.f_contiguous for v in tables)
+
+
+def test_coefficient_stack_and_stages_are_row_major(small_setup):
+    # what the solve's GEMMs and GEMVs read stays row-major
+    prob, grid, asm = (small_setup[k] for k in ("problem", "grid", "assembler"))
+    powers, G = ConjugationAssembler(prob, asm.params, grid).polynomial(0.0)
+    assert G.shape == (len(powers) + 1, N, N) and G.flags.c_contiguous
+    for taus in ([0.3], [0.0, 0.25, 0.5]):
+        S = asm.stages(taus)
+        assert S.shape == (len(taus), N, N) and S.flags.c_contiguous
 
 
 def test_accepted_assembler_holds_at_most_23_complex_tables():

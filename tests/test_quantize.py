@@ -4,7 +4,8 @@ import pytest
 from gevrey_evolve.errors import ParameterError, ShapeError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.quantize import (Dense, SymbolTable, adjoint, apply,
-                                    band_relative_error, compose_expansion,
+                                    band_relative_error, coefficient_matrix,
+                                    compose_expansion, dx_operators,
                                     exp_table, multiplier_table,
                                     table_from_function, to_dense,
                                     x_derivative, xi_derivative)
@@ -233,3 +234,39 @@ def test_dense_stack_rows_do_not_depend_on_the_grouping(grid):
     grouped = np.concatenate([op.matvec_hat(fields[:32]),
                               op.matvec_hat(fields[32:])])
     assert np.array_equal(grouped, op.matvec_hat(fields))
+
+
+def test_tables_are_column_major(grid):
+    # x is the fastest axis of a stored table: the copy, table arithmetic,
+    # .real/.imag and both derivatives keep every column contiguous
+    vals = np.arange(grid.N * grid.N, dtype=complex).reshape(grid.N, grid.N)
+    t = SymbolTable(grid, np.sin(vals) + 1j * np.cos(vals))
+    q = table_from_function(grid, lambda x, xi: np.cos(x) * xi)
+    for table in (t, q, t * q, t + 1.0, t.real, t.imag, t * multiplier_table(
+            grid, grid.xi), xi_derivative(t, 2), x_derivative(t, 1),
+            dx_operators(q)(3)):
+        assert table.values.shape == (grid.N, grid.N)
+        assert table.values.flags.f_contiguous
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_kernels_do_not_depend_on_the_storage_order(grid, real):
+    # a table stored row-major differentiates and quantizes to the same
+    # bits as its column-major copy: every kernel rounds per column
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((grid.N, grid.N))
+    if not real:
+        vals = vals + 1j * rng.standard_normal((grid.N, grid.N))
+    by_cols = SymbolTable(grid, vals)
+    by_rows = SymbolTable.fresh(grid, np.ascontiguousarray(by_cols.values))
+    assert by_cols.values.flags.f_contiguous
+    assert by_rows.values.flags.c_contiguous
+    Dx_cols, Dx_rows = dx_operators(by_cols), dx_operators(by_rows)
+    for order in (1, 2, 3, 4):
+        for kernel in (x_derivative, xi_derivative):
+            assert np.array_equal(kernel(by_cols, order).values,
+                                  kernel(by_rows, order).values)
+        assert np.array_equal(Dx_cols(order).values, Dx_rows(order).values)
+    A = coefficient_matrix(grid, by_cols.values)
+    assert A.flags.c_contiguous
+    assert np.array_equal(A, coefficient_matrix(grid, by_rows.values))

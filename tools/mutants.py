@@ -44,6 +44,7 @@ T_EVOLVE = "tests/test_evolve.py::"
 T_HARNESS = "tests/test_harness.py::"
 T_KERNELS = "tests/test_kernels.py::"
 T_POS = "tests/test_positivity.py::"
+T_QUANTIZE = "tests/test_quantize.py::"
 T_SYMBOLS = "tests/test_symbols.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
@@ -430,8 +431,8 @@ MUTANTS = [
            "core = core * Q[a - 1]",
            (T_CONJ + "test_tables_formed_on_first_read_equal_the_eager_build",)),
     Mutant("psi-window-complex", CONJ,
-           "return SymbolTable(self.grid, win.psi(0))",
-           "return SymbolTable(self.grid, win.psi(0).astype(complex))",
+           "return SymbolTable(self.grid, win.psi(0).T)",
+           "return SymbolTable(self.grid, win.psi(0).T.astype(complex))",
            (T_CONJ + "test_real_tables_stay_real",)),
     Mutant("cli-keeps-the-host-allocator", HARNESS,
            "def main(argv=None):\n    reuse_freed_memory()\n",
@@ -441,11 +442,20 @@ MUTANTS = [
            "    bundle.assembler.release_tables()\n",
            "",
            (T_HARNESS + "test_run_releases_the_tables_its_solve_does_not_read",)),
+    Mutant("tables-stored-row-major", QUANTIZE,
+           'order="F"))',
+           'order="C"))',
+           (T_CONJ + "test_stored_tables_are_column_major",
+            T_QUANTIZE + "test_tables_are_column_major")),
+    Mutant("stage-stack-column-major", QUANTIZE,
+           "A = np.empty((len(tables), grid.N, grid.N), dtype=complex)",
+           'A = np.empty((len(tables), grid.N, grid.N), dtype=complex, '
+           'order="F")',
+           (T_CONJ + "test_coefficient_stack_and_stages_are_row_major",)),
     Mutant("dense-lone-row-takes-gemv", QUANTIZE,
            "        if np.ndim(w_hat) == 2 and len(w_hat) == 1:\n",
            "        if False:\n",
-           ("tests/test_quantize.py::"
-            "test_dense_stack_rows_do_not_depend_on_the_grouping",)),
+           (T_QUANTIZE + "test_dense_stack_rows_do_not_depend_on_the_grouping",)),
 ]
 
 
