@@ -26,10 +26,11 @@ of steps.  A row step is affine and diagonal in v, v -> P * v + Q: a block
 forms its stage rows with one stages call and its P and Q rows with one
 step() call each on (B, N) stacks, and its step loop is then two row
 operations per step.  A matrix solve steps in batches of up to J steps
-(batch_steps): one stages call, one GEMM over the stack, forms the
-coefficient matrices of a batch's 2B + 1 stage times (its start and each
-step's t + dt/2 and t + dt) into slots the solve holds, and the steps
-apply them as Dense operators.  step() is only the Runge-Kutta
+(batch_steps): one stages call, one GEMM over the stack run in
+L2-sized column panels (quantize.stage_matrices), forms the coefficient
+matrices of a batch's 2B + 1 stage times (its start and each step's
+t + dt/2 and t + dt) into slots the solve holds, and the steps apply them
+as Dense operators.  step() is only the Runge-Kutta
 arithmetic.  The data is transformed once, ||v|| comes from Parseval and
 is read, with the blow-up check, once per block, and the pull-back, its
 equivalence check, the radius fit and the Gevrey norm read coefficients on
@@ -313,15 +314,15 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     (allocated only for matrices), B = batch_steps: a block's steps run in
     batches of B, the last one cut at the block's end, and a batch of b
     steps forms the matrices of its start and its 2b half and end times
-    with one stages call (one GEMM over the stack) into slots 0 to 2b, and
-    its steps apply them as Dense operators.  Each block or batch forms
-    its start again: a stage is the same bits in any call, the stack of a
-    time-dependent stage time is built once, and one more row costs what
-    a copy does.  Step i runs with the exact (Sterbenz) step
-    times[i+1] - times[i], so it ends on times[i+1].  A block's states
-    are one (B, N) array: their norms, the finite check, the blow-up cap
-    and the logged copies are read from it once per block, and a blow-up
-    names the first step that crossed the cap.
+    with one stages call (one GEMM over the stack, in column panels) into
+    slots 0 to 2b, and its steps apply them as Dense operators.  Each
+    block or batch forms its start again: a stage is the same bits in any
+    call, the stack of a time-dependent stage time is built once, and one
+    more row costs what a copy does.  Step i runs with the exact
+    (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].  A
+    block's states are one (B, N) array: their norms, the finite check,
+    the blow-up cap and the logged copies are read from it once per
+    block, and a blow-up names the first step that crossed the cap.
     v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
     callable taking an array of times (B,) to the coefficients (B, N) of
     the conjugated forcing there, or None.  It is called at t = 0 and then

@@ -44,7 +44,12 @@ matrix of a table, E_syn^H (E_syn * p), is one FFT along x
 A stage of a solve is a weighted sum over such a fixed stack, of Fourier
 rows or of coefficient matrices: stage_matrices forms the stages of many
 weight vectors by one real GEMM, and a solve steps on them as Multiplier
-rows or Dense operators.
+rows or Dense operators.  The GEMM runs over column panels of the stack
+(STAGE_PANEL), each written straight into its columns of the stages: one
+unpanelled product streams (2J + 1) stages of 2N^2 float64 each, far more
+than L2 holds, and cost 1.5 times as much at N = 256 and N = 1024.  Each
+element is the same dot product over the J + 1 tables in any panel, so
+no bit depends on the panels.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -64,6 +69,13 @@ from .errors import ParameterError, ShapeError
 from .grid import Grid
 
 EXP_GUARD = 700.0  # log-scale overflow guard for entrywise exponentials
+# float64 columns per GEMM panel of stage_matrices (64 KiB a row): a batch
+# of 2J + 1 = 9 stages over J + 1 = 5 tables then holds 0.9 MiB, inside a
+# 2 MiB L2.  One BLAS thread, 2-CPU Xeon, ms per 9-stage batch at N = 256
+# and 1024: one unpanelled GEMM 1.28 and 30.4; panels of 2048 columns
+# 0.96 and 19.7, 4096 0.88 and 18.8, 8192 0.83 and 20.0, 16384 0.83 and
+# 19.6, 32768 1.21 and 30.7.
+STAGE_PANEL = 8192
 
 
 def _table_dtype(values):
@@ -177,14 +189,28 @@ class Dense:
 def stage_matrices(weights, stack, out=None):
     """The stages sum_i weights[b, i] stack[i], one for each row b of the
     weights (B, J+1), as one array (B, *stack.shape[1:]) written into out
-    when given.  The weights are real, so every stage is one real GEMM,
-    (B x (J+1)) @ ((J+1) x 2n), on the complex stack seen as float64 (n
-    entries per table: an N-row or an N x N matrix), which reads the stack
-    once however many stages it forms."""
+    when given, which must be a C-contiguous complex array of that shape
+    (else ShapeError: a reshape of any other would copy, and the copy
+    would be written).  The weights are real, so the stages are one real
+    GEMM, (B x (J+1)) @ ((J+1) x 2n), on the complex stack seen as float64
+    (n entries per table: an N-row or an N x N matrix), which reads the
+    stack once however many stages it forms.  It runs as one product per
+    panel of STAGE_PANEL float64 columns, each written straight into its
+    columns of out, so that a panel's stack and stages stay in L2; a row
+    stack fits in one panel.  Every element is the same length-(J+1) dot
+    product in any panel, so no stage's bits depend on the panels."""
+    shape = (len(weights), *stack.shape[1:])
     if out is None:
-        out = np.empty((len(weights), *stack.shape[1:]), dtype=complex)
-    np.matmul(weights, stack.reshape(len(stack), -1).view(float),
-              out=out.reshape(len(weights), -1).view(float))
+        out = np.empty(shape, dtype=complex)
+    elif (out.shape != shape or out.dtype != complex
+          or not out.flags.c_contiguous):
+        raise ShapeError(f"stage output {out.shape} {out.dtype} must be a "
+                         f"C-contiguous complex128 array of shape {shape}")
+    A = stack.reshape(len(stack), -1).view(float)
+    C = out.reshape(len(out), -1).view(float)
+    for c in range(0, A.shape[1], STAGE_PANEL):
+        np.matmul(weights, A[:, c:c + STAGE_PANEL],
+                  out=C[:, c:c + STAGE_PANEL])
     return out
 
 

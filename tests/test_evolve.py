@@ -298,7 +298,8 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
 
 def _count_stage_forms(monkeypatch):
     """Record the stage count of each stage_matrices call over a stack of
-    coefficient matrices: one GEMM per call."""
+    coefficient matrices: one call, one GEMM run in column panels, per
+    batch."""
     sizes = []
     form = quantize.stage_matrices
 
@@ -366,6 +367,38 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
     assert sum(sizes) == 2 * steps + len(sizes)
     assert 0 < len(slots) <= 2 * B + 1
     assert forwards[0] == 0
+
+
+def test_solve_stages_equal_one_unpanelled_gemm(medium_setup, monkeypatch):
+    # damped N=128: a stage is 2N^2 = 32768 float64 columns, four panels of
+    # the batch GEMM.  Every stage a step applies has the bits of its
+    # batch's weights over the stack by one unpanelled np.matmul
+    grid, asm = medium_setup["grid"], medium_setup["assembler"]
+    G = asm.polynomial(0.0)[1]
+    flat = G.reshape(len(G), -1).view(float)
+    assert G.ndim == 3 and flat.shape[1] > 2 * quantize.STAGE_PANEL
+    formed, form, applied = {}, quantize.stage_matrices, [0]
+
+    def address(M):
+        return M.__array_interface__["data"][0]
+
+    def recording(weights, stack, out=None):
+        out = form(weights, stack, out)
+        want = np.matmul(weights, flat).view(complex).reshape(out.shape)
+        formed.update({address(M): W for M, W in zip(out, want)})
+        return out
+
+    def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
+        for M in stages:
+            assert np.array_equal(M.matrix, formed[address(M.matrix)])
+        applied[0] += len(stages)
+        return step(v_hat, dt, grid, phases, stages, forcing)
+
+    monkeypatch.setattr(conjugate, "stage_matrices", recording)
+    monkeypatch.setattr(evolve, "step", checking_step)
+    traj = solve_conjugated(asm, None, grid.forward(
+        synthetic_radius_field(grid, 0.7, 1.8)), 0.2)
+    assert applied[0] == 3 * traj.meta["steps"] > 0
 
 
 def test_batch_start_is_formed_as_the_last_end(small_setup, monkeypatch):

@@ -3,10 +3,11 @@ import pytest
 
 from gevrey_evolve.errors import ParameterError, ShapeError
 from gevrey_evolve.grid import bracket_h, make_grid
-from gevrey_evolve.quantize import (Dense, SymbolTable, adjoint, apply,
-                                    band_relative_error, coefficient_matrix,
-                                    compose_expansion, dx_operators,
-                                    exp_table, multiplier_table,
+from gevrey_evolve.quantize import (STAGE_PANEL, Dense, SymbolTable, adjoint,
+                                    apply, band_relative_error,
+                                    coefficient_matrix, compose_expansion,
+                                    dx_operators, exp_table,
+                                    multiplier_table, stage_matrices,
                                     table_from_function, to_dense,
                                     x_derivative, xi_derivative)
 
@@ -270,3 +271,48 @@ def test_kernels_do_not_depend_on_the_storage_order(grid, real):
     A = coefficient_matrix(grid, by_cols.values)
     assert A.flags.c_contiguous
     assert np.array_equal(A, coefficient_matrix(grid, by_rows.values))
+
+
+def _one_gemm(weights, stack):
+    """The stages of weights over stack by one unpanelled np.matmul."""
+    flat = np.matmul(weights, stack.reshape(len(stack), -1).view(float))
+    return flat.view(complex).reshape(len(weights), *stack.shape[1:])
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["new-out", "given-out"])
+@pytest.mark.parametrize("N", [96, 128, 256])
+def test_stage_panels_equal_one_gemm(N, given):
+    # 2N^2 float64 columns of a matrix stack span 2.25, 4 and 16 panels
+    # (N = 96 ends in a partial one), and 2N of a row stack fit in one:
+    # every stage has the bits of one unpanelled GEMM, for J + 1 = 1..5
+    # tables and B = 1, 2, 3 and 2J + 1 stages
+    rng = np.random.default_rng(N)
+    assert 2 * N * N > STAGE_PANEL > 2 * N
+    for J1 in range(1, 6):
+        matrices = (rng.standard_normal((J1, N, N))
+                    + 1j * rng.standard_normal((J1, N, N)))
+        for stack in (matrices, matrices[:, 0].copy()):
+            for B in sorted({1, 2, 3, 2 * J1 - 1}):
+                weights = rng.standard_normal((B, J1))
+                want = _one_gemm(weights, stack)
+                out = (np.full((B, *stack.shape[1:]), np.nan, dtype=complex)
+                       if given else None)
+                got = stage_matrices(weights, stack, out)
+                assert got is out or not given
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((2, 16, 8), dtype=complex)[:, ::2, :],
+    np.zeros((2, 8, 8), dtype=complex, order="F"),
+    np.zeros((3, 8, 8), dtype=complex),
+    np.zeros((2, 8, 8)),
+], ids=["strided-rows", "column-major", "wrong-shape", "wrong-dtype"])
+def test_stage_output_must_be_written_in_place(out):
+    # an out that a reshape would copy (strided or column-major) or of the
+    # wrong shape or dtype is refused, never returned unwritten
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    with pytest.raises(ShapeError):
+        stage_matrices(rng.standard_normal((2, 3)), stack, out)
+    assert not np.any(out)

@@ -48,7 +48,6 @@ T_QUANTIZE = "tests/test_quantize.py::"
 T_SYMBOLS = "tests/test_symbols.py::"
 T_WEIGHTS = "tests/test_weights.py::"
 STACKED_CASE = T_CONJ + "test_stacked_stage_matches_quantized_generator_table"
-PAIR_CASE = T_CONJ + "test_stage_formed_in_a_pair_equals_it_formed_alone"
 MARGINS_CASE = T_POS + "test_margins_read_parts_without_at"
 ORACLE_CASE = T_CONJ + "test_conjugator_variant_against_dense_oracle"
 
@@ -155,12 +154,21 @@ MUTANTS = [
            "if True:",
            (T_EVOLVE + "test_solve_builds_no_stage_matrix",)),
     Mutant("pair-gemm-drops-top-power", QUANTIZE,
-           "np.matmul(weights, stack.reshape(len(stack), -1).view(float),",
+           "np.matmul(weights, A[:, c:c + STAGE_PANEL],",
            "np.matmul(weights * (np.arange(len(stack))\n"
-           "                         < len(stack) - (len(weights) > 1)),\n"
-           "              stack.reshape(len(stack), -1).view(float),",
+           "                             < len(stack) - (len(weights) > 1)),\n"
+           "                  A[:, c:c + STAGE_PANEL],",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
-            PAIR_CASE + "[complex-damped]")),
+            T_EVOLVE + "test_solve_stages_equal_one_unpanelled_gemm")),
+    Mutant("stage-panels-skip-the-tail", QUANTIZE,
+           "for c in range(0, A.shape[1], STAGE_PANEL):",
+           "for c in range(0, A.shape[1] - STAGE_PANEL + 1, STAGE_PANEL):",
+           (T_QUANTIZE + "test_stage_panels_equal_one_gemm[96-given-out]",)),
+    Mutant("stage-panels-shifted", QUANTIZE,
+           "out=C[:, c:c + STAGE_PANEL])",
+           "out=C[:, max(c - 1, 0):max(c - 1, 0) + STAGE_PANEL])",
+           (T_QUANTIZE + "test_stage_panels_equal_one_gemm[128-given-out]",
+            T_EVOLVE + "test_solve_stages_equal_one_unpanelled_gemm")),
     Mutant("batch-start-read-from-a-stale-slot", EVOLVE,
            "ops = [Dense(grid, M) for M in assembler.stages(\n"
            "                        taus[2 * i:2 * i + 2 * b + 1], "
