@@ -35,9 +35,10 @@ where its first read stopped it, at t = 0 on every pipeline path
 (_truncated), so the tables of every coefficient time are cut at the same
 orders.  Per coefficient time the assembler keeps G_0 and the G_j as one
 array G of Fourier rows or of coefficient matrices, one variant per
-assembler; a stage is the weights k(tau)^j over G, one GEMM for many
-stages (quantize.stage_matrices).  Once a run has its step, the assembler
-of time-independent coefficients keeps only G (release_tables).
+assembler, read off the tables' shape; a stage is the weights k(tau)^j
+over G, one GEMM for many stages (quantize.stage_matrices).  Once a run
+has its Garding floors, the assembler of time-independent coefficients
+keeps only G and the default step's sup (release_tables).
 """
 
 import math
@@ -51,9 +52,9 @@ from .errors import ConvergenceError, ParameterError, ReleasedError
 from .grid import Grid, bracket_h
 from .quantize import (Dense, Multiplier, SymbolTable, adjoint,
                        coefficient_matrix, dx_operators, exp_table,
-                       fourier_rows, multiplier_table, operator_norm,
-                       sampled_table, spectral_stack, stage_matrices,
-                       x_derivative, xi_derivative)
+                       multiplier_table, operator_norm, sampled_table,
+                       spectral_stack, stage_matrices, x_derivative,
+                       xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
                       weight_x_derivative)
@@ -381,11 +382,11 @@ def build_conjugator(assembler: "ConjugationAssembler",
     """Build op(e^lam) and its inverse from the assembler's phase tables;
     the bundle keeps the assembler.
 
-    When the phase is x-independent (fourier_rows) E and E_inv are the
-    Multipliers of the row e^lam and its reciprocal, and every diagnostic
-    is measured on the rows.  Otherwise E = E_syn^H (E_syn * e^lam) maps
-    coefficients to coefficients (coefficient_matrix, one FFT along x),
-    and E_inv = E_star S, with E_star the
+    When the phase table lam is one row (x-independent) E and E_inv are
+    the Multipliers of the row e^lam and its reciprocal, and every
+    diagnostic is measured on the rows.  Otherwise E = E_syn^H (E_syn *
+    e^lam) maps coefficients to coefficients (coefficient_matrix, one FFT
+    along x), and E_inv = E_star S, with E_star the
     adjoint of op(e^-lam) and S the Neumann series of (I + R)^{-1} in the
     exact discrete remainder R = E E_star - I, summed in product form:
     S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
@@ -406,7 +407,7 @@ def build_conjugator(assembler: "ConjugationAssembler",
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
     # identity on it so the operator stays invertible
     exp_lam, exp_neg = exp_table(phase.lam), exp_table(phase.lam * -1.0)
-    if mode != "dense" and fourier_rows(phase.lam.values) is not None:
+    if mode != "dense" and len(phase.lam.values) == 1:
         e, e_neg = exp_lam.values[0].copy(), exp_neg.values[0].copy()
         e[nyq] = e_neg[nyq] = 1.0
         R = e * np.conj(e_neg) - 1.0
@@ -579,9 +580,10 @@ class ConjugationAssembler:
     as the time stepper applies it, weights k(tau)^j over G.  ``params``
     is the phase tables' WeightParams, so the constants that selection
     (M1) and calibration (C1, C2) install reach both.  ``release_tables()``,
-    called once a run has its Garding floors and step, keeps for
-    time-independent coefficients only the generator's G, which is all the
-    solve reads; a later read of a table raises ReleasedError.
+    called once a run has its Garding floors, keeps for time-independent
+    coefficients only the generator's G, which is all the solve reads,
+    and generator_sup(), the default step's one read of the tables; a
+    later read of a table raises ReleasedError.
     """
 
     def __init__(self, p: ProblemSpec, params: WeightParams, grid: Grid,
@@ -595,6 +597,7 @@ class ConjugationAssembler:
         self._bell_xi = partial_bell(4, derivs)
         self._cache, self.stops = {}, {}
         self._rows = None   # whether G holds rows, set by the first polynomial
+        self._sup0 = None   # generator_sup, kept by release_tables
 
     @property
     def params(self) -> WeightParams:
@@ -773,12 +776,12 @@ class ConjugationAssembler:
         the G_j, each the sum of the parts' U_j in the order of BLOCKS: G
         holds G_0 and the G_j, j in powers, as Fourier rows (J + 1, N) or
         as their coefficient stack (J + 1, N, N), kept in place of the
-        tables.  fourier_rows at the first coefficient time formed (t = 0
-        on every pipeline path) decides which: a later time of a stack is
-        a stack, x-independent or not, and an x-dependent later time of
-        rows raises ParameterError.  polys, when given, yields the
-        k-polynomials of POLY_PARTS in their order, in place of the
-        entry's."""
+        tables.  The tables' shape at the first coefficient time formed
+        (t = 0 on every pipeline path) decides which, rows when every G_j
+        is one row: a later time of a stack is a stack, x-independent or
+        not, and an x-dependent later time of rows raises ParameterError.
+        polys, when given, yields the k-polynomials of POLY_PARTS in their
+        order, in place of the entry's."""
         entry = self._entry(t)
         if "generator" not in entry:
             if polys is None:
@@ -789,14 +792,15 @@ class ConjugationAssembler:
                     G[j] = G.get(j, 0.0) + U.values
             powers = sorted(G)[1:]
             tables = [G[j] for j in (0, *powers)]
-            rows = fourier_rows(*tables)
+            rows = all(len(T) == 1 for T in tables)
             if self._rows is None:
-                self._rows = rows is not None
-            if self._rows and rows is None:
+                self._rows = rows
+            if self._rows and not rows:
                 raise ParameterError(
                     f"the generator depends on x at t={entry['t']:.6g} but not"
                     " at the first time formed: its stages cannot be rows")
-            entry["generator"] = (tuple(powers), np.array(rows, dtype=complex)
+            entry["generator"] = (tuple(powers),
+                                  np.concatenate(tables, dtype=complex)
                                   if self._rows else
                                   spectral_stack(self.grid, tables))
         return entry["generator"]
@@ -862,18 +866,25 @@ class ConjugationAssembler:
         time-independent coefficients, t for time-dependent ones."""
         return self._entry(t)["t"]
 
+    def generator_sup(self):
+        """max |generator table at t = 0|, the size the default step reads
+        (evolve.default_dt); once release_tables has dropped the tables,
+        the value it kept."""
+        if self._sup0 is None:
+            return _sup(self.at(0.0).generator_table())
+        return self._sup0
+
     def release_tables(self):
         """Drop what a solve does not read, once the run has its Garding
-        floors and its step: the k-polynomials, the coefficient tables and
-        the phase tables; the generator's rows or coefficient stack, formed
-        here if not yet, a3's rows and params stay.  Time-dependent
+        floors: the k-polynomials, the coefficient tables and the phase
+        tables; the generator's rows or coefficient stack, formed here if
+        not yet, generator_sup, a3's rows and params stay.  Time-dependent
         coefficients keep every table, since each stage time is a new
         coefficient time.  A later read of a table raises ReleasedError."""
-        if self.problem.time_dependent:
+        if self.problem.time_dependent or self._sup0 is not None:
             return
+        self._sup0 = self.generator_sup()
         entry = self._entry(0.0)
-        if entry["poly"] is None:
-            return
         # every part first, while the phase can still form them; then the
         # generator sums the parts, each dropped once summed
         parts = {name: self._poly(entry, name) for name in POLY_PARTS}

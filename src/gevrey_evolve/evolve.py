@@ -11,34 +11,29 @@ Runge-Kutta update for the remaining lower-order part.  Every operator
 maps Fourier coefficients to Fourier coefficients (quantize), so the solve
 carries them throughout: the integrating factor, the half-step phases and
 a row stage are row products, a matrix stage is one N x N GEMV on its
-stage time's coefficient matrix (a Dense operator), with no FFT.  What
-depends on time but not on v is computed once per block of steps, as in
-the exponential integrators of Kassam & Trefethen (SIAM J. Sci. Comput.
-26, 2005), which form their integrating factors outside the time loop: one
-a3 call for the block's integrating factors, and one stacked transform and
-conjugation of its forcing.  The stages are weights k(tau)^j over the
-generator's G (ConjugationAssembler.polynomial), Fourier rows or
-coefficient matrices, and G alone sets the path.  A block holds as many
-steps as fit in BLOCK_BYTES (step_bytes), so a matrix solve whose stage
-times each hold their own coefficient stack (time-dependent coefficients)
-steps one step per block, and a row or time-independent matrix solve tens
-of steps.  A row step is affine and diagonal in v, v -> P * v + Q: a block
-forms its stage rows with one stages call and its P and Q rows with one
-step() call each on (B, N) stacks, and its step loop is then two row
-operations per step.  A matrix solve steps in batches of up to J steps
-(batch_steps): one stages call, one GEMM over the stack run in
-L2-sized column panels (quantize.stage_matrices), forms the coefficient
-matrices of a batch's 2B + 1 stage times (its start and each step's
-t + dt/2 and t + dt) into slots the solve holds, and the steps apply them
-as Dense operators.  step() is only the Runge-Kutta
-arithmetic.  The data is transformed once, ||v|| comes from Parseval and
-is read, with the blow-up check, once per block, and the pull-back, its
-equivalence check, the radius fit and the Gevrey norm read coefficients on
-(B, N) stacks of logged fields, so u is synthesized once per logged time.
-The variant of every operator is read off its tables
-(quantize.fourier_rows): the generator holds rows or matrices, the
-conjugator op(e^Lam) is a Multiplier or a Dense, and both are rows on the
-KdV branch M2 = M1 = 0.
+stage time's coefficient matrix, with no FFT.  What depends on time but
+not on v is computed once per block of steps, as in the exponential
+integrators of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005), which
+form their integrating factors outside the time loop: one a3 call for the
+block's integrating factors, and one stacked transform and conjugation of
+its forcing.  The stages are weights k(tau)^j over the generator's G
+(ConjugationAssembler.polynomial), Fourier rows (J + 1, N) or coefficient
+matrices (J + 1, N, N), and G is all the solve reads of the generator:
+its ndim sets the path, its length the batches and its rows' bytes the
+blocks.  A block holds as many steps as fit in BLOCK_BYTES (step_bytes),
+tens of steps at N = 256.  A row step is affine and diagonal in v,
+v -> P * v + Q: a block forms its stage rows with one stages call and its
+P and Q rows with one step() call each on (B, N) stacks, and its step
+loop is then two row operations per step.  A matrix solve steps in
+batches of up to J steps (batch_steps): one stages call forms the
+coefficient matrices of a batch's 2B + 1 stage times (its start and each
+step's t + dt/2 and t + dt) into slots the solve holds, and the steps
+apply them as they are.  step() is only the Runge-Kutta arithmetic, on
+the stage arrays themselves.  The data is transformed once, ||v|| comes
+from Parseval and is read, with the blow-up check, once per block, and
+the pull-back, its equivalence check, the radius fit and the Gevrey norm
+read coefficients on (B, N) stacks of logged fields, so u is synthesized
+once per logged time.
 Every run carries an energy log against which the growth inequality is
 re-checked.
 """
@@ -50,7 +45,6 @@ import numpy as np
 from .conjugate import ConjugationAssembler, ConjugatorBundle
 from .errors import DataError, InstabilityError, ParameterError, ShapeError
 from .grid import Grid
-from .quantize import Dense, Multiplier
 from .weights import k_of_t
 
 BLOWUP_FACTOR = 1e12
@@ -210,20 +204,20 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
 
     Everything that depends on time alone comes in precomputed: phases is
     the step's row of integrating_factors; stages are the lower-order
-    generator at t, t + dt/2 and t + dt, each an operator with
-    ``matvec_hat`` (quantize.Multiplier of a stage row: a row product;
-    quantize.Dense of a stage matrix: one GEMV); forcing is None or the
-    conjugated forcing's coefficients at the same three times.
-    With Multiplier stages the step is row arithmetic throughout, so B
-    steps run at once on (B, N) stacks: v_hat, the phases, the stages'
-    rows and the forcing (B, N) each, and dt a (B, 1) column.
+    generator at t, t + dt/2 and t + dt as ConjugationAssembler.stages
+    forms them, each a stage row, applied by product, or an N x N stage
+    matrix (it has more axes than v_hat), applied to the one state v_hat
+    by one GEMV; forcing is None or the conjugated forcing's coefficients
+    at the same three times.  With row stages the step is row arithmetic
+    throughout, so B steps run at once on (B, N) stacks: v_hat, the
+    phases, the stages and the forcing (B, N) each, and dt a (B, 1) column.
     """
     ph_half, ph_full = phases
     A0, A_half, A_full = stages
     f0, f_half, f_full = (None,) * 3 if forcing is None else forcing
 
     def rhs(A, f, w_hat):
-        out = -A.matvec_hat(w_hat)
+        out = -(A @ w_hat if A.ndim > w_hat.ndim else A * w_hat)
         if f is not None:
             out = out + f
         return out
@@ -242,23 +236,19 @@ def step(v_hat, dt, grid: Grid, phases, stages, forcing=None):
     return out
 
 
-def step_bytes(G, forced, own_stack):
+def step_bytes(G, forced):
     """The bytes one step adds to a block of a solve over the generator's G
     (ConjugationAssembler.polynomial): the rows of its two stage times
     (stages, or times, and forcing when forced), its two integrating-factor
-    rows and its state row, with the P and Q rows when G holds rows; and
-    the two stages' coefficient stacks when each holds its own (own_stack)."""
-    rows = 5 + 2 * forced + 2 * (G.ndim == 2)
-    stacks = 2 * G.nbytes if own_stack else 0
-    return rows * 16 * G.shape[-1] + stacks
+    rows and its state row, with the P and Q rows when G holds rows."""
+    return (5 + 2 * forced + 2 * (G.ndim == 2)) * 16 * G.shape[-1]
 
 
-def batch_steps(G, own_stack):
-    """The steps of a matrix solve whose stage matrices one GEMM over its
-    coefficient stack G forms: J for a stack of J + 1 tables, so that the
-    GEMM writes at most twice the bytes it reads, and 1 when each stage
-    time holds its own stack (own_stack), which no two stages share."""
-    return 1 if own_stack else max(1, len(G) - 1)
+def batch_steps(G):
+    """The steps of a matrix solve whose stage matrices one stages call
+    forms: J for a G of J + 1 tables, so that a GEMM over G writes at most
+    twice the bytes it reads."""
+    return max(1, len(G) - 1)
 
 
 def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
@@ -274,12 +264,12 @@ def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
         """The rows of a at each step's start, half and end time."""
         return a[0:-1:2], a[1::2], a[2::2]
 
-    ops = [Multiplier(grid, row) for row in by_stage(stages)]
+    rows = by_stage(stages)
     ph = phases.transpose(1, 0, 2)
     dt = dts[:, None]
-    P = step(np.ones(out.shape, dtype=complex), dt, grid, ph, ops)
+    P = step(np.ones(out.shape, dtype=complex), dt, grid, ph, rows)
     Q = None if forcing is None else step(
-        np.zeros_like(P), dt, grid, ph, ops, by_stage(forcing))
+        np.zeros_like(P), dt, grid, ph, rows, by_stage(forcing))
     for j, row in enumerate(out):
         np.multiply(P[j], v_hat, out=row)
         if Q is not None:
@@ -289,11 +279,10 @@ def affine_steps(v_hat, dts, grid, phases, stages, forcing, out):
 
 
 def default_dt(assembler: ConjugationAssembler, T):
-    """Stability-limited step from the size of the assembler's lower-order
-    generator table at t = 0; solve_conjugated fits it to a whole number
-    of steps."""
-    gmax = float(np.max(np.abs(assembler.at(0.0).generator_table().values)))
-    return min(DT_SAFETY / max(gmax, 1e-12), T / 32.0)
+    """Stability-limited step from the sup of the assembler's lower-order
+    generator table at t = 0 (generator_sup); solve_conjugated fits it to
+    a whole number of steps."""
+    return min(DT_SAFETY / max(assembler.generator_sup(), 1e-12), T / 32.0)
 
 
 def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
@@ -314,15 +303,15 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     (allocated only for matrices), B = batch_steps: a block's steps run in
     batches of B, the last one cut at the block's end, and a batch of b
     steps forms the matrices of its start and its 2b half and end times
-    with one stages call (one GEMM over the stack, in column panels) into
-    slots 0 to 2b, and its steps apply them as Dense operators.  Each
-    block or batch forms its start again: a stage is the same bits in any
-    call, the stack of a time-dependent stage time is built once, and one
-    more row costs what a copy does.  Step i runs with the exact
-    (Sterbenz) step times[i+1] - times[i], so it ends on times[i+1].  A
-    block's states are one (B, N) array: their norms, the finite check,
-    the blow-up cap and the logged copies are read from it once per
-    block, and a blow-up names the first step that crossed the cap.
+    with one stages call into slots 0 to 2b, and its steps apply them as
+    they are.  Each block or batch forms its start again: a stage is the
+    same bits in any call, the stack of a time-dependent stage time is
+    built once, and one more row costs what a copy does.  Step i runs with
+    the exact (Sterbenz) step times[i+1] - times[i], so it ends on
+    times[i+1].  A block's states are one (B, N) array: their norms, the
+    finite check, the blow-up cap and the logged copies are read from it
+    once per block, and a blow-up names the first step that crossed the
+    cap.
     v0_hat: the coefficients forward(.) of the conjugated data; f_conj:
     callable taking an array of times (B,) to the coefficients (B, N) of
     the conjugated forcing there, or None.  It is called at t = 0 and then
@@ -367,10 +356,9 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
     affine = G.ndim == 2
     # the forcing at t = 0; afterwards, at each block's start
     forcing = None if f_conj is None else f_conj(times[:1])
-    block = max(1, BLOCK_BYTES // step_bytes(
-        G, f_conj is not None, not affine and p.time_dependent))
+    block = max(1, BLOCK_BYTES // step_bytes(G, f_conj is not None))
     if not affine:
-        batch = batch_steps(G, p.time_dependent)
+        batch = batch_steps(G)
         # a batch of b steps writes its 2b + 1 stage matrices into slots 0
         # to 2b
         slots = np.empty((2 * batch + 1, grid.N, grid.N), dtype=complex)
@@ -396,13 +384,13 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
             else:
                 for i in range(0, stop - start, batch):
                     b = min(batch, stop - start - i)
-                    ops = [Dense(grid, M) for M in assembler.stages(
-                        taus[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]
+                    S = assembler.stages(taus[2 * i:2 * i + 2 * b + 1],
+                                         slots[:2 * b + 1])
                     for k in range(b):
                         j = i + k
                         states[j] = v_hat = step(
                             v_hat, t1[j] - t0[j], grid, phases[j],
-                            ops[2 * k:2 * k + 3],
+                            S[2 * k:2 * k + 3],
                             None if forcing is None
                             else forcing[2 * j:2 * j + 3])
             norms = grid.l2_norm(states)

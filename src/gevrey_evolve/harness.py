@@ -116,11 +116,11 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
 # rather than copying it, are allocated after release_tables; at N <= 256
 # they come from the heap the released tables leave, and the solve raises
 # the setup's peak by 0.9 MiB at N = 128, 0.3 at 256 and 0.3 at 1024,
-# which the figures include.  159 and 152 were measured for
-# time-modulated at N = 128 and 256 (161 and 149 without the policy),
+# which the figures include.  163 to 169 and 158 were measured for
+# time-modulated at N = 128 and 256 (168 and 159 without the policy),
 # whose assembler keeps the tables of conjugate.MEMO_TIMES coefficient
-# times and whose solve, which sets the peak, steps one step per block,
-# each stage holding its own coefficient stack
+# times and whose solve, which sets the peak, forms each stage time's own
+# coefficient stack, in batches of J steps and 2J + 1 slots
 DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
 
@@ -360,20 +360,20 @@ def setup_pipeline(cfg: RunConfig, out_dir=None):
 
 def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     """Full run; returns (trajectory, artifacts dict).  Once the setup has
-    the Garding floors and the step is known (run.dt, or default_dt of the
-    accepted assembler), the accepted assembler drops every table its
-    solve does not read (ConjugationAssembler.release_tables)."""
+    the Garding floors, the accepted assembler drops every table its solve
+    does not read (ConjugationAssembler.release_tables), and the step is
+    run.dt or default_dt of the accepted assembler."""
     out = (out_dir or cfg["output.dir"]) if write else None
     artifacts = setup_pipeline(cfg, out)
     v = cfg.values
     bundle = artifacts["bundle"]
     T = bundle.problem.T
     g, f, rho = build_data(cfg, bundle.grid)
+    bundle.assembler.release_tables()
     if v["run.dt"] == "auto":
         dt = default_dt(bundle.assembler, T)
     else:
         dt = float(v["run.dt"])
-    bundle.assembler.release_tables()
     traj = solve_original(bundle, f, g, T, m=v["gevrey.m"], rho=rho, dt=dt)
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})

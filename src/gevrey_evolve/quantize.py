@@ -4,9 +4,10 @@ A symbol table holds p(x_j, xi_k) on the grid's node/frequency lattices,
 as an (N, N) array, or as one (1, N) row when the symbol is x-independent:
 the row stands for every x, arithmetic between tables broadcasts, and the
 x-derivative of a row is the exact zero row.  Sampled values keep one row
-when every row equals the first (fourier_rows), so a Fourier multiplier is
-stored and differentiated in O(N) (the rank-one case of a separated symbol
-representation; Demanet & Ying, Discrete symbol calculus, SIAM Rev. 2011).
+when every row equals the first (sampled_table), so a Fourier multiplier
+is stored and differentiated in O(N) (the rank-one case of a separated
+symbol representation; Demanet & Ying, Discrete symbol calculus, SIAM
+Rev. 2011).  That shape is the one record of an operator's variant.
 A table of real-typed values is float64 and any other complex128, half the
 bytes for the real symbols (the phase, its derivatives, the windows and
 the damping).  Arithmetic promotes as numpy does, which rounds a real
@@ -43,13 +44,13 @@ matrix of a table, E_syn^H (E_syn * p), is one FFT along x
 (coefficient_matrix), and spectral_stack stacks those of several tables.
 A stage of a solve is a weighted sum over such a fixed stack, of Fourier
 rows or of coefficient matrices: stage_matrices forms the stages of many
-weight vectors by one real GEMM, and a solve steps on them as Multiplier
-rows or Dense operators.  The GEMM runs over column panels of the stack
-(STAGE_PANEL), each written straight into its columns of the stages: one
-unpanelled product streams (2J + 1) stages of 2N^2 float64 each, far more
-than L2 holds, and cost 1.5 times as much at N = 256 and N = 1024.  Each
-element is the same dot product over the J + 1 tables in any panel, so
-no bit depends on the panels.
+weight vectors by one real GEMM, and a solve steps on the stage arrays
+themselves, a row by product and a matrix by GEMV.  The GEMM runs over
+column panels of the stack (STAGE_PANEL), each written straight into its
+columns of the stages: one unpanelled product streams (2J + 1) stages of
+2N^2 float64 each, far more than L2 holds, and cost 1.5 times as much at
+N = 256 and N = 1024.  Each element is the same dot product over the
+J + 1 tables in any panel, so no bit depends on the panels.
 
 x-derivatives of tables are spectral: a plain FFT along x, the multiplier
 (i xi)^order without the Nyquist mode, and the inverse FFT.  The grid's
@@ -214,21 +215,13 @@ def stage_matrices(weights, stack, out=None):
     return out
 
 
-def fourier_rows(*tables):
-    """The tables' first rows if every row of each equals its first, else
-    None: the one rule for an operator's variant, since a table with equal
-    rows is x-independent and quantizes to the multiplier of its row."""
-    if all(np.all(T == T[:1]) for T in tables):
-        return [T[0] for T in tables]
-
-
 def sampled_table(grid, values):
     """Table of samples on the lattice (anything broadcasting to (N, N)):
-    one row when every row is equal (fourier_rows), else (N, N).  The
+    one row, the multiplier it quantizes to, when every row equals the
+    first, else (N, N); the one place a table's shape is decided.  The
     table copies the samples once, float64 if they are real."""
     vals = np.broadcast_to(values, (grid.N, grid.N))
-    rows = fourier_rows(vals)
-    return SymbolTable(grid, vals if rows is None else rows[0][None, :])
+    return SymbolTable(grid, vals[:1] if np.all(vals == vals[:1]) else vals)
 
 
 def table_from_function(grid, fn):

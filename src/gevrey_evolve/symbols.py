@@ -37,9 +37,11 @@ def zero_symbol():
 
 def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
     """Sample a symbol on the grid lattice at time t; Nyquist column zeroed,
-    one row when the samples do not depend on x (quantize.sampled_table)."""
-    vals = np.asarray(sym(t, grid.x[:, None], grid.xi[None, :]), dtype=complex)
-    vals = np.broadcast_to(vals, (grid.N, grid.N))
+    one row when the samples do not depend on x (quantize.sampled_table).
+    It samples xi by x: the transposed samples are column-major, and the
+    table's copy of them is a plain copy."""
+    vals = np.asarray(sym(t, grid.x[None, :], grid.xi[:, None]), dtype=complex)
+    vals = np.broadcast_to(vals, (grid.N, grid.N)).T
     bad = ~np.isfinite(vals)
     if bad.any():
         j, k = np.argwhere(bad)[0]
@@ -317,9 +319,12 @@ def _leading_row(p: ProblemSpec, grid: Grid, ts) -> HypothesisResult:
 
 
 def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionReport:
-    """Verify the structural hypotheses on the grid; failures are report rows."""
+    """Verify the structural hypotheses on the grid; failures are report rows.
+    Rows (ii)-(iv) measure time-dependent coefficients at every sample time,
+    time-independent ones at t = 0; (ii) keeps the largest, NaN if any is."""
     rep = AssumptionReport(problem=p.name, theta=theta)
     ts = sample_times(p.T)
+    coefficient_times = ts if p.time_dependent else ts[:1]
 
     # admissible Gevrey range (half-open at the top)
     ok = p.s0 <= theta < p.theta_sup
@@ -331,8 +336,9 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
 
     # (ii) Gevrey regularity of lower-order symbols (sampled orders)
     for j, sym in (("a2", p.a2), ("a1", p.a1), ("a0", p.a0)):
-        est = estimate_seminorm(sym, sym.order, 1.0, p.s0, A=4.0,
-                                alpha_max=2, beta_max=2, grid=grid)
+        est = float(np.max([estimate_seminorm(
+            sym, sym.order, 1.0, p.s0, A=4.0, alpha_max=2, beta_max=2,
+            grid=grid, t=t) for t in coefficient_times]))
         rep.results.append(HypothesisResult(
             f"hyp-ii-regularity-{j}", bool(np.isfinite(est)),
             constant=est, detail="normalized derivative sup, orders <= 2"))
@@ -344,11 +350,10 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
     def decay_check(name, sym, xi_weight, x_weight, take_imag):
         """Normalized sup plus a growth probe: on a bounded grid the sup is
         always finite, so failure is detected as persistent growth of the
-        per-|x| maxima (positive log-log slope means no constant works).
-        Time-independent coefficients are evaluated at t = 0 alone."""
+        per-|x| maxima (positive log-log slope means no constant works)."""
         c_best, wit = 0.0, ()
         qmax_x = np.zeros(grid.N)
-        for t in (ts if p.time_dependent else ts[:1]):
+        for t in coefficient_times:
             vals = np.asarray(sym(t, X, XI), dtype=complex)
             part = np.abs(vals.imag) if take_imag else np.abs(vals)
             q = part / (xi_weight * x_weight)

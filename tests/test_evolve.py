@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from gevrey_evolve import conjugate, evolve, quantize
-from gevrey_evolve.conjugate import (ConjugationAssembler, Dense, Multiplier,
+from gevrey_evolve.conjugate import (ConjugationAssembler, Dense,
                                      build_conjugator)
 from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
@@ -15,7 +15,8 @@ from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
                                   step_bytes, synthetic_radius_field)
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
-from gevrey_evolve.quantize import multiplier_table, quantized, to_dense
+from gevrey_evolve.quantize import (coefficient_matrix, multiplier_table,
+                                    to_dense)
 from gevrey_evolve.symbols import Symbol, model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t
 
@@ -113,29 +114,19 @@ def _trivial_params(domain_cap):
 
 
 def _dense_stage(grid, tab):
-    """op(tab) as the Dense coefficient matrix E_syn^H (E_syn * tab)."""
+    """op(tab) as its coefficient matrix E_syn^H (E_syn * tab)."""
     E_syn = grid.synthesis_matrix()
-    return Dense(grid, E_syn.conj().T @ (E_syn * tab))
+    return E_syn.conj().T @ (E_syn * tab)
 
 
 def _frozen(grid, tab):
-    """The generator table tab as a dense stage operator at every time."""
+    """The generator table tab as a stage matrix at every time."""
     A = _dense_stage(grid, tab)
     return lambda taus: [A] * len(taus)
 
 
-def _operators(asm):
-    """The function taus -> the stages of asm at taus as step() applies
-    them: the Multiplier of each row or the Dense of each matrix."""
-    def operators(taus):
-        S = asm.stages(taus)
-        return [(Multiplier if S.ndim == 2 else Dense)(asm.grid, s)
-                for s in S]
-    return operators
-
-
 def _step(v_hat, t, dt, p, grid, stages):
-    """One step from t, its stage operators built by stages(taus) at its
+    """One step from t, its stage arrays formed by stages(taus) at its
     three stage times and its integrating factors by integrating_factors."""
     return step(v_hat, dt, grid, integrating_factors(p, grid, [t, t + dt])[0],
                 stages(np.array([t, t + 0.5 * dt, t + dt])))
@@ -207,7 +198,7 @@ def test_step_damping_matches_matrix_exponential(small_setup):
 @pytest.mark.parametrize("N, L", [(64, 10.0), (256, 40.0)])
 def test_multiplier_step_matches_dense_step(N, L):
     # an x-independent generator that is not zero (k' != 0 with C1, C2 > 0):
-    # a step through its Multiplier equals the step through E_syn * G
+    # a step through its stage rows equals the step through E_syn * G
     grid = make_grid(L, N)
     kdv = model_problem("kdv-baseline", 0.75)
     p = _trivial_params(np.sqrt(1 + L ** 2)).with_ode_constants(0.5, 0.1)
@@ -215,11 +206,10 @@ def test_multiplier_step_matches_dense_step(N, L):
     assert asm.polynomial(0.0)[1].ndim == 2
     dense = lambda taus: [_dense_stage(
         grid, asm.at(tau).generator_table().values) for tau in taus]
-    zero = lambda taus: [Multiplier(grid, np.zeros(N))] * len(taus)
+    zero = lambda taus: [np.zeros(N)] * len(taus)
     v = synthetic_radius_field(grid, 0.6, 1.8)
     v_hat = grid.forward(v)
-    w_mult = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid,
-                                _operators(asm)))
+    w_mult = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, asm.stages))
     w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, dense))
     w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, kdv, grid, zero))
     scale = grid.l2_norm(w_dense)
@@ -237,10 +227,9 @@ def test_stacked_step_matches_dense_step(grid):
     assert asm.polynomial(0.0)[1].ndim == 3
     dense = lambda taus: [_dense_stage(
         grid, asm.at(tau).generator_table().values) for tau in taus]
-    zero = lambda taus: [Multiplier(grid, np.zeros(grid.N))] * len(taus)
+    zero = lambda taus: [np.zeros(grid.N)] * len(taus)
     v_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8))
-    w_stack = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid,
-                                 _operators(asm)))
+    w_stack = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, asm.stages))
     w_dense = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, dense))
     w_zero = grid.inverse(_step(v_hat, 0.1, 0.05, prob, grid, zero))
     scale = grid.l2_norm(w_dense)
@@ -291,7 +280,7 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     times = sorted(stages)
     for t in (times[0], times[1], times[-1]):
         ref = oracle(grid, bundle.assembler.at(t).generator_table().values)
-        got = Dense(grid, stages[t]).matvec_hat(w_hat)
+        got = stages[t] @ w_hat
         want = ref.matvec_hat(w_hat)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -323,10 +312,9 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
     # matrices of each batch of B = J steps (the last batch r <= B) in one
     # GEMM over the stack of J + 1 tables: one matrix per stage time, and
     # one more per batch past the first for its start, into at most
-    # 2B + 1 slots for the whole solve.  Every stage a step applies is a
-    # Dense operator on the matrix of its own time (the step's start, half
-    # and end), equal to the weighted stack, and no Grid.forward call comes
-    # from a stage
+    # 2B + 1 slots for the whole solve.  Every stage a step applies is the
+    # N x N matrix of its own time (the step's start, half and end), equal
+    # to the weighted stack, and no Grid.forward call comes from a stage
     from gevrey_evolve.grid import Grid
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     asm = bundle.assembler
@@ -339,9 +327,9 @@ def test_solve_forms_one_matrix_per_stage_time(small_setup, monkeypatch):
         return forward(self, u)
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
-        assert all(isinstance(M, Dense) for M in stages)
-        slots.update(M.matrix.__array_interface__["data"][0] for M in stages)
-        applied.append([M.matrix.copy() for M in stages])
+        assert all(M.shape == (grid.N, grid.N) for M in stages)
+        slots.update(M.__array_interface__["data"][0] for M in stages)
+        applied.append([M.copy() for M in stages])
         inside[0] = True
         try:
             return step(v_hat, dt, grid, phases, stages, forcing)
@@ -390,7 +378,7 @@ def test_solve_stages_equal_one_unpanelled_gemm(medium_setup, monkeypatch):
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
         for M in stages:
-            assert np.array_equal(M.matrix, formed[address(M.matrix)])
+            assert np.array_equal(M, formed[address(M)])
         applied[0] += len(stages)
         return step(v_hat, dt, grid, phases, stages, forcing)
 
@@ -408,7 +396,7 @@ def test_batch_start_is_formed_as_the_last_end(small_setup, monkeypatch):
     grid, asm = small_setup["grid"], small_setup["assembler"]
     G = asm.polynomial(0.0)[1]
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        10 * step_bytes(G, False, False))
+                        10 * step_bytes(G, False))
     forms, form = [], quantize.stage_matrices
 
     def recording(weights, stack, out=None):
@@ -441,7 +429,7 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
                 + 1j * taus[:, None] * np.conj(f_hat))
 
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        10 * step_bytes(G, forced, False))
+                        10 * step_bytes(G, forced))
     v0 = grid.forward(synthetic_radius_field(grid, 0.7, 1.8))
     sizes = _count_stage_forms(monkeypatch)
     batched = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
@@ -449,7 +437,7 @@ def test_batched_stages_equal_one_step_batches(small_setup, monkeypatch,
     B = len(G) - 1
     assert batched.meta["steps"] == 25 and 10 % B and 5 % B
     assert sizes == _batches(10, B) * 2 + _batches(5, B)
-    monkeypatch.setattr(evolve, "batch_steps", lambda G, own_stack: 1)
+    monkeypatch.setattr(evolve, "batch_steps", lambda G: 1)
     single = solve_conjugated(asm, f_conj if forced else None, v0, 0.5,
                               dt=0.02)
     assert sizes[-25:] == [3] * 25
@@ -483,9 +471,9 @@ def test_multiplier_solve_forms_no_stage_matrix(grid, monkeypatch):
 
 
 def test_solve_steps_on_the_stages_in_its_slots(small_setup, monkeypatch):
-    # a damped-64 solve steps on Dense operators over the matrices its
-    # stages calls write, and every call writes into the one array of
-    # slots the solve holds: no stage matrix outlives its batch
+    # a damped-64 solve steps on the matrices its stages calls write, as
+    # they are, and every call writes into the one array of slots the
+    # solve holds: no stage matrix outlives its batch
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     made, build = [], ConjugationAssembler.stages
 
@@ -494,8 +482,8 @@ def test_solve_steps_on_the_stages_in_its_slots(small_setup, monkeypatch):
         return made[-1]
 
     def checking_step(v_hat, dt, grid, phases, stages, forcing=None):
-        assert all(isinstance(op, Dense) for op in stages)
-        assert all(np.shares_memory(op.matrix, made[-1]) for op in stages)
+        assert all(M.shape == (grid.N, grid.N) for M in stages)
+        assert all(np.shares_memory(M, made[-1]) for M in stages)
         return step(v_hat, dt, grid, phases, stages, forcing)
 
     monkeypatch.setattr(ConjugationAssembler, "stages", recording)
@@ -569,7 +557,7 @@ def test_blocks_do_not_change_the_solve(small_setup, monkeypatch, block):
     ref = solve_original(bundle, f, g, 0.5, rho=0.7)
     G = bundle.assembler.polynomial(0.0)[1]
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        block * step_bytes(G, True, False))
+                        block * step_bytes(G, True))
     got = solve_original(bundle, f, g, 0.5, rho=0.7)
     assert got.meta["steps"] % block or block == 1
     for a, b in ((ref.l2, got.l2), (ref.radius, got.radius),
@@ -602,7 +590,7 @@ def _per_step(asm, f_conj, v0_hat, times):
             taus = np.array([t0, t0 + 0.5 * (t1 - t0), t1])
             out.append(step(out[-1], t1 - t0, grid,
                             integrating_factors(p, grid, [t0, t1])[0],
-                            _operators(asm)(taus),
+                            asm.stages(taus),
                             None if f_conj is None else f_conj(taus)))
     return np.array(out)
 
@@ -616,7 +604,7 @@ def _kdv_assembler(grid, C1, C2):
 
 def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
     # kdv-baseline with C1, C2 > 0 (a time-dependent kprime part) and a
-    # forcing steps with Multiplier stages: each block is one step() call
+    # forcing steps with row stages: each block is one step() call
     # for P and one for Q on (B, N) stacks, and then P * v + Q per step.  In
     # blocks of 3 (25 steps: a short last block) it gives the states of
     # step() taken one step at a time
@@ -630,7 +618,7 @@ def test_affine_blocks_equal_per_step_stepping(grid, monkeypatch):
                 + 1j * taus[:, None] * np.conj(f_hat))
 
     monkeypatch.setattr(evolve, "BLOCK_BYTES",
-                        3 * step_bytes(G, True, False))
+                        3 * step_bytes(G, True))
     shapes = []
 
     def recording(v_hat, *args, **kwargs):
@@ -677,7 +665,8 @@ def test_stack_solve_forms_an_x_independent_time_as_a_stack(grid):
     for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
         ref = step(ref, t1 - t0, grid,
                    integrating_factors(prob, grid, [t0, t1])[0],
-                   [quantized(grid, asm.at(tau).generator_table().values)
+                   [coefficient_matrix(grid,
+                                       asm.at(tau).generator_table().values)
                     for tau in (t0, t0 + 0.5 * (t1 - t0), t1)])
     got = traj.v_hats[-1]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -696,8 +685,139 @@ def test_rows_solve_refuses_an_x_dependent_time(grid):
     assert details["bundle"].assembler.polynomial(0.0)[1].ndim == 2
 
 
+def _retired_fourier_rows(*tables):
+    """The variant rule the shape replaced: every row of each table equals
+    its first."""
+    return all(np.all(T == T[:1]) for T in tables)
+
+
+def _variant_case(case, grid):
+    """(assembler, conjugator builder) of a case: selection's, or for
+    damped-64-unweighted the one build at M2 = M1 = 0, which selection
+    refuses."""
+    if case == "damped-64-unweighted":
+        prob = model_problem("complex-damped", 0.75, domain=grid.L)
+        params = dataclasses.replace(_trivial_params(np.sqrt(1 + grid.L ** 2)),
+                                     C1=0.5, C2=0.1)
+        return lambda: conjugate.build_conjugator(
+            ConjugationAssembler(prob, params, grid))
+    if case == "time-modulated-48":
+        prob, grid = (model_problem("time-modulated", 0.75, domain=8.0),
+                      make_grid(8.0, 48))
+    elif case.startswith("switching"):
+        prob = _switching_problem((lambda t: 1.0 - t) if case == "switching-off"
+                                  else (lambda t: t))
+    else:
+        prob = model_problem(case[:-3], 0.75, domain=grid.L)
+    return lambda: select_parameters_detailed(prob, 1.8, grid)[1]["bundle"]
+
+
+@pytest.mark.parametrize("case", ["complex-damped-64", "kdv-baseline-64",
+                                  "damped-64-unweighted", "time-modulated-48",
+                                  "switching-off", "switching-on"])
+def test_variant_by_shape_agrees_with_the_retired_row_equality(grid, case,
+                                                               monkeypatch):
+    # the variant is the tables' shape: polynomial takes rows when every
+    # G_j is one row, build_conjugator the Multiplier pair when lam is one
+    # row.  On every table they decide on, through selection, a solve and
+    # the sample times, the shape agrees with the retired scan for equal
+    # rows; damped-64-unweighted has a row phase and a stack generator
+    from gevrey_evolve import positivity
+    from gevrey_evolve.quantize import Multiplier
+    from gevrey_evolve.symbols import sample_times
+    decided, decide = [], ConjugationAssembler.polynomial
+    build = conjugate.build_conjugator
+
+    def polynomial(self, t, polys=None):
+        G = {}
+        for name in conjugate.POLY_PARTS:
+            for j, U in self._poly(self._entry(t), name).items():
+                G[j] = G.get(j, 0.0) + U.values
+        tables = list(G.values())
+        decided.append(("G", _retired_fourier_rows(*tables),
+                        all(len(T) == 1 for T in tables)))
+        return decide(self, t, polys)
+
+    def conjugator(assembler, *args, **kwargs):
+        bundle = build(assembler, *args, **kwargs)
+        lam = assembler.phase.lam.values
+        decided.append(("lam", _retired_fourier_rows(lam), len(lam) == 1))
+        assert isinstance(bundle.E, Multiplier) == (len(lam) == 1)
+        return bundle
+
+    monkeypatch.setattr(ConjugationAssembler, "polynomial", polynomial)
+    monkeypatch.setattr(positivity, "build_conjugator", conjugator)
+    monkeypatch.setattr(conjugate, "build_conjugator", conjugator)
+    bundle = _variant_case(case, grid)()
+    asm = bundle.assembler
+    v0 = bundle.apply_full(asm.grid.forward(
+        synthetic_radius_field(asm.grid, 0.7, 1.8)), 0.0)
+    try:
+        solve_conjugated(asm, None, v0, 1.0)
+        for t in sample_times(asm.problem.T):
+            asm.polynomial(t)
+    except ParameterError:
+        assert case == "switching-on"
+    rows = asm.polynomial(0.0)[1].ndim == 2
+    assert rows == (case in ("kdv-baseline-64", "switching-on"))
+    assert [d[2] for d in decided if d[0] == "G"][0] == rows
+    assert {"G", "lam"} <= {d[0] for d in decided}
+    for kind, retired, shape in decided:
+        assert retired == shape, kind
+
+
+@pytest.fixture(scope="module")
+def modulated48():
+    """The accepted time-modulated (L=8, N=48) bundle."""
+    prob = model_problem("time-modulated", 0.75, domain=8.0)
+    return select_parameters_detailed(prob, 1.8, make_grid(8.0, 48))[1]["bundle"]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_time_dependent_batches_apply_the_matrices_of_one_step_batches(
+        modulated48, monkeypatch, forced):
+    # time-modulated N=48 steps in batches of B = J like any matrix solve,
+    # each stage time from its own coefficient stack: every step applies,
+    # bit for bit, the stage matrices of the solve in one-step batches, and
+    # the states are those of that solve
+    asm, grid = modulated48.assembler, modulated48.grid
+    f_hat = grid.forward(synthetic_radius_field(grid, 0.6, 1.8, seed=1))
+
+    def f_conj(taus):
+        return (np.cos(3.0 * taus)[:, None] * f_hat
+                + 1j * taus[:, None] * np.conj(f_hat))
+
+    v0 = modulated48.apply_full(grid.forward(
+        synthetic_radius_field(grid, 0.7, 1.8)), 0.0)
+    B = len(asm.polynomial(0.0)[1]) - 1
+    solves = []
+    for batch in (None, 1):
+        with monkeypatch.context() as m:
+            if batch:
+                m.setattr(evolve, "batch_steps", lambda G: batch)
+            applied = []
+
+            def recording(v_hat, dt, grid, phases, stages, forcing=None):
+                applied.append(np.array(stages))
+                return step(v_hat, dt, grid, phases, stages, forcing)
+
+            m.setattr(evolve, "step", recording)
+            calls = _stage_calls(m)
+            traj = solve_conjugated(asm, f_conj if forced else None, v0, 1.0)
+        solves.append((traj, applied, [len(c) for c in calls]))
+    (batched, mats, sizes), (single, one, one_sizes) = solves
+    steps = batched.meta["steps"]
+    assert B > 1 and steps > B
+    assert sizes == _batches(steps, B) and one_sizes == [3] * steps
+    assert len(mats) == len(one) == steps
+    for got, want in zip(mats, one):
+        assert np.array_equal(got, want)
+    for name in ("v_hats", "l2", "energy_rate"):
+        assert np.array_equal(getattr(batched, name), getattr(single, name))
+
+
 def test_multiplier_blowup_names_the_first_step(grid):
-    # k' = -C2 > 0 makes a kdv-baseline Multiplier solve grow past the cap
+    # k' = -C2 > 0 makes a kdv-baseline row solve grow past the cap
     # at step 2 and overflow later in the same block: the error names the
     # step and t at which step() taken one step at a time first crosses the
     # cap, and the overflow past it prints no RuntimeWarning
@@ -933,23 +1053,30 @@ def test_steps_end_on_the_logged_times(kdv256, monkeypatch):
 @pytest.mark.parametrize("case", ["time-modulated-64", "kdv-256"])
 def test_block_length_follows_the_bytes_a_step_adds(
         case, modulated64_selection, kdv256, monkeypatch):
-    # each time-modulated stage holds its own coefficient stack, so a step
-    # adds two stacks to a block and a block holds one step; a kdv-baseline
-    # stage is a row, and a block at N = 256 holds tens of steps
+    # a block holds BLOCK_BYTES // step_bytes steps, all but the last, and
+    # step_bytes reads only G: a time-modulated stage matrix is formed from
+    # its own time's coefficient stack, which no block holds, so a block of
+    # this N = 64 solve holds tens of steps, as a time-independent one
+    # would; a kdv-baseline stage is a row, and a block at N = 256 holds
+    # tens of steps, the last block shorter
     if case == "kdv-256":
         bundle, T, dt = kdv256["bundle"], 0.2, 0.002
     else:
         bundle, T, dt = modulated64_selection[3]["bundle"], 0.1, None
     grid = bundle.grid
+    G = bundle.assembler.polynomial(0.0)[1]
+    block = evolve.BLOCK_BYTES // step_bytes(G, False)
     blocks = _block_times(monkeypatch)
-    solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8), T,
-                   dt=dt)
+    traj = solve_original(bundle, None, synthetic_radius_field(grid, 0.7, 1.8),
+                          T, dt=dt)
+    steps = traj.meta["steps"]
     sizes = [len(b) - 1 for b in blocks]
-    assert len(sizes) > 1
+    assert sizes == [min(block, steps - i) for i in range(0, steps, block)]
+    assert max(sizes) > 8
     if case == "kdv-256":
-        assert max(sizes) > 8
+        assert len(sizes) > 1
     else:
-        assert max(sizes) == 1
+        assert G.ndim == 3
 
 
 def test_radius_loss_bounded(small_setup):

@@ -272,6 +272,21 @@ def test_run_releases_the_tables_its_solve_does_not_read(modulated64_selection):
     assert modulated.part("ia2", 0.0).values.shape == (64, 64)
 
 
+def test_default_step_after_a_run_reads_the_kept_sup():
+    # damped-64: once a run has released the tables, a solve with dt
+    # omitted takes the run's step from the sup release_tables kept, and
+    # repeats the run bit for bit
+    from gevrey_evolve.evolve import solve_original
+    from gevrey_evolve.harness import build_data
+    cfg = RunConfig.from_text(SMALL)
+    traj, art = run_pipeline(cfg, write=False)
+    bundle = art["bundle"]
+    g, f, rho = build_data(cfg, bundle.grid)
+    again = solve_original(bundle, f, g, bundle.problem.T, rho=rho)
+    assert again.meta["dt"] == traj.meta["dt"]
+    assert np.array_equal(again.l2, traj.l2)
+
+
 def test_snapshots_roundtrip(tmp_path):
     from gevrey_evolve.serialize import read_fields
     cfg = RunConfig.from_text(SMALL + "output.snapshots = true\n")

@@ -286,3 +286,55 @@ def test_decay_checks_sample_each_coefficient_time_once(grid, pid):
                      for report in (rep, every))
         assert (got.constant, got.witness, got.detail) == (
             want.constant, want.witness, want.detail)
+
+
+def _regularity(rep, name):
+    return next(r for r in rep.results if r.name == "hyp-ii-regularity-" + name)
+
+
+@pytest.mark.parametrize("name", ["a2", "a1", "a0"])
+def test_regularity_row_takes_the_largest_seminorm_over_the_sample_times(
+        grid, name):
+    # time-modulated coefficients are measured at the five sample times, as
+    # the decay rows are, and the constant is the largest estimate; a2's
+    # modulation peaks at T/2, so its constant exceeds the t = 0 estimate
+    from gevrey_evolve.symbols import sample_times
+    p = model_problem("time-modulated", 0.75, domain=grid.L)
+    sym = getattr(p, name)
+    each = [estimate_seminorm(sym, sym.order, 1.0, p.s0, 4.0, 2, 2, grid, t)
+            for t in sample_times(p.T)]
+    row = _regularity(check_assumptions(p, grid, 1.8), name)
+    assert row.passed and row.constant == max(each)
+    if name == "a2":
+        assert max(each) > 1.2 * each[0]
+
+
+def test_regularity_row_fails_on_a_nan_past_t0(grid):
+    # an a1 that is NaN near x = 0 at t > 0 only: the t = 0 estimate is
+    # finite, the row of a time-dependent problem is NaN and fails
+    import dataclasses
+    p = model_problem("time-modulated", 0.75, domain=grid.L)
+    a1 = p.a1
+    late_nan = Symbol(lambda t, x, xi: a1(t, x, xi) * np.where(
+        (t > 0.0) & (np.abs(x) < 0.5), np.nan, 1.0), order=a1.order)
+    assert np.isfinite(estimate_seminorm(late_nan, 1.0, 1.0, p.s0, 4.0, 2, 2,
+                                         grid, 0.0))
+    rep = check_assumptions(dataclasses.replace(p, a1=late_nan), grid, 1.8)
+    row = _regularity(rep, "a1")
+    assert not row.passed and math.isnan(row.constant)
+
+
+def test_regularity_of_time_independent_coefficients_is_measured_once(
+        grid, monkeypatch):
+    # complex-damped: one estimate per coefficient, at t = 0
+    from gevrey_evolve import symbols
+    times, estimate = [], symbols.estimate_seminorm
+
+    def recording(*args, t=0.0, **kwargs):
+        times.append(t)
+        return estimate(*args, t=t, **kwargs)
+
+    monkeypatch.setattr(symbols, "estimate_seminorm", recording)
+    check_assumptions(model_problem("complex-damped", 0.75, domain=grid.L),
+                      grid, 1.8)
+    assert times == [0.0] * 3

@@ -145,10 +145,18 @@ MUTANTS = [
            (T_CONJ + "test_stage_follows_new_time_weight_constants",)),
     Mutant("variant-decided-per-coefficient-time", CONJ,
            "            if self._rows is None:\n"
-           "                self._rows = rows is not None\n",
-           "            self._rows = rows is not None\n",
+           "                self._rows = rows\n",
+           "            self._rows = rows\n",
            (T_EVOLVE + "test_stack_solve_forms_an_x_independent_time_as_a_stack",
             T_EVOLVE + "test_rows_solve_refuses_an_x_dependent_time")),
+    Mutant("generator-rows-decided-by-G0-alone", CONJ,
+           "rows = all(len(T) == 1 for T in tables)",
+           "rows = len(tables[0]) == 1",
+           (T_CONJ + "test_generator_holds_rows_only_when_every_table_is_one",)),
+    Mutant("release-keeps-no-generator-sup", CONJ,
+           "        self._sup0 = self.generator_sup()\n",
+           "",
+           (T_HARNESS + "test_default_step_after_a_run_reads_the_kept_sup",)),
     Mutant("stack-rebuilt-at-every-stage-time", CONJ,
            'if "generator" not in entry:',
            "if True:",
@@ -170,13 +178,11 @@ MUTANTS = [
            (T_QUANTIZE + "test_stage_panels_equal_one_gemm[128-given-out]",
             T_EVOLVE + "test_solve_stages_equal_one_unpanelled_gemm")),
     Mutant("batch-start-read-from-a-stale-slot", EVOLVE,
-           "ops = [Dense(grid, M) for M in assembler.stages(\n"
-           "                        taus[2 * i:2 * i + 2 * b + 1], "
-           "slots[:2 * b + 1])]",
-           "ops = [Dense(grid, slots[0])] + [Dense(grid, M) for M in "
-           "assembler.stages(\n"
-           "                        taus[2 * i + 1:2 * i + 2 * b + 1], "
-           "slots[1:2 * b + 1])]",
+           "S = assembler.stages(taus[2 * i:2 * i + 2 * b + 1],\n"
+           "                                         slots[:2 * b + 1])",
+           "S = slots[:2 * b + 1]\n"
+           "                    assembler.stages(taus[2 * i + 1:2 * i + 2 * b + 1],\n"
+           "                                     slots[1:2 * b + 1])",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",
             T_EVOLVE + "test_batch_start_is_formed_as_the_last_end")),
     Mutant("slots-allocated-for-multiplier-stages", EVOLVE,
@@ -187,16 +193,15 @@ MUTANTS = [
            "        batch = batch_steps(",
            (T_EVOLVE + "test_multiplier_solve_forms_no_stage_matrix",)),
     Mutant("stage-matrices-formed-per-rhs", EVOLVE,
-           "ops = [Dense(grid, M) for M in assembler.stages(\n"
-           "                        taus[2 * i:2 * i + 2 * b + 1], "
-           "slots[:2 * b + 1])]",
-           "ops = [Dense(grid, assembler.stages([tau])[0])\n"
-           "                           for tau in taus[2 * i:2 * i + 2 * b + 1]]",
+           "S = assembler.stages(taus[2 * i:2 * i + 2 * b + 1],\n"
+           "                                         slots[:2 * b + 1])",
+           "S = [assembler.stages([tau])[0]\n"
+           "                         for tau in taus[2 * i:2 * i + 2 * b + 1]]",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("batch-stages-shifted-by-one-time", EVOLVE,
-           "taus[2 * i:2 * i + 2 * b + 1], slots[:2 * b + 1])]",
-           "np.append(taus[2 * i + 1:2 * i + 2 * b + 1], taus[-1]), "
-           "slots[:2 * b + 1])]",
+           "S = assembler.stages(taus[2 * i:2 * i + 2 * b + 1],",
+           "S = assembler.stages(np.append(taus[2 * i + 1:2 * i + 2 * b + 1],"
+           " taus[-1]),",
            (T_EVOLVE + "test_solve_forms_one_matrix_per_stage_time",)),
     Mutant("batch-ignores-block-end", EVOLVE,
            "b = min(batch, stop - start - i)",
@@ -206,11 +211,6 @@ MUTANTS = [
            "            row += Q[j]\n",
            "            pass\n",
            (T_EVOLVE + "test_affine_blocks_equal_per_step_stepping",)),
-    Mutant("block-ignores-own-stacks", EVOLVE,
-           "    stacks = 2 * G.nbytes if own_stack else 0\n",
-           "    stacks = 0\n",
-           (T_EVOLVE + "test_block_length_follows_the_bytes_a_step_adds"
-            "[time-modulated-64]",)),
     Mutant("blowup-checked-on-last-row-only", EVOLVE,
            "            bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)\n",
            "            bad = ~np.all(np.isfinite(states), axis=1) | (norms > cap)\n"
@@ -264,11 +264,11 @@ MUTANTS = [
            "expo = (-sign * k_of_t(t, self.params))",
            (ORACLE_CASE + "[damped-64]",)),
     Mutant("conjugator-always-multiplier", CONJ,
-           'if mode != "dense" and fourier_rows(phase.lam.values) is not None:',
+           'if mode != "dense" and len(phase.lam.values) == 1:',
            'if mode != "dense":',
            (ORACLE_CASE + "[damped-64]",)),
     Mutant("conjugator-always-dense", CONJ,
-           'if mode != "dense" and fourier_rows(phase.lam.values) is not None:',
+           'if mode != "dense" and len(phase.lam.values) == 1:',
            "if False:",
            (T_CONJ + "test_x_independent_phase_gives_multiplier_pair",)),
     Mutant("apply-full-skips-the-spatial-stage", CONJ,
@@ -385,6 +385,12 @@ MUTANTS = [
            'decay_check("hyp-iii-order2-decay", p.a2,',
            'decay_check("hyp-iii-order2-decay", p.a1,',
            (T_SYMBOLS + "test_check_assumptions_no_decay_fails[a2]",)),
+    Mutant("hyp-ii-measured-at-t0-only", SYMBOLS,
+           "t=t) for t in coefficient_times]))",
+           "t=t) for t in coefficient_times[:1]]))",
+           (T_SYMBOLS + "test_regularity_row_takes_the_largest_seminorm_over"
+            "_the_sample_times[a2]",
+            T_SYMBOLS + "test_regularity_row_fails_on_a_nan_past_t0")),
     Mutant("seminorm-skips-nan-samples", SYMBOLS,
            "            if np.isnan(top):\n                return top\n",
            "",
