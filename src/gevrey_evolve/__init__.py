@@ -13,10 +13,10 @@ from .errors import (ConfigurationError, ConvergenceError, DataError,
                      InstabilityError, ParameterError, ReleasedError,
                      ShapeError)
 from .grid import Grid, bracket_h, make_grid
-from .quantize import (Dense, Multiplier, SymbolTable, adjoint, apply,
-                       band_relative_error, compose_expansion, exp_table,
-                       multiplier_table, stage_matrices, table_from_function,
-                       to_dense, xi_derivative)
+from .quantize import (SymbolTable, adjoint, apply, band_relative_error,
+                       compose_expansion, exp_table, multiplier_table,
+                       stage_matrices, table_from_function, to_dense,
+                       xi_derivative)
 from .symbols import (AssumptionReport, ProblemSpec, Symbol, check_assumptions,
                       estimate_seminorm, eval_table, model_problem)
 from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,

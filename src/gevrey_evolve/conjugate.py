@@ -9,16 +9,18 @@ dense-oracle discrepancy instead).
 
 The two stages are kept separate, mirroring how the operator factorizes:
 
-* the spatial stage op(e^lam) is a Multiplier, inverted exactly by the
+* the spatial stage op(e^lam) is a Fourier row, inverted exactly by the
   reciprocal row, when the phase is x-independent (M2 = M1 = 0); otherwise
-  it is a dense matrix on Fourier coefficients, the basis of every
-  operator, and its inverse is the adjoint of op(e^-lam) composed with the
+  it is a coefficient matrix, on Fourier coefficients as every operator
+  is, and its inverse is the adjoint of op(e^-lam) composed with the
   Neumann series in the exact discrete remainder R, summed in product form
   until the power of R it leaves, which is the residual of the inverse,
   falls below series_tol.  A direct dense inverse is the cross-check mode
   for both;
-* the time stage e^{k(t)<D>^{1/theta}} is a Fourier multiplier, hence
-  diagonal and exactly invertible.
+* the time stage e^{k(t)<D>^{1/theta}} is a Fourier multiplier, a row,
+  hence diagonal and exactly invertible.
+Like G, each is a plain array whose shape is its variant: a row applies
+by product and a matrix by GEMV or GEMM (_apply).
 
 All expansion terms are assembled as symbol tables.  Derivative factors of
 exponentials are produced by Bell-polynomial recursions with the
@@ -50,11 +52,10 @@ import numpy as np
 from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError, ReleasedError
 from .grid import Grid, bracket_h
-from .quantize import (Dense, Multiplier, SymbolTable, adjoint,
-                       coefficient_matrix, dx_operators, exp_table,
-                       multiplier_table, operator_norm, sampled_table,
-                       spectral_stack, stage_matrices, x_derivative,
-                       xi_derivative)
+from .quantize import (SymbolTable, adjoint, coefficient_matrix,
+                       dx_operators, exp_table, multiplier_table,
+                       operator_norm, sampled_table, spectral_stack,
+                       stage_matrices, x_derivative, xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
                       weight_x_derivative)
@@ -332,18 +333,30 @@ def truncation_order(m, theta):
 # the conjugator bundle: op(e^lam), its inverse, the time stage
 # ----------------------------------------------------------------------
 
+def _apply(A, w_hat):
+    """A row (N,) by product, or an (N, N) matrix by GEMV on one state
+    w_hat and by GEMM on a stack (B, N), padded to two rows when B = 1:
+    numpy's GEMV for one row rounds it unlike a wider stack's GEMM."""
+    if A.ndim == 1:
+        return A * w_hat
+    if np.ndim(w_hat) == 2 and len(w_hat) == 1:
+        return (A @ np.concatenate([w_hat, w_hat]).T).T[:1]
+    return (A @ w_hat.T).T
+
+
 @dataclass
 class ConjugatorBundle:
-    """The spatial conjugator op(e^lam) and its inverse as operators, their
-    diagnostics, and the assembler of the conjugated symbols, which keeps
-    the grid, params, problem and phase tables both were built from.
+    """The spatial conjugator op(e^lam) and its inverse, both Fourier rows
+    (N,) or both coefficient matrices (N, N), as G is, their diagnostics,
+    and the assembler of the conjugated symbols, which keeps the grid,
+    params, problem and phase tables both were built from.
 
     E and E_inv read neither C1 nor C2; the time stage and the assembler's
     generator read both, so the assembler is calibrated before the bundle
     is built from it."""
 
-    E: "Multiplier | Dense"        # op(e^lam)
-    E_inv: "Multiplier | Dense"    # 1 / row, E_star sum_j (-R)^j, or inv(E)
+    E: np.ndarray                  # op(e^lam)
+    E_inv: np.ndarray              # 1 / row, E_star sum_j (-R)^j, or inv(E)
     spectral_radius: float         # of R = E E_star - I, E_star = op(e^-lam)*
     residual: float                # ||E E_inv - I||_F
     series_terms: int              # 2^K summands of the series; 0 for rows
@@ -354,25 +367,25 @@ class ConjugatorBundle:
     problem = property(lambda self: self.assembler.problem)
 
     def time_stage(self, t, sign=+1):
-        """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier; for an
-        array of times (B,), the multiplier of their (B, N) rows, which
-        applies row by row to a stack of coefficients."""
+        """op(e^{sign k(t) <xi>_h^{1/theta}}), a Fourier multiplier: its
+        row (N,), or for an array of times (B,) their rows (B, N), which
+        multiply a stack of coefficients row by row."""
         expo = (sign * k_of_t(t, self.params))[..., None] * self.assembler.xi_pow
         if np.max(expo) > 690.0:
             raise ParameterError("time-weight multiplier overflows; reduce k0")
-        return Multiplier(self.grid, np.exp(expo))
+        return np.exp(expo)
 
     def apply_full(self, u_hat, t):
         """Coefficients of op(e^Lam(t)) u from those of u: the spatial
         stage E, then the time stage's row.  A stack u_hat (B, N) with
         times t (B,) maps row i at t[i]."""
-        return self.time_stage(t).matvec_hat(self.E.matvec_hat(u_hat))
+        return self.time_stage(t) * _apply(self.E, u_hat)
 
     def apply_full_inverse(self, v_hat, t):
         """Coefficients of {op(e^Lam(t))}^{-1} v from those of v: the
         inverse time stage's row, then E_inv; row by row on a stack, as
         apply_full."""
-        return self.E_inv.matvec_hat(self.time_stage(t, -1).matvec_hat(v_hat))
+        return _apply(self.E_inv, self.time_stage(t, -1) * v_hat)
 
 
 def build_conjugator(assembler: "ConjugationAssembler",
@@ -383,12 +396,12 @@ def build_conjugator(assembler: "ConjugationAssembler",
     the bundle keeps the assembler.
 
     When the phase table lam is one row (x-independent) E and E_inv are
-    the Multipliers of the row e^lam and its reciprocal, and every
-    diagnostic is measured on the rows.  Otherwise E = E_syn^H (E_syn *
-    e^lam) maps coefficients to coefficients (coefficient_matrix, one FFT
-    along x), and E_inv = E_star S, with E_star the
-    adjoint of op(e^-lam) and S the Neumann series of (I + R)^{-1} in the
-    exact discrete remainder R = E E_star - I, summed in product form:
+    the Fourier rows (N,) e^lam and 1 / e^lam, and every diagnostic is
+    measured on the rows.  Otherwise both are (N, N) coefficient matrices:
+    E = E_syn^H (E_syn * e^lam) (coefficient_matrix, one FFT along x), and
+    E_inv = E_star S, with E_star the adjoint of op(e^-lam) and S the
+    Neumann series of (I + R)^{-1} in the exact discrete remainder
+    R = E E_star - I, summed in product form:
     S = (I - R)(I + R^2)(I + R^4)... = sum_{j < 2^K} (-R)^j, two N x N
     products per factor.  Then E E_inv - I = -R^{2^K}, so the series stops
     at the first K with ||R^{2^K}||_F < series_tol, a bound on the residual
@@ -399,8 +412,8 @@ def build_conjugator(assembler: "ConjugationAssembler",
     norm from above, is checked once at the end.  The change of basis from
     node values is unitary: rho(R) and every norm are those of the
     node-value matrices.
-    ``mode="dense"`` replaces either with a dense E and a direct dense
-    inverse (cross-check oracle, N <= 256).
+    ``mode="dense"`` replaces either with the matrix E and its direct
+    dense inverse (cross-check oracle, N <= 256).
     """
     grid, phase = assembler.grid, assembler.phase
     N, nyq = grid.N, grid.nyquist
@@ -411,9 +424,9 @@ def build_conjugator(assembler: "ConjugationAssembler",
         e, e_neg = exp_lam.values[0].copy(), exp_neg.values[0].copy()
         e[nyq] = e_neg[nyq] = 1.0
         R = e * np.conj(e_neg) - 1.0
-        E, E_inv = Multiplier(grid, e), Multiplier(grid, 1.0 / e)
+        E, E_inv = e, 1.0 / e
         rho = float(np.max(np.abs(R)))
-        residual, terms = float(np.linalg.norm(e * E_inv.row - 1.0)), 0
+        residual, terms = float(np.linalg.norm(e * E_inv - 1.0)), 0
     else:
         I = np.eye(N, dtype=complex)
         E, E_star = (coefficient_matrix(grid, tab.values)
@@ -443,7 +456,6 @@ def build_conjugator(assembler: "ConjugationAssembler",
                 P = P @ P
             E_inv = E_star @ S
         residual = float(np.linalg.norm(E @ E_inv - I))
-        E, E_inv = Dense(grid, E), Dense(grid, E_inv)
     if residual > inverse_tol:
         raise ConvergenceError(
             f"conjugator inverse residual {residual:.3e} exceeds "

@@ -501,23 +501,24 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
     if write:
         require_output_dir(out)
     # imported here: concurrent.futures pulls in logging, threading and
-    # queue, which no other command reads
+    # queue, and csv its C module, which no other command reads
+    import csv
+    import io
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, vals))
 
     cols = ["axis", "value", "status", "margin_order2", "margin_order1",
             "margin_theta", "terminal_l2", "terminal_hm", "radius_T",
-            "C_prime", "runtime_s"]
-    lines = ["# schema=2", ",".join(cols)]
+            "C_prime", "runtime_s", "error"]
+    lines = ["# schema=3", ",".join(cols)]
     for row in rows:
-        cells = []
-        for c in cols:
-            val = row.get(c, "")
-            if isinstance(val, float):
-                val = serialize.fmt(val)
-            cells.append(str(val))
-        lines.append(",".join(cells))
+        # CSV quoting: a failed row's message may hold commas or quotes
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(
+            serialize.fmt(v) if isinstance(v, float) else v
+            for v in (row.get(c, "") for c in cols))
+        lines.append(buf.getvalue())
     if write:
         os.makedirs(out, exist_ok=True)
         _write_text(os.path.join(out, "sweep.csv"), lines)
@@ -525,12 +526,13 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
 
 
 def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
-    """Dense-oracle consistency checks at small N; returns (passed, lines).
-    An output directory out_dir, if given, that cannot be written is
-    refused before the checks run."""
+    """Oracle consistency checks on node-value matrices at small N;
+    returns (passed, lines).  An output directory out_dir, if given, that
+    cannot be written is refused before the checks run."""
     from .quantize import (adjoint, apply, band_relative_error,
-                           compose_expansion, representable_error,
-                           table_from_function, to_dense)
+                           compose_expansion, node_matrix,
+                           representable_error, table_from_function,
+                           to_dense)
     cfg.validate()
     if out_dir:
         require_output_dir(out_dir)
@@ -576,20 +578,21 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
     assumptions.require()
     params, details, _ = resolve_weights(cfg, problem, grid, assumptions)
     bundle = details["bundle"]
-    E, E_inv = bundle.E.dense(), bundle.E_inv.dense()
+    E, E_inv = node_matrix(grid, bundle.E), node_matrix(grid, bundle.E_inv)
     check("conjugator-residual",
           float(np.linalg.norm(E @ E_inv - np.eye(N), 2)),
           v["tolerances.inverse_tol"])
-    # the Multiplier or Neumann-series inverse against the dense inverse
-    dense = build_conjugator(bundle.assembler, mode="dense").E_inv.dense()
+    # the row or Neumann-series inverse against the dense inverse
+    dense = node_matrix(grid, build_conjugator(bundle.assembler,
+                                               mode="dense").E_inv)
     check("neumann-vs-dense",
           float(np.linalg.norm(E_inv - dense, 2))
           / max(1.0, float(np.linalg.norm(dense, 2))), 1e-6)
 
     cs = bundle.assembler.at(0.0)
     spatial = (model_problem_spatial_dense(problem, grid, 0.0))
-    lhs = (bundle.time_stage(0.0).dense() @ E @ spatial @ E_inv
-           @ bundle.time_stage(0.0, -1).dense())
+    lhs = (node_matrix(grid, bundle.time_stage(0.0)) @ E @ spatial @ E_inv
+           @ node_matrix(grid, bundle.time_stage(0.0, -1)))
     rhs = to_dense(cs.spatial_table())
     check("conjugated-assembly",
           representable_error(lhs, rhs, grid, params.domain_cap), 1e-2)
@@ -606,7 +609,7 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
 
 
 def model_problem_spatial_dense(problem, grid, t):
-    """Dense matrix of i (a3 + a2 + a1 + a0)(t, x, D)."""
+    """The node-value matrix of i (a3 + a2 + a1 + a0)(t, x, D)."""
     from .quantize import multiplier_table, to_dense
     from .symbols import eval_table
     a3 = multiplier_table(grid, np.asarray(problem.a3(t, 0.0, grid.xi),

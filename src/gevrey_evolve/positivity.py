@@ -100,8 +100,8 @@ class PositivityReport:
 
 
 def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
-    """Smallest eigenvalue of the Hermitian part of the quantized symbol,
-    restricted to the resolved band.
+    """Smallest eigenvalue of the Hermitian part of op(sym), restricted to
+    the resolved band.
 
     The top octave of the lattice carries aliasing from pointwise symbol
     products, which drives the unrestricted floor down like xi_max^order;

@@ -36,12 +36,13 @@ anchors every asymptotic claim made by the composition and conjugation
 expansions: whatever an expansion predicts must match the dense product or
 dense conjugation on the resolved band.
 
-Every operator maps Fourier coefficients to Fourier coefficients
-(``matvec_hat``) and has a node-value ``dense()`` that only oracles call: a
-Multiplier (a row in xi: a row product) or a Dense coefficient matrix;
-quantized(grid, values) is the Dense operator of a table.  The coefficient
-matrix of a table, E_syn^H (E_syn * p), is one FFT along x
-(coefficient_matrix), and spectral_stack stacks those of several tables.
+Every operator on Fourier coefficients is a plain array whose shape is
+its variant: a Fourier row (N,), applied by product, or an N x N
+coefficient matrix, applied by GEMV (one GEMM on a stack of states).
+node_matrix(grid, A) is the node-value matrix of either, which only
+oracles form.  The coefficient matrix of a table, E_syn^H (E_syn * p), is
+one FFT along x (coefficient_matrix), and spectral_stack stacks those of
+several tables.
 A stage of a solve is a weighted sum over such a fixed stack, of Fourier
 rows or of coefficient matrices: stage_matrices forms the stages of many
 weight vectors by one real GEMM, and a solve steps on the stage arrays
@@ -149,42 +150,12 @@ class SymbolTable:
         return SymbolTable.fresh(self.grid, self.values.imag.copy(order="K"))
 
 
-def _on_nodes(grid, M):
-    """The node-value matrix M E_syn^H of a coefficient-to-node matrix M."""
-    return M @ grid.synthesis_matrix().conj().T
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """An operator diagonal in xi, given by its row: a row product."""
-
-    grid: Grid
-    row: np.ndarray
-
-    def matvec_hat(self, w_hat):
-        return self.row * w_hat
-
-    def dense(self):
-        return _on_nodes(self.grid, self.grid.synthesis_matrix() * self.row)
-
-
-@dataclass(frozen=True)
-class Dense:
-    """An operator as a matrix from coefficients to coefficients."""
-
-    grid: Grid
-    matrix: np.ndarray
-
-    def matvec_hat(self, w_hat):
-        """matrix @ w_hat; one GEMM for each row of a stack (B, N).  A
-        one-row stack is padded to two rows: numpy takes a GEMV for one,
-        which rounds it differently from the same row in a wider stack."""
-        if np.ndim(w_hat) == 2 and len(w_hat) == 1:
-            return (self.matrix @ np.concatenate([w_hat, w_hat]).T).T[:1]
-        return (self.matrix @ w_hat.T).T
-
-    def dense(self):
-        return _on_nodes(self.grid, self.grid.synthesis_matrix() @ self.matrix)
+def node_matrix(grid, A):
+    """The node-value matrix E_syn A E_syn^H of a stage array A: a Fourier
+    row (N,), a product, or a coefficient matrix (N, N), a matrix product;
+    only oracles form it."""
+    S = grid.synthesis_matrix()
+    return (S * A if np.ndim(A) == 1 else S @ A) @ S.conj().T
 
 
 def stage_matrices(weights, stack, out=None):
@@ -245,12 +216,6 @@ def coefficient_matrix(grid, values, out=None):
     return out
 
 
-def quantized(grid, values):
-    """op(p), p given by its table values, on coefficients: the Dense
-    operator of its coefficient matrix."""
-    return Dense(grid, coefficient_matrix(grid, values))
-
-
 def spectral_stack(grid, tables):
     """The coefficient stack A[i] = E_syn^H (E_syn * tables[i]), shape
     (len(tables), N, N), each formed in place (coefficient_matrix): the
@@ -262,13 +227,14 @@ def spectral_stack(grid, tables):
 
 
 def apply(p: SymbolTable, u):
-    """Apply the quantized operator to node values; O(N^2)."""
+    """Apply op(p) to node values; O(N^2)."""
     return (p.grid.synthesis_matrix() * p.values) @ p.grid.forward(u)
 
 
 def to_dense(p: SymbolTable):
-    """Dense matrix M acting on node values with M @ u == apply(p, u)."""
-    return _on_nodes(p.grid, p.grid.synthesis_matrix() * p.values)
+    """The node-value matrix M with M @ u == apply(p, u)."""
+    S = p.grid.synthesis_matrix()
+    return (S * p.values) @ S.conj().T
 
 
 def adjoint(A):
@@ -282,8 +248,9 @@ def operator_norm(A):
 
 
 def band_projector(grid, fraction=0.5):
-    """Dense projector onto fields supported in the resolved band."""
-    return Multiplier(grid, grid.band_mask(fraction).astype(float)).dense()
+    """The node-value projector onto fields supported in the resolved
+    band."""
+    return node_matrix(grid, grid.band_mask(fraction).astype(float))
 
 
 def band_relative_error(A, B, grid, fraction=0.5):

@@ -45,16 +45,26 @@ def write_fields(path, times, fields):
 
 
 def read_fields(path):
+    """The times and fields of a write_fields file.  ShapeError for a bad
+    magic, or for a length other than the 6 + 16 + 8 count + 16 N count
+    bytes its header declares (a cut or padded file)."""
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _FIELD_MAGIC:
-            raise ShapeError(f"bad magic {magic!r}; expected {_FIELD_MAGIC!r}")
-        n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        count = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        times = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-        fields = [(_deinterleave(np.frombuffer(fh.read(16 * n), dtype="<f8")))
-                  for _ in range(count)]
-    return times, fields
+        raw = fh.read()
+    magic = raw[:6]
+    if magic != _FIELD_MAGIC:
+        raise ShapeError(f"bad magic {magic!r}; expected {_FIELD_MAGIC!r}")
+    head = 6 + 16
+    if len(raw) < head:
+        raise ShapeError(f"field file holds {len(raw)} bytes; its header "
+                         f"alone takes {head}")
+    n, count = (int(v) for v in np.frombuffer(raw, "<u8", 2, offset=6))
+    expected = head + 8 * count + 16 * n * count
+    if len(raw) != expected:
+        raise ShapeError(f"field file holds {len(raw)} bytes; its header "
+                         f"(N={n}, count={count}) declares {expected}")
+    times = np.frombuffer(raw, "<f8", count, offset=head).copy()
+    body = np.frombuffer(raw, "<f8", offset=head + 8 * count)
+    return times, [_deinterleave(row) for row in body.reshape(count, 2 * n)]
 
 
 def fmt(x):

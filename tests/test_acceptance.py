@@ -19,8 +19,9 @@ from gevrey_evolve.harness import RunConfig, model_problem_spatial_dense, run_pi
 from gevrey_evolve.positivity import (select_parameters_detailed,
                                       verify_lower_bounds)
 from gevrey_evolve.quantize import (band_relative_error, compose_expansion,
-                                    operator_norm, representable_error,
-                                    table_from_function, to_dense)
+                                    node_matrix, operator_norm,
+                                    representable_error, table_from_function,
+                                    to_dense)
 from gevrey_evolve.weights import k_of_t
 
 THETA = 1.8
@@ -129,8 +130,9 @@ def test_criterion_3_conjugator_inverse():
     params, details = select_parameters_detailed(prob, THETA, grid)
     bundle = details["bundle"]
     dense = build_conjugator(bundle.assembler, mode="dense")
-    agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
-        / operator_norm(dense.E_inv.dense())
+    agree = operator_norm(node_matrix(grid, bundle.E_inv)
+                          - node_matrix(grid, dense.E_inv)) \
+        / operator_norm(node_matrix(grid, dense.E_inv))
     # infeasible h must fail loudly, not return wrong answers
     bad = dataclasses.replace(params, M2=1.5, M1=1.0)
     try:
@@ -152,8 +154,9 @@ def test_criterion_4_conjugated_symbol_oracle(damped64):
     t = 0.3
     cs = asm.at(t)
     spatial = model_problem_spatial_dense(prob, grid, t)
-    full = bundle.time_stage(t).dense() @ bundle.E.dense()
-    full_inv = bundle.E_inv.dense() @ bundle.time_stage(t, -1).dense()
+    full = node_matrix(grid, bundle.time_stage(t)) @ node_matrix(grid, bundle.E)
+    full_inv = (node_matrix(grid, bundle.E_inv)
+                @ node_matrix(grid, bundle.time_stage(t, -1)))
     lhs = full @ spatial @ full_inv
     rhs = to_dense(cs.spatial_table())
     err = representable_error(lhs, rhs, grid, params.domain_cap)

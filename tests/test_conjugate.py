@@ -13,9 +13,9 @@ from gevrey_evolve.evolve import solve_conjugated, synthetic_radius_field
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.harness import model_problem_spatial_dense
 from gevrey_evolve.positivity import real_sum
-from gevrey_evolve.quantize import (Dense, Multiplier, SymbolTable,
-                                    exp_table, multiplier_table, operator_norm,
-                                    quantized, representable_error,
+from gevrey_evolve.quantize import (SymbolTable, coefficient_matrix,
+                                    exp_table, multiplier_table, node_matrix,
+                                    operator_norm, representable_error,
                                     sampled_table, stage_matrices, to_dense,
                                     x_derivative)
 from gevrey_evolve.symbols import Symbol, eval_table, model_problem
@@ -37,11 +37,14 @@ def params_with(**kw):
 
 def full_matrix(bundle, t):
     """op(e^Lam(t)) as a matrix: the time stage after E."""
-    return bundle.time_stage(t).dense() @ bundle.E.dense()
+    g = bundle.grid
+    return node_matrix(g, bundle.time_stage(t)) @ node_matrix(g, bundle.E)
 
 
 def full_inverse_matrix(bundle, t):
-    return bundle.E_inv.dense() @ bundle.time_stage(t, -1).dense()
+    g = bundle.grid
+    return (node_matrix(g, bundle.E_inv)
+            @ node_matrix(g, bundle.time_stage(t, -1)))
 
 
 @pytest.fixture(scope="module")
@@ -53,25 +56,27 @@ def test_trivial_phase_gives_identity(grid):
     p = params_with(M2=0.0, M1=0.0)
     bundle = build_conjugator(ConjugationAssembler(KDV, p, grid))
     I = np.eye(N)
-    assert operator_norm(bundle.E.dense() - I) < 1e-12
-    assert operator_norm(bundle.E_inv.dense() - I) < 1e-12
+    assert operator_norm(node_matrix(grid, bundle.E) - I) < 1e-12
+    assert operator_norm(node_matrix(grid, bundle.E_inv) - I) < 1e-12
     assert bundle.spectral_radius < 1e-12
 
 
-def _check_against_dense_oracle(bundle, variant):
-    """E and E_inv have the variant, and the dense oracle checks them: E
-    against op(e^lam) + P_nyq, E_inv against the dense inverse, and the full
-    conjugator op(e^Lam(t)) against its matrix and its inverse at t = 0.3."""
+def _check_against_dense_oracle(bundle, ndim):
+    """E and E_inv have the variant, rows (ndim 1) or coefficient matrices
+    (ndim 2), and the dense oracle checks them: E against op(e^lam) +
+    P_nyq, E_inv against the dense inverse, and the full conjugator
+    op(e^Lam(t)) against its matrix and its inverse at t = 0.3."""
     grid, params = bundle.grid, bundle.params
-    assert isinstance(bundle.E, variant) and isinstance(bundle.E_inv, variant)
+    assert bundle.E.ndim == bundle.E_inv.ndim == ndim
     E_syn = grid.synthesis_matrix()
     nyq = E_syn[:, grid.nyquist]
     E_ref = (to_dense(exp_table(bundle.assembler.phase.lam))
              + np.outer(nyq, nyq.conj()))
-    assert operator_norm(bundle.E.dense() - E_ref) <= 1e-13 * operator_norm(E_ref)
+    assert operator_norm(node_matrix(grid, bundle.E) - E_ref) \
+        <= 1e-13 * operator_norm(E_ref)
     dense = build_conjugator(bundle.assembler, mode="dense")
-    inv_ref = dense.E_inv.dense()
-    assert operator_norm(bundle.E_inv.dense() - inv_ref) \
+    inv_ref = node_matrix(grid, dense.E_inv)
+    assert operator_norm(node_matrix(grid, bundle.E_inv) - inv_ref) \
         <= 1e-12 * operator_norm(inv_ref)
     t = 0.3
     u = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, grid.N))
@@ -84,14 +89,14 @@ def _check_against_dense_oracle(bundle, variant):
     assert grid.l2_norm(back - u) <= 1e-13 * grid.l2_norm(u)
 
 
-@pytest.mark.parametrize("name, L_, N_, weights, variant", [
-    ("kdv-baseline", 10.0, 64, dict(M2=0.0, M1=0.0, h=1.0), Multiplier),
-    ("kdv-baseline", 40.0, 256, dict(M2=0.0, M1=0.0, h=1.0), Multiplier),
-    ("complex-damped", 10.0, 64, dict(M2=0.1, M1=0.1, h=2.0), Dense),
-    ("kdv-baseline", 10.0, 64, dict(M2=0.1, M1=0.0, h=2.0), Dense),
+@pytest.mark.parametrize("name, L_, N_, weights, ndim", [
+    ("kdv-baseline", 10.0, 64, dict(M2=0.0, M1=0.0, h=1.0), 1),
+    ("kdv-baseline", 40.0, 256, dict(M2=0.0, M1=0.0, h=1.0), 1),
+    ("complex-damped", 10.0, 64, dict(M2=0.1, M1=0.1, h=2.0), 2),
+    ("kdv-baseline", 10.0, 64, dict(M2=0.1, M1=0.0, h=2.0), 2),
 ], ids=["kdv-64", "kdv-256", "damped-64", "kdv-weighted-64"])
 def test_conjugator_variant_against_dense_oracle(name, L_, N_, weights,
-                                                 variant):
+                                                 ndim):
     # the phase is x-independent (zero) exactly when nothing is dominated;
     # C1, C2 > 0 so the time stage is not the identity.  The tight series
     # tolerance lets the Neumann inverse meet the dense one to 1e-12
@@ -102,20 +107,20 @@ def test_conjugator_variant_against_dense_oracle(name, L_, N_, weights,
                      **weights).with_ode_constants(0.5, 0.1)
     bundle = build_conjugator(ConjugationAssembler(prob, p, grid),
                               series_tol=1e-14)
-    _check_against_dense_oracle(bundle, variant)
-    if variant is Multiplier:
+    _check_against_dense_oracle(bundle, ndim)
+    if ndim == 1:
         assert bundle.series_terms == 0
 
 
 def test_x_independent_phase_gives_multiplier_pair(grid, monkeypatch):
-    # a phase whose rows are all equal but not zero: E is the multiplier of
-    # the row e^lam and E_inv that of its reciprocal
+    # a phase whose rows are all equal but not zero: E is the row e^lam
+    # and E_inv its reciprocal
     p = params_with(M2=0.0, M1=0.0).with_ode_constants(0.5, 0.1)
     phase = conjugate.build_phase_tables(KDV, p, grid)
     phase.lam = multiplier_table(grid, 0.3 * np.tanh(grid.xi) + 0.1)
     monkeypatch.setattr(conjugate, "build_phase_tables", lambda *args: phase)
     bundle = build_conjugator(ConjugationAssembler(KDV, p, grid))
-    _check_against_dense_oracle(bundle, Multiplier)
+    _check_against_dense_oracle(bundle, 1)
     assert bundle.residual < 1e-15 and bundle.spectral_radius < 1e-15
 
 
@@ -125,8 +130,9 @@ def test_inverse_residual_and_modes(small_setup):
     assert bundle.residual <= 1e-8
     dense = build_conjugator(bundle.assembler, mode="dense")
     # truncated series and dense inverse agree to series_tol * 10
-    agree = operator_norm(bundle.E_inv.dense() - dense.E_inv.dense()) \
-        / operator_norm(dense.E_inv.dense())
+    agree = operator_norm(node_matrix(g, bundle.E_inv)
+                          - node_matrix(g, dense.E_inv)) \
+        / operator_norm(node_matrix(g, dense.E_inv))
     assert agree <= 1e-9
 
 
@@ -152,8 +158,8 @@ def test_neumann_series_stops_by_the_power_it_leaves(small_setup):
         terms *= 2
     assert skipped and terms == bundle.series_terms == 32
     E_inv = E_star @ S
-    assert np.array_equal(bundle.E_inv.matrix, E_inv)
-    assert np.array_equal(bundle.E.matrix, E)
+    assert np.array_equal(bundle.E_inv, E_inv)
+    assert np.array_equal(bundle.E, E)
     assert bundle.residual == np.linalg.norm(E @ E_inv - I)
     assert bundle.residual >= operator_norm(E @ E_inv - I)
 
@@ -219,7 +225,7 @@ def test_conj_a3_dense_oracle(grid):
     p = params_with(M2=0.05, M1=0.04, h=4.0)
     bundle = build_conjugator(ConjugationAssembler(PROB, p, grid))
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
-    lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
+    lhs = node_matrix(grid, bundle.E) @ a3 @ node_matrix(grid, bundle.E_inv)
     cs = bundle.assembler.at(0.0)
     terms = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
@@ -267,7 +273,7 @@ def test_damping_terms_improve_dense_oracle(grid):
     bundle = build_conjugator(ConjugationAssembler(PROB, p, grid),
                               inverse_tol=1e-5)
     a3 = model_problem_spatial_dense(KDV, grid, 0.0)
-    lhs = bundle.E.dense() @ a3 @ bundle.E_inv.dense()
+    lhs = node_matrix(grid, bundle.E) @ a3 @ node_matrix(grid, bundle.E_inv)
     cs = bundle.assembler.at(0.0)
     t = cs.parts
     ia3 = multiplier_table(grid, 1j * cs.a3_row)
@@ -337,9 +343,9 @@ def test_stage_follows_new_time_weight_constants(grid, name):
     asm.stages([0.0, 0.3])
     asm.params = asm.params.with_ode_constants(0.5, 0.1)
     for t in (0.0, 0.3):
-        got = _stage(asm, t).matvec_hat(w_hat)
-        ref = quantized(grid, asm.at(t).generator_table().values
-                        ).matvec_hat(w_hat)
+        got = _applied(_stage(asm, t), w_hat)
+        ref = coefficient_matrix(grid, asm.at(t).generator_table().values
+                                 ) @ w_hat
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -839,10 +845,14 @@ def test_tables_formed_on_first_read_equal_the_eager_build(small_setup):
 
 
 def _stage(asm, t):
-    """The stage at t as step() applies it: the Multiplier of its row or
-    the Dense operator of its coefficient matrix."""
-    S = asm.stages([t])[0]
-    return (Multiplier if S.ndim == 1 else Dense)(asm.grid, S)
+    """The stage at t: a row or a coefficient matrix."""
+    return asm.stages([t])[0]
+
+
+def _applied(S, w_hat):
+    """The stage S applied to one state as step() applies it: a row by
+    product, a coefficient matrix by GEMV."""
+    return S * w_hat if S.ndim == 1 else S @ w_hat
 
 
 @pytest.mark.parametrize("name, L_, N_", [("complex-damped", L, N),
@@ -855,12 +865,12 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     # op(generator_table) built from the named parts, on fresh, repeated and
     # evicted coefficient times; C1, C2 > 0 make k' != 0.
     # kdv-baseline with M2 = M1 = 0 is x-independent: its stage is the
-    # Multiplier of the same polynomial's row
+    # same polynomial's row
     g = make_grid(L_, N_)
     prob = model_problem(name, 0.75, domain=L_)
     rows = name == "kdv-baseline"
     weights = {"M2": 0.0, "M1": 0.0} if rows else {}
-    variant = Multiplier if rows else Dense
+    ndim = 1 if rows else 2
     asm = ConjugationAssembler(
         prob, params_with(C1=0.2, C2=0.01, domain_cap=float(np.sqrt(1 + L_ ** 2)),
                           **weights), g)
@@ -868,10 +878,10 @@ def test_stacked_stage_matches_quantized_generator_table(name, L_, N_):
     w_hat = rng.standard_normal(N_) + 1j * rng.standard_normal(N_)
 
     def check(t):
-        op = _stage(asm, t)
-        assert isinstance(op, variant)
-        got = op.matvec_hat(w_hat)
-        ref = quantized(g, asm.at(t).generator_table().values).matvec_hat(w_hat)
+        S = _stage(asm, t)
+        assert S.ndim == ndim
+        got = _applied(S, w_hat)
+        ref = coefficient_matrix(g, asm.at(t).generator_table().values) @ w_hat
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     for t in (0.0, 0.3, 0.3, 1.0):
@@ -908,18 +918,18 @@ def _per_time_stage(asm, t):
         row = G[0].copy()
         for j, G_j in zip(powers, G[1:]):
             row += (k ** j) * G_j
-        return Multiplier(asm.grid, row)
+        return row
     weights = np.array([[1.0] + [k ** j for j in powers]])
-    return Dense(asm.grid, stage_matrices(weights, G)[0])
+    return stage_matrices(weights, G)[0]
 
 
-@pytest.mark.parametrize("name, weights, variant", [
-    ("kdv-baseline", dict(M2=0.0, M1=0.0), Multiplier),
-    ("complex-damped", {}, Dense),
-    ("time-modulated", {}, Dense),
+@pytest.mark.parametrize("name, weights, ndim", [
+    ("kdv-baseline", dict(M2=0.0, M1=0.0), 1),
+    ("complex-damped", {}, 2),
+    ("time-modulated", {}, 2),
 ], ids=["kdv-baseline-rows", "complex-damped-matrices",
         "time-modulated-matrices"])
-def test_stages_match_the_per_time_build(grid, name, weights, variant):
+def test_stages_match_the_per_time_build(grid, name, weights, ndim):
     # one call for a block of stage times gives, time by time, the stage of
     # the per-time build; C1, C2 > 0 so k varies over the block
     asm = ConjugationAssembler(model_problem(name, 0.75, domain=L),
@@ -930,9 +940,9 @@ def test_stages_match_the_per_time_build(grid, name, weights, variant):
     rng = np.random.default_rng(5)
     w_hat = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     for t, S in zip(taus, stages):
-        op = variant(grid, S)
-        want = _per_time_stage(asm, t).matvec_hat(w_hat)
-        got = op.matvec_hat(w_hat)
+        assert S.ndim == ndim
+        want = _applied(_per_time_stage(asm, t), w_hat)
+        got = _applied(S, w_hat)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -1000,7 +1010,7 @@ def test_stage_formed_in_a_pair_equals_it_formed_alone(grid, name,
 ], ids=["multiplier", "dense"])
 def test_apply_full_on_a_stack_matches_row_by_row(grid, name, weights, exact):
     # a (B, N) stack with an array of times maps row i at t[i]: bit for bit
-    # for a Multiplier conjugator, to a GEMM's rounding for a Dense one
+    # for a row conjugator, to a GEMM's rounding for a matrix one
     bundle = build_conjugator(ConjugationAssembler(
         model_problem(name, 0.75, domain=L),
         params_with(C1=0.2, C2=0.01, **weights), grid))

@@ -6,8 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from gevrey_evolve import conjugate, evolve, quantize
-from gevrey_evolve.conjugate import (ConjugationAssembler, Dense,
-                                     build_conjugator)
+from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
 from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
                                   integrating_factors, radius_fit,
@@ -247,8 +246,7 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     grid = setup["grid"]
     bundle = dataclasses.replace(setup["bundle"], assembler=ConjugationAssembler(
         setup["problem"], setup["params"], grid))
-    counts = {"quantized": 0, "spectral_stack": 0}
-    oracle = quantize.quantized
+    counts = {"coefficient_matrix": 0, "spectral_stack": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -258,7 +256,7 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (quantize, conjugate, evolve):
+    for module in (conjugate, evolve):
         for name in counts:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(module, name))
@@ -273,15 +271,16 @@ def test_solve_builds_no_stage_matrix(small_setup, monkeypatch):
     monkeypatch.setattr(ConjugationAssembler, "stages", recording)
     g = synthetic_radius_field(grid, 0.7, 1.8)
     traj = solve_original(bundle, None, g, 0.5)
-    assert counts == {"quantized": 0, "spectral_stack": 1}
+    assert counts == {"coefficient_matrix": 0, "spectral_stack": 1}
     assert len(stages) == 2 * traj.meta["steps"] + 1
     rng = np.random.default_rng(3)
     w_hat = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     times = sorted(stages)
     for t in (times[0], times[1], times[-1]):
-        ref = oracle(grid, bundle.assembler.at(t).generator_table().values)
+        ref = coefficient_matrix(
+            grid, bundle.assembler.at(t).generator_table().values)
         got = stages[t] @ w_hat
-        want = ref.matvec_hat(w_hat)
+        want = ref @ w_hat
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -496,7 +495,7 @@ def test_solve_steps_on_the_stages_in_its_slots(small_setup, monkeypatch):
 
 
 def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
-    # a forced damped-64 solve (Dense conjugator, matrix stages) carries
+    # a forced damped-64 solve (matrix conjugator, matrix stages) carries
     # coefficients end to end: its only synthesis is one field through
     # Grid.inverse per logged time, and the pull-back (the conjugator
     # inverse, the equivalence check, the radius fit and the output norm)
@@ -505,7 +504,7 @@ def test_pullback_synthesizes_once_per_logged_time(small_setup, monkeypatch):
     from gevrey_evolve.grid import Grid
     setup = small_setup
     grid, bundle = setup["grid"], setup["bundle"]
-    assert isinstance(bundle.E_inv, Dense)
+    assert bundle.E_inv.ndim == 2
     g = synthetic_radius_field(grid, 0.7, 1.8)
     calls, solved = {"forward": 0, "inverse": 0}, {}
     for name in calls:
@@ -549,7 +548,7 @@ def test_blocks_do_not_change_the_solve(small_setup, monkeypatch, block):
     # the block length only groups the time-only work: a forced damped-64
     # solve in blocks of 1 or 7 steps (32 steps: a short last block), the
     # byte budget set to that many steps' bytes, gives the same trajectory
-    # as in blocks of the default budget, up to the rounding of the Dense
+    # as in blocks of the default budget, up to the rounding of the matrix
     # conjugator's GEMM on a stack
     grid, bundle = small_setup["grid"], small_setup["bundle"]
     g = synthetic_radius_field(grid, 0.7, 1.8)
@@ -718,12 +717,11 @@ def _variant_case(case, grid):
 def test_variant_by_shape_agrees_with_the_retired_row_equality(grid, case,
                                                                monkeypatch):
     # the variant is the tables' shape: polynomial takes rows when every
-    # G_j is one row, build_conjugator the Multiplier pair when lam is one
+    # G_j is one row, build_conjugator the row pair when lam is one
     # row.  On every table they decide on, through selection, a solve and
     # the sample times, the shape agrees with the retired scan for equal
     # rows; damped-64-unweighted has a row phase and a stack generator
     from gevrey_evolve import positivity
-    from gevrey_evolve.quantize import Multiplier
     from gevrey_evolve.symbols import sample_times
     decided, decide = [], ConjugationAssembler.polynomial
     build = conjugate.build_conjugator
@@ -742,7 +740,7 @@ def test_variant_by_shape_agrees_with_the_retired_row_equality(grid, case,
         bundle = build(assembler, *args, **kwargs)
         lam = assembler.phase.lam.values
         decided.append(("lam", _retired_fourier_rows(lam), len(lam) == 1))
-        assert isinstance(bundle.E, Multiplier) == (len(lam) == 1)
+        assert (bundle.E.ndim == 1) == (len(lam) == 1)
         return bundle
 
     monkeypatch.setattr(ConjugationAssembler, "polynomial", polynomial)

@@ -20,6 +20,7 @@ from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    error_category, main, oracle_suite,
                                    require_output_dir, run_pipeline,
                                    sweep_pipeline)
+from gevrey_evolve.quantize import node_matrix
 
 SMALL = "grid.L = 10\ngrid.N = 64\n"
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -249,8 +250,9 @@ def test_well_conditioned_conjugator_is_accepted_at_l40(tmp_path, monkeypatch):
     bundle = runs[0][1]["bundle"]
     assert bundle.residual <= 1e-8 and bundle.spectral_radius < 1.0
     fresh = ConjugationAssembler(bundle.problem, bundle.params, bundle.grid)
-    dense = build_conjugator(fresh, mode="dense").E_inv.dense()
-    gap = np.linalg.norm(bundle.E_inv.dense() - dense, 2)
+    dense = node_matrix(bundle.grid, build_conjugator(fresh,
+                                                      mode="dense").E_inv)
+    gap = np.linalg.norm(node_matrix(bundle.grid, bundle.E_inv) - dense, 2)
     assert gap <= 1e-9 * np.linalg.norm(dense, 2)
 
 
@@ -309,7 +311,19 @@ def test_sweep_rows_ordered_and_inline_failures(tmp_path, monkeypatch):
     assert [r["value"] for r in rows] == [1.7, 2.0]
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"] == "config"      # theta at the open boundary
-    assert lines[0] == "# schema=2"
+    assert lines[0] == "# schema=3"
+
+
+def test_sweep_csv_keeps_a_failed_rows_message(tmp_path):
+    # the error column is the last, CSV-quoted: the message holds a comma
+    import csv
+    cfg = RunConfig.from_text("grid.L = 10\ngrid.N = 48\n")
+    rows, _ = sweep_pipeline(cfg, "N", ["7"], out_dir=str(tmp_path))
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        schema, header, row = csv.reader(fh)
+    assert schema == ["# schema=3"] and header[-1] == "error"
+    assert dict(zip(header, row))["status"] == "config"
+    assert row[-1] == rows[0]["error"] == "grid.N must be even and >= 8, got 7"
 
 
 def test_oracle_suite_passes():

@@ -3,7 +3,7 @@ import pytest
 
 from gevrey_evolve.errors import ParameterError, ShapeError
 from gevrey_evolve.grid import bracket_h, make_grid
-from gevrey_evolve.quantize import (STAGE_PANEL, Dense, SymbolTable, adjoint,
+from gevrey_evolve.quantize import (STAGE_PANEL, SymbolTable, adjoint,
                                     apply, band_relative_error,
                                     coefficient_matrix, compose_expansion,
                                     dx_operators, exp_table,
@@ -224,17 +224,21 @@ def test_real_values_make_float_tables(grid):
     assert cplx.values[0, 0] == 1j
 
 
-def test_dense_stack_rows_do_not_depend_on_the_grouping(grid):
-    # 33 fields as groups of 32 + 1 or as one group of 33: the lone row
-    # takes the GEMM of the wider stack, so every row has the same bits
+def test_dense_stack_rows_do_not_depend_on_the_grouping(small_setup):
+    # 33 fields as groups of 32 + 1 or as one group of 33, through the
+    # coefficient matrices E and E_inv of the damped-64 conjugator: the
+    # lone row takes the GEMM of the wider stack, so every row has the
+    # same bits
+    bundle = small_setup["bundle"]
+    assert bundle.E.ndim == bundle.E_inv.ndim == 2
     rng = np.random.default_rng(3)
-    N = grid.N
-    op = Dense(grid, rng.standard_normal((N, N))
-               + 1j * rng.standard_normal((N, N)))
+    N = bundle.grid.N
     fields = rng.standard_normal((33, N)) + 1j * rng.standard_normal((33, N))
-    grouped = np.concatenate([op.matvec_hat(fields[:32]),
-                              op.matvec_hat(fields[32:])])
-    assert np.array_equal(grouped, op.matvec_hat(fields))
+    t = np.linspace(0.0, 1.0, 33)
+    for apply_ in (bundle.apply_full, bundle.apply_full_inverse):
+        grouped = np.concatenate([apply_(fields[:32], t[:32]),
+                                  apply_(fields[32:], t[32:])])
+        assert np.array_equal(grouped, apply_(fields, t))
 
 
 def test_tables_are_column_major(grid):
