@@ -13,7 +13,7 @@ from .errors import (ConfigurationError, ConvergenceError, DataError,
                      InstabilityError, ParameterError, ReleasedError,
                      ShapeError)
 from .grid import Grid, bracket_h, make_grid
-from .quantize import (SymbolTable, adjoint, apply, band_relative_error,
+from .quantize import (SymbolTable, adjoint, band_relative_error,
                        compose_expansion, exp_table, multiplier_table,
                        stage_matrices, table_from_function, to_dense,
                        xi_derivative)

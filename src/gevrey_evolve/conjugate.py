@@ -585,7 +585,8 @@ class ConjugationAssembler:
     ``part(name, t)`` evaluates one named table, U_0 + sum_j k(t)^j U_j;
     ``block_polynomial(names, t)`` is the real k-polynomial of the sum of
     named tables on the checked region's columns, which the certificate
-    and the calibration keep per coefficient time (``coefficient_time``)
+    and the calibration keep per coefficient time
+    (``ProblemSpec.coefficient_times``)
     and evaluate by Horner (positivity.block_sum); ``at(t)`` gives the
     parts of BLOCKS.  ``polynomial(t)`` is the generator's k-polynomial
     (powers, G), and ``stages(taus)`` the generator at each time of taus
@@ -632,10 +633,9 @@ class ConjugationAssembler:
         time ("t"), a3's rows, the k-polynomials ("poly": {name: {j: U_j}}),
         each formed on first read, and, once asked for, the generator's
         rows or spectral stack."""
-        key = round(float(t), 12) if self.problem.time_dependent else None
-        t0 = 0.0 if key is None else float(t)
+        t0 = float(self.problem.coefficient_times(t)[0])
         xi, a3 = self.grid.xi, self.problem.a3
-        return _memo(self._cache, key, lambda: {
+        return _memo(self._cache, round(t0, 12), lambda: {
             "t": t0, "poly": {},
             "a3_row": np.asarray(a3(t0, 0.0, xi), dtype=float),
             "da3_row": np.asarray(a3.dxi(t0, 0.0, xi), dtype=float)})
@@ -826,9 +826,9 @@ class ConjugationAssembler:
         coefficient time, time-dependent ones have one per tau."""
         taus = np.asarray(taus, dtype=float)
         ks = k_of_t(taus, self.params).tolist()
-        groups = ([(t, slice(i, i + 1)) for i, t in enumerate(taus)]
-                  if self.problem.time_dependent else [(0.0, slice(None))])
-        for t, sl in groups:
+        times = self.problem.coefficient_times(taus)
+        for i, t in enumerate(times):
+            sl = slice(i, i + 1) if len(times) > 1 else slice(None)
             powers, G = self.polynomial(t)
             if out is None:
                 out = np.empty((taus.size, *G.shape[1:]), dtype=complex)
@@ -872,11 +872,6 @@ class ConjugationAssembler:
             for j, U in poly.items():
                 R[j] += U.values.real[:, region]
         return R
-
-    def coefficient_time(self, t):
-        """The coefficient time the tables of t are formed at: 0.0 for
-        time-independent coefficients, t for time-dependent ones."""
-        return self._entry(t)["t"]
 
     def generator_sup(self):
         """max |generator table at t = 0|, the size the default step reads

@@ -289,6 +289,9 @@ def solve_conjugated(assembler: ConjugationAssembler, f_conj, v0_hat, T,
                      dt=None):
     """Integrate the conjugated problem; returns a Trajectory of v.
 
+    It reads five members of its generator, so any object with them is
+    stepped alike: grid; problem (a3, for the integrating factors);
+    polynomial(0.0)'s G; stages(taus, out); generator_sup() (default_dt).
     The steps run in blocks of max(1, BLOCK_BYTES // step_bytes) steps,
     and the generator's G at t = 0 (ConjugationAssembler.polynomial) sets
     the path: its ndim, length and bytes are all the solve reads of it.

@@ -9,7 +9,7 @@ Commands:
 * ``run <config>``     end-to-end pipeline, writes report + CSV artifacts
 * ``verify <config>``  assumption + positivity reports only, no solve
 * ``sweep <config> --axis h --values 1,2,4``  one row per value
-* ``oracle <config>``  dense-oracle consistency suite at small N
+* ``oracle <config>``  dense-oracle consistency suite at N <= 256
 
 Exit categories: 0 ok, 2 config, 3 infeasible-parameters, 4 instability,
 1 oracle-suite failure.
@@ -28,11 +28,11 @@ from . import serialize
 from .conjugate import build_conjugator
 from .errors import (ConfigurationError, ConvergenceError, GevreyEvolveError,
                      InfeasibleError, InstabilityError, ParameterError)
-from .evolve import (MAX_STEPS, default_dt, solve_original,
-                     synthetic_radius_field)
+from .evolve import MAX_STEPS, solve_original, synthetic_radius_field
 from .grid import make_grid
 from .positivity import garding_floors, select_parameters_detailed
-from .symbols import MODEL_PROBLEM_IDS, check_assumptions, model_problem
+from .symbols import (MODEL_PROBLEM_IDS, check_assumptions, model_problem,
+                      range_error)
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -123,6 +123,7 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
 # coefficient stack, in batches of J steps and 2J + 1 slots
 DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
+ORACLE_N_MAX = 256   # the largest grid.N the oracle suite checks at
 
 
 def _physical_memory():
@@ -214,17 +215,10 @@ class RunConfig:
             auto = "'auto' or " if _DEFAULTS[key] == "auto" else ""
             bound = f" and {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
             raise ConfigurationError(f"{key} must be {auto}finite{bound}, got {val}")
-        sigma, s0, theta = v["problem.sigma"], v["problem.s0"], v["gevrey.theta"]
-        if not (0.5 < sigma < 1.0):
-            raise ConfigurationError(f"problem.sigma must lie in (1/2, 1), got {sigma}")
-        sup = 1.0 / (2.0 * (1.0 - sigma))
-        if not (1.0 < s0 < sup):
-            raise ConfigurationError(
-                f"problem.s0 must lie in (1, {sup:.6g}), got {s0}")
-        if not (s0 <= theta < sup):
-            raise ConfigurationError(
-                f"gevrey.theta must lie in the admissible range [{s0}, {sup:.6g}) "
-                f"(half-open at the top), got {theta}")
+        sigma, s0 = v["problem.sigma"], v["problem.s0"]
+        if bad := range_error(sigma, s0, v["gevrey.theta"],
+                              ("problem.sigma", "problem.s0", "gevrey.theta")):
+            raise ConfigurationError(bad)
         if v["grid.N"] < 8 or v["grid.N"] % 2:
             raise ConfigurationError(f"grid.N must be even and >= 8, got {v['grid.N']}")
         if v["data.kind"] == "mode":
@@ -238,7 +232,7 @@ class RunConfig:
                     f"nearest lattice mode is {n} pi / grid.L = "
                     f"{n * np.pi / L:.6g}")
         tables = (DENSE_TABLES_TIME_DEPENDENT
-                  if model_problem(v["problem.id"], sigma).time_dependent
+                  if model_problem(v["problem.id"], sigma, s0=s0).time_dependent
                   else DENSE_TABLES)
         need, have = tables * 16 * v["grid.N"] ** 2, _physical_memory()
         if have is not None and need > have:
@@ -362,7 +356,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     """Full run; returns (trajectory, artifacts dict).  Once the setup has
     the Garding floors, the accepted assembler drops every table its solve
     does not read (ConjugationAssembler.release_tables), and the step is
-    run.dt or default_dt of the accepted assembler."""
+    run.dt, or the solve's default_dt when run.dt is auto."""
     out = (out_dir or cfg["output.dir"]) if write else None
     artifacts = setup_pipeline(cfg, out)
     v = cfg.values
@@ -370,10 +364,7 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     T = bundle.problem.T
     g, f, rho = build_data(cfg, bundle.grid)
     bundle.assembler.release_tables()
-    if v["run.dt"] == "auto":
-        dt = default_dt(bundle.assembler, T)
-    else:
-        dt = float(v["run.dt"])
+    dt = None if v["run.dt"] == "auto" else float(v["run.dt"])
     traj = solve_original(bundle, f, g, T, m=v["gevrey.m"], rho=rho, dt=dt)
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})
@@ -525,11 +516,12 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
     return rows, lines
 
 
-def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
-    """Oracle consistency checks on node-value matrices at small N;
-    returns (passed, lines).  An output directory out_dir, if given, that
-    cannot be written is refused before the checks run."""
-    from .quantize import (adjoint, apply, band_relative_error,
+def oracle_suite(cfg: RunConfig, out_dir=None):
+    """Oracle consistency checks on node-value matrices, on the box the
+    problem is rolled off for at N = min(grid.N, ORACLE_N_MAX); returns
+    (passed, lines), the first line naming that grid.  An output directory
+    out_dir, if given, that cannot be written is refused before any check."""
+    from .quantize import (adjoint, band_relative_error, coefficient_matrix,
                            compose_expansion, node_matrix,
                            representable_error, table_from_function,
                            to_dense)
@@ -537,8 +529,8 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
     if out_dir:
         require_output_dir(out_dir)
     v = cfg.values
-    N = min(int(v["grid.N"]), n_max)
-    grid = make_grid(min(v["grid.L"], 10.0), N)
+    N = min(v["grid.N"], ORACLE_N_MAX)
+    grid = make_grid(v["grid.L"], N)
     problem = build_problem(cfg)
     theta = v["gevrey.theta"]
     rng = np.random.default_rng(int(v["seed"]))
@@ -555,10 +547,10 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
 
     tab = table_from_function(grid, lambda x, xi: (np.exp(1j * x) + 0.2 * np.cos(x))
                               / (1.0 + 0.1 * xi ** 2))
-    M = to_dense(tab)
-    errs = [np.max(np.abs(M @ w - apply(tab, w)))
+    M, C = to_dense(tab), coefficient_matrix(grid, tab.values)
+    errs = [np.max(np.abs(M @ w - grid.inverse(C @ grid.forward(w))))
             for w in (rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N)))]
-    check("apply-vs-dense", float(max(errs)), 1e-11)
+    check("coefficient-matrix-vs-dense", float(max(errs)), 1e-11)
 
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     w1 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -566,8 +558,9 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
     check("adjoint-identity",
           abs(grid.inner(A @ w1, w2) - grid.inner(w1, adjoint(A) @ w2)), 1e-9)
 
-    # terminating pair: p = xi against a pure lattice mode (exact identity)
-    xi1 = grid.xi[max(1, int(round(grid.L / np.pi)))]
+    # terminating pair: p = xi against the lattice mode nearest xi = 1, at
+    # most N/8 lattice steps up (exact identity)
+    xi1 = grid.xi[min(max(1, int(round(grid.L / np.pi))), N // 8)]
     pxi = table_from_function(grid, lambda x, xi: xi + 0.0 * x)
     pex = table_from_function(grid, lambda x, xi: np.exp(1j * xi1 * x) + 0.0 * xi)
     target = to_dense(pxi) @ to_dense(pex)
@@ -599,7 +592,7 @@ def oracle_suite(cfg: RunConfig, n_max=64, out_dir=None):
 
     check("d1-imaginary", float(np.max(np.abs(cs.parts["d1"].values.imag))), 1e-10)
 
-    lines = []
+    lines = [f"oracle grid: N={N} L={v['grid.L']:g}"]
     passed = True
     for name, value, tol, ok in checks:
         passed &= ok

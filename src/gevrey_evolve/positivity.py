@@ -146,7 +146,7 @@ def block_sum(assembler: ConjugationAssembler, names, t,
     The polynomial is read from the caller's dict polys, keyed by
     coefficient time and names, and formed into it on first read; one that
     names kprime holds the C1 and C2 of that read."""
-    key = (assembler.coefficient_time(t), tuple(names))
+    key = (assembler.problem.coefficient_times(t)[0], tuple(names))
     if key not in polys:
         polys[key] = assembler.block_polynomial(names, t)
     R = polys[key]
@@ -324,7 +324,7 @@ def select_parameters_detailed(p: ProblemSpec, theta: float, grid: Grid,
     M2 = 2.0 * (C_a2 + margin) / C_a3 if M2_pin is None else float(M2_pin)
     # the coefficient times the trials read alike: an unpinned M1's
     # constants are measured at them
-    t_coef = ts if p.time_dependent else ts[:1]
+    t_coef = p.coefficient_times(ts)
     history = details["history"]
     # formed before any trial's own tables: held through the whole
     # selection, they then lie together in memory, not between the tables

@@ -30,11 +30,11 @@ Quantization is the left (Kohn-Nirenberg) rule
 
     (p(x, D) u)(x_j) = (1/sqrt N) sum_k e^{i xi_k x_j} p(x_j, xi_k) u_hat_k,
 
-realized either directly (apply) or as a dense matrix on node values
-(to_dense).  The dense realization is exact for the discrete problem, so it
-anchors every asymptotic claim made by the composition and conjugation
-expansions: whatever an expansion predicts must match the dense product or
-dense conjugation on the resolved band.
+realized on coefficients (coefficient_matrix, below) or as a dense matrix
+on node values (to_dense).  The dense realization is exact for the
+discrete problem, so it anchors every asymptotic claim made by the
+composition and conjugation expansions: whatever an expansion predicts
+must match the dense product or dense conjugation on the resolved band.
 
 Every operator on Fourier coefficients is a plain array whose shape is
 its variant: a Fourier row (N,), applied by product, or an N x N
@@ -226,13 +226,8 @@ def spectral_stack(grid, tables):
     return A
 
 
-def apply(p: SymbolTable, u):
-    """Apply op(p) to node values; O(N^2)."""
-    return (p.grid.synthesis_matrix() * p.values) @ p.grid.forward(u)
-
-
 def to_dense(p: SymbolTable):
-    """The node-value matrix M with M @ u == apply(p, u)."""
+    """The node-value matrix (E_syn * p) E_syn^H of op(p)."""
     S = p.grid.synthesis_matrix()
     return (S * p.values) @ S.conj().T
 

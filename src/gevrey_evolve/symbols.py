@@ -51,6 +51,28 @@ def eval_table(sym: Symbol, grid: Grid, t: float) -> SymbolTable:
     return sampled_table(grid, vals)
 
 
+def theta_sup(sigma):
+    """The open upper end 1/(2(1-sigma)) of the admissible Gevrey range."""
+    return 1.0 / (2.0 * (1.0 - sigma))
+
+
+def range_error(sigma, s0=None, theta=None, keys=("sigma", "s0", "theta")):
+    """The first of the theorem's ranges, sigma in (1/2, 1), 1 < s0 <
+    theta_sup and s0 <= theta < theta_sup, that is left (nan leaves each),
+    as a message naming its key; else None.  An s0 or theta of None is not
+    checked, and without s0 theta has no lower end."""
+    sigma_key, s0_key, theta_key = keys
+    if not 0.5 < sigma < 1.0:
+        return f"{sigma_key} must lie in (1/2, 1), got {sigma}"
+    sup = theta_sup(sigma)
+    if s0 is not None and not 1.0 < s0 < sup:
+        return f"{s0_key} must lie in (1, {sup:.6g}), got {s0}"
+    low = -np.inf if s0 is None else s0
+    if theta is not None and not low <= theta < sup:
+        return (f"{theta_key} must lie in the admissible range "
+                f"[{low}, {sup:.6g}) (half-open at the top), got {theta}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A third-order model problem with its structural constants."""
@@ -67,18 +89,13 @@ class ProblemSpec:
     time_dependent: bool = False
 
     def __post_init__(self):
-        if not (0.5 < self.sigma < 1.0):
-            raise ConfigurationError(
-                f"sigma must lie in (1/2, 1), got {self.sigma}")
-        if not (1.0 < self.s0 < 1.0 / (2.0 * (1.0 - self.sigma))):
-            raise ConfigurationError(
-                f"s0 must lie in (1, {1.0/(2*(1-self.sigma)):.4g}) for "
-                f"sigma={self.sigma}, got {self.s0}")
+        if bad := range_error(self.sigma, self.s0):
+            raise ConfigurationError(bad)
 
-    @property
-    def theta_sup(self):
-        """Open upper bound of the admissible Gevrey range."""
-        return 1.0 / (2.0 * (1.0 - self.sigma))
+    def coefficient_times(self, ts):
+        """Coefficient times of ts: ts when time-dependent, else t = 0 once."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return ts if self.time_dependent else np.zeros(1)
 
 
 def _x_bracket(x):
@@ -110,8 +127,6 @@ def model_problem(problem_id: str, sigma: float, strengths=(), s0: float = 1.5,
         raise ConfigurationError(
             f"unknown problem id {problem_id!r}; known ids: "
             + ", ".join(MODEL_PROBLEM_IDS))
-    if not (0.5 < sigma < 1.0):
-        raise ConfigurationError(f"sigma must lie in (1/2, 1), got {sigma}")
     c = list(strengths) + [0.08, 0.04, 0.04][len(strengths):]
     c2, c1, c0 = c[:3]
 
@@ -324,13 +339,12 @@ def check_assumptions(p: ProblemSpec, grid: Grid, theta: float) -> AssumptionRep
     time-independent ones at t = 0; (ii) keeps the largest, NaN if any is."""
     rep = AssumptionReport(problem=p.name, theta=theta)
     ts = sample_times(p.T)
-    coefficient_times = ts if p.time_dependent else ts[:1]
+    coefficient_times = p.coefficient_times(ts)
 
-    # admissible Gevrey range (half-open at the top)
-    ok = p.s0 <= theta < p.theta_sup
     rep.results.append(HypothesisResult(
-        "theta-range", ok, constant=theta,
-        detail=f"admissible [{p.s0}, {p.theta_sup:.6g})"))
+        "theta-range", range_error(p.sigma, p.s0, theta) is None,
+        constant=theta,
+        detail=f"admissible [{p.s0}, {theta_sup(p.sigma):.6g})"))
 
     rep.results.append(_leading_row(p, grid, ts))
 

@@ -39,6 +39,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import ConfigurationError, ParameterError
 from .grid import bracket_h
+from .symbols import range_error
 
 # ----------------------------------------------------------------------
 # smooth step from the classical bump, as a Chebyshev series
@@ -152,11 +153,8 @@ class WeightParams:
             raise ParameterError(
                 f"M2, M1 must be finite and >= 0 and k0 finite and > 0, got "
                 f"M2={self.M2}, M1={self.M1}, k0={self.k0}")
-        if not (0.5 < self.sigma < 1.0):
-            raise ConfigurationError(f"sigma must lie in (1/2, 1), got {self.sigma}")
-        if not 2.0 * (1.0 - self.sigma) < 1.0 / self.theta:
-            raise ConfigurationError(
-                f"need 2(1-sigma) < 1/theta: sigma={self.sigma}, theta={self.theta}")
+        if bad := range_error(self.sigma, theta=self.theta):
+            raise ConfigurationError(bad)
         if self.R_a3 <= 1.0:
             raise ConfigurationError("R_a3 must exceed 1 (smooth sign transition)")
 

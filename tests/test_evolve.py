@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gevrey_evolve import conjugate, evolve, quantize
+from gevrey_evolve import conjugate, evolve, harness, quantize
 from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
 from gevrey_evolve.errors import DataError, InstabilityError, ParameterError
 from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
@@ -15,8 +15,8 @@ from gevrey_evolve.evolve import (GevreyNormSpec, gevrey_norm,
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.positivity import select_parameters_detailed
 from gevrey_evolve.quantize import (coefficient_matrix, multiplier_table,
-                                    to_dense)
-from gevrey_evolve.symbols import Symbol, model_problem
+                                    stage_matrices, to_dense)
+from gevrey_evolve.symbols import Symbol, eval_table, model_problem
 from gevrey_evolve.weights import WeightParams, k_of_t
 
 
@@ -1154,3 +1154,53 @@ def test_uniqueness_probe_dt_refinement(small_setup):
     scale = grid.l2_norm(finals[4])
     assert d1 < 1e-3 * scale
     assert d1 / max(d2, 1e-300) > 2.5  # refining dt shrinks the gap
+
+
+class _OriginalEquation:
+    """The original equation's lower-order generator i (a2 + a1 + a0) at
+    t = 0 as the five members solve_conjugated reads of a generator: grid,
+    problem (a3, for the integrating factors), polynomial(0.0)'s G, stages
+    and generator_sup.  Time-independent coefficients only, so G is one
+    coefficient matrix and every stage equals it."""
+
+    def __init__(self, problem, grid):
+        self.problem, self.grid = problem, grid
+        tab = sum((eval_table(s, grid, 0.0)
+                   for s in (problem.a2, problem.a1, problem.a0)), 0.0) * 1j
+        self._sup = float(np.max(np.abs(tab.values)))
+        self._G = coefficient_matrix(grid, tab.values)[None]
+
+    def polynomial(self, t):
+        return (), self._G
+
+    def stages(self, taus, out=None):
+        return stage_matrices(np.ones((len(taus), 1)), self._G, out)
+
+    def generator_sup(self):
+        return self._sup
+
+
+@pytest.mark.parametrize("name, L, N, tol", [
+    ("kdv-baseline", 40.0, 256, 1e-13),
+    ("complex-damped", 10.0, 64, 1e-4),
+], ids=["kdv-256-free-flow", "damped-64-expm"])
+def test_the_solve_steps_any_generator_with_its_five_members(name, L, N, tol):
+    # the stepping loop runs the original equation, unmodified, from the
+    # Gaussian data of data.kind = gaussian: kdv-baseline against its free
+    # flow e^{-i xi^3 T} g_hat, complex-damped against the matrix
+    # exponential of i (a3 + a2 + a1 + a0) on node values, on the full
+    # band, in its default 32 steps
+    grid = make_grid(L, N)
+    problem = model_problem(name, 0.75, domain=L)
+    g = np.exp(-(grid.x / 2.0) ** 2) + 0j
+    traj = solve_conjugated(_OriginalEquation(problem, grid), None,
+                            grid.forward(g), 1.0)
+    assert traj.meta["steps"] == 32
+    if name == "kdv-baseline":
+        want = np.exp(-1j * grid.xi ** 3) * grid.forward(g)
+        want[grid.nyquist] = 0.0
+        got = traj.v_hats[-1]
+    else:
+        M = harness.model_problem_spatial_dense(problem, grid, 0.0)
+        want, got = expm(-M) @ g, grid.inverse(traj.v_hats[-1])
+    assert grid.l2_norm(got - want) <= tol * grid.l2_norm(want)

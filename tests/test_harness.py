@@ -21,6 +21,7 @@ from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    require_output_dir, run_pipeline,
                                    sweep_pipeline)
 from gevrey_evolve.quantize import node_matrix
+from gevrey_evolve.symbols import check_assumptions, model_problem, theta_sup
 
 SMALL = "grid.L = 10\ngrid.N = 64\n"
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -55,6 +56,51 @@ def test_config_theta_boundary_cites_range():
         cfg.validate()
     msg = str(err.value)
     assert "admissible" in msg and "[1.5, 2)" in msg
+
+
+def _verdicts(sigma, theta):
+    """Whether the config (s0 = 1.5, N = 64, L = 10), the theta-range row
+    of check_assumptions and WeightParams each accept (sigma, theta)."""
+    from gevrey_evolve.weights import WeightParams
+    out = []
+    try:
+        RunConfig.from_text(f"{SMALL}problem.sigma = {sigma!r}\n"
+                            f"gevrey.theta = {theta!r}\n").validate()
+        out.append(True)
+    except ConfigurationError:
+        out.append(False)
+    problem = model_problem("complex-damped", sigma, domain=10.0)
+    rep = check_assumptions(problem, make_grid(10.0, 64), theta)
+    out.append(rep.results[0].passed)
+    try:
+        WeightParams(M2=0.1, M1=0.1, h=4.0, k0=0.35, sigma=sigma, theta=theta)
+        out.append(True)
+    except ConfigurationError:
+        out.append(False)
+    return out
+
+
+@pytest.mark.parametrize("sigma, theta", [
+    (0.7113436105988292, 1.7321632860345477),
+    *((s, float(np.nextafter(theta_sup(s), 0.0)))
+      for s in np.linspace(0.7, 0.8, 7).tolist()),
+    (0.75, 2.0), (0.75, 1.5), (0.75, float(np.nextafter(1.5, 0.0)))])
+def test_every_entry_point_gives_one_theta_verdict(sigma, theta):
+    # the config, the theta-range row and WeightParams read one rule: at
+    # the last ulp below theta_sup the 2(1-sigma) < 1/theta form refused
+    # what the other two accepted; below s0 WeightParams, which has no s0,
+    # still accepts
+    config, row, params = _verdicts(sigma, theta)
+    assert config == row
+    if theta >= 1.5:
+        assert params == config
+
+
+def test_config_with_s0_below_the_default_validates():
+    # sigma = 0.6 admits s0 and theta below 1.25 only: the config's s0, not
+    # model_problem's default 1.5, is the one checked
+    RunConfig.from_text("problem.sigma = 0.6\nproblem.s0 = 1.2\n"
+                        "gevrey.theta = 1.2\n").validate()
 
 
 def test_resolved_config_is_replayable(tmp_path):
@@ -329,6 +375,35 @@ def test_sweep_csv_keeps_a_failed_rows_message(tmp_path):
 def test_oracle_suite_passes():
     ok, lines = oracle_suite(RunConfig.from_text(SMALL))
     assert ok, "\n".join(lines)
+    assert lines[0] == "oracle grid: N=64 L=10"
+
+
+class _Checked(Exception):
+    pass
+
+
+def test_oracle_problem_is_rolled_off_inside_the_oracle_box(monkeypatch):
+    # the oracle checks the config's own box (grid.N capped at
+    # ORACLE_N_MAX): the problem it checks has its coefficients rolled off
+    # before that box's seam
+    seen = {}
+
+    def checked(problem, grid, theta):
+        seen.update(problem=problem, grid=grid)
+        raise _Checked
+
+    monkeypatch.setattr(harness, "check_assumptions", checked)
+    monkeypatch.setattr(harness, "ORACLE_N_MAX", 64)
+    cfg = RunConfig.from_text("grid.L = 20\ngrid.N = 96\n")
+    with pytest.raises(_Checked):
+        oracle_suite(cfg)
+    problem, grid = seen["problem"], seen["grid"]
+    assert (grid.N, grid.L) == (64, 20.0)
+    x, xi = grid.x[:, None], grid.xi[None, :]
+    for sym in (problem.a2, problem.a1, problem.a0):
+        vals = np.abs(np.broadcast_to(sym(0.0, x, xi), (grid.N, grid.N)))
+        assert vals.max() > 0.0
+        assert not vals[np.abs(grid.x) >= 0.9 * grid.L].any()
 
 
 def test_kdv_run_produces_flat_l2(tmp_path):
@@ -341,14 +416,17 @@ def test_kdv_run_produces_flat_l2(tmp_path):
 
 
 def test_library_tables_quantize_consistently():
-    from gevrey_evolve import apply, eval_table, make_grid, model_problem, to_dense
+    from gevrey_evolve import eval_table, to_dense
+    from gevrey_evolve.quantize import coefficient_matrix
     grid = make_grid(10.0, 64)
     prob = model_problem("complex-damped", 0.75, domain=10.0)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     for sym in (prob.a2, prob.a1, prob.a0):
         tab = eval_table(sym, grid, 0.3)
-        err = np.linalg.norm(to_dense(tab) @ u - apply(tab, u))
+        C = coefficient_matrix(grid, tab.values)
+        err = np.linalg.norm(to_dense(tab) @ u
+                             - grid.inverse(C @ grid.forward(u)))
         assert err < 1e-12 * np.linalg.norm(u)
 
 

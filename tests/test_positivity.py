@@ -651,7 +651,7 @@ def test_row_tables_certify_like_their_tiled_twins():
     assert np.any(entry["poly"]["ia2"][0].values)
     twin = copy.copy(asm)
     # the twin forms its block polynomials from the tiled tables
-    twin._cache = {None: _tiled(entry)}
+    twin._cache = {0.0: _tiled(entry)}
     assert twin.at(0.0).parts["ia2"].values.shape == (grid.N, grid.N)
     assert verify_lower_bounds(twin, T_SAMPLES).rows == rows
 
@@ -741,9 +741,9 @@ def test_block_sums_match_real_sum(case, small_setup, modulated64):
             assert scale > 0.0 or (case == "kdv-baseline-64"
                                    and name != "theta"), (name, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, t)
-            poly = polys[asm.coefficient_time(t), names]
+            poly = polys[asm.problem.coefficient_times(t)[0], names]
             again = positivity.block_sum(asm, names, t, polys)
-            assert polys[asm.coefficient_time(t), names] is poly
+            assert polys[asm.problem.coefficient_times(t)[0], names] is poly
             assert np.array_equal(again, got)
             rows = 1 if case == "kdv-baseline-64" else grid.N
             assert poly.shape[1:] == (rows, region.sum())

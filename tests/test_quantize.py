@@ -4,7 +4,7 @@ import pytest
 from gevrey_evolve.errors import ParameterError, ShapeError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.quantize import (STAGE_PANEL, SymbolTable, adjoint,
-                                    apply, band_relative_error,
+                                    band_relative_error,
                                     coefficient_matrix, compose_expansion,
                                     dx_operators, exp_table,
                                     multiplier_table, stage_matrices,
@@ -22,6 +22,13 @@ def band_field(grid, rng):
     u_hat = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     u_hat[~grid.band_mask()] = 0.0
     return grid.inverse(u_hat)
+
+
+def apply(p, u):
+    """op(p) on node values through p's coefficient matrix, the kernel of
+    every stage matrix and of the conjugator."""
+    g = p.grid
+    return g.inverse(coefficient_matrix(g, p.values) @ g.forward(u))
 
 
 def test_apply_identity(grid):

@@ -7,7 +7,7 @@ from gevrey_evolve._stencil import fd_weights
 from gevrey_evolve.errors import ConfigurationError, EvaluationError
 from gevrey_evolve.grid import make_grid
 from gevrey_evolve.symbols import (Symbol, check_assumptions, estimate_seminorm,
-                                   eval_table, model_problem)
+                                   eval_table, model_problem, theta_sup)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +214,7 @@ def test_check_assumptions_library(grid):
 
 def test_check_assumptions_theta_boundary(grid):
     p = model_problem("complex-damped", 0.75, domain=grid.L)
-    rep = check_assumptions(p, grid, p.theta_sup)  # theta = 1/(2(1-sigma))
+    rep = check_assumptions(p, grid, theta_sup(p.sigma))  # 1/(2(1-sigma))
     bad = [r for r in rep.results if r.name == "theta-range"]
     assert not bad[0].passed
 

@@ -443,6 +443,15 @@ def test_weight_params_validation():
             params_with(**bad)
     with pytest.raises(ConfigurationError):
         params_with(sigma=0.3)
+
+
+def test_weight_params_refuse_theta_sup():
+    # theta's range is half-open at the top: 1/(2(1-sigma)) = 2 at
+    # sigma = 0.75 is refused, the float below it is not
+    with pytest.raises(ConfigurationError) as err:
+        params_with(sigma=0.75, theta=2.0)
+    assert "theta must lie in the admissible range" in str(err.value)
+    params_with(sigma=0.75, theta=float(np.nextafter(2.0, 0.0)))
     with pytest.raises(ConfigurationError):
         WeightParams(M2=1.0, M1=0.5, h=2.0, k0=0.35, sigma=0.75, theta=1.8,
                      R_a3=1.0)

@@ -222,8 +222,8 @@ MUTANTS = [
            (T_POS + "test_garding_floor_of_a_row_equals_the_dense_floor"
             "[-1.0-64]",)),
     Mutant("part-memo-ignores-coefficient-time", CONJ,
-           "key = round(float(t), 12) if self.problem.time_dependent else None",
-           "key = None",
+           "return _memo(self._cache, round(t0, 12), lambda: {",
+           "return _memo(self._cache, 0.0, lambda: {",
            (T_CONJ + "test_time_dependent_parts_kept_per_coefficient_time",)),
     Mutant("coefficient-tables-keyed-without-time", CONJ,
            "store = _memo(self._cache, float(t), dict)",
@@ -231,7 +231,7 @@ MUTANTS = [
            (T_POS + "test_trials_share_the_coefficient_tables"
             "[time-modulated]",)),
     Mutant("block-sum-keyed-without-coefficient-time", POS,
-           "key = (assembler.coefficient_time(t), tuple(names))",
+           "key = (assembler.problem.coefficient_times(t)[0], tuple(names))",
            "key = tuple(names)",
            (T_POS + "test_block_sums_match_real_sum[time-modulated-64]",)),
     Mutant("generator-without-ia1-k", CONJ,
@@ -317,8 +317,18 @@ MUTANTS = [
            "        except KeyError:\n            raise ConfigurationError(\n"
            '                f"GEVREY_EVOLVE_THREADS',
            (T_HARNESS + "test_thread_cap_must_be_an_integer",)),
+    Mutant("oracle-checks-a-smaller-box", HARNESS,
+           'grid = make_grid(v["grid.L"], N)',
+           'grid = make_grid(min(v["grid.L"], 10.0), N)',
+           (T_HARNESS
+            + "test_oracle_problem_is_rolled_off_inside_the_oracle_box",)),
+    Mutant("oracle-coefficient-matrix-of-the-transposed-table", QUANTIZE,
+           "out = np.multiply(grid.synthesis_matrix(), values, out=out)",
+           "out = np.multiply(grid.synthesis_matrix(), np.transpose(values),\n"
+           "                  out=out)",
+           (T_HARNESS + "test_oracle_suite_passes",)),
     Mutant("time-dependent-budgeted-like-time-independent", HARNESS,
-           'if model_problem(v["problem.id"], sigma).time_dependent',
+           'if model_problem(v["problem.id"], sigma, s0=s0).time_dependent',
            "if False",
            (T_HARNESS + "test_time_dependent_working_set_is_budgeted",)),
     Mutant("setup-without-garding-floors", HARNESS,
@@ -385,6 +395,25 @@ MUTANTS = [
            'decay_check("hyp-iii-order2-decay", p.a2,',
            'decay_check("hyp-iii-order2-decay", p.a1,',
            (T_SYMBOLS + "test_check_assumptions_no_decay_fails[a2]",)),
+    Mutant("theta-bound-closed-at-theta-sup-config", SYMBOLS,
+           "if theta is not None and not low <= theta < sup:",
+           "if theta is not None and not low <= theta <= sup:",
+           (T_HARNESS + "test_config_theta_boundary_cites_range",)),
+    Mutant("theta-bound-closed-at-theta-sup-row", SYMBOLS,
+           "if theta is not None and not low <= theta < sup:",
+           "if theta is not None and not low <= theta <= sup:",
+           (T_SYMBOLS + "test_check_assumptions_theta_boundary",)),
+    Mutant("theta-bound-closed-at-theta-sup-weight-params", SYMBOLS,
+           "if theta is not None and not low <= theta < sup:",
+           "if theta is not None and not low <= theta <= sup:",
+           (T_WEIGHTS + "test_weight_params_refuse_theta_sup",)),
+    Mutant("coefficients-read-at-every-time", SYMBOLS,
+           "return ts if self.time_dependent else np.zeros(1)",
+           "return ts",
+           (T_SYMBOLS + "test_decay_checks_sample_each_coefficient_time_once"
+            "[complex-damped]",
+            T_POS + "test_each_recipe_runs_once_per_coefficient_time"
+            "[damped-64]")),
     Mutant("hyp-ii-measured-at-t0-only", SYMBOLS,
            "t=t) for t in coefficient_times]))",
            "t=t) for t in coefficient_times[:1]]))",
