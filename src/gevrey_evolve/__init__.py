@@ -13,14 +13,13 @@ from .errors import (ConfigurationError, ConvergenceError, DataError,
                      InstabilityError, ParameterError, ReleasedError,
                      ShapeError)
 from .grid import Grid, bracket_h, make_grid
-from .quantize import (SymbolTable, adjoint, band_relative_error,
-                       compose_expansion, exp_table, multiplier_table,
+from .quantize import (SymbolTable, exp_table, multiplier_table,
                        stage_matrices, table_from_function, to_dense,
                        xi_derivative)
 from .symbols import (AssumptionReport, ProblemSpec, Symbol, check_assumptions,
                       estimate_seminorm, eval_table, model_problem)
 from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,
-                      sign_weight, smooth_step, total_phase)
+                      sign_weight, smooth_step)
 from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
                         ConjugatorBundle, build_conjugator)
 from .positivity import (PositivityReport, calibrate_time_weight,

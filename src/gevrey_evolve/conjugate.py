@@ -52,10 +52,10 @@ import numpy as np
 from ._stencil import exp_derivative_factors
 from .errors import ConvergenceError, ParameterError, ReleasedError
 from .grid import Grid, bracket_h
-from .quantize import (SymbolTable, adjoint, coefficient_matrix,
-                       dx_operators, exp_table, multiplier_table,
-                       operator_norm, sampled_table, spectral_stack,
-                       stage_matrices, x_derivative, xi_derivative)
+from .quantize import (SymbolTable, coefficient_matrix, dx_operators,
+                       exp_table, multiplier_table, operator_norm,
+                       sampled_table, spectral_stack, stage_matrices,
+                       x_derivative, xi_derivative)
 from .symbols import N_T_SAMPLES, ProblemSpec, eval_table
 from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
                       weight_x_derivative)
@@ -413,10 +413,14 @@ def build_conjugator(assembler: "ConjugationAssembler",
     node values is unitary: rho(R) and every norm are those of the
     node-value matrices.
     ``mode="dense"`` replaces either with the matrix E and its direct
-    dense inverse (cross-check oracle, N <= 256).
+    dense inverse (cross-check oracle); above N = 256 it is refused before
+    anything is formed.
     """
-    grid, phase = assembler.grid, assembler.phase
+    grid = assembler.grid
     N, nyq = grid.N, grid.nyquist
+    if mode == "dense" and N > 256:
+        raise ParameterError("dense inverse mode is limited to N <= 256")
+    phase = assembler.phase
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
     # identity on it so the operator stays invertible
     exp_lam, exp_neg = exp_table(phase.lam), exp_table(phase.lam * -1.0)
@@ -432,14 +436,12 @@ def build_conjugator(assembler: "ConjugationAssembler",
         E, E_star = (coefficient_matrix(grid, tab.values)
                      for tab in (exp_lam, exp_neg))
         E[nyq, nyq] = E_star[nyq, nyq] = 1.0
-        E_star = adjoint(E_star)
+        E_star = E_star.conj().T
         R = E @ E_star - I
         nrm = operator_norm(R)
         rho = nrm if nrm < 1.0 else float(np.max(np.abs(np.linalg.eigvals(R))))
         terms = 0
         if mode == "dense":
-            if N > 256:
-                raise ParameterError("dense inverse mode is limited to N <= 256")
             E_inv = np.linalg.inv(E)
         else:
             if rho >= 1.0:
@@ -487,8 +489,8 @@ MARGINS = {"order2": ("ia2", "m2_main", "b2k", "ia2_k"),
 
 @dataclass
 class ConjugatedSymbols:
-    """The generator's parts (BLOCKS) at one time, and d1 = -i id1: the
-    view the Garding floors, the automatic dt and the oracles read."""
+    """The generator's parts (BLOCKS) at one time: the view the Garding
+    floors, the automatic dt and the oracles read."""
 
     grid: Grid
     a3_row: np.ndarray
@@ -901,10 +903,8 @@ class ConjugationAssembler:
         self.polynomial(0.0, (parts.pop(name) for name in POLY_PARTS))
 
     def at(self, t: float) -> ConjugatedSymbols:
-        """The generator's parts (BLOCKS) at time t (part), and
-        d1 = -i id1."""
+        """The generator's parts (BLOCKS) at time t (part)."""
         parts = {name: self.part(name, t)
                  for names in BLOCKS.values() for name in names}
-        parts["d1"] = parts["id1"] * -1j
         return ConjugatedSymbols(grid=self.grid, parts=parts,
                                  a3_row=self._entry(t)["a3_row"])

@@ -83,10 +83,6 @@ class Grid:
         norm = np.sqrt(self.dx * np.sum(np.abs(np.asarray(u)) ** 2, axis=-1))
         return float(norm) if norm.ndim == 0 else norm
 
-    def inner(self, u, v):
-        """Discrete L^2 inner product <u, v> with weight dx."""
-        return complex(self.dx * np.vdot(np.asarray(v), np.asarray(u)))
-
 
 def make_grid(L, N):
     """Build a periodic grid; N even and >= 8, L > 0."""

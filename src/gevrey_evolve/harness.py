@@ -81,7 +81,7 @@ _DEFAULTS = {
     "data.kind": "gevrey",
     "data.rho": "auto",          # defaults to gevrey.rho
     "data.width": 2.0,
-    "data.mode": 1,
+    "data.mode": 1.0,
     "forcing.amplitude": 0.0,
     "tolerances.inverse_tol": 1e-8,
     "tolerances.series_tol": 1e-10,
@@ -230,7 +230,8 @@ class RunConfig:
                     f"data.mode = {m} is no lattice mode of grid.L = {L!r} "
                     f"(data.mode * grid.L / pi = {m * L / np.pi:.6g}); the "
                     f"nearest lattice mode is {n} pi / grid.L = "
-                    f"{n * np.pi / L:.6g}")
+                    f"{n * np.pi / L:.6g} (data.mode = "
+                    f"{serialize.fmt(n * np.pi / L)})")
         tables = (DENSE_TABLES_TIME_DEPENDENT
                   if model_problem(v["problem.id"], sigma, s0=s0).time_dependent
                   else DENSE_TABLES)
@@ -517,22 +518,21 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
 
 
 def oracle_suite(cfg: RunConfig, out_dir=None):
-    """Oracle consistency checks on node-value matrices, on the box the
-    problem is rolled off for at N = min(grid.N, ORACLE_N_MAX); returns
-    (passed, lines), the first line naming that grid.  An output directory
-    out_dir, if given, that cannot be written is refused before any check."""
-    from .quantize import (adjoint, band_relative_error, coefficient_matrix,
-                           compose_expansion, node_matrix,
+    """Oracle consistency checks, on node-value matrices, of what a run
+    computes: the setup of run and verify (setup_pipeline) on the config's
+    own box at N = min(grid.N, ORACLE_N_MAX).  Returns (passed, lines), the
+    first line naming that grid.  The config is validated as given, so a
+    grid.N above the cap is refused as a run refuses it; out_dir is
+    checked as setup_pipeline checks it."""
+    from .quantize import (coefficient_matrix, node_matrix,
                            representable_error, table_from_function,
                            to_dense)
     cfg.validate()
-    if out_dir:
-        require_output_dir(out_dir)
     v = cfg.values
     N = min(v["grid.N"], ORACLE_N_MAX)
-    grid = make_grid(v["grid.L"], N)
-    problem = build_problem(cfg)
-    theta = v["gevrey.theta"]
+    art = setup_pipeline(cfg.with_overrides(**{"grid.N": N}), out_dir)
+    bundle = art["bundle"]
+    grid = bundle.grid
     rng = np.random.default_rng(int(v["seed"]))
     checks = []
 
@@ -552,25 +552,6 @@ def oracle_suite(cfg: RunConfig, out_dir=None):
             for w in (rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N)))]
     check("coefficient-matrix-vs-dense", float(max(errs)), 1e-11)
 
-    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    w1 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    w2 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    check("adjoint-identity",
-          abs(grid.inner(A @ w1, w2) - grid.inner(w1, adjoint(A) @ w2)), 1e-9)
-
-    # terminating pair: p = xi against the lattice mode nearest xi = 1, at
-    # most N/8 lattice steps up (exact identity)
-    xi1 = grid.xi[min(max(1, int(round(grid.L / np.pi))), N // 8)]
-    pxi = table_from_function(grid, lambda x, xi: xi + 0.0 * x)
-    pex = table_from_function(grid, lambda x, xi: np.exp(1j * xi1 * x) + 0.0 * xi)
-    target = to_dense(pxi) @ to_dense(pex)
-    got = to_dense(compose_expansion(pxi, pex, 2))
-    check("composition-terminating", band_relative_error(target, got, grid), 1e-10)
-
-    assumptions = check_assumptions(problem, grid, theta)
-    assumptions.require()
-    params, details, _ = resolve_weights(cfg, problem, grid, assumptions)
-    bundle = details["bundle"]
     E, E_inv = node_matrix(grid, bundle.E), node_matrix(grid, bundle.E_inv)
     check("conjugator-residual",
           float(np.linalg.norm(E @ E_inv - np.eye(N), 2)),
@@ -582,15 +563,12 @@ def oracle_suite(cfg: RunConfig, out_dir=None):
           float(np.linalg.norm(E_inv - dense, 2))
           / max(1.0, float(np.linalg.norm(dense, 2))), 1e-6)
 
-    cs = bundle.assembler.at(0.0)
-    spatial = (model_problem_spatial_dense(problem, grid, 0.0))
+    spatial = model_problem_spatial_dense(bundle.problem, grid, 0.0)
     lhs = (node_matrix(grid, bundle.time_stage(0.0)) @ E @ spatial @ E_inv
            @ node_matrix(grid, bundle.time_stage(0.0, -1)))
-    rhs = to_dense(cs.spatial_table())
+    rhs = to_dense(bundle.assembler.at(0.0).spatial_table())
     check("conjugated-assembly",
-          representable_error(lhs, rhs, grid, params.domain_cap), 1e-2)
-
-    check("d1-imaginary", float(np.max(np.abs(cs.parts["d1"].values.imag))), 1e-10)
+          representable_error(lhs, rhs, grid, art["params"].domain_cap), 1e-2)
 
     lines = [f"oracle grid: N={N} L={v['grid.L']:g}"]
     passed = True

@@ -33,8 +33,8 @@ Quantization is the left (Kohn-Nirenberg) rule
 realized on coefficients (coefficient_matrix, below) or as a dense matrix
 on node values (to_dense).  The dense realization is exact for the
 discrete problem, so it anchors every asymptotic claim made by the
-composition and conjugation expansions: whatever an expansion predicts
-must match the dense product or dense conjugation on the resolved band.
+conjugation expansion: whatever it predicts must match the dense
+conjugation on the resolved band.
 
 Every operator on Fourier coefficients is a plain array whose shape is
 its variant: a Fourier row (N,), applied by product, or an N x N
@@ -232,33 +232,18 @@ def to_dense(p: SymbolTable):
     return (S * p.values) @ S.conj().T
 
 
-def adjoint(A):
-    """L^2 adjoint in the node basis (uniform weights: conjugate transpose)."""
-    return np.conj(np.asarray(A)).T
-
-
 def operator_norm(A):
     """Spectral norm."""
     return float(np.linalg.norm(np.asarray(A), 2))
 
 
-def band_projector(grid, fraction=0.5):
+def band_projector(grid):
     """The node-value projector onto fields supported in the resolved
-    band."""
-    return node_matrix(grid, grid.band_mask(fraction).astype(float))
+    band (Grid.band_mask)."""
+    return node_matrix(grid, grid.band_mask().astype(float))
 
 
-def band_relative_error(A, B, grid, fraction=0.5):
-    """|| (A - B) P || / || A P || with P the resolved-band projector."""
-    P = band_projector(grid, fraction)
-    denom = operator_norm(A @ P)
-    if denom == 0.0:
-        return operator_norm((A - B) @ P)
-    return operator_norm((A - B) @ P) / denom
-
-
-def representable_error(A, B, grid, domain_cap, fraction=0.5,
-                        x_window=(0.45, 0.6)):
+def representable_error(A, B, grid, domain_cap):
     """Relative operator distance on representable states: frequency-limited
     to the resolved band and supported away from the periodic seam.
 
@@ -266,13 +251,13 @@ def representable_error(A, B, grid, domain_cap, fraction=0.5,
     periodization necessarily jumps at the seam; the jump produces an
     x-localized boundary commutator in dense conjugations that no symbol
     assembly models.  Comparisons therefore sandwich both operators between
-    the band projector and a smooth interior window.
+    the band projector and a smooth interior window, which rises from 0.45
+    to 0.6 domain_cap in <x>.
     """
     from .weights import plateau
-    P = band_projector(grid, fraction)
-    lo, hi = x_window
-    w = plateau(np.sqrt(1.0 + np.square(grid.x)), lo * domain_cap,
-                hi * domain_cap).astype(complex)
+    P = band_projector(grid)
+    w = plateau(np.sqrt(1.0 + np.square(grid.x)), 0.45 * domain_cap,
+                0.6 * domain_cap).astype(complex)
     W = np.diag(w)
     denom = operator_norm(W @ A @ P @ W)
     num = operator_norm(W @ (A - B) @ P @ W)
@@ -349,17 +334,3 @@ def exp_table(p: SymbolTable):
             f"exponent reaches {m:.1f} > {EXP_GUARD}; reduce the phase strength "
             "(smaller k0 or weight constants)")
     return SymbolTable.fresh(p.grid, np.exp(vals))
-
-
-def compose_expansion(p: SymbolTable, q: SymbolTable, n_trunc: int):
-    """Truncated composition symbol sum_{a<n_trunc} (1/a!) d_xi^a p * D_x^a q."""
-    if n_trunc < 1 or n_trunc > 8:
-        raise ParameterError("n_trunc must be in 1..8")
-    p._same_grid(q)
-    from math import factorial
-    total = p * q
-    dxq = dx_operators(q)
-    for a in range(1, n_trunc):
-        term = xi_derivative(p, a) * dxq(a)
-        total = total + term * (1.0 / factorial(a))
-    return total

@@ -456,9 +456,3 @@ def k_prime(t, params: WeightParams):
     """k'(t) = -(C1 k(t) + C2); non-positive when C1, C2, k >= 0."""
     return -(params.C1 * k_of_t(t, params) + params.C2)
 
-
-def total_phase(t, x, xi, p, params: WeightParams):
-    """k(t) <xi>_h^{1/theta} + lambda2 + lambda1."""
-    win = Windows(x, xi, t, p, params)
-    lam2, lam1 = spatial_weights(win, params)
-    return k_of_t(t, params) * win.b ** (1.0 / params.theta) + lam2 + lam1

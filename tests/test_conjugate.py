@@ -141,14 +141,14 @@ def test_neumann_series_stops_by_the_power_it_leaves(small_setup):
     # ||P||_F < series_tol.  The build skips the last square once
     # ||P||_F^2 < series_tol and keeps the terms and the bits of E_inv; the
     # residual is the Frobenius norm of E E_inv - I, above its 2-norm
-    from gevrey_evolve.quantize import adjoint, coefficient_matrix
+    from gevrey_evolve.quantize import coefficient_matrix
     asm, tol = small_setup["assembler"], 1e-10
     bundle = build_conjugator(asm, series_tol=tol)
     g, lam = asm.grid, asm.phase.lam
     E, E_star = (coefficient_matrix(g, exp_table(tab).values)
                  for tab in (lam, lam * -1.0))
     E[g.nyquist, g.nyquist] = E_star[g.nyquist, g.nyquist] = 1.0
-    E_star, I = adjoint(E_star), np.eye(g.N)
+    E_star, I = E_star.conj().T, np.eye(g.N)
     R = E @ E_star - I
     S, P, terms = I - R, R @ R, 2
     while np.linalg.norm(P) >= tol:
@@ -170,6 +170,18 @@ def test_infeasible_phase_raises_convergence_error(grid):
         build_conjugator(ConjugationAssembler(PROB, big, grid))
 
 
+def test_dense_mode_refuses_a_large_grid_before_any_work(monkeypatch):
+    # N > 256 is refused before E, E_star, R or a norm of R is formed
+    def formed(*args, **kwargs):
+        raise AssertionError("dense work before the size check")
+
+    asm = ConjugationAssembler(PROB, params_with(), make_grid(L, 264))
+    monkeypatch.setattr(conjugate, "coefficient_matrix", formed)
+    monkeypatch.setattr(conjugate, "operator_norm", formed)
+    with pytest.raises(ParameterError, match="N <= 256"):
+        build_conjugator(asm, mode="dense")
+
+
 def test_time_multiplier_exactness(grid):
     # conjugating the x-independent leading multiplier by the time weight
     # changes nothing, to machine precision
@@ -182,17 +194,16 @@ def test_time_multiplier_exactness(grid):
 
 def test_stage_keeps_d1_and_a2_once(grid):
     # a coefficient time's store holds i d1 and i a2 once, as the U_0 of
-    # their k-polynomials; d1 and Re a2 are formed where they are read, bit
-    # for bit: d1 = -i (i d1) in the parts, the order-1 group ia1 + damp1 +
-    # i d1 + a2cross in its k-stage correction b1k, and Re a2 (the
-    # imaginary part of i a2) in the Hermitian correction c
+    # their k-polynomials, and the parts read i d1 from the store; the
+    # order-1 group ia1 + damp1 + i d1 + a2cross is formed, bit for bit, in
+    # its k-stage correction b1k, and Re a2 (the imaginary part of i a2) in
+    # the Hermitian correction c
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     cs = asm.at(0.0)
     poly = asm._entry(0.0)["poly"]
     stage = {name: U[0] for name, U in poly.items() if 0 in U}
     assert not {"d1", "re_a2_raw"} & set(stage)
     assert np.array_equal(cs.parts["id1"].values, stage["id1"].values)
-    assert np.array_equal(cs.parts["d1"].values, (stage["id1"] * -1j).values)
     c = conjugate._hermitian_half(eval_table(PROB.a2, grid, 0.0).real, {},
                                  "c")
     assert np.array_equal(asm.part("c", 0.0).values, c.values)
@@ -207,10 +218,10 @@ def test_stage_keeps_d1_and_a2_once(grid):
 def test_d1_real_and_lambda1_independent(grid):
     p1 = params_with()
     p2 = params_with(M1=2.5 * p1.M1)
-    cs1 = ConjugationAssembler(PROB, p1, grid).at(0.0)
-    cs2 = ConjugationAssembler(PROB, p2, grid).at(0.0)
-    assert np.max(np.abs(cs1.parts["d1"].values.imag)) < 1e-10
-    assert np.max(np.abs(cs1.parts["d1"].values - cs2.parts["d1"].values)) < 1e-12
+    d1, d2 = ((ConjugationAssembler(PROB, p, grid).at(0.0).parts["id1"] * -1j)
+              .values for p in (p1, p2))
+    assert np.max(np.abs(d1.imag)) < 1e-10
+    assert np.max(np.abs(d1 - d2)) < 1e-12
 
 
 def test_zero_phase_kills_conjugation_terms(grid):
@@ -258,7 +269,7 @@ def test_d1_matches_independent_derivative_path(grid):
               + xi_derivative(A3 * l2x, 1) * dxdxi
               + (A3 * (xi_derivative(l2xx + l2x * l2x, 2)
                        + dxdxi * dxdxi * 2.0)) * -0.5)
-    d1_pkg = ConjugationAssembler(PROB, p, grid).at(0.0).parts["d1"]
+    d1_pkg = ConjugationAssembler(PROB, p, grid).at(0.0).parts["id1"] * -1j
     inner = np.abs(grid.x) < 0.6 * grid.L   # x-differences cross the seam
     band = grid.band_mask()
     diff = np.abs((d1_ind.values - d1_pkg.values)[inner][:, band])
@@ -402,7 +413,7 @@ def test_order1_block_holds_d1(small_setup):
     # that drops id1 shows here
     cs = small_setup["assembler"].at(0.3)
     p = cs.parts
-    d1 = p["d1"].real.values
+    d1 = (p["id1"] * -1j).real.values
     want = (p["ia1"] + p["damp1"] + p["a2cross"]).imag.values + d1
     assert np.max(np.abs(d1)) > 1e-2
     assert np.max(np.abs(cs.block("order1").imag.values - want)) < 1e-12
@@ -602,11 +613,11 @@ def test_time_dependent_parts_kept_per_coefficient_time():
 
 
 def test_at_forms_the_generator_parts_only(grid):
-    # at(t) is the generator's view: the parts of BLOCKS and d1, and none
+    # at(t) is the generator's view: the parts of BLOCKS, and none
     # of the certificate's own tables is formed for it
     asm = ConjugationAssembler(PROB, params_with(C1=0.2, C2=0.01), grid)
     parts = asm.at(0.0).parts
-    assert set(parts) == {n for names in BLOCKS.values() for n in names} | {"d1"}
+    assert set(parts) == {n for names in BLOCKS.values() for n in names}
     store = asm._entry(0.0)["poly"]
     assert not {"c", "m2_main", "m1_main", "m2_tail", "m1_tail"} & set(store)
 

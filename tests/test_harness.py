@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gevrey_evolve import harness, make_grid, serialize
+from gevrey_evolve import (conjugate, harness, make_grid, positivity,
+                           quantize, serialize)
 from gevrey_evolve.conjugate import ConjugationAssembler, build_conjugator
 from gevrey_evolve.errors import ConfigurationError, ReleasedError
+from gevrey_evolve.grid import Grid
 from gevrey_evolve.harness import (EXIT_CONFIG, EXIT_INFEASIBLE,
                                    EXIT_INSTABILITY, EXIT_OK, RunConfig,
                                    error_category, main, oracle_suite,
@@ -378,6 +380,70 @@ def test_oracle_suite_passes():
     assert lines[0] == "oracle grid: N=64 L=10"
 
 
+def _scaled_bundle(name):
+    """A build_conjugator whose bundle has E or E_inv off by 1e-5."""
+    def build(*args, **kwargs):
+        bundle = build_conjugator(*args, **kwargs)
+        setattr(bundle, name, getattr(bundle, name) * (1.0 + 1e-5))
+        return bundle
+    return build
+
+
+def _inverse_without_phase(grid, u_hat):
+    return np.fft.ifft(grid.check_field(u_hat), norm="ortho")
+
+
+def _forward_unnormalized(grid, u):
+    return grid._phase * np.fft.fft(grid.check_field(u))
+
+
+def _inverse_unnormalized(grid, u_hat):
+    return np.fft.ifft(grid.check_field(u_hat) / grid._phase)
+
+
+def _transposed(coefficient_matrix):
+    return lambda grid, values, out=None: coefficient_matrix(
+        grid, np.transpose(values), out)
+
+
+def _without_ia2(spatial_table):
+    # the line reads 3.4e-3 at tol 1e-2: without ia2 it reads 1.8e-2, but
+    # without a2cross, damp2 or any other part it stays below 3.7e-3
+    return lambda cs: spatial_table(cs) - cs.parts["ia2"]
+
+
+# each oracle line, and a fault in the run code it reads: (owner, attribute,
+# replacement); positivity.build_conjugator builds the bundle a run solves
+# with, and quantize.coefficient_matrix is the kernel of the run's stacks
+_ORACLE_FAULTS = {
+    "transform-roundtrip": [(Grid, "inverse", _inverse_without_phase)],
+    # a pair that still inverts but is not unitary
+    "parseval": [(Grid, "forward", _forward_unnormalized),
+                 (Grid, "inverse", _inverse_unnormalized)],
+    "coefficient-matrix-vs-dense": [(quantize, "coefficient_matrix",
+                                     _transposed(quantize.coefficient_matrix))],
+    "conjugator-residual": [(positivity, "build_conjugator",
+                             _scaled_bundle("E"))],
+    "neumann-vs-dense": [(positivity, "build_conjugator",
+                          _scaled_bundle("E_inv"))],
+    "conjugated-assembly": [(conjugate.ConjugatedSymbols, "spatial_table",
+                             _without_ia2(
+                                 conjugate.ConjugatedSymbols.spatial_table))],
+}
+
+
+@pytest.mark.parametrize("line", list(_ORACLE_FAULTS))
+def test_each_oracle_line_can_fail(monkeypatch, line):
+    # one fault in the run code a line reads turns that line to FAIL and
+    # the suite to failed, on the config test_oracle_suite_passes passes
+    for owner, name, fault in _ORACLE_FAULTS[line]:
+        monkeypatch.setattr(owner, name, fault)
+    ok, lines = oracle_suite(RunConfig.from_text(SMALL))
+    assert not ok
+    assert [ln for ln in lines if f"] {line}: " in ln][0].startswith("[FAIL]"), \
+        "\n".join(lines)
+
+
 class _Checked(Exception):
     pass
 
@@ -534,6 +600,24 @@ def test_mode_data_off_the_lattice_is_a_config_error(tmp_path, capsys):
     assert rows[2].split(",")[3] == "nan"
     # data.mode is read only by mode data
     RunConfig.from_text(SMALL + "data.kind = gaussian\n").validate()
+
+
+def test_mode_hint_pastes_back(tmp_path, capsys):
+    # the lattice-mode error ends in the nearest lattice mode as a config
+    # line, in full precision: pasted back, it validates and runs
+    base = SMALL + f"data.kind = mode\noutput.dir = {tmp_path}\n"
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(base + "data.mode = 1\n")
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert "nearest lattice mode is 3 pi / grid.L = 0.942478" in err
+    hint = err.rpartition("(")[2].rstrip(")")
+    assert hint == "data.mode = 0.9424777960769379"
+    cfg.write_text(base + hint + "\n")
+    RunConfig.from_file(str(cfg)).validate()
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert "data.mode = 0.9424777960769379" in (
+        tmp_path / "resolved.cfg").read_text().splitlines()
 
 
 # every key whose default is a number or "auto", with the values each must

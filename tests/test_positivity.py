@@ -748,3 +748,21 @@ def test_block_sums_match_real_sum(case, small_setup, modulated64):
             rows = 1 if case == "kdv-baseline-64" else grid.N
             assert poly.shape[1:] == (rows, region.sum())
             assert got.shape == want.shape
+
+
+def test_c2_jumps_at_theta_two_where_ia1_k_loses_an_order():
+    # complex-damped at sigma = 0.8 (theta_sup = 2.5), N = 128, L = 20:
+    # theta does not enter the equation, but truncation_order(1, theta)
+    # keeps 3 orders of the ia1_k expansion below theta = 2 and 2 above.
+    # C2 is fitted to the negative part of ia1_k + m2_tail + m1_tail, so
+    # the dropped third order takes C2 from 4.79e-5 to rounding, at the
+    # same h, and both certificates pass
+    prob = model_problem("complex-damped", 0.8, domain=20.0)
+    grid = make_grid(20.0, 128)
+    fits = {theta: select_parameters_detailed(prob, theta, grid)
+            for theta in (1.99, 2.01)}
+    assert [conjugate.truncation_order(1.0, theta) for theta in fits] == [3, 2]
+    for params, details in fits.values():
+        assert params.h == 4.0 and details["report"].passed
+    assert fits[1.99][0].C2 == pytest.approx(4.788e-5, rel=1e-3)
+    assert abs(fits[2.01][0].C2) < 1e-17

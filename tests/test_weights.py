@@ -17,8 +17,7 @@ from gevrey_evolve.symbols import Symbol, model_problem
 from gevrey_evolve.weights import (WeightParams, _windowed_over_caps, cutoff_psi,
                                    k_of_t, k_prime, lambda1, lambda2,
                                    lambda_x_derivative, plateau, sign_weight,
-                                   smooth_step, total_phase,
-                                   windowed_decay_integral)
+                                   smooth_step, windowed_decay_integral)
 
 PROB = model_problem("complex-damped", 0.75)
 
@@ -403,22 +402,6 @@ def test_k_death_instructs_larger_h():
     with pytest.raises(ParameterError) as err:
         k_of_t(1.0, p)
     assert "h" in str(err.value)
-
-
-def test_total_phase_at_origin():
-    p = params_with(C1=0.1, C2=0.0)
-    xi = np.linspace(-10, 10, 21)
-    for t in (0.0, 0.7):
-        val = total_phase(t, 0.0, xi, PROB, p)
-        expect = float(k_of_t(t, p)) * bracket_h(xi, p.h) ** (1 / p.theta)
-        assert np.allclose(val, expect)
-
-
-def test_total_phase_nonincreasing_in_t():
-    p = params_with(C1=0.2, C2=0.01)
-    x, xi = 1.5, 7.0
-    vals = [float(total_phase(t, x, xi, PROB, p)) for t in np.linspace(0, 1, 6)]
-    assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(5))
 
 
 def test_phase_ratio_shrinks_with_h():

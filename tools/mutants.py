@@ -117,11 +117,6 @@ MUTANTS = [
            'p[j].imag for p in polys if j in p)), self.stops, "e")',
            'p[j].imag for p in polys if j in p)), {"e": 3}, "e")',
            (MARGINS_CASE + "[damped-64]",)),
-    Mutant("d1-read-back-with-the-wrong-phase", CONJ,
-           'parts["d1"] = parts["id1"] * -1j',
-           'parts["d1"] = parts["id1"] * 1j',
-           (T_CONJ + "test_stage_keeps_d1_and_a2_once",
-            T_CONJ + "test_d1_matches_independent_derivative_path")),
     Mutant("multiplier-row-without-kprime", CONJ,
            "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names)",
            "POLY_PARTS = tuple(n for names in BLOCKS.values() for n in names\n"
@@ -318,8 +313,9 @@ MUTANTS = [
            '                f"GEVREY_EVOLVE_THREADS',
            (T_HARNESS + "test_thread_cap_must_be_an_integer",)),
     Mutant("oracle-checks-a-smaller-box", HARNESS,
-           'grid = make_grid(v["grid.L"], N)',
-           'grid = make_grid(min(v["grid.L"], 10.0), N)',
+           'art = setup_pipeline(cfg.with_overrides(**{"grid.N": N}), out_dir)',
+           'art = setup_pipeline(cfg.with_overrides(\n'
+           '        **{"grid.N": N, "grid.L": min(v["grid.L"], 10.0)}), out_dir)',
            (T_HARNESS
             + "test_oracle_problem_is_rolled_off_inside_the_oracle_box",)),
     Mutant("oracle-coefficient-matrix-of-the-transposed-table", QUANTIZE,
@@ -327,6 +323,10 @@ MUTANTS = [
            "out = np.multiply(grid.synthesis_matrix(), np.transpose(values),\n"
            "                  out=out)",
            (T_HARNESS + "test_oracle_suite_passes",)),
+    Mutant("mode-read-as-an-integer", HARNESS,
+           '    "data.mode": 1.0,\n',
+           '    "data.mode": 1,\n',
+           (T_HARNESS + "test_mode_hint_pastes_back",)),
     Mutant("time-dependent-budgeted-like-time-independent", HARNESS,
            'if model_problem(v["problem.id"], sigma, s0=s0).time_dependent',
            "if False",
