@@ -18,8 +18,8 @@ from .quantize import (SymbolTable, exp_table, multiplier_table,
                        xi_derivative)
 from .symbols import (AssumptionReport, ProblemSpec, Symbol, check_assumptions,
                       estimate_seminorm, eval_table, model_problem)
-from .weights import (WeightParams, cutoff_psi, k_of_t, lambda1, lambda2,
-                      sign_weight, smooth_step)
+from .weights import (WeightParams, cutoff_psi, k_of_t, sign_weight,
+                      smooth_step)
 from .conjugate import (ConjugatedSymbols, ConjugationAssembler,
                         ConjugatorBundle, build_conjugator)
 from .positivity import (PositivityReport, calibrate_time_weight,

@@ -64,6 +64,9 @@ from .weights import (WeightParams, Windows, k_of_t, spatial_weights,
 # for: selection measures at the sample times in every calibration round,
 # and a solve meets each stage time once
 MEMO_TIMES = N_T_SAMPLES
+# the largest grid.N at which O(N^3) dense work runs: the dense inverse
+# below, the setup's Garding floors and the oracle suite
+DENSE_N_MAX = 256
 
 # ----------------------------------------------------------------------
 # derivatives of <xi>_h^p on the frequency lattice (exact)
@@ -254,8 +257,7 @@ def build_phase_tables(p: ProblemSpec, params: WeightParams,
     window value is a column-major table that sampled_table copies
     without transposing."""
     return PhaseTables(grid, params,
-                       Windows(grid.x[None, :], grid.xi[:, None], 0.0, p,
-                               params))
+                       Windows(grid.x[None, :], grid.xi[:, None], p, params))
 
 
 def _truncated(terms, size, stops, key):
@@ -413,13 +415,14 @@ def build_conjugator(assembler: "ConjugationAssembler",
     node values is unitary: rho(R) and every norm are those of the
     node-value matrices.
     ``mode="dense"`` replaces either with the matrix E and its direct
-    dense inverse (cross-check oracle); above N = 256 it is refused before
-    anything is formed.
+    dense inverse (cross-check oracle); above DENSE_N_MAX it is refused
+    before anything is formed.
     """
     grid = assembler.grid
     N, nyq = grid.N, grid.nyquist
-    if mode == "dense" and N > 256:
-        raise ParameterError("dense inverse mode is limited to N <= 256")
+    if mode == "dense" and N > DENSE_N_MAX:
+        raise ParameterError(
+            f"dense inverse mode is limited to N <= {DENSE_N_MAX}")
     phase = assembler.phase
     # tables zero the unmatched Nyquist mode; let the conjugator act as the
     # identity on it so the operator stays invertible

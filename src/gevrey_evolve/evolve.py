@@ -56,8 +56,8 @@ BLOCK_BYTES = 2 ** 20   # what a block of steps (step_bytes), or of logged
 PULLBACK_ROWS = 8       # complex N-rows the pull-back holds per logged field
 RADIUS_TOL = 0.05       # tolerated shortfall of the data's fitted radius
 REPORT_DELTA = 0.01     # output norm radius rho' = k(T) - REPORT_DELTA
-RADIUS_BAND = 0.5       # radius fits read the band |xi| <= RADIUS_BAND xi_max
-RADIUS_FLOOR = 1e-14    # ... at modes above RADIUS_FLOOR times the largest
+RADIUS_FLOOR = 1e-14    # radius fits read the band (Grid.band_mask) at modes
+                        # above RADIUS_FLOOR times the largest
 RADIUS_MIN_MODES = 16   # ... and need at least this many of them
 
 
@@ -96,24 +96,16 @@ def gevrey_norm(u_hat, spec: GevreyNormSpec, grid: Grid):
 
 
 def radius_fit(u_hat, theta, grid: Grid):
-    """Fitted exponential-decay radius of the spectrum u_hat =
-    grid.forward(u): the least squares slope of -log|u_hat| against
-    <xi>^{1/theta} on the band, at the modes above the noise floor.
-
-    A float for one field, which raises DataError when it is zero or has
-    fewer than RADIUS_MIN_MODES such modes; for a stack (B, N) an array of
-    the rows' radii, NaN at such a row.  Each row is fitted on its own
-    modes, by the centred normal equation of the line fit."""
+    """Fitted exponential-decay radii of a stack (B, N) of spectra u_hat =
+    grid.forward(u): per row, the least squares slope of -log|u_hat|
+    against <xi>^{1/theta} on the band, at the modes above the noise
+    floor.  An array (B,), NaN at a row that is zero or has fewer than
+    RADIUS_MIN_MODES such modes.  Each row is fitted on its own modes, by
+    the centred normal equation of the line fit."""
     mag = np.abs(u_hat)
     top = np.max(mag, axis=-1, keepdims=True)
-    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)
+    mask = grid.band_mask() & (mag > RADIUS_FLOOR * top)
     n = np.count_nonzero(mask, axis=-1)
-    if mag.ndim == 1:
-        if top[0] == 0.0:
-            raise DataError("field is identically zero; no radius to fit")
-        if n < RADIUS_MIN_MODES:
-            raise DataError(
-                f"only {n} modes above the noise floor (need {RADIUS_MIN_MODES})")
     X = np.sqrt(1.0 + np.square(grid.xi)) ** (1.0 / theta)
     Y = -np.log(np.where(mask, mag, 1.0))
     m = np.maximum(n, 1)[..., None]
@@ -121,8 +113,7 @@ def radius_fit(u_hat, theta, grid: Grid):
     dY = Y - np.sum(mask * Y, axis=-1, keepdims=True) / m
     with np.errstate(invalid="ignore", divide="ignore"):
         slope = np.sum(dX * dY, axis=-1) / np.sum(dX * dX, axis=-1)
-    slope = np.where(n >= RADIUS_MIN_MODES, slope, np.nan)
-    return float(slope) if slope.ndim == 0 else slope
+    return np.where(n >= RADIUS_MIN_MODES, slope, np.nan)
 
 
 def synthetic_radius_field(grid: Grid, rho, theta, m: float = 0.0,

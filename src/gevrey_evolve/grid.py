@@ -71,9 +71,9 @@ class Grid:
             self._synthesis = E
         return self._synthesis
 
-    def band_mask(self, fraction=0.5):
-        """Boolean mask of the resolved band |xi| <= fraction * xi_max."""
-        mask = np.abs(self.xi) <= fraction * self.xi_max + 1e-12
+    def band_mask(self):
+        """Boolean mask of the resolved band |xi| <= xi_max / 2."""
+        mask = np.abs(self.xi) <= 0.5 * self.xi_max + 1e-12
         mask[self.nyquist] = False
         return mask
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .conjugate import build_conjugator
+from .conjugate import DENSE_N_MAX, build_conjugator
 from .errors import (ConfigurationError, ConvergenceError, GevreyEvolveError,
                      InfeasibleError, InstabilityError, ParameterError)
 from .evolve import MAX_STEPS, solve_original, synthetic_radius_field
@@ -123,7 +123,16 @@ _CHOICES = {"problem.id": MODEL_PROBLEM_IDS,
 # coefficient stack, in batches of J steps and 2J + 1 slots
 DENSE_TABLES = 60
 DENSE_TABLES_TIME_DEPENDENT = 240
-ORACLE_N_MAX = 256   # the largest grid.N the oracle suite checks at
+
+
+def dense_bytes(values):
+    """Bytes of the dense N x N tables a run of the config values holds
+    at its peak; ConfigurationError where they build no model problem."""
+    problem = model_problem(values["problem.id"], values["problem.sigma"],
+                            s0=values["problem.s0"])
+    tables = (DENSE_TABLES_TIME_DEPENDENT if problem.time_dependent
+              else DENSE_TABLES)
+    return tables * 16 * values["grid.N"] ** 2
 
 
 def _physical_memory():
@@ -181,11 +190,14 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot read {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"cannot read {path}: not UTF-8 text "
+                                     f"at byte {exc.start}") from None
         return cls(parse_config_text(text))
 
     @classmethod
@@ -232,10 +244,7 @@ class RunConfig:
                     f"nearest lattice mode is {n} pi / grid.L = "
                     f"{n * np.pi / L:.6g} (data.mode = "
                     f"{serialize.fmt(n * np.pi / L)})")
-        tables = (DENSE_TABLES_TIME_DEPENDENT
-                  if model_problem(v["problem.id"], sigma, s0=s0).time_dependent
-                  else DENSE_TABLES)
-        need, have = tables * 16 * v["grid.N"] ** 2, _physical_memory()
+        need, have = dense_bytes(v), _physical_memory()
         if have is not None and need > have:
             raise ConfigurationError(
                 f"grid.N = {v['grid.N']} needs about {need / 2**30:.3g} GiB of "
@@ -319,8 +328,10 @@ def build_data(cfg: RunConfig, grid):
 
 def require_output_dir(path):
     """Raise, before any work, the OSError that os.makedirs(path,
-    exist_ok=True) raises when path is not a directory, or its nearest
-    existing ancestor is not one.  Creates nothing."""
+    exist_ok=True) raises when path is empty, is not a directory, or its
+    nearest existing ancestor is not one.  Creates nothing."""
+    if not path:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     child = None
     while not os.path.lexists(path):
         path, child = os.path.dirname(path) or os.curdir, path
@@ -331,13 +342,13 @@ def require_output_dir(path):
 
 def setup_pipeline(cfg: RunConfig, out_dir=None):
     """The setup that run and verify share: validate the config, refuse an
-    output directory out_dir (if given) that cannot be written, check the
+    output directory out_dir (if not None) that cannot be written, check the
     structural hypotheses (any failed row is a ConfigurationError), resolve
     the weights and publish the positivity certificate of the trial that
     selection accepted.  Returns the artifacts dict; its bundle holds the
     grid, the problem and the calibrated params."""
     cfg.validate()
-    if out_dir:
+    if out_dir is not None:
         require_output_dir(out_dir)
     v = cfg.values
     grid = make_grid(v["grid.L"], v["grid.N"])
@@ -346,20 +357,20 @@ def setup_pipeline(cfg: RunConfig, out_dir=None):
     assumptions.require()
     params, details, resolved = resolve_weights(cfg, problem, grid, assumptions)
     bundle, positivity = details["bundle"], details["report"]
-    if grid.N <= 256:
+    if grid.N <= DENSE_N_MAX:
         positivity.garding_floors = garding_floors(bundle.assembler)
     return {"assumptions": assumptions, "positivity": positivity,
             "params": params, "details": details, "resolved": resolved,
             "bundle": bundle}
 
 
-def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
-    """Full run; returns (trajectory, artifacts dict).  Once the setup has
-    the Garding floors, the accepted assembler drops every table its solve
-    does not read (ConjugationAssembler.release_tables), and the step is
-    run.dt, or the solve's default_dt when run.dt is auto."""
-    out = (out_dir or cfg["output.dir"]) if write else None
-    artifacts = setup_pipeline(cfg, out)
+def run_pipeline(cfg: RunConfig, out_dir=None):
+    """Full run; returns (trajectory, artifacts dict) and writes the
+    artifacts into out_dir, if not None.  Once the setup has the Garding
+    floors, the accepted assembler drops every table its solve does not
+    read (ConjugationAssembler.release_tables), and the step is run.dt, or
+    the solve's default_dt when run.dt is auto."""
+    artifacts = setup_pipeline(cfg, out_dir)
     v = cfg.values
     bundle = artifacts["bundle"]
     T = bundle.problem.T
@@ -369,12 +380,12 @@ def run_pipeline(cfg: RunConfig, out_dir=None, write=True):
     traj = solve_original(bundle, f, g, T, m=v["gevrey.m"], rho=rho, dt=dt)
     artifacts["resolved"] = artifacts["resolved"].with_overrides(
         **{"run.dt": traj.meta["dt"], "data.rho": rho})
-    if write:
-        _write_setup(out, artifacts, traj)
-        _write_text(os.path.join(out, "trajectory.csv"),
+    if out_dir is not None:
+        _write_setup(out_dir, artifacts, traj)
+        _write_text(os.path.join(out_dir, "trajectory.csv"),
                     serialize.trajectory_csv_lines(traj))
         if v["output.snapshots"]:
-            serialize.write_fields(os.path.join(out, "snapshots.bin"),
+            serialize.write_fields(os.path.join(out_dir, "snapshots.bin"),
                                    traj.logged_times, traj.u_fields)
     return traj, artifacts
 
@@ -422,11 +433,11 @@ def _write_setup(out, art, traj):
 # verify / sweep / oracle
 # ----------------------------------------------------------------------
 
-def verify_pipeline(cfg: RunConfig, out_dir=None, write=True):
-    out = (out_dir or cfg["output.dir"]) if write else None
-    art = setup_pipeline(cfg, out)
-    if write:
-        _write_setup(out, art, None)
+def verify_pipeline(cfg: RunConfig, out_dir=None):
+    """The setup alone; writes its artifacts into out_dir, if not None."""
+    art = setup_pipeline(cfg, out_dir)
+    if out_dir is not None:
+        _write_setup(out_dir, art, None)
     return art["assumptions"], art["positivity"], art["params"]
 
 
@@ -450,8 +461,11 @@ def worker_count():
     return min(4, os.cpu_count() or 1)
 
 
-def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
-    """One pipeline run per value; failures are recorded in-row."""
+def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None):
+    """One pipeline run per value; failures are recorded in-row, and
+    sweep.csv is written into out_dir, if not None.  The rows run in a
+    pool of worker_count() threads, capped at the number of the largest
+    row's dense_bytes that fit in physical memory, and at least one."""
     if axis not in _SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; known: {', '.join(sorted(_SWEEP_AXES))}")
@@ -462,7 +476,7 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         sub = cfg.with_overrides(**{key: val})
         row = {"axis": axis, "value": val}
         try:
-            traj, art = run_pipeline(sub, write=False)
+            traj, art = run_pipeline(sub)
             pos = art["positivity"]
             row.update(status="ok",
                        margin_order2=pos.min_margin("order2"),
@@ -477,6 +491,12 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
         row["runtime_s"] = time.perf_counter() - t0
         return row
 
+    def row_bytes(val):
+        try:
+            return dense_bytes(cfg.with_overrides(**{key: val}).values)
+        except ConfigurationError:      # the row fails before it allocates
+            return 0
+
     # every value is parsed, and the output directory checked, before the
     # first row runs; an empty entry (as in "4,,8" or "4,8,") is refused,
     # not skipped
@@ -489,15 +509,18 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
                 f"sweep --values lists no value at entry {pos} of "
                 f"{len(values)} for axis {axis}")
     vals = [_coerce(key, str(value), f"sweep axis {axis}") for value in values]
-    out = out_dir or cfg["output.dir"]
-    if write:
-        require_output_dir(out)
+    if out_dir is not None:
+        require_output_dir(out_dir)
+    workers, have = worker_count(), _physical_memory()
+    if have is not None:
+        need = max(map(row_bytes, vals))
+        workers = min(workers, max(1, have // max(need, 1)))
     # imported here: concurrent.futures pulls in logging, threading and
     # queue, and csv its C module, which no other command reads
     import csv
     import io
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one, vals))
 
     cols = ["axis", "value", "status", "margin_order2", "margin_order1",
@@ -511,16 +534,16 @@ def sweep_pipeline(cfg: RunConfig, axis, values, out_dir=None, write=True):
             serialize.fmt(v) if isinstance(v, float) else v
             for v in (row.get(c, "") for c in cols))
         lines.append(buf.getvalue())
-    if write:
-        os.makedirs(out, exist_ok=True)
-        _write_text(os.path.join(out, "sweep.csv"), lines)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_text(os.path.join(out_dir, "sweep.csv"), lines)
     return rows, lines
 
 
 def oracle_suite(cfg: RunConfig, out_dir=None):
     """Oracle consistency checks, on node-value matrices, of what a run
     computes: the setup of run and verify (setup_pipeline) on the config's
-    own box at N = min(grid.N, ORACLE_N_MAX).  Returns (passed, lines), the
+    own box at N = min(grid.N, DENSE_N_MAX).  Returns (passed, lines), the
     first line naming that grid.  The config is validated as given, so a
     grid.N above the cap is refused as a run refuses it; out_dir is
     checked as setup_pipeline checks it."""
@@ -529,7 +552,7 @@ def oracle_suite(cfg: RunConfig, out_dir=None):
                            to_dense)
     cfg.validate()
     v = cfg.values
-    N = min(v["grid.N"], ORACLE_N_MAX)
+    N = min(v["grid.N"], DENSE_N_MAX)
     art = setup_pipeline(cfg.with_overrides(**{"grid.N": N}), out_dir)
     bundle = art["bundle"]
     grid = bundle.grid
@@ -647,27 +670,34 @@ def main(argv=None):
 
     try:
         cfg = RunConfig.from_file(args.config)
+        # the directory the command writes into: --out, else output.dir,
+        # which oracle does not read
+        out = (cfg["output.dir"] if args.out is None and args.command != "oracle"
+               else args.out)
+        if out == "":
+            raise ConfigurationError(
+                f"{'output.dir' if args.out is None else '--out'} is empty; "
+                "it must name the output directory")
         if args.command == "run":
-            traj, art = run_pipeline(cfg, out_dir=args.out)
-            print(f"ok: {art['resolved']['output.dir'] if args.out is None else args.out}")
+            run_pipeline(cfg, out_dir=out)
+            print(f"ok: {out}")
             return EXIT_OK
         if args.command == "verify":
-            assumptions, positivity, params = verify_pipeline(cfg, out_dir=args.out)
+            assumptions, positivity, params = verify_pipeline(cfg, out_dir=out)
             for line in assumptions.lines() + positivity.lines():
                 print(line)
             return EXIT_OK
         if args.command == "sweep":
             rows, lines = sweep_pipeline(cfg, args.axis,
-                                         args.values.split(","),
-                                         out_dir=args.out)
+                                         args.values.split(","), out_dir=out)
             print(f"{len(rows)} rows")
             return EXIT_OK
-        passed, lines = oracle_suite(cfg, out_dir=args.out)
+        passed, lines = oracle_suite(cfg, out_dir=out)
         for line in lines:
             print(line)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            _write_text(os.path.join(args.out, "oracle.txt"), lines)
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+            _write_text(os.path.join(out, "oracle.txt"), lines)
         return EXIT_OK if passed else EXIT_ORACLE
     except OSError as exc:
         # from_file reports its own read: this is an artifact write

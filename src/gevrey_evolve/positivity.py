@@ -41,7 +41,6 @@ from .weights import WeightParams, k_of_t
 
 ZERO_THRESHOLD = 1e-13
 FP_ROUNDS = 5       # fixed-point rounds of the C1, C2 calibration
-GARDING_BAND = 0.5  # Garding floors read the band |xi| <= GARDING_BAND xi_max
 H_SEARCH = (1.0, 2.0 ** 14)  # an unpinned selection doubles h across this range
 # the parts of the order-1 margin that M1 dominates, C_a2l2 and C_c in turn
 M1_PARTS = ("a2cross", "c")
@@ -112,7 +111,7 @@ def discrete_garding(sym: SymbolTable, grid: Grid) -> float:
     diagonal in xi: its floor is the smallest real part of the row on the
     band, in O(N).  An N x N table takes the dense eigenproblem.
     """
-    band = grid.band_mask(GARDING_BAND)
+    band = grid.band_mask()
     if sym.values.shape[0] == 1:
         return float(np.min(sym.values[0, band].real))
     A = to_dense(sym)

@@ -264,8 +264,9 @@ def representable_error(A, B, grid, domain_cap):
     return num / denom if denom > 0 else num
 
 
-def xi_derivative(p: SymbolTable, order=1, accuracy=4):
-    """d^order/dxi^order of a table by finite differences on the xi lattice.
+def xi_derivative(p: SymbolTable, order=1):
+    """d^order/dxi^order of a table by finite differences of accuracy 4
+    (diff_uniform) on the xi lattice.
 
     Works on the monotone lattice: the columns past the Nyquist one, then
     those before it, gathered into one contiguous array with xi as its
@@ -286,7 +287,7 @@ def xi_derivative(p: SymbolTable, order=1, accuracy=4):
     body = np.empty((g.N - 1, 4 if rows == 1 else rows), dtype=cols.dtype)
     body[:nyq - 1] = cols[nyq + 1:]
     body[nyq - 1:] = cols[:nyq]
-    dbody = diff_uniform(body, g.dxi, order, axis=0, accuracy=accuracy)
+    dbody = diff_uniform(body, g.dxi, order, axis=0)
     out = np.empty((g.N, rows), dtype=cols.dtype)
     out[nyq + 1:] = dbody[:nyq - 1, :rows]
     out[:nyq] = dbody[nyq - 1:, :rows]

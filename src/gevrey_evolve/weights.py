@@ -166,14 +166,15 @@ class WeightParams:
 # sign selector w(xi/h)
 # ----------------------------------------------------------------------
 
-def sign_weight(xi, t, p, params: WeightParams):
-    """w(xi/h): 0 for |xi| <= h, -sgn(d_xi a3(t, xi)) for |xi| > R_a3 h,
-    smooth monotone transition on the annulus in between."""
+def sign_weight(xi, p, params: WeightParams):
+    """w(xi/h): 0 for |xi| <= h, -sgn(d_xi a3(0, xi)) for |xi| > R_a3 h,
+    smooth monotone transition on the annulus in between.  The phase is
+    frozen at t = 0, so a3 is read there."""
     xi = np.asarray(xi, dtype=float)
     s = np.abs(xi) / params.h
     R = params.R_a3
     ramp = smooth_step((2.0 * s - (1.0 + R)) / (R - 1.0))
-    d = np.asarray(p.a3.dxi(t, 0.0, xi), dtype=float)
+    d = np.asarray(p.a3.dxi(0.0, 0.0, xi), dtype=float)
     d = np.broadcast_to(d, np.broadcast(d, xi).shape)
     xib = np.broadcast_to(xi, d.shape)
     act = np.abs(xib) > params.h
@@ -212,9 +213,6 @@ def domain_window(u, D, derivative=0):
     Keeps the phase weights constant near the periodic seam so that their
     spatial derivatives stay periodic-smooth.  D = inf disables it.
     """
-    if not np.isfinite(D):
-        u = np.asarray(u, dtype=float)
-        return np.ones_like(u) if derivative == 0 else np.zeros_like(u)
     return plateau(u, _DOMAIN_LO * D, _DOMAIN_HI * D, derivative=derivative)
 
 
@@ -257,12 +255,6 @@ def _gl_panels(starts, stops, s, cap, D):
 def _bracket_to_y(u):
     """Positive y with <y> = u (0 when u <= 1)."""
     return np.sqrt(np.maximum(u * u - 1.0, 0.0))
-
-
-def windowed_decay_integral(x, s, cap, D=float("inf")):
-    """integral_0^x <y>^-s psi(<y>/cap) chi_dom(<y>) dy, scalar window size."""
-    out = _windowed_over_caps(x, s, float(cap), D)
-    return float(out) if out.ndim == 0 else out
 
 
 def _windowed_over_caps(x, s, cap, D):
@@ -334,9 +326,9 @@ class Windows:
     kept, so every weight and derivative read from one Windows shares one
     evaluation of each."""
 
-    def __init__(self, x, xi, t, p, params: WeightParams):
+    def __init__(self, x, xi, p, params: WeightParams):
         self.x = np.asarray(x, dtype=float)
-        self.xi, self.t, self.p, self.params = xi, t, p, params
+        self.xi, self.p, self.params = xi, p, params
         self.b = bracket_h(xi, params.h)
         self.cap = np.square(self.b)
         self.bx = np.sqrt(1.0 + self.x * self.x)
@@ -349,7 +341,7 @@ class Windows:
 
     @property
     def w(self):
-        return self._once("w", lambda: sign_weight(self.xi, self.t, self.p,
+        return self._once("w", lambda: sign_weight(self.xi, self.p,
                                                    self.params))
 
     def psi(self, k=0):
@@ -377,16 +369,6 @@ def spatial_weights(win: Windows, params: WeightParams, which=(2, 1)):
         else:
             out.append(params.M1 * (win.w / win.b) * integrals[k])
     return out
-
-
-def lambda2(x, xi, t, p, params: WeightParams):
-    """Order-two phase weight; vanishes for |xi| <= h and at x = 0."""
-    return spatial_weights(Windows(x, xi, t, p, params), params, (2,))[0]
-
-
-def lambda1(x, xi, t, p, params: WeightParams):
-    """Order-one phase weight with an extra <xi>_h^-1 damping."""
-    return spatial_weights(Windows(x, xi, t, p, params), params, (1,))[0]
 
 
 def weight_x_derivative(win: Windows, params: WeightParams, which=2, order=1):
@@ -427,12 +409,6 @@ def weight_x_derivative(win: Windows, params: WeightParams, which=2, order=1):
     return pref * w * val
 
 
-def lambda_x_derivative(x, xi, t, p, params: WeightParams, which=2, order=1):
-    """d^order/dx^order of lam2 (which=2) or lam1 (which=1), order 1..3."""
-    return weight_x_derivative(Windows(x, xi, t, p, params), params, which,
-                               order)
-
-
 # ----------------------------------------------------------------------
 # time weight and total phase
 # ----------------------------------------------------------------------
@@ -450,9 +426,3 @@ def k_of_t(t, params: WeightParams):
             "time weight k(t) reaches zero inside the horizon; increase h "
             "(which shrinks C2) or k0")
     return val
-
-
-def k_prime(t, params: WeightParams):
-    """k'(t) = -(C1 k(t) + C2); non-positive when C1, C2, k >= 0."""
-    return -(params.C1 * k_of_t(t, params) + params.C2)
-

@@ -19,8 +19,8 @@ from gevrey_evolve.quantize import (SymbolTable, coefficient_matrix,
                                     sampled_table, stage_matrices, to_dense,
                                     x_derivative)
 from gevrey_evolve.symbols import Symbol, eval_table, model_problem
-from gevrey_evolve.weights import (WeightParams, k_of_t, k_prime,
-                                   lambda_x_derivative)
+from gevrey_evolve.weights import (WeightParams, Windows, k_of_t,
+                                   spatial_weights, weight_x_derivative)
 
 L, N = 10.0, 64
 DCAP = float(np.sqrt(1 + L * L))
@@ -251,10 +251,10 @@ def test_d1_matches_independent_derivative_path(grid):
     # cancel between the two routes
     from gevrey_evolve._stencil import diff_uniform
     from gevrey_evolve.quantize import SymbolTable, xi_derivative
-    from gevrey_evolve.weights import lambda2
     p = params_with(h=4.0, M2=0.15, M1=0.12)
     X, XI = grid.x[:, None], grid.xi[None, :]
-    l2tab = SymbolTable(grid, lambda2(X, XI, 0.0, PROB, p).astype(complex))
+    lam2 = spatial_weights(Windows(X, XI, PROB, p), p, (2,))[0]
+    l2tab = SymbolTable(grid, lam2.astype(complex))
     l2x = SymbolTable(grid, diff_uniform(l2tab.values, grid.dx, 1, axis=0,
                                          accuracy=6))
     l2xx = SymbolTable(grid, diff_uniform(l2tab.values, grid.dx, 2, axis=0,
@@ -321,7 +321,7 @@ def test_time_weight_terms(grid):
     terms = ConjugationAssembler(PROB, p, grid).at(0.4).parts
     # -k'(t) <xi>^{1/theta} is nonnegative (k non-increasing)
     assert np.min(terms["kprime"].values.real[:, grid.band_mask()]) >= 0.0
-    kp = -float(k_prime(0.4, p))
+    kp = p.C1 * float(k_of_t(0.4, p)) + p.C2
     k_col = np.argmin(np.abs(grid.xi))
     expect = kp * bracket_h(0.0, p.h) ** (1 / p.theta)
     assert terms["kprime"].values[0, k_col].real == pytest.approx(expect, rel=1e-12)
@@ -335,7 +335,7 @@ def test_kprime_part_is_the_time_stage_term(grid):
     X = bracket_h(grid.xi, p.h) ** (1 / p.theta)
     X[grid.nyquist] = 0.0
     for t in (0.0, 0.3, 1.0):
-        want = -float(k_prime(t, p)) * X
+        want = (p.C1 * float(k_of_t(t, p)) + p.C2) * X
         got = asm.part("kprime", t).values
         assert got.shape == (1, N)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -451,7 +451,7 @@ def test_theta_block_matches_its_report_form(grid):
 
 def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     # psi, psi' and psi'' of <x>/<xi>_h^2 once each on the lattice, shared by
-    # all six x-derivative tables, which equal lambda_x_derivative's bit for
+    # all six x-derivative tables, which equal weight_x_derivative's bit for
     # bit: lam2_x, lam2_xx and lam1_x directly, all six through the Bell
     # values of Q_a (the expansion applies their phase (-i)^a)
     p = params_with()
@@ -465,9 +465,9 @@ def test_phase_tables_evaluate_each_window_once(grid, monkeypatch):
     phase = conjugate.build_phase_tables(PROB, p, grid)
     _, Q_tables = phase.exp_factors(conjugate.FACTOR_ORDER)
     assert sorted(d for shape, d in calls if shape == (N, N)) == [0, 1, 2]
-    X, XI = grid.x[:, None], grid.xi[None, :]
-    ref = {(w, o): sampled_table(grid, lambda_x_derivative(
-        X, XI, 0.0, PROB, p, which=w, order=o)) for w in (2, 1) for o in (1, 2, 3)}
+    win = Windows(grid.x[:, None], grid.xi[None, :], PROB, p)
+    ref = {(w, o): sampled_table(grid, weight_x_derivative(win, p, w, o))
+           for w in (2, 1) for o in (1, 2, 3)}
     for table, key in ((phase.lam2_x, (2, 1)), (phase.lam2_xx, (2, 2)),
                        (phase.lam1_x, (1, 1))):
         assert np.array_equal(table.values, ref[key].values)
@@ -673,9 +673,7 @@ def _eager_tables(prob, params, grid):
     they were formed on first read: (phase dict, P, Q, poly), with Q_a the
     complex table (-i)^a Bell_a."""
     from gevrey_evolve.quantize import dx_operators, xi_derivative
-    from gevrey_evolve.weights import (Windows, spatial_weights,
-                                       weight_x_derivative)
-    win = Windows(grid.x[:, None], grid.xi, 0.0, prob, params)
+    win = Windows(grid.x[:, None], grid.xi, prob, params)
     l2, l1 = (sampled_table(grid, v) for v in spatial_weights(win, params))
     lam = l2 + l1
     wx = {(w, o): sampled_table(grid, weight_x_derivative(win, params, w, o))

@@ -161,7 +161,7 @@ def test_run_outputs_match_the_benchmark_reference(workload):
     with open(os.path.join(REFERENCE, f"{workload}.json")) as fh:
         ref = json.load(fh)
     text = _benchmark_workloads()[workload]
-    traj, art = run_pipeline(RunConfig.from_text(text), write=False)
+    traj, art = run_pipeline(RunConfig.from_text(text))
     rtol = 100.0 * art["resolved"]["tolerances.inverse_tol"]
     assert art["positivity"].passed == ref["positivity_passed"]
     for name, want in ref["params"].items():
@@ -205,7 +205,7 @@ def test_run_builds_each_setup_object_once(monkeypatch):
                         counting("resolved", harness.resolve_weights))
     for text in (SMALL, EXPLICIT, TRIVIAL):
         calls.clear()
-        _, art = run_pipeline(RunConfig.from_text(text), write=False)
+        _, art = run_pipeline(RunConfig.from_text(text))
         assert calls.count("check") == 1
         done = calls.index("resolved")
         # one conjugator, for the accepted trial (fixed and trivial weights
@@ -307,7 +307,7 @@ def test_well_conditioned_conjugator_is_accepted_at_l40(tmp_path, monkeypatch):
 def test_run_releases_the_tables_its_solve_does_not_read(modulated64_selection):
     # a run keeps its generator's coefficient stack and drops every other
     # table: a later read raises ReleasedError, and nothing is re-formed
-    _, art = run_pipeline(RunConfig.from_text(SMALL), write=False)
+    _, art = run_pipeline(RunConfig.from_text(SMALL))
     asm = art["bundle"].assembler
     reads = (lambda: asm.part("ia2", 0.0), lambda: asm.phase.lam,
              lambda: asm.block_polynomial(("ia2",), 0.0),
@@ -329,7 +329,7 @@ def test_default_step_after_a_run_reads_the_kept_sup():
     from gevrey_evolve.evolve import solve_original
     from gevrey_evolve.harness import build_data
     cfg = RunConfig.from_text(SMALL)
-    traj, art = run_pipeline(cfg, write=False)
+    traj, art = run_pipeline(cfg)
     bundle = art["bundle"]
     g, f, rho = build_data(cfg, bundle.grid)
     again = solve_original(bundle, f, g, bundle.problem.T, rho=rho)
@@ -349,13 +349,13 @@ def test_snapshots_roundtrip(tmp_path):
 def test_sweep_axis_validation():
     cfg = RunConfig.from_text(SMALL)
     with pytest.raises(ConfigurationError):
-        sweep_pipeline(cfg, "bogus", [1.0], write=False)
+        sweep_pipeline(cfg, "bogus", [1.0])
 
 
 def test_sweep_rows_ordered_and_inline_failures(tmp_path, monkeypatch):
     monkeypatch.setenv("GEVREY_EVOLVE_THREADS", "2")
     cfg = RunConfig.from_text("grid.L = 10\ngrid.N = 48\n")
-    rows, lines = sweep_pipeline(cfg, "theta", ["1.7", "2.0"], write=False)
+    rows, lines = sweep_pipeline(cfg, "theta", ["1.7", "2.0"])
     assert [r["value"] for r in rows] == [1.7, 2.0]
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"] == "config"      # theta at the open boundary
@@ -450,7 +450,7 @@ class _Checked(Exception):
 
 def test_oracle_problem_is_rolled_off_inside_the_oracle_box(monkeypatch):
     # the oracle checks the config's own box (grid.N capped at
-    # ORACLE_N_MAX): the problem it checks has its coefficients rolled off
+    # DENSE_N_MAX): the problem it checks has its coefficients rolled off
     # before that box's seam
     seen = {}
 
@@ -459,7 +459,7 @@ def test_oracle_problem_is_rolled_off_inside_the_oracle_box(monkeypatch):
         raise _Checked
 
     monkeypatch.setattr(harness, "check_assumptions", checked)
-    monkeypatch.setattr(harness, "ORACLE_N_MAX", 64)
+    monkeypatch.setattr(harness, "DENSE_N_MAX", 64)
     cfg = RunConfig.from_text("grid.L = 20\ngrid.N = 96\n")
     with pytest.raises(_Checked):
         oracle_suite(cfg)
@@ -519,6 +519,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     infeasible = tmp_path / "inf.cfg"
     infeasible.write_text(SMALL + "problem.c2 = 2.5\n")
     assert main(["verify", str(infeasible)]) == EXIT_INFEASIBLE
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # a config file that does not decode as UTF-8 is refused in one line
+    # naming the path and the offset of the first byte that does not
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(SMALL.encode() + b"\xff\xfe\x00bad")
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error (config): cannot read {cfg}: not UTF-8 text at byte "
+        f"{len(SMALL)}\n")
 
 
 def test_error_category_totality():
@@ -785,12 +796,40 @@ def test_unwritable_output_is_refused_before_selection(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["blocker", "c.cfg"]
 
 
+@pytest.mark.parametrize("command, empty", [
+    *[(command, "output.dir") for command in ("run", "verify", "sweep")],
+    *[(command, "--out") for command in ("run", "verify", "sweep", "oracle")]])
+def test_empty_output_dir_is_refused_before_selection(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      empty):
+    # an empty output.dir, or --out "" (which does not fall back to
+    # output.dir), names no directory to write into: a config error naming
+    # the key or the flag, before selection runs
+    def selection(*args, **kwargs):
+        raise AssertionError("selection ran before the output check")
+
+    monkeypatch.setattr(harness, "resolve_weights", selection)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL + ("output.dir =\n" if empty == "output.dir"
+                            else "output.dir = out\n"))
+    argv = [command, str(cfg)] + (["--out", ""] if empty == "--out" else [])
+    if command == "sweep":
+        argv += ["--axis", "h", "--values", "4"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"error (config): {empty} is empty; it must "
+                            "name the output directory\n")
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
 def test_output_check_raises_what_makedirs_raises(tmp_path):
     # the early check names the path and the error the late os.makedirs
     # would, and creates nothing
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    for path in (blocker, blocker / "a", blocker / "a" / "b"):
+    for path in ("", blocker, blocker / "a", blocker / "a" / "b"):
         with pytest.raises(OSError) as late:
             os.makedirs(str(path), exist_ok=True)
         with pytest.raises(OSError) as early:
@@ -894,6 +933,30 @@ def test_thread_cap_must_be_an_integer(cap, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("error (config): GEVREY_EVOLVE_THREADS must be a positive "
                    f"integer, got {cap!r}\n")
+
+
+@pytest.mark.parametrize("budgets, pool", [(1.5, 1), (3, 2)])
+def test_sweep_pool_holds_as_many_rows_as_fit_in_memory(monkeypatch, budgets,
+                                                        pool):
+    # each row's validate budgets physical memory for one run: of two
+    # workers, a sweep runs as many rows at once as its largest row's
+    # budget fits in memory, and at least one
+    import concurrent.futures
+    sizes, executor = [], concurrent.futures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return executor(max_workers)
+
+    cfg = RunConfig.from_text("grid.L = 5\ngrid.N = 40\n")
+    need = harness.dense_bytes(cfg.with_overrides(**{"grid.N": 48}).values)
+    monkeypatch.setattr(harness, "_physical_memory",
+                        lambda: int(budgets * need))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    monkeypatch.setenv("GEVREY_EVOLVE_THREADS", "2")
+    rows, _ = sweep_pipeline(cfg, "N", ["40", "48"])
+    assert sizes == [pool]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
 
 
 # grid.N = 8 on L = 40 resolves no frequency beyond R_a3, yet validates

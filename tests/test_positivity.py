@@ -18,7 +18,8 @@ from gevrey_evolve.quantize import (SymbolTable, multiplier_table,
                                     xi_derivative)
 from gevrey_evolve.symbols import (Symbol, eval_table, model_problem,
                                    sample_times)
-from gevrey_evolve.weights import WeightParams, k_of_t, lambda_x_derivative
+from gevrey_evolve.weights import (WeightParams, Windows, k_of_t,
+                                   weight_x_derivative)
 
 T_SAMPLES = np.linspace(0.0, 1.0, 5)
 
@@ -206,7 +207,7 @@ def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
     # d_x lam2 and d_xi d_x lam2 read M2 but not M1: each trial's assembler
     # forms d_x lam2 once, before M1 is installed, and C_a2l2 and the
     # generator read the same tables.  d_xi d_x lam2 equals bit for bit the
-    # table formed at M1 = 0 from lambda_x_derivative and the xi-derivative
+    # table formed at M1 = 0 from weight_x_derivative and the xi-derivative
     # of the assembler's d_x lam2
     formed, weight_x = [], conjugate.weight_x_derivative
 
@@ -222,9 +223,10 @@ def test_each_trial_forms_dxdxi_lambda2_once(monkeypatch):
     monkeypatch.undo()
     assert formed == [0.0] * len(details["history"]) and len(formed) == 3
     phase = details["bundle"].assembler.phase
-    at_m1_zero = xi_derivative(sampled_table(grid, lambda_x_derivative(
-        grid.x[:, None], grid.xi[None, :], 0.0, prob,
-        dataclasses.replace(params, M1=0.0), which=2, order=1)), 1)
+    m1_zero = dataclasses.replace(params, M1=0.0)
+    at_m1_zero = xi_derivative(sampled_table(grid, weight_x_derivative(
+        Windows(grid.x[:, None], grid.xi[None, :], prob, m1_zero), m1_zero,
+        2, 1)), 1)
     assert np.array_equal(phase.dxdxi_lam2.values, at_m1_zero.values)
     assert np.array_equal(phase.dxdxi_lam2.values,
                           xi_derivative(phase.lam2_x, 1).values)
@@ -362,9 +364,9 @@ def test_selection_formula_m1(case, small_setup, modulated64_selection):
         trial = dataclasses.replace(params, h=row["h"], M1=0.0, C1=0.0,
                                     C2=0.0)
         norm1 = positivity._margin_normalizers(grid, trial)["order1"]
-        dxdxi = xi_derivative(sampled_table(grid, lambda_x_derivative(
-            grid.x[:, None], grid.xi[None, :], 0.0, prob, trial, which=2,
-            order=1)), 1)
+        dxdxi = xi_derivative(sampled_table(grid, weight_x_derivative(
+            Windows(grid.x[:, None], grid.xi[None, :], prob, trial), trial,
+            2, 1)), 1)
         C_a2l2 = max(float(np.max(np.abs((a2.values * dxdxi.values).real)
                                   / norm1)) for a2 in a2s)
         C_c = max(float(np.max(np.abs(c) / norm1)) for c in c_reals)

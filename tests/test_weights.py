@@ -14,12 +14,22 @@ from gevrey_evolve import weights
 from gevrey_evolve.errors import ConfigurationError, ParameterError
 from gevrey_evolve.grid import bracket_h, make_grid
 from gevrey_evolve.symbols import Symbol, model_problem
-from gevrey_evolve.weights import (WeightParams, _windowed_over_caps, cutoff_psi,
-                                   k_of_t, k_prime, lambda1, lambda2,
-                                   lambda_x_derivative, plateau, sign_weight,
-                                   smooth_step, windowed_decay_integral)
+from gevrey_evolve.weights import (WeightParams, Windows, _windowed_over_caps,
+                                   cutoff_psi, k_of_t, plateau, sign_weight,
+                                   smooth_step, spatial_weights,
+                                   weight_x_derivative)
 
 PROB = model_problem("complex-damped", 0.75)
+
+
+def lam(which, x, xi, p):
+    """lam2 (which=2) or lam1 (which=1) of PROB at the points (x, xi)."""
+    return spatial_weights(Windows(x, xi, PROB, p), p, (which,))[0]
+
+
+def dx_lam(which, order, x, xi, p):
+    """d^order/dx^order of lam2 (which=2) or lam1 (which=1) at (x, xi)."""
+    return weight_x_derivative(Windows(x, xi, PROB, p), p, which, order)
 
 
 def params_with(**kw):
@@ -86,10 +96,10 @@ def test_cutoff_derivative_closures():
 def test_sign_weight_cases():
     p = params_with()
     h = p.h
-    assert sign_weight(3 * h, 0.0, PROB, p) == pytest.approx(-1.0)
-    assert sign_weight(-3 * h, 0.0, PROB, p) == pytest.approx(-1.0)
-    assert sign_weight(0.5 * h, 0.0, PROB, p) == pytest.approx(0.0)
-    mid = sign_weight(1.5 * h, 0.0, PROB, p)
+    assert sign_weight(3 * h, PROB, p) == pytest.approx(-1.0)
+    assert sign_weight(-3 * h, PROB, p) == pytest.approx(-1.0)
+    assert sign_weight(0.5 * h, PROB, p) == pytest.approx(0.0)
+    mid = sign_weight(1.5 * h, PROB, p)
     assert -1.0 < mid < 0.0
 
 
@@ -99,7 +109,7 @@ def test_sign_weight_ambiguous_sign_rejected():
     import dataclasses
     bad = dataclasses.replace(PROB, a3=flip)
     with pytest.raises(ConfigurationError):
-        sign_weight(np.linspace(-8, 8, 33), 0.0, bad, params_with(h=1.0))
+        sign_weight(np.linspace(-8, 8, 33), bad, params_with(h=1.0))
 
 
 # ----------------------------------------------------------------------
@@ -109,22 +119,22 @@ def test_sign_weight_ambiguous_sign_rejected():
 def test_lambda2_zero_at_origin():
     p = params_with()
     for xi in (0.5, 3.0, 10.0):
-        assert lambda2(0.0, xi, 0.0, PROB, p) == 0.0
+        assert lam(2, 0.0, xi, p) == 0.0
 
 
 def test_lambda2_vanishes_inside_h():
     p = params_with()
     x = np.linspace(-5, 5, 11)
     for xi in (0.0, 0.5 * p.h, -0.9 * p.h):
-        assert np.allclose(lambda2(x, xi, 0.0, PROB, p), 0.0)
-        assert np.allclose(lambda1(x, xi, 0.0, PROB, p), 0.0)
+        assert np.allclose(lam(2, x, xi, p), 0.0)
+        assert np.allclose(lam(1, x, xi, p), 0.0)
 
 
 def test_lambda2_frozen_quadrature_value():
     # saturated sign region, window wide open: lambda2(1, xi) = -M2 I with
     # I = integral_0^1 <y>^-0.75 dy (adaptive-quadrature oracle, frozen)
     p = params_with(M2=1.0)
-    val = lambda2(1.0, 10.0, 0.0, PROB, p)
+    val = lam(2, 1.0, 10.0, p)
     assert val == pytest.approx(-0.9086820214507749, abs=1e-11)
 
 
@@ -135,8 +145,8 @@ def test_lambda2_transition_against_adaptive_quadrature():
     oracle, _ = integrate.quad(
         lambda y: (1 + y * y) ** -0.375 * float(cutoff_psi(np.sqrt(1 + y * y) / cap)),
         0.0, 3.0, epsabs=1e-13, limit=200)
-    w = float(sign_weight(xi, 0.0, PROB, p))
-    assert lambda2(3.0, xi, 0.0, PROB, p) == pytest.approx(w * oracle, abs=1e-10)
+    w = float(sign_weight(xi, PROB, p))
+    assert lam(2, 3.0, xi, p) == pytest.approx(w * oracle, abs=1e-10)
 
 
 def test_lambda_bounds():
@@ -144,8 +154,8 @@ def test_lambda_bounds():
     x = np.linspace(-20, 20, 81)[:, None]
     xi = np.linspace(-30, 30, 61)[None, :]
     b = bracket_h(xi, p.h)
-    l2 = lambda2(x, xi, 0.0, PROB, p)
-    l1 = lambda1(x, xi, 0.0, PROB, p)
+    l2 = lam(2, x, xi, p)
+    l1 = lam(1, x, xi, p)
     assert np.all(np.abs(l2) <= p.M2 / (1 - p.sigma) * b ** (2 * (1 - p.sigma)) + 1e-9)
     assert np.all(np.abs(l1) <= p.M1 / (1 - p.sigma / 2) * b ** (1 - p.sigma) + 1e-9)
 
@@ -154,14 +164,13 @@ def test_lambda1_x_derivative_closed_form():
     p = params_with()
     xi, x0 = 5.5, 1.3
     eps = 1e-5
-    fd = (lambda1(x0 + eps, xi, 0.0, PROB, p)
-          - lambda1(x0 - eps, xi, 0.0, PROB, p)) / (2 * eps)
+    fd = (lam(1, x0 + eps, xi, p) - lam(1, x0 - eps, xi, p)) / (2 * eps)
     b = float(bracket_h(xi, p.h))
-    expected = (p.M1 * float(sign_weight(xi, 0.0, PROB, p)) / b
+    expected = (p.M1 * float(sign_weight(xi, PROB, p)) / b
                 * (1 + x0 ** 2) ** (-p.sigma / 4)
                 * float(cutoff_psi(np.sqrt(1 + x0 ** 2) / b ** 2)))
     assert fd == pytest.approx(expected, abs=1e-8)
-    ana = lambda_x_derivative(x0, xi, 0.0, PROB, p, which=1, order=1)
+    ana = dx_lam(1, 1, x0, xi, p)
     assert float(ana) == pytest.approx(expected, abs=1e-12)
 
 
@@ -169,9 +178,9 @@ def test_lambda_x_derivative_orders_match_fd():
     p = params_with(h=1.0)
     xi, x0 = 1.7, 0.9
     eps = 1e-4
-    vals = [lambda2(x0 + k * eps, xi, 0.0, PROB, p) for k in (-2, -1, 0, 1, 2)]
+    vals = [lam(2, x0 + k * eps, xi, p) for k in (-2, -1, 0, 1, 2)]
     fd2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * eps ** 2)
-    ana2 = lambda_x_derivative(x0, xi, 0.0, PROB, p, which=2, order=2)
+    ana2 = dx_lam(2, 2, x0, xi, p)
     assert float(ana2) == pytest.approx(fd2, abs=1e-6)
 
 
@@ -182,10 +191,9 @@ def test_lambda_x_derivative_order3_matches_fd_on_the_rolloff():
     xi, x0 = 1.7, 2.5
     eps = 1e-5
     for which in (2, 1):
-        d2 = [lambda_x_derivative(x0 + k * eps, xi, 0.0, PROB, p, which=which,
-                                  order=2) for k in (-1, 1)]
+        d2 = [dx_lam(which, 2, x0 + k * eps, xi, p) for k in (-1, 1)]
         fd3 = (d2[1] - d2[0]) / (2 * eps)
-        ana3 = lambda_x_derivative(x0, xi, 0.0, PROB, p, which=which, order=3)
+        ana3 = dx_lam(which, 3, x0, xi, p)
         assert float(ana3) == pytest.approx(float(fd3), abs=1e-6)
 
 
@@ -197,10 +205,9 @@ def test_zero_strength_weights_are_exact_zeros(monkeypatch):
     X, XI = grid.x[:, None], grid.xi[None, :]
     zero = params_with(M2=0.0, M1=0.0, h=1.0)
     unit = params_with(M2=1.0, M1=1.0, h=1.0)
-    evals = [lambda q: lambda2(X, XI, 0.0, PROB, q),
-             lambda q: lambda1(X, XI, 0.0, PROB, q)]
-    evals += [lambda q, w=w, o=o: lambda_x_derivative(X, XI, 0.0, PROB, q,
-                                                      which=w, order=o)
+    evals = [lambda q: lam(2, X, XI, q),
+             lambda q: lam(1, X, XI, q)]
+    evals += [lambda q, w=w, o=o: dx_lam(w, o, X, XI, q)
               for w in (2, 1) for o in (1, 2, 3)]
     calls, step = [], weights.smooth_step
 
@@ -225,10 +232,10 @@ def test_derivative_bounds_h_stable():
     for h in (8.0, 16.0, 32.0):
         p = params_with(M2=0.7, M1=0.4, h=h)
         xi = np.linspace(-4 * h, 4 * h, 33)[None, :]
-        d2 = lambda_x_derivative(x, xi, 0.0, PROB, p, which=2, order=1)
+        d2 = dx_lam(2, 1, x, xi, p)
         c2 = np.max(np.abs(d2) * (1 + x ** 2) ** (p.sigma / 2))
         assert c2 <= p.M2 + 1e-9
-        d1 = lambda_x_derivative(x, xi, 0.0, PROB, p, which=1, order=1)
+        d1 = dx_lam(1, 1, x, xi, p)
         c1 = np.max(np.abs(d1) * bracket_h(xi, h) * (1 + x ** 2) ** (p.sigma / 4))
         assert c1 <= p.M1 + 1e-9
 
@@ -292,9 +299,9 @@ def test_selected_weights_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_windowed_integral_with_domain_cap():
     # the domain roll-off freezes the integral before the seam
     D = np.sqrt(1 + 100.0)
-    v_in = windowed_decay_integral(0.5 * D, 0.75, 1e6, D)
-    v_hi = windowed_decay_integral(0.95 * D, 0.75, 1e6, D)
-    v_end = windowed_decay_integral(2.0 * D, 0.75, 1e6, D)
+    v_in = _windowed_over_caps(0.5 * D, 0.75, 1e6, D)
+    v_hi = _windowed_over_caps(0.95 * D, 0.75, 1e6, D)
+    v_end = _windowed_over_caps(2.0 * D, 0.75, 1e6, D)
     assert v_in < v_hi
     assert v_hi == pytest.approx(v_end, abs=1e-12)
 
@@ -306,7 +313,7 @@ def test_windowed_integral_batched_caps_match_one_cap_at_a_time():
     caps = np.square(bracket_h(np.linspace(-7, 30, 25), 2.0))
     batched = _windowed_over_caps(x[:, None], 0.75, caps[None, :], D)
     for k, cap in enumerate(caps):
-        one = windowed_decay_integral(x, 0.75, cap, D)
+        one = _windowed_over_caps(x, 0.75, cap, D)
         assert np.allclose(batched[:, k], one, rtol=1e-14, atol=0.0)
 
 
@@ -363,11 +370,10 @@ def test_k_homogeneous():
 
 
 def test_k_ode_residual():
+    # k' = -(C1 k + C2), with k' by central differences
     p = params_with(C1=0.3, C2=0.01)
     for t in (0.1, 0.5, 0.9):
-        kk = float(k_of_t(t, p))
-        kp = float(k_prime(t, p))
-        assert abs(kp + p.C1 * kk + p.C2) < 1e-12
+        kp = -(p.C1 * float(k_of_t(t, p)) + p.C2)
         fd = (float(k_of_t(t + 1e-6, p)) - float(k_of_t(t - 1e-6, p))) / 2e-6
         assert abs(kp - fd) < 1e-8
 
@@ -412,8 +418,8 @@ def test_phase_ratio_shrinks_with_h():
     for h in (8.0, 16.0):
         p = params_with(M2=0.7, M1=0.4, h=h)
         xi = grid.xi[None, :]
-        lam = lambda2(x, xi, 0.0, PROB, p) + lambda1(x, xi, 0.0, PROB, p)
-        sups.append(np.max(np.abs(lam) / bracket_h(xi, h) ** (1 / p.theta)))
+        phase = lam(2, x, xi, p) + lam(1, x, xi, p)
+        sups.append(np.max(np.abs(phase) / bracket_h(xi, h) ** (1 / p.theta)))
     assert sups[1] < sups[0]
 
 

@@ -328,8 +328,8 @@ MUTANTS = [
            '    "data.mode": 1,\n',
            (T_HARNESS + "test_mode_hint_pastes_back",)),
     Mutant("time-dependent-budgeted-like-time-independent", HARNESS,
-           'if model_problem(v["problem.id"], sigma, s0=s0).time_dependent',
-           "if False",
+           "    tables = (DENSE_TABLES_TIME_DEPENDENT if problem.time_dependent\n",
+           "    tables = (DENSE_TABLES_TIME_DEPENDENT if False\n",
            (T_HARNESS + "test_time_dependent_working_set_is_budgeted",)),
     Mutant("setup-without-garding-floors", HARNESS,
            "positivity.garding_floors = garding_floors(bundle.assembler)",
@@ -340,6 +340,22 @@ MUTANTS = [
            "        if False:\n",
            (T_HARNESS + "test_empty_sweep_is_a_config_error[,]",
             T_HARNESS + "test_empty_sweep_entry_is_a_config_error[4,,8-entry 2 of 3]")),
+    Mutant("config-decode-error-uncaught", HARNESS,
+           "        except UnicodeDecodeError as exc:\n",
+           "        except () as exc:\n",
+           (T_HARNESS + "test_config_that_is_not_utf8_is_a_config_error",)),
+    Mutant("empty-output-dir-accepted", HARNESS,
+           '        if out == "":\n',
+           "        if False:\n",
+           (T_HARNESS
+            + "test_empty_output_dir_is_refused_before_selection[run-output.dir]",
+            T_HARNESS
+            + "test_empty_output_dir_is_refused_before_selection[run---out]")),
+    Mutant("sweep-pool-ignores-memory", HARNESS,
+           "        workers = min(workers, max(1, have // max(need, 1)))\n",
+           "",
+           (T_HARNESS
+            + "test_sweep_pool_holds_as_many_rows_as_fit_in_memory[1.5-1]",)),
     Mutant("artifact-write-error-uncaught", HARNESS,
            "    except OSError as exc:\n        # from_file",
            "    except () as exc:\n        # from_file",
@@ -350,8 +366,8 @@ MUTANTS = [
            (T_EVOLVE + "test_forcing_conjugated_once_per_stage_time",
             T_EVOLVE + "test_steps_end_on_the_logged_times")),
     Mutant("radius-fit-mask-of-first-row", EVOLVE,
-           "    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)\n",
-           "    mask = grid.band_mask(RADIUS_BAND) & (mag > RADIUS_FLOOR * top)\n"
+           "    mask = grid.band_mask() & (mag > RADIUS_FLOOR * top)\n",
+           "    mask = grid.band_mask() & (mag > RADIUS_FLOOR * top)\n"
            "    mask = np.broadcast_to(mask.reshape(-1, grid.N)[0], mask.shape)\n",
            (T_EVOLVE + "test_norm_and_radius_fit_on_a_stack",)),
     Mutant("horizon-past-the-certificate-accepted", EVOLVE,
